@@ -305,8 +305,8 @@ func (cfg *config) run(ctx context.Context) error {
 	if cfg.stats {
 		fmt.Printf("\ncolumn profile:\n%s", r.SummaryString())
 		fmt.Printf("\nphases: partitions=%v agree-sets=%v max-sets=%v lhs=%v armstrong=%v\n",
-			res.Timings.Partition, res.Timings.AgreeSets, res.Timings.MaxSets,
-			res.Timings.LHS, res.Timings.Armstrong)
+			res.Stats.Partition, res.Stats.AgreeSets, res.Stats.MaxSets,
+			res.Stats.LHS, res.Stats.Armstrong)
 		fmt.Printf("couples=%d chunks=%d |ag(r)|=%d |MAX(dep(r))|=%d\n",
 			res.Couples, res.Chunks, len(res.AgreeSets), len(res.MaxSets))
 		if sp := res.Stats.Spill; cfg.maxAgreeBytes > 0 || sp.RunsSpilled > 0 {

@@ -347,7 +347,7 @@ func StreamCSV(r io.Reader, header bool) (*StreamedDatabase, error) {
 // ignored since original values are unavailable) on a streamed partition
 // database.
 func DiscoverStreamed(ctx context.Context, db *StreamedDatabase, opts Options) (*Result, error) {
-	return core.DiscoverFromDatabase(ctx, db.DB, opts)
+	return core.Run(ctx, core.Input{DB: db.DB}, opts)
 }
 
 // DiscoverFromSnapshot runs FD discovery (steps 1–4) directly off a
@@ -367,6 +367,6 @@ func DiscoverFromSnapshot(ctx context.Context, path string, opts Options) (*Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.DiscoverFromDatabase(ctx, db, opts)
+	res, err := core.Run(ctx, core.Input{DB: db}, opts)
 	return res, append([]string(nil), sr.Names()...), err
 }

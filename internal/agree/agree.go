@@ -263,13 +263,9 @@ func mergeSets(dst, a, b []attrset.Set) []attrset.Set {
 	return dst
 }
 
-// mergeAccums folds per-worker sorted runs — plus any runs the workers
-// spilled to disk — into one deduplicated family and sorts it
-// canonically. Merging is order-insensitive, so the result depends
-// neither on how couples were distributed across workers nor on where
-// spill boundaries fell: the family is byte-identical to the all-in-RAM
-// path for every threshold and worker count.
-func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, error) {
+// memRuns lists the workers' non-empty in-memory runs and their total
+// length.
+func memRuns(locals []*workerState) ([][]attrset.Set, int) {
 	runs := make([][]attrset.Set, 0, len(locals))
 	total := 0
 	for _, w := range locals {
@@ -278,28 +274,33 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 			total += len(w.accum.sorted)
 		}
 	}
-	if sp != nil && sp.Runs() > 0 {
-		// Streaming k-way merge over disk readers and in-memory runs. The
-		// capacity estimate counts cross-run duplicates once each, so it
-		// can overshoot; clip before the canonical sort.
-		out := make(attrset.Family, 0, total+int(sp.Stats().SpilledSets))
-		err := sp.Merge(runs, func(s attrset.Set) error {
-			out = append(out, s)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = attrset.Family(slices.Clip(out))
-		out.Sort()
-		return out, nil
+	return runs, total
+}
+
+// mergeAccums folds per-worker sorted runs — plus any runs the workers
+// spilled to disk — into one deduplicated family in raw run order (never
+// nil); the canonical sort is the caller's. Merging is order-insensitive,
+// so the result depends neither on how couples were distributed across
+// workers nor on where spill boundaries fell: the family is
+// byte-identical to the all-in-RAM path for every threshold and worker
+// count.
+func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, error) {
+	runs, total := memRuns(locals)
+	if sp == nil || sp.Runs() == 0 {
+		return mergeRuns(runs), nil
 	}
-	out := attrset.Family(mergeRuns(runs))
-	if out == nil {
-		out = attrset.Family{}
+	// Streaming k-way merge over disk readers and in-memory runs. The
+	// capacity estimate counts cross-run duplicates once each, so it can
+	// overshoot; clip before handing the family on.
+	out := make(attrset.Family, 0, total+int(sp.Stats().SpilledSets))
+	err := sp.Merge(runs, func(s attrset.Set) error {
+		out = append(out, s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.Sort()
-	return out, nil
+	return slices.Clip(out), nil
 }
 
 // mergeRuns folds sorted deduplicated runs into one via balanced pairwise
@@ -309,11 +310,12 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 // constant five allocations regardless of k or round count. An odd
 // leftover run is copied into the round's buffer rather than carried by
 // reference: a leftover pointing into buffer A would otherwise be read
-// two rounds later while buffer A is being rewritten.
+// two rounds later while buffer A is being rewritten. The result is never
+// nil.
 func mergeRuns(runs [][]attrset.Set) []attrset.Set {
 	switch len(runs) {
 	case 0:
-		return nil
+		return []attrset.Set{}
 	case 1:
 		return slices.Clip(runs[0])
 	}
@@ -371,56 +373,95 @@ type workerState struct {
 // sorted runs are merged and emitted in canonical order, making the
 // result independent of worker count and scheduling.
 func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	mc := db.MaximalClasses()
-	couples := generateCouples(mc)
-	res := &Result{Couples: len(couples)}
-	if opts.MaxCouples > 0 && len(couples) > opts.MaxCouples {
-		return nil, &CoupleOverflowError{Couples: len(couples), Max: opts.MaxCouples}
+	p := NewPlan(db)
+	if opts.MaxCouples > 0 && p.Couples() > opts.MaxCouples {
+		return nil, &CoupleOverflowError{Couples: p.Couples(), Max: opts.MaxCouples}
 	}
+	return p.run(ctx, VariantCouples, opts)
+}
 
-	chunk := opts.chunkSize()
-	nChunks := (len(couples) + chunk - 1) / chunk
-	res.Chunks = nChunks
-	if nChunks == 0 {
-		res.Chunks = 1
+// Identifiers computes ag(r) with Algorithm 3 (AGREE_SET 2): per-tuple
+// equivalence-class identifier lists, intersected per MC couple (Lemma 2).
+// It is the "Dep-Miner 2" variant of the evaluation, more efficient when
+// equivalence classes are large or numerous. The couple list is split
+// into fixed strides distributed over Options.Workers goroutines, with
+// per-worker sorted runs merged in canonical order (deterministic output
+// for any worker count).
+func Identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
+	return NewPlan(db).run(ctx, VariantIdentifiers, opts)
+}
+
+// run sweeps the plan's whole couple space and finishes the merged runs
+// into ag(r), charging the couple count before the sweep and the family
+// size after it.
+func (p *Plan) run(ctx context.Context, v Variant, opts Options) (*Result, error) {
+	res := &Result{Couples: len(p.couples), Chunks: 1}
+	if v == VariantCouples {
+		res.Chunks = max(1, (len(p.couples)+opts.chunkSize()-1)/opts.chunkSize())
 	}
-	if err := opts.Budget.Charge("agree", len(couples)); err != nil {
+	if err := opts.Budget.Charge("agree", len(p.couples)); err != nil {
 		return res, err
 	}
-
-	workers := pool.Resolve(opts.Workers)
-	locals, sp := makeWorkers(workers, opts)
-	defer func() {
-		if sp != nil {
+	locals, sp, err := p.sweep(ctx, p.couples, v, opts)
+	if sp != nil {
+		defer func() {
 			res.Spill = sp.Stats()
 			sp.Close()
-		}
-	}()
-	full := attrset.Universe(db.Arity())
-	err := pool.Run(ctx, workers, nChunks, func(_ context.Context, w, t int) error {
-		if err := faultinject.Fire(faultinject.AgreeChunk); err != nil {
+		}()
+	}
+	if err != nil {
+		return governedPartial(res, locals, sp, err, v)
+	}
+	sets, err := mergeAccums(locals, sp)
+	if err != nil {
+		return nil, fmt.Errorf("agree: merging %s runs: %w", v, err)
+	}
+	res.Sets = p.Finish(sets)
+	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
+		return res, err
+	}
+	return res, nil
+}
+
+// sweep runs couples through variant v — Algorithm 2's chunk loop or
+// Algorithm 3's stride loop — over Options.Workers goroutines, each
+// absorbing its batches into a private sorted run (spilled past
+// Options.MaxAgreeBytes). Every task first passes the variant's fault
+// hook and a budget deadline checkpoint. pool.Run joins every worker
+// before returning, so the locals are safe to merge whatever the error;
+// the spiller (nil when not spilling) is the caller's to close.
+func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Options) ([]*workerState, *extsort.Spiller, error) {
+	workers := pool.Resolve(opts.Workers)
+	locals, sp := makeWorkers(workers, opts)
+	full := attrset.Universe(p.db.Arity())
+	step, hook := opts.chunkSize(), faultinject.AgreeChunk
+	var ecOff []int32
+	var ec []uint64
+	if v == VariantIdentifiers {
+		step, hook = identifierStride, faultinject.AgreeStride
+		ecOff, ec = p.ecIndex()
+	}
+	tasks := (len(couples) + step - 1) / step
+	err := pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
+		if err := faultinject.Fire(hook); err != nil {
 			return err
 		}
 		if err := opts.Budget.Checkpoint("agree"); err != nil {
 			return err
 		}
-		start := t * chunk
-		end := min(start+chunk, len(couples))
+		part := couples[t*step : min((t+1)*step, len(couples))]
 		ws := locals[w]
-		return ws.accum.absorb(processChunk(db, couples[start:end], full, ws))
+		if v == VariantCouples {
+			return ws.accum.absorb(processChunk(p.db, part, full, ws))
+		}
+		batch, err := intersectStride(taskCtx, ec, ecOff, part, full, ws.batch[:0])
+		ws.batch = batch
+		if err != nil {
+			return err
+		}
+		return ws.accum.absorb(batch)
 	})
-	if err != nil {
-		return governedPartial(res, locals, sp, err, "couples scan")
-	}
-	sets, err := mergeAccums(locals, sp)
-	if err != nil {
-		return nil, fmt.Errorf("agree: merging couples-scan runs: %w", err)
-	}
-	res.Sets = addEmptyIfUncovered(db, len(couples), sets)
-	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
-		return res, err
-	}
-	return res, nil
+	return locals, sp, err
 }
 
 // makeWorkers builds the per-worker accumulators, attaching a spiller
@@ -447,22 +488,21 @@ func makeWorkers(workers int, opts Options) ([]*workerState, *extsort.Spiller) {
 
 // governedPartial classifies a sweep failure: governed outcomes (budget,
 // deadline, contained panic) keep the agree sets the workers accumulated
-// before the overrun — pool.Run has joined every worker by the time it
-// returns, so the locals are safe to merge — while cancellations and
+// before the overrun, canonically sorted, while cancellations and
 // ordinary errors discard the result as before. The empty-set completion
 // is skipped on the partial path: it is only meaningful for a full sweep.
 // When merging the partial runs itself fails (a damaged spill file, say),
 // the partial is returned with no family at all — never a silently
 // truncated one.
-func governedPartial(res *Result, locals []*workerState, sp *extsort.Spiller, err error, what string) (*Result, error) {
+func governedPartial(res *Result, locals []*workerState, sp *extsort.Spiller, err error, v Variant) (*Result, error) {
 	if !guard.Governed(err) {
-		return nil, fmt.Errorf("agree: %s cancelled: %w", what, err)
+		return nil, fmt.Errorf("agree: %s cancelled: %w", v, err)
 	}
 	sets, merr := mergeAccums(locals, sp)
 	if merr != nil {
-		res.Sets = nil
 		return res, err
 	}
+	sets.Sort()
 	res.Sets = sets
 	return res, err
 }
@@ -553,63 +593,6 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 // intersects: large enough to amortise dispatch, small enough to balance
 // load and keep cancellation latency low.
 const identifierStride = 1 << 13
-
-// Identifiers computes ag(r) with Algorithm 3 (AGREE_SET 2): per-tuple
-// equivalence-class identifier lists, intersected per MC couple (Lemma 2).
-// It is the "Dep-Miner 2" variant of the evaluation, more efficient when
-// equivalence classes are large or numerous. The couple list is split
-// into fixed strides distributed over Options.Workers goroutines, with
-// per-worker sorted runs merged in canonical order (deterministic output
-// for any worker count).
-func Identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	ecOff, ec := buildECIndex(db)
-	mc := db.MaximalClasses()
-	couples := generateCouples(mc)
-	res := &Result{Chunks: 1, Couples: len(couples)}
-	if err := opts.Budget.Charge("agree", len(couples)); err != nil {
-		return res, err
-	}
-
-	workers := pool.Resolve(opts.Workers)
-	locals, sp := makeWorkers(workers, opts)
-	defer func() {
-		if sp != nil {
-			res.Spill = sp.Stats()
-			sp.Close()
-		}
-	}()
-	full := attrset.Universe(db.Arity())
-	tasks := (len(couples) + identifierStride - 1) / identifierStride
-	err := pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
-		if err := faultinject.Fire(faultinject.AgreeStride); err != nil {
-			return err
-		}
-		if err := opts.Budget.Checkpoint("agree"); err != nil {
-			return err
-		}
-		start := t * identifierStride
-		end := min(start+identifierStride, len(couples))
-		ws := locals[w]
-		batch, err := intersectStride(taskCtx, ec, ecOff, couples[start:end], full, ws.batch[:0])
-		ws.batch = batch
-		if err != nil {
-			return err
-		}
-		return ws.accum.absorb(batch)
-	})
-	if err != nil {
-		return governedPartial(res, locals, sp, err, "identifier scan")
-	}
-	sets, err := mergeAccums(locals, sp)
-	if err != nil {
-		return nil, fmt.Errorf("agree: merging identifier-scan runs: %w", err)
-	}
-	res.Sets = addEmptyIfUncovered(db, len(couples), sets)
-	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
-		return res, err
-	}
-	return res, nil
-}
 
 // buildECIndex lays out, per tuple t, the list ec(t) of (attribute, class
 // id) pairs for which t lies in some class of π̂_A, encoded a<<32|id in

@@ -29,9 +29,7 @@ import (
 
 	"repro/internal/attrset"
 	"repro/internal/extsort"
-	"repro/internal/faultinject"
 	"repro/internal/partition"
-	"repro/internal/pool"
 )
 
 // Variant selects which sweep a shard runs: Algorithm 2 (couples) or
@@ -45,18 +43,27 @@ const (
 	VariantIdentifiers
 )
 
+// String names the variant's sweep in error messages.
+func (v Variant) String() string {
+	if v == VariantIdentifiers {
+		return "identifier scan"
+	}
+	return "couples scan"
+}
+
 // Shard is a half-open couple index range [Start, End) into the plan's
 // couple list.
 type Shard struct {
 	Start, End int
 }
 
-// Plan is the shared frame of one sharded agree-set computation: the
-// stripped-partition database and its globally sorted deduplicated couple
-// list. Coordinator and workers each build a Plan from the same relation
-// bytes; equality of the couple count is the cheap structural check that
-// they did. The identifier arena is built lazily, once, and shared by
-// concurrent ComputeShard calls.
+// Plan is the frame of one agree-set computation: the stripped-partition
+// database and its globally sorted deduplicated couple list. Couples and
+// Identifiers sweep a Plan's full couple range, ComputeShard a sub-range,
+// through the same sweep. Coordinator and workers each build a Plan from
+// the same relation bytes; equality of the couple count is the cheap
+// structural check that they did. The identifier arena is built lazily,
+// once, and shared by concurrent ComputeShard calls.
 type Plan struct {
 	db      *partition.Database
 	couples []uint64
@@ -73,12 +80,6 @@ func NewPlan(db *partition.Database) *Plan {
 
 // Couples returns the total couple count — the space Split partitions.
 func (p *Plan) Couples() int { return len(p.couples) }
-
-// Arity returns the schema size of the underlying database.
-func (p *Plan) Arity() int { return p.db.Arity() }
-
-// Rows returns the tuple count of the underlying database.
-func (p *Plan) Rows() int { return p.db.NumRows }
 
 // Split partitions the couple space into n contiguous near-equal shards
 // (never more shards than couples; an empty couple space yields one
@@ -136,55 +137,13 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 	if sh.Start < 0 || sh.End < sh.Start || sh.End > len(p.couples) {
 		return nil, fmt.Errorf("agree: shard [%d,%d) outside couple range [0,%d]", sh.Start, sh.End, len(p.couples))
 	}
-	sub := p.couples[sh.Start:sh.End]
-	workers := pool.Resolve(opts.Workers)
-	locals, sp := makeWorkers(workers, opts)
 	res := &ShardResult{}
-	defer func() {
-		if sp != nil {
+	locals, sp, err := p.sweep(ctx, p.couples[sh.Start:sh.End], v, opts)
+	if sp != nil {
+		defer func() {
 			res.Spill = sp.Stats()
 			sp.Close()
-		}
-	}()
-	full := attrset.Universe(p.db.Arity())
-
-	var err error
-	switch v {
-	case VariantIdentifiers:
-		ecOff, ec := p.ecIndex()
-		tasks := (len(sub) + identifierStride - 1) / identifierStride
-		err = pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
-			if err := faultinject.Fire(faultinject.AgreeStride); err != nil {
-				return err
-			}
-			if err := opts.Budget.Checkpoint("agree"); err != nil {
-				return err
-			}
-			start := t * identifierStride
-			end := min(start+identifierStride, len(sub))
-			ws := locals[w]
-			batch, err := intersectStride(taskCtx, ec, ecOff, sub[start:end], full, ws.batch[:0])
-			ws.batch = batch
-			if err != nil {
-				return err
-			}
-			return ws.accum.absorb(batch)
-		})
-	default:
-		chunk := opts.chunkSize()
-		tasks := (len(sub) + chunk - 1) / chunk
-		err = pool.Run(ctx, workers, tasks, func(_ context.Context, w, t int) error {
-			if err := faultinject.Fire(faultinject.AgreeChunk); err != nil {
-				return err
-			}
-			if err := opts.Budget.Checkpoint("agree"); err != nil {
-				return err
-			}
-			start := t * chunk
-			end := min(start+chunk, len(sub))
-			ws := locals[w]
-			return ws.accum.absorb(processChunk(p.db, sub[start:end], full, ws))
-		})
+		}()
 	}
 	if err != nil {
 		return res, fmt.Errorf("agree: shard [%d,%d) sweep: %w", sh.Start, sh.End, err)
@@ -194,19 +153,17 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 		res.Sets++
 		return emit(s)
 	}
-	runs := make([][]attrset.Set, 0, len(locals))
-	for _, w := range locals {
-		if len(w.accum.sorted) > 0 {
-			runs = append(runs, w.accum.sorted)
-		}
-	}
 	if sp != nil && sp.Runs() > 0 {
+		// Stream the disk-backed merge straight out: a spilling worker
+		// never holds its shard's family in memory.
+		runs, _ := memRuns(locals)
 		if err := sp.Merge(runs, counted); err != nil {
 			return res, fmt.Errorf("agree: shard [%d,%d) merge: %w", sh.Start, sh.End, err)
 		}
 		return res, nil
 	}
-	for _, s := range mergeRuns(runs) {
+	sets, _ := mergeAccums(locals, nil)
+	for _, s := range sets {
 		if err := counted(s); err != nil {
 			return res, err
 		}

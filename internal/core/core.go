@@ -10,6 +10,8 @@
 //  4. FD_OUTPUT          — Algorithm 6, below
 //  5. ARMSTRONG_RELATION — internal/armstrong (§4)
 //
+// Run is the one entry point: its Input says how far the caller already
+// got (a relation, a prebuilt partition database, or a complete ag(r)).
 // The pipeline consumes only the stripped partition database after step 1
 // has been prepared, and touches the original relation again only to
 // materialise real-world Armstrong values — matching the paper's
@@ -20,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/agree"
@@ -48,8 +49,7 @@ const (
 	// equivalence-class identifier lists intersected per couple.
 	AgreeIdentifiers
 	// AgreeNaive is the O(n·p²) direct pairwise scan, for baselines and
-	// tests only. It requires the relation itself (Discover, not
-	// DiscoverFromDatabase).
+	// tests only. It requires the relation itself (Input.Relation).
 	AgreeNaive
 )
 
@@ -161,74 +161,21 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Timings records wall-clock duration per pipeline step.
-type Timings struct {
+// Stats records the wall-clock duration of each pipeline phase, so
+// callers can attribute time to pipeline steps without an external
+// profiler, plus step 1's out-of-core traffic. A phase this call did not
+// run — because the Input already supplied its output, or step 5 was
+// skipped — reports zero.
+type Stats struct {
 	Partition time.Duration // stripped partition database extraction
 	AgreeSets time.Duration // step 1
 	MaxSets   time.Duration // step 2
 	LHS       time.Duration // steps 3–4
 	Armstrong time.Duration // step 5
-}
-
-// Total returns the sum over all steps.
-func (t Timings) Total() time.Duration {
-	return t.Partition + t.AgreeSets + t.MaxSets + t.LHS + t.Armstrong
-}
-
-// PhaseStat records one pipeline phase's cost: wall-clock duration plus
-// the heap-allocation delta (objects and bytes) observed across the
-// phase. The counters are process-wide (runtime.MemStats cumulative
-// totals), so concurrent work outside the pipeline is attributed to
-// whatever phase was running — exact in the common case of one
-// discovery at a time, indicative otherwise.
-type PhaseStat struct {
-	Duration time.Duration
-	Allocs   uint64 // heap objects allocated during the phase
-	Bytes    uint64 // heap bytes allocated during the phase
-}
-
-// Stats holds per-phase cost counters, letting the benchmark harness
-// attribute time and allocations to pipeline steps without an external
-// profiler. Durations duplicate Timings (kept for compatibility).
-type Stats struct {
-	Partition PhaseStat // stripped partition database extraction
-	AgreeSets PhaseStat // step 1
-	MaxSets   PhaseStat // step 2
-	LHS       PhaseStat // steps 3–4
-	Armstrong PhaseStat // step 5
 	// Spill counts step 1's out-of-core traffic (runs spilled, bytes
 	// written, blocks read back) when Options.MaxAgreeBytes is set;
 	// all-zero for in-memory runs.
 	Spill extsort.Stats
-}
-
-// phaseProbe captures the start-of-phase clock and allocation counters.
-// ReadMemStats flushes the per-P allocation caches, so the deltas are
-// exact even for phases that allocate little; its brief stop-the-world
-// costs microseconds per phase boundary, noise against any phase worth
-// measuring.
-type phaseProbe struct {
-	t0      time.Time
-	mallocs uint64
-	bytes   uint64
-}
-
-func startPhase() phaseProbe {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return phaseProbe{t0: time.Now(), mallocs: m.Mallocs, bytes: m.TotalAlloc}
-}
-
-// stop returns the phase's cost since startPhase.
-func (p phaseProbe) stop() PhaseStat {
-	d := time.Since(p.t0)
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return PhaseStat{
-		Duration: d,
-		Allocs:   m.Mallocs - p.mallocs,
-		Bytes:    m.TotalAlloc - p.bytes,
-	}
 }
 
 // Result is the outcome of a Dep-Miner run.
@@ -245,7 +192,7 @@ type Result struct {
 	// exactly as Algorithm 5 computes it.
 	LHS []attrset.Family
 	// Armstrong is the Armstrong relation, nil when Options.Armstrong is
-	// ArmstrongNone.
+	// ArmstrongNone or the Input carried no relation.
 	Armstrong *relation.Relation
 	// ArmstrongSynthetic reports that the synthetic construction was
 	// used (always, or as fallback).
@@ -253,10 +200,7 @@ type Result struct {
 	// Couples is the number of tuple couples examined by step 1; Chunks
 	// the number of chunk passes.
 	Couples, Chunks int
-	// Timings records per-step durations.
-	Timings Timings
-	// Stats records per-step durations together with heap-allocation
-	// deltas, for cost attribution without an external profiler.
+	// Stats records per-phase wall-clock durations and spill traffic.
 	Stats Stats
 	// Partial reports that the run stopped early — budget or deadline
 	// overrun, or a contained panic — and the Result holds only the
@@ -293,134 +237,81 @@ func contain(phase string, res *Result, errp *error) {
 	}
 }
 
+// Input states what a run starts from. Run begins at the furthest step
+// the input reaches: Agree skips step 1, DB skips the partition build,
+// and a Relation alone runs the whole pipeline. The Relation is read
+// only where raw values are needed — the naive agree-set scan and step 5
+// — so without one, step 5 is skipped whatever Options.Armstrong says.
+type Input struct {
+	Relation *relation.Relation
+	DB       *partition.Database
+	// Agree is a complete, canonical ag(r) plus the counters of whatever
+	// computed it (couples, chunks, spill), adopted into the Result as is.
+	Agree *agree.Result
+	// Arity is the schema width, read only when neither Relation nor DB
+	// is set.
+	Arity int
+}
+
+func (in Input) arity() int {
+	switch {
+	case in.Relation != nil:
+		return in.Relation.Arity()
+	case in.DB != nil:
+		return in.DB.Arity()
+	}
+	return in.Arity
+}
+
 // Discover runs the full Dep-Miner pipeline on a relation.
-func Discover(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
+func Discover(ctx context.Context, r *relation.Relation, opts Options) (*Result, error) {
+	return Run(ctx, Input{Relation: r}, opts)
+}
+
+// Run executes the Dep-Miner pipeline (Algorithm 1) from what in already
+// knows; see Input. Step 1 without a relation needs a partition database
+// and a non-naive algorithm, or it fails with ErrInvalidOptions.
+func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	if in.Agree == nil && in.Relation == nil && (in.DB == nil || opts.Algorithm == AgreeNaive) {
+		return nil, fmt.Errorf("%w: step 1 needs the relation (or, except for the naive scan, its partition database)", ErrInvalidOptions)
+	}
 	res = &Result{}
-	defer contain("core.Discover", res, &err)
+	defer contain("core.Run", res, &err)
 
-	// Step 1: AGREE_SET.
-	pp := startPhase()
-	var agr *agree.Result
-	if opts.Algorithm == AgreeNaive {
-		if ferr := faultinject.Fire(faultinject.CoreAgree); ferr != nil {
-			return fail(res, ferr)
-		}
-		agr, err = agree.Naive(ctx, r)
-		if err != nil {
-			return fail(res, err)
-		}
-		res.Stats.AgreeSets = pp.stop()
-		res.Timings.AgreeSets = res.Stats.AgreeSets.Duration
-	} else {
-		if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
-			return fail(res, ferr)
-		}
-		db := partition.NewDatabase(r)
-		res.Stats.Partition = pp.stop()
-		res.Timings.Partition = res.Stats.Partition.Duration
-		if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
-			return fail(res, cerr)
-		}
-		pp = startPhase()
-		agr, err = agreeSets(ctx, db, opts, res)
-		if err != nil {
+	// Step 1: AGREE_SET, unless ag(r) is already known.
+	agr := in.Agree
+	if agr == nil {
+		if agr, err = agreeStep(ctx, in, opts, res); err != nil {
 			adoptAgree(res, agr)
 			return fail(res, err)
 		}
-		res.Stats.AgreeSets = pp.stop()
-		res.Timings.AgreeSets = res.Stats.AgreeSets.Duration
 	}
 
 	// Steps 2–4.
-	if err := deriveFDs(ctx, agr, r.Arity(), opts, res); err != nil {
+	if err := deriveFDs(ctx, agr, in.arity(), opts, res); err != nil {
 		return fail(res, err)
 	}
 
-	// Step 5: ARMSTRONG_RELATION.
-	if opts.Armstrong != ArmstrongNone {
-		if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
-			return fail(res, ferr)
-		}
-		if cerr := opts.Budget.Checkpoint("armstrong"); cerr != nil {
-			return fail(res, cerr)
-		}
-		pp = startPhase()
-		arm, synthetic, aerr := buildArmstrong(r, res.MaxSets, opts.Armstrong)
-		if aerr != nil {
-			return fail(res, aerr)
-		}
-		res.Armstrong = arm
-		res.ArmstrongSynthetic = synthetic
-		res.Stats.Armstrong = pp.stop()
-		res.Timings.Armstrong = res.Stats.Armstrong.Duration
+	// Step 5: ARMSTRONG_RELATION, which needs the original values.
+	if opts.Armstrong == ArmstrongNone || in.Relation == nil {
+		return res, nil
 	}
-	return res, nil
-}
-
-// DiscoverFromDatabase runs steps 1–4 on a pre-built stripped partition
-// database (no Armstrong relation, which needs the original values).
-func DiscoverFromDatabase(ctx context.Context, db *partition.Database, opts Options) (res *Result, err error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
+	if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
+		return fail(res, ferr)
 	}
-	if opts.Algorithm == AgreeNaive {
-		return nil, fmt.Errorf("%w: the naive agree-set scan needs the relation; use Discover", ErrInvalidOptions)
+	if cerr := opts.Budget.Checkpoint("armstrong"); cerr != nil {
+		return fail(res, cerr)
 	}
-	res = &Result{}
-	defer contain("core.DiscoverFromDatabase", res, &err)
-	pp := startPhase()
-	agr, aerr := agreeSets(ctx, db, opts, res)
+	t0 := time.Now()
+	arm, synthetic, aerr := buildArmstrong(in.Relation, res.MaxSets, opts.Armstrong)
 	if aerr != nil {
-		adoptAgree(res, agr)
 		return fail(res, aerr)
 	}
-	res.Stats.AgreeSets = pp.stop()
-	res.Timings.AgreeSets = res.Stats.AgreeSets.Duration
-	if derr := deriveFDs(ctx, agr, db.Arity(), opts, res); derr != nil {
-		return fail(res, derr)
-	}
-	return res, nil
-}
-
-// DiscoverFromAgreeSets runs steps 2–5 of the pipeline on an externally
-// computed (complete, canonical) ag(r) — the coordinator's tail of a
-// sharded discovery, after the workers' runs have been merged and
-// finished. r supplies the values for the Armstrong relation and may be
-// nil when opts.Armstrong is ArmstrongNone. The agree-set counters in
-// res (Couples, Chunks, Spill) are left to the caller, who knows how the
-// family was actually produced.
-func DiscoverFromAgreeSets(ctx context.Context, r *relation.Relation, sets attrset.Family, arity int, opts Options) (res *Result, err error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Armstrong != ArmstrongNone && r == nil {
-		return nil, fmt.Errorf("%w: the Armstrong relation needs the original values", ErrInvalidOptions)
-	}
-	res = &Result{}
-	defer contain("core.DiscoverFromAgreeSets", res, &err)
-	if derr := deriveFDs(ctx, &agree.Result{Sets: sets, Chunks: 1}, arity, opts, res); derr != nil {
-		return fail(res, derr)
-	}
-	if opts.Armstrong != ArmstrongNone {
-		if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
-			return fail(res, ferr)
-		}
-		if cerr := opts.Budget.Checkpoint("armstrong"); cerr != nil {
-			return fail(res, cerr)
-		}
-		pp := startPhase()
-		arm, synthetic, aerr := buildArmstrong(r, res.MaxSets, opts.Armstrong)
-		if aerr != nil {
-			return fail(res, aerr)
-		}
-		res.Armstrong = arm
-		res.ArmstrongSynthetic = synthetic
-		res.Stats.Armstrong = pp.stop()
-		res.Timings.Armstrong = res.Stats.Armstrong.Duration
-	}
+	res.Armstrong, res.ArmstrongSynthetic = arm, synthetic
+	res.Stats.Armstrong = time.Since(t0)
 	return res, nil
 }
 
@@ -433,20 +324,6 @@ func DegradeNote(couples, max int) string {
 	return fmt.Sprintf(
 		"agree: degraded from Dep-Miner (Algorithm 2) to Dep-Miner 2 (Algorithm 3): %d couples exceed the %d-couple threshold",
 		couples, max)
-}
-
-// DeriveFromAgreeSets runs steps 2–4 of the pipeline on externally
-// computed agree sets — used by the incremental miner, which maintains
-// ag(r) under inserts and re-derives the cover on demand. It runs the
-// sequential reference path: the cost is independent of |r| and too
-// small to benefit from fan-out.
-func DeriveFromAgreeSets(ctx context.Context, sets attrset.Family, arity int) (res *Result, err error) {
-	res = &Result{}
-	defer contain("core.DeriveFromAgreeSets", res, &err)
-	if derr := deriveFDs(ctx, &agree.Result{Sets: sets, Chunks: 1}, arity, Options{Workers: 1}, res); derr != nil {
-		return fail(res, derr)
-	}
-	return res, nil
 }
 
 // adoptAgree copies whatever step 1 accumulated before failing into res,
@@ -462,14 +339,31 @@ func adoptAgree(res *Result, agr *agree.Result) {
 	res.Stats.Spill = agr.Spill
 }
 
-// agreeSets runs step 1 on the stripped partition database, degrading
-// from Algorithm 2 to Algorithm 3 when the couple space crosses
-// Options.MaxCouples — the paper's own remedy for correlated relations,
-// recorded in res.Notes.
-func agreeSets(ctx context.Context, db *partition.Database, opts Options, res *Result) (*agree.Result, error) {
+// agreeStep runs step 1: the naive scan over the relation, or the
+// partition build (skipped when in.DB is given) followed by the
+// stripped-partition sweep. The sweep degrades from Algorithm 2 to
+// Algorithm 3 when the couple space crosses Options.MaxCouples — the
+// paper's own remedy for correlated relations, recorded in res.Notes.
+func agreeStep(ctx context.Context, in Input, opts Options, res *Result) (*agree.Result, error) {
+	db := in.DB
+	if opts.Algorithm != AgreeNaive {
+		if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
+			return nil, ferr
+		}
+		if db == nil {
+			t0 := time.Now()
+			db = partition.NewDatabase(in.Relation)
+			res.Stats.Partition = time.Since(t0)
+		}
+		if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
+			return nil, cerr
+		}
+	}
 	if ferr := faultinject.Fire(faultinject.CoreAgree); ferr != nil {
 		return nil, ferr
 	}
+	t0 := time.Now()
+	defer func() { res.Stats.AgreeSets = time.Since(t0) }()
 	aopts := agree.Options{
 		ChunkSize:     opts.ChunkSize,
 		Workers:       opts.Workers,
@@ -477,7 +371,10 @@ func agreeSets(ctx context.Context, db *partition.Database, opts Options, res *R
 		MaxAgreeBytes: opts.MaxAgreeBytes,
 		SpillDir:      opts.SpillDir,
 	}
-	if opts.Algorithm == AgreeIdentifiers {
+	switch opts.Algorithm {
+	case AgreeNaive:
+		return agree.Naive(ctx, in.Relation)
+	case AgreeIdentifiers:
 		return agree.Identifiers(ctx, db, aopts)
 	}
 	aopts.MaxCouples = opts.MaxCouples
@@ -502,11 +399,10 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 	if cerr := opts.Budget.Checkpoint("maxsets"); cerr != nil {
 		return cerr
 	}
-	pp := startPhase()
+	t0 := time.Now()
 	ms := maxsets.Compute(res.AgreeSets, arity)
 	res.MaxSets = ms.AllMax()
-	res.Stats.MaxSets = pp.stop()
-	res.Timings.MaxSets = res.Stats.MaxSets.Duration
+	res.Stats.MaxSets = time.Since(t0)
 
 	// Steps 3–4: LEFT_HAND_SIDE then FD_OUTPUT. The per-attribute searches
 	// Tr(cmax(dep(r),A)) are independent, so they fan out one task per RHS
@@ -519,7 +415,7 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 	if cerr := opts.Budget.Checkpoint("lhs"); cerr != nil {
 		return cerr
 	}
-	pp = startPhase()
+	t0 = time.Now()
 	hs := make([]*hypergraph.Hypergraph, arity)
 	for a := 0; a < arity; a++ {
 		hs[a] = hypergraph.Simplify(ms.CMax[a])
@@ -538,8 +434,7 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 		}
 	}
 	res.FDs.Sort()
-	res.Stats.LHS = pp.stop()
-	res.Timings.LHS = res.Stats.LHS.Duration
+	res.Stats.LHS = time.Since(t0)
 	return nil
 }
 

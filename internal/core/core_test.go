@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/agree"
 	"repro/internal/attrset"
+	"repro/internal/datagen"
 	"repro/internal/fd"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -94,10 +99,10 @@ func TestDiscoverLHSFamilies(t *testing.T) {
 	}
 }
 
-func TestDiscoverFromDatabase(t *testing.T) {
+func TestRunFromDatabase(t *testing.T) {
 	r := relation.PaperExample()
 	db := partition.NewDatabase(r)
-	res, err := DiscoverFromDatabase(context.Background(), db, Options{Algorithm: AgreeIdentifiers})
+	res, err := Run(context.Background(), Input{DB: db}, Options{Algorithm: AgreeIdentifiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +110,79 @@ func TestDiscoverFromDatabase(t *testing.T) {
 		t.Errorf("FDs mismatch:\n%s", res.FDs)
 	}
 	if res.Armstrong != nil {
-		t.Error("DiscoverFromDatabase must not build Armstrong relations")
+		t.Error("Run without a relation must not build Armstrong relations")
 	}
-	// Naive needs the relation.
-	if _, err := DiscoverFromDatabase(context.Background(), db, Options{Algorithm: AgreeNaive}); err == nil {
-		t.Error("AgreeNaive through DiscoverFromDatabase should error")
+	// Naive needs the relation, and some input must be present.
+	for _, in := range []Input{{DB: db}, {}} {
+		if _, err := Run(context.Background(), in, Options{Algorithm: AgreeNaive}); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("AgreeNaive over %+v: err = %v, want ErrInvalidOptions", in, err)
+		}
 	}
-	if _, err := DiscoverFromDatabase(context.Background(), db, Options{Algorithm: AgreeAlgorithm(99)}); err == nil {
+	if _, err := Run(context.Background(), Input{DB: db}, Options{Algorithm: AgreeAlgorithm(99)}); err == nil {
 		t.Error("unknown algorithm should error")
+	}
+}
+
+// TestRunInputsAgree pins Run's one rule for every input shape: the
+// cover, max sets and agree sets are byte-identical to Discover, the
+// Armstrong relation is built exactly when the input carries the
+// relation (skipped silently otherwise), and a supplied partition
+// database or ag(r) is never rebuilt.
+func TestRunInputsAgree(t *testing.T) {
+	ctx := context.Background()
+	rels := map[string]*relation.Relation{"paper": relation.PaperExample()}
+	for _, spec := range []datagen.Spec{
+		{Attrs: 6, Rows: 200, Correlation: 0.5, Seed: 1},
+		{Attrs: 9, Rows: 120, Correlation: 0.3, Seed: 2},
+	} {
+		r, err := datagen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels[fmt.Sprintf("datagen-%dx%d", spec.Attrs, spec.Rows)] = r
+	}
+	for name, r := range rels {
+		want, err := Discover(ctx, r, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := partition.NewDatabase(r)
+		full := &agree.Result{Sets: want.AgreeSets, Couples: want.Couples, Chunks: want.Chunks}
+		for _, tc := range []struct {
+			in        string
+			input     Input
+			armstrong bool
+		}{
+			{"relation", Input{Relation: r}, true},
+			{"db", Input{DB: db}, false},
+			{"db+relation", Input{DB: db, Relation: r}, true},
+			{"agree", Input{Agree: full, Arity: r.Arity()}, false},
+		} {
+			got, err := Run(ctx, tc.input, Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, tc.in, err)
+			}
+			if fmt.Sprint(got.FDs) != fmt.Sprint(want.FDs) ||
+				fmt.Sprint(got.MaxSets) != fmt.Sprint(want.MaxSets) ||
+				fmt.Sprint(got.AgreeSets) != fmt.Sprint(want.AgreeSets) {
+				t.Errorf("%s/%s: result differs from Discover", name, tc.in)
+			}
+			if got.Couples != want.Couples {
+				t.Errorf("%s/%s: Couples = %d, want %d", name, tc.in, got.Couples, want.Couples)
+			}
+			if (got.Armstrong != nil) != tc.armstrong {
+				t.Errorf("%s/%s: Armstrong built = %v, want %v", name, tc.in, got.Armstrong != nil, tc.armstrong)
+			}
+			if tc.armstrong && fmt.Sprint(got.Armstrong) != fmt.Sprint(want.Armstrong) {
+				t.Errorf("%s/%s: Armstrong relation differs from Discover", name, tc.in)
+			}
+			if tc.input.DB != nil && got.Stats.Partition != 0 {
+				t.Errorf("%s/%s: supplied partition database was rebuilt", name, tc.in)
+			}
+			if tc.input.Agree != nil && got.Stats.AgreeSets != 0 {
+				t.Errorf("%s/%s: supplied ag(r) was recomputed", name, tc.in)
+			}
+		}
 	}
 }
 
@@ -123,7 +193,7 @@ func TestArmstrongModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Armstrong != nil || res.Timings.Armstrong != 0 {
+	if res.Armstrong != nil || res.Stats.Armstrong != 0 {
 		t.Error("ArmstrongNone must skip step 5")
 	}
 	// Synthetic.
@@ -219,17 +289,6 @@ func TestDegenerateRelations(t *testing.T) {
 	}
 }
 
-func TestTimingsPopulated(t *testing.T) {
-	r := relation.PaperExample()
-	res, err := Discover(context.Background(), r, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timings.Total() <= 0 {
-		t.Error("timings not recorded")
-	}
-}
-
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -289,8 +348,8 @@ func TestPropertyDiscoverMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestResultStats checks that every pipeline phase reports its cost in
-// Result.Stats and that the durations mirror Result.Timings.
+// TestResultStats checks that every pipeline phase reports its wall
+// time in Result.Stats.
 func TestResultStats(t *testing.T) {
 	r := relation.PaperExample()
 	res, err := Discover(context.Background(), r, Options{Workers: 1})
@@ -298,25 +357,15 @@ func TestResultStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := res.Stats
-	phases := map[string]PhaseStat{
+	for name, d := range map[string]time.Duration{
 		"Partition": s.Partition,
 		"AgreeSets": s.AgreeSets,
 		"MaxSets":   s.MaxSets,
 		"LHS":       s.LHS,
 		"Armstrong": s.Armstrong,
-	}
-	for name, ps := range phases {
-		if ps.Duration <= 0 {
-			t.Errorf("Stats.%s.Duration = %v, want > 0", name, ps.Duration)
+	} {
+		if d <= 0 {
+			t.Errorf("Stats.%s = %v, want > 0", name, d)
 		}
-		if ps.Allocs == 0 || ps.Bytes == 0 {
-			t.Errorf("Stats.%s allocs/bytes = %d/%d, want > 0", name, ps.Allocs, ps.Bytes)
-		}
-	}
-	tm := res.Timings
-	if tm.Partition != s.Partition.Duration || tm.AgreeSets != s.AgreeSets.Duration ||
-		tm.MaxSets != s.MaxSets.Duration || tm.LHS != s.LHS.Duration ||
-		tm.Armstrong != s.Armstrong.Duration {
-		t.Errorf("Timings %+v do not mirror Stats durations", tm)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agree"
 	"repro/internal/guard"
 	"repro/internal/relation"
 )
@@ -118,16 +119,16 @@ func TestGovernedIdenticalOutput(t *testing.T) {
 	}
 }
 
-// TestDeriveFromAgreeSetsContainsPanic would need an internal panic to
-// trigger; the boundary is exercised indirectly by the fault-injection
-// suite. Here, check the happy path still returns a non-partial result.
-func TestDeriveFromAgreeSetsNotPartial(t *testing.T) {
+// TestRunFromAgreeSetsNotPartial checks that Run over a supplied ag(r) —
+// the incremental miner's re-derivation — returns a non-partial result
+// with the same cover.
+func TestRunFromAgreeSetsNotPartial(t *testing.T) {
 	r := relation.PaperExample()
 	full, err := Discover(context.Background(), r, Options{Armstrong: ArmstrongNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DeriveFromAgreeSets(context.Background(), full.AgreeSets, r.Arity())
+	res, err := Run(context.Background(), Input{Agree: &agree.Result{Sets: full.AgreeSets}, Arity: r.Arity()}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,6 +100,16 @@ type Stats struct {
 	ReadBlocks int64
 }
 
+// Add folds o's counters into s — the one place spill traffic from
+// several sweeps (workers, shards, discoveries) is summed.
+func (s *Stats) Add(o Stats) {
+	s.RunsSpilled += o.RunsSpilled
+	s.SpilledSets += o.SpilledSets
+	s.SpilledBytes += o.SpilledBytes
+	s.MergedRuns += o.MergedRuns
+	s.ReadBlocks += o.ReadBlocks
+}
+
 // Spiller owns one computation's spill state: a lazily created temp
 // directory of run files, the byte accounting against the run's budget,
 // and the streaming merge that folds everything back together. Spill may

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -274,5 +275,22 @@ func TestEmitErrorPropagates(t *testing.T) {
 	err := sp.Merge([][]attrset.Set{{{1}, {2}}}, func(attrset.Set) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
+// TestStatsAddSumsEveryField sets every Stats field through reflection,
+// so a counter added to Stats but left out of Add fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

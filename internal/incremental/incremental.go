@@ -23,10 +23,11 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/agree"
 	"repro/internal/attrset"
 	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/faultinject"
+	"repro/internal/fd"
 	"repro/internal/guard"
 	"repro/internal/relation"
 )
@@ -217,7 +218,7 @@ func (m *Miner) emptyCouplePresent() bool {
 // Cover derives the current canonical cover of minimal non-trivial FDs
 // (steps 2–4 of the Dep-Miner pipeline over the maintained agree sets).
 func (m *Miner) Cover(ctx context.Context) (fd.Cover, error) {
-	res, err := core.DeriveFromAgreeSets(ctx, m.AgreeSets(), len(m.names))
+	res, err := m.derive(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +228,19 @@ func (m *Miner) Cover(ctx context.Context) (fd.Cover, error) {
 // MaxSets derives MAX(dep(r)) for the current state (for Armstrong
 // construction).
 func (m *Miner) MaxSets(ctx context.Context) (attrset.Family, error) {
-	res, err := core.DeriveFromAgreeSets(ctx, m.AgreeSets(), len(m.names))
+	res, err := m.derive(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return res.MaxSets, nil
+}
+
+// derive runs steps 2–4 of the pipeline over the maintained agree sets,
+// on the sequential reference path: the cost is independent of |r| and
+// too small to benefit from fan-out.
+func (m *Miner) derive(ctx context.Context) (*core.Result, error) {
+	in := core.Input{Agree: &agree.Result{Sets: m.AgreeSets()}, Arity: len(m.names)}
+	return core.Run(ctx, in, core.Options{Workers: 1})
 }
 
 // Snapshot materialises the current tuples as a Relation (e.g. to build a

@@ -185,6 +185,9 @@ type Server struct {
 	// admission slot, before the pipeline starts — tests use it to pin
 	// jobs in the running state deterministically.
 	testHookJobStart func(datasetID string)
+	// testHookPartitionBuild, when set, runs each time a discovery
+	// partitions a materialised relation — tests count builds with it.
+	testHookPartitionBuild func()
 }
 
 // New creates a server from the configuration (zero value fine). With
@@ -354,11 +357,11 @@ type discoveryStats struct {
 }
 
 func (d *discoveryStats) addPhases(st core.Stats) {
-	d.phases["partition"] += st.Partition.Duration
-	d.phases["agree_sets"] += st.AgreeSets.Duration
-	d.phases["max_sets"] += st.MaxSets.Duration
-	d.phases["lhs"] += st.LHS.Duration
-	d.phases["armstrong"] += st.Armstrong.Duration
+	d.phases["partition"] += st.Partition
+	d.phases["agree_sets"] += st.AgreeSets
+	d.phases["max_sets"] += st.MaxSets
+	d.phases["lhs"] += st.LHS
+	d.phases["armstrong"] += st.Armstrong
 }
 
 // logPhases emits the per-discovery phase span event: Result.Stats
@@ -367,19 +370,11 @@ func (d *discoveryStats) addPhases(st core.Stats) {
 // phase_seconds_total; this is the per-request view of them.
 func (s *Server) logPhases(ctx context.Context, st core.Stats) {
 	obs.Event(ctx, s.log, "discovery phases",
-		obs.Duration("partition", st.Partition.Duration),
-		obs.Duration("agree_sets", st.AgreeSets.Duration),
-		obs.Duration("max_sets", st.MaxSets.Duration),
-		obs.Duration("lhs", st.LHS.Duration),
-		obs.Duration("armstrong", st.Armstrong.Duration))
-}
-
-func (d *discoveryStats) addSpill(st extsort.Stats) {
-	d.spill.RunsSpilled += st.RunsSpilled
-	d.spill.SpilledSets += st.SpilledSets
-	d.spill.SpilledBytes += st.SpilledBytes
-	d.spill.MergedRuns += st.MergedRuns
-	d.spill.ReadBlocks += st.ReadBlocks
+		obs.Duration("partition", st.Partition),
+		obs.Duration("agree_sets", st.AgreeSets),
+		obs.Duration("max_sets", st.MaxSets),
+		obs.Duration("lhs", st.LHS),
+		obs.Duration("armstrong", st.Armstrong))
 }
 
 func (d *discoveryStats) addPstore(st pstore.Stats) {
@@ -416,9 +411,11 @@ var algorithms = map[string]bool{
 }
 
 // resolveParams validates the request and clamps it under the server
-// caps: the effective deadline is min(request, MaxTimeout) and the unit
-// budget min(request, MaxBudgetUnits), with the caps as defaults — every
-// discovery runs governed, so no request can exceed the server-wide
+// caps: the effective deadline is min(request, MaxTimeout), the unit
+// budget min(request, MaxBudgetUnits) and the resident agree bytes
+// min(request, MaxAgreeBytes), with the caps as defaults; workers default
+// to Config.Workers. Every discovery — and, through shardParams, every
+// served shard — runs governed, so no request can exceed the server-wide
 // ceiling.
 func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 	p := discoverParams{
@@ -463,19 +460,21 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 		p.workers = s.cfg.Workers
 	}
 	p.timeout = s.cfg.MaxTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < p.timeout {
-			p.timeout = t
-		}
+	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < p.timeout {
+		p.timeout = t
 	}
-	p.units = req.BudgetUnits
-	if s.cfg.MaxBudgetUnits > 0 && (p.units == 0 || p.units > s.cfg.MaxBudgetUnits) {
-		p.units = s.cfg.MaxBudgetUnits
-	}
-	if s.cfg.MaxAgreeBytes > 0 && (p.maxAgreeBytes == 0 || p.maxAgreeBytes > s.cfg.MaxAgreeBytes) {
-		p.maxAgreeBytes = s.cfg.MaxAgreeBytes
-	}
+	p.units = clampCap(req.BudgetUnits, s.cfg.MaxBudgetUnits)
+	p.maxAgreeBytes = clampCap(p.maxAgreeBytes, s.cfg.MaxAgreeBytes)
 	return p, nil
+}
+
+// clampCap bounds a request value by a server cap that doubles as its
+// default; a zero cap leaves the value as requested.
+func clampCap(v, limit int64) int64 {
+	if limit > 0 && (v == 0 || v > limit) {
+		return limit
+	}
+	return v
 }
 
 // optionsKey canonically encodes the result-affecting options for the
@@ -545,10 +544,17 @@ func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams)
 			s.stats.mu.Unlock()
 		}
 	}
+	return finishResponse(resp, cover, partial, runErr, rel.Names(), start, budget)
+}
+
+// finishResponse renders a discovery's cover into resp. A governed
+// partial keeps the cover it reached and names the cutoff in resp.Error;
+// any other error fails the discovery.
+func finishResponse(resp *DiscoverResponse, cover fd.Cover, partial bool, runErr error, names []string, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
 	if runErr != nil && !partial {
 		return nil, runErr
 	}
-	resp.FDs = renderCover(cover, rel.Names())
+	resp.FDs = renderCover(cover, names)
 	resp.Partial = partial
 	if runErr != nil {
 		resp.Error = runErr.Error()

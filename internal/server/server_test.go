@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/relation"
+	"repro/wire"
 )
 
 // newTestServer wires a Server into an httptest server, returning both so
@@ -486,29 +487,52 @@ func TestArmstrongOverWire(t *testing.T) {
 }
 
 func TestTimeoutParamClamped(t *testing.T) {
-	s, err := New(Config{MaxTimeout: time.Minute, MaxBudgetUnits: 100})
+	s, err := New(Config{MaxTimeout: time.Minute, MaxBudgetUnits: 100, MaxAgreeBytes: 4096, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.resolveParams(&DiscoverRequest{TimeoutMS: int64(time.Hour / time.Millisecond), BudgetUnits: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.timeout != time.Minute {
-		t.Errorf("timeout = %v, want clamped to 1m", p.timeout)
-	}
-	if p.units != 100 {
-		t.Errorf("units = %d, want clamped to 100", p.units)
-	}
-	p, err = s.resolveParams(&DiscoverRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.timeout != time.Minute || p.units != 100 {
-		t.Errorf("defaults = (%v, %d), want server caps", p.timeout, p.units)
+	// One table for both entry points: a discovery and a served shard
+	// resolve deadline, budget units, max_agree_bytes and default workers
+	// through the same clamp.
+	hour := int64(time.Hour / time.Millisecond)
+	for _, tc := range []struct {
+		name                       string
+		timeoutMS, units, maxAgree int64
+		workers                    int
+		wantTimeout                time.Duration
+		wantUnits, wantMaxAgree    int64
+		wantWorkers                int
+	}{
+		{"defaults", 0, 0, 0, 0, time.Minute, 100, 4096, 3},
+		{"over caps", hour, 1000, 1 << 30, 0, time.Minute, 100, 4096, 3},
+		{"under caps", 1500, 7, 64, 2, 1500 * time.Millisecond, 7, 64, 2},
+	} {
+		dp, err := s.resolveParams(&DiscoverRequest{
+			TimeoutMS: tc.timeoutMS, BudgetUnits: tc.units, MaxAgreeBytes: tc.maxAgree, Workers: tc.workers,
+		})
+		if err != nil {
+			t.Fatalf("%s: resolveParams: %v", tc.name, err)
+		}
+		sp, err := s.shardParams(&wire.ShardRequest{
+			Fingerprint: "fp", TimeoutMS: tc.timeoutMS, BudgetUnits: tc.units, MaxAgreeBytes: tc.maxAgree, Workers: tc.workers,
+		})
+		if err != nil {
+			t.Fatalf("%s: shardParams: %v", tc.name, err)
+		}
+		for entry, p := range map[string]discoverParams{"discover": dp, "shard": sp} {
+			if p.timeout != tc.wantTimeout || p.units != tc.wantUnits ||
+				p.maxAgreeBytes != tc.wantMaxAgree || p.workers != tc.wantWorkers {
+				t.Errorf("%s/%s: got (timeout %v, units %d, max_agree_bytes %d, workers %d), want (%v, %d, %d, %d)",
+					tc.name, entry, p.timeout, p.units, p.maxAgreeBytes, p.workers,
+					tc.wantTimeout, tc.wantUnits, tc.wantMaxAgree, tc.wantWorkers)
+			}
+		}
 	}
 	if _, err := s.resolveParams(&DiscoverRequest{Workers: -1}); err == nil {
 		t.Error("negative workers accepted")
+	}
+	if _, err := s.shardParams(&wire.ShardRequest{Fingerprint: "fp", Workers: -1}); err == nil {
+		t.Error("negative shard workers accepted")
 	}
 	if _, err := s.resolveParams(&DiscoverRequest{Epsilon: 1.5, Algorithm: "tane"}); err == nil {
 		t.Error("epsilon out of range accepted")

@@ -43,7 +43,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/extsort"
 	"repro/internal/faultinject"
-	"repro/internal/fd"
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -105,7 +104,8 @@ type discSource struct {
 // values (needRelation: an Armstrong construction does). The snapshot's
 // embedded fingerprint is re-verified against the registry after
 // opening, so a compaction or append racing the check degrades to the
-// materialised path, never to stale data.
+// materialised path, never to stale data. Either way the partition
+// database is built here, once, and handed to the pipeline.
 func (s *Server) discoverySource(d *dataset, needRelation bool) (*discSource, error) {
 	if !needRelation {
 		if src, ok := s.tryStreamSource(d); ok {
@@ -115,6 +115,9 @@ func (s *Server) discoverySource(d *dataset, needRelation bool) (*discSource, er
 	rel, fp, err := d.snapshot()
 	if err != nil {
 		return nil, err
+	}
+	if s.testHookPartitionBuild != nil {
+		s.testHookPartitionBuild()
 	}
 	return &discSource{db: partition.NewDatabase(rel), rel: rel, fp: fp, names: rel.Names()}, nil
 }
@@ -168,8 +171,37 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 	return opts
 }
 
-func (s *Server) newDepminerResponse(d *dataset, p discoverParams, src *discSource) *DiscoverResponse {
-	return &DiscoverResponse{
+// agreeOptions maps resolved params onto the options of one shard sweep.
+func (s *Server) agreeOptions(p discoverParams, budget *guard.Budget) agree.Options {
+	return agree.Options{
+		Workers:       p.workers,
+		Budget:        budget,
+		MaxAgreeBytes: p.maxAgreeBytes,
+		SpillDir:      s.cfg.SpillDir,
+	}
+}
+
+// variantOf maps a depminer algorithm name onto its agree-set sweep.
+func variantOf(algorithm string) agree.Variant {
+	if algorithm == "depminer2" {
+		return agree.VariantIdentifiers
+	}
+	return agree.VariantCouples
+}
+
+// runDepminer serves the depminer/depminer2 algorithms. The source build
+// — a materialised relation or a streamed snapshot, partitioned once — is
+// timed as the partition phase. A coordinator then replaces step 1 with
+// the fan-out across its worker fleet; core.Run does the rest on every
+// path, and depminerResponse builds the one response shape.
+func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
+	t0 := time.Now()
+	src, err := s.discoverySource(d, p.armstrong)
+	if err != nil {
+		return nil, err
+	}
+	built := time.Since(t0)
+	resp := &DiscoverResponse{
 		Dataset:          d.id,
 		Fingerprint:      src.fp,
 		Algorithm:        p.algorithm,
@@ -177,78 +209,67 @@ func (s *Server) newDepminerResponse(d *dataset, p discoverParams, src *discSour
 		Attributes:       src.db.Arity(),
 		SnapshotStreamed: src.streamed,
 	}
-}
-
-// adoptArmstrong copies a result's Armstrong relation into the response.
-func adoptArmstrong(resp *DiscoverResponse, res *core.Result) {
-	if res.Armstrong == nil {
-		return
-	}
-	arm := res.Armstrong
-	resp.ArmstrongSynthetic = res.ArmstrongSynthetic
-	resp.Armstrong = make([][]string, arm.Rows())
-	for t := 0; t < arm.Rows(); t++ {
-		resp.Armstrong[t] = arm.Row(t)
-	}
-}
-
-// runDepminer serves the depminer/depminer2 algorithms: sharded across
-// the worker fleet when this server is a coordinator, locally otherwise
-// (from a streamed snapshot when the dataset allows it).
-func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
-	src, err := s.discoverySource(d, p.armstrong)
-	if err != nil {
-		return nil, err
-	}
-	if s.coord != nil {
-		return s.runSharded(ctx, d, p, start, budget, src)
-	}
-	resp := s.newDepminerResponse(d, p, src)
-	opts := s.coreOptions(p, budget)
+	in := core.Input{Relation: src.rel, DB: src.db}
 	var res *core.Result
 	var runErr error
-	if src.rel != nil {
-		res, runErr = core.Discover(ctx, src.rel, opts)
-	} else {
-		res, runErr = core.DiscoverFromDatabase(ctx, src.db, opts)
+	var sharded time.Duration
+	if s.coord != nil {
+		t1 := time.Now()
+		in.Agree, runErr = s.shardAgree(ctx, d, p, budget, src, resp)
+		sharded = time.Since(t1)
+		if runErr != nil && guard.Governed(runErr) {
+			// Step 1 was cut short: report its counters, no cover.
+			res = &core.Result{Partial: true, Couples: in.Agree.Couples, AgreeSets: in.Agree.Sets}
+			res.Stats.Spill = in.Agree.Spill
+		}
 	}
-	var cover fd.Cover
-	var partial bool
+	if runErr == nil {
+		res, runErr = core.Run(ctx, in, s.coreOptions(p, budget))
+	}
 	if res != nil {
-		cover, partial = res.FDs, res.Partial
-		resp.Couples = res.Couples
-		resp.AgreeSets = len(res.AgreeSets)
-		resp.MaxSets = len(res.MaxSets)
-		resp.Notes = res.Notes
-		adoptArmstrong(resp, res)
-		resp.SpilledRuns = res.Stats.Spill.RunsSpilled
-		resp.SpilledBytes = res.Stats.Spill.SpilledBytes
-		s.stats.mu.Lock()
-		s.stats.addPhases(res.Stats)
-		s.stats.addSpill(res.Stats.Spill)
-		s.stats.mu.Unlock()
-		s.logPhases(ctx, res.Stats)
+		res.Stats.Partition += built
+		if in.Agree != nil {
+			res.Stats.AgreeSets = sharded // the distributed sweep, coordinator clock
+		}
 	}
-	if runErr != nil && !partial {
-		return nil, runErr
-	}
-	resp.FDs = renderCover(cover, src.names)
-	resp.Partial = partial
-	if runErr != nil {
-		resp.Error = runErr.Error()
-	}
-	resp.BudgetUsed = budget.Used()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	return s.depminerResponse(ctx, resp, res, runErr, src.names, start, budget)
 }
 
-// runSharded executes one coordinated discovery: split the couple
-// space, fan the shards out, adopt the returned runs, merge, and run
-// the canonical tail locally. Only governance (budget, deadline) can
-// make the outcome partial; nothing can make it wrong — a stream that
-// fails verification is discarded and its shard recomputed.
-func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget, src *discSource) (*DiscoverResponse, error) {
-	resp := s.newDepminerResponse(d, p, src)
+// depminerResponse completes resp from a depminer run — local or
+// sharded, complete or partial — and folds the run's phase timings and
+// spill traffic into the server stats. A nil res is an outright failure.
+func (s *Server) depminerResponse(ctx context.Context, resp *DiscoverResponse, res *core.Result, runErr error, names []string, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
+	if res == nil {
+		return nil, runErr
+	}
+	resp.Couples = res.Couples
+	resp.AgreeSets = len(res.AgreeSets)
+	resp.MaxSets = len(res.MaxSets)
+	resp.Notes = append(resp.Notes, res.Notes...)
+	if arm := res.Armstrong; arm != nil {
+		resp.ArmstrongSynthetic = res.ArmstrongSynthetic
+		resp.Armstrong = make([][]string, arm.Rows())
+		for t := range resp.Armstrong {
+			resp.Armstrong[t] = arm.Row(t)
+		}
+	}
+	resp.SpilledRuns = res.Stats.Spill.RunsSpilled
+	resp.SpilledBytes = res.Stats.Spill.SpilledBytes
+	s.stats.mu.Lock()
+	s.stats.addPhases(res.Stats)
+	s.stats.spill.Add(res.Stats.Spill)
+	s.stats.mu.Unlock()
+	s.logPhases(ctx, res.Stats)
+	return finishResponse(resp, res.FDs, res.Partial, runErr, names, start, budget)
+}
+
+// shardAgree is a coordinator's step 1: split the couple space, fan the
+// shards out, adopt the returned runs, merge, and Finish into ag(r),
+// recording the fan-out topology in resp. On a governed cutoff (budget,
+// deadline) the returned Result still carries the counters reached so
+// far. Nothing can make the family wrong: a stream that fails
+// verification is discarded and its shard recomputed.
+func (s *Server) shardAgree(ctx context.Context, d *dataset, p discoverParams, budget *guard.Budget, src *discSource, resp *DiscoverResponse) (*agree.Result, error) {
 	// The coordinator plans through the same fingerprint-keyed cache the
 	// workers use: replanning an unchanged dataset would re-sort the
 	// whole couple space on every discovery for nothing. An append
@@ -259,19 +280,13 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	if err != nil {
 		return nil, err
 	}
-	resp.Couples = plan.Couples()
+	agr := &agree.Result{Couples: plan.Couples(), Chunks: 1}
 
-	variant := agree.VariantCouples
-	algo := "depminer"
-	if p.algorithm == "depminer2" {
-		variant = agree.VariantIdentifiers
-		algo = "depminer2"
-	}
 	// The coordinator owns the Algorithm 2 → 3 degradation decision: made
 	// once from the global couple count and dispatched uniformly, so no
 	// shard can diverge — and the note matches single-node byte for byte.
-	if variant == agree.VariantCouples && p.maxCouples > 0 && plan.Couples() > p.maxCouples {
-		variant = agree.VariantIdentifiers
+	algo := p.algorithm
+	if algo == "depminer" && p.maxCouples > 0 && plan.Couples() > p.maxCouples {
 		algo = "depminer2"
 		resp.Notes = append(resp.Notes, core.DegradeNote(plan.Couples(), p.maxCouples))
 	}
@@ -283,18 +298,14 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	if n == 0 {
 		n = len(s.coord.endpoints)
 	}
-	if n > maxShards {
-		n = maxShards
-	}
-	shards := plan.Split(n)
+	shards := plan.Split(min(n, maxShards))
 	resp.Shards = len(shards)
 
-	agreeStart := time.Now()
 	// Budget parity with the single-node sweep: the whole couple space is
 	// charged once, up front, by whoever owns the discovery (workers
 	// charge their own shard against their own budgets).
-	if cerr := budget.Charge("agree", plan.Couples()); cerr != nil {
-		return s.shardPartial(resp, start, budget, cerr)
+	if err := budget.Charge("agree", plan.Couples()); err != nil {
+		return agr, err
 	}
 
 	sp := extsort.NewSpiller(s.cfg.SpillDir, budget)
@@ -304,7 +315,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	defer cancel()
 	run := &shardRun{
 		s: s, d: d, p: p, src: src, plan: plan,
-		variant: variant, algo: algo, budget: budget, sp: sp, cancel: cancel,
+		algo: algo, budget: budget, sp: sp, cancel: cancel,
 	}
 	defer run.flushStats()
 
@@ -329,10 +340,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 		obs.Duration("dispatch", run.dispatchDur),
 		obs.Duration("stream", run.streamDur))
 	if run.firstErr != nil {
-		if guard.Governed(run.firstErr) {
-			return s.shardPartial(resp, start, budget, run.firstErr)
-		}
-		return nil, run.firstErr
+		return agr, run.firstErr
 	}
 
 	// Merge: adopted runs (on disk) and local-fallback runs (in memory)
@@ -347,87 +355,30 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 			return nil
 		})
 	}
+	agr.Spill = sp.Stats()
+	agr.Spill.Add(run.spill)
 	if mergeErr != nil {
-		if guard.Governed(mergeErr) {
-			return s.shardPartial(resp, start, budget, mergeErr)
-		}
-		return nil, fmt.Errorf("shard merge: %w", mergeErr)
+		return agr, fmt.Errorf("shard merge: %w", mergeErr)
 	}
-	fam := plan.Finish(merged)
+	agr.Sets = plan.Finish(merged)
 	run.mergeDur = time.Since(mergeStart)
-	if cerr := budget.Charge("agree", len(fam)); cerr != nil {
-		resp.AgreeSets = len(fam)
-		return s.shardPartial(resp, start, budget, cerr)
-	}
-	agreeDur := time.Since(agreeStart)
-
-	opts := s.coreOptions(p, budget)
-	res, runErr := core.DiscoverFromAgreeSets(ctx, src.rel, fam, plan.Arity(), opts)
-	var cover fd.Cover
-	var partial bool
-	if res != nil {
-		cover, partial = res.FDs, res.Partial
-		resp.AgreeSets = len(res.AgreeSets)
-		resp.MaxSets = len(res.MaxSets)
-		adoptArmstrong(resp, res)
-
-		spill := sp.Stats()
-		spill.RunsSpilled += run.spill.RunsSpilled
-		spill.SpilledSets += run.spill.SpilledSets
-		spill.SpilledBytes += run.spill.SpilledBytes
-		spill.MergedRuns += run.spill.MergedRuns
-		spill.ReadBlocks += run.spill.ReadBlocks
-		resp.SpilledRuns = spill.RunsSpilled
-		resp.SpilledBytes = spill.SpilledBytes
-
-		st := res.Stats
-		st.AgreeSets.Duration = agreeDur // the distributed sweep, coordinator clock
-		s.stats.mu.Lock()
-		s.stats.addPhases(st)
-		s.stats.addSpill(spill)
-		s.stats.mu.Unlock()
-		s.logPhases(ctx, st)
-		obs.Event(ctx, s.log, "shard merge done",
-			obs.Int("sets", len(fam)),
-			obs.Duration("merge", run.mergeDur))
-	}
-	if runErr != nil && !partial {
-		return nil, runErr
-	}
-	resp.FDs = renderCover(cover, src.names)
-	resp.Partial = partial
-	if runErr != nil {
-		resp.Error = runErr.Error()
-	}
-	resp.BudgetUsed = budget.Used()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
-}
-
-// shardPartial finishes a governed sharded discovery: topology and
-// couple counts survive, no cover is reported, and the guard error is
-// surfaced per the partial-result contract (a 200 with Partial set).
-func (s *Server) shardPartial(resp *DiscoverResponse, start time.Time, budget *guard.Budget, gerr error) (*DiscoverResponse, error) {
-	resp.Partial = true
-	resp.Error = gerr.Error()
-	resp.FDs = []string{}
-	resp.BudgetUsed = budget.Used()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	obs.Event(ctx, s.log, "shard merge done",
+		obs.Int("sets", len(agr.Sets)),
+		obs.Duration("merge", run.mergeDur))
+	return agr, budget.Charge("agree", len(agr.Sets))
 }
 
 // shardRun is the mutable state of one fan-out.
 type shardRun struct {
-	s       *Server
-	d       *dataset
-	p       discoverParams
-	src     *discSource
-	plan    *agree.Plan
-	variant agree.Variant
-	algo    string
-	budget  *guard.Budget
-	sp      *extsort.Spiller
-	cancel  context.CancelFunc
+	s      *Server
+	d      *dataset
+	p      discoverParams
+	src    *discSource
+	plan   *agree.Plan
+	algo   string // depminer or depminer2, after degradation
+	budget *guard.Budget
+	sp     *extsort.Spiller
+	cancel context.CancelFunc
 
 	csvOnce sync.Once
 	csvData []byte
@@ -570,24 +521,14 @@ func (r *shardRun) tryRemote(ctx context.Context, i int, sh agree.Shard) error {
 // coordinator's own budget. Its output joins the merge as an in-memory
 // run, exactly like a worker-pool run of the single-node sweep.
 func (r *shardRun) computeLocal(ctx context.Context, sh agree.Shard, cause error) {
-	aopts := agree.Options{
-		Workers:       r.p.workers,
-		Budget:        r.budget,
-		MaxAgreeBytes: r.p.maxAgreeBytes,
-		SpillDir:      r.s.cfg.SpillDir,
-	}
 	var out []attrset.Set
-	res, err := r.plan.ComputeShard(ctx, sh, r.variant, aopts, func(set attrset.Set) error {
+	res, err := r.plan.ComputeShard(ctx, sh, variantOf(r.algo), r.s.agreeOptions(r.p, r.budget), func(set attrset.Set) error {
 		out = append(out, set)
 		return nil
 	})
 	if res != nil {
 		r.mu.Lock()
-		r.spill.RunsSpilled += res.Spill.RunsSpilled
-		r.spill.SpilledSets += res.Spill.SpilledSets
-		r.spill.SpilledBytes += res.Spill.SpilledBytes
-		r.spill.MergedRuns += res.Spill.MergedRuns
-		r.spill.ReadBlocks += res.Spill.ReadBlocks
+		r.spill.Add(res.Spill)
 		r.mu.Unlock()
 	}
 	if err != nil {
@@ -741,6 +682,30 @@ func (s *Server) noteShardServedError() {
 	s.stats.mu.Unlock()
 }
 
+// shardParams validates a shard request and resolves its knobs through
+// resolveParams, so a worker governs its shard under exactly the clamps
+// a discovery gets.
+func (s *Server) shardParams(req *wire.ShardRequest) (discoverParams, error) {
+	p, err := s.resolveParams(&DiscoverRequest{
+		Algorithm:     req.Algorithm,
+		Workers:       req.Workers,
+		TimeoutMS:     req.TimeoutMS,
+		BudgetUnits:   req.BudgetUnits,
+		MaxAgreeBytes: req.MaxAgreeBytes,
+	})
+	switch {
+	case err != nil:
+		return p, err
+	case p.algorithm != "depminer" && p.algorithm != "depminer2":
+		return p, fmt.Errorf("algorithm %q cannot be sharded", req.Algorithm)
+	case req.Fingerprint == "":
+		return p, errors.New("missing fingerprint")
+	case req.CoupleStart < 0 || req.CoupleEnd < req.CoupleStart || req.CoupleEnd > req.TotalCouples:
+		return p, errors.New("bad shard range")
+	}
+	return p, nil
+}
+
 // handleShardAgree implements POST /v1/shard/agree — the worker half of
 // distributed discovery. The response is not JSON: it is a DMRUN1 run
 // stream with the record count attested in an HTTP trailer. An error
@@ -757,23 +722,9 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	var variant agree.Variant
-	switch strings.ToLower(strings.TrimSpace(req.Algorithm)) {
-	case "", "depminer":
-		variant = agree.VariantCouples
-	case "depminer2":
-		variant = agree.VariantIdentifiers
-	default:
-		writeError(w, http.StatusBadRequest, "algorithm %q cannot be sharded", req.Algorithm)
-		return
-	}
-	if req.Fingerprint == "" {
-		writeError(w, http.StatusBadRequest, "missing fingerprint")
-		return
-	}
-	if req.CoupleStart < 0 || req.CoupleEnd < req.CoupleStart || req.CoupleEnd > req.TotalCouples ||
-		req.Workers < 0 || req.TimeoutMS < 0 || req.BudgetUnits < 0 || req.MaxAgreeBytes < 0 {
-		writeError(w, http.StatusBadRequest, "bad shard range or negative knobs")
+	p, err := s.shardParams(&req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	d, ok := s.reg.findByFingerprint(req.Fingerprint)
@@ -820,28 +771,9 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Clamp shard governance exactly like resolveParams clamps a
-	// discovery's; the worker charges its own shard's couples, the
-	// worker-side analogue of the coordinator's single upfront charge.
-	timeout := s.cfg.MaxTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	units := req.BudgetUnits
-	if s.cfg.MaxBudgetUnits > 0 && (units == 0 || units > s.cfg.MaxBudgetUnits) {
-		units = s.cfg.MaxBudgetUnits
-	}
-	maxAgree := req.MaxAgreeBytes
-	if s.cfg.MaxAgreeBytes > 0 && (maxAgree == 0 || maxAgree > s.cfg.MaxAgreeBytes) {
-		maxAgree = s.cfg.MaxAgreeBytes
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	budget := guard.WithTimeout(timeout, units)
+	// The worker charges its own shard's couples: the worker-side
+	// analogue of the coordinator's single upfront charge.
+	budget := guard.WithTimeout(p.timeout, p.units)
 	if cerr := budget.Charge("agree", req.CoupleEnd-req.CoupleStart); cerr != nil {
 		s.noteShardServedError()
 		writeError(w, classifyStatus(cerr), "shard budget: %v", cerr)
@@ -852,19 +784,14 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Trailer", wire.ShardSetsTrailer)
 	rw := extsort.NewRunWriter(w)
 	res, cerr := plan.ComputeShard(r.Context(),
-		agree.Shard{Start: req.CoupleStart, End: req.CoupleEnd}, variant,
-		agree.Options{
-			Workers:       workers,
-			Budget:        budget,
-			MaxAgreeBytes: maxAgree,
-			SpillDir:      s.cfg.SpillDir,
-		}, rw.Write)
+		agree.Shard{Start: req.CoupleStart, End: req.CoupleEnd},
+		variantOf(p.algorithm), s.agreeOptions(p, budget), rw.Write)
 	if cerr == nil {
 		cerr = rw.Close()
 	}
 	if res != nil {
 		s.stats.mu.Lock()
-		s.stats.addSpill(res.Spill)
+		s.stats.spill.Add(res.Spill)
 		s.stats.mu.Unlock()
 	}
 	if cerr != nil {

@@ -9,8 +9,11 @@ package server
 
 import (
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/relation"
 )
 
@@ -174,5 +177,74 @@ func TestSnapshotStreamedSharded(t *testing.T) {
 	// rehydration point.
 	if snapNil(t, s, reg.ID) {
 		t.Fatal("expected the cold-fleet push to have materialised the relation once")
+	}
+}
+
+// TestPartitionPhaseTimedOnEveryPath runs one materialised and one
+// streamed discovery: each must grow the partition phase total in
+// /v1/stats (the source build is the partition phase on every path), and
+// the materialised one must partition its relation exactly once.
+func TestPartitionPhaseTimedOnEveryPath(t *testing.T) {
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), SnapshotEvery: -1})
+	var builds atomic.Int32
+	s.testHookPartitionBuild = func() { builds.Add(1) }
+	partitionMS := func() float64 {
+		var st StatsResponse
+		if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+			t.Fatalf("stats status %d", code)
+		}
+		return st.Discoveries.PhaseTotalMS["partition"]
+	}
+	discoverFresh := func(seed uint64, compact bool) DiscoverResponse {
+		t.Helper()
+		r, err := datagen.Generate(datagen.Spec{Attrs: 6, Rows: 300, Correlation: 0.5, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := register(t, ts, r)
+		if compact {
+			// As in TestSnapshotStreamedDiscovery: an append folded into
+			// a snapshot leaves one that covers the dataset by itself.
+			row := []string{"n1", "n2", "n3", "n4", "n5", "n6"}
+			if code, _ := appendCSV(t, ts.URL, reg.ID, strings.Join(row, ",")+"\n"); code != http.StatusOK {
+				t.Fatal("append failed")
+			}
+			r = appendRows(t, r, [][]string{row})
+			if err := s.store.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var resp DiscoverResponse
+		if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID}, &resp); code != http.StatusOK {
+			t.Fatalf("discover status %d (%s)", code, resp.Error)
+		}
+		if !sameCover(resp.FDs, fromScratchCover(t, r)) {
+			t.Fatal("cover differs from reference")
+		}
+		return resp
+	}
+
+	// A registration is not yet folded into a snapshot: materialised.
+	before := partitionMS()
+	if resp := discoverFresh(1, false); resp.SnapshotStreamed {
+		t.Fatal("uncompacted dataset streamed a snapshot")
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("materialised discovery partitioned the relation %d times, want 1", n)
+	}
+	mid := partitionMS()
+	if mid <= before {
+		t.Fatalf("materialised discovery left partition phase at %v ms (was %v)", mid, before)
+	}
+
+	// After compaction the snapshot covers the dataset: streamed.
+	if resp := discoverFresh(2, true); !resp.SnapshotStreamed {
+		t.Fatal("compacted dataset did not stream its snapshot")
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("streamed discovery partitioned a materialised relation (%d builds)", n)
+	}
+	if after := partitionMS(); after <= mid {
+		t.Fatalf("streamed discovery left partition phase at %v ms (was %v)", after, mid)
 	}
 }

@@ -345,7 +345,7 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("Discover(%+v) err = %v, want ErrInvalidOptions", opts, err)
 		}
 	}
-	// DiscoverFromDatabase additionally rejects the naive algorithm.
+	// Without the relation, the naive algorithm is rejected too.
 	db := mustStream(t, r)
 	if _, err := DiscoverStreamed(ctx, db, Options{Algorithm: NaiveBaseline}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("streamed naive err = %v, want ErrInvalidOptions", err)
@@ -405,7 +405,7 @@ func pathological(t *testing.T) map[string]*Relation {
 		"all-distinct": mk([]string{"a", "b", "c"}, [][]string{
 			{"1", "4", "7"}, {"2", "5", "8"}, {"3", "6", "9"},
 		}),
-		"one-row": mk([]string{"a", "b"}, [][]string{{"1", "2"}}),
+		"one-row":   mk([]string{"a", "b"}, [][]string{{"1", "2"}}),
 		"zero-rows": mk([]string{"a", "b"}, nil),
 		"max-width": mk(wideNames, [][]string{wideRow1, wideRow2}),
 	}
