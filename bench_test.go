@@ -376,7 +376,7 @@ func BenchmarkExtension_FastFDs(b *testing.B) {
 	b.Run("fastfds", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := fastfds.Run(context.Background(), r); err != nil {
+			if _, err := fastfds.Run(context.Background(), r, fastfds.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -388,7 +388,7 @@ func BenchmarkExtension_Keys(b *testing.B) {
 	b.ReportAllocs()
 	r := dataset(b, 15, 2000, 0.3)
 	for i := 0; i < b.N; i++ {
-		if _, err := keys.Discover(context.Background(), r); err != nil {
+		if _, err := keys.Discover(context.Background(), r, keys.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

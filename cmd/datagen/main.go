@@ -23,9 +23,9 @@ import (
 
 func main() {
 	var (
-		attrs = flag.Int("attrs", 10, "|R|: number of attributes")
-		rows  = flag.Int("rows", 10000, "|r|: number of tuples")
-		c     = flag.Float64("c", 0, "rate of identical values (per-column domain = c·|r|; 0 = no constraints)")
+		attrs  = flag.Int("attrs", 10, "|R|: number of attributes")
+		rows   = flag.Int("rows", 10000, "|r|: number of tuples")
+		c      = flag.Float64("c", 0, "rate of identical values (per-column domain = c·|r|; 0 = no constraints)")
 		seed   = flag.Uint64("seed", 1, "generator seed")
 		out    = flag.String("o", "", "output file (default stdout)")
 		stream = flag.Bool("stream", false, "write row by row in O(|R|) memory (same bytes as in-memory mode)")

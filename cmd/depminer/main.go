@@ -204,7 +204,7 @@ func (cfg *config) run(ctx context.Context) error {
 
 	budget := cfg.newBudget()
 	if cfg.algo == "fastfds" {
-		res, rerr := depminer.DiscoverFastFDsOpts(ctx, r, depminer.FastFDsOptions{Budget: budget})
+		res, rerr := depminer.DiscoverFastFDs(ctx, r, depminer.FastFDsOptions{Budget: budget})
 		if rerr != nil && (res == nil || !res.Partial) {
 			return rerr
 		}
@@ -288,7 +288,7 @@ func (cfg *config) run(ctx context.Context) error {
 	}
 
 	if cfg.showKeys && rerr == nil {
-		kr, kerr := depminer.DiscoverKeysOpts(ctx, r, depminer.KeysOptions{Budget: budget})
+		kr, kerr := depminer.DiscoverKeys(ctx, r, depminer.KeysOptions{Budget: budget})
 		if kerr != nil && (kr == nil || !kr.Partial) {
 			return kerr
 		}

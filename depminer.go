@@ -285,14 +285,8 @@ type KeysOptions = keys.Options
 // combinations) of the relation instance with a levelwise partition
 // search. For duplicate-free relations these coincide with the keys of
 // the discovered FD cover.
-func DiscoverKeys(ctx context.Context, r *Relation) (*KeysResult, error) {
-	return keys.Discover(ctx, r)
-}
-
-// DiscoverKeysOpts is DiscoverKeys under explicit options (budget
-// governance).
-func DiscoverKeysOpts(ctx context.Context, r *Relation, opts KeysOptions) (*KeysResult, error) {
-	return keys.DiscoverOpts(ctx, r, opts)
+func DiscoverKeys(ctx context.Context, r *Relation, opts KeysOptions) (*KeysResult, error) {
+	return keys.Discover(ctx, r, opts)
 }
 
 // FastFDsResult is the outcome of the depth-first difference-set miner.
@@ -305,14 +299,8 @@ type FastFDsOptions = fastfds.Options
 // FastFDs-style depth-first search over difference sets (Wyss et al.
 // 2001) instead of the levelwise transversal search — preferable when the
 // levelwise candidate levels grow too wide.
-func DiscoverFastFDs(ctx context.Context, r *Relation) (*FastFDsResult, error) {
-	return fastfds.Run(ctx, r)
-}
-
-// DiscoverFastFDsOpts is DiscoverFastFDs under explicit options (budget
-// governance).
-func DiscoverFastFDsOpts(ctx context.Context, r *Relation, opts FastFDsOptions) (*FastFDsResult, error) {
-	return fastfds.RunOpts(ctx, r, opts)
+func DiscoverFastFDs(ctx context.Context, r *Relation, opts FastFDsOptions) (*FastFDsResult, error) {
+	return fastfds.Run(ctx, r, opts)
 }
 
 // IncrementalMiner maintains FD discovery state under tuple insertions:

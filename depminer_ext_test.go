@@ -9,7 +9,7 @@ import (
 
 func TestPublicAPIFastFDs(t *testing.T) {
 	r := PaperExample()
-	ff, err := DiscoverFastFDs(context.Background(), r)
+	ff, err := DiscoverFastFDs(context.Background(), r, FastFDsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPublicAPIGeneratePlanted(t *testing.T) {
 
 func TestPublicAPIKeys(t *testing.T) {
 	r := PaperExample()
-	res, err := DiscoverKeys(context.Background(), r)
+	res, err := DiscoverKeys(context.Background(), r, KeysOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

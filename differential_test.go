@@ -46,7 +46,7 @@ var miners = []struct {
 		return res.FDs, nil
 	}},
 	{"fastfds", func(ctx context.Context, r *Relation) (Cover, error) {
-		res, err := DiscoverFastFDs(ctx, r)
+		res, err := DiscoverFastFDs(ctx, r, FastFDsOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -286,14 +286,14 @@ func TestDifferentialKeysWorkerCounts(t *testing.T) {
 		inputs = append(inputs, differentialRelation(t, rng))
 	}
 	for i, r := range inputs {
-		seq, err := DiscoverKeysOpts(ctx, r, KeysOptions{Workers: 1})
+		seq, err := DiscoverKeys(ctx, r, KeysOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("input %d workers=1: %v", i, err)
 		}
 		want := fmt.Sprintf("keys=%v nodes=%d", seq.Keys, seq.LatticeNodes)
 		for _, workers := range []int{0, 2, 8} {
 			for _, cap := range []int64{0, 1} {
-				res, err := DiscoverKeysOpts(ctx, r, KeysOptions{Workers: workers, MaxPartitionBytes: cap})
+				res, err := DiscoverKeys(ctx, r, KeysOptions{Workers: workers, MaxPartitionBytes: cap})
 				if err != nil {
 					t.Fatalf("input %d workers=%d cap=%d: %v", i, workers, cap, err)
 				}

@@ -42,9 +42,9 @@ package agree
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/attrset"
 	"repro/internal/extsort"
@@ -60,24 +60,6 @@ import (
 // number of tuples)"; 1<<20 couples ≈ 8 MB of couple state.
 const DefaultChunkSize = 1 << 20
 
-// ErrTooManyCouples reports that Algorithm 2's couple space exceeds the
-// configured degradation threshold — the signal on which core.Discover
-// falls back to Algorithm 3 (the paper's own remedy for correlated
-// relations, whose couple blow-up §5.2 demonstrates).
-var ErrTooManyCouples = errors.New("agree: couple count exceeds threshold")
-
-// CoupleOverflowError carries the couple count that crossed the
-// Options.MaxCouples threshold. It wraps ErrTooManyCouples.
-type CoupleOverflowError struct {
-	Couples, Max int
-}
-
-func (e *CoupleOverflowError) Error() string {
-	return fmt.Sprintf("agree: %d couples exceed the %d-couple threshold", e.Couples, e.Max)
-}
-
-func (e *CoupleOverflowError) Unwrap() error { return ErrTooManyCouples }
-
 // Result is the outcome of an agree-set computation.
 type Result struct {
 	// Sets is ag(r) deduplicated, in canonical order. It never contains
@@ -91,9 +73,12 @@ type Result struct {
 	// 1 otherwise).
 	Chunks int
 	// Spill counts the out-of-core activity when Options.MaxAgreeBytes
-	// made the accumulators spill sorted runs to disk; all-zero for
-	// in-memory runs.
+	// made the accumulators spill sorted runs to disk, or a Remote's runs
+	// were adopted onto disk; all-zero for in-memory runs.
 	Spill extsort.Stats
+	// Merge is the wall time of the final merge of the sorted runs —
+	// in memory, spilled or remote — plus the canonical finish.
+	Merge time.Duration
 }
 
 // Naive computes ag(r) by comparing every couple of distinct tuples
@@ -135,10 +120,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0), 1 the sequential reference path. Results are
 	// byte-identical for every value.
 	Workers int
-	// MaxCouples makes Couples refuse inputs whose couple space exceeds
-	// the threshold, returning a *CoupleOverflowError before any sweep
-	// work — the degradation signal core.Discover reacts to. 0 disables.
-	MaxCouples int
 	// Budget governs the computation: the couple count and the agree
 	// sets produced are charged against it, and each chunk/stride passes
 	// a deadline checkpoint. On overrun the partial Result accumulated so
@@ -373,11 +354,7 @@ type workerState struct {
 // sorted runs are merged and emitted in canonical order, making the
 // result independent of worker count and scheduling.
 func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	p := NewPlan(db)
-	if opts.MaxCouples > 0 && p.Couples() > opts.MaxCouples {
-		return nil, &CoupleOverflowError{Couples: p.Couples(), Max: opts.MaxCouples}
-	}
-	return p.run(ctx, VariantCouples, opts)
+	return NewPlan(db).Run(ctx, VariantCouples, opts, nil)
 }
 
 // Identifiers computes ag(r) with Algorithm 3 (AGREE_SET 2): per-tuple
@@ -388,35 +365,57 @@ func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result
 // per-worker sorted runs merged in canonical order (deterministic output
 // for any worker count).
 func Identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	return NewPlan(db).run(ctx, VariantIdentifiers, opts)
+	return NewPlan(db).Run(ctx, VariantIdentifiers, opts, nil)
 }
 
-// run sweeps the plan's whole couple space and finishes the merged runs
-// into ag(r), charging the couple count before the sweep and the family
-// size after it.
-func (p *Plan) run(ctx context.Context, v Variant, opts Options) (*Result, error) {
+// Run sweeps the plan's whole couple space through variant v and
+// finishes the merged runs into ag(r), charging the couple count before
+// the sweep and the family size after it. With a nil remote the sweep is
+// local; otherwise the couple space is fanned out over the remote's
+// shards (see fanOut), whose runs join the same merge as local and
+// spilled ones.
+func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) (*Result, error) {
 	res := &Result{Couples: len(p.couples), Chunks: 1}
 	if v == VariantCouples {
 		res.Chunks = max(1, (len(p.couples)+opts.chunkSize()-1)/opts.chunkSize())
 	}
+	var shards []Shard
+	if remote != nil {
+		shards = p.Split(remote.Shards(len(p.couples)))
+	}
 	if err := opts.Budget.Charge("agree", len(p.couples)); err != nil {
 		return res, err
 	}
-	locals, sp, err := p.sweep(ctx, p.couples, v, opts)
+	// Remote runs are adopted into a spiller whatever the threshold.
+	sp := newSpiller(opts, remote != nil)
 	if sp != nil {
 		defer func() {
 			res.Spill = sp.Stats()
 			sp.Close()
 		}()
 	}
+	var locals []*workerState
+	var err error
+	if remote == nil {
+		locals, err = p.sweep(ctx, p.couples, v, opts, sp)
+	} else {
+		locals, err = p.fanOut(ctx, shards, v, opts, remote, sp)
+	}
 	if err != nil {
 		return governedPartial(res, locals, sp, err, v)
+	}
+	t0 := time.Now()
+	if remote != nil {
+		if err := faultinject.Fire(faultinject.ShardMerge); err != nil {
+			return nil, fmt.Errorf("agree: merging %s runs: %w", v, err)
+		}
 	}
 	sets, err := mergeAccums(locals, sp)
 	if err != nil {
 		return nil, fmt.Errorf("agree: merging %s runs: %w", v, err)
 	}
 	res.Sets = p.Finish(sets)
+	res.Merge = time.Since(t0)
 	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
 		return res, err
 	}
@@ -425,14 +424,13 @@ func (p *Plan) run(ctx context.Context, v Variant, opts Options) (*Result, error
 
 // sweep runs couples through variant v — Algorithm 2's chunk loop or
 // Algorithm 3's stride loop — over Options.Workers goroutines, each
-// absorbing its batches into a private sorted run (spilled past
+// absorbing its batches into a private sorted run (spilled into sp past
 // Options.MaxAgreeBytes). Every task first passes the variant's fault
 // hook and a budget deadline checkpoint. pool.Run joins every worker
-// before returning, so the locals are safe to merge whatever the error;
-// the spiller (nil when not spilling) is the caller's to close.
-func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Options) ([]*workerState, *extsort.Spiller, error) {
+// before returning, so the locals are safe to merge whatever the error.
+func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Options, sp *extsort.Spiller) ([]*workerState, error) {
 	workers := pool.Resolve(opts.Workers)
-	locals, sp := makeWorkers(workers, opts)
+	locals := makeWorkers(workers, opts, sp)
 	full := attrset.Universe(p.db.Arity())
 	step, hook := opts.chunkSize(), faultinject.AgreeChunk
 	var ecOff []int32
@@ -461,29 +459,35 @@ func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Opti
 		}
 		return ws.accum.absorb(batch)
 	})
-	return locals, sp, err
+	return locals, err
 }
 
-// makeWorkers builds the per-worker accumulators, attaching a spiller
-// with a per-worker byte threshold when Options.MaxAgreeBytes asks for
+// newSpiller returns the spiller a sweep under opts accumulates into, or
+// nil when Options.MaxAgreeBytes keeps everything in memory and a
+// spiller is not needed anyway. The caller closes it.
+func newSpiller(opts Options, needed bool) *extsort.Spiller {
+	if opts.MaxAgreeBytes <= 0 && !needed {
+		return nil
+	}
+	return extsort.NewSpiller(opts.SpillDir, opts.Budget)
+}
+
+// makeWorkers builds the per-worker accumulators, attaching sp with a
+// per-worker byte threshold when Options.MaxAgreeBytes asks for
 // out-of-core accumulation. The per-worker share is clamped up to one
 // record, so even a degenerate threshold spills whole records rather
 // than nothing.
-func makeWorkers(workers int, opts Options) ([]*workerState, *extsort.Spiller) {
+func makeWorkers(workers int, opts Options, sp *extsort.Spiller) []*workerState {
 	locals := make([]*workerState, workers)
+	perWorker := max(opts.MaxAgreeBytes/int64(workers), extsort.SetBytes)
 	for w := range locals {
 		locals[w] = &workerState{}
+		if opts.MaxAgreeBytes > 0 {
+			locals[w].accum.sp = sp
+			locals[w].accum.limit = perWorker
+		}
 	}
-	if opts.MaxAgreeBytes <= 0 {
-		return locals, nil
-	}
-	sp := extsort.NewSpiller(opts.SpillDir, opts.Budget)
-	perWorker := max(opts.MaxAgreeBytes/int64(workers), extsort.SetBytes)
-	for _, ws := range locals {
-		ws.accum.sp = sp
-		ws.accum.limit = perWorker
-	}
-	return locals, sp
+	return locals
 }
 
 // governedPartial classifies a sweep failure: governed outcomes (budget,

@@ -1,5 +1,6 @@
 // Shard computation: the agree-set sweep over an explicit couple range,
-// the unit a distributed discovery dispatches to workers.
+// the unit a distributed discovery dispatches to workers, and the fan-out
+// that makes some of a run's shards remote.
 //
 // A Plan pins the shardable state both sides must agree on: the couple
 // list is generated once (sorted, deduplicated — generateCouples), so a
@@ -10,6 +11,10 @@
 // run order — without the canonical sort or the empty-set completion,
 // which belong to whoever unions the shards. Finish applies exactly that
 // tail once over the merged family.
+//
+// Plan.Run with a Remote is that union: each shard's run is fetched from
+// the remote source or, when the fetch fails, swept locally, and every
+// run joins the one merge a local sweep uses.
 //
 // Byte-identity argument (the distributed analogue of the spill
 // contract): the shards are contiguous ranges of one globally sorted
@@ -29,13 +34,14 @@ import (
 
 	"repro/internal/attrset"
 	"repro/internal/extsort"
+	"repro/internal/guard"
 	"repro/internal/partition"
 )
 
 // Variant selects which sweep a shard runs: Algorithm 2 (couples) or
-// Algorithm 3 (identifiers). Every shard of one discovery must use the
-// same variant — the coordinator decides degradation globally, from the
-// total couple count, so the choice cannot diverge per shard.
+// Algorithm 3 (identifiers). Every shard of one run uses the same
+// variant — Plan.Run passes its own to every Fetch and local sweep, so
+// the choice cannot diverge per shard.
 type Variant int
 
 const (
@@ -81,11 +87,14 @@ func NewPlan(db *partition.Database) *Plan {
 // Couples returns the total couple count — the space Split partitions.
 func (p *Plan) Couples() int { return len(p.couples) }
 
-// Split partitions the couple space into n contiguous near-equal shards
-// (never more shards than couples; an empty couple space yields one
-// empty shard, so the pipeline shape is uniform).
-func (p *Plan) Split(n int) []Shard {
-	total := len(p.couples)
+// Split partitions the plan's couple space into n contiguous near-equal
+// shards; see the function Split.
+func (p *Plan) Split(n int) []Shard { return Split(len(p.couples), n) }
+
+// Split partitions a space of total couples into n contiguous near-equal
+// shards (never more shards than couples; an empty couple space yields
+// one empty shard, so the pipeline shape is uniform).
+func Split(total, n int) []Shard {
 	if n < 1 {
 		n = 1
 	}
@@ -138,7 +147,8 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 		return nil, fmt.Errorf("agree: shard [%d,%d) outside couple range [0,%d]", sh.Start, sh.End, len(p.couples))
 	}
 	res := &ShardResult{}
-	locals, sp, err := p.sweep(ctx, p.couples[sh.Start:sh.End], v, opts)
+	sp := newSpiller(opts, false)
+	locals, err := p.sweep(ctx, p.couples[sh.Start:sh.End], v, opts, sp)
 	if sp != nil {
 		defer func() {
 			res.Spill = sp.Stats()
@@ -181,4 +191,75 @@ func (p *Plan) Finish(sets attrset.Family) attrset.Family {
 	}
 	sets.Sort()
 	return addEmptyIfUncovered(p.db, len(p.couples), sets)
+}
+
+// Remote is a source of sorted runs computed elsewhere — a worker fleet.
+// Plan.Run fans its couple space out over the remote's shards; a shard
+// the remote cannot serve is swept locally, so a Remote only ever saves
+// local work and never changes the family.
+type Remote interface {
+	// Shards is called once per run, before any Fetch, with the size of
+	// the couple space; it returns how many contiguous shards to split it
+	// into (Split clamps the count).
+	Shards(couples int) int
+	// Fetch computes shard i with variant v elsewhere and adopts its run
+	// into sp (extsort.Spiller.AdoptRun, then Commit). On error nothing
+	// of the shard may remain in sp. A governed error (guard.Governed)
+	// fails the run, because the budget is shared; any other error
+	// makes the run sweep the shard locally. Fetch is called
+	// concurrently, one goroutine per non-empty shard.
+	Fetch(ctx context.Context, i int, sh Shard, v Variant, sp *extsort.Spiller) error
+}
+
+// fanOut runs every non-empty shard on its own goroutine: fetched from
+// remote into sp or, when the fetch fails, swept locally into workers
+// that spill into the same sp. It returns the local sweeps' workers for
+// the merge. The first fatal error — a governed fetch failure or a
+// failed local sweep — cancels the sibling shards and is returned.
+func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Options, remote Remote, sp *extsort.Spiller) ([]*workerState, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		locals   []*workerState
+		firstErr error
+	)
+	fail := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr == nil {
+			firstErr = err
+			cancel()
+		}
+	}
+	for i, sh := range shards {
+		if sh.Start == sh.End {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ferr := remote.Fetch(ctx, i, sh, v, sp)
+			switch {
+			case ferr == nil:
+				return
+			case guard.Governed(ferr):
+				fail(ferr)
+				return
+			case ctx.Err() != nil:
+				fail(ctx.Err()) // cancelled, or a sibling already failed
+				return
+			}
+			ws, err := p.sweep(ctx, p.couples[sh.Start:sh.End], v, opts, sp)
+			mu.Lock()
+			locals = append(locals, ws...)
+			mu.Unlock()
+			if err != nil {
+				fail(fmt.Errorf("shard [%d,%d) local fallback (remote: %v): %w", sh.Start, sh.End, ferr, err))
+			}
+		}()
+	}
+	wg.Wait()
+	return locals, firstErr
 }

@@ -20,7 +20,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -172,6 +171,9 @@ type Stats struct {
 	MaxSets   time.Duration // step 2
 	LHS       time.Duration // steps 3–4
 	Armstrong time.Duration // step 5
+	// AgreeMerge is the part of AgreeSets spent merging step 1's sorted
+	// runs — in memory, spilled or remote — into ag(r).
+	AgreeMerge time.Duration
 	// Spill counts step 1's out-of-core traffic (runs spilled, bytes
 	// written, blocks read back) when Options.MaxAgreeBytes is set;
 	// all-zero for in-memory runs.
@@ -251,6 +253,10 @@ type Input struct {
 	// Arity is the schema width, read only when neither Relation nor DB
 	// is set.
 	Arity int
+	// Remote, when set, is where some of step 1's runs come from: the
+	// couple space is fanned out over its shards, and a shard it fails to
+	// serve is swept locally (agree.Plan.Run). nil sweeps locally.
+	Remote agree.Remote
 }
 
 func (in Input) arity() int {
@@ -315,12 +321,10 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	return res, nil
 }
 
-// DegradeNote is the Notes line recorded when the couple space crosses
+// degradeNote is the Notes line recorded when the couple space crosses
 // the MaxCouples threshold and the run degrades from Algorithm 2 to
-// Algorithm 3. Shared with the shard coordinator, which makes the same
-// decision globally, so sharded and single-node responses stay
-// byte-identical.
-func DegradeNote(couples, max int) string {
+// Algorithm 3.
+func degradeNote(couples, max int) string {
 	return fmt.Sprintf(
 		"agree: degraded from Dep-Miner (Algorithm 2) to Dep-Miner 2 (Algorithm 3): %d couples exceed the %d-couple threshold",
 		couples, max)
@@ -337,13 +341,16 @@ func adoptAgree(res *Result, agr *agree.Result) {
 	res.Couples = agr.Couples
 	res.Chunks = agr.Chunks
 	res.Stats.Spill = agr.Spill
+	res.Stats.AgreeMerge = agr.Merge
 }
 
 // agreeStep runs step 1: the naive scan over the relation, or the
 // partition build (skipped when in.DB is given) followed by the
-// stripped-partition sweep. The sweep degrades from Algorithm 2 to
-// Algorithm 3 when the couple space crosses Options.MaxCouples — the
-// paper's own remedy for correlated relations, recorded in res.Notes.
+// stripped-partition sweep over one plan, local or fanned out over
+// in.Remote. The sweep degrades from Algorithm 2 to Algorithm 3 when the
+// couple space crosses Options.MaxCouples — the paper's own remedy for
+// correlated relations, recorded in res.Notes — so every shard of a
+// fanned-out run uses the same variant.
 func agreeStep(ctx context.Context, in Input, opts Options, res *Result) (*agree.Result, error) {
 	db := in.DB
 	if opts.Algorithm != AgreeNaive {
@@ -371,21 +378,18 @@ func agreeStep(ctx context.Context, in Input, opts Options, res *Result) (*agree
 		MaxAgreeBytes: opts.MaxAgreeBytes,
 		SpillDir:      opts.SpillDir,
 	}
-	switch opts.Algorithm {
-	case AgreeNaive:
+	if opts.Algorithm == AgreeNaive {
 		return agree.Naive(ctx, in.Relation)
-	case AgreeIdentifiers:
-		return agree.Identifiers(ctx, db, aopts)
 	}
-	aopts.MaxCouples = opts.MaxCouples
-	agr, err := agree.Couples(ctx, db, aopts)
-	var overflow *agree.CoupleOverflowError
-	if errors.As(err, &overflow) {
-		res.Notes = append(res.Notes, DegradeNote(overflow.Couples, overflow.Max))
-		aopts.MaxCouples = 0
-		return agree.Identifiers(ctx, db, aopts)
+	plan := agree.NewPlan(db)
+	v := agree.VariantCouples
+	if opts.Algorithm == AgreeIdentifiers {
+		v = agree.VariantIdentifiers
+	} else if opts.MaxCouples > 0 && plan.Couples() > opts.MaxCouples {
+		res.Notes = append(res.Notes, degradeNote(plan.Couples(), opts.MaxCouples))
+		v = agree.VariantIdentifiers
 	}
-	return agr, err
+	return plan.Run(ctx, v, aopts, in.Remote)
 }
 
 // deriveFDs runs steps 2–4 from the agree sets into res.

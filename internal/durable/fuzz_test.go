@@ -36,11 +36,11 @@ func fuzzSeedWAL() []byte {
 func FuzzWALReplay(f *testing.F) {
 	seed := fuzzSeedWAL()
 	f.Add(seed)
-	f.Add(seed[:len(seed)-5])       // torn tail
-	f.Add(flipAt(seed, 20))         // corrupt first record
+	f.Add(seed[:len(seed)-5])        // torn tail
+	f.Add(flipAt(seed, 20))          // corrupt first record
 	f.Add(flipAt(seed, len(seed)/2)) // corrupt mid-log
-	f.Add([]byte{})                 // empty file
-	f.Add([]byte("DMSNAP1\nnope"))  // snapshot magic in a WAL
+	f.Add([]byte{})                  // empty file
+	f.Add([]byte("DMSNAP1\nnope"))   // snapshot magic in a WAL
 	short := append([]byte(nil), seed[:frameHeaderLen+1]...)
 	f.Add(short) // header with almost no payload
 

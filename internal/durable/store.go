@@ -33,16 +33,16 @@ type Stats struct {
 	// own fsync — covered by another record's group commit or folded
 	// into a snapshot. AppendRecords ≈ Syncs + BatchedRecords under
 	// load; the gap is what group commit saved.
-	BatchedRecords int64
-	Snapshots      int64 // snapshots written by the compactor
-	CompactErrors  int64 // failed compactions (WAL kept, retried later)
-	WALBytes       int64 // bytes currently in WALs (drops at compaction)
-	Recovered      int   // datasets rebuilt from disk at Open
+	BatchedRecords  int64
+	Snapshots       int64 // snapshots written by the compactor
+	CompactErrors   int64 // failed compactions (WAL kept, retried later)
+	WALBytes        int64 // bytes currently in WALs (drops at compaction)
+	Recovered       int   // datasets rebuilt from disk at Open
 	ReplayedRecords int64 // WAL records applied during recovery
-	TruncatedTails int64 // torn final records dropped during recovery
-	Quarantined    int   // datasets refused at recovery and set aside
-	DroppedEmpty   int   // unacknowledged empty dataset dirs removed
-	Broken         int   // live datasets with a sticky durability error
+	TruncatedTails  int64 // torn final records dropped during recovery
+	Quarantined     int   // datasets refused at recovery and set aside
+	DroppedEmpty    int   // unacknowledged empty dataset dirs removed
+	Broken          int   // live datasets with a sticky durability error
 }
 
 // Store owns the data directory: every dataset's WAL and snapshot, the

@@ -64,14 +64,10 @@ type Result struct {
 	Partial bool
 }
 
-// Run mines all minimal non-trivial FDs of the relation.
-func Run(ctx context.Context, r *relation.Relation) (*Result, error) {
-	return RunOpts(ctx, r, Options{})
-}
-
-// RunOpts is Run under explicit options. Panics anywhere in the miner are
-// contained at this boundary and surface as a *guard.PanicError.
-func RunOpts(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
+// Run mines all minimal non-trivial FDs of the relation. Panics anywhere
+// in the miner are contained at this boundary and surface as a
+// *guard.PanicError.
+func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{}
 	defer func() {

@@ -25,7 +25,7 @@ func coversIdentical(a, b fd.Cover) bool {
 
 func TestPaperExample(t *testing.T) {
 	r := relation.PaperExample()
-	res, err := Run(context.Background(), r)
+	res, err := Run(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestConstantColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), r)
+	res, err := Run(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestNoNontrivialFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), r)
+	res, err := Run(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(context.Background(), r)
+		res, err := Run(context.Background(), r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestDegenerate(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, relation.PaperExample()); err == nil {
+	if _, err := Run(ctx, relation.PaperExample(), Options{}); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }
@@ -118,7 +118,7 @@ func TestPropertyThreeWayAgreement(t *testing.T) {
 		}
 		r = r.Deduplicate()
 		want := fd.MineBrute(r)
-		res, err := Run(context.Background(), r)
+		res, err := Run(context.Background(), r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

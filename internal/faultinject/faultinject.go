@@ -55,13 +55,13 @@ const (
 	IncrementalInsert = "incremental/insert" // inside InsertCtx's candidate scan and before commit
 )
 
-// Distributed-discovery hook points: the coordinator's per-shard fan-out.
-// They fire on the serving path of a sharded discovery, so they are swept
+// Distributed-discovery hook points: a sharded discovery's remote runs.
+// They fire only when step 1 has a remote run source, so they are swept
 // by the server shard fault tests (ShardPoints), not the pipeline sweep.
 const (
 	ShardDispatch = "shard/dispatch" // before each shard is dispatched to a worker
 	ShardStream   = "shard/stream"   // before a worker's run stream is adopted
-	ShardMerge    = "shard/merge"    // before the coordinator's final k-way merge
+	ShardMerge    = "shard/merge"    // before the final merge of a run with remote shards
 )
 
 // ShardPoints lists the distributed-discovery hook points, swept by the

@@ -84,11 +84,6 @@ type Result struct {
 	Partial bool
 }
 
-// Discover finds all minimal candidate keys of the relation.
-func Discover(ctx context.Context, r *relation.Relation) (*Result, error) {
-	return DiscoverOpts(ctx, r, Options{})
-}
-
 // node is one attribute set of the current level. The partition lives in
 // the store; uniqueness is cached when it is built.
 type node struct {
@@ -96,10 +91,10 @@ type node struct {
 	unique bool
 }
 
-// DiscoverOpts is Discover under explicit options. Panics anywhere in the
-// search are contained at this boundary and surface as a
+// Discover finds all minimal candidate keys of the relation. Panics
+// anywhere in the search are contained at this boundary and surface as a
 // *guard.PanicError.
-func DiscoverOpts(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
+func Discover(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{}
 	var store *pstore.Store

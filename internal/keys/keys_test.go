@@ -17,8 +17,8 @@ func TestOptionsValidate(t *testing.T) {
 		if err := opts.Validate(); !errors.Is(err, guard.ErrInvalidOptions) {
 			t.Errorf("Validate(%+v) = %v, want ErrInvalidOptions", opts, err)
 		}
-		if _, err := DiscoverOpts(context.Background(), relation.PaperExample(), opts); !errors.Is(err, guard.ErrInvalidOptions) {
-			t.Errorf("DiscoverOpts(%+v) err = %v, want ErrInvalidOptions", opts, err)
+		if _, err := Discover(context.Background(), relation.PaperExample(), opts); !errors.Is(err, guard.ErrInvalidOptions) {
+			t.Errorf("Discover(%+v) err = %v, want ErrInvalidOptions", opts, err)
 		}
 	}
 	if err := (Options{Workers: 4, MaxPartitionBytes: 1 << 20}).Validate(); err != nil {
@@ -36,7 +36,7 @@ func set(spec string) attrset.Set {
 
 func TestPaperExampleKeys(t *testing.T) {
 	r := relation.PaperExample()
-	res, err := Discover(context.Background(), r)
+	res, err := Discover(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSingleColumnKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(context.Background(), r)
+	res, err := Discover(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDuplicateTuplesHaveNoKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(context.Background(), r)
+	res, err := Discover(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Discover(context.Background(), r)
+		res, err := Discover(context.Background(), r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(context.Background(), r0)
+	res, err := Discover(context.Background(), r0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPropertyMatchesBruteForceAndTheory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Discover(context.Background(), r)
+		res, err := Discover(context.Background(), r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestPropertyMatchesBruteForceAndTheory(t *testing.T) {
 		// Theory cross-check on duplicate-free relations: instance keys
 		// equal the keys of the discovered FD cover.
 		d := r.Deduplicate()
-		resD, err := Discover(context.Background(), d)
+		resD, err := Discover(context.Background(), d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestPropertyMatchesBruteForceAndTheory(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Discover(ctx, relation.PaperExample()); err == nil {
+	if _, err := Discover(ctx, relation.PaperExample(), Options{}); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }

@@ -19,7 +19,7 @@ func TestAttrConstructorsAndAccessors(t *testing.T) {
 		{Float64("f", 1.5), KindFloat64, "1.5"},
 		{Bool("b", true), KindBool, "true"},
 		{Bool("b", false), KindBool, "false"},
-		{Duration("d", 250 * time.Millisecond), KindDuration, "250ms"},
+		{Duration("d", 250*time.Millisecond), KindDuration, "250ms"},
 	}
 	for _, c := range cases {
 		if c.attr.Kind() != c.kind {

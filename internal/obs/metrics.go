@@ -118,8 +118,8 @@ const (
 
 // series is one rendered line: name + label signature + value.
 type series struct {
-	labels string // rendered {a="b",...} signature, "" for none
-	value  float64
+	labels  string // rendered {a="b",...} signature, "" for none
+	value   float64
 	integer bool
 }
 

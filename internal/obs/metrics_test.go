@@ -100,7 +100,7 @@ func TestSampledFamilies(t *testing.T) {
 	n := 0
 	r.Sampler(func(emit EmitFunc) {
 		n++
-		emit("test_sampled_total", []Label{{Name: "phase", Value: "strip"}}, float64(n * 10))
+		emit("test_sampled_total", []Label{{Name: "phase", Value: "strip"}}, float64(n*10))
 	})
 	var buf strings.Builder
 	if err := r.WriteText(&buf); err != nil {
@@ -157,13 +157,13 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	m := SeriesMap(series)
 	checks := map[string]float64{
-		`rt_a_total`: 7,
-		`rt_b`:       -3,
-		`rt_c_total{k="va\"l\\ue\n"}`:   2,
-		`rt_d_seconds_bucket{le="0.5"}`: 1,
+		`rt_a_total`:                     7,
+		`rt_b`:                           -3,
+		`rt_c_total{k="va\"l\\ue\n"}`:    2,
+		`rt_d_seconds_bucket{le="0.5"}`:  1,
 		`rt_d_seconds_bucket{le="+Inf"}`: 1,
-		`rt_d_seconds_sum`:   0.25,
-		`rt_d_seconds_count`: 1,
+		`rt_d_seconds_sum`:               0.25,
+		`rt_d_seconds_count`:             1,
 	}
 	for key, want := range checks {
 		got, ok := m[key]

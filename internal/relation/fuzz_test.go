@@ -23,7 +23,7 @@ func FuzzLoadCSV(f *testing.F) {
 	f.Add([]byte("x,y,z\n,,\n,,\n"), true)
 	f.Add([]byte("\"q\"\"q\",v\r\n1,2\r\n"), true)
 	f.Add([]byte(""), true)
-	f.Add([]byte("a,b\n1\n"), true)        // ragged row: rejected by FromRows
+	f.Add([]byte("a,b\n1\n"), true) // ragged row: rejected by FromRows
 	f.Add([]byte("héllo,wörld\n✓,✗\n"), true)
 	f.Fuzz(func(t *testing.T, data []byte, header bool) {
 		r, err := Load(bytes.NewReader(data), header)

@@ -28,8 +28,7 @@ type resultCache struct {
 	ll        *list.List // front = most recently used
 	items     map[cacheKey]*list.Element
 	byDataset map[string]map[cacheKey]struct{}
-
-	hits, misses, evictions, invalidations int64
+	counts    CacheStats // Entries is filled in by stats
 }
 
 // cacheEntry is the list payload.
@@ -56,10 +55,10 @@ func (c *resultCache) get(k cacheKey) (*DiscoverResponse, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
+		c.counts.Misses++
 		return nil, false
 	}
-	c.hits++
+	c.counts.Hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).resp, true
 }
@@ -84,7 +83,7 @@ func (c *resultCache) put(datasetID string, k cacheKey, resp *DiscoverResponse) 
 	keys[k] = struct{}{}
 	for c.cap > 0 && c.ll.Len() > c.cap {
 		c.removeLocked(c.ll.Back())
-		c.evictions++
+		c.counts.Evictions++
 	}
 }
 
@@ -102,7 +101,7 @@ func (c *resultCache) invalidateDataset(datasetID string) int {
 			n++
 		}
 	}
-	c.invalidations += int64(n)
+	c.counts.Invalidations += int64(n)
 	return n
 }
 
@@ -121,11 +120,7 @@ func (c *resultCache) removeLocked(el *list.Element) {
 func (c *resultCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Entries:       c.ll.Len(),
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-	}
+	st := c.counts
+	st.Entries = c.ll.Len()
+	return st
 }

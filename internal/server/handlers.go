@@ -338,17 +338,18 @@ func (s *Server) maybeCache(datasetID string, p discoverParams, resp *DiscoverRe
 func (s *Server) recordOutcome(resp *DiscoverResponse, err error, async bool) {
 	s.stats.mu.Lock()
 	defer s.stats.mu.Unlock()
-	s.stats.total++
+	c := &s.stats.counts
+	c.Total++
 	if async {
-		s.stats.async++
+		c.Async++
 	} else {
-		s.stats.sync++
+		c.Sync++
 	}
 	switch {
 	case err != nil:
-		s.stats.failed++
+		c.Failed++
 	case resp != nil && resp.Partial:
-		s.stats.partial++
+		c.Partial++
 	}
 }
 

@@ -67,20 +67,16 @@ func (j *job) info() JobInfo {
 // handler answers 429 with Retry-After. Finished async jobs are retained
 // for polling, pruned oldest-first past maxRecords.
 type jobQueue struct {
-	mu          sync.Mutex
-	cap         int
-	running     int
-	peakRunning int
-	admitted    int64
-	rejected    int64
-	nextID      int
-	jobs        map[string]*job
-	order       []string // creation order of retained async jobs
-	maxRecords  int
+	mu         sync.Mutex
+	counts     JobQueueStats // Retained is filled in by stats
+	nextID     int
+	jobs       map[string]*job
+	order      []string // creation order of retained async jobs
+	maxRecords int
 }
 
 func newJobQueue(capJobs, maxRecords int) *jobQueue {
-	return &jobQueue{cap: capJobs, maxRecords: maxRecords, jobs: make(map[string]*job)}
+	return &jobQueue{counts: JobQueueStats{Cap: capJobs}, maxRecords: maxRecords, jobs: make(map[string]*job)}
 }
 
 // tryAdmit claims one execution slot; the caller must release() it when
@@ -89,22 +85,21 @@ func newJobQueue(capJobs, maxRecords int) *jobQueue {
 func (q *jobQueue) tryAdmit() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.running >= q.cap {
-		q.rejected++
+	c := &q.counts
+	if c.Running >= c.Cap {
+		c.Rejected++
 		return false
 	}
-	q.running++
-	q.admitted++
-	if q.running > q.peakRunning {
-		q.peakRunning = q.running
-	}
+	c.Running++
+	c.Admitted++
+	c.PeakRunning = max(c.PeakRunning, c.Running)
 	return true
 }
 
 func (q *jobQueue) release() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.running--
+	q.counts.Running--
 }
 
 // add registers an async job record (the slot must already be admitted).
@@ -154,12 +149,7 @@ func (q *jobQueue) get(id string) (*job, bool) {
 func (q *jobQueue) stats() JobQueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return JobQueueStats{
-		Cap:         q.cap,
-		Running:     q.running,
-		PeakRunning: q.peakRunning,
-		Admitted:    q.admitted,
-		Rejected:    q.rejected,
-		Retained:    len(q.jobs),
-	}
+	st := q.counts
+	st.Retained = len(q.jobs)
+	return st
 }

@@ -9,6 +9,7 @@ package server
 // instruments — they have no /v1/stats counterpart.
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -23,32 +24,13 @@ const metricPrefix = "depminerd"
 // read from.
 func (s *Server) statsSnapshot() StatsResponse {
 	s.stats.mu.Lock()
-	disc := DiscoveryStats{
-		Total:           s.stats.total,
-		Partial:         s.stats.partial,
-		Failed:          s.stats.failed,
-		Sync:            s.stats.sync,
-		Async:           s.stats.async,
-		SnapshotStreams: s.stats.snapshotStreams,
-		PhaseTotalMS:    make(map[string]float64, len(s.stats.phases)),
-	}
+	disc := s.stats.counts
+	disc.PhaseTotalMS = make(map[string]float64, len(s.stats.phases))
 	for name, d := range s.stats.phases {
 		disc.PhaseTotalMS[name] = float64(d) / float64(time.Millisecond)
 	}
-	ps := PstoreStats{
-		Hits:       s.stats.pstore.Hits,
-		Misses:     s.stats.pstore.Misses,
-		Evictions:  s.stats.pstore.Evictions,
-		Recomputes: s.stats.pstore.Recomputes,
-		PeakBytes:  s.stats.pstore.PeakBytes,
-	}
-	sp := SpillStats{
-		RunsSpilled:  s.stats.spill.RunsSpilled,
-		SpilledSets:  s.stats.spill.SpilledSets,
-		SpilledBytes: s.stats.spill.SpilledBytes,
-		MergedRuns:   s.stats.spill.MergedRuns,
-		ReadBlocks:   s.stats.spill.ReadBlocks,
-	}
+	ps := s.stats.pstore
+	sp := SpillStats(s.stats.spill)
 	shc := s.stats.shard
 	s.stats.mu.Unlock()
 	resp := StatsResponse{
@@ -84,7 +66,9 @@ func (s *Server) statsSnapshot() StatsResponse {
 		}
 		resp.Durable = dur
 	}
-	if s.coord != nil || shc.active() {
+	// Coordinator counters move only on a coordinator; a worker shows
+	// the section once it has served.
+	if s.fleet != nil || shc.served != 0 || shc.servedErrors != 0 {
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		resp.Shard = &wire.ShardStats{
 			Dispatched:      shc.dispatched,
@@ -104,162 +88,128 @@ func (s *Server) statsSnapshot() StatsResponse {
 	return resp
 }
 
+// statsMetric is one sampled /metrics family over a section S of the
+// stats snapshot: its declaration plus how to read its value. Following
+// the Prometheus naming convention, a family is a counter exactly when
+// its name ends in _total, and a gauge otherwise.
+type statsMetric[S any] struct {
+	name, help string
+	value      func(*S) float64
+}
+
+// The sampled families, one table per /v1/stats section, named without
+// metricPrefix. The durable and shard tables emit nothing when the
+// snapshot lacks their section. The one labelled family,
+// phase_seconds_total, is registered beside them.
+var statsMetrics = []statsMetric[StatsResponse]{
+	{"uptime_seconds", "Seconds since the server started.", func(st *StatsResponse) float64 { return st.UptimeMS / 1000 }},
+	{"draining", "1 once Shutdown began, 0 while serving.", func(st *StatsResponse) float64 {
+		if st.Draining {
+			return 1
+		}
+		return 0
+	}},
+	{"datasets", "Registered datasets.", func(st *StatsResponse) float64 { return float64(st.Datasets) }},
+
+	{"jobs_cap", "Admission cap on concurrently running discoveries.", func(st *StatsResponse) float64 { return float64(st.Jobs.Cap) }},
+	{"jobs_running", "Discoveries currently holding an admission slot.", func(st *StatsResponse) float64 { return float64(st.Jobs.Running) }},
+	{"jobs_peak_running", "High-water mark of concurrently running discoveries.", func(st *StatsResponse) float64 { return float64(st.Jobs.PeakRunning) }},
+	{"jobs_retained", "Retained finished async job records.", func(st *StatsResponse) float64 { return float64(st.Jobs.Retained) }},
+	{"jobs_admitted_total", "Discoveries admitted past the job cap.", func(st *StatsResponse) float64 { return float64(st.Jobs.Admitted) }},
+	{"jobs_rejected_total", "Discoveries rejected with 429 at the job cap.", func(st *StatsResponse) float64 { return float64(st.Jobs.Rejected) }},
+
+	{"cache_entries", "Result-cache entries resident.", func(st *StatsResponse) float64 { return float64(st.Cache.Entries) }},
+	{"cache_hits_total", "Result-cache hits.", func(st *StatsResponse) float64 { return float64(st.Cache.Hits) }},
+	{"cache_misses_total", "Result-cache misses.", func(st *StatsResponse) float64 { return float64(st.Cache.Misses) }},
+	{"cache_evictions_total", "Result-cache LRU evictions.", func(st *StatsResponse) float64 { return float64(st.Cache.Evictions) }},
+	{"cache_invalidations_total", "Result-cache entries invalidated by appends.", func(st *StatsResponse) float64 { return float64(st.Cache.Invalidations) }},
+
+	{"discoveries_total", "Discoveries finished, any outcome.", func(st *StatsResponse) float64 { return float64(st.Discoveries.Total) }},
+	{"discoveries_partial_total", "Discoveries cut off by governance (partial results).", func(st *StatsResponse) float64 { return float64(st.Discoveries.Partial) }},
+	{"discoveries_failed_total", "Discoveries that failed outright.", func(st *StatsResponse) float64 { return float64(st.Discoveries.Failed) }},
+	{"discoveries_sync_total", "Discoveries served synchronously.", func(st *StatsResponse) float64 { return float64(st.Discoveries.Sync) }},
+	{"discoveries_async_total", "Discoveries served as async jobs.", func(st *StatsResponse) float64 { return float64(st.Discoveries.Async) }},
+	{"snapshot_streams_total", "Discoveries fed by streaming a durable snapshot.", func(st *StatsResponse) float64 { return float64(st.Discoveries.SnapshotStreams) }},
+
+	{"pstore_hits_total", "Partition-store hits (tane).", func(st *StatsResponse) float64 { return float64(st.Pstore.Hits) }},
+	{"pstore_misses_total", "Partition-store misses (tane).", func(st *StatsResponse) float64 { return float64(st.Pstore.Misses) }},
+	{"pstore_evictions_total", "Partition-store evictions (tane).", func(st *StatsResponse) float64 { return float64(st.Pstore.Evictions) }},
+	{"pstore_recomputes_total", "Partitions recomputed after eviction (tane).", func(st *StatsResponse) float64 { return float64(st.Pstore.Recomputes) }},
+	{"pstore_peak_bytes", "Peak resident partition bytes across tane runs.", func(st *StatsResponse) float64 { return float64(st.Pstore.PeakBytes) }},
+
+	{"spill_runs_total", "Agree-set runs spilled to disk.", func(st *StatsResponse) float64 { return float64(st.Spill.RunsSpilled) }},
+	{"spill_sets_total", "Agree sets written to spill runs.", func(st *StatsResponse) float64 { return float64(st.Spill.SpilledSets) }},
+	{"spill_bytes_total", "Bytes written to spill runs.", func(st *StatsResponse) float64 { return float64(st.Spill.SpilledBytes) }},
+	{"spill_merged_runs_total", "Spill runs fed back through the k-way merge.", func(st *StatsResponse) float64 { return float64(st.Spill.MergedRuns) }},
+	{"spill_read_blocks_total", "CRC-framed blocks read back from spill runs.", func(st *StatsResponse) float64 { return float64(st.Spill.ReadBlocks) }},
+}
+
+var durableMetrics = []statsMetric[wire.DurableStats]{
+	{"durable_datasets", "Datasets with a durable handle.", func(d *wire.DurableStats) float64 { return float64(d.Datasets) }},
+	{"durable_append_records_total", "WAL append records acknowledged.", func(d *wire.DurableStats) float64 { return float64(d.AppendRecords) }},
+	{"durable_syncs_total", "WAL fsync calls.", func(d *wire.DurableStats) float64 { return float64(d.Syncs) }},
+	{"durable_batched_records_total", "WAL records that shared a group-commit fsync.", func(d *wire.DurableStats) float64 { return float64(d.BatchedRecords) }},
+	{"durable_snapshots_total", "Background snapshot compactions completed.", func(d *wire.DurableStats) float64 { return float64(d.Snapshots) }},
+	{"durable_compact_errors_total", "Background compactions that failed.", func(d *wire.DurableStats) float64 { return float64(d.CompactErrors) }},
+	{"durable_wal_bytes", "Live WAL bytes on disk.", func(d *wire.DurableStats) float64 { return float64(d.WALBytes) }},
+	{"durable_recovered", "Datasets recovered at the last boot.", func(d *wire.DurableStats) float64 { return float64(d.Recovered) }},
+	{"durable_replayed_records_total", "WAL records replayed at the last boot.", func(d *wire.DurableStats) float64 { return float64(d.ReplayedRecords) }},
+	{"durable_truncated_tails_total", "Torn WAL tails truncated at the last boot.", func(d *wire.DurableStats) float64 { return float64(d.TruncatedTails) }},
+	{"durable_quarantined", "Datasets quarantined by recovery.", func(d *wire.DurableStats) float64 { return float64(d.Quarantined) }},
+	{"durable_broken", "Datasets sticky-broken by a durability failure (read-only until restart).", func(d *wire.DurableStats) float64 { return float64(d.Broken) }},
+}
+
+var shardMetrics = []statsMetric[wire.ShardStats]{
+	{"shard_dispatched_total", "Shards dispatched by this coordinator.", func(sh *wire.ShardStats) float64 { return float64(sh.Dispatched) }},
+	{"shard_remote_total", "Shards served remotely by a worker.", func(sh *wire.ShardStats) float64 { return float64(sh.Remote) }},
+	{"shard_local_fallbacks_total", "Shards computed locally after a remote failure.", func(sh *wire.ShardStats) float64 { return float64(sh.LocalFallbacks) }},
+	{"shard_datasets_pushed_total", "Datasets pushed to cold workers.", func(sh *wire.ShardStats) float64 { return float64(sh.DatasetsPushed) }},
+	{"shard_received_sets_total", "Agree sets received from worker streams.", func(sh *wire.ShardStats) float64 { return float64(sh.ReceivedSets) }},
+	{"shard_received_bytes_total", "Bytes received from worker streams.", func(sh *wire.ShardStats) float64 { return float64(sh.ReceivedBytes) }},
+	{"shard_dispatch_seconds_total", "Cumulative dispatch time (request to first stream byte).", func(sh *wire.ShardStats) float64 { return sh.DispatchTotalMS / 1000 }},
+	{"shard_stream_seconds_total", "Cumulative stream-adoption time.", func(sh *wire.ShardStats) float64 { return sh.StreamTotalMS / 1000 }},
+	{"shard_merge_seconds_total", "Cumulative coordinator merge time.", func(sh *wire.ShardStats) float64 { return sh.MergeTotalMS / 1000 }},
+	{"shard_served_total", "Shard requests this worker served to completion.", func(sh *wire.ShardStats) float64 { return float64(sh.Served) }},
+	{"shard_served_sets_total", "Agree sets this worker streamed out.", func(sh *wire.ShardStats) float64 { return float64(sh.ServedSets) }},
+	{"shard_served_errors_total", "Shard requests this worker failed.", func(sh *wire.ShardStats) float64 { return float64(sh.ServedErrors) }},
+}
+
 // registerStatsMetrics declares the sampled metric families and installs
 // the one sampler that maps a statsSnapshot onto them per scrape.
 func (s *Server) registerStatsMetrics(reg *obs.Registry) {
-	const p = metricPrefix
-	type fam struct {
-		name  string
-		help  string
-		gauge bool
-	}
-	fams := []fam{
-		{p + "_uptime_seconds", "Seconds since the server started.", true},
-		{p + "_draining", "1 once Shutdown began, 0 while serving.", true},
-		{p + "_datasets", "Registered datasets.", true},
-
-		{p + "_jobs_cap", "Admission cap on concurrently running discoveries.", true},
-		{p + "_jobs_running", "Discoveries currently holding an admission slot.", true},
-		{p + "_jobs_peak_running", "High-water mark of concurrently running discoveries.", true},
-		{p + "_jobs_retained", "Retained finished async job records.", true},
-		{p + "_jobs_admitted_total", "Discoveries admitted past the job cap.", false},
-		{p + "_jobs_rejected_total", "Discoveries rejected with 429 at the job cap.", false},
-
-		{p + "_cache_entries", "Result-cache entries resident.", true},
-		{p + "_cache_hits_total", "Result-cache hits.", false},
-		{p + "_cache_misses_total", "Result-cache misses.", false},
-		{p + "_cache_evictions_total", "Result-cache LRU evictions.", false},
-		{p + "_cache_invalidations_total", "Result-cache entries invalidated by appends.", false},
-
-		{p + "_discoveries_total", "Discoveries finished, any outcome.", false},
-		{p + "_discoveries_partial_total", "Discoveries cut off by governance (partial results).", false},
-		{p + "_discoveries_failed_total", "Discoveries that failed outright.", false},
-		{p + "_discoveries_sync_total", "Discoveries served synchronously.", false},
-		{p + "_discoveries_async_total", "Discoveries served as async jobs.", false},
-		{p + "_snapshot_streams_total", "Discoveries fed by streaming a durable snapshot.", false},
-		{p + "_phase_seconds_total", "Cumulative discovery pipeline time by phase.", false},
-
-		{p + "_pstore_hits_total", "Partition-store hits (tane).", false},
-		{p + "_pstore_misses_total", "Partition-store misses (tane).", false},
-		{p + "_pstore_evictions_total", "Partition-store evictions (tane).", false},
-		{p + "_pstore_recomputes_total", "Partitions recomputed after eviction (tane).", false},
-		{p + "_pstore_peak_bytes", "Peak resident partition bytes across tane runs.", true},
-
-		{p + "_spill_runs_total", "Agree-set runs spilled to disk.", false},
-		{p + "_spill_sets_total", "Agree sets written to spill runs.", false},
-		{p + "_spill_bytes_total", "Bytes written to spill runs.", false},
-		{p + "_spill_merged_runs_total", "Spill runs fed back through the k-way merge.", false},
-		{p + "_spill_read_blocks_total", "CRC-framed blocks read back from spill runs.", false},
-
-		{p + "_durable_datasets", "Datasets with a durable handle.", true},
-		{p + "_durable_append_records_total", "WAL append records acknowledged.", false},
-		{p + "_durable_syncs_total", "WAL fsync calls.", false},
-		{p + "_durable_batched_records_total", "WAL records that shared a group-commit fsync.", false},
-		{p + "_durable_snapshots_total", "Background snapshot compactions completed.", false},
-		{p + "_durable_compact_errors_total", "Background compactions that failed.", false},
-		{p + "_durable_wal_bytes", "Live WAL bytes on disk.", true},
-		{p + "_durable_recovered", "Datasets recovered at the last boot.", true},
-		{p + "_durable_replayed_records_total", "WAL records replayed at the last boot.", false},
-		{p + "_durable_truncated_tails_total", "Torn WAL tails truncated at the last boot.", false},
-		{p + "_durable_quarantined", "Datasets quarantined by recovery.", true},
-		{p + "_durable_broken", "Datasets sticky-broken by a durability failure (read-only until restart).", true},
-
-		{p + "_shard_dispatched_total", "Shards dispatched by this coordinator.", false},
-		{p + "_shard_remote_total", "Shards served remotely by a worker.", false},
-		{p + "_shard_local_fallbacks_total", "Shards computed locally after a remote failure.", false},
-		{p + "_shard_datasets_pushed_total", "Datasets pushed to cold workers.", false},
-		{p + "_shard_received_sets_total", "Agree sets received from worker streams.", false},
-		{p + "_shard_received_bytes_total", "Bytes received from worker streams.", false},
-		{p + "_shard_dispatch_seconds_total", "Cumulative dispatch time (request to first stream byte).", false},
-		{p + "_shard_stream_seconds_total", "Cumulative stream-adoption time.", false},
-		{p + "_shard_merge_seconds_total", "Cumulative coordinator merge time.", false},
-		{p + "_shard_served_total", "Shard requests this worker served to completion.", false},
-		{p + "_shard_served_sets_total", "Agree sets this worker streamed out.", false},
-		{p + "_shard_served_errors_total", "Shard requests this worker failed.", false},
-	}
-	for _, f := range fams {
-		kind := obs.KindCounterFamily
-		if f.gauge {
-			kind = obs.KindGaugeFamily
-		}
-		reg.DeclareSampled(f.name, f.help, kind)
-	}
-
+	const phases = metricPrefix + "_phase_seconds_total"
+	reg.DeclareSampled(phases, "Cumulative discovery pipeline time by phase.", obs.KindCounterFamily)
+	declareStats(reg, statsMetrics)
+	declareStats(reg, durableMetrics)
+	declareStats(reg, shardMetrics)
 	reg.Sampler(func(emit obs.EmitFunc) {
 		st := s.statsSnapshot()
-		e := func(name string, v float64) { emit(name, nil, v) }
-		b01 := func(b bool) float64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		e(p+"_uptime_seconds", st.UptimeMS/1000)
-		e(p+"_draining", b01(st.Draining))
-		e(p+"_datasets", float64(st.Datasets))
-
-		e(p+"_jobs_cap", float64(st.Jobs.Cap))
-		e(p+"_jobs_running", float64(st.Jobs.Running))
-		e(p+"_jobs_peak_running", float64(st.Jobs.PeakRunning))
-		e(p+"_jobs_retained", float64(st.Jobs.Retained))
-		e(p+"_jobs_admitted_total", float64(st.Jobs.Admitted))
-		e(p+"_jobs_rejected_total", float64(st.Jobs.Rejected))
-
-		e(p+"_cache_entries", float64(st.Cache.Entries))
-		e(p+"_cache_hits_total", float64(st.Cache.Hits))
-		e(p+"_cache_misses_total", float64(st.Cache.Misses))
-		e(p+"_cache_evictions_total", float64(st.Cache.Evictions))
-		e(p+"_cache_invalidations_total", float64(st.Cache.Invalidations))
-
-		e(p+"_discoveries_total", float64(st.Discoveries.Total))
-		e(p+"_discoveries_partial_total", float64(st.Discoveries.Partial))
-		e(p+"_discoveries_failed_total", float64(st.Discoveries.Failed))
-		e(p+"_discoveries_sync_total", float64(st.Discoveries.Sync))
-		e(p+"_discoveries_async_total", float64(st.Discoveries.Async))
-		e(p+"_snapshot_streams_total", float64(st.Discoveries.SnapshotStreams))
 		for phase, ms := range st.Discoveries.PhaseTotalMS {
-			emit(p+"_phase_seconds_total", []obs.Label{{Name: "phase", Value: phase}}, ms/1000)
+			emit(phases, []obs.Label{{Name: "phase", Value: phase}}, ms/1000)
 		}
-
-		e(p+"_pstore_hits_total", float64(st.Pstore.Hits))
-		e(p+"_pstore_misses_total", float64(st.Pstore.Misses))
-		e(p+"_pstore_evictions_total", float64(st.Pstore.Evictions))
-		e(p+"_pstore_recomputes_total", float64(st.Pstore.Recomputes))
-		e(p+"_pstore_peak_bytes", float64(st.Pstore.PeakBytes))
-
-		e(p+"_spill_runs_total", float64(st.Spill.RunsSpilled))
-		e(p+"_spill_sets_total", float64(st.Spill.SpilledSets))
-		e(p+"_spill_bytes_total", float64(st.Spill.SpilledBytes))
-		e(p+"_spill_merged_runs_total", float64(st.Spill.MergedRuns))
-		e(p+"_spill_read_blocks_total", float64(st.Spill.ReadBlocks))
-
-		if d := st.Durable; d != nil {
-			e(p+"_durable_datasets", float64(d.Datasets))
-			e(p+"_durable_append_records_total", float64(d.AppendRecords))
-			e(p+"_durable_syncs_total", float64(d.Syncs))
-			e(p+"_durable_batched_records_total", float64(d.BatchedRecords))
-			e(p+"_durable_snapshots_total", float64(d.Snapshots))
-			e(p+"_durable_compact_errors_total", float64(d.CompactErrors))
-			e(p+"_durable_wal_bytes", float64(d.WALBytes))
-			e(p+"_durable_recovered", float64(d.Recovered))
-			e(p+"_durable_replayed_records_total", float64(d.ReplayedRecords))
-			e(p+"_durable_truncated_tails_total", float64(d.TruncatedTails))
-			e(p+"_durable_quarantined", float64(d.Quarantined))
-			e(p+"_durable_broken", float64(d.Broken))
-		}
-		if sh := st.Shard; sh != nil {
-			e(p+"_shard_dispatched_total", float64(sh.Dispatched))
-			e(p+"_shard_remote_total", float64(sh.Remote))
-			e(p+"_shard_local_fallbacks_total", float64(sh.LocalFallbacks))
-			e(p+"_shard_datasets_pushed_total", float64(sh.DatasetsPushed))
-			e(p+"_shard_received_sets_total", float64(sh.ReceivedSets))
-			e(p+"_shard_received_bytes_total", float64(sh.ReceivedBytes))
-			e(p+"_shard_dispatch_seconds_total", sh.DispatchTotalMS/1000)
-			e(p+"_shard_stream_seconds_total", sh.StreamTotalMS/1000)
-			e(p+"_shard_merge_seconds_total", sh.MergeTotalMS/1000)
-			e(p+"_shard_served_total", float64(sh.Served))
-			e(p+"_shard_served_sets_total", float64(sh.ServedSets))
-			e(p+"_shard_served_errors_total", float64(sh.ServedErrors))
-		}
+		emitStats(emit, statsMetrics, &st)
+		emitStats(emit, durableMetrics, st.Durable)
+		emitStats(emit, shardMetrics, st.Shard)
 	})
+}
+
+func declareStats[S any](reg *obs.Registry, table []statsMetric[S]) {
+	for _, m := range table {
+		kind := obs.KindGaugeFamily
+		if strings.HasSuffix(m.name, "_total") {
+			kind = obs.KindCounterFamily
+		}
+		reg.DeclareSampled(metricPrefix+"_"+m.name, m.help, kind)
+	}
+}
+
+// emitStats emits table's families read off section, unless the
+// snapshot lacks it.
+func emitStats[S any](emit obs.EmitFunc, table []statsMetric[S], section *S) {
+	if section == nil {
+		return
+	}
+	for _, m := range table {
+		emit(metricPrefix+"_"+m.name, nil, m.value(section))
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -55,9 +57,12 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 }
 
 // TestMetricsAgreeWithStats proves the tentpole invariant: /metrics and
-// /v1/stats are two renderings of one snapshot, so the numbers match.
+// /v1/stats are two renderings of one snapshot, so every row of the
+// metrics table matches. The server is durable and a coordinator, so its
+// snapshot has every section.
 func TestMetricsAgreeWithStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	workers := newWorkerFleet(t, 1, Config{})
+	_, ts := newCoordServer(t, workers, Config{DataDir: t.TempDir(), SnapshotEvery: -1})
 	reg := register(t, ts, relation.PaperExample())
 	// One miss, one hit.
 	for i := 0; i < 2; i++ {
@@ -72,25 +77,14 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	}
 	m := scrapeMetrics(t, ts.URL)
 
-	checks := map[string]float64{
-		"depminerd_discoveries_total":      float64(st.Discoveries.Total),
-		"depminerd_discoveries_sync_total": float64(st.Discoveries.Sync),
-		"depminerd_cache_hits_total":       float64(st.Cache.Hits),
-		"depminerd_cache_misses_total":     float64(st.Cache.Misses),
-		"depminerd_datasets":               float64(st.Datasets),
-		"depminerd_jobs_admitted_total":    float64(st.Jobs.Admitted),
-		"depminerd_jobs_cap":               float64(st.Jobs.Cap),
-		"depminerd_draining":               0,
+	if st.Durable == nil || st.Shard == nil {
+		t.Fatalf("/v1/stats lacks a section: durable=%v shard=%v", st.Durable, st.Shard)
 	}
-	for name, want := range checks {
-		got, ok := m[name]
-		if !ok {
-			t.Errorf("metric %s missing from exposition", name)
-			continue
-		}
-		if got != want {
-			t.Errorf("%s = %v, /v1/stats says %v", name, got, want)
-		}
+	checkStatsTable(t, m, statsMetrics, &st)
+	checkStatsTable(t, m, durableMetrics, st.Durable)
+	checkStatsTable(t, m, shardMetrics, st.Shard)
+	if st.Shard.Dispatched < 1 || st.Durable.Datasets < 1 {
+		t.Fatalf("test drove no sharded or durable traffic: %+v %+v", st.Shard, st.Durable)
 	}
 	if st.Discoveries.Total < 1 || st.Cache.Hits < 1 {
 		t.Fatalf("test drove no traffic? total=%d hits=%d", st.Discoveries.Total, st.Cache.Hits)
@@ -118,6 +112,91 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	}
 	if !found {
 		t.Error("depminerd_build_info missing")
+	}
+}
+
+// checkStatsTable compares every family of one metrics table in the
+// scrape m with the /v1/stats section it reads. Uptime only grows between
+// the two reads.
+func checkStatsTable[S any](t *testing.T, m map[string]float64, table []statsMetric[S], section *S) {
+	t.Helper()
+	for _, row := range table {
+		name := metricPrefix + "_" + row.name
+		got, ok := m[name]
+		want := row.value(section)
+		switch {
+		case !ok:
+			t.Errorf("metric %s missing from exposition", name)
+		case row.name == "uptime_seconds":
+			if got < want {
+				t.Errorf("%s = %v, earlier /v1/stats said %v", name, got, want)
+			}
+		case got != want:
+			t.Errorf("%s = %v, /v1/stats says %v", name, got, want)
+		}
+	}
+}
+
+// TestMetricsTableCoversStats pins the metrics tables against the wire
+// types: with every numeric /v1/stats field set to a distinct value,
+// each row must read a field of its own, and every field must have a
+// row. (The phase totals map is the one labelled family.)
+func TestMetricsTableCoversStats(t *testing.T) {
+	st := StatsResponse{Durable: &wire.DurableStats{}, Shard: &wire.ShardStats{}}
+	fields := map[float64]string{} // distinct value → field path
+	next := 2.0
+	var fill func(v reflect.Value, path string)
+	fill = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Pointer:
+			fill(v.Elem(), path)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(int64(next))
+			fields[next] = path
+			next++
+		case reflect.Float64:
+			v.SetFloat(next)
+			fields[next] = path
+			next++
+		case reflect.Bool:
+			v.SetBool(true)
+			fields[1] = path
+		}
+	}
+	fill(reflect.ValueOf(&st).Elem(), "StatsResponse")
+
+	readBy := map[string]string{}
+	claim := func(name string, v float64) {
+		if strings.Contains(name, "seconds") {
+			v = math.Round(v * 1000) // millisecond fields render as seconds
+		}
+		path, ok := fields[v]
+		switch {
+		case !ok:
+			t.Errorf("%s reads no /v1/stats field (got %v)", name, v)
+		case readBy[path] != "":
+			t.Errorf("%s and %s both read %s", name, readBy[path], path)
+		default:
+			readBy[path] = name
+		}
+	}
+	for _, m := range statsMetrics {
+		claim(m.name, m.value(&st))
+	}
+	for _, m := range durableMetrics {
+		claim(m.name, m.value(st.Durable))
+	}
+	for _, m := range shardMetrics {
+		claim(m.name, m.value(st.Shard))
+	}
+	for _, path := range fields {
+		if readBy[path] == "" {
+			t.Errorf("/v1/stats field %s has no /metrics family", path)
+		}
 	}
 }
 

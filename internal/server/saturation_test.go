@@ -183,8 +183,8 @@ func TestRetryAfterHeaderIsIntegerSeconds(t *testing.T) {
 		cfg  time.Duration
 		want string
 	}{
-		{0, "1"},                      // default
-		{time.Second, "1"},            // exact
+		{0, "1"},                       // default
+		{time.Second, "1"},             // exact
 		{1500 * time.Millisecond, "2"}, // rounded up, never early
 		{3 * time.Second, "3"},
 		{10 * time.Millisecond, "1"}, // floored at 1

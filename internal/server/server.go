@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/client"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/extsort"
@@ -173,10 +174,11 @@ type Server struct {
 	store    *durable.Store
 	recovery *durable.Recovery
 
-	// coord is the shard fan-out state; nil unless Config.WorkerEndpoints
-	// is non-empty. plans caches shard plans this server built as a
-	// worker, keyed by content fingerprint.
-	coord *coordinator
+	// fleet holds one client per worker a coordinator fans shards out
+	// to; nil unless Config.WorkerEndpoints is non-empty. plans caches
+	// shard plans this server built as a worker, keyed by content
+	// fingerprint.
+	fleet []*client.Client
 	plans *planCache
 
 	stats discoveryStats
@@ -217,12 +219,12 @@ func New(cfg Config) (*Server, error) {
 	s.stats.phases = make(map[string]time.Duration)
 	s.plans = newPlanCache(planCacheCap)
 	if len(cfg.WorkerEndpoints) > 0 {
-		co, err := newCoordinator(cfg.WorkerEndpoints)
+		fleet, err := newFleet(cfg.WorkerEndpoints)
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.coord = co
+		s.fleet = fleet
 	}
 	if cfg.DataDir != "" {
 		store, rec, err := durable.Open(durable.Options{
@@ -263,7 +265,7 @@ func New(cfg Config) (*Server, error) {
 		slog.String("go_version", b.GoVersion),
 		slog.Int("max_jobs", cfg.MaxJobs),
 		slog.Bool("durable", s.store != nil),
-		slog.Bool("coordinator", s.coord != nil))
+		slog.Bool("coordinator", s.fleet != nil))
 	return s, nil
 }
 
@@ -340,18 +342,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // discoveryStats aggregates per-phase timings (from Result.Stats) and
 // partition-store counters across every discovery the process ran.
 type discoveryStats struct {
-	mu      sync.Mutex
-	total   int64
-	partial int64
-	failed  int64
-	sync    int64
-	async   int64
-	phases  map[string]time.Duration
-	pstore  pstore.Stats
-	spill   extsort.Stats
-	// snapshotStreams counts discoveries fed by streaming a durable
-	// snapshot instead of materialising the relation.
-	snapshotStreams int64
+	mu     sync.Mutex
+	counts DiscoveryStats // PhaseTotalMS is filled in from phases
+	phases map[string]time.Duration
+	pstore PstoreStats
+	spill  extsort.Stats
 	// shard aggregates distributed-discovery activity (shard.go).
 	shard shardCounters
 }
@@ -449,7 +444,7 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 		return p, fmt.Errorf("epsilon is a tane-only option")
 	}
 	if p.shards > 0 {
-		if s.coord == nil {
+		if s.fleet == nil {
 			return p, fmt.Errorf("shards is a coordinator-only option (no worker endpoints configured)")
 		}
 		if p.algorithm != "depminer" && p.algorithm != "depminer2" {
@@ -522,7 +517,7 @@ func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams)
 	)
 	switch p.algorithm {
 	case "fastfds":
-		res, rerr := fastfds.RunOpts(ctx, rel, fastfds.Options{Budget: budget})
+		res, rerr := fastfds.Run(ctx, rel, fastfds.Options{Budget: budget})
 		runErr = rerr
 		if res != nil {
 			cover, partial = res.FDs, res.Partial

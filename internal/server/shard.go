@@ -1,27 +1,26 @@
 // Distributed discovery: the coordinator/worker split of the agree-set
 // phase (DESIGN.md §15).
 //
-// A coordinator-configured server answers ordinary POST /v1/discover
-// requests for depminer/depminer2 by splitting the globally sorted
-// deduplicated couple list into contiguous shards and dispatching them
-// to worker depminerd instances over POST /v1/shard/agree. Datasets are
-// addressed by content fingerprint, so a worker provably computes over
-// the same bytes the coordinator planned against; each worker streams
-// its shard's sorted deduplicated agree sets back as a DMRUN1 run
-// (the spill-file format generalised to the wire), which the
-// coordinator adopts into its spiller — CRC-verified, order-checked,
-// budget-charged — and merges alongside any local runs. The canonical
-// tail (one sort, one empty-set completion, steps 2–5) runs once on the
-// coordinator, so the cover is byte-identical to single-node output at
-// every shard count.
+// A coordinator-configured server runs depminer/depminer2 discoveries
+// through the same core.Run as a single node, with one difference: step
+// 1's runs may come from elsewhere. fanOut is the agree.Remote that
+// dispatches each shard of the couple space to a worker depminerd over
+// POST /v1/shard/agree. Datasets are addressed by content fingerprint, so
+// a worker provably computes over the same bytes the coordinator planned
+// against; each worker streams its shard's sorted deduplicated agree sets
+// back as a DMRUN1 run (the spill-file format generalised to the wire),
+// which fanOut adopts into the run's spiller — CRC-verified,
+// order-checked, budget-charged. agree merges those runs with any local
+// ones and core runs the canonical tail once, so the cover is
+// byte-identical to single-node output at every shard count.
 //
 // The per-shard fallback ladder: transport retry/backoff (client
 // policy) → push the dataset and dispatch once more (worker answered
-// 404) → compute the shard locally under the coordinator's own budget.
-// A failed or slow worker therefore degrades to local work under the
-// governed-partial contract — couples are never silently dropped, and a
-// stream that fails verification is discarded and recomputed, never
-// merged.
+// 404) → agree sweeps the shard locally under the coordinator's own
+// budget. A failed or slow worker therefore degrades to local work under
+// the governed-partial contract — couples are never silently dropped,
+// and a stream that fails verification is discarded and recomputed,
+// never merged.
 package server
 
 import (
@@ -38,7 +37,6 @@ import (
 
 	"repro/client"
 	"repro/internal/agree"
-	"repro/internal/attrset"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/extsort"
@@ -59,16 +57,12 @@ const maxShards = 64
 // couple list it ever built.
 const planCacheCap = 4
 
-// coordinator is the fan-out side: one SDK client per configured worker
-// endpoint, dispatched round-robin by shard index. Per-shard transport
-// retry/backoff is the client package's ordinary policy.
-type coordinator struct {
-	endpoints []string
-	clients   []*client.Client
-}
-
-func newCoordinator(endpoints []string) (*coordinator, error) {
-	co := &coordinator{}
+// newFleet builds the coordinator's side of the fan-out: one SDK client
+// per configured worker endpoint, dispatched round-robin by shard index.
+// Per-shard transport retry/backoff is the client package's ordinary
+// policy.
+func newFleet(endpoints []string) ([]*client.Client, error) {
+	var fleet []*client.Client
 	for _, e := range endpoints {
 		e = strings.TrimSpace(e)
 		if e == "" {
@@ -77,14 +71,13 @@ func newCoordinator(endpoints []string) (*coordinator, error) {
 		if !strings.Contains(e, "://") {
 			e = "http://" + e
 		}
-		co.endpoints = append(co.endpoints, e)
-		co.clients = append(co.clients, client.New(e,
+		fleet = append(fleet, client.New(e,
 			client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond})))
 	}
-	if len(co.endpoints) == 0 {
+	if len(fleet) == 0 {
 		return nil, fmt.Errorf("no usable worker endpoints")
 	}
-	return co, nil
+	return fleet, nil
 }
 
 // discSource is the input of one depminer discovery: the stripped
@@ -146,9 +139,6 @@ func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
 	if err != nil {
 		return nil, false
 	}
-	s.stats.mu.Lock()
-	s.stats.snapshotStreams++
-	s.stats.mu.Unlock()
 	return &discSource{db: db, fp: fp, names: append([]string(nil), sr.Names()...), streamed: true}, true
 }
 
@@ -171,29 +161,11 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 	return opts
 }
 
-// agreeOptions maps resolved params onto the options of one shard sweep.
-func (s *Server) agreeOptions(p discoverParams, budget *guard.Budget) agree.Options {
-	return agree.Options{
-		Workers:       p.workers,
-		Budget:        budget,
-		MaxAgreeBytes: p.maxAgreeBytes,
-		SpillDir:      s.cfg.SpillDir,
-	}
-}
-
-// variantOf maps a depminer algorithm name onto its agree-set sweep.
-func variantOf(algorithm string) agree.Variant {
-	if algorithm == "depminer2" {
-		return agree.VariantIdentifiers
-	}
-	return agree.VariantCouples
-}
-
 // runDepminer serves the depminer/depminer2 algorithms. The source build
 // — a materialised relation or a streamed snapshot, partitioned once — is
-// timed as the partition phase. A coordinator then replaces step 1 with
-// the fan-out across its worker fleet; core.Run does the rest on every
-// path, and depminerResponse builds the one response shape.
+// timed as the partition phase. A coordinator hands core.Run its fan-out
+// as step 1's remote run source; core.Run does the rest on every path,
+// and depminerResponse builds the one response shape.
 func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
 	t0 := time.Now()
 	src, err := s.discoverySource(d, p.armstrong)
@@ -201,6 +173,11 @@ func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, 
 		return nil, err
 	}
 	built := time.Since(t0)
+	if src.streamed {
+		s.stats.mu.Lock()
+		s.stats.counts.SnapshotStreams++
+		s.stats.mu.Unlock()
+	}
 	resp := &DiscoverResponse{
 		Dataset:          d.id,
 		Fingerprint:      src.fp,
@@ -210,27 +187,17 @@ func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, 
 		SnapshotStreamed: src.streamed,
 	}
 	in := core.Input{Relation: src.rel, DB: src.db}
-	var res *core.Result
-	var runErr error
-	var sharded time.Duration
-	if s.coord != nil {
-		t1 := time.Now()
-		in.Agree, runErr = s.shardAgree(ctx, d, p, budget, src, resp)
-		sharded = time.Since(t1)
-		if runErr != nil && guard.Governed(runErr) {
-			// Step 1 was cut short: report its counters, no cover.
-			res = &core.Result{Partial: true, Couples: in.Agree.Couples, AgreeSets: in.Agree.Sets}
-			res.Stats.Spill = in.Agree.Spill
-		}
+	var fan *fanOut
+	if s.fleet != nil {
+		fan = s.newFanOut(d, p, src)
+		in.Remote = fan
 	}
-	if runErr == nil {
-		res, runErr = core.Run(ctx, in, s.coreOptions(p, budget))
-	}
+	res, runErr := core.Run(ctx, in, s.coreOptions(p, budget))
 	if res != nil {
 		res.Stats.Partition += built
-		if in.Agree != nil {
-			res.Stats.AgreeSets = sharded // the distributed sweep, coordinator clock
-		}
+	}
+	if fan != nil {
+		fan.record(ctx, resp, res)
 	}
 	return s.depminerResponse(ctx, resp, res, runErr, src.names, start, budget)
 }
@@ -263,201 +230,81 @@ func (s *Server) depminerResponse(ctx context.Context, resp *DiscoverResponse, r
 	return finishResponse(resp, res.FDs, res.Partial, runErr, names, start, budget)
 }
 
-// shardAgree is a coordinator's step 1: split the couple space, fan the
-// shards out, adopt the returned runs, merge, and Finish into ag(r),
-// recording the fan-out topology in resp. On a governed cutoff (budget,
-// deadline) the returned Result still carries the counters reached so
-// far. Nothing can make the family wrong: a stream that fails
-// verification is discarded and its shard recomputed.
-func (s *Server) shardAgree(ctx context.Context, d *dataset, p discoverParams, budget *guard.Budget, src *discSource, resp *DiscoverResponse) (*agree.Result, error) {
-	// The coordinator plans through the same fingerprint-keyed cache the
-	// workers use: replanning an unchanged dataset would re-sort the
-	// whole couple space on every discovery for nothing. An append
-	// changes the fingerprint, so a cached plan can never be stale.
-	plan, err := s.plans.get(src.fp, func() (*agree.Plan, error) {
-		return agree.NewPlan(src.db), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	agr := &agree.Result{Couples: plan.Couples(), Chunks: 1}
+// fanOut is a coordinator's remote run source for one discovery
+// (agree.Remote): Fetch dispatches a shard to a worker and adopts the
+// returned stream. A failed fetch leaves the shard to agree's local
+// sweep; fanOut only counts it.
+type fanOut struct {
+	s   *Server
+	d   *dataset
+	p   discoverParams
+	src *discSource
+	n   int // shards requested
 
-	// The coordinator owns the Algorithm 2 → 3 degradation decision: made
-	// once from the global couple count and dispatched uniformly, so no
-	// shard can diverge — and the note matches single-node byte for byte.
-	algo := p.algorithm
-	if algo == "depminer" && p.maxCouples > 0 && plan.Couples() > p.maxCouples {
-		algo = "depminer2"
-		resp.Notes = append(resp.Notes, core.DegradeNote(plan.Couples(), p.maxCouples))
-	}
-
-	n := p.shards
-	if n == 0 {
-		n = s.cfg.DefaultShards
-	}
-	if n == 0 {
-		n = len(s.coord.endpoints)
-	}
-	shards := plan.Split(min(n, maxShards))
-	resp.Shards = len(shards)
-
-	// Budget parity with the single-node sweep: the whole couple space is
-	// charged once, up front, by whoever owns the discovery (workers
-	// charge their own shard against their own budgets).
-	if err := budget.Charge("agree", plan.Couples()); err != nil {
-		return agr, err
-	}
-
-	sp := extsort.NewSpiller(s.cfg.SpillDir, budget)
-	defer sp.Close()
-
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	run := &shardRun{
-		s: s, d: d, p: p, src: src, plan: plan,
-		algo: algo, budget: budget, sp: sp, cancel: cancel,
-	}
-	defer run.flushStats()
-
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		if sh.Start == sh.End {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sh agree.Shard) {
-			defer wg.Done()
-			run.runShard(dctx, i, sh)
-		}(i, sh)
-	}
-	wg.Wait()
-	resp.ShardsRemote = run.remote
-	resp.ShardsLocal = run.local
-	obs.Event(ctx, s.log, "shard fan-out done",
-		obs.Int("shards", len(shards)),
-		obs.Int("remote", run.remote),
-		obs.Int("local", run.local),
-		obs.Duration("dispatch", run.dispatchDur),
-		obs.Duration("stream", run.streamDur))
-	if run.firstErr != nil {
-		return agr, run.firstErr
-	}
-
-	// Merge: adopted runs (on disk) and local-fallback runs (in memory)
-	// feed one k-way dedup merge; Finish applies the canonical sort and
-	// empty-set completion exactly once.
-	mergeStart := time.Now()
-	var merged attrset.Family
-	mergeErr := faultinject.Fire(faultinject.ShardMerge)
-	if mergeErr == nil {
-		mergeErr = sp.Merge(run.localRuns, func(set attrset.Set) error {
-			merged = append(merged, set)
-			return nil
-		})
-	}
-	agr.Spill = sp.Stats()
-	agr.Spill.Add(run.spill)
-	if mergeErr != nil {
-		return agr, fmt.Errorf("shard merge: %w", mergeErr)
-	}
-	agr.Sets = plan.Finish(merged)
-	run.mergeDur = time.Since(mergeStart)
-	obs.Event(ctx, s.log, "shard merge done",
-		obs.Int("sets", len(agr.Sets)),
-		obs.Duration("merge", run.mergeDur))
-	return agr, budget.Charge("agree", len(agr.Sets))
-}
-
-// shardRun is the mutable state of one fan-out.
-type shardRun struct {
-	s      *Server
-	d      *dataset
-	p      discoverParams
-	src    *discSource
-	plan   *agree.Plan
-	algo   string // depminer or depminer2, after degradation
-	budget *guard.Budget
-	sp     *extsort.Spiller
-	cancel context.CancelFunc
+	couples, shards int // set by Shards
 
 	csvOnce sync.Once
 	csvData []byte
 	csvErr  error
 
-	mu        sync.Mutex
-	localRuns [][]attrset.Set
-	attempted int
-	remote    int
-	local     int
-	spill     extsort.Stats // local-fallback shards' own spill activity
-	firstErr  error
-
+	mu            sync.Mutex
+	attempted     int
+	remote        int
+	local         int
 	pushed        int64
 	receivedSets  int64
 	receivedBytes int64
 	dispatchDur   time.Duration
 	streamDur     time.Duration
-	mergeDur      time.Duration
 }
 
-// fail records the first fatal error and cancels sibling shards.
-func (r *shardRun) fail(err error) {
-	r.mu.Lock()
-	first := r.firstErr == nil
-	if first {
-		r.firstErr = err
+func (s *Server) newFanOut(d *dataset, p discoverParams, src *discSource) *fanOut {
+	n := p.shards
+	if n == 0 {
+		n = s.cfg.DefaultShards
 	}
-	r.mu.Unlock()
-	if first {
-		r.cancel()
+	if n == 0 {
+		n = len(s.fleet)
 	}
+	return &fanOut{s: s, d: d, p: p, src: src, n: min(n, maxShards)}
 }
 
-func (r *shardRun) failed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.firstErr != nil
+// Shards implements agree.Remote. It runs before any Fetch goroutine
+// starts, so couples and shards need no lock.
+func (f *fanOut) Shards(couples int) int {
+	f.couples = couples
+	f.shards = len(agree.Split(couples, f.n))
+	return f.n
 }
 
-// runShard computes shard i: remotely if a worker can serve it, locally
-// otherwise. Any remote failure — dispatch, mid-stream death, failed
-// verification — falls back to the local sweep; only a local failure
-// (or a shared-budget overrun) can fail the shard.
-func (r *shardRun) runShard(ctx context.Context, i int, sh agree.Shard) {
-	mode := "failed"
-	span := obs.StartSpan(ctx, r.s.log, "shard",
+// Fetch implements agree.Remote: shard i goes to worker i mod fleet
+// size. A non-governed failure hands the shard to the local sweep.
+func (f *fanOut) Fetch(ctx context.Context, i int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) error {
+	span := obs.StartSpan(ctx, f.s.log, "shard",
 		obs.Int("shard", i), obs.Int("couple_start", sh.Start), obs.Int("couple_end", sh.End))
-	defer func() { span.End(obs.String("mode", mode)) }()
-	r.mu.Lock()
-	r.attempted++
-	r.mu.Unlock()
-	remoteErr := r.tryRemote(ctx, i, sh)
-	if remoteErr == nil {
-		r.mu.Lock()
-		r.remote++
-		r.mu.Unlock()
-		mode = "remote"
-		return
-	}
-	if guard.Governed(remoteErr) {
-		// The budget is shared: adopting the stream overran it, so the
-		// local fallback would only overrun further. Surface the
-		// governed cutoff directly.
-		r.fail(remoteErr)
-		return
-	}
-	if ctx.Err() != nil && r.failed() {
-		return // a sibling already failed the discovery
-	}
-	obs.Event(ctx, r.s.log, "shard falling back local",
-		obs.Int("shard", i), obs.String("remote_error", remoteErr.Error()))
-	r.computeLocal(ctx, sh, remoteErr)
-	if !r.failed() {
+	err := f.tryRemote(ctx, i, sh, v, sp)
+	mode := "remote"
+	f.mu.Lock()
+	f.attempted++
+	switch {
+	case err == nil:
+		f.remote++
+	case guard.Governed(err) || ctx.Err() != nil:
+		mode = "failed"
+	default:
+		f.local++
 		mode = "local"
 	}
+	f.mu.Unlock()
+	if mode == "local" {
+		obs.Event(ctx, f.s.log, "shard falling back local",
+			obs.Int("shard", i), obs.String("remote_error", err.Error()))
+	}
+	span.End(obs.String("mode", mode))
+	return err
 }
 
-func (r *shardRun) tryRemote(ctx context.Context, i int, sh agree.Shard) error {
+func (f *fanOut) tryRemote(ctx context.Context, i int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) error {
 	if ferr := faultinject.Fire(faultinject.ShardDispatch); ferr != nil {
 		return ferr
 	}
@@ -465,17 +312,21 @@ func (r *shardRun) tryRemote(ctx context.Context, i int, sh agree.Shard) error {
 	// dataset push): the worker's middleware adopts it, so its log lines
 	// join the coordinator's under one id.
 	ctx = client.WithRequestID(ctx, obs.RequestID(ctx))
-	cl := r.s.coord.clients[i%len(r.s.coord.clients)]
+	cl := f.s.fleet[i%len(f.s.fleet)]
+	algo := "depminer"
+	if v == agree.VariantIdentifiers {
+		algo = "depminer2"
+	}
 	req := wire.ShardRequest{
-		Fingerprint:   r.src.fp,
-		Algorithm:     r.algo,
+		Fingerprint:   f.src.fp,
+		Algorithm:     algo,
 		CoupleStart:   sh.Start,
 		CoupleEnd:     sh.End,
-		TotalCouples:  r.plan.Couples(),
-		Workers:       r.p.workers,
-		TimeoutMS:     int64(r.p.timeout / time.Millisecond),
-		BudgetUnits:   r.p.units,
-		MaxAgreeBytes: r.p.maxAgreeBytes,
+		TotalCouples:  f.couples,
+		Workers:       f.p.workers,
+		TimeoutMS:     int64(f.p.timeout / time.Millisecond),
+		BudgetUnits:   f.p.units,
+		MaxAgreeBytes: f.p.maxAgreeBytes,
 	}
 	t0 := time.Now()
 	stream, err := cl.AgreeShard(ctx, req)
@@ -483,7 +334,7 @@ func (r *shardRun) tryRemote(ctx context.Context, i int, sh agree.Shard) error {
 		// This worker has never seen the dataset: push it through the
 		// ordinary registration API (content-derived ids converge on
 		// identical bytes) and dispatch once more.
-		if perr := r.pushDataset(ctx, cl); perr != nil {
+		if perr := f.pushDataset(ctx, cl); perr != nil {
 			return fmt.Errorf("pushing dataset: %w", perr)
 		}
 		stream, err = cl.AgreeShard(ctx, req)
@@ -498,7 +349,7 @@ func (r *shardRun) tryRemote(ctx context.Context, i int, sh agree.Shard) error {
 	}
 	t1 := time.Now()
 	cr := &countingReader{r: stream.Body}
-	pr, err := r.sp.AdoptRun(cr, r.p.maxAgreeBytes)
+	pr, err := sp.AdoptRun(cr, f.p.maxAgreeBytes)
 	if err != nil {
 		return err
 	}
@@ -508,52 +359,26 @@ func (r *shardRun) tryRemote(ctx context.Context, i int, sh agree.Shard) error {
 	}
 	pr.Commit()
 	streamDur := time.Since(t1)
-	r.mu.Lock()
-	r.receivedSets += pr.Sets()
-	r.receivedBytes += cr.n
-	r.dispatchDur += dispatchDur
-	r.streamDur += streamDur
-	r.mu.Unlock()
+	f.mu.Lock()
+	f.receivedSets += pr.Sets()
+	f.receivedBytes += cr.n
+	f.dispatchDur += dispatchDur
+	f.streamDur += streamDur
+	f.mu.Unlock()
 	return nil
 }
 
-// computeLocal is the last fallback rung: the shard's sweep under the
-// coordinator's own budget. Its output joins the merge as an in-memory
-// run, exactly like a worker-pool run of the single-node sweep.
-func (r *shardRun) computeLocal(ctx context.Context, sh agree.Shard, cause error) {
-	var out []attrset.Set
-	res, err := r.plan.ComputeShard(ctx, sh, variantOf(r.algo), r.s.agreeOptions(r.p, r.budget), func(set attrset.Set) error {
-		out = append(out, set)
-		return nil
-	})
-	if res != nil {
-		r.mu.Lock()
-		r.spill.Add(res.Spill)
-		r.mu.Unlock()
-	}
-	if err != nil {
-		r.fail(fmt.Errorf("shard [%d,%d) local fallback (remote: %v): %w", sh.Start, sh.End, cause, err))
-		return
-	}
-	r.mu.Lock()
-	r.local++
-	if len(out) > 0 {
-		r.localRuns = append(r.localRuns, out)
-	}
-	r.mu.Unlock()
-}
-
-func (r *shardRun) pushDataset(ctx context.Context, cl *client.Client) error {
-	csv, err := r.datasetCSV()
+func (f *fanOut) pushDataset(ctx context.Context, cl *client.Client) error {
+	csv, err := f.datasetCSV()
 	if err != nil {
 		return err
 	}
-	if _, err := cl.Register(ctx, r.d.info().Name, csv); err != nil {
+	if _, err := cl.Register(ctx, f.d.info().Name, csv); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.pushed++
-	r.mu.Unlock()
+	f.mu.Lock()
+	f.pushed++
+	f.mu.Unlock()
 	return nil
 }
 
@@ -561,43 +386,56 @@ func (r *shardRun) pushDataset(ctx context.Context, cl *client.Client) error {
 // that have never seen it. This is the one place a streamed-snapshot
 // discovery rehydrates rows — only on a cold fleet, never on the
 // steady-state path.
-func (r *shardRun) datasetCSV() ([]byte, error) {
-	r.csvOnce.Do(func() {
-		rel := r.src.rel
+func (f *fanOut) datasetCSV() ([]byte, error) {
+	f.csvOnce.Do(func() {
+		rel := f.src.rel
 		if rel == nil {
 			var err error
-			rel, _, err = r.d.snapshot()
+			rel, _, err = f.d.snapshot()
 			if err != nil {
-				r.csvErr = err
+				f.csvErr = err
 				return
 			}
 		}
 		var buf bytes.Buffer
 		if err := rel.WriteCSV(&buf); err != nil {
-			r.csvErr = err
+			f.csvErr = err
 			return
 		}
-		r.csvData = buf.Bytes()
+		f.csvData = buf.Bytes()
 	})
-	return r.csvData, r.csvErr
+	return f.csvData, f.csvErr
 }
 
-// flushStats folds the fan-out's counters into the server stats.
-func (r *shardRun) flushStats() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := &r.s.stats
+// record folds the finished fan-out into resp and the server stats. The
+// merge time is agree's, reported back through the run's stats.
+func (f *fanOut) record(ctx context.Context, resp *DiscoverResponse, res *core.Result) {
+	var merge time.Duration
+	if res != nil {
+		merge = res.Stats.AgreeMerge
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	resp.Shards, resp.ShardsRemote, resp.ShardsLocal = f.shards, f.remote, f.local
+	obs.Event(ctx, f.s.log, "shard fan-out done",
+		obs.Int("shards", f.shards),
+		obs.Int("remote", f.remote),
+		obs.Int("local", f.local),
+		obs.Duration("dispatch", f.dispatchDur),
+		obs.Duration("stream", f.streamDur),
+		obs.Duration("merge", merge))
+	st := &f.s.stats
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.shard.dispatched += int64(r.attempted)
-	st.shard.remote += int64(r.remote)
-	st.shard.localFallbacks += int64(r.local)
-	st.shard.datasetsPushed += r.pushed
-	st.shard.receivedSets += r.receivedSets
-	st.shard.receivedBytes += r.receivedBytes
-	st.shard.dispatchTime += r.dispatchDur
-	st.shard.streamTime += r.streamDur
-	st.shard.mergeTime += r.mergeDur
+	st.shard.dispatched += int64(f.attempted)
+	st.shard.remote += int64(f.remote)
+	st.shard.localFallbacks += int64(f.local)
+	st.shard.datasetsPushed += f.pushed
+	st.shard.receivedSets += f.receivedSets
+	st.shard.receivedBytes += f.receivedBytes
+	st.shard.dispatchTime += f.dispatchDur
+	st.shard.streamTime += f.streamDur
+	st.shard.mergeTime += merge
 }
 
 // countingReader counts stream bytes for the fan-out stats.
@@ -630,40 +468,31 @@ type shardCounters struct {
 	servedErrors   int64
 }
 
-func (c shardCounters) active() bool {
-	return c.dispatched != 0 || c.served != 0 || c.servedErrors != 0
-}
-
 // errShardStale marks a fingerprint that matched at lookup but not at
 // plan-build time — the dataset grew in between. The coordinator's
 // reaction to the 409 is the local fallback.
 var errShardStale = errors.New("dataset fingerprint changed")
 
-// planCache caches shard plans by content fingerprint, with
-// singleflight builds so concurrent shards of one discovery share one
-// couple-list generation. FIFO eviction; stale fingerprints age out.
+// planCache caches the plans a worker serves shards from, by content
+// fingerprint, with singleflight builds so concurrent shards of one
+// discovery share one couple-list generation. FIFO eviction; stale
+// fingerprints age out.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*planEntry
+	entries map[string]func() (*agree.Plan, error)
 	order   []string
 }
 
-type planEntry struct {
-	once sync.Once
-	plan *agree.Plan
-	err  error
-}
-
 func newPlanCache(capEntries int) *planCache {
-	return &planCache{cap: capEntries, entries: make(map[string]*planEntry)}
+	return &planCache{cap: capEntries, entries: make(map[string]func() (*agree.Plan, error))}
 }
 
 func (pc *planCache) get(fp string, build func() (*agree.Plan, error)) (*agree.Plan, error) {
 	pc.mu.Lock()
 	e, ok := pc.entries[fp]
 	if !ok {
-		e = &planEntry{}
+		e = sync.OnceValues(build)
 		pc.entries[fp] = e
 		pc.order = append(pc.order, fp)
 		for pc.cap > 0 && len(pc.order) > pc.cap {
@@ -672,8 +501,7 @@ func (pc *planCache) get(fp string, build func() (*agree.Plan, error)) (*agree.P
 		}
 	}
 	pc.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = build() })
-	return e.plan, e.err
+	return e()
 }
 
 func (s *Server) noteShardServedError() {
@@ -783,9 +611,12 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", wire.RunContentType)
 	w.Header().Set("Trailer", wire.ShardSetsTrailer)
 	rw := extsort.NewRunWriter(w)
-	res, cerr := plan.ComputeShard(r.Context(),
-		agree.Shard{Start: req.CoupleStart, End: req.CoupleEnd},
-		variantOf(p.algorithm), s.agreeOptions(p, budget), rw.Write)
+	v := agree.VariantCouples
+	if p.algorithm == "depminer2" {
+		v = agree.VariantIdentifiers
+	}
+	aopts := agree.Options{Workers: p.workers, Budget: budget, MaxAgreeBytes: p.maxAgreeBytes, SpillDir: s.cfg.SpillDir}
+	res, cerr := plan.ComputeShard(r.Context(), agree.Shard{Start: req.CoupleStart, End: req.CoupleEnd}, v, aopts, rw.Write)
 	if cerr == nil {
 		cerr = rw.Close()
 	}

@@ -13,8 +13,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/agree"
 	"repro/internal/datagen"
+	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/wire"
 )
 
 // snapNil reports whether the dataset has ever materialised its
@@ -140,6 +143,56 @@ func TestSnapshotStreamedRecovery(t *testing.T) {
 	}
 	if !snapNil(t, s2, reg.ID) {
 		t.Fatal("recovered streamed discovery materialised the relation")
+	}
+}
+
+// TestShardServingIsNotASnapshotStream pins what snapshot_streams counts:
+// discoveries fed by a streamed snapshot. A durable worker builds its
+// shard plan from the same stream, but serving a shard runs no discovery.
+func TestShardServingIsNotASnapshotStream(t *testing.T) {
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), SnapshotEvery: -1})
+	base := relation.PaperExample()
+	reg := register(t, ts, base)
+	code, app := appendCSV(t, ts.URL, reg.ID, "90,6,99,Research,7\n")
+	if code != http.StatusOK {
+		t.Fatal("append failed")
+	}
+	grown := appendRows(t, base, [][]string{{"90", "6", "99", "Research", "7"}})
+	if err := s.store.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	stats := func() StatsResponse {
+		t.Helper()
+		var st StatsResponse
+		if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+			t.Fatalf("stats status %d", code)
+		}
+		return st
+	}
+
+	couples := agree.NewPlan(partition.NewDatabase(grown)).Couples()
+	req := wire.ShardRequest{Fingerprint: app.Fingerprint, CoupleEnd: couples, TotalCouples: couples}
+	if code := postJSON(t, ts.URL+"/v1/shard/agree", req, nil); code != http.StatusOK {
+		t.Fatalf("shard status %d", code)
+	}
+	st := stats()
+	if st.Shard == nil || st.Shard.Served != 1 {
+		t.Fatalf("shard not served: %+v", st.Shard)
+	}
+	if st.Discoveries.Total != 0 || st.Discoveries.SnapshotStreams != 0 {
+		t.Fatalf("serving a shard counted as a discovery: total=%d snapshot_streams=%d",
+			st.Discoveries.Total, st.Discoveries.SnapshotStreams)
+	}
+
+	var resp DiscoverResponse
+	if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID}, &resp); code != http.StatusOK {
+		t.Fatalf("discover status %d (%s)", code, resp.Error)
+	}
+	if !resp.SnapshotStreamed {
+		t.Fatal("discovery did not stream the complete snapshot")
+	}
+	if n := stats().Discoveries.SnapshotStreams; n != 1 {
+		t.Fatalf("SnapshotStreams = %d after one streamed discovery, want 1", n)
 	}
 }
 

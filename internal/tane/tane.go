@@ -136,8 +136,8 @@ type Result struct {
 type node struct {
 	set   attrset.Set
 	cplus attrset.Set
-	size  int // ‖π̂_X‖, tuples in stripped classes
-	full  int // |π_X|, full class count
+	size  int     // ‖π̂_X‖, tuples in stripped classes
+	full  int     // |π_X|, full class count
 	fds   []fd.FD // dependencies emitted for this node, merged in node order
 }
 

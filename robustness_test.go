@@ -49,13 +49,13 @@ func runForPoint(t *testing.T, point string) (error, bool) {
 		res, err := DiscoverTANE(ctx, r, TANEOptions{Epsilon: 0.05, MaxPartitionBytes: 1})
 		return err, res != nil && res.Partial
 	case faultinject.KeysLevel:
-		res, err := DiscoverKeys(ctx, r)
+		res, err := DiscoverKeys(ctx, r, KeysOptions{})
 		return err, res != nil && res.Partial
 	case faultinject.INDLevel:
 		res, err := DiscoverINDs(ctx, []*Relation{r}, INDOptions{})
 		return err, res != nil && res.Partial
 	case faultinject.FastFDsAttr:
-		res, err := DiscoverFastFDs(ctx, r)
+		res, err := DiscoverFastFDs(ctx, r, FastFDsOptions{})
 		return err, res != nil && res.Partial
 	case faultinject.ExtsortFlush, faultinject.ExtsortRead, faultinject.ExtsortMerge:
 		// A 1-byte spill threshold clamps to one record per worker, so
@@ -248,13 +248,13 @@ func TestBudgetAcrossMiners(t *testing.T) {
 		}
 	})
 	t.Run("keys", func(t *testing.T) {
-		res, err := DiscoverKeysOpts(ctx, r, KeysOptions{Budget: NewBudget(Limits{Units: 2})})
+		res, err := DiscoverKeys(ctx, r, KeysOptions{Budget: NewBudget(Limits{Units: 2})})
 		if !errors.Is(err, ErrBudget) || res == nil || !res.Partial {
 			t.Fatalf("err=%v res=%+v", err, res)
 		}
 	})
 	t.Run("fastfds", func(t *testing.T) {
-		res, err := DiscoverFastFDsOpts(ctx, r, FastFDsOptions{Budget: NewBudget(Limits{Units: 5})})
+		res, err := DiscoverFastFDs(ctx, r, FastFDsOptions{Budget: NewBudget(Limits{Units: 5})})
 		if !errors.Is(err, ErrBudget) || res == nil || !res.Partial {
 			t.Fatalf("err=%v res=%+v", err, res)
 		}
@@ -428,7 +428,7 @@ func TestPathologicalInputs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("depminer2: %v", err)
 			}
-			ff, err := DiscoverFastFDs(ctx, r)
+			ff, err := DiscoverFastFDs(ctx, r, FastFDsOptions{})
 			if err != nil {
 				t.Fatalf("fastfds: %v", err)
 			}
@@ -442,7 +442,7 @@ func TestPathologicalInputs(t *testing.T) {
 				t.Errorf("covers disagree: depminer=%d depminer2=%d fastfds=%d tane=%d",
 					len(dm.FDs), len(dm2.FDs), len(ff.FDs), len(tn.FDs))
 			}
-			if _, err := DiscoverKeys(ctx, r); err != nil {
+			if _, err := DiscoverKeys(ctx, r, KeysOptions{}); err != nil {
 				t.Fatalf("keys: %v", err)
 			}
 			if _, err := DiscoverINDs(ctx, []*Relation{r}, INDOptions{MaxArity: 2}); err != nil {
@@ -468,10 +468,10 @@ func TestLeakFreedomOnCancellation(t *testing.T) {
 	if _, err := DiscoverTANE(ctx, r, TANEOptions{}); err == nil {
 		t.Error("cancelled TANE succeeded")
 	}
-	if _, err := DiscoverFastFDs(ctx, r); err == nil {
+	if _, err := DiscoverFastFDs(ctx, r, FastFDsOptions{}); err == nil {
 		t.Error("cancelled FastFDs succeeded")
 	}
-	if _, err := DiscoverKeys(ctx, r); err == nil {
+	if _, err := DiscoverKeys(ctx, r, KeysOptions{}); err == nil {
 		t.Error("cancelled keys succeeded")
 	}
 	if _, err := DiscoverINDs(ctx, []*Relation{r}, INDOptions{}); err == nil {

@@ -183,11 +183,11 @@ type CacheStats struct {
 
 // DiscoveryStats is the discovery section of /v1/stats.
 type DiscoveryStats struct {
-	Total        int64              `json:"total"`
-	Partial      int64              `json:"partial"`
-	Failed       int64              `json:"failed"`
-	Sync         int64              `json:"sync"`
-	Async        int64              `json:"async"`
+	Total   int64 `json:"total"`
+	Partial int64 `json:"partial"`
+	Failed  int64 `json:"failed"`
+	Sync    int64 `json:"sync"`
+	Async   int64 `json:"async"`
 	// SnapshotStreams counts discoveries fed by streaming a durable
 	// snapshot instead of materialising the relation.
 	SnapshotStreams int64              `json:"snapshot_streams,omitempty"`
@@ -219,18 +219,18 @@ type SpillStats struct {
 // since boot plus what recovery found on disk. Present only when the
 // server runs with a data directory.
 type DurableStats struct {
-	Datasets       int   `json:"datasets"`
-	AppendRecords  int64 `json:"append_records"`
-	Syncs          int64 `json:"syncs"`
-	BatchedRecords int64 `json:"batched_records"`
-	Snapshots      int64 `json:"snapshots"`
-	CompactErrors  int64 `json:"compact_errors"`
-	WALBytes       int64 `json:"wal_bytes"`
-	Recovered      int   `json:"recovered"`
+	Datasets        int   `json:"datasets"`
+	AppendRecords   int64 `json:"append_records"`
+	Syncs           int64 `json:"syncs"`
+	BatchedRecords  int64 `json:"batched_records"`
+	Snapshots       int64 `json:"snapshots"`
+	CompactErrors   int64 `json:"compact_errors"`
+	WALBytes        int64 `json:"wal_bytes"`
+	Recovered       int   `json:"recovered"`
 	ReplayedRecords int64 `json:"replayed_records"`
-	TruncatedTails int64 `json:"truncated_tails"`
-	Quarantined    int   `json:"quarantined"`
-	Broken         int   `json:"broken"`
+	TruncatedTails  int64 `json:"truncated_tails"`
+	Quarantined     int   `json:"quarantined"`
+	Broken          int   `json:"broken"`
 	// QuarantinedSets lists the datasets recovery set aside at the last
 	// boot, with the structured reason written to their REASON.json.
 	QuarantinedSets []QuarantinedDataset `json:"quarantined_sets,omitempty"`
