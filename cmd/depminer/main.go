@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -37,17 +38,18 @@ type config struct {
 	stats         bool
 	showKeys      bool
 	useNames      bool
+	stream        bool
+	snapshot      bool
 	args          []string
 }
 
 func main() {
 	cfg := config{}
-	var stream, snapshot bool
 	flag.BoolVar(&cfg.noHeader, "no-header", false, "treat the first CSV record as data, not attribute names")
 	flag.StringVar(&cfg.algo, "algo", "depminer", "agree-set algorithm: depminer (alg. 2), depminer2 (alg. 3), fastfds, naive")
 	flag.StringVar(&cfg.armstrong, "armstrong", "auto", "armstrong relation: auto (real-world with synthetic fallback), real, synthetic, none")
-	flag.BoolVar(&stream, "stream", false, "one-pass bounded-memory mode: build stripped partitions while reading; no Armstrong relation")
-	flag.BoolVar(&snapshot, "snapshot", false, "treat the input file as a durable DMSNAP1 snapshot and stream it column by column (out-of-core read path)")
+	flag.BoolVar(&cfg.stream, "stream", false, "one-pass mode: encode the CSV, drop its values, keep only the stripped partitions; no Armstrong relation, -keys, fastfds or naive")
+	flag.BoolVar(&cfg.snapshot, "snapshot", false, "treat the input file as a durable DMSNAP1 snapshot and stream it column by column (out-of-core read path; same limits as -stream)")
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Hour, "deadline for discovery (the paper's cutoff); on expiry partial results are printed and the exit code is 3")
 	flag.Int64Var(&cfg.budget, "budget", 0, "resource budget in work units (couples + agree sets + candidate-level widths); 0 = unlimited; on overrun partial results are printed and the exit code is 3")
 	flag.IntVar(&cfg.maxCouples, "max-couples", 0, "couple threshold above which -algo depminer degrades to depminer2 (0 = never degrade)")
@@ -60,15 +62,7 @@ func main() {
 	flag.Parse()
 	cfg.args = flag.Args()
 
-	cli.Main("depminer", func(ctx context.Context) error {
-		if snapshot {
-			return cfg.runSnapshot(ctx)
-		}
-		if stream {
-			return cfg.runStreamed(ctx)
-		}
-		return cfg.run(ctx)
-	})
+	cli.Main("depminer", cfg.run)
 }
 
 // newBudget builds the run's budget from -timeout and -budget. A zero
@@ -85,121 +79,48 @@ func (cfg *config) newBudget() *depminer.Budget {
 	return depminer.NewBudget(l)
 }
 
-// algoOption maps -algo to the agree-set algorithm for the streamed
-// paths, which support the two Dep-Miner variants only.
-func algoOption(algo string) (depminer.Algorithm, error) {
-	switch algo {
-	case "depminer":
-		return depminer.DepMiner, nil
-	case "depminer2":
-		return depminer.DepMiner2, nil
-	default:
-		return 0, fmt.Errorf("this mode supports -algo depminer or depminer2, not %q", algo)
-	}
-}
-
-// runSnapshot is the fully out-of-core path: a durable DMSNAP1 snapshot
-// is streamed column by column into stripped partitions, and with
-// -max-agree-bytes the agree-set phase spills sorted runs to disk — the
-// relation is never resident.
-func (cfg *config) runSnapshot(ctx context.Context) error {
-	if len(cfg.args) != 1 {
-		return fmt.Errorf("-snapshot requires exactly one snapshot file")
-	}
-	opts := depminer.Options{
-		Workers:       cfg.workers,
-		Budget:        cfg.newBudget(),
-		MaxCouples:    cfg.maxCouples,
-		MaxAgreeBytes: cfg.maxAgreeBytes,
-		SpillDir:      cfg.spillDir,
-	}
-	var err error
-	if opts.Algorithm, err = algoOption(cfg.algo); err != nil {
-		return err
-	}
-	res, names, rerr := depminer.DiscoverFromSnapshot(ctx, cfg.args[0], opts)
-	if rerr != nil && (res == nil || !res.Partial) {
-		return rerr
-	}
-	if rerr != nil {
-		fmt.Fprintf(os.Stderr, "depminer: partial results (%v)\n", rerr)
-	}
-	fmt.Printf("%d attributes → %d minimal functional dependencies\n\n",
-		len(names), len(res.FDs))
-	for _, fdep := range res.FDs {
-		if cfg.useNames {
-			fmt.Println(fdep.Names(names))
-		} else {
-			fmt.Println(fdep.String())
-		}
-	}
-	if cfg.stats {
-		sp := res.Stats.Spill
-		fmt.Printf("\ncouples=%d |ag(r)|=%d |MAX(dep(r))|=%d\n",
-			res.Couples, len(res.AgreeSets), len(res.MaxSets))
-		fmt.Printf("spill: runs=%d sets=%d bytes=%d merged=%d blocks=%d\n",
-			sp.RunsSpilled, sp.SpilledSets, sp.SpilledBytes, sp.MergedRuns, sp.ReadBlocks)
-	}
-	return rerr
-}
-
-// runStreamed is the bounded-memory path: CSV → stripped partitions → FDs.
-func (cfg *config) runStreamed(ctx context.Context) error {
-	if len(cfg.args) != 1 {
-		return fmt.Errorf("-stream requires exactly one input file")
+// open returns the input the flags name: a durable DMSNAP1 snapshot
+// streamed column by column (-snapshot), a single-use one-pass CSV stream
+// (-stream), or the materialised relation r (the default; the paper's
+// example without a file). r is nil on the two streamed sources, which
+// keep no cell values.
+func (cfg *config) open() (src depminer.Source, r *depminer.Relation, err error) {
+	switch {
+	case len(cfg.args) > 1:
+		return nil, nil, fmt.Errorf("expected at most one input file, got %d", len(cfg.args))
+	case len(cfg.args) == 0 && (cfg.stream || cfg.snapshot):
+		return nil, nil, fmt.Errorf("-stream and -snapshot require an input file")
+	case len(cfg.args) == 0:
+		fmt.Println("(no input file: using the paper's running example)")
+		r = depminer.PaperExample()
+		return r, r, nil
+	case cfg.snapshot:
+		sr, err := depminer.OpenSnapshot(cfg.args[0])
+		return sr, nil, err
 	}
 	f, err := os.Open(cfg.args[0])
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer f.Close()
-	db, err := depminer.StreamCSV(f, !cfg.noHeader)
-	if err != nil {
-		return err
+	if cfg.stream {
+		src, err = depminer.StreamCSV(f, !cfg.noHeader)
+		return src, nil, err
 	}
-	opts := depminer.Options{
-		Workers:       cfg.workers,
-		Budget:        cfg.newBudget(),
-		MaxCouples:    cfg.maxCouples,
-		MaxAgreeBytes: cfg.maxAgreeBytes,
-		SpillDir:      cfg.spillDir,
-	}
-	if opts.Algorithm, err = algoOption(cfg.algo); err != nil {
-		return err
-	}
-	res, rerr := depminer.DiscoverStreamed(ctx, db, opts)
-	if rerr != nil && (res == nil || !res.Partial) {
-		return rerr
-	}
-	if rerr != nil {
-		fmt.Fprintf(os.Stderr, "depminer: partial results (%v)\n", rerr)
-	}
-	fmt.Printf("%d tuples × %d attributes → %d minimal functional dependencies\n\n",
-		db.DB.NumRows, db.DB.Arity(), len(res.FDs))
-	for _, fdep := range res.FDs {
-		if cfg.useNames {
-			fmt.Println(fdep.Names(db.Names))
-		} else {
-			fmt.Println(fdep.String())
-		}
-	}
-	return rerr
+	r, err = depminer.LoadCSV(f, !cfg.noHeader)
+	return r, r, err
 }
 
 func (cfg *config) run(ctx context.Context) error {
-	var r *depminer.Relation
-	var err error
-	switch len(cfg.args) {
-	case 0:
-		r = depminer.PaperExample()
-		fmt.Println("(no input file: using the paper's running example)")
-	case 1:
-		r, err = depminer.LoadCSVFile(cfg.args[0], !cfg.noHeader)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("expected at most one input file, got %d", len(cfg.args))
+	src, r, err := cfg.open()
+	if err != nil {
+		return err
+	}
+	if c, ok := src.(io.Closer); ok {
+		defer c.Close()
+	}
+	if r == nil && (cfg.algo == "fastfds" || cfg.algo == "naive" || cfg.showKeys) {
+		return fmt.Errorf("-stream and -snapshot keep no cell values: they support -algo depminer or depminer2 without -keys")
 	}
 
 	budget := cfg.newBudget()
@@ -211,15 +132,7 @@ func (cfg *config) run(ctx context.Context) error {
 		if rerr != nil {
 			fmt.Fprintf(os.Stderr, "depminer: partial results (%v)\n", rerr)
 		}
-		fmt.Printf("%d tuples × %d attributes → %d minimal functional dependencies (FastFDs)\n\n",
-			r.Rows(), r.Arity(), len(res.FDs))
-		for _, f := range res.FDs {
-			if cfg.useNames {
-				fmt.Println(f.Names(r.Names()))
-			} else {
-				fmt.Println(f.String())
-			}
-		}
+		cfg.printCover(src, res.FDs, " (FastFDs)")
 		if cfg.stats {
 			fmt.Printf("\nDFS nodes=%d elapsed=%v\n", res.Nodes, res.Elapsed)
 		}
@@ -256,7 +169,7 @@ func (cfg *config) run(ctx context.Context) error {
 		return fmt.Errorf("unknown -armstrong %q", cfg.armstrong)
 	}
 
-	res, rerr := depminer.Discover(ctx, r, opts)
+	res, rerr := depminer.Discover(ctx, src, opts)
 	if rerr != nil && (res == nil || !res.Partial) {
 		return rerr
 	}
@@ -267,15 +180,7 @@ func (cfg *config) run(ctx context.Context) error {
 	for _, note := range res.Notes {
 		fmt.Fprintln(os.Stderr, "depminer: note:", note)
 	}
-	fmt.Printf("%d tuples × %d attributes → %d minimal functional dependencies\n\n",
-		r.Rows(), r.Arity(), len(res.FDs))
-	for _, f := range res.FDs {
-		if cfg.useNames {
-			fmt.Println(f.Names(r.Names()))
-		} else {
-			fmt.Println(f.String())
-		}
-	}
+	cfg.printCover(src, res.FDs, "")
 
 	if res.Armstrong != nil {
 		kind := "real-world"
@@ -303,7 +208,9 @@ func (cfg *config) run(ctx context.Context) error {
 	}
 
 	if cfg.stats {
-		fmt.Printf("\ncolumn profile:\n%s", r.SummaryString())
+		if r != nil {
+			fmt.Printf("\ncolumn profile:\n%s", r.SummaryString())
+		}
 		fmt.Printf("\nphases: partitions=%v agree-sets=%v max-sets=%v lhs=%v armstrong=%v\n",
 			res.Stats.Partition, res.Stats.AgreeSets, res.Stats.MaxSets,
 			res.Stats.LHS, res.Stats.Armstrong)
@@ -318,4 +225,17 @@ func (cfg *config) run(ctx context.Context) error {
 		}
 	}
 	return rerr
+}
+
+// printCover prints the result header and the cover, one FD per line.
+func (cfg *config) printCover(src depminer.Source, cover depminer.Cover, suffix string) {
+	fmt.Printf("%d tuples × %d attributes → %d minimal functional dependencies%s\n\n",
+		src.Rows(), src.Arity(), len(cover), suffix)
+	for _, f := range cover {
+		if cfg.useNames {
+			fmt.Println(f.Names(src.Names()))
+		} else {
+			fmt.Println(f.String())
+		}
+	}
 }

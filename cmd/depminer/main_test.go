@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro"
+	"repro/internal/durable"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -108,8 +111,8 @@ func TestRunErrors(t *testing.T) {
 func TestRunStreamed(t *testing.T) {
 	csv := paperCSV(t)
 	out, err := capture(t, func() error {
-		cfg := config{algo: "depminer2", timeout: time.Minute, useNames: true, args: []string{csv}}
-		return cfg.runStreamed(context.Background())
+		cfg := config{algo: "depminer2", armstrong: "auto", timeout: time.Minute, useNames: true, stream: true, args: []string{csv}}
+		return cfg.run(context.Background())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,15 +121,78 @@ func TestRunStreamed(t *testing.T) {
 		t.Errorf("streamed output wrong:\n%s", out)
 	}
 	if _, err := capture(t, func() error {
-		cfg := config{algo: "fastfds", timeout: time.Minute, useNames: true, args: []string{csv}}
-		return cfg.runStreamed(context.Background())
+		cfg := config{algo: "fastfds", armstrong: "auto", timeout: time.Minute, useNames: true, stream: true, args: []string{csv}}
+		return cfg.run(context.Background())
 	}); err == nil {
 		t.Error("-stream with fastfds accepted")
 	}
 	if _, err := capture(t, func() error {
-		cfg := config{algo: "depminer", timeout: time.Minute, useNames: true}
-		return cfg.runStreamed(context.Background())
+		cfg := config{algo: "depminer", armstrong: "auto", timeout: time.Minute, useNames: true, stream: true}
+		return cfg.run(context.Background())
 	}); err == nil {
 		t.Error("-stream without file accepted")
+	}
+}
+
+// TestRunSnapshot discovers off a durable DMSNAP1 snapshot: the output
+// must equal the plain CSV run's, and the modes that need cell values
+// must be refused.
+func TestRunSnapshot(t *testing.T) {
+	csv := paperCSV(t)
+	r, err := depminer.LoadCSVFile(csv, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]string, r.Rows())
+	for i := range rows {
+		rows[i] = r.Row(i)
+	}
+	dir := t.TempDir()
+	store, _, err := durable.Open(durable.Options{Dir: dir, DisableFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := durable.ContentFingerprint(r.Names(), rows)
+	ds, err := store.Create("paper", "paper", r.Names(), nil, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := ds.Append(rows, len(rows), fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Sync(tok); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "datasets", "paper", "snapshot.snap")
+
+	run := func(cfg config) (string, error) {
+		return capture(t, func() error { return cfg.run(context.Background()) })
+	}
+	plain, err := run(config{algo: "depminer", armstrong: "none", timeout: time.Minute, useNames: true, args: []string{csv}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := run(config{algo: "depminer", armstrong: "auto", timeout: time.Minute, useNames: true, snapshot: true, maxAgreeBytes: 1, spillDir: t.TempDir(), args: []string{snap}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != plain || !strings.Contains(got, "14 minimal functional dependencies") {
+		t.Errorf("snapshot output differs from the CSV run:\n got %s\nwant %s", got, plain)
+	}
+	for _, cfg := range []config{
+		{algo: "naive", armstrong: "auto", timeout: time.Minute, snapshot: true, args: []string{snap}},
+		{algo: "depminer", armstrong: "auto", timeout: time.Minute, snapshot: true, showKeys: true, args: []string{snap}},
+		{algo: "depminer", armstrong: "auto", timeout: time.Minute, snapshot: true, args: []string{csv}},
+	} {
+		if _, err := run(cfg); err == nil {
+			t.Errorf("-snapshot accepted algo=%s keys=%v file=%s", cfg.algo, cfg.showKeys, cfg.args[0])
+		}
 	}
 }

@@ -159,11 +159,17 @@ var (
 // LHSs), the Armstrong relation and per-phase timings.
 type Result = core.Result
 
-// Discover runs the Dep-Miner pipeline: agree sets from stripped
-// partitions, maximal sets, minimal transversals, minimal FDs, and the
-// Armstrong relation.
-func Discover(ctx context.Context, r *Relation, opts Options) (*Result, error) {
-	return core.Discover(ctx, r, opts)
+// Source is what Discover reads: dictionary-coded columns, one at a time.
+// A *Relation is one; StreamCSV and OpenSnapshot return the others.
+type Source = partition.ColumnSource
+
+// Discover runs the Dep-Miner pipeline over src: agree sets from stripped
+// partitions, maximal sets, minimal transversals, minimal FDs, and — when
+// src is a *Relation, the only source that keeps the original values —
+// the Armstrong relation. Over any other source Result.Armstrong is nil
+// and NaiveBaseline fails with ErrInvalidOptions.
+func Discover(ctx context.Context, src Source, opts Options) (*Result, error) {
+	return core.Run(ctx, core.Input{Source: src}, opts)
 }
 
 // TANEOptions configure DiscoverTANE.
@@ -319,42 +325,22 @@ func IncrementalFromRelation(r *Relation) (*IncrementalMiner, error) {
 	return incremental.FromRelation(r)
 }
 
-// StreamedDatabase is a stripped partition database built from a CSV
-// stream in one pass, without materialising the relation.
-type StreamedDatabase = partition.StreamResult
-
-// StreamCSV extracts the stripped partition database from CSV data in
-// bounded memory (per-column dictionaries and tuple-id buckets only); the
-// result feeds DiscoverStreamed. Real-world Armstrong relations are
-// unavailable on this path because cell values are not retained.
-func StreamCSV(r io.Reader, header bool) (*StreamedDatabase, error) {
-	return partition.Stream(r, header)
+// StreamCSV reads CSV data into a single-use Source in one pass. The
+// cell values are dropped once encoded, and each column is released as
+// discovery partitions it, so only the stripped partitions stay resident;
+// a second Discover over the same source fails.
+func StreamCSV(r io.Reader, header bool) (Source, error) {
+	return relation.NewCSVSource(r, header)
 }
 
-// DiscoverStreamed runs FD discovery (steps 1–4; the Armstrong option is
-// ignored since original values are unavailable) on a streamed partition
-// database.
-func DiscoverStreamed(ctx context.Context, db *StreamedDatabase, opts Options) (*Result, error) {
-	return core.Run(ctx, core.Input{DB: db.DB}, opts)
-}
+// SnapshotReader streams a durable DMSNAP1 snapshot column by column; it
+// is a Source.
+type SnapshotReader = durable.SnapshotReader
 
-// DiscoverFromSnapshot runs FD discovery (steps 1–4) directly off a
-// durable DMSNAP1 snapshot file: columns are streamed one at a time into
-// stripped partitions, so the relation is never materialised — combined
-// with Options.MaxAgreeBytes this is the fully out-of-core path. It
-// returns the attribute names alongside the result, since no Relation is
-// available to carry them. Armstrong construction is unavailable (cell
-// values are not retained) as on the other streamed paths.
-func DiscoverFromSnapshot(ctx context.Context, path string, opts Options) (*Result, []string, error) {
-	sr, err := durable.OpenSnapshotStream(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sr.Close()
-	db, err := partition.NewDatabaseFromSource(sr)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := core.Run(ctx, core.Input{DB: db}, opts)
-	return res, append([]string(nil), sr.Names()...), err
+// OpenSnapshot opens and verifies a durable DMSNAP1 snapshot file as a
+// Source whose columns are read from disk on demand, so the relation is
+// never materialised — combined with Options.MaxAgreeBytes this is the
+// fully out-of-core path. The caller must Close it.
+func OpenSnapshot(path string) (*SnapshotReader, error) {
+	return durable.OpenSnapshotStream(path)
 }

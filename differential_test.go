@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"strconv"
 	"testing"
 )
@@ -301,35 +300,6 @@ func TestDifferentialKeysWorkerCounts(t *testing.T) {
 					t.Fatalf("input %d workers=%d cap=%d:\n got %s\nwant %s", i, workers, cap, got, want)
 				}
 			}
-		}
-	}
-}
-
-// TestDifferentialStreamedWorkerCounts covers the second public entry
-// point of the parallel layer: DiscoverStreamed over a streamed partition
-// database.
-func TestDifferentialStreamedWorkerCounts(t *testing.T) {
-	stream := func(workers int) *Result {
-		f, err := os.Open("testdata/employees.csv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		db, err := StreamCSV(f, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := DiscoverStreamed(context.Background(), db, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := discoverFingerprint(stream(1))
-	for _, workers := range []int{0, 3} {
-		if got := discoverFingerprint(stream(workers)); got != want {
-			t.Fatalf("streamed workers=%d: Result differs from sequential:\n got %s\nwant %s",
-				workers, got, want)
 		}
 	}
 }

@@ -165,16 +165,16 @@ func ExampleNewIncrementalMiner() {
 
 func ExampleStreamCSV() {
 	data := "a,b\n1,x\n2,x\n3,y\n"
-	db, err := depminer.StreamCSV(strings.NewReader(data), true)
+	src, err := depminer.StreamCSV(strings.NewReader(data), true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := depminer.DiscoverStreamed(context.Background(), db, depminer.Options{})
+	res, err := depminer.Discover(context.Background(), src, depminer.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, f := range res.FDs {
-		fmt.Println(f.Names(db.Names))
+		fmt.Println(f.Names(src.Names()))
 	}
 	// Output:
 	// a → b

@@ -10,12 +10,11 @@
 //  4. FD_OUTPUT          — Algorithm 6, below
 //  5. ARMSTRONG_RELATION — internal/armstrong (§4)
 //
-// Run is the one entry point: its Input says how far the caller already
-// got (a relation, a prebuilt partition database, or a complete ag(r)).
-// The pipeline consumes only the stripped partition database after step 1
-// has been prepared, and touches the original relation again only to
-// materialise real-world Armstrong values — matching the paper's
-// limited-main-memory design.
+// Run is the one entry point: its Input is a column source (a relation, a
+// CSV stream or a snapshot) or a complete ag(r). Steps 1–4 consume only
+// the stripped partition database built from the source's columns, and
+// step 5 reads the original values only when the source is a relation —
+// matching the paper's limited-main-memory design.
 package core
 
 import (
@@ -48,7 +47,7 @@ const (
 	// equivalence-class identifier lists intersected per couple.
 	AgreeIdentifiers
 	// AgreeNaive is the O(n·p²) direct pairwise scan, for baselines and
-	// tests only. It requires the relation itself (Input.Relation).
+	// tests only. It requires a *relation.Relation source.
 	AgreeNaive
 )
 
@@ -194,7 +193,7 @@ type Result struct {
 	// exactly as Algorithm 5 computes it.
 	LHS []attrset.Family
 	// Armstrong is the Armstrong relation, nil when Options.Armstrong is
-	// ArmstrongNone or the Input carried no relation.
+	// ArmstrongNone or the Input's source is not a relation.
 	Armstrong *relation.Relation
 	// ArmstrongSynthetic reports that the synthetic construction was
 	// used (always, or as fallback).
@@ -239,19 +238,17 @@ func contain(phase string, res *Result, errp *error) {
 	}
 }
 
-// Input states what a run starts from. Run begins at the furthest step
-// the input reaches: Agree skips step 1, DB skips the partition build,
-// and a Relation alone runs the whole pipeline. The Relation is read
-// only where raw values are needed — the naive agree-set scan and step 5
-// — so without one, step 5 is skipped whatever Options.Armstrong says.
+// Input states what a run starts from: a Source runs the whole pipeline,
+// Agree skips step 1. Raw values are read only from a *relation.Relation
+// source — by the naive agree-set scan and step 5 — so over any other
+// source step 5 is skipped whatever Options.Armstrong says.
 type Input struct {
-	Relation *relation.Relation
-	DB       *partition.Database
+	// Source supplies the dictionary-coded columns step 1 partitions.
+	Source partition.ColumnSource
 	// Agree is a complete, canonical ag(r) plus the counters of whatever
 	// computed it (couples, chunks, spill), adopted into the Result as is.
 	Agree *agree.Result
-	// Arity is the schema width, read only when neither Relation nor DB
-	// is set.
+	// Arity is the schema width, read only when Source is nil.
 	Arity int
 	// Remote, when set, is where some of step 1's runs come from: the
 	// couple space is fanned out over its shards, and a shard it fails to
@@ -260,29 +257,27 @@ type Input struct {
 }
 
 func (in Input) arity() int {
-	switch {
-	case in.Relation != nil:
-		return in.Relation.Arity()
-	case in.DB != nil:
-		return in.DB.Arity()
+	if in.Source != nil {
+		return in.Source.Arity()
 	}
 	return in.Arity
 }
 
 // Discover runs the full Dep-Miner pipeline on a relation.
 func Discover(ctx context.Context, r *relation.Relation, opts Options) (*Result, error) {
-	return Run(ctx, Input{Relation: r}, opts)
+	return Run(ctx, Input{Source: r}, opts)
 }
 
 // Run executes the Dep-Miner pipeline (Algorithm 1) from what in already
-// knows; see Input. Step 1 without a relation needs a partition database
-// and a non-naive algorithm, or it fails with ErrInvalidOptions.
+// knows; see Input. Step 1 needs a source, and the naive scan a relation
+// one, or Run fails with ErrInvalidOptions.
 func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if in.Agree == nil && in.Relation == nil && (in.DB == nil || opts.Algorithm == AgreeNaive) {
-		return nil, fmt.Errorf("%w: step 1 needs the relation (or, except for the naive scan, its partition database)", ErrInvalidOptions)
+	rel, _ := in.Source.(*relation.Relation)
+	if in.Agree == nil && (in.Source == nil || opts.Algorithm == AgreeNaive && rel == nil) {
+		return nil, fmt.Errorf("%w: step 1 needs a column source (the naive scan a relation)", ErrInvalidOptions)
 	}
 	res = &Result{}
 	defer contain("core.Run", res, &err)
@@ -290,7 +285,7 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	// Step 1: AGREE_SET, unless ag(r) is already known.
 	agr := in.Agree
 	if agr == nil {
-		if agr, err = agreeStep(ctx, in, opts, res); err != nil {
+		if agr, err = agreeStep(ctx, in, rel, opts, res); err != nil {
 			adoptAgree(res, agr)
 			return fail(res, err)
 		}
@@ -302,7 +297,7 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	}
 
 	// Step 5: ARMSTRONG_RELATION, which needs the original values.
-	if opts.Armstrong == ArmstrongNone || in.Relation == nil {
+	if opts.Armstrong == ArmstrongNone || rel == nil {
 		return res, nil
 	}
 	if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
@@ -312,7 +307,7 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 		return fail(res, cerr)
 	}
 	t0 := time.Now()
-	arm, synthetic, aerr := buildArmstrong(in.Relation, res.MaxSets, opts.Armstrong)
+	arm, synthetic, aerr := buildArmstrong(rel, res.MaxSets, opts.Armstrong)
 	if aerr != nil {
 		return fail(res, aerr)
 	}
@@ -344,23 +339,25 @@ func adoptAgree(res *Result, agr *agree.Result) {
 	res.Stats.AgreeMerge = agr.Merge
 }
 
-// agreeStep runs step 1: the naive scan over the relation, or the
-// partition build (skipped when in.DB is given) followed by the
-// stripped-partition sweep over one plan, local or fanned out over
-// in.Remote. The sweep degrades from Algorithm 2 to Algorithm 3 when the
-// couple space crosses Options.MaxCouples — the paper's own remedy for
-// correlated relations, recorded in res.Notes — so every shard of a
-// fanned-out run uses the same variant.
-func agreeStep(ctx context.Context, in Input, opts Options, res *Result) (*agree.Result, error) {
-	db := in.DB
+// agreeStep runs step 1: the naive scan over the relation rel, or the
+// partition build from in.Source followed by the stripped-partition sweep
+// over one plan, local or fanned out over in.Remote. The sweep degrades
+// from Algorithm 2 to Algorithm 3 when the couple space crosses
+// Options.MaxCouples — the paper's own remedy for correlated relations,
+// recorded in res.Notes — so every shard of a fanned-out run uses the
+// same variant.
+func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Options, res *Result) (*agree.Result, error) {
+	var db *partition.Database
 	if opts.Algorithm != AgreeNaive {
 		if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
 			return nil, ferr
 		}
-		if db == nil {
-			t0 := time.Now()
-			db = partition.NewDatabase(in.Relation)
-			res.Stats.Partition = time.Since(t0)
+		t0 := time.Now()
+		var err error
+		db, err = partition.NewDatabaseFromSource(in.Source)
+		res.Stats.Partition = time.Since(t0)
+		if err != nil {
+			return nil, err
 		}
 		if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
 			return nil, cerr
@@ -379,7 +376,7 @@ func agreeStep(ctx context.Context, in Input, opts Options, res *Result) (*agree
 		SpillDir:      opts.SpillDir,
 	}
 	if opts.Algorithm == AgreeNaive {
-		return agree.Naive(ctx, in.Relation)
+		return agree.Naive(ctx, rel)
 	}
 	plan := agree.NewPlan(db)
 	v := agree.VariantCouples

@@ -59,7 +59,7 @@ func TestDegradedRunFetchesIdentifiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := &recordingRemote{plan: agree.NewPlan(partition.NewDatabase(r)), n: 3}
-	got, err := Run(context.Background(), Input{Relation: r, Remote: remote}, opts)
+	got, err := Run(context.Background(), Input{Source: r, Remote: remote}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,8 +157,8 @@ func (sr *SnapshotReader) Names() []string { return sr.names }
 // Arity returns the number of attributes.
 func (sr *SnapshotReader) Arity() int { return len(sr.names) }
 
-// NumRows returns the row count.
-func (sr *SnapshotReader) NumRows() int { return sr.rows }
+// Rows returns the row count.
+func (sr *SnapshotReader) Rows() int { return sr.rows }
 
 // Column decodes attribute a's code column from the file: the codes per
 // row plus the domain size (the dictionary cardinality). Codes are dense

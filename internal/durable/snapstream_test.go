@@ -45,8 +45,8 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 	if sr.Name() != "places" || sr.Fingerprint() != "fp-test" {
 		t.Fatalf("metadata = %q/%q", sr.Name(), sr.Fingerprint())
 	}
-	if sr.Arity() != len(c.names) || sr.NumRows() != c.rows {
-		t.Fatalf("shape = %d×%d, want %d×%d", sr.Arity(), sr.NumRows(), len(c.names), c.rows)
+	if sr.Arity() != len(c.names) || sr.Rows() != c.rows {
+		t.Fatalf("shape = %d×%d, want %d×%d", sr.Arity(), sr.Rows(), len(c.names), c.rows)
 	}
 	for a, name := range c.names {
 		if sr.Names()[a] != name {
@@ -150,8 +150,8 @@ func TestSnapshotStreamEmptyDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if sr.NumRows() != 0 || sr.Arity() != 2 {
-		t.Fatalf("shape = %d×%d", sr.Arity(), sr.NumRows())
+	if sr.Rows() != 0 || sr.Arity() != 2 {
+		t.Fatalf("shape = %d×%d", sr.Arity(), sr.Rows())
 	}
 	codes, dom, err := sr.Column(0)
 	if err != nil || len(codes) != 0 || dom != 0 {

@@ -87,7 +87,7 @@ func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, 
 		}
 		return nil, aerr
 	}
-	inner, derr := FromAgreeSetsOpts(ctx, agr.Sets, r.Arity(), opts)
+	inner, derr := FromAgreeSets(ctx, agr.Sets, r.Arity(), opts)
 	if inner != nil {
 		inner.Elapsed = time.Since(start)
 		res = inner
@@ -96,12 +96,7 @@ func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, 
 }
 
 // FromAgreeSets mines the cover from precomputed agree sets.
-func FromAgreeSets(ctx context.Context, agreeSets attrset.Family, arity int) (*Result, error) {
-	return FromAgreeSetsOpts(ctx, agreeSets, arity, Options{})
-}
-
-// FromAgreeSetsOpts is FromAgreeSets under explicit options.
-func FromAgreeSetsOpts(ctx context.Context, agreeSets attrset.Family, arity int, opts Options) (*Result, error) {
+func FromAgreeSets(ctx context.Context, agreeSets attrset.Family, arity int, opts Options) (*Result, error) {
 	ms := maxsets.Compute(agreeSets, arity)
 	res := &Result{}
 	for a := 0; a < arity; a++ {

@@ -165,7 +165,7 @@ func TestFromAgreeSetsDirect(t *testing.T) {
 		attrset.New(2, 4),    // CE
 		attrset.New(4),       // E
 	}
-	res, err := FromAgreeSets(context.Background(), sets, 5)
+	res, err := FromAgreeSets(context.Background(), sets, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

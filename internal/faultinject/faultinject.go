@@ -45,8 +45,8 @@ const (
 
 // Storage and session hook points: the durable WAL/snapshot layer and the
 // incremental miner. They fire on the serving path rather than inside a
-// pipeline run, so they are swept by the durable/incremental/server test
-// suites (StorePoints), not by the pipeline fault sweep (Points).
+// pipeline run, so the pipeline fault sweep (Points) leaves them out; the
+// durability and incremental tests arm the ones they exercise by name.
 const (
 	DurableWrite      = "durable/write"      // before each WAL frame or snapshot write
 	DurableFsync      = "durable/fsync"      // before each fsync (group commit and snapshot)
@@ -79,15 +79,6 @@ func Points() []string {
 		TANELevel, KeysLevel, INDLevel, FastFDsAttr,
 		PstoreEvict, PstoreRecompute,
 		ExtsortFlush, ExtsortRead, ExtsortMerge,
-	}
-}
-
-// StorePoints lists the storage/session hook points, swept by the
-// durability and incremental-session fault tests.
-func StorePoints() []string {
-	return []string{
-		DurableWrite, DurableFsync, DurableRename, DurableReplay,
-		IncrementalInsert,
 	}
 }
 

@@ -35,19 +35,9 @@ var buildOnce = sync.OnceValue(func() wire.VersionResponse {
 // Build returns the running binary's identity — module version, VCS
 // revision, Go toolchain — from the embedded build info. Fields the
 // build did not stamp read "unknown". The result also feeds the
-// <prefix>_build_info metric and the build log attributes, so bench
+// <prefix>_build_info metric and the server's startup log line, so bench
 // JSON and fleet logs are attributable to an exact build.
 func Build() wire.VersionResponse { return buildOnce() }
-
-// BuildAttrs renders the build identity as log attributes.
-func BuildAttrs() []Attr {
-	b := Build()
-	return []Attr{
-		String("version", b.Version),
-		String("revision", b.Revision),
-		String("go_version", b.GoVersion),
-	}
-}
 
 // RegisterBuildInfo declares the constant <prefix>_build_info metric
 // (value 1, build identity as labels) on r — the standard Prometheus

@@ -47,13 +47,14 @@ type Partition struct {
 // from the relation's dictionary codes. Cost: O(|r| + |dom(A)|), with
 // exactly four allocations regardless of the number of classes.
 func Single(r *relation.Relation, a attrset.Attr) *Partition {
-	return SingleFromCodes(r.Rows(), r.Column(a), r.DomainSize(a))
+	col, dom, _ := r.Column(a) // a Relation's Column never fails
+	return SingleFromCodes(r.Rows(), col, dom)
 }
 
 // SingleFromCodes computes π̂_A from a bare dictionary-coded column: codes
 // per tuple, dense in [0, dom). It is Single without the relation — the
-// entry point for sources that stream one column at a time (the durable
-// snapshot reader) and never materialise a relation.Relation.
+// entry point for column sources that never materialise a
+// relation.Relation (the durable snapshot reader, the CSV source).
 func SingleFromCodes(numRows int, col []int, dom int) *Partition {
 	p := &Partition{NumRows: numRows}
 	if dom == 0 {
@@ -377,31 +378,30 @@ type Database struct {
 // NewDatabase extracts the stripped partition database from a relation —
 // the paper's pre-processing phase.
 func NewDatabase(r *relation.Relation) *Database {
-	db := &Database{Attr: make([]*Partition, r.Arity()), NumRows: r.Rows()}
-	for a := 0; a < r.Arity(); a++ {
-		db.Attr[a] = Single(r, a)
-	}
+	db, _ := NewDatabaseFromSource(r) // a Relation's Column never fails
 	return db
 }
 
-// ColumnSource supplies dictionary-coded columns one at a time — the
-// out-of-core complement of relation.Relation. Column returns attribute
-// a's codes (dense in [0, domain)) plus the domain size; each call may
-// read from disk, and the returned slice is owned by the caller. The
-// durable snapshot reader satisfies this interface.
+// ColumnSource supplies a relation's dictionary-coded columns one at a
+// time: everything steps 1–4 of the pipeline read. Column returns
+// attribute a's codes (dense in [0, domain)) plus the domain size; it may
+// read from disk, and the caller must not modify the returned slice. A
+// relation.Relation, the single-use relation.CSVSource and the durable
+// snapshot reader all satisfy it.
 type ColumnSource interface {
+	Names() []string
 	Arity() int
-	NumRows() int
+	Rows() int
 	Column(a int) ([]int, int, error)
 }
 
 // NewDatabaseFromSource extracts the stripped partition database from a
-// streaming column source: one column is resident at a time, and only its
-// stripped partition (typically far smaller than the column) is retained.
-// This is how a multi-gigabyte snapshot feeds discovery without ever
+// column source: one column is read at a time, and only its stripped
+// partition (typically far smaller than the column) is retained. This is
+// how a multi-gigabyte snapshot feeds discovery without ever
 // materialising the relation.
 func NewDatabaseFromSource(src ColumnSource) (*Database, error) {
-	db := &Database{Attr: make([]*Partition, src.Arity()), NumRows: src.NumRows()}
+	db := &Database{Attr: make([]*Partition, src.Arity()), NumRows: src.Rows()}
 	for a := range db.Attr {
 		col, dom, err := src.Column(a)
 		if err != nil {
@@ -485,5 +485,3 @@ func (db *Database) MaximalClasses() [][]int {
 }
 
 func cmpInts(a, b []int) int { return slices.Compare(a, b) }
-
-func lessInts(a, b []int) bool { return cmpInts(a, b) < 0 }

@@ -54,6 +54,21 @@ type Relation struct {
 
 // FromRows builds a relation from attribute names and string rows.
 func FromRows(names []string, rows [][]string) (*Relation, error) {
+	t := 0
+	return encode(names, len(rows), func() ([]string, error) {
+		if t == len(rows) {
+			return nil, io.EOF
+		}
+		t++
+		return rows[t-1], nil
+	})
+}
+
+// encode builds a relation from the rows next yields until io.EOF,
+// assigning dictionary codes in first-occurrence order — the one encoder
+// behind FromRows and Load. It keeps no reference to a yielded row slice,
+// so next may reuse it; rowsHint presizes the columns.
+func encode(names []string, rowsHint int, next func() ([]string, error)) (*Relation, error) {
 	if !attrset.Valid(len(names)) {
 		return nil, ErrTooManyAttributes
 	}
@@ -61,17 +76,23 @@ func FromRows(names []string, rows [][]string) (*Relation, error) {
 		names: append([]string(nil), names...),
 		cols:  make([][]int, len(names)),
 		dicts: make([][]string, len(names)),
-		rows:  len(rows),
 	}
 	codes := make([]map[string]int, len(names))
 	for a := range names {
-		r.cols[a] = make([]int, len(rows))
+		r.cols[a] = make([]int, 0, rowsHint)
 		codes[a] = make(map[string]int)
 	}
-	for t, row := range rows {
+	for {
+		row, err := next()
+		if err == io.EOF {
+			return r, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 		if len(row) != len(names) {
 			return nil, fmt.Errorf("%w: row %d has %d fields, schema has %d",
-				ErrRaggedRow, t, len(row), len(names))
+				ErrRaggedRow, r.rows, len(row), len(names))
 		}
 		for a, v := range row {
 			code, ok := codes[a][v]
@@ -80,10 +101,10 @@ func FromRows(names []string, rows [][]string) (*Relation, error) {
 				codes[a][v] = code
 				r.dicts[a] = append(r.dicts[a], v)
 			}
-			r.cols[a][t] = code
+			r.cols[a] = append(r.cols[a], code)
 		}
+		r.rows++
 	}
-	return r, nil
 }
 
 // FromCodes builds a relation directly from integer-coded columns,
@@ -129,39 +150,42 @@ func FromCodes(names []string, cols [][]int) (*Relation, error) {
 	return r, nil
 }
 
-// Load reads a CSV relation from rd. If header is true the first record
-// names the attributes; otherwise attributes are named col0, col1, ....
+// Load reads a CSV relation from rd, encoding each record as it is read.
+// If header is true the first record names the attributes; otherwise
+// attributes are named col0, col1, ....
 func Load(rd io.Reader, header bool) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1 // we validate arity ourselves for better errors
-	var names []string
-	var rows [][]string
-	first := true
-	for {
+	cr.ReuseRecord = true
+	read := func() ([]string, error) {
 		rec, err := cr.Read()
-		if err == io.EOF {
-			break
+		if err != nil && err != io.EOF {
+			err = fmt.Errorf("relation: reading csv: %w", err)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("relation: reading csv: %w", err)
-		}
-		if first {
-			first = false
-			if header {
-				names = append([]string(nil), rec...)
-				continue
-			}
-			names = make([]string, len(rec))
-			for i := range rec {
-				names[i] = "col" + strconv.Itoa(i)
-			}
-		}
-		rows = append(rows, rec)
+		return rec, err
 	}
-	if names == nil {
+	first, err := read()
+	if err == io.EOF {
 		return nil, errors.New("relation: empty input")
 	}
-	return FromRows(names, rows)
+	if err != nil {
+		return nil, err
+	}
+	if header {
+		return encode(first, 0, read)
+	}
+	names := make([]string, len(first))
+	for i := range names {
+		names[i] = "col" + strconv.Itoa(i)
+	}
+	pending := first
+	return encode(names, 0, func() ([]string, error) {
+		if row := pending; row != nil {
+			pending = nil
+			return row, nil
+		}
+		return read()
+	})
 }
 
 // LoadFile reads a CSV relation from the named file.
@@ -172,6 +196,53 @@ func LoadFile(path string, header bool) (*Relation, error) {
 	}
 	defer f.Close()
 	return Load(f, header)
+}
+
+// CSVSource is a single-use column source over CSV data (it satisfies
+// partition.ColumnSource). NewCSVSource encodes the input in one pass
+// through Load and drops the dictionaries; Column then hands each code
+// column out once and releases it, so after a partition build has read
+// every column only the stripped partitions stay resident.
+type CSVSource struct {
+	names []string
+	rows  int
+	cols  [][]int // nil once handed out
+	doms  []int
+}
+
+// NewCSVSource reads CSV data into a single-use column source. If header
+// is true the first record names the attributes.
+func NewCSVSource(rd io.Reader, header bool) (*CSVSource, error) {
+	r, err := Load(rd, header)
+	if err != nil {
+		return nil, err
+	}
+	s := &CSVSource{names: r.names, rows: r.rows, cols: r.cols, doms: make([]int, len(r.dicts))}
+	for a, d := range r.dicts {
+		s.doms[a] = len(d)
+	}
+	return s, nil
+}
+
+// Names returns the attribute names. The returned slice must not be
+// modified.
+func (s *CSVSource) Names() []string { return s.names }
+
+// Arity returns the number of attributes.
+func (s *CSVSource) Arity() int { return len(s.names) }
+
+// Rows returns the number of tuples.
+func (s *CSVSource) Rows() int { return s.rows }
+
+// Column hands out attribute a's code column and domain size, then
+// releases it: a second read of any column fails.
+func (s *CSVSource) Column(a int) ([]int, int, error) {
+	col := s.cols[a]
+	if col == nil {
+		return nil, 0, fmt.Errorf("relation: CSV source column %d already read (the source is single-use)", a)
+	}
+	s.cols[a] = nil
+	return col, s.doms[a], nil
 }
 
 // WriteCSV writes the relation as CSV to w, with a header row.
@@ -230,9 +301,12 @@ func (r *Relation) Name(a attrset.Attr) string { return r.names[a] }
 // Code returns the dictionary code of tuple t on attribute a.
 func (r *Relation) Code(t int, a attrset.Attr) int { return r.cols[a][t] }
 
-// Column returns the code column for attribute a. The returned slice must
-// not be modified.
-func (r *Relation) Column(a attrset.Attr) []int { return r.cols[a] }
+// Column returns attribute a's code column and its domain size, making a
+// Relation a partition.ColumnSource; the error is always nil. The
+// returned slice must not be modified.
+func (r *Relation) Column(a attrset.Attr) ([]int, int, error) {
+	return r.cols[a], len(r.dicts[a]), nil
+}
 
 // Value returns the original string value of tuple t on attribute a.
 func (r *Relation) Value(t int, a attrset.Attr) string {

@@ -187,9 +187,6 @@ type Server struct {
 	// admission slot, before the pipeline starts — tests use it to pin
 	// jobs in the running state deterministically.
 	testHookJobStart func(datasetID string)
-	// testHookPartitionBuild, when set, runs each time a discovery
-	// partitions a materialised relation — tests count builds with it.
-	testHookPartitionBuild func()
 }
 
 // New creates a server from the configuration (zero value fine). With
@@ -268,10 +265,6 @@ func New(cfg Config) (*Server, error) {
 		slog.Bool("coordinator", s.fleet != nil))
 	return s, nil
 }
-
-// Metrics exposes the server's metrics registry, so an embedding
-// process (or a test) can scrape without going through HTTP.
-func (s *Server) Metrics() *obs.Registry { return s.obsReg }
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/datasets", s.handleRegister)

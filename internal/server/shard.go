@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -80,25 +81,30 @@ func newFleet(endpoints []string) ([]*client.Client, error) {
 	return fleet, nil
 }
 
-// discSource is the input of one depminer discovery: the stripped
-// partition database plus (when materialised or required) the relation,
-// pinned to the fingerprint both were derived from.
+// discSource is the input of one depminer discovery: the column source
+// — the materialised relation or a verified snapshot reader — pinned to
+// the fingerprint it was derived from. Close releases a snapshot reader.
 type discSource struct {
-	db       *partition.Database
-	rel      *relation.Relation // nil when streamed from a snapshot
-	fp       string
-	names    []string
-	streamed bool
+	partition.ColumnSource
+	rel *relation.Relation // nil when streamed from a snapshot
+	fp  string
 }
 
-// discoverySource builds the discovery input for d, preferring a
-// streamed durable snapshot — no relation materialisation — when one
-// fully covers the dataset and the request does not need the original
-// values (needRelation: an Armstrong construction does). The snapshot's
-// embedded fingerprint is re-verified against the registry after
-// opening, so a compaction or append racing the check degrades to the
-// materialised path, never to stale data. Either way the partition
-// database is built here, once, and handed to the pipeline.
+func (src *discSource) streamed() bool { return src.rel == nil }
+
+func (src *discSource) Close() {
+	if sr, ok := src.ColumnSource.(*durable.SnapshotReader); ok {
+		sr.Close()
+	}
+}
+
+// discoverySource opens the discovery input for d, preferring a streamed
+// durable snapshot — no relation materialisation — when one fully covers
+// the dataset and the request does not need the original values
+// (needRelation: an Armstrong construction does). The snapshot's embedded
+// fingerprint is re-verified against the registry after opening, so a
+// compaction or append racing the check degrades to the materialised
+// path, never to stale data. The caller must Close the source.
 func (s *Server) discoverySource(d *dataset, needRelation bool) (*discSource, error) {
 	if !needRelation {
 		if src, ok := s.tryStreamSource(d); ok {
@@ -109,12 +115,14 @@ func (s *Server) discoverySource(d *dataset, needRelation bool) (*discSource, er
 	if err != nil {
 		return nil, err
 	}
-	if s.testHookPartitionBuild != nil {
-		s.testHookPartitionBuild()
-	}
-	return &discSource{db: partition.NewDatabase(rel), rel: rel, fp: fp, names: rel.Names()}, nil
+	return &discSource{ColumnSource: rel, rel: rel, fp: fp}, nil
 }
 
+// tryStreamSource opens d's snapshot when it covers the dataset. Open
+// verifies the CRC and every code, so a damaged snapshot fails here: it
+// is logged and left to the materialised fallback. A fingerprint
+// mismatch is a race with an append or compaction, not damage, and falls
+// back silently.
 func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
 	d.mu.Lock()
 	dur := d.dur
@@ -129,17 +137,15 @@ func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
 	}
 	sr, err := durable.OpenSnapshotStream(path)
 	if err != nil {
+		s.log.Warn("snapshot unreadable, materialising the relation instead",
+			slog.String("dataset", d.id), slog.String("path", path), slog.String("error", err.Error()))
 		return nil, false
 	}
-	defer sr.Close()
 	if sr.Fingerprint() != fp {
+		sr.Close()
 		return nil, false
 	}
-	db, err := partition.NewDatabaseFromSource(sr)
-	if err != nil {
-		return nil, false
-	}
-	return &discSource{db: db, fp: fp, names: append([]string(nil), sr.Names()...), streamed: true}, true
+	return &discSource{ColumnSource: sr, fp: fp}, true
 }
 
 // coreOptions maps resolved request params onto pipeline options.
@@ -161,9 +167,10 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 	return opts
 }
 
-// runDepminer serves the depminer/depminer2 algorithms. The source build
-// — a materialised relation or a streamed snapshot, partitioned once — is
-// timed as the partition phase. A coordinator hands core.Run its fan-out
+// runDepminer serves the depminer/depminer2 algorithms: core.Run over
+// the opened source, which it partitions once. Preparing the source —
+// materialising the relation, or opening and verifying the snapshot — is
+// added to the partition phase. A coordinator hands core.Run its fan-out
 // as step 1's remote run source; core.Run does the rest on every path,
 // and depminerResponse builds the one response shape.
 func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
@@ -172,8 +179,9 @@ func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, 
 	if err != nil {
 		return nil, err
 	}
-	built := time.Since(t0)
-	if src.streamed {
+	defer src.Close()
+	prepared := time.Since(t0)
+	if src.streamed() {
 		s.stats.mu.Lock()
 		s.stats.counts.SnapshotStreams++
 		s.stats.mu.Unlock()
@@ -182,11 +190,11 @@ func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, 
 		Dataset:          d.id,
 		Fingerprint:      src.fp,
 		Algorithm:        p.algorithm,
-		Rows:             src.db.NumRows,
-		Attributes:       src.db.Arity(),
-		SnapshotStreamed: src.streamed,
+		Rows:             src.Rows(),
+		Attributes:       src.Arity(),
+		SnapshotStreamed: src.streamed(),
 	}
-	in := core.Input{Relation: src.rel, DB: src.db}
+	in := core.Input{Source: src.ColumnSource}
 	var fan *fanOut
 	if s.fleet != nil {
 		fan = s.newFanOut(d, p, src)
@@ -194,12 +202,12 @@ func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, 
 	}
 	res, runErr := core.Run(ctx, in, s.coreOptions(p, budget))
 	if res != nil {
-		res.Stats.Partition += built
+		res.Stats.Partition += prepared
 	}
 	if fan != nil {
 		fan.record(ctx, resp, res)
 	}
-	return s.depminerResponse(ctx, resp, res, runErr, src.names, start, budget)
+	return s.depminerResponse(ctx, resp, res, runErr, src.Names(), start, budget)
 }
 
 // depminerResponse completes resp from a depminer run — local or
@@ -385,15 +393,21 @@ func (f *fanOut) pushDataset(ctx context.Context, cl *client.Client) error {
 // datasetCSV materialises the relation once, for pushing to workers
 // that have never seen it. This is the one place a streamed-snapshot
 // discovery rehydrates rows — only on a cold fleet, never on the
-// steady-state path.
+// steady-state path. Rows appended since planning would push content the
+// coordinator never planned against, so a fingerprint mismatch fails the
+// push and leaves the shard to the local sweep.
 func (f *fanOut) datasetCSV() ([]byte, error) {
 	f.csvOnce.Do(func() {
 		rel := f.src.rel
 		if rel == nil {
+			var fp string
 			var err error
-			rel, _, err = f.d.snapshot()
-			if err != nil {
+			if rel, fp, err = f.d.snapshot(); err != nil {
 				f.csvErr = err
+				return
+			}
+			if fp != f.src.fp {
+				f.csvErr = errShardStale
 				return
 			}
 		}
@@ -575,10 +589,15 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		if serr != nil {
 			return nil, serr
 		}
+		defer src.Close()
 		if src.fp != req.Fingerprint {
 			return nil, errShardStale
 		}
-		return agree.NewPlan(src.db), nil
+		db, derr := partition.NewDatabaseFromSource(src)
+		if derr != nil {
+			return nil, derr
+		}
+		return agree.NewPlan(db), nil
 	})
 	if err != nil {
 		s.noteShardServedError()

@@ -8,13 +8,18 @@ package server
 // the original values (Armstrong).
 
 import (
+	"context"
 	"net/http"
+	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/agree"
 	"repro/internal/datagen"
+	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/wire"
@@ -236,11 +241,12 @@ func TestSnapshotStreamedSharded(t *testing.T) {
 // TestPartitionPhaseTimedOnEveryPath runs one materialised and one
 // streamed discovery: each must grow the partition phase total in
 // /v1/stats (the source build is the partition phase on every path), and
-// the materialised one must partition its relation exactly once.
+// each must partition its source exactly once.
 func TestPartitionPhaseTimedOnEveryPath(t *testing.T) {
 	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), SnapshotEvery: -1})
 	var builds atomic.Int32
-	s.testHookPartitionBuild = func() { builds.Add(1) }
+	faultinject.Set(faultinject.CorePartition, func() error { builds.Add(1); return nil })
+	defer faultinject.Reset()
 	partitionMS := func() float64 {
 		var st StatsResponse
 		if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
@@ -268,8 +274,12 @@ func TestPartitionPhaseTimedOnEveryPath(t *testing.T) {
 			}
 		}
 		var resp DiscoverResponse
+		builds.Store(0)
 		if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID}, &resp); code != http.StatusOK {
 			t.Fatalf("discover status %d (%s)", code, resp.Error)
+		}
+		if n := builds.Load(); n != 1 {
+			t.Fatalf("discovery (streamed=%v) partitioned its source %d times, want 1", resp.SnapshotStreamed, n)
 		}
 		if !sameCover(resp.FDs, fromScratchCover(t, r)) {
 			t.Fatal("cover differs from reference")
@@ -282,9 +292,6 @@ func TestPartitionPhaseTimedOnEveryPath(t *testing.T) {
 	if resp := discoverFresh(1, false); resp.SnapshotStreamed {
 		t.Fatal("uncompacted dataset streamed a snapshot")
 	}
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("materialised discovery partitioned the relation %d times, want 1", n)
-	}
 	mid := partitionMS()
 	if mid <= before {
 		t.Fatalf("materialised discovery left partition phase at %v ms (was %v)", mid, before)
@@ -294,10 +301,118 @@ func TestPartitionPhaseTimedOnEveryPath(t *testing.T) {
 	if resp := discoverFresh(2, true); !resp.SnapshotStreamed {
 		t.Fatal("compacted dataset did not stream its snapshot")
 	}
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("streamed discovery partitioned a materialised relation (%d builds)", n)
-	}
 	if after := partitionMS(); after <= mid {
 		t.Fatalf("streamed discovery left partition phase at %v ms (was %v)", after, mid)
+	}
+}
+
+// TestColdPushRefusesContentNewerThanPlan races an append against a
+// streamed, sharded discovery: the row lands after planning but before
+// the cold worker's dataset push. Pushing the grown relation would
+// register content the coordinator never planned against, so the push
+// must fail and the shard be swept locally over the planned content.
+func TestColdPushRefusesContentNewerThanPlan(t *testing.T) {
+	workers := newWorkerFleet(t, 1, Config{})
+	s, ts := newCoordServer(t, workers, Config{DataDir: t.TempDir(), SnapshotEvery: -1})
+	base := relation.PaperExample()
+	reg := register(t, ts, base)
+	if code, _ := appendCSV(t, ts.URL, reg.ID, "90,6,99,Research,7\n"); code != http.StatusOK {
+		t.Fatal("append failed")
+	}
+	grown := appendRows(t, base, [][]string{{"90", "6", "99", "Research", "7"}})
+	if err := s.store.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := s.reg.get(reg.ID)
+	var once sync.Once
+	var appendErr error
+	faultinject.Set(faultinject.ShardDispatch, func() error {
+		once.Do(func() {
+			_, _, appendErr = d.appendRows(context.Background(), [][]string{{"91", "7", "01", "Sales", "8"}})
+		})
+		return nil
+	})
+	defer faultinject.Reset()
+
+	code, resp := discover(t, ts, DiscoverRequest{Dataset: reg.ID, Shards: 1})
+	if code != http.StatusOK || resp.Partial {
+		t.Fatalf("discover: code=%d partial=%v (%s)", code, resp.Partial, resp.Error)
+	}
+	if appendErr != nil {
+		t.Fatalf("racing append: %v", appendErr)
+	}
+	if !resp.SnapshotStreamed {
+		t.Fatal("coordinator did not plan from the snapshot stream")
+	}
+	if !sameCover(resp.FDs, fromScratchCover(t, grown)) {
+		t.Fatal("cover differs from the planned (pre-append) content")
+	}
+	var wst, cst StatsResponse
+	getJSON(t, workers[0]+"/v1/stats", &wst)
+	if wst.Datasets != 0 {
+		t.Fatalf("worker registered %d stray dataset(s)", wst.Datasets)
+	}
+	getJSON(t, ts.URL+"/v1/stats", &cst)
+	if cst.Shard == nil || cst.Shard.DatasetsPushed != 0 {
+		t.Fatalf("datasets pushed: %+v, want 0", cst.Shard)
+	}
+}
+
+// TestDamagedSnapshotWarnsAndFallsBack flips one byte of a complete
+// snapshot: the discovery must fall back to the materialised relation,
+// stay correct, and say why in one Warn line.
+func TestDamagedSnapshotWarnsAndFallsBack(t *testing.T) {
+	var logs syncBuffer
+	logger, err := obs.NewLogger(&logs, obs.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), SnapshotEvery: -1, Logger: logger})
+	base := relation.PaperExample()
+	reg := register(t, ts, base)
+	if code, _ := appendCSV(t, ts.URL, reg.ID, "90,6,99,Research,7\n"); code != http.StatusOK {
+		t.Fatal("append failed")
+	}
+	grown := appendRows(t, base, [][]string{{"90", "6", "99", "Research", "7"}})
+	if err := s.store.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := s.reg.get(reg.ID)
+	path, complete := d.dur.SnapshotInfo()
+	if !complete {
+		t.Fatal("compacted snapshot does not cover the dataset")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var resp DiscoverResponse
+	if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID}, &resp); code != http.StatusOK {
+		t.Fatalf("discover status %d (%s)", code, resp.Error)
+	}
+	if resp.SnapshotStreamed {
+		t.Fatal("discovery streamed a damaged snapshot")
+	}
+	if !sameCover(resp.FDs, fromScratchCover(t, grown)) {
+		t.Fatal("fallback cover differs from reference")
+	}
+	var warns []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "snapshot unreadable") {
+			warns = append(warns, line)
+		}
+	}
+	if len(warns) != 1 {
+		t.Fatalf("want one snapshot warning, got %d:\n%s", len(warns), logs.String())
+	}
+	for _, want := range []string{"WARN", reg.ID, path, "checksum"} {
+		if !strings.Contains(warns[0], want) {
+			t.Errorf("warning lacks %q: %s", want, warns[0])
+		}
 	}
 }

@@ -11,7 +11,6 @@ package depminer
 import (
 	"context"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -19,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/durable"
 	"repro/internal/extsort"
 )
 
@@ -112,39 +110,12 @@ func TestOutOfCoreFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows := make([][]string, r.Rows())
-	for i := range rows {
-		rows[i] = r.Row(i)
-	}
-	dir := t.TempDir()
-	store, _, err := durable.Open(durable.Options{Dir: dir, DisableFsync: true})
+	sr, err := OpenSnapshot(writeSnapshot(t, r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Register empty and append the rows: only WAL-appended records give
-	// the dataset a tail to fold, and CompactAll folds exactly that tail
-	// into snapshot.snap.
-	fp := durable.ContentFingerprint(r.Names(), rows)
-	ds, err := store.Create("ooc", "ooc", r.Names(), nil, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := ds.Append(rows, len(rows), fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Sync(tok); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.CompactAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := filepath.Join(dir, "datasets", "ooc", "snapshot.snap")
-	res, names, err := DiscoverFromSnapshot(context.Background(), snap, Options{
+	defer sr.Close()
+	res, err := Discover(context.Background(), sr, Options{
 		Workers:       4,
 		MaxAgreeBytes: extsort.SetBytes, // one set per worker: maximal spilling
 		SpillDir:      t.TempDir(),
@@ -152,7 +123,7 @@ func TestOutOfCoreFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(names, r.Names()) {
+	if names := sr.Names(); !slices.Equal(names, r.Names()) {
 		t.Fatalf("snapshot names = %v, want %v", names, r.Names())
 	}
 	if !slices.Equal(res.FDs, ref.FDs) {

@@ -328,7 +328,7 @@ func TestGracefulDegradation(t *testing.T) {
 }
 
 // TestOptionsValidation checks malformed Options fail fast with the typed
-// sentinel, for both pipeline entry points.
+// sentinel, over a relation and over a streamed source.
 func TestOptionsValidation(t *testing.T) {
 	ctx := context.Background()
 	r := PaperExample()
@@ -346,11 +346,11 @@ func TestOptionsValidation(t *testing.T) {
 		}
 	}
 	// Without the relation, the naive algorithm is rejected too.
-	db := mustStream(t, r)
-	if _, err := DiscoverStreamed(ctx, db, Options{Algorithm: NaiveBaseline}); !errors.Is(err, ErrInvalidOptions) {
+	src := mustStream(t, r)
+	if _, err := Discover(ctx, src, Options{Algorithm: NaiveBaseline}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("streamed naive err = %v, want ErrInvalidOptions", err)
 	}
-	if _, err := DiscoverStreamed(ctx, db, Options{Workers: -3}); !errors.Is(err, ErrInvalidOptions) {
+	if _, err := Discover(ctx, src, Options{Workers: -3}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("streamed bad workers err = %v, want ErrInvalidOptions", err)
 	}
 	// Valid options still validate clean.
@@ -359,17 +359,17 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func mustStream(t *testing.T, r *Relation) *StreamedDatabase {
+func mustStream(t *testing.T, r *Relation) Source {
 	t.Helper()
 	var sb strings.Builder
 	if err := r.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	db, err := StreamCSV(strings.NewReader(sb.String()), true)
+	src, err := StreamCSV(strings.NewReader(sb.String()), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return src
 }
 
 // pathological returns the degenerate relations every miner must survive.
