@@ -21,7 +21,6 @@ import (
 	"repro/internal/attrset"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/fastfds"
 	"repro/internal/hypergraph"
 	"repro/internal/incremental"
 	"repro/internal/ind"
@@ -199,7 +198,7 @@ func BenchmarkAblation_AgreeSets(b *testing.B) {
 	b.Run("identifiers", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := agree.Identifiers(context.Background(), db, agree.Options{}); err != nil {
+			if _, err := agree.NewPlan(db).Run(context.Background(), agree.VariantIdentifiers, agree.Options{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -376,7 +375,7 @@ func BenchmarkExtension_FastFDs(b *testing.B) {
 	b.Run("fastfds", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := fastfds.Run(context.Background(), r, fastfds.Options{}); err != nil {
+			if _, err := Discover(context.Background(), r, Options{Algorithm: FastFDs, Armstrong: ArmstrongNone}); err != nil {
 				b.Fatal(err)
 			}
 		}

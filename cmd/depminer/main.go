@@ -46,10 +46,10 @@ type config struct {
 func main() {
 	cfg := config{}
 	flag.BoolVar(&cfg.noHeader, "no-header", false, "treat the first CSV record as data, not attribute names")
-	flag.StringVar(&cfg.algo, "algo", "depminer", "agree-set algorithm: depminer (alg. 2), depminer2 (alg. 3), fastfds, naive")
+	flag.StringVar(&cfg.algo, "algo", "depminer", "miner: depminer (alg. 2), depminer2 (alg. 3), fastfds (alg. 3 agree sets, depth-first lhs search), naive")
 	flag.StringVar(&cfg.armstrong, "armstrong", "auto", "armstrong relation: auto (real-world with synthetic fallback), real, synthetic, none")
-	flag.BoolVar(&cfg.stream, "stream", false, "one-pass mode: encode the CSV, drop its values, keep only the stripped partitions; no Armstrong relation, -keys, fastfds or naive")
-	flag.BoolVar(&cfg.snapshot, "snapshot", false, "treat the input file as a durable DMSNAP1 snapshot and stream it column by column (out-of-core read path; same limits as -stream)")
+	flag.BoolVar(&cfg.stream, "stream", false, "one-pass mode: encode the CSV, drop its values, keep only the stripped partitions; no Armstrong relation, -keys or naive")
+	flag.BoolVar(&cfg.snapshot, "snapshot", false, "treat the input file as a durable DMSNAP1 snapshot and stream it column by column (out-of-core read path; no naive)")
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Hour, "deadline for discovery (the paper's cutoff); on expiry partial results are printed and the exit code is 3")
 	flag.Int64Var(&cfg.budget, "budget", 0, "resource budget in work units (couples + agree sets + candidate-level widths); 0 = unlimited; on overrun partial results are printed and the exit code is 3")
 	flag.IntVar(&cfg.maxCouples, "max-couples", 0, "couple threshold above which -algo depminer degrades to depminer2 (0 = never degrade)")
@@ -82,8 +82,7 @@ func (cfg *config) newBudget() *depminer.Budget {
 // open returns the input the flags name: a durable DMSNAP1 snapshot
 // streamed column by column (-snapshot), a single-use one-pass CSV stream
 // (-stream), or the materialised relation r (the default; the paper's
-// example without a file). r is nil on the two streamed sources, which
-// keep no cell values.
+// example without a file). r is nil on the two streamed sources.
 func (cfg *config) open() (src depminer.Source, r *depminer.Relation, err error) {
 	switch {
 	case len(cfg.args) > 1:
@@ -119,26 +118,14 @@ func (cfg *config) run(ctx context.Context) error {
 	if c, ok := src.(io.Closer); ok {
 		defer c.Close()
 	}
-	if r == nil && (cfg.algo == "fastfds" || cfg.algo == "naive" || cfg.showKeys) {
-		return fmt.Errorf("-stream and -snapshot keep no cell values: they support -algo depminer or depminer2 without -keys")
+	switch {
+	case r == nil && cfg.algo == "naive":
+		return fmt.Errorf("-stream and -snapshot keep no rows: -algo naive needs the materialised relation")
+	case cfg.stream && cfg.showKeys:
+		return fmt.Errorf("-stream is single-use: discovery consumes it, leaving nothing for -keys")
 	}
 
 	budget := cfg.newBudget()
-	if cfg.algo == "fastfds" {
-		res, rerr := depminer.DiscoverFastFDs(ctx, r, depminer.FastFDsOptions{Budget: budget})
-		if rerr != nil && (res == nil || !res.Partial) {
-			return rerr
-		}
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "depminer: partial results (%v)\n", rerr)
-		}
-		cfg.printCover(src, res.FDs, " (FastFDs)")
-		if cfg.stats {
-			fmt.Printf("\nDFS nodes=%d elapsed=%v\n", res.Nodes, res.Elapsed)
-		}
-		return rerr
-	}
-
 	opts := depminer.Options{
 		Workers:       cfg.workers,
 		Budget:        budget,
@@ -153,6 +140,8 @@ func (cfg *config) run(ctx context.Context) error {
 		opts.Algorithm = depminer.DepMiner2
 	case "naive":
 		opts.Algorithm = depminer.NaiveBaseline
+	case "fastfds":
+		opts.Algorithm = depminer.FastFDs
 	default:
 		return fmt.Errorf("unknown -algo %q", cfg.algo)
 	}
@@ -180,7 +169,11 @@ func (cfg *config) run(ctx context.Context) error {
 	for _, note := range res.Notes {
 		fmt.Fprintln(os.Stderr, "depminer: note:", note)
 	}
-	cfg.printCover(src, res.FDs, "")
+	suffix := ""
+	if opts.Algorithm == depminer.FastFDs {
+		suffix = " (FastFDs)"
+	}
+	cfg.printCover(src, res.FDs, suffix)
 
 	if res.Armstrong != nil {
 		kind := "real-world"
@@ -188,12 +181,12 @@ func (cfg *config) run(ctx context.Context) error {
 			kind = "synthetic (real-world construction impossible: not enough distinct values)"
 		}
 		fmt.Printf("\nArmstrong relation (%s, %d tuples — 1:%d sample):\n\n",
-			kind, res.Armstrong.Rows(), max(1, r.Rows()/max(1, res.Armstrong.Rows())))
+			kind, res.Armstrong.Rows(), max(1, src.Rows()/max(1, res.Armstrong.Rows())))
 		fmt.Print(res.Armstrong.String())
 	}
 
 	if cfg.showKeys && rerr == nil {
-		kr, kerr := depminer.DiscoverKeys(ctx, r, depminer.KeysOptions{Budget: budget})
+		kr, kerr := depminer.DiscoverKeys(ctx, src, depminer.KeysOptions{Budget: budget})
 		if kerr != nil && (kr == nil || !kr.Partial) {
 			return kerr
 		}
@@ -203,7 +196,7 @@ func (cfg *config) run(ctx context.Context) error {
 		}
 		fmt.Printf("\n%d minimal candidate keys:\n", len(kr.Keys))
 		for _, k := range kr.Keys {
-			fmt.Println("  (" + k.Names(r.Names(), ", ") + ")")
+			fmt.Println("  (" + k.Names(src.Names(), ", ") + ")")
 		}
 	}
 
@@ -216,6 +209,9 @@ func (cfg *config) run(ctx context.Context) error {
 			res.Stats.LHS, res.Stats.Armstrong)
 		fmt.Printf("couples=%d chunks=%d |ag(r)|=%d |MAX(dep(r))|=%d\n",
 			res.Couples, res.Chunks, len(res.AgreeSets), len(res.MaxSets))
+		if opts.Algorithm == depminer.FastFDs {
+			fmt.Printf("DFS nodes=%d\n", res.DFSNodes)
+		}
 		if sp := res.Stats.Spill; cfg.maxAgreeBytes > 0 || sp.RunsSpilled > 0 {
 			fmt.Printf("spill: runs=%d sets=%d bytes=%d merged=%d blocks=%d\n",
 				sp.RunsSpilled, sp.SpilledSets, sp.SpilledBytes, sp.MergedRuns, sp.ReadBlocks)

@@ -120,11 +120,20 @@ func TestRunStreamed(t *testing.T) {
 	if !strings.Contains(out, "14 minimal functional dependencies") {
 		t.Errorf("streamed output wrong:\n%s", out)
 	}
-	if _, err := capture(t, func() error {
+	// FastFDs reads the same stripped partitions; -keys would need a
+	// second pass over the single-use stream.
+	out, err = capture(t, func() error {
 		cfg := config{algo: "fastfds", armstrong: "auto", timeout: time.Minute, useNames: true, stream: true, args: []string{csv}}
 		return cfg.run(context.Background())
+	})
+	if err != nil || !strings.Contains(out, "14 minimal functional dependencies (FastFDs)") {
+		t.Errorf("-stream with fastfds: err %v, output:\n%s", err, out)
+	}
+	if _, err := capture(t, func() error {
+		cfg := config{algo: "depminer", armstrong: "auto", timeout: time.Minute, useNames: true, stream: true, showKeys: true, args: []string{csv}}
+		return cfg.run(context.Background())
 	}); err == nil {
-		t.Error("-stream with fastfds accepted")
+		t.Error("-stream with -keys accepted")
 	}
 	if _, err := capture(t, func() error {
 		cfg := config{algo: "depminer", armstrong: "auto", timeout: time.Minute, useNames: true, stream: true}
@@ -134,9 +143,10 @@ func TestRunStreamed(t *testing.T) {
 	}
 }
 
-// TestRunSnapshot discovers off a durable DMSNAP1 snapshot: the output
-// must equal the plain CSV run's, and the modes that need cell values
-// must be refused.
+// TestRunSnapshot discovers off a durable DMSNAP1 snapshot: the output —
+// Armstrong relation and candidate keys included — must equal the plain
+// CSV run's for every miner but naive, which needs the rows and must be
+// refused.
 func TestRunSnapshot(t *testing.T) {
 	csv := paperCSV(t)
 	r, err := depminer.LoadCSVFile(csv, true)
@@ -175,20 +185,21 @@ func TestRunSnapshot(t *testing.T) {
 	run := func(cfg config) (string, error) {
 		return capture(t, func() error { return cfg.run(context.Background()) })
 	}
-	plain, err := run(config{algo: "depminer", armstrong: "none", timeout: time.Minute, useNames: true, args: []string{csv}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run(config{algo: "depminer", armstrong: "auto", timeout: time.Minute, useNames: true, snapshot: true, maxAgreeBytes: 1, spillDir: t.TempDir(), args: []string{snap}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != plain || !strings.Contains(got, "14 minimal functional dependencies") {
-		t.Errorf("snapshot output differs from the CSV run:\n got %s\nwant %s", got, plain)
+	for _, algo := range []string{"depminer", "fastfds"} {
+		plain, err := run(config{algo: algo, armstrong: "auto", timeout: time.Minute, useNames: true, showKeys: true, args: []string{csv}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(config{algo: algo, armstrong: "auto", timeout: time.Minute, useNames: true, showKeys: true, snapshot: true, maxAgreeBytes: 1, spillDir: t.TempDir(), args: []string{snap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != plain || !strings.Contains(got, "Armstrong relation (real-world, 4 tuples") || !strings.Contains(got, "candidate keys") {
+			t.Errorf("%s: snapshot output differs from the CSV run:\n got %s\nwant %s", algo, got, plain)
+		}
 	}
 	for _, cfg := range []config{
 		{algo: "naive", armstrong: "auto", timeout: time.Minute, snapshot: true, args: []string{snap}},
-		{algo: "depminer", armstrong: "auto", timeout: time.Minute, snapshot: true, showKeys: true, args: []string{snap}},
 		{algo: "depminer", armstrong: "auto", timeout: time.Minute, snapshot: true, args: []string{csv}},
 	} {
 		if _, err := run(cfg); err == nil {

@@ -75,7 +75,7 @@ func main() {
 	flag.StringVar(&cfg.server.DataDir, "data-dir", "", "data directory for durable datasets (WAL + snapshots, recovered on boot); empty = memory-only")
 	fsync := flag.Bool("fsync", true, "fsync every acknowledged write (durable mode only); false trades crash-durability of the latest appends for speed")
 	flag.IntVar(&cfg.server.SnapshotEvery, "snapshot-every", 0, "WAL records per dataset before background compaction into a snapshot (0 = default 256, negative = never)")
-	workerEndpoints := flag.String("workers-endpoints", "", "comma-separated worker depminerd base URLs; non-empty makes this server a shard coordinator for depminer/depminer2 discoveries")
+	workerEndpoints := flag.String("workers-endpoints", "", "comma-separated worker depminerd base URLs; non-empty makes this server a shard coordinator for depminer/depminer2/fastfds discoveries")
 	shardRole := flag.String("shard-role", "", "optional role sanity check: \"coordinator\" requires -workers-endpoints, \"worker\" forbids it (empty = no check)")
 	flag.IntVar(&cfg.server.DefaultShards, "shards", 0, "default shard count for coordinated discoveries (0 = one shard per worker endpoint)")
 	flag.StringVar(&cfg.log.Level, "log-level", "", "log level: debug, info, warn, error (empty = $DEPMINER_LOG_LEVEL, else info)")

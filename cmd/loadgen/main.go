@@ -32,7 +32,10 @@
 // ok (complete result), partial (guard-governed 200), rejected (429 after
 // the client's retries, counted separately from errors because admission
 // control refusing load is the server working as designed), and errors
-// (anything else — the number CI asserts is zero).
+// (anything else — the number CI asserts is zero). Those classes count
+// requests; rejected_attempts counts every 429 the server answered during
+// the run, including those a retry absorbed, so it matches the server's
+// rejection counter.
 package main
 
 import (
@@ -43,12 +46,14 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -96,22 +101,26 @@ type latency struct {
 // fields are scalars on purpose: the CI smoke step pulls them out with
 // scripts/jsonfield, which only reads one level deep.
 type report struct {
-	Generated     string              `json:"generated"`
-	Addr          string              `json:"addr"`
-	Concurrency   int                 `json:"concurrency"`
-	Mix           string              `json:"mix"`
-	Rows          int                 `json:"rows"`
-	Attrs         int                 `json:"attrs"`
-	Seed          int64               `json:"seed"`
-	DurationMS    float64             `json:"duration_ms"`
-	Requests      int64               `json:"requests"`
-	Errors        int64               `json:"errors"`
-	Rejected      int64               `json:"rejected"`
-	Partials      int64               `json:"partials"`
-	ThroughputRPS float64             `json:"throughput_rps"`
-	Latency       *latency            `json:"latency_ms"`
-	Ops           map[string]*opStats `json:"ops"`
-	ServerStats   *wire.StatsResponse `json:"server_stats,omitempty"`
+	Generated   string  `json:"generated"`
+	Addr        string  `json:"addr"`
+	Concurrency int     `json:"concurrency"`
+	Mix         string  `json:"mix"`
+	Rows        int     `json:"rows"`
+	Attrs       int     `json:"attrs"`
+	Seed        int64   `json:"seed"`
+	DurationMS  float64 `json:"duration_ms"`
+	Requests    int64   `json:"requests"`
+	Errors      int64   `json:"errors"`
+	Rejected    int64   `json:"rejected"`
+	// RejectedAttempts counts HTTP attempts answered 429 during the
+	// closed loop, retried ones included; Rejected counts only requests
+	// whose final outcome was a 429.
+	RejectedAttempts int64               `json:"rejected_attempts"`
+	Partials         int64               `json:"partials"`
+	ThroughputRPS    float64             `json:"throughput_rps"`
+	Latency          *latency            `json:"latency_ms"`
+	Ops              map[string]*opStats `json:"ops"`
+	ServerStats      *wire.StatsResponse `json:"server_stats,omitempty"`
 	// ServerBuild identifies the binary that served the run, so two
 	// BENCH_LOAD.json files are attributable to exact builds.
 	ServerBuild *wire.VersionResponse `json:"server_build,omitempty"`
@@ -278,10 +287,15 @@ func run(ctx context.Context, cfg config) (*report, error) {
 		}
 	}
 
+	var rejectedAttempts atomic.Int64
 	c := client.New(cfg.addr, client.WithRetryPolicy(client.RetryPolicy{
 		MaxAttempts: cfg.maxAttempts,
 		BaseDelay:   25 * time.Millisecond,
 		MaxDelay:    2 * time.Second,
+	}), client.WithAttemptObserver(func(a client.Attempt) {
+		if a.Status == http.StatusTooManyRequests {
+			rejectedAttempts.Add(1)
+		}
 	}))
 	if err := c.Health(ctx); err != nil {
 		return nil, fmt.Errorf("server not healthy at %s: %w", cfg.addr, err)
@@ -307,6 +321,7 @@ func run(ctx context.Context, cfg config) (*report, error) {
 	}
 
 	before, _ := scrapeMetrics(ctx, c)
+	rejectedBefore := rejectedAttempts.Load()
 
 	col := newCollector(mix)
 	var coldSeq, appendSeq int64
@@ -340,6 +355,7 @@ func run(ctx context.Context, cfg config) (*report, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	rejectedDuring := rejectedAttempts.Load() - rejectedBefore
 
 	rep := &report{
 		Generated:   time.Now().UTC().Format(time.RFC3339),
@@ -352,6 +368,8 @@ func run(ctx context.Context, cfg config) (*report, error) {
 		DurationMS:  float64(elapsed) / float64(time.Millisecond),
 		Latency:     summarize(col.all),
 		Ops:         col.ops,
+
+		RejectedAttempts: rejectedDuring,
 	}
 	for _, st := range col.ops {
 		st.Latency = summarize(st.latencies)
@@ -479,8 +497,8 @@ func printHuman(rep *report) {
 	fmt.Printf("loadgen: %d requests in %.1fs against %s (%d workers, mix %s)\n",
 		rep.Requests, rep.DurationMS/1000, rep.Addr, rep.Concurrency, rep.Mix)
 	fmt.Printf("  throughput  %.1f req/s\n", rep.ThroughputRPS)
-	fmt.Printf("  outcomes    %d ok, %d partial, %d rejected, %d errors\n",
-		rep.Requests-rep.Partials-rep.Rejected-rep.Errors, rep.Partials, rep.Rejected, rep.Errors)
+	fmt.Printf("  outcomes    %d ok, %d partial, %d rejected, %d errors (%d attempts answered 429)\n",
+		rep.Requests-rep.Partials-rep.Rejected-rep.Errors, rep.Partials, rep.Rejected, rep.Errors, rep.RejectedAttempts)
 	fmt.Printf("  latency ms  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
 		rep.Latency.P50, rep.Latency.P95, rep.Latency.P99, rep.Latency.Max)
 	ops := make([]string, 0, len(rep.Ops))

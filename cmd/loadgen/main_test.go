@@ -3,7 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +131,47 @@ func TestRunAppendHeavyDurable(t *testing.T) {
 	// Group commit never fsyncs more often than once per record.
 	if d.Syncs > d.AppendRecords {
 		t.Fatalf("more syncs (%d) than append records (%d)", d.Syncs, d.AppendRecords)
+	}
+}
+
+// TestRejectedAttemptsCountRetried answers one discover attempt of the
+// closed loop with a 429 that the client's retry absorbs: the request
+// still ends ok, so rejected stays 0, while rejected_attempts counts the
+// 429 the server sent.
+func TestRejectedAttemptsCountRetried(t *testing.T) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var discovers atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The first discover is the warmup; reject the second once.
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/discover" && discovers.Add(1) == 2 {
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	rep, err := run(context.Background(), config{
+		addr:        ts.URL,
+		concurrency: 1,
+		duration:    300 * time.Millisecond,
+		mix:         "hit=1",
+		rows:        20,
+		attrs:       4,
+		seed:        1,
+		maxAttempts: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if discovers.Load() < 3 {
+		t.Fatalf("only %d discover attempts reached the server", discovers.Load())
+	}
+	if rep.Rejected != 0 || rep.RejectedAttempts != 1 || rep.Errors != 0 {
+		t.Fatalf("rejected=%d rejected_attempts=%d errors=%d, want 0, 1, 0", rep.Rejected, rep.RejectedAttempts, rep.Errors)
 	}
 }
 

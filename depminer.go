@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/durable"
-	"repro/internal/fastfds"
 	"repro/internal/fd"
 	"repro/internal/guard"
 	"repro/internal/incremental"
@@ -88,7 +87,8 @@ func LoadCSVFile(path string, header bool) (*Relation, error) {
 // example throughout the Dep-Miner paper.
 func PaperExample() *Relation { return relation.PaperExample() }
 
-// Algorithm selects the agree-set computation of the Dep-Miner pipeline.
+// Algorithm selects the miner: the agree-set computation of the Dep-Miner
+// pipeline, or FastFDs' step 3.
 type Algorithm = core.AgreeAlgorithm
 
 const (
@@ -101,6 +101,12 @@ const (
 	DepMiner2 = core.AgreeIdentifiers
 	// NaiveBaseline is the O(n·p²) pairwise scan, for comparison only.
 	NaiveBaseline = core.AgreeNaive
+	// FastFDs mines the same cover with a depth-first search over
+	// difference sets (Wyss et al. 2001) in place of the levelwise
+	// transversal search — preferable when the levelwise candidate levels
+	// grow too wide. Steps 1–2 are Dep-Miner 2's; Result.LHS stays nil
+	// and Result.DFSNodes counts the search.
+	FastFDs = core.FastFDs
 )
 
 // ArmstrongMode selects how the Armstrong relation is built.
@@ -165,9 +171,10 @@ type Source = partition.ColumnSource
 
 // Discover runs the Dep-Miner pipeline over src: agree sets from stripped
 // partitions, maximal sets, minimal transversals, minimal FDs, and — when
-// src is a *Relation, the only source that keeps the original values —
-// the Armstrong relation. Over any other source Result.Armstrong is nil
-// and NaiveBaseline fails with ErrInvalidOptions.
+// src keeps its dictionaries, as a *Relation and a *SnapshotReader do —
+// the Armstrong relation. Over a StreamCSV source Result.Armstrong is nil;
+// NaiveBaseline needs a *Relation and fails with ErrInvalidOptions on any
+// other source.
 func Discover(ctx context.Context, src Source, opts Options) (*Result, error) {
 	return core.Run(ctx, core.Input{Source: src}, opts)
 }
@@ -178,11 +185,11 @@ type TANEOptions = tane.Options
 // TANEResult is the outcome of a TANE run.
 type TANEResult = tane.Result
 
-// DiscoverTANE runs the TANE baseline (Huhtala et al. 1998): levelwise
-// lattice search with partition products and rhs⁺ pruning. With
+// DiscoverTANE runs the TANE baseline (Huhtala et al. 1998) over src:
+// levelwise lattice search with partition products and rhs⁺ pruning. With
 // Epsilon > 0 it discovers approximate dependencies (g₃ error ≤ ε).
-func DiscoverTANE(ctx context.Context, r *Relation, opts TANEOptions) (*TANEResult, error) {
-	return tane.Run(ctx, r, opts)
+func DiscoverTANE(ctx context.Context, src Source, opts TANEOptions) (*TANEResult, error) {
+	return tane.Run(ctx, src, opts)
 }
 
 // RealWorldArmstrong builds a real-world Armstrong relation for the given
@@ -288,25 +295,11 @@ type KeysResult = keys.Result
 type KeysOptions = keys.Options
 
 // DiscoverKeys finds the minimal candidate keys (minimal unique column
-// combinations) of the relation instance with a levelwise partition
-// search. For duplicate-free relations these coincide with the keys of
-// the discovered FD cover.
-func DiscoverKeys(ctx context.Context, r *Relation, opts KeysOptions) (*KeysResult, error) {
-	return keys.Discover(ctx, r, opts)
-}
-
-// FastFDsResult is the outcome of the depth-first difference-set miner.
-type FastFDsResult = fastfds.Result
-
-// FastFDsOptions configure the FastFDs miner.
-type FastFDsOptions = fastfds.Options
-
-// DiscoverFastFDs mines the same canonical cover as Discover with a
-// FastFDs-style depth-first search over difference sets (Wyss et al.
-// 2001) instead of the levelwise transversal search — preferable when the
-// levelwise candidate levels grow too wide.
-func DiscoverFastFDs(ctx context.Context, r *Relation, opts FastFDsOptions) (*FastFDsResult, error) {
-	return fastfds.Run(ctx, r, opts)
+// combinations) of the relation instance src supplies with a levelwise
+// partition search. For duplicate-free relations these coincide with the
+// keys of the discovered FD cover.
+func DiscoverKeys(ctx context.Context, src Source, opts KeysOptions) (*KeysResult, error) {
+	return keys.Discover(ctx, src, opts)
 }
 
 // IncrementalMiner maintains FD discovery state under tuple insertions:
@@ -328,7 +321,8 @@ func IncrementalFromRelation(r *Relation) (*IncrementalMiner, error) {
 // StreamCSV reads CSV data into a single-use Source in one pass. The
 // cell values are dropped once encoded, and each column is released as
 // discovery partitions it, so only the stripped partitions stay resident;
-// a second Discover over the same source fails.
+// a second run over the same source fails, and no Armstrong relation is
+// built from it.
 func StreamCSV(r io.Reader, header bool) (Source, error) {
 	return relation.NewCSVSource(r, header)
 }
@@ -340,7 +334,9 @@ type SnapshotReader = durable.SnapshotReader
 // OpenSnapshot opens and verifies a durable DMSNAP1 snapshot file as a
 // Source whose columns are read from disk on demand, so the relation is
 // never materialised — combined with Options.MaxAgreeBytes this is the
-// fully out-of-core path. The caller must Close it.
+// fully out-of-core path. It can be read any number of times, and the
+// Armstrong relation reads only the first few values of each dictionary.
+// The caller must Close it.
 func OpenSnapshot(path string) (*SnapshotReader, error) {
 	return durable.OpenSnapshotStream(path)
 }

@@ -9,7 +9,7 @@ import (
 
 func TestPublicAPIFastFDs(t *testing.T) {
 	r := PaperExample()
-	ff, err := DiscoverFastFDs(context.Background(), r, FastFDsOptions{})
+	ff, err := Discover(context.Background(), r, Options{Algorithm: FastFDs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ var miners = []struct {
 		return res.FDs, nil
 	}},
 	{"fastfds", func(ctx context.Context, r *Relation) (Cover, error) {
-		res, err := DiscoverFastFDs(ctx, r, FastFDsOptions{})
+		res, err := Discover(ctx, r, Options{Algorithm: FastFDs})
 		if err != nil {
 			return nil, err
 		}

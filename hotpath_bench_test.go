@@ -77,7 +77,7 @@ func BenchmarkHotpathAgreeIdentifiers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agree.Identifiers(context.Background(), db, agree.Options{Workers: 1}); err != nil {
+		if _, err := agree.NewPlan(db).Run(context.Background(), agree.VariantIdentifiers, agree.Options{Workers: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

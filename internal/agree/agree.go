@@ -34,7 +34,7 @@
 // end — instead of through hash maps, which profile far behind at
 // benchmark scale (see DESIGN.md §9).
 //
-// Couples and Identifiers parallelise across Options.Workers goroutines
+// Both variants parallelise across Options.Workers goroutines
 // by partitioning the couple list; every worker accumulates into a
 // private sorted run and the merged family is emitted in canonical order,
 // so results are byte-identical for any worker count.
@@ -357,17 +357,6 @@ func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result
 	return NewPlan(db).Run(ctx, VariantCouples, opts, nil)
 }
 
-// Identifiers computes ag(r) with Algorithm 3 (AGREE_SET 2): per-tuple
-// equivalence-class identifier lists, intersected per MC couple (Lemma 2).
-// It is the "Dep-Miner 2" variant of the evaluation, more efficient when
-// equivalence classes are large or numerous. The couple list is split
-// into fixed strides distributed over Options.Workers goroutines, with
-// per-worker sorted runs merged in canonical order (deterministic output
-// for any worker count).
-func Identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	return NewPlan(db).Run(ctx, VariantIdentifiers, opts, nil)
-}
-
 // Run sweeps the plan's whole couple space through variant v and
 // finishes the merged runs into ag(r), charging the couple count before
 // the sweep and the family size after it. With a nil remote the sweep is
@@ -670,5 +659,5 @@ func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, couple
 // FromRelation is a convenience: builds the stripped partition database and
 // runs the identifier algorithm (the more scalable default).
 func FromRelation(ctx context.Context, r *relation.Relation) (*Result, error) {
-	return Identifiers(ctx, partition.NewDatabase(r), Options{})
+	return NewPlan(partition.NewDatabase(r)).Run(ctx, VariantIdentifiers, Options{}, nil)
 }

@@ -10,6 +10,11 @@ import (
 	"repro/internal/relation"
 )
 
+// identifiers runs Algorithm 3 over db's whole couple space, locally.
+func identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
+	return NewPlan(db).Run(ctx, VariantIdentifiers, opts, nil)
+}
+
 func mustSets(t *testing.T, specs ...string) attrset.Family {
 	t.Helper()
 	out := make(attrset.Family, 0, len(specs))
@@ -32,7 +37,7 @@ func TestPaperExampleAllAlgorithms(t *testing.T) {
 	algos := map[string]func() (*Result, error){
 		"naive":   func() (*Result, error) { return Naive(context.Background(), r) },
 		"couples": func() (*Result, error) { return Couples(context.Background(), db, Options{}) },
-		"ids":     func() (*Result, error) { return Identifiers(context.Background(), db, Options{}) },
+		"ids":     func() (*Result, error) { return identifiers(context.Background(), db, Options{}) },
 		"default": func() (*Result, error) { return FromRelation(context.Background(), r) },
 	}
 	for name, fn := range algos {
@@ -190,7 +195,7 @@ func runAll(t *testing.T, r *relation.Relation, db *partition.Database) map[stri
 	if out["couples"], err = Couples(context.Background(), db, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if out["ids"], err = Identifiers(context.Background(), db, Options{}); err != nil {
+	if out["ids"], err = identifiers(context.Background(), db, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -258,7 +263,7 @@ func TestCancellation(t *testing.T) {
 	if _, err := Couples(ctx, db, Options{ChunkSize: 10}); err == nil {
 		t.Error("couples should observe cancellation")
 	}
-	if _, err := Identifiers(ctx, db, Options{}); err == nil {
+	if _, err := identifiers(ctx, db, Options{}); err == nil {
 		t.Error("identifiers should observe cancellation")
 	}
 }

@@ -66,7 +66,7 @@ func TestLargeSingleClass(t *testing.T) {
 	if !res.Sets.Equal(want) {
 		t.Errorf("ag = %v, want {A}", res.Sets.Strings())
 	}
-	ids, err := Identifiers(context.Background(), db, Options{})
+	ids, err := identifiers(context.Background(), db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			run  func(Options) (*Result, error)
 		}{
 			{"couples", func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
-			{"identifiers", func(o Options) (*Result, error) { return Identifiers(context.Background(), db, o) }},
+			{"identifiers", func(o Options) (*Result, error) { return identifiers(context.Background(), db, o) }},
 		} {
 			seq, err := algo.run(Options{ChunkSize: chunk, Workers: 1})
 			if err != nil {
@@ -159,7 +159,7 @@ func TestParallelCouplesCancellationMidFlight(t *testing.T) {
 func TestParallelIdentifiersCancellationMidFlight(t *testing.T) {
 	db := cancellationWorkload(t, 24, 6000)
 	runCancelledMidFlight(t, func(ctx context.Context) error {
-		_, err := Identifiers(ctx, db, Options{Workers: 4})
+		_, err := identifiers(ctx, db, Options{Workers: 4})
 		return err
 	})
 }

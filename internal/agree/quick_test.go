@@ -70,12 +70,12 @@ func TestQuickSortedDedupMatchesMapReference(t *testing.T) {
 				t.Fatalf("Couples(workers=%d) = %v, map reference %v",
 					workers, got.Sets.Strings(), want.Strings())
 			}
-			got, err = Identifiers(ctx, db, Options{Workers: workers})
+			got, err = identifiers(ctx, db, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Sets.Equal(want) {
-				t.Fatalf("Identifiers(workers=%d) = %v, map reference %v",
+				t.Fatalf("identifiers(workers=%d) = %v, map reference %v",
 					workers, got.Sets.Strings(), want.Strings())
 			}
 		}

@@ -108,7 +108,7 @@ func TestRemoteDifferential(t *testing.T) {
 		plan := NewPlan(db)
 		refs := map[Variant]*Result{}
 		for v, run := range map[Variant]func(context.Context, *partition.Database, Options) (*Result, error){
-			VariantCouples: Couples, VariantIdentifiers: Identifiers,
+			VariantCouples: Couples, VariantIdentifiers: identifiers,
 		} {
 			ref, err := run(ctx, db, Options{Workers: 1})
 			if err != nil {

@@ -45,7 +45,13 @@ import (
 type Variant int
 
 const (
+	// VariantCouples is Algorithm 2 (AGREE_SET): each MC couple swept
+	// against the stripped partitions — the evaluation's "Dep-Miner".
 	VariantCouples Variant = iota
+	// VariantIdentifiers is Algorithm 3 (AGREE_SET 2): per-tuple
+	// equivalence-class identifier lists, intersected per MC couple
+	// (Lemma 2) — the evaluation's "Dep-Miner 2", more efficient when
+	// equivalence classes are large or numerous.
 	VariantIdentifiers
 )
 
@@ -64,8 +70,8 @@ type Shard struct {
 }
 
 // Plan is the frame of one agree-set computation: the stripped-partition
-// database and its globally sorted deduplicated couple list. Couples and
-// Identifiers sweep a Plan's full couple range, ComputeShard a sub-range,
+// database and its globally sorted deduplicated couple list. Run sweeps a
+// Plan's full couple range, ComputeShard a sub-range,
 // through the same sweep. Coordinator and workers each build a Plan from
 // the same relation bytes; equality of the couple count is the cheap
 // structural check that they did. The identifier arena is built lazily,

@@ -116,7 +116,7 @@ func TestShardDifferential(t *testing.T) {
 			ref     func(Options) (*Result, error)
 		}{
 			{"couples", VariantCouples, func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
-			{"identifiers", VariantIdentifiers, func(o Options) (*Result, error) { return Identifiers(context.Background(), db, o) }},
+			{"identifiers", VariantIdentifiers, func(o Options) (*Result, error) { return identifiers(context.Background(), db, o) }},
 		} {
 			ref, err := v.ref(Options{Workers: 1})
 			if err != nil {

@@ -33,7 +33,7 @@ func TestSpillDifferential(t *testing.T) {
 			run  func(Options) (*Result, error)
 		}{
 			{"couples", func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
-			{"identifiers", func(o Options) (*Result, error) { return Identifiers(context.Background(), db, o) }},
+			{"identifiers", func(o Options) (*Result, error) { return identifiers(context.Background(), db, o) }},
 		} {
 			ref, err := algo.run(Options{Workers: 1})
 			if err != nil {
@@ -98,7 +98,7 @@ func TestSpillFaultInjection(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			faultinject.Set(point, faultinject.FailWith(injected))
 			opts := Options{Workers: workers, MaxAgreeBytes: 1, SpillDir: t.TempDir()}
-			res, err := Identifiers(context.Background(), db, opts)
+			res, err := identifiers(context.Background(), db, opts)
 			faultinject.Reset()
 			if !errors.Is(err, injected) {
 				t.Fatalf("%s workers=%d: err = %v, want injected", point, workers, err)
@@ -118,19 +118,19 @@ func TestSpillGovernedPartial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := randomRelation(t, rng, 5, 120, 2)
 	db := partition.NewDatabase(r)
-	ref, err := Identifiers(context.Background(), db, Options{Workers: 1})
+	ref, err := identifiers(context.Background(), db, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Enough budget for the couple charge, not for the spill volume.
-	full, err := Identifiers(context.Background(), db, Options{Workers: 1, MaxAgreeBytes: 1, SpillDir: t.TempDir()})
+	full, err := identifiers(context.Background(), db, Options{Workers: 1, MaxAgreeBytes: 1, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	limit := full.Couples + int(full.Spill.SpilledBytes)/2 + 1
 	b := guard.New(guard.Limits{Units: int64(limit)})
-	res, err := Identifiers(context.Background(), db, Options{
+	res, err := identifiers(context.Background(), db, Options{
 		Workers: 1, MaxAgreeBytes: 1, SpillDir: t.TempDir(), Budget: b,
 	})
 	if !guard.Governed(err) {

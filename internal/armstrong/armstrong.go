@@ -15,7 +15,10 @@
 //     (Proposition 1): |π_A(r)| ≥ |{X ∈ MAX(dep(r)) | A ∉ X}| + 1.
 //
 // Both produce |MAX(dep(r))|+1 tuples — in the paper's evaluation 1/100 to
-// 1/10,000 of the original relation.
+// 1/10,000 of the original relation. The real-world construction reads
+// nothing of r but each attribute's domain size and the first
+// |MAX(dep(r))|+1 values of its dictionary (Source), so it runs over any
+// source that keeps dictionaries, not only a materialised relation.
 package armstrong
 
 import (
@@ -25,6 +28,19 @@ import (
 	"repro/internal/attrset"
 	"repro/internal/relation"
 )
+
+// Source is what the real-world construction reads of the initial
+// relation. Dictionary codes follow first-occurrence order, so
+// DictPrefix(a, k) is the first k distinct values of attribute a in row
+// order. *relation.Relation and the durable snapshot reader implement it.
+type Source interface {
+	Names() []string
+	// DomainSize returns |π_A(r)|.
+	DomainSize(a int) int
+	// DictPrefix returns the values of codes 0..k-1 of attribute a, for
+	// k ≤ DomainSize(a). The caller must not modify the slice.
+	DictPrefix(a, k int) ([]string, error)
+}
 
 // ErrNotEnoughValues reports that a real-world Armstrong relation does not
 // exist because some attribute's active domain is too small
@@ -72,19 +88,29 @@ func Synthetic(maxSets attrset.Family, names []string) (*relation.Relation, erro
 // Check verifies Proposition 1 against the initial relation: every
 // attribute must have at least |{X ∈ maxSets | A ∉ X}| + 1 distinct
 // values. It returns nil when a real-world Armstrong relation exists.
-func Check(r *relation.Relation, maxSets attrset.Family) error {
-	for a := 0; a < r.Arity(); a++ {
-		need := 1
+func Check(r Source, maxSets attrset.Family) error {
+	_, err := need(r, maxSets)
+	return err
+}
+
+// need returns, per attribute, the number of distinct values the
+// real-world construction consumes, or ErrNotEnoughValues when
+// Proposition 1 fails.
+func need(r Source, maxSets attrset.Family) ([]int, error) {
+	names := r.Names()
+	out := make([]int, len(names))
+	for a := range out {
+		out[a] = 1
 		for _, x := range maxSets {
 			if !x.Contains(a) {
-				need++
+				out[a]++
 			}
 		}
-		if have := r.DomainSize(a); have < need {
-			return &ErrNotEnoughValues{Attr: a, Name: r.Name(a), Have: have, Need: need}
+		if have := r.DomainSize(a); have < out[a] {
+			return nil, &ErrNotEnoughValues{Attr: a, Name: names[a], Have: have, Need: out[a]}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // RealWorld builds a real-world Armstrong relation (eq. 2) for the initial
@@ -99,12 +125,20 @@ func Check(r *relation.Relation, maxSets attrset.Family) error {
 // construction's invariant — two tuples agree on A iff both carry v_A0 —
 // so ag(r̄) = {Xi ∩ Xj} ∪ {Xi}, exactly as in the paper's proof sketch.
 //
-// It returns ErrNotEnoughValues when Proposition 1 fails.
-func RealWorld(r *relation.Relation, maxSets attrset.Family) (*relation.Relation, error) {
-	if err := Check(r, maxSets); err != nil {
+// It returns ErrNotEnoughValues when Proposition 1 fails, and the
+// source's error when a dictionary cannot be read.
+func RealWorld(r Source, maxSets attrset.Family) (*relation.Relation, error) {
+	needs, err := need(r, maxSets)
+	if err != nil {
 		return nil, err
 	}
-	n := r.Arity()
+	n := len(needs)
+	vals := make([][]string, n) // v_A0, v_A1, … per attribute
+	for a := range vals {
+		if vals[a], err = r.DictPrefix(a, needs[a]); err != nil {
+			return nil, err
+		}
+	}
 	next := make([]int, n) // per-attribute counter of consumed values
 	for a := range next {
 		next[a] = 1 // code 0 is v_A0
@@ -112,16 +146,16 @@ func RealWorld(r *relation.Relation, maxSets attrset.Family) (*relation.Relation
 	rows := make([][]string, 0, len(maxSets)+1)
 	first := make([]string, n)
 	for a := 0; a < n; a++ {
-		first[a] = r.ValueForCode(a, 0)
+		first[a] = vals[a][0]
 	}
 	rows = append(rows, first)
 	for _, x := range maxSets {
 		row := make([]string, n)
 		for a := 0; a < n; a++ {
 			if x.Contains(a) {
-				row[a] = r.ValueForCode(a, 0)
+				row[a] = vals[a][0]
 			} else {
-				row[a] = r.ValueForCode(a, next[a])
+				row[a] = vals[a][next[a]]
 				next[a]++
 			}
 		}

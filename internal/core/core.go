@@ -6,19 +6,22 @@
 //
 //  1. AGREE_SET          — internal/agree (Algorithm 2 or 3)
 //  2. CMAX_SET           — internal/maxsets (Algorithm 4)
-//  3. LEFT_HAND_SIDE     — internal/hypergraph (Algorithm 5)
+//  3. LEFT_HAND_SIDE     — internal/hypergraph (Algorithm 5), or the
+//     FastFDs depth-first search of internal/fastfds
 //  4. FD_OUTPUT          — Algorithm 6, below
 //  5. ARMSTRONG_RELATION — internal/armstrong (§4)
 //
 // Run is the one entry point: its Input is a column source (a relation, a
 // CSV stream or a snapshot) or a complete ag(r). Steps 1–4 consume only
 // the stripped partition database built from the source's columns, and
-// step 5 reads the original values only when the source is a relation —
-// matching the paper's limited-main-memory design.
+// step 5 reads only each attribute's domain size and first dictionary
+// values, from any source that keeps its dictionaries (armstrong.Source)
+// — matching the paper's limited-main-memory design.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -26,6 +29,7 @@ import (
 	"repro/internal/armstrong"
 	"repro/internal/attrset"
 	"repro/internal/extsort"
+	"repro/internal/fastfds"
 	"repro/internal/faultinject"
 	"repro/internal/fd"
 	"repro/internal/guard"
@@ -35,7 +39,8 @@ import (
 	"repro/internal/relation"
 )
 
-// AgreeAlgorithm selects how agree sets are computed.
+// AgreeAlgorithm selects the miner: how agree sets are computed, or
+// FastFDs' step 3.
 type AgreeAlgorithm int
 
 const (
@@ -49,6 +54,10 @@ const (
 	// AgreeNaive is the O(n·p²) direct pairwise scan, for baselines and
 	// tests only. It requires a *relation.Relation source.
 	AgreeNaive
+	// FastFDs is Dep-Miner with a different step 3 (Wyss et al. 2001):
+	// agree sets by Algorithm 3 and maximal sets as for Dep-Miner, then a
+	// depth-first search over difference sets instead of Algorithm 5.
+	FastFDs
 )
 
 // String returns the evaluation's name for the algorithm.
@@ -60,6 +69,8 @@ func (a AgreeAlgorithm) String() string {
 		return "Dep-Miner 2"
 	case AgreeNaive:
 		return "naive"
+	case FastFDs:
+		return "FastFDs"
 	default:
 		return fmt.Sprintf("AgreeAlgorithm(%d)", int(a))
 	}
@@ -86,7 +97,7 @@ const (
 // the default chunk size, all cores, and builds a real-world Armstrong
 // relation with synthetic fallback.
 type Options struct {
-	// Algorithm selects the agree-set computation.
+	// Algorithm selects the miner.
 	Algorithm AgreeAlgorithm
 	// ChunkSize bounds couples in memory for AgreeCouples; 0 means
 	// agree.DefaultChunkSize.
@@ -147,7 +158,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative MaxAgreeBytes %d", ErrInvalidOptions, o.MaxAgreeBytes)
 	}
 	switch o.Algorithm {
-	case AgreeCouples, AgreeIdentifiers, AgreeNaive:
+	case AgreeCouples, AgreeIdentifiers, AgreeNaive, FastFDs:
 	default:
 		return fmt.Errorf("%w: unknown agree algorithm %d", ErrInvalidOptions, int(o.Algorithm))
 	}
@@ -190,10 +201,12 @@ type Result struct {
 	// MaxSets is MAX(dep(r)) = GEN(dep(r)).
 	MaxSets attrset.Family
 	// LHS[a] is lhs(dep(r), a) including the trivial {a} when present,
-	// exactly as Algorithm 5 computes it.
+	// exactly as Algorithm 5 computes it; nil under FastFDs.
 	LHS []attrset.Family
+	// DFSNodes counts the FastFDs search-tree nodes visited in step 3.
+	DFSNodes int
 	// Armstrong is the Armstrong relation, nil when Options.Armstrong is
-	// ArmstrongNone or the Input's source is not a relation.
+	// ArmstrongNone or the Input's source keeps no dictionaries.
 	Armstrong *relation.Relation
 	// ArmstrongSynthetic reports that the synthetic construction was
 	// used (always, or as fallback).
@@ -239,9 +252,10 @@ func contain(phase string, res *Result, errp *error) {
 }
 
 // Input states what a run starts from: a Source runs the whole pipeline,
-// Agree skips step 1. Raw values are read only from a *relation.Relation
-// source — by the naive agree-set scan and step 5 — so over any other
-// source step 5 is skipped whatever Options.Armstrong says.
+// Agree skips step 1. The naive agree-set scan reads rows, so it needs a
+// *relation.Relation source; step 5 reads dictionaries, so over a source
+// that is not an armstrong.Source it is skipped whatever
+// Options.Armstrong says.
 type Input struct {
 	// Source supplies the dictionary-coded columns step 1 partitions.
 	Source partition.ColumnSource
@@ -296,8 +310,9 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 		return fail(res, err)
 	}
 
-	// Step 5: ARMSTRONG_RELATION, which needs the original values.
-	if opts.Armstrong == ArmstrongNone || rel == nil {
+	// Step 5: ARMSTRONG_RELATION, which needs the dictionaries.
+	dicts, ok := in.Source.(armstrong.Source)
+	if opts.Armstrong == ArmstrongNone || !ok {
 		return res, nil
 	}
 	if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
@@ -307,7 +322,7 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 		return fail(res, cerr)
 	}
 	t0 := time.Now()
-	arm, synthetic, aerr := buildArmstrong(rel, res.MaxSets, opts.Armstrong)
+	arm, synthetic, aerr := buildArmstrong(dicts, res.MaxSets, opts.Armstrong)
 	if aerr != nil {
 		return fail(res, aerr)
 	}
@@ -380,7 +395,7 @@ func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Optio
 	}
 	plan := agree.NewPlan(db)
 	v := agree.VariantCouples
-	if opts.Algorithm == AgreeIdentifiers {
+	if opts.Algorithm == AgreeIdentifiers || opts.Algorithm == FastFDs {
 		v = agree.VariantIdentifiers
 	} else if opts.MaxCouples > 0 && plan.Couples() > opts.MaxCouples {
 		res.Notes = append(res.Notes, degradeNote(plan.Couples(), opts.MaxCouples))
@@ -409,7 +424,9 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 	// Tr(cmax(dep(r),A)) are independent, so they fan out one task per RHS
 	// attribute (paper Fig. 1 step 4); FDs are then emitted from the
 	// index-ordered results, keeping the output canonical regardless of
-	// which worker finished first.
+	// which worker finished first. FastFDs searches attribute by
+	// attribute instead, and a governed cutoff keeps the attributes it
+	// finished.
 	if ferr := faultinject.Fire(faultinject.CoreLHS); ferr != nil {
 		return ferr
 	}
@@ -417,17 +434,20 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 		return cerr
 	}
 	t0 = time.Now()
-	hs := make([]*hypergraph.Hypergraph, arity)
-	for a := 0; a < arity; a++ {
-		hs[a] = hypergraph.Simplify(ms.CMax[a])
+	var lhs []attrset.Family
+	var err error
+	if opts.Algorithm == FastFDs {
+		lhs, res.DFSNodes, err = fastfds.Covers(ctx, ms.CMax, opts.Budget)
+	} else {
+		hs := make([]*hypergraph.Hypergraph, arity)
+		for a := 0; a < arity; a++ {
+			hs[a] = hypergraph.Simplify(ms.CMax[a])
+		}
+		lhs, err = hypergraph.TransversalsAll(ctx, hs, opts.Workers, opts.Budget)
+		res.LHS = lhs
 	}
-	lhs, err := hypergraph.TransversalsAll(ctx, hs, opts.Workers, opts.Budget)
-	if err != nil {
-		return err
-	}
-	res.LHS = lhs
-	for a := 0; a < arity; a++ {
-		for _, x := range lhs[a] {
+	for a, xs := range lhs {
+		for _, x := range xs {
 			if x == attrset.Single(a) {
 				continue
 			}
@@ -436,11 +456,13 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 	}
 	res.FDs.Sort()
 	res.Stats.LHS = time.Since(t0)
-	return nil
+	return err
 }
 
-// buildArmstrong implements step 5 with the configured fallback policy.
-func buildArmstrong(r *relation.Relation, maxSets attrset.Family, mode ArmstrongMode) (*relation.Relation, bool, error) {
+// buildArmstrong implements step 5 with the configured fallback policy:
+// only a failed Proposition 1 falls back to the synthetic construction, a
+// dictionary read error fails the step.
+func buildArmstrong(r armstrong.Source, maxSets attrset.Family, mode ArmstrongMode) (*relation.Relation, bool, error) {
 	switch mode {
 	case ArmstrongSynthetic:
 		arm, err := armstrong.Synthetic(maxSets, r.Names())
@@ -450,8 +472,9 @@ func buildArmstrong(r *relation.Relation, maxSets attrset.Family, mode Armstrong
 		return arm, false, err
 	case ArmstrongRealWorldOrSynthetic:
 		arm, err := armstrong.RealWorld(r, maxSets)
-		if err == nil {
-			return arm, false, nil
+		var short *armstrong.ErrNotEnoughValues
+		if !errors.As(err, &short) {
+			return arm, false, err
 		}
 		arm, err = armstrong.Synthetic(maxSets, r.Names())
 		return arm, true, err

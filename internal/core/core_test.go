@@ -11,7 +11,10 @@ import (
 	"repro/internal/agree"
 	"repro/internal/attrset"
 	"repro/internal/datagen"
+	"repro/internal/faultinject"
 	"repro/internal/fd"
+	"repro/internal/guard"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -98,9 +101,10 @@ func TestDiscoverLHSFamilies(t *testing.T) {
 	}
 }
 
-// codesOnly is a column source that is not a *relation.Relation: it
-// hides the raw values the naive scan and step 5 need.
-type codesOnly struct{ *relation.Relation }
+// codesOnly is a column source that is neither a *relation.Relation nor
+// an armstrong.Source: it hides the rows the naive scan needs and the
+// dictionaries step 5 reads.
+type codesOnly struct{ partition.ColumnSource }
 
 func TestRunFromDatabase(t *testing.T) {
 	src := codesOnly{relation.PaperExample()}
@@ -302,6 +306,45 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if AgreeAlgorithm(42).String() == "" {
 		t.Error("unknown algorithm must still render")
+	}
+}
+
+// TestFastFDsStep3 pins FastFDs as Dep-Miner with a different step 3:
+// the same cover, agree sets and max sets, no Algorithm 5 LHS families, a
+// counted search — and a governed cutoff inside the search keeps the FDs
+// of the attributes it finished.
+func TestFastFDsStep3(t *testing.T) {
+	ctx := context.Background()
+	r := relation.PaperExample()
+	dm, err := Discover(ctx, r, Options{Algorithm: AgreeIdentifiers, Armstrong: ArmstrongNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff, err := Discover(ctx, r, Options{Algorithm: FastFDs, Armstrong: ArmstrongNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ff.FDs, ff.AgreeSets, ff.MaxSets) != fmt.Sprint(dm.FDs, dm.AgreeSets, dm.MaxSets) {
+		t.Errorf("FastFDs result differs from Dep-Miner 2's:\n%s", ff.FDs)
+	}
+	if ff.LHS != nil || ff.DFSNodes == 0 || dm.DFSNodes != 0 || FastFDs.String() != "FastFDs" {
+		t.Errorf("LHS=%v DFSNodes=%d (Dep-Miner %d) name=%q", ff.LHS, ff.DFSNodes, dm.DFSNodes, FastFDs)
+	}
+
+	faultinject.Set(faultinject.FastFDsAttr, faultinject.After(2, faultinject.FailWith(guard.ErrBudget)))
+	defer faultinject.Reset()
+	part, err := Discover(ctx, r, Options{Algorithm: FastFDs, Armstrong: ArmstrongNone})
+	if !errors.Is(err, guard.ErrBudget) || part == nil || !part.Partial {
+		t.Fatalf("cutoff at the third attribute: res=%v err=%v, want a partial result", part, err)
+	}
+	var want fd.Cover
+	for _, f := range dm.FDs {
+		if f.RHS < 2 {
+			want = append(want, f)
+		}
+	}
+	if fmt.Sprint(part.FDs) != fmt.Sprint(want) {
+		t.Errorf("partial FDs = %s, want the first two attributes' %s", part.FDs, want)
 	}
 }
 

@@ -186,17 +186,26 @@ func (sr *SnapshotReader) Column(a int) ([]int, int, error) {
 	return codes, int(col.dictSize), nil
 }
 
-// Dict decodes attribute a's dictionary: value strings indexed by code.
-func (sr *SnapshotReader) Dict(a int) ([]string, error) {
+// DomainSize returns attribute a's dictionary size, read from the
+// snapshot's header at open.
+func (sr *SnapshotReader) DomainSize(a int) int { return int(sr.cols[a].dictSize) }
+
+// DictPrefix decodes the first k values of attribute a's dictionary (the
+// values of codes 0..k-1) off the file, reading no further: with
+// DomainSize it makes the reader an armstrong.Source.
+func (sr *SnapshotReader) DictPrefix(a, k int) ([]string, error) {
 	if a < 0 || a >= len(sr.cols) {
 		return nil, fmt.Errorf("durable: column %d out of range %d", a, len(sr.cols))
 	}
 	col := sr.cols[a]
+	if k < 0 || uint64(k) > col.dictSize {
+		return nil, fmt.Errorf("durable: %d values requested of dictionary %d (size %d)", k, a, col.dictSize)
+	}
 	cr := &crcScanner{
 		r:         io.NewSectionReader(sr.f, sr.base+col.dictOff, col.codesOff-col.dictOff),
 		remaining: col.codesOff - col.dictOff,
 	}
-	vals := make([]string, col.dictSize)
+	vals := make([]string, k)
 	for i := range vals {
 		v, err := cr.string()
 		if err != nil {

@@ -64,7 +64,7 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 				t.Fatalf("column %d row %d code = %d, want %d", a, tt, code, c.cols[a][tt])
 			}
 		}
-		dict, err := sr.Dict(a)
+		dict, err := sr.DictPrefix(a, sr.DomainSize(a))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestSnapshotStreamLargeStrings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	dict, err := sr.Dict(0)
+	dict, err := sr.DictPrefix(0, sr.DomainSize(0))
 	if err != nil || len(dict) != 3 {
 		t.Fatalf("Dict = %d values, err %v", len(dict), err)
 	}

@@ -18,98 +18,43 @@
 // on wide candidate levels; the DFS's memory use is bounded by the search
 // depth instead.
 //
-// The package reuses the stripped-partition agree-set computation of
-// internal/agree, so the two miners share everything up to the lhs step —
-// making FastFDs both an extension and a cross-validation oracle for the
-// transversal code.
+// The package is step 3 of the Dep-Miner pipeline and nothing else:
+// internal/core runs steps 1–2 (agree sets, then maximal sets) exactly as
+// for Dep-Miner and hands Covers the cmax(dep(r),A) families, so the two
+// miners share everything up to the lhs step — making FastFDs both an
+// extension and a cross-validation oracle for the transversal code.
 package fastfds
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
-	"repro/internal/agree"
 	"repro/internal/attrset"
 	"repro/internal/faultinject"
-	"repro/internal/fd"
 	"repro/internal/guard"
-	"repro/internal/maxsets"
-	"repro/internal/partition"
-	"repro/internal/relation"
 )
 
-// Options configure a FastFDs run.
-type Options struct {
-	// Budget governs the run: the agree-set computation charges couples
-	// and sets produced, and the DFS charges nodes visited. On overrun
-	// the partial Result (covers of the attributes completed, Partial =
-	// true) is returned with the guard error. nil means ungoverned.
-	Budget *guard.Budget
-}
-
-// Result is the outcome of a FastFDs run.
-type Result struct {
-	// FDs is the canonical cover of minimal non-trivial FDs, sorted.
-	FDs fd.Cover
-	// Nodes counts DFS tree nodes visited across all attributes.
-	Nodes int
-	// Elapsed is the wall-clock duration.
-	Elapsed time.Duration
-	// Partial reports that the search stopped early on a budget or
-	// deadline overrun (or a contained panic): FDs holds only the RHS
-	// attributes fully searched before the cutoff. Always accompanied by
-	// a non-nil error.
-	Partial bool
-}
-
-// Run mines all minimal non-trivial FDs of the relation. Panics anywhere
-// in the miner are contained at this boundary and surface as a
-// *guard.PanicError.
-func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
-	start := time.Now()
-	res = &Result{}
-	defer func() {
-		if p := recover(); p != nil {
-			res.Partial = true
-			res.Elapsed = time.Since(start)
-			err = guard.NewPanicError("fastfds", p)
-		}
-	}()
-	db := partition.NewDatabase(r)
-	agr, aerr := agree.Identifiers(ctx, db, agree.Options{Budget: opts.Budget})
-	if aerr != nil {
-		if guard.Governed(aerr) {
-			res.Partial = true
-			res.Elapsed = time.Since(start)
-			return res, aerr
-		}
-		return nil, aerr
-	}
-	inner, derr := FromAgreeSets(ctx, agr.Sets, r.Arity(), opts)
-	if inner != nil {
-		inner.Elapsed = time.Since(start)
-		res = inner
-	}
-	return res, derr
-}
-
-// FromAgreeSets mines the cover from precomputed agree sets.
-func FromAgreeSets(ctx context.Context, agreeSets attrset.Family, arity int, opts Options) (*Result, error) {
-	ms := maxsets.Compute(agreeSets, arity)
-	res := &Result{}
-	for a := 0; a < arity; a++ {
+// Covers computes, for every attribute A in index order, the non-trivial
+// minimal left-hand sides of A: the minimal covers of the difference sets
+// modulo A built from cmax[A]. An attribute with no difference set is
+// constant and gets {∅}; one whose cmax holds R\{A} gets no LHS at all.
+// nodes counts the DFS tree nodes visited. On a governed cutoff — budget,
+// deadline or an error injected at faultinject.FastFDsAttr — lhs holds the
+// attributes finished before it, alongside the error.
+func Covers(ctx context.Context, cmax []attrset.Family, b *guard.Budget) (lhs []attrset.Family, nodes int, err error) {
+	lhs = make([]attrset.Family, 0, len(cmax))
+	for a, sets := range cmax {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("fastfds: cancelled: %w", err)
+			return nil, nodes, fmt.Errorf("fastfds: cancelled: %w", err)
 		}
 		if ferr := faultinject.Fire(faultinject.FastFDsAttr); ferr != nil {
-			return failFastFDs(res, ferr)
+			return lhs, nodes, ferr
 		}
 		// Difference sets modulo A.
-		diff := make(attrset.Family, 0, len(ms.CMax[a]))
+		diff := make(attrset.Family, 0, len(sets))
 		empty := false
-		for _, e := range ms.CMax[a] {
+		for _, e := range sets {
 			d := e.Without(a)
 			if d.IsEmpty() {
 				// max set R\{A}: nothing but A itself determines A.
@@ -118,39 +63,24 @@ func FromAgreeSets(ctx context.Context, agreeSets attrset.Family, arity int, opt
 			}
 			diff = append(diff, d)
 		}
-		if empty {
-			continue
-		}
-		if len(diff) == 0 {
+		switch {
+		case empty:
+			lhs = append(lhs, nil)
+		case len(diff) == 0:
 			// No difference set: every couple agrees on A, i.e. A is
 			// constant; ∅ → A is the (unique) minimal FD.
-			res.FDs = append(res.FDs, fd.FD{LHS: attrset.Empty(), RHS: a})
-			continue
-		}
-		// Keep only ⊆-minimal difference sets: any cover of a set also
-		// covers its supersets.
-		diff = diff.Minimal()
-		covers, cerr := findCovers(ctx, diff, arity, &res.Nodes, opts.Budget)
-		if cerr != nil {
-			return failFastFDs(res, cerr)
-		}
-		for _, x := range covers {
-			res.FDs = append(res.FDs, fd.FD{LHS: x, RHS: a})
+			lhs = append(lhs, attrset.Family{attrset.Empty()})
+		default:
+			// Keep only ⊆-minimal difference sets: any cover of a set
+			// also covers its supersets.
+			covers, cerr := findCovers(diff.Minimal(), &nodes, b)
+			if cerr != nil {
+				return lhs, nodes, cerr
+			}
+			lhs = append(lhs, covers)
 		}
 	}
-	res.FDs.Sort()
-	return res, nil
-}
-
-// failFastFDs finalises an interrupted search: governed errors keep the
-// FDs mined so far as a partial result, anything else drops them.
-func failFastFDs(res *Result, err error) (*Result, error) {
-	if !guard.Governed(err) {
-		return nil, err
-	}
-	res.Partial = true
-	res.FDs.Sort()
-	return res, err
+	return lhs, nodes, nil
 }
 
 // chargeEvery is how many DFS nodes accumulate between budget charges:
@@ -168,7 +98,7 @@ type searchState struct {
 }
 
 // findCovers returns all minimal covers of the difference-set family.
-func findCovers(ctx context.Context, diff attrset.Family, arity int, nodes *int, b *guard.Budget) (attrset.Family, error) {
+func findCovers(diff attrset.Family, nodes *int, b *guard.Budget) (attrset.Family, error) {
 	st := &searchState{diff: diff, nodes: nodes, budget: b}
 	// Initial ordering: attributes of the union, by descending cover
 	// count (FastFDs' heuristic), ties by ascending index.

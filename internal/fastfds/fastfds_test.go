@@ -1,15 +1,23 @@
-package fastfds
+package fastfds_test
+
+// The end-to-end tests run FastFDs as the library does: Dep-Miner's steps
+// 1–2, then this package's depth-first search as step 3.
 
 import (
 	"context"
 	"math/rand"
 	"testing"
 
+	depminer "repro"
 	"repro/internal/attrset"
 	"repro/internal/fd"
 	"repro/internal/relation"
 	"repro/internal/tane"
 )
+
+func fastFDs(ctx context.Context, r *relation.Relation) (*depminer.Result, error) {
+	return depminer.Discover(ctx, r, depminer.Options{Algorithm: depminer.FastFDs})
+}
 
 func coversIdentical(a, b fd.Cover) bool {
 	if len(a) != len(b) {
@@ -25,7 +33,7 @@ func coversIdentical(a, b fd.Cover) bool {
 
 func TestPaperExample(t *testing.T) {
 	r := relation.PaperExample()
-	res, err := Run(context.Background(), r, Options{})
+	res, err := fastFDs(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +41,7 @@ func TestPaperExample(t *testing.T) {
 	if !coversIdentical(res.FDs, want) {
 		t.Errorf("FastFDs FDs =\n%s\nwant\n%s", res.FDs, want)
 	}
-	if res.Nodes == 0 || res.Elapsed <= 0 {
+	if res.DFSNodes == 0 || res.Stats.LHS <= 0 {
 		t.Error("stats not populated")
 	}
 }
@@ -44,7 +52,7 @@ func TestConstantColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), r, Options{})
+	res, err := fastFDs(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +70,7 @@ func TestNoNontrivialFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), r, Options{})
+	res, err := fastFDs(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func TestDegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(context.Background(), r, Options{})
+		res, err := fastFDs(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +100,7 @@ func TestDegenerate(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, relation.PaperExample(), Options{}); err == nil {
+	if _, err := fastFDs(ctx, relation.PaperExample()); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }
@@ -118,7 +126,7 @@ func TestPropertyThreeWayAgreement(t *testing.T) {
 		}
 		r = r.Deduplicate()
 		want := fd.MineBrute(r)
-		res, err := Run(context.Background(), r, Options{})
+		res, err := fastFDs(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,44 +141,5 @@ func TestPropertyThreeWayAgreement(t *testing.T) {
 		if !coversIdentical(res.FDs, tn.FDs) {
 			t.Fatalf("iter %d: FastFDs and TANE disagree", iter)
 		}
-	}
-}
-
-func TestOrderByCoverage(t *testing.T) {
-	diff := attrset.Family{
-		attrset.New(0, 1),
-		attrset.New(1, 2),
-		attrset.New(1),
-	}
-	order := orderByCoverage([]int{0, 1, 2, 3}, diff)
-	// 1 covers 3 sets, 0 and 2 cover 1 each (tie → index order), 3
-	// covers none and is dropped.
-	want := []int{1, 0, 2}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestFromAgreeSetsDirect(t *testing.T) {
-	// Paper agree sets → paper FDs, bypassing the relation.
-	sets := attrset.Family{
-		attrset.Empty(),
-		attrset.New(0),       // A
-		attrset.New(1, 3, 4), // BDE
-		attrset.New(2, 4),    // CE
-		attrset.New(4),       // E
-	}
-	res, err := FromAgreeSets(context.Background(), sets, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fd.MineBrute(relation.PaperExample())
-	if !coversIdentical(res.FDs, want) {
-		t.Errorf("FDs =\n%s\nwant\n%s", res.FDs, want)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/pstore"
-	"repro/internal/relation"
 )
 
 // Options configure a key discovery run.
@@ -91,10 +90,11 @@ type node struct {
 	unique bool
 }
 
-// Discover finds all minimal candidate keys of the relation. Panics
+// Discover finds all minimal candidate keys of the relation src supplies,
+// reading each column once into its single-attribute partition. Panics
 // anywhere in the search are contained at this boundary and surface as a
 // *guard.PanicError.
-func Discover(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
+func Discover(ctx context.Context, src partition.ColumnSource, opts Options) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{}
 	var store *pstore.Store
@@ -111,26 +111,29 @@ func Discover(ctx context.Context, r *relation.Relation, opts Options) (res *Res
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	n := r.Arity()
-	if n == 0 || r.Rows() <= 1 {
+	n, rows := src.Arity(), src.Rows()
+	if n == 0 || rows <= 1 {
 		// The empty set is a key iff the relation has at most one tuple.
-		if r.Rows() <= 1 {
+		if rows <= 1 {
 			res.Keys = attrset.Family{attrset.Empty()}
 		}
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
 
+	db, err := partition.NewDatabaseFromSource(src)
+	if err != nil {
+		return nil, err
+	}
 	workers := pool.Resolve(opts.Workers)
 	probers := make([]*partition.Prober, workers)
 	for w := range probers {
-		probers[w] = partition.NewProber(r.Rows())
+		probers[w] = partition.NewProber(rows)
 	}
 	store = pstore.New(opts.MaxPartitionBytes, opts.Budget)
 
 	level := make([]*node, 0, n)
-	for a := 0; a < n; a++ {
-		p := partition.Single(r, a)
+	for a, p := range db.Attr {
 		store.PutRoot(attrset.Single(a), p)
 		level = append(level, &node{set: attrset.Single(a), unique: p.IsUnique()})
 	}
@@ -237,10 +240,4 @@ func failKeys(res *Result, store *pstore.Store, start time.Time, err error) (*Re
 	res.Stats = store.Stats()
 	res.Elapsed = time.Since(start)
 	return res, err
-}
-
-// IsUnique reports whether X is a superkey of the instance (no two tuples
-// agree on all of X), by direct partition computation.
-func IsUnique(r *relation.Relation, x attrset.Set) bool {
-	return partition.Of(r, x).IsUnique()
 }

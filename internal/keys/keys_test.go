@@ -9,6 +9,7 @@ import (
 	"repro/internal/attrset"
 	"repro/internal/fd"
 	"repro/internal/guard"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -116,19 +117,6 @@ func TestDegenerate(t *testing.T) {
 	}
 }
 
-func TestIsUnique(t *testing.T) {
-	r := relation.PaperExample()
-	if IsUnique(r, set("A")) {
-		t.Error("A is not unique (tuples 1, 2 share empnum)")
-	}
-	if !IsUnique(r, set("AB")) {
-		t.Error("AB should be unique")
-	}
-	if !IsUnique(r, set("ABCDE")) {
-		t.Error("R is unique on a duplicate-free relation")
-	}
-}
-
 // bruteKeys enumerates minimal unique sets directly.
 func bruteKeys(r *relation.Relation) attrset.Family {
 	n := r.Arity()
@@ -140,7 +128,7 @@ func bruteKeys(r *relation.Relation) attrset.Family {
 				x.Add(b)
 			}
 		}
-		if IsUnique(r, x) {
+		if partition.Of(r, x).IsUnique() {
 			uniques = append(uniques, x)
 		}
 	}

@@ -324,6 +324,13 @@ func (r *Relation) ValueForCode(a attrset.Attr, code int) string {
 // existence condition for real-world Armstrong relations.
 func (r *Relation) DomainSize(a attrset.Attr) int { return len(r.dicts[a]) }
 
+// DictPrefix returns the values of codes 0..k-1 of attribute a, making a
+// Relation an armstrong.Source; the error is always nil. The returned
+// slice must not be modified.
+func (r *Relation) DictPrefix(a attrset.Attr, k int) ([]string, error) {
+	return r.dicts[a][:k], nil
+}
+
 // Agree reports whether tuples ti and tj agree on every attribute of X,
 // i.e. ti[X] = tj[X].
 func (r *Relation) Agree(ti, tj int, x attrset.Set) bool {

@@ -42,7 +42,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/extsort"
-	"repro/internal/fastfds"
 	"repro/internal/fd"
 	"repro/internal/guard"
 	"repro/internal/obs"
@@ -82,9 +81,9 @@ type Config struct {
 	// request omits it: 0 = all cores.
 	Workers int
 	// MaxAgreeBytes caps (and defaults) the per-request resident
-	// agree-set bytes for depminer/depminer2; past the cap, sorted runs
-	// spill to SpillDir and are merged back streamingly. 0 leaves
-	// requests in-memory unless they ask for a cap.
+	// agree-set bytes for depminer/depminer2/fastfds; past the cap,
+	// sorted runs spill to SpillDir and are merged back streamingly. 0
+	// leaves requests in-memory unless they ask for a cap.
 	MaxAgreeBytes int64
 	// SpillDir is where agree-set runs spill; empty = os.TempDir().
 	SpillDir string
@@ -102,8 +101,8 @@ type Config struct {
 	SnapshotEvery int
 	// WorkerEndpoints lists depminerd worker base URLs ("host:port" or
 	// full URLs); non-empty makes this server a shard coordinator:
-	// depminer/depminer2 discoveries split their agree-set phase across
-	// the fleet (shard.go). Empty = single-node.
+	// depminer/depminer2/fastfds discoveries split their agree-set phase
+	// across the fleet (shard.go). Empty = single-node.
 	WorkerEndpoints []string
 	// DefaultShards is the shard count for coordinated discoveries whose
 	// request leaves Shards at 0. 0 = one shard per worker endpoint.
@@ -436,12 +435,16 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 	if p.epsilon > 0 && p.algorithm != "tane" {
 		return p, fmt.Errorf("epsilon is a tane-only option")
 	}
+	coreMiner := p.algorithm != "tane" && p.algorithm != "incremental"
+	if p.armstrong && !coreMiner {
+		return p, fmt.Errorf("armstrong is a depminer/depminer2/fastfds option")
+	}
 	if p.shards > 0 {
 		if s.fleet == nil {
 			return p, fmt.Errorf("shards is a coordinator-only option (no worker endpoints configured)")
 		}
-		if p.algorithm != "depminer" && p.algorithm != "depminer2" {
-			return p, fmt.Errorf("shards is a depminer/depminer2-only option")
+		if !coreMiner {
+			return p, fmt.Errorf("shards is a depminer/depminer2/fastfds option")
 		}
 	}
 	if p.workers == 0 {
@@ -476,11 +479,12 @@ func (p discoverParams) optionsKey() string {
 	return fmt.Sprintf("eps=%g|arm=%t", p.epsilon, p.armstrong)
 }
 
-// runDiscovery executes one admitted discovery. Governed overruns —
-// budget, deadline, contained panic — return the partial response
-// (Partial set, Error describing the cutoff) with a nil error, honouring
-// the partial-result contract over the wire; hard failures return a nil
-// response.
+// runDiscovery executes one admitted discovery: incremental re-derives
+// from the session's agree sets, and every other miner reads the one
+// source discoverySource opens. Governed overruns — budget, deadline,
+// contained panic — return the partial response (Partial set, Error
+// describing the cutoff) with a nil error, honouring the partial-result
+// contract over the wire; hard failures return a nil response.
 func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams) (*DiscoverResponse, error) {
 	start := time.Now()
 	budget := guard.WithTimeout(p.timeout, p.units)
@@ -488,51 +492,61 @@ func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams)
 	if p.algorithm == "incremental" {
 		return s.runIncremental(ctx, d, p, start)
 	}
-	if p.algorithm == "depminer" || p.algorithm == "depminer2" {
-		return s.runDepminer(ctx, d, p, start, budget)
-	}
-
-	rel, fp, err := d.snapshot()
+	src, err := s.discoverySource(d)
 	if err != nil {
 		return nil, err
 	}
-	resp := &DiscoverResponse{
-		Dataset:     d.id,
-		Fingerprint: fp,
-		Algorithm:   p.algorithm,
-		Rows:        rel.Rows(),
-		Attributes:  rel.Arity(),
+	defer src.Close()
+	prepared := time.Since(start)
+	if src.streamed() {
+		s.stats.mu.Lock()
+		s.stats.counts.SnapshotStreams++
+		s.stats.mu.Unlock()
 	}
-	var (
-		cover   fd.Cover
-		partial bool
-		runErr  error
-	)
-	switch p.algorithm {
-	case "fastfds":
-		res, rerr := fastfds.Run(ctx, rel, fastfds.Options{Budget: budget})
-		runErr = rerr
-		if res != nil {
-			cover, partial = res.FDs, res.Partial
-			resp.DFSNodes = res.Nodes
-		}
-	case "tane":
-		res, rerr := tane.Run(ctx, rel, tane.Options{
+	resp := &DiscoverResponse{
+		Dataset:          d.id,
+		Fingerprint:      src.fp,
+		Algorithm:        p.algorithm,
+		Rows:             src.Rows(),
+		Attributes:       src.Arity(),
+		SnapshotStreamed: src.streamed(),
+	}
+	if p.algorithm == "tane" {
+		res, rerr := tane.Run(ctx, src.ColumnSource, tane.Options{
 			Epsilon:           p.epsilon,
 			Workers:           p.workers,
 			MaxPartitionBytes: p.maxPartitionBytes,
 			Budget:            budget,
 		})
-		runErr = rerr
-		if res != nil {
-			cover, partial = res.FDs, res.Partial
-			resp.LatticeNodes = res.LatticeNodes
-			s.stats.mu.Lock()
-			s.stats.addPstore(res.Stats)
-			s.stats.mu.Unlock()
+		if res == nil {
+			return nil, rerr
 		}
+		resp.LatticeNodes = res.LatticeNodes
+		s.stats.mu.Lock()
+		s.stats.addPstore(res.Stats)
+		s.stats.mu.Unlock()
+		return finishResponse(resp, res.FDs, res.Partial, rerr, src.Names(), start, budget)
 	}
-	return finishResponse(resp, cover, partial, runErr, rel.Names(), start, budget)
+
+	// Dep-Miner and FastFDs: core.Run over the opened source, which it
+	// partitions once; preparing the source — materialising the relation,
+	// or opening and verifying the snapshot — is added to the partition
+	// phase. A coordinator hands core.Run its fan-out as step 1's remote
+	// run source.
+	in := core.Input{Source: src.ColumnSource}
+	var fan *fanOut
+	if s.fleet != nil {
+		fan = s.newFanOut(d, p, src)
+		in.Remote = fan
+	}
+	res, runErr := core.Run(ctx, in, s.coreOptions(p, budget))
+	if res != nil {
+		res.Stats.Partition += prepared
+	}
+	if fan != nil {
+		fan.record(ctx, resp, res)
+	}
+	return s.depminerResponse(ctx, resp, res, runErr, src.Names(), start, budget)
 }
 
 // finishResponse renders a discovery's cover into resp. A governed

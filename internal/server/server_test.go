@@ -364,6 +364,11 @@ func TestErrorPaths(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Epsilon: 0.1}, nil); code != http.StatusBadRequest {
 		t.Errorf("epsilon on depminer: status = %d, want 400", code)
 	}
+	for _, algo := range []string{"tane", "incremental"} {
+		if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Algorithm: algo, Armstrong: true}, nil); code != http.StatusBadRequest {
+			t.Errorf("armstrong on %s: status = %d, want 400", algo, code)
+		}
+	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/job-999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: status = %d, want 404", code)
 	}

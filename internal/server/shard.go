@@ -1,8 +1,8 @@
 // Distributed discovery: the coordinator/worker split of the agree-set
 // phase (DESIGN.md §15).
 //
-// A coordinator-configured server runs depminer/depminer2 discoveries
-// through the same core.Run as a single node, with one difference: step
+// A coordinator-configured server runs depminer/depminer2/fastfds
+// discoveries through the same core.Run as a single node, with one difference: step
 // 1's runs may come from elsewhere. fanOut is the agree.Remote that
 // dispatches each shard of the couple space to a worker depminerd over
 // POST /v1/shard/agree. Datasets are addressed by content fingerprint, so
@@ -81,7 +81,7 @@ func newFleet(endpoints []string) ([]*client.Client, error) {
 	return fleet, nil
 }
 
-// discSource is the input of one depminer discovery: the column source
+// discSource is the input of one batch discovery: the column source
 // — the materialised relation or a verified snapshot reader — pinned to
 // the fingerprint it was derived from. Close releases a snapshot reader.
 type discSource struct {
@@ -100,16 +100,13 @@ func (src *discSource) Close() {
 
 // discoverySource opens the discovery input for d, preferring a streamed
 // durable snapshot — no relation materialisation — when one fully covers
-// the dataset and the request does not need the original values
-// (needRelation: an Armstrong construction does). The snapshot's embedded
+// the dataset. The snapshot's embedded
 // fingerprint is re-verified against the registry after opening, so a
 // compaction or append racing the check degrades to the materialised
 // path, never to stale data. The caller must Close the source.
-func (s *Server) discoverySource(d *dataset, needRelation bool) (*discSource, error) {
-	if !needRelation {
-		if src, ok := s.tryStreamSource(d); ok {
-			return src, nil
-		}
+func (s *Server) discoverySource(d *dataset) (*discSource, error) {
+	if src, ok := s.tryStreamSource(d); ok {
+		return src, nil
 	}
 	rel, fp, err := d.snapshot()
 	if err != nil {
@@ -158,56 +155,16 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 		MaxAgreeBytes: p.maxAgreeBytes,
 		SpillDir:      s.cfg.SpillDir,
 	}
-	if p.algorithm == "depminer2" {
+	switch p.algorithm {
+	case "depminer2":
 		opts.Algorithm = core.AgreeIdentifiers
+	case "fastfds":
+		opts.Algorithm = core.FastFDs
 	}
 	if p.armstrong {
 		opts.Armstrong = core.ArmstrongRealWorldOrSynthetic
 	}
 	return opts
-}
-
-// runDepminer serves the depminer/depminer2 algorithms: core.Run over
-// the opened source, which it partitions once. Preparing the source —
-// materialising the relation, or opening and verifying the snapshot — is
-// added to the partition phase. A coordinator hands core.Run its fan-out
-// as step 1's remote run source; core.Run does the rest on every path,
-// and depminerResponse builds the one response shape.
-func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
-	t0 := time.Now()
-	src, err := s.discoverySource(d, p.armstrong)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	prepared := time.Since(t0)
-	if src.streamed() {
-		s.stats.mu.Lock()
-		s.stats.counts.SnapshotStreams++
-		s.stats.mu.Unlock()
-	}
-	resp := &DiscoverResponse{
-		Dataset:          d.id,
-		Fingerprint:      src.fp,
-		Algorithm:        p.algorithm,
-		Rows:             src.Rows(),
-		Attributes:       src.Arity(),
-		SnapshotStreamed: src.streamed(),
-	}
-	in := core.Input{Source: src.ColumnSource}
-	var fan *fanOut
-	if s.fleet != nil {
-		fan = s.newFanOut(d, p, src)
-		in.Remote = fan
-	}
-	res, runErr := core.Run(ctx, in, s.coreOptions(p, budget))
-	if res != nil {
-		res.Stats.Partition += prepared
-	}
-	if fan != nil {
-		fan.record(ctx, resp, res)
-	}
-	return s.depminerResponse(ctx, resp, res, runErr, src.Names(), start, budget)
 }
 
 // depminerResponse completes resp from a depminer run — local or
@@ -220,6 +177,7 @@ func (s *Server) depminerResponse(ctx context.Context, resp *DiscoverResponse, r
 	resp.Couples = res.Couples
 	resp.AgreeSets = len(res.AgreeSets)
 	resp.MaxSets = len(res.MaxSets)
+	resp.DFSNodes = res.DFSNodes
 	resp.Notes = append(resp.Notes, res.Notes...)
 	if arm := res.Armstrong; arm != nil {
 		resp.ArmstrongSynthetic = res.ArmstrongSynthetic
@@ -585,7 +543,7 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	defer s.jobs.release()
 
 	plan, err := s.plans.get(req.Fingerprint, func() (*agree.Plan, error) {
-		src, serr := s.discoverySource(d, false)
+		src, serr := s.discoverySource(d)
 		if serr != nil {
 			return nil, serr
 		}

@@ -456,8 +456,14 @@ func TestShardParamValidation(t *testing.T) {
 	if code, _ := discover(t, ts, DiscoverRequest{Dataset: reg.ID, Shards: -1}); code != http.StatusBadRequest {
 		t.Fatalf("negative Shards: want 400")
 	}
-	if code, _ := discover(t, ts, DiscoverRequest{Dataset: reg.ID, Algorithm: "fastfds", Shards: 2}); code != http.StatusBadRequest {
-		t.Fatalf("Shards with fastfds: want 400")
+	// FastFDs shares Dep-Miner's step 1, so it shards the same way and
+	// returns the single-node depminer cover.
+	code, ff := discover(t, ts, DiscoverRequest{Dataset: reg.ID, Algorithm: "fastfds", Shards: 2})
+	if code != http.StatusOK || ff.ShardsRemote == 0 {
+		t.Fatalf("Shards with fastfds: code=%d shards_remote=%d (%s)", code, ff.ShardsRemote, ff.Error)
+	}
+	if !sameCover(ff.FDs, fromScratchCover(t, r)) {
+		t.Fatalf("sharded fastfds cover differs from the single-node depminer cover:\n%v", ff.FDs)
 	}
 	// Absurd shard counts are clamped, not refused.
 	code, resp := discover(t, ts, DiscoverRequest{Dataset: reg.ID, Shards: 1000})

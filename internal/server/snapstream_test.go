@@ -3,12 +3,14 @@ package server
 // Satellite: snapshot-fed discovery. A durable dataset whose snapshot
 // fully covers its acknowledged state must discover by streaming the
 // snapshot's columns straight into the partition build — no
-// full-relation materialisation — and fall back to the materialised
-// path the moment the WAL grows past the snapshot or the request needs
-// the original values (Armstrong).
+// full-relation materialisation — for every batch miner and for the
+// Armstrong relation, which reads only the snapshot's dictionaries, and
+// fall back to the materialised path the moment the WAL grows past the
+// snapshot.
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"os"
 	"strings"
@@ -80,20 +82,45 @@ func TestSnapshotStreamedDiscovery(t *testing.T) {
 		t.Fatalf("SnapshotStreams = %d, want 1", st.Discoveries.SnapshotStreams)
 	}
 
-	// An Armstrong construction needs the original values, so it must
-	// take the materialised path — correctly, not by failing.
+	// An Armstrong construction reads only the dictionaries, which the
+	// snapshot keeps: it streams too, and its rows equal those of a
+	// materialised discovery over the same content.
 	var arm DiscoverResponse
 	if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Armstrong: true}, &arm); code != http.StatusOK {
 		t.Fatalf("armstrong discover status %d", code)
 	}
-	if arm.SnapshotStreamed {
-		t.Fatal("armstrong discovery claimed to stream (it needs the relation)")
+	if !arm.SnapshotStreamed {
+		t.Fatal("armstrong discovery did not stream the complete snapshot")
 	}
-	if len(arm.Armstrong) == 0 {
-		t.Fatal("armstrong discovery returned no rows")
+	if !snapNil(t, s, reg.ID) {
+		t.Fatal("armstrong discovery materialised the relation")
 	}
-	if snapNil(t, s, reg.ID) {
-		t.Fatal("armstrong discovery did not materialise the relation")
+	_, mem := newTestServer(t, Config{})
+	var want DiscoverResponse
+	if code := postJSON(t, mem.URL+"/v1/discover", DiscoverRequest{Dataset: register(t, mem, grown).ID, Armstrong: true}, &want); code != http.StatusOK {
+		t.Fatalf("materialised armstrong discover status %d", code)
+	}
+	if len(arm.Armstrong) == 0 || fmt.Sprint(arm.Armstrong) != fmt.Sprint(want.Armstrong) {
+		t.Fatalf("streamed Armstrong rows %v, materialised %v", arm.Armstrong, want.Armstrong)
+	}
+
+	// Every other batch miner streams the snapshot as well.
+	for _, algo := range []string{"depminer2", "fastfds", "tane"} {
+		var got DiscoverResponse
+		if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Algorithm: algo}, &got); code != http.StatusOK {
+			t.Fatalf("%s discover status %d (%s)", algo, code, got.Error)
+		}
+		if !got.SnapshotStreamed || !snapNil(t, s, reg.ID) {
+			t.Fatalf("%s: streamed=%v, relation materialised=%v", algo, got.SnapshotStreamed, !snapNil(t, s, reg.ID))
+		}
+		if !sameCover(got.FDs, fromScratchCover(t, grown)) {
+			t.Fatalf("%s: streamed cover differs from reference:\n%v", algo, got.FDs)
+		}
+	}
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	streams := st.Discoveries.SnapshotStreams
+	if streams != 5 {
+		t.Fatalf("SnapshotStreams = %d after five streamed discoveries", streams)
 	}
 
 	// A WAL record past the snapshot makes it incomplete: the next
@@ -113,7 +140,7 @@ func TestSnapshotStreamedDiscovery(t *testing.T) {
 		t.Fatal("post-append cover differs from reference")
 	}
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Discoveries.SnapshotStreams != 1 {
+	if st.Discoveries.SnapshotStreams != streams {
 		t.Fatalf("SnapshotStreams moved to %d on non-streamed runs", st.Discoveries.SnapshotStreams)
 	}
 }

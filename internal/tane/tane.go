@@ -52,7 +52,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/pstore"
-	"repro/internal/relation"
 )
 
 // Options configure a TANE run.
@@ -143,7 +142,7 @@ type node struct {
 
 // search bundles the per-run state threaded through the level loop.
 type search struct {
-	r        *relation.Relation
+	rows     int // |r|
 	universe attrset.Set
 	epsilon  float64
 	workers  int
@@ -153,9 +152,10 @@ type search struct {
 	cstore   *cplusStore
 }
 
-// Run executes TANE on the relation. Panics anywhere in the search are
-// contained at this boundary and surface as a *guard.PanicError.
-func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
+// Run executes TANE on the relation src supplies, reading each column
+// once into its single-attribute partition. Panics anywhere in the search
+// are contained at this boundary and surface as a *guard.PanicError.
+func Run(ctx context.Context, src partition.ColumnSource, opts Options) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{}
 	var sr *search
@@ -172,15 +172,19 @@ func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, 
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	n := r.Arity()
+	n := src.Arity()
 	if n == 0 {
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
+	db, err := partition.NewDatabaseFromSource(src)
+	if err != nil {
+		return nil, err
+	}
 
 	workers := pool.Resolve(opts.Workers)
 	sr = &search{
-		r:        r,
+		rows:     db.NumRows,
 		universe: attrset.Universe(n),
 		epsilon:  opts.Epsilon,
 		workers:  workers,
@@ -192,12 +196,16 @@ func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, 
 		}},
 	}
 	for w := range sr.probers {
-		sr.probers[w] = partition.NewProber(r.Rows())
-		sr.checkers[w] = newG3Checker(r.Rows())
+		sr.probers[w] = partition.NewProber(sr.rows)
+		sr.checkers[w] = newG3Checker(sr.rows)
 	}
 
 	// π_∅ has a single class (all tuples); its full class count is 1.
-	emptyPart := partition.Of(r, attrset.Empty())
+	all := make([]int, sr.rows)
+	for i := range all {
+		all[i] = i
+	}
+	emptyPart := partition.FromClasses(sr.rows, [][]int{all})
 	sr.store.PutRoot(attrset.Empty(), emptyPart)
 	empty := &node{set: attrset.Empty(), cplus: sr.universe,
 		size: emptyPart.Size(), full: emptyPart.FullClassCount()}
@@ -206,8 +214,7 @@ func Run(ctx context.Context, r *relation.Relation, opts Options) (res *Result, 
 	// Level 1: the single-attribute roots, pinned in the store.
 	singles := make([]node, n)
 	level := make([]*node, 0, n)
-	for a := 0; a < n; a++ {
-		p := partition.Single(r, a)
+	for a, p := range db.Attr {
 		sr.store.PutRoot(attrset.Single(a), p)
 		singles[a] = node{set: attrset.Single(a), size: p.Size(), full: p.FullClassCount()}
 		level = append(level, &singles[a])
@@ -393,7 +400,7 @@ func (sr *search) isKey(nd *node) bool {
 	if sr.epsilon == 0 {
 		return nd.size == 0 // stripped partition empty ⟺ every tuple unique
 	}
-	rows := sr.r.Rows()
+	rows := sr.rows
 	if rows == 0 {
 		return true
 	}

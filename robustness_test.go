@@ -55,7 +55,7 @@ func runForPoint(t *testing.T, point string) (error, bool) {
 		res, err := DiscoverINDs(ctx, []*Relation{r}, INDOptions{})
 		return err, res != nil && res.Partial
 	case faultinject.FastFDsAttr:
-		res, err := DiscoverFastFDs(ctx, r, FastFDsOptions{})
+		res, err := Discover(ctx, r, Options{Algorithm: FastFDs})
 		return err, res != nil && res.Partial
 	case faultinject.ExtsortFlush, faultinject.ExtsortRead, faultinject.ExtsortMerge:
 		// A 1-byte spill threshold clamps to one record per worker, so
@@ -254,7 +254,7 @@ func TestBudgetAcrossMiners(t *testing.T) {
 		}
 	})
 	t.Run("fastfds", func(t *testing.T) {
-		res, err := DiscoverFastFDs(ctx, r, FastFDsOptions{Budget: NewBudget(Limits{Units: 5})})
+		res, err := Discover(ctx, r, Options{Algorithm: FastFDs, Budget: NewBudget(Limits{Units: 5})})
 		if !errors.Is(err, ErrBudget) || res == nil || !res.Partial {
 			t.Fatalf("err=%v res=%+v", err, res)
 		}
@@ -428,7 +428,7 @@ func TestPathologicalInputs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("depminer2: %v", err)
 			}
-			ff, err := DiscoverFastFDs(ctx, r, FastFDsOptions{})
+			ff, err := Discover(ctx, r, Options{Algorithm: FastFDs})
 			if err != nil {
 				t.Fatalf("fastfds: %v", err)
 			}
@@ -468,7 +468,7 @@ func TestLeakFreedomOnCancellation(t *testing.T) {
 	if _, err := DiscoverTANE(ctx, r, TANEOptions{}); err == nil {
 		t.Error("cancelled TANE succeeded")
 	}
-	if _, err := DiscoverFastFDs(ctx, r, FastFDsOptions{}); err == nil {
+	if _, err := Discover(ctx, r, Options{Algorithm: FastFDs}); err == nil {
 		t.Error("cancelled FastFDs succeeded")
 	}
 	if _, err := DiscoverKeys(ctx, r, KeysOptions{}); err == nil {

@@ -46,11 +46,15 @@ func writeSnapshot(t testing.TB, r *Relation) string {
 	return filepath.Join(dir, "datasets", "snap", "snapshot.snap")
 }
 
-// TestSourceEquivalence pins Discover's one contract across its three
+// TestSourceEquivalence pins every miner's one contract across its three
 // sources: over a StreamCSV stream and an OpenSnapshot reader, the FDs,
 // agree sets, max sets and couple count are byte-identical to Discover
-// over the relation, for both Dep-Miner variants, sequential and parallel,
-// in memory and spilling; only the relation yields an Armstrong relation.
+// over the relation, for both Dep-Miner variants and FastFDs, sequential
+// and parallel, in memory and spilling. The Armstrong relation over the
+// snapshot — real-world or synthetic fallback — is byte-identical to the
+// relation's, and over the CSV stream, which keeps no dictionaries, it is
+// nil. TANE and candidate keys over the snapshot equal theirs over the
+// relation.
 func TestSourceEquivalence(t *testing.T) {
 	ctx := context.Background()
 	rels := map[string]*Relation{"paper": PaperExample()}
@@ -65,7 +69,10 @@ func TestSourceEquivalence(t *testing.T) {
 		rels[fmt.Sprintf("datagen-%dx%d", spec.Attrs, spec.Rows)] = r
 	}
 	view := func(res *Result) string {
-		return fmt.Sprint(res.FDs, res.AgreeSets, res.MaxSets, res.Couples)
+		return fmt.Sprint(res.FDs, res.AgreeSets, res.MaxSets, res.Couples, res.DFSNodes)
+	}
+	armstrong := func(res *Result) string {
+		return fmt.Sprint(res.ArmstrongSynthetic, res.Armstrong)
 	}
 	for name, r := range rels {
 		var csv bytes.Buffer
@@ -87,7 +94,7 @@ func TestSourceEquivalence(t *testing.T) {
 			},
 			"snapshot": func() Source { return sr },
 		}
-		for _, algo := range []Algorithm{DepMiner, DepMiner2} {
+		for _, algo := range []Algorithm{DepMiner, DepMiner2, FastFDs} {
 			for _, workers := range []int{1, 4} {
 				for _, maxBytes := range []int64{0, 1} {
 					opts := Options{Algorithm: algo, Workers: workers, MaxAgreeBytes: maxBytes, SpillDir: t.TempDir()}
@@ -107,12 +114,41 @@ func TestSourceEquivalence(t *testing.T) {
 						if view(got) != view(want) {
 							t.Errorf("%s/%s: result differs from the relation's:\n got %s\nwant %s", cfg, sname, view(got), view(want))
 						}
-						if got.Armstrong != nil {
-							t.Errorf("%s/%s: built an Armstrong relation without the values", cfg, sname)
+						if sname == "csv" && got.Armstrong != nil {
+							t.Errorf("%s/%s: built an Armstrong relation without the dictionaries", cfg, sname)
+						}
+						if sname == "snapshot" && armstrong(got) != armstrong(want) {
+							t.Errorf("%s/%s: Armstrong relation differs from the relation's:\n got %s\nwant %s", cfg, sname, armstrong(got), armstrong(want))
 						}
 					}
 				}
 			}
+		}
+
+		// Without the synthetic fallback, Proposition 1 holds or fails
+		// alike over both sources.
+		strict := Options{Armstrong: ArmstrongRealWorld}
+		want, werr := Discover(ctx, r, strict)
+		got, gerr := Discover(ctx, sr, strict)
+		if fmt.Sprint(werr) != fmt.Sprint(gerr) || werr == nil && armstrong(got) != armstrong(want) {
+			t.Errorf("%s/snapshot: real-world Armstrong differs: got %v, %v; want %v, %v", name, got, gerr, want, werr)
+		}
+
+		tr, err := DiscoverTANE(ctx, r, TANEOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := DiscoverTANE(ctx, sr, TANEOptions{})
+		if err != nil || fmt.Sprint(ts.FDs) != fmt.Sprint(tr.FDs) {
+			t.Errorf("%s/snapshot: TANE cover differs (err %v)", name, err)
+		}
+		kr, err := DiscoverKeys(ctx, r, KeysOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks, err := DiscoverKeys(ctx, sr, KeysOptions{})
+		if err != nil || fmt.Sprint(ks.Keys) != fmt.Sprint(kr.Keys) {
+			t.Errorf("%s/snapshot: keys differ (err %v)", name, err)
 		}
 	}
 

@@ -80,16 +80,17 @@ type DiscoverRequest struct {
 	MaxPartitionBytes int64 `json:"max_partition_bytes,omitempty"`
 	// MaxAgreeBytes caps resident agree-set bytes per worker pool;
 	// accumulators past the cap spill sorted runs to disk and are merged
-	// back streamingly (depminer/depminer2 only). 0 = the server default,
-	// clamped to the server's MaxAgreeBytes. The discovered cover is
-	// byte-identical for every threshold.
+	// back streamingly (depminer/depminer2/fastfds only). 0 = the server
+	// default, clamped to the server's MaxAgreeBytes. The discovered
+	// cover is byte-identical for every threshold.
 	MaxAgreeBytes int64 `json:"max_agree_bytes,omitempty"`
 	// Armstrong includes the Armstrong relation in the response
-	// (depminer/depminer2 only).
+	// (depminer/depminer2/fastfds only; other miners answer 400).
 	Armstrong bool `json:"armstrong,omitempty"`
-	// Shards is the shard count for distributed discovery, honoured only
-	// by a coordinator-configured server (0 = the coordinator's default,
-	// one shard per worker endpoint). Like spill knobs, shard topology is
+	// Shards is the shard count for distributed discovery
+	// (depminer/depminer2/fastfds only), honoured only by a
+	// coordinator-configured server (0 = the coordinator's default, one
+	// shard per worker endpoint). Like spill knobs, shard topology is
 	// an execution detail: the cover is byte-identical at every count.
 	Shards int `json:"shards,omitempty"`
 	// Async forces the execution mode; nil applies the server's
