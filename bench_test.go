@@ -281,42 +281,6 @@ func BenchmarkAblation_Transversal(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_TransversalAlgorithm compares the paper's levelwise
-// Apriori search against classical Berge multiplication on the cmax
-// hypergraphs of a benchmark relation (DESIGN.md §5, item 4).
-func BenchmarkAblation_TransversalAlgorithm(b *testing.B) {
-	r := dataset(b, 15, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ms := maxsets.Compute(res.Sets, r.Arity())
-	hs := make([]*hypergraph.Hypergraph, r.Arity())
-	for a := 0; a < r.Arity(); a++ {
-		hs[a] = hypergraph.Simplify(ms.CMax[a])
-	}
-	b.Run("levelwise", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, h := range hs {
-				if _, err := h.MinimalTransversals(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("berge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, h := range hs {
-				if _, err := h.MinimalTransversalsBerge(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkAblation_MaximalClasses isolates the MC computation (Lemma 1's
 // enabler) from the rest of step 1.
 func BenchmarkAblation_MaximalClasses(b *testing.B) {

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -157,10 +158,37 @@ func discoverFingerprint(res *Result) string {
 		res.Couples, res.Chunks, res.ArmstrongSynthetic, arm)
 }
 
+// assertCanonicalOrder checks the order steps 2–4 construct rather than
+// sort: the cover in FD.Compare order, and every LHS family and
+// MAX(dep(r)) strictly increasing in AttrSet.Compare order.
+func assertCanonicalOrder(t *testing.T, label string, res *Result) {
+	t.Helper()
+	if !slices.IsSortedFunc(res.FDs, FD.Compare) {
+		t.Fatalf("%s: FDs not in canonical order: %v", label, res.FDs)
+	}
+	strict := func(f AttrSetFamily) bool {
+		for i := 1; i < len(f); i++ {
+			if f[i-1].Compare(f[i]) >= 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for a, f := range res.LHS {
+		if !strict(f) {
+			t.Fatalf("%s: LHS[%d] not canonical: %v", label, a, f.Strings())
+		}
+	}
+	if !strict(res.MaxSets) {
+		t.Fatalf("%s: MaxSets not canonical: %v", label, res.MaxSets.Strings())
+	}
+}
+
 // TestDifferentialWorkerCounts pins the tentpole guarantee at the public
 // API: Discover with Workers=N yields a byte-identical Result to the
 // sequential reference (Workers=1) on the paper example, the golden
-// fixture, and 50 seeded random relations.
+// fixture, and 50 seeded random relations, for every miner — each result
+// in canonical order without a final sort.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	employees, err := LoadCSVFile("testdata/employees.csv", true)
 	if err != nil {
@@ -183,17 +211,19 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 
 	ctx := context.Background()
 	for _, in := range inputs {
-		for _, algo := range []Algorithm{DepMiner, DepMiner2} {
+		for _, algo := range []Algorithm{DepMiner, DepMiner2, NaiveBaseline, FastFDs} {
 			seq, err := Discover(ctx, in.r, Options{Algorithm: algo, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s %v workers=1: %v", in.label, algo, err)
 			}
+			assertCanonicalOrder(t, fmt.Sprintf("%s %v workers=1", in.label, algo), seq)
 			want := discoverFingerprint(seq)
-			for _, workers := range []int{0, 2, 4, 9} {
+			for _, workers := range []int{0, 2, 4, 8, 9} {
 				par, err := Discover(ctx, in.r, Options{Algorithm: algo, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s %v workers=%d: %v", in.label, algo, workers, err)
 				}
+				assertCanonicalOrder(t, fmt.Sprintf("%s %v workers=%d", in.label, algo, workers), par)
 				if got := discoverFingerprint(par); got != want {
 					t.Fatalf("%s %v workers=%d: Result differs from sequential:\n got %s\nwant %s",
 						in.label, algo, workers, got, want)

@@ -83,6 +83,24 @@ func BenchmarkHotpathAgreeIdentifiers(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathMaxSets isolates step 2: CMAX_SET (maxsets.Compute)
+// plus the MAX(dep(r)) union the Armstrong step reads, on the wide-lhs
+// shape where the agree sets are many and the schema is wide.
+func BenchmarkHotpathMaxSets(b *testing.B) {
+	r := dataset(b, 30, 2000, 0.3)
+	res, err := agree.FromRelation(context.Background(), r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(maxsets.Compute(res.Sets, r.Arity()).AllMax()) == 0 {
+			b.Fatal("no maximal sets")
+		}
+	}
+}
+
 // BenchmarkHotpathTransversal isolates steps 3–4: the levelwise minimal
 // transversal search over every per-attribute cmax hypergraph.
 func BenchmarkHotpathTransversal(b *testing.B) {

@@ -439,22 +439,33 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 	if opts.Algorithm == FastFDs {
 		lhs, res.DFSNodes, err = fastfds.Covers(ctx, ms.CMax, opts.Budget)
 	} else {
+		// cmax(dep(r),A) is simple by construction (maxsets.Result.CMax),
+		// so it needs no Min⊆ pass.
 		hs := make([]*hypergraph.Hypergraph, arity)
 		for a := 0; a < arity; a++ {
-			hs[a] = hypergraph.Simplify(ms.CMax[a])
+			hs[a] = hypergraph.Unchecked(ms.CMax[a])
 		}
 		lhs, err = hypergraph.TransversalsAll(ctx, hs, opts.Workers, opts.Budget)
 		res.LHS = lhs
+	}
+	// Emitting RHS-major from canonical LHS families is fd.FD.Compare's
+	// order already: the cover needs no sort. It stays nil when there is
+	// nothing to emit.
+	n := 0
+	for _, xs := range lhs {
+		n += len(xs)
 	}
 	for a, xs := range lhs {
 		for _, x := range xs {
 			if x == attrset.Single(a) {
 				continue
 			}
+			if res.FDs == nil {
+				res.FDs = make(fd.Cover, 0, n)
+			}
 			res.FDs = append(res.FDs, fd.FD{LHS: x, RHS: a})
 		}
 	}
-	res.FDs.Sort()
 	res.Stats.LHS = time.Since(t0)
 	return err
 }

@@ -8,7 +8,8 @@
 // Tr(H) is the family of minimal transversals. The connection to FD
 // discovery: Tr(cmax(dep(r),A)) = lhs(dep(r),A), and by the nihilpotence
 // property Tr(Tr(H)) = H for simple hypergraphs (Berge), which the
-// TANE→Armstrong bridge uses in the opposite direction.
+// maxsets tests use in the opposite direction to recover maximal sets
+// from a cover.
 //
 // Conventions for degenerate cases (consistent with the set definitions):
 //   - H with no edges: every set is a transversal, so Tr(H) = {∅}.
@@ -65,6 +66,13 @@ func Simplify(edges attrset.Family) *Hypergraph {
 	}
 	return &Hypergraph{edges: nonEmpty.Minimal()}
 }
+
+// Unchecked wraps edges that are simple by construction — non-empty,
+// pairwise ⊆-incomparable, duplicate-free and in canonical order — and
+// checks none of it. The caller owns the precondition; the cmax families
+// of maxsets.Compute meet it, so the Dep-Miner pipeline builds its
+// hypergraphs with Unchecked instead of paying Simplify's Min⊆ pass.
+func Unchecked(edges attrset.Family) *Hypergraph { return &Hypergraph{edges: edges} }
 
 // Edges returns the edges in canonical order. The caller must not modify
 // the returned family.
@@ -137,6 +145,28 @@ func (h *Hypergraph) MinimalTransversals(ctx context.Context) (attrset.Family, e
 // attrset words its vertices actually occupy — so a 10-attribute schema
 // pays for 64 bits per operation, not attrset.MaxAttrs.
 func (h *Hypergraph) MinimalTransversalsGoverned(ctx context.Context, b *guard.Budget) (attrset.Family, error) {
+	return h.transversals(ctx, b, new(scratch))
+}
+
+// scratch is the frontier memory of one levelwise search: the current
+// and next candidate levels with their edge-cover arenas, and the emitted
+// transversals. TransversalsAll keeps one per worker and reuses it across
+// that worker's searches; each search truncates every buffer first, so
+// nothing carries over.
+type scratch struct {
+	cands, nextCands []attrset.Set
+	arena, nextArena []uint64
+	out              attrset.Family
+}
+
+// transversals is the levelwise search over the buffers of s. Its output
+// is an exact-size copy, so s may serve the next search at once.
+//
+// The output is in canonical order without a sort: levels run in
+// ascending cardinality, and each level's candidates — hence the
+// transversals emitted from it — are in lexicographic order, which is
+// attrset.Set.Compare's order among sets of equal size.
+func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scratch) (attrset.Family, error) {
 	if len(h.edges) == 0 {
 		return attrset.Family{attrset.Empty()}, nil
 	}
@@ -168,16 +198,17 @@ func (h *Hypergraph) MinimalTransversalsGoverned(ctx context.Context, b *guard.B
 
 	// L1: the vertices appearing in edges, as singletons — ascending
 	// vertex order is lexicographic order for singletons.
-	var cands []attrset.Set
-	arena := make([]uint64, 0, verts.Len()*words)
+	cands, arena := s.cands[:0], s.arena[:0]
+	nextCands, nextArena := s.nextCands[:0], s.nextArena[:0]
+	out := s.out[:0]
+	defer func() {
+		s.cands, s.arena, s.nextCands, s.nextArena, s.out = cands, arena, nextCands, nextArena, out
+	}()
 	verts.ForEach(func(a attrset.Attr) {
 		cands = append(cands, attrset.Single(a))
 		arena = append(arena, vcArena[a*words:(a+1)*words]...)
 	})
 
-	var out attrset.Family
-	var nextCands []attrset.Set
-	var nextArena []uint64
 	for len(cands) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("hypergraph: transversal search cancelled: %w", err)
@@ -191,13 +222,13 @@ func (h *Hypergraph) MinimalTransversalsGoverned(ctx context.Context, b *guard.B
 		// Emit transversals; compact the surviving non-transversals (and
 		// their covers) to the front in place, preserving sorted order.
 		keep := 0
-		for i, s := range cands {
+		for i, c := range cands {
 			cover := arena[i*words : (i+1)*words]
 			if covers(cover) {
-				out = append(out, s)
+				out = append(out, c)
 				continue
 			}
-			cands[keep] = s
+			cands[keep] = c
 			copy(arena[keep*words:(keep+1)*words], cover)
 			keep++
 		}
@@ -234,8 +265,9 @@ func (h *Hypergraph) MinimalTransversalsGoverned(ctx context.Context, b *guard.B
 		cands, nextCands = nextCands, cands
 		arena, nextArena = nextArena, arena
 	}
-	out.Sort()
-	return out, nil
+	res := make(attrset.Family, len(out))
+	copy(res, out)
+	return res, nil
 }
 
 // unionW returns a ∪ b touching only the first aw words; the rest are

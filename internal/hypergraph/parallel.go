@@ -27,16 +27,20 @@ import (
 // The budget b (nil = ungoverned) is shared across all searches: every
 // in-flight level charges its frontier width against the same pool, so
 // the combined memory footprint of the concurrent searches is what the
-// budget bounds. Panics inside a search are contained at the pool's task
+// budget bounds. Each worker keeps one search scratch (candidate levels,
+// cover arenas, output buffer) and reuses it for every hypergraph it
+// takes, so the frontier is allocated once per worker, not once per
+// attribute. Panics inside a search are contained at the pool's task
 // boundary and surface as a *guard.PanicError.
 func TransversalsAll(ctx context.Context, hs []*Hypergraph, workers int, b *guard.Budget) ([]attrset.Family, error) {
 	out := make([]attrset.Family, len(hs))
-	err := pool.Run(ctx, workers, len(hs), func(taskCtx context.Context, _, i int) error {
+	scratches := make([]scratch, pool.Resolve(workers))
+	err := pool.Run(ctx, workers, len(hs), func(taskCtx context.Context, w, i int) error {
 		h := hs[i]
 		if h == nil {
 			h = &Hypergraph{}
 		}
-		tr, err := h.MinimalTransversalsGoverned(taskCtx, b)
+		tr, err := h.transversals(taskCtx, b, &scratches[w])
 		if err != nil {
 			return err
 		}

@@ -1,19 +1,23 @@
 package hypergraph
 
 // Parallel-path tests for the per-attribute transversal fan-out: results
-// byte-identical to the sequential order for any worker count, and prompt
-// leak-free unwinding on mid-flight cancellation. The CI race job runs
-// these with -race -run Parallel.
+// byte-identical to the sequential order for any worker count, per-worker
+// scratch that carries nothing between searches, and prompt leak-free
+// unwinding on mid-flight cancellation. The CI race job runs this package
+// in full under -race.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/attrset"
+	"repro/internal/faultinject"
+	"repro/internal/guard"
 )
 
 func randomSimple(rng *rand.Rand) *Hypergraph {
@@ -66,6 +70,127 @@ func TestParallelTransversalsMatchSequential(t *testing.T) {
 						iter, workers, i, got[i].Strings(), want[i].Strings())
 				}
 			}
+		}
+	}
+}
+
+// mixedHypergraphs draws n hypergraphs of widely mixed size — edgeless,
+// small, combinatorially wide, and up to 80 edges whose vertices sit past
+// the first attrset word half of the time — so a reused scratch serves
+// large searches before small ones and edge bitmaps of one and two words.
+func mixedHypergraphs(t testing.TB, rng *rand.Rand, n int) []*Hypergraph {
+	t.Helper()
+	hs := make([]*Hypergraph, n)
+	for i := range hs {
+		switch rng.Intn(5) {
+		case 0:
+			// nil: the edgeless shorthand.
+		case 1:
+			hs[i] = randomSimple(rng)
+		case 2:
+			hs[i] = slowHypergraph(t, 2+rng.Intn(7))
+		default:
+			shift := 0
+			if rng.Intn(2) == 0 {
+				shift = 58
+			}
+			edges := make(attrset.Family, 1+rng.Intn(80))
+			for j := range edges {
+				for v := 0; v < 12; v++ {
+					if rng.Intn(10) < 3 {
+						edges[j].Add(v + shift)
+					}
+				}
+			}
+			hs[i] = Simplify(edges)
+		}
+	}
+	return hs
+}
+
+// freshTransversals is the reference for the scratch tests: each search
+// on its own fresh scratch.
+func freshTransversals(t *testing.T, hs []*Hypergraph) []attrset.Family {
+	t.Helper()
+	want := make([]attrset.Family, len(hs))
+	for i, h := range hs {
+		if h == nil {
+			h = &Hypergraph{}
+		}
+		tr, err := h.MinimalTransversals(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = tr
+	}
+	return want
+}
+
+// TestParallelScratchReuseIsStateless: the per-worker scratch that
+// TransversalsAll reuses across searches carries nothing from one search
+// into the next. Results are byte-identical to fresh-scratch searches at
+// workers 1 and 8, also on the clean run that follows a run cancelled
+// mid-flight and one stopped by its budget.
+func TestParallelScratchReuseIsStateless(t *testing.T) {
+	defer faultinject.Reset()
+	hs := mixedHypergraphs(t, rand.New(rand.NewSource(64)), 64)
+	want := freshTransversals(t, hs)
+	clean := func(label string, workers int) {
+		t.Helper()
+		got, err := TransversalsAll(context.Background(), hs, workers, nil)
+		if err != nil {
+			t.Fatalf("%s, workers=%d: %v", label, workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, workers=%d: results differ from fresh-scratch searches", label, workers)
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		clean("first run", workers)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		faultinject.Set(faultinject.HypergraphLevel, faultinject.After(40, func() error {
+			cancel()
+			return nil
+		}))
+		_, err := TransversalsAll(ctx, hs, workers, nil)
+		faultinject.Reset()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled run err = %v, want context.Canceled", workers, err)
+		}
+		clean("after a cancelled run", workers)
+
+		if _, err := TransversalsAll(context.Background(), hs, workers, guard.New(guard.Limits{Units: 200})); !errors.Is(err, guard.ErrBudget) {
+			t.Fatalf("workers=%d: budgeted run err = %v, want guard.ErrBudget", workers, err)
+		}
+		clean("after a budget overrun", workers)
+	}
+}
+
+// TestScratchSurvivesAbortedSearch shares one scratch across a sequence
+// of searches in which every third one is stopped by a one-unit budget
+// partway through its levels; every completed search must still equal a
+// fresh one.
+func TestScratchSurvivesAbortedSearch(t *testing.T) {
+	hs := mixedHypergraphs(t, rand.New(rand.NewSource(65)), 64)
+	want := freshTransversals(t, hs)
+	var s scratch
+	for i, h := range hs {
+		if h == nil {
+			h = &Hypergraph{}
+		}
+		if i%3 == 0 {
+			// The error is expected except for searches too small to
+			// overrun; either way the scratch is left mid-use.
+			_, _ = h.transversals(context.Background(), guard.New(guard.Limits{Units: 1}), &s)
+		}
+		got, err := h.transversals(context.Background(), nil, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("hypergraph %d: reused scratch gave %v, fresh %v", i, got.Strings(), want[i].Strings())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attrset"
@@ -99,9 +100,10 @@ func mapApriori(cand attrset.Set, surviving map[attrset.Set]struct{}) bool {
 }
 
 // TestQuickSortedLevelwiseMatchesMapReference pits the sorted-slice
-// transversal search against the map-based implementation on random
-// simple hypergraphs, including vertices in high attrset words so the
-// active-word bounding is exercised beyond word 0.
+// transversal search against the map-based implementation and the Berge
+// oracle on random simple hypergraphs — including vertices in high
+// attrset words, so the active-word bounding is exercised beyond word 0 —
+// and checks its output is already in canonical order.
 func TestQuickSortedLevelwiseMatchesMapReference(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(85))
@@ -130,6 +132,18 @@ func TestQuickSortedLevelwiseMatchesMapReference(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("edges %v: sorted kernel %v, map reference %v",
 				h.Edges().Strings(), got.Strings(), want.Strings())
+		}
+		// The search emits canonical order by construction (no final
+		// sort), so it must equal the sorted Berge oracle exactly.
+		if !slices.IsSortedFunc(got, attrset.Set.Compare) {
+			t.Fatalf("edges %v: output %v not in canonical order", h.Edges().Strings(), got.Strings())
+		}
+		berge, err := h.MinimalTransversalsBerge(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, berge) {
+			t.Fatalf("edges %v: levelwise %v, Berge %v", h.Edges().Strings(), got.Strings(), berge.Strings())
 		}
 		for _, tr := range got {
 			if h.NumEdges() > 0 && !h.IsMinimalTransversal(tr) {

@@ -10,6 +10,51 @@ import (
 	"repro/internal/relation"
 )
 
+// DisagreeSets converts agree sets to disagree sets: the complements
+// dis(r) = {R \ X | X ∈ ag(r)}. The paper's Figure 1 shows this as the
+// alternative route to complements of maximal sets (used by Mannila &
+// Räihä's original derivation, cf. footnote 3).
+func DisagreeSets(agreeSets attrset.Family, arity int) attrset.Family {
+	out := make(attrset.Family, len(agreeSets))
+	for i, x := range agreeSets {
+		out[i] = x.Complement(arity)
+	}
+	out.Sort()
+	return out
+}
+
+// FromDisagreeSets runs the dual of Compute along Figure 1's lower path:
+// cmax(dep(r),A) = Min⊆{D ∈ dis(r) | A ∈ D}, from which the maximal sets
+// follow by complementation. It must agree exactly with Compute on the
+// corresponding agree sets; it is kept here as an independent oracle.
+func FromDisagreeSets(disagreeSets attrset.Family, arity int) *Result {
+	res := &Result{
+		Arity: arity,
+		Max:   make([]attrset.Family, arity),
+		CMax:  make([]attrset.Family, arity),
+	}
+	candidates := make([]attrset.Family, arity)
+	for _, d := range disagreeSets {
+		d.ForEach(func(a attrset.Attr) {
+			if a < arity {
+				candidates[a] = append(candidates[a], d)
+			}
+		})
+	}
+	for a := 0; a < arity; a++ {
+		cmax := candidates[a].Minimal()
+		res.CMax[a] = cmax
+		max := make(attrset.Family, len(cmax))
+		for i, d := range cmax {
+			max[i] = d.Complement(arity)
+		}
+		max.Sort()
+		res.Max[a] = max
+	}
+	res.all = unionMax(res.Max)
+	return res
+}
+
 func TestDisagreeSetsPaperExample(t *testing.T) {
 	// ag(r) = {∅, A, BDE, CE, E} → dis(r) = {ABCDE, BCDE, AC, ABD, ABCD}.
 	ag := sets("∅", "A", "BDE", "CE", "E")
