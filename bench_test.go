@@ -281,20 +281,6 @@ func BenchmarkAblation_Transversal(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_MaximalClasses isolates the MC computation (Lemma 1's
-// enabler) from the rest of step 1.
-func BenchmarkAblation_MaximalClasses(b *testing.B) {
-	b.ReportAllocs()
-	r := dataset(b, 20, 5000, 0.3)
-	db := partition.NewDatabase(r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(db.MaximalClasses()) == 0 {
-			b.Fatal("no classes")
-		}
-	}
-}
-
 // BenchmarkArmstrongConstruction isolates step 5: real-world vs synthetic
 // construction from precomputed maximal sets.
 func BenchmarkArmstrongConstruction(b *testing.B) {

@@ -55,6 +55,20 @@ func BenchmarkHotpathProduct(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathPlan isolates Algorithm 2's couple generation on the
+// tall shape: the MC test plus the (t, u)-ordered couple list.
+func BenchmarkHotpathPlan(b *testing.B) {
+	r := dataset(b, 12, 30000, 0.5)
+	db := partition.NewDatabase(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if agree.NewPlan(db).Couples() == 0 {
+			b.Fatal("no couples")
+		}
+	}
+}
+
 // BenchmarkHotpathAgreeCouples isolates step 1 via Algorithm 2: MC couple
 // generation plus the chunked partition sweep and agree-set dedup.
 func BenchmarkHotpathAgreeCouples(b *testing.B) {

@@ -28,21 +28,23 @@
 // tuples (which would agree on the full schema R) contributes nothing to
 // ag(r), exactly as if the relation had been deduplicated first.
 //
-// Deduplication is allocation-free on the hot path: couples are encoded
-// into uint64s and encode–sort–compacted, and the agree sets themselves
-// are deduplicated the same way — per-worker sorted slices merged at the
-// end — instead of through hash maps, which profile far behind at
-// benchmark scale (see DESIGN.md §9).
+// Couples are encoded into uint64s and listed once, in (t, u) order by
+// construction (see generateCouples); the agree sets are deduplicated
+// without hashing — per-worker sorted runs merged at the end — since
+// hash maps profile far behind at benchmark scale (see DESIGN.md §9).
 //
-// Both variants parallelise across Options.Workers goroutines
-// by partitioning the couple list; every worker accumulates into a
-// private sorted run and the merged family is emitted in canonical order,
-// so results are byte-identical for any worker count.
+// Both variants parallelise across Options.Workers goroutines by cutting
+// the couple list into contiguous tasks: Algorithm 3 into fixed strides,
+// Algorithm 2 into tasks of at most one chunk, a chunk being cut further
+// only when there are fewer chunks than workers. Every worker accumulates
+// into a private sorted run and the merged family is emitted in canonical
+// order, so results are byte-identical for any worker count.
 package agree
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -55,9 +57,11 @@ import (
 	"repro/internal/relation"
 )
 
-// DefaultChunkSize is the default bound on couples materialised at once by
-// the couples algorithm. The paper uses "a threshold (associated to the
-// number of tuples)"; 1<<20 couples ≈ 8 MB of couple state.
+// DefaultChunkSize is the default bound on couples one Algorithm 2 pass
+// over r̂ sweeps. The paper uses "a threshold (associated to the number of
+// tuples)". A swept couple costs 8 B (its encoding) plus |R| bits of
+// agree state, so a full chunk holds 8 MB of couples plus |R|/8 MB of
+// bits, whichever way it is cut across workers.
 const DefaultChunkSize = 1 << 20
 
 // Result is the outcome of an agree-set computation.
@@ -69,8 +73,9 @@ type Result struct {
 	Sets attrset.Family
 	// Couples is the number of tuple couples examined.
 	Couples int
-	// Chunks is the number of chunk passes performed (couples algorithm;
-	// 1 otherwise).
+	// Chunks is the paper's chunk count ⌈couples/ChunkSize⌉ for the
+	// couples algorithm (1 otherwise), whatever the worker count: a chunk
+	// cut across idle workers still counts once.
 	Chunks int
 	// Spill counts the out-of-core activity when Options.MaxAgreeBytes
 	// made the accumulators spill sorted runs to disk, or a Remote's runs
@@ -113,7 +118,7 @@ func Naive(ctx context.Context, r *relation.Relation) (*Result, error) {
 
 // Options configure the stripped-partition algorithms.
 type Options struct {
-	// ChunkSize bounds the couples held in memory at once by Couples.
+	// ChunkSize bounds the couples one Algorithm 2 pass over r̂ sweeps.
 	// Zero means DefaultChunkSize.
 	ChunkSize int
 	// Workers is the worker-pool width for the couple sweep: 0 means
@@ -154,25 +159,29 @@ func coupleT(e uint64) int { return int(e >> 32) }
 func coupleU(e uint64) int { return int(uint32(e)) }
 
 // generateCouples lists the distinct couples of the classes of MC,
-// encoded. MC classes may overlap (two maximal classes of different
-// attributes can share tuples), so the same couple can occur in several
-// classes; duplicates are removed by an encode–sort–compact pass, which
-// profiles far ahead of hash-set deduplication at benchmark scale.
-func generateCouples(mc [][]int) []uint64 {
-	total := 0
-	for _, c := range mc {
-		total += len(c) * (len(c) - 1) / 2
+// encoded, in strictly increasing (t, u) order by construction, in an
+// exact-size slice. partition.MaximalPartners lists them u-major; a stable
+// counting scatter by t then places each couple in its (t, u) slot, so
+// neither MC nor the couple space is ever sorted.
+func generateCouples(db *partition.Database) []uint64 {
+	partners, ends := db.MaximalPartners()
+	slot := make([]int, db.NumRows+1) // couples per t, then t's next slot
+	for _, t := range partners {
+		slot[t+1]++
 	}
-	enc := make([]uint64, 0, total)
-	for _, c := range mc {
-		for i := 0; i < len(c); i++ {
-			for j := i + 1; j < len(c); j++ {
-				enc = append(enc, uint64(c[i])<<32|uint64(uint32(c[j])))
-			}
+	for t := range db.NumRows {
+		slot[t+1] += slot[t]
+	}
+	enc := make([]uint64, len(partners))
+	k := 0
+	for u, end := range ends {
+		for ; k < end; k++ {
+			t := partners[k]
+			enc[slot[t]] = uint64(t)<<32 | uint64(u)
+			slot[t]++
 		}
 	}
-	slices.Sort(enc)
-	return slices.Compact(enc)
+	return enc
 }
 
 // setAccum deduplicates agree sets without hashing: batches are sorted,
@@ -340,19 +349,19 @@ func mergeRuns(runs [][]attrset.Set) []attrset.Set {
 type workerState struct {
 	accum setAccum
 	// chunk sweep scratch (Couples only):
-	ag      []attrset.Set // per-couple agree state
+	agBits  []uint64      // one bit per (attribute, couple), attribute-major
 	counts  []int32       // counting layout of couples by first tuple
 	inClass []bool        // per-class membership marks
-	// identifier scratch (Identifiers only):
-	batch []attrset.Set // per-stride batch before absorption
+	batch   []attrset.Set // per-stride batch before absorption
 }
 
 // Couples computes ag(r) with Algorithm 2 (AGREE_SET): couples from MC,
 // swept against every stripped partition, chunked to bound memory. Chunks
 // are independent (each sweeps the partitions for its own couples only),
-// so they are distributed over Options.Workers goroutines; per-worker
-// sorted runs are merged and emitted in canonical order, making the
-// result independent of worker count and scheduling.
+// so they are distributed over Options.Workers goroutines, cut further
+// when there are fewer chunks than workers; per-worker sorted runs are
+// merged and emitted in canonical order, making the result independent of
+// worker count and scheduling.
 func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
 	return NewPlan(db).Run(ctx, VariantCouples, opts, nil)
 }
@@ -421,11 +430,11 @@ func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Opti
 	workers := pool.Resolve(opts.Workers)
 	locals := makeWorkers(workers, opts, sp)
 	full := attrset.Universe(p.db.Arity())
-	step, hook := opts.chunkSize(), faultinject.AgreeChunk
+	step, hook := taskSize(len(couples), opts.chunkSize(), workers), faultinject.AgreeChunk
 	var ecOff []int32
 	var ec []uint64
 	if v == VariantIdentifiers {
-		step, hook = identifierStride, faultinject.AgreeStride
+		step, hook = stride, faultinject.AgreeStride
 		ecOff, ec = p.ecIndex()
 	}
 	tasks := (len(couples) + step - 1) / step
@@ -439,7 +448,7 @@ func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Opti
 		part := couples[t*step : min((t+1)*step, len(couples))]
 		ws := locals[w]
 		if v == VariantCouples {
-			return ws.accum.absorb(processChunk(p.db, part, full, ws))
+			return processChunk(p.db, part, full, ws)
 		}
 		batch, err := intersectStride(taskCtx, ec, ecOff, part, full, ws.batch[:0])
 		ws.batch = batch
@@ -449,6 +458,15 @@ func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Opti
 		return ws.accum.absorb(batch)
 	})
 	return locals, err
+}
+
+// taskSize is the couple count of one Algorithm 2 task over n couples:
+// at most one chunk, cut smaller when there are fewer chunks than workers
+// so that every worker gets a share, but never below stride. Each task is
+// one full pass over r̂, so the cut trades extra passes for parallelism
+// only where workers would otherwise idle.
+func taskSize(n, chunkSize, workers int) int {
+	return min(chunkSize, max((n+workers-1)/workers, stride))
 }
 
 // newSpiller returns the spiller a sweep under opts accumulates into, or
@@ -520,24 +538,29 @@ func addEmptyIfUncovered(db *partition.Database, covered int, sets attrset.Famil
 }
 
 // processChunk runs lines 10–21 of Algorithm 2 for one chunk of couples:
-// for each stripped partition and each of its classes, add the attribute
-// to the agree set of every chunk couple lying inside the class. Agree
-// sets equal to full (the whole schema, i.e. duplicate-tuple couples) are
-// dropped: set semantics. It reads db and writes only worker-local
-// scratch, so concurrent calls on distinct workerStates are safe. The
-// returned batch aliases ws.ag and is valid until the next call.
+// for each stripped partition π̂_A and each of its classes, mark the
+// class's tuples and record A for every chunk couple lying inside it. A
+// couple's agree set is stored as one bit per (attribute, couple): bit k
+// of attribute A's row says A ∈ ag(chunk[k]), so an attribute pass writes
+// one |chunk|-bit row instead of a 32-byte set per couple. The sets are
+// then assembled stride by stride into ws.batch and absorbed into
+// ws.accum; sets equal to full (the whole schema, i.e. duplicate-tuple
+// couples) are dropped: set semantics. It reads db and writes only
+// worker-local state, so concurrent calls on distinct workerStates are
+// safe.
 //
 // To keep the per-class couple lookup sub-quadratic, couples are indexed by
 // their first tuple: for a class c and each t ∈ c, only couples starting at
 // t are probed, and membership of the partner is tested with a per-class
 // mark table — an indexing refinement of the paper's "if t ∈ c and t' ∈ c".
-func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *workerState) []attrset.Set {
-	// ag state for the chunk, reset to ∅.
-	if cap(ws.ag) < len(chunk) {
-		ws.ag = make([]attrset.Set, len(chunk))
+func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *workerState) error {
+	// One row of words per attribute, reset to ∅.
+	words := (len(chunk) + 63) / 64
+	if cap(ws.agBits) < db.Arity()*words {
+		ws.agBits = make([]uint64, db.Arity()*words)
 	}
-	ag := ws.ag[:len(chunk)]
-	clear(ag)
+	agBits := ws.agBits[:db.Arity()*words]
+	clear(agBits)
 	// Index couples by first tuple: counts[t]..counts[t+1] slices into
 	// couple indices. chunk arrives sorted by (t, u) from
 	// generateCouples, so a counting layout avoids per-tuple allocations.
@@ -555,6 +578,7 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 		counts[t+1] += counts[t]
 	}
 	for a, p := range db.Attr {
+		row := agBits[a*words : (a+1)*words]
 		for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
 			cls := p.Class(ci)
 			for _, t := range cls {
@@ -563,7 +587,7 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 			for _, t := range cls {
 				for k := counts[t]; k < counts[t+1]; k++ {
 					if inClass[coupleU(chunk[k])] {
-						ag[k].Add(a)
+						row[k>>6] |= 1 << (k & 63)
 					}
 				}
 			}
@@ -572,20 +596,42 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 			}
 		}
 	}
-	// Drop full-schema couples (duplicate rows) in place.
-	batch := ag[:0]
-	for _, s := range ag {
-		if s != full {
-			batch = append(batch, s)
+	// Assemble the sets of one stride at a time; stride is a multiple of
+	// 64, so each stride starts on a word boundary.
+	for lo := 0; lo < len(chunk); lo += stride {
+		hi := min(lo+stride, len(chunk))
+		if cap(ws.batch) < hi-lo {
+			ws.batch = make([]attrset.Set, stride)
+		}
+		batch := ws.batch[:hi-lo]
+		clear(batch)
+		for a := range db.Arity() {
+			row := agBits[a*words+lo/64 : a*words+(hi+63)/64]
+			for w, word := range row {
+				for ; word != 0; word &= word - 1 {
+					batch[w*64+bits.TrailingZeros64(word)].Add(a)
+				}
+			}
+		}
+		kept := batch[:0]
+		for _, s := range batch {
+			if s != full {
+				kept = append(kept, s)
+			}
+		}
+		if err := ws.accum.absorb(kept); err != nil {
+			return err
 		}
 	}
-	return batch
+	return nil
 }
 
-// identifierStride is the number of couples one parallel Identifiers task
-// intersects: large enough to amortise dispatch, small enough to balance
-// load and keep cancellation latency low.
-const identifierStride = 1 << 13
+// stride is the couple count of the smallest unit of sweep work: one
+// Identifiers task, the floor of a Couples task, and one batch of agree
+// sets assembled for absorption. It is large enough to amortise dispatch
+// and sorting, small enough to balance load, keep cancellation latency
+// low and keep an assembled batch (32 bytes a couple) cache-resident.
+const stride = 1 << 13
 
 // buildECIndex lays out, per tuple t, the list ec(t) of (attribute, class
 // id) pairs for which t lies in some class of π̂_A, encoded a<<32|id in

@@ -3,14 +3,14 @@
 // that makes some of a run's shards remote.
 //
 // A Plan pins the shardable state both sides must agree on: the couple
-// list is generated once (sorted, deduplicated — generateCouples), so a
-// [Start,End) index range names the same couples on every node that
-// computes it from the same relation bytes; content fingerprints make
-// "same bytes" verifiable. ComputeShard sweeps only its range and emits
-// the deduplicated agree sets in raw word order (extsort.Compare) — the
-// run order — without the canonical sort or the empty-set completion,
-// which belong to whoever unions the shards. Finish applies exactly that
-// tail once over the merged family.
+// list is generated once (deduplicated, in (t, u) order by construction —
+// generateCouples), so a [Start,End) index range names the same couples
+// on every node that computes it from the same relation bytes; content
+// fingerprints make "same bytes" verifiable. ComputeShard sweeps only its
+// range and emits the deduplicated agree sets in raw word order
+// (extsort.Compare) — the run order — without the canonical sort or the
+// empty-set completion, which belong to whoever unions the shards. Finish
+// applies exactly that tail once over the merged family.
 //
 // Plan.Run with a Remote is that union: each shard's run is fetched from
 // the remote source or, when the fetch fails, swept locally, and every
@@ -87,7 +87,7 @@ type Plan struct {
 
 // NewPlan builds the couple list for db.
 func NewPlan(db *partition.Database) *Plan {
-	return &Plan{db: db, couples: generateCouples(db.MaximalClasses())}
+	return &Plan{db: db, couples: generateCouples(db)}
 }
 
 // Couples returns the total couple count — the space Split partitions.

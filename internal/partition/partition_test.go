@@ -3,7 +3,6 @@ package partition
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/attrset"
@@ -225,115 +224,5 @@ func TestDatabase(t *testing.T) {
 	}
 	if !classesEqual(db.Attr[2].Classes(), [][]int{{3, 4}}) {
 		t.Errorf("π̂_C = %v", db.Attr[2].Classes())
-	}
-}
-
-// Paper Example 4: MC = {{1,2},{1,6},{2,7},{3,4,5}} (1-based) =
-// {{0,1},{0,5},{1,6},{2,3,4}} (0-based).
-func TestMaximalClassesPaperExample(t *testing.T) {
-	r := relation.PaperExample()
-	db := NewDatabase(r)
-	mc := db.MaximalClasses()
-	want := [][]int{{0, 1}, {0, 5}, {1, 6}, {2, 3, 4}}
-	if !classesEqual(mc, want) {
-		t.Errorf("MC = %v, want %v", mc, want)
-	}
-}
-
-func TestMaximalClassesProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 40; iter++ {
-		n := 1 + rng.Intn(5)
-		rows := rng.Intn(30)
-		cols := make([][]int, n)
-		for a := range cols {
-			cols[a] = make([]int, rows)
-			dom := 1 + rng.Intn(4)
-			for i := range cols[a] {
-				cols[a][i] = rng.Intn(dom)
-			}
-		}
-		r, err := relation.FromCodes(make([]string, n), cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := NewDatabase(r)
-		mc := db.MaximalClasses()
-		// 1. Every class of every stripped partition is ⊆ some MC class.
-		for _, p := range db.Attr {
-			for _, c := range p.Classes() {
-				if !coveredBy(c, mc) {
-					t.Fatalf("class %v not covered by MC %v", c, mc)
-				}
-			}
-		}
-		// 2. MC is an antichain.
-		for i := range mc {
-			for j := range mc {
-				if i != j && subsetInts(mc[i], mc[j]) {
-					t.Fatalf("MC not antichain: %v ⊆ %v", mc[i], mc[j])
-				}
-			}
-		}
-		// 3. Every MC class is an actual class of some stripped partition.
-		for _, c := range mc {
-			found := false
-			for _, p := range db.Attr {
-				for _, pc := range p.Classes() {
-					if reflect.DeepEqual(c, pc) {
-						found = true
-					}
-				}
-			}
-			if !found {
-				t.Fatalf("MC class %v not in any partition", c)
-			}
-		}
-	}
-}
-
-func coveredBy(c []int, mc [][]int) bool {
-	for _, m := range mc {
-		if subsetInts(c, m) {
-			return true
-		}
-	}
-	return false
-}
-
-// subsetInts reports a ⊆ b for sorted slices.
-func subsetInts(a, b []int) bool {
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i >= len(b) || b[i] != x {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-func TestMaximalClassesDedupAcrossAttrs(t *testing.T) {
-	// B and D have identical partitions in the paper example; MC must not
-	// contain duplicates.
-	r := relation.PaperExample()
-	mc := NewDatabase(r).MaximalClasses()
-	seen := map[string]bool{}
-	for _, c := range mc {
-		k := ""
-		for _, t := range c {
-			k += string(rune(t)) + ","
-		}
-		if seen[k] {
-			t.Fatalf("duplicate MC class %v", c)
-		}
-		seen[k] = true
-	}
-	sorted := slices.IsSortedFunc(mc, cmpInts)
-	if !sorted {
-		t.Error("MC not in canonical order")
 	}
 }
