@@ -29,21 +29,23 @@
 // ag(r), exactly as if the relation had been deduplicated first.
 //
 // Couples are encoded into uint64s and listed once, in (t, u) order by
-// construction (see generateCouples); the agree sets are deduplicated
-// without hashing — per-worker sorted runs merged at the end — since
-// hash maps profile far behind at benchmark scale (see DESIGN.md §9).
+// construction (see generateCouples). Agree sets are deduplicated as they
+// are produced, by a hash-indexed list of the distinct sets (setAccum),
+// so only the family — orders of magnitude smaller than the couple
+// stream — is ever sorted (see DESIGN.md §9).
 //
 // Both variants parallelise across Options.Workers goroutines by cutting
 // the couple list into contiguous tasks: Algorithm 3 into fixed strides,
 // Algorithm 2 into tasks of at most one chunk, a chunk being cut further
 // only when there are fewer chunks than workers. Every worker accumulates
-// into a private sorted run and the merged family is emitted in canonical
+// into a private distinct list and the union is emitted in canonical
 // order, so results are byte-identical for any worker count.
 package agree
 
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math/bits"
 	"slices"
 	"time"
@@ -81,8 +83,8 @@ type Result struct {
 	// made the accumulators spill sorted runs to disk, or a Remote's runs
 	// were adopted onto disk; all-zero for in-memory runs.
 	Spill extsort.Stats
-	// Merge is the wall time of the final merge of the sorted runs —
-	// in memory, spilled or remote — plus the canonical finish.
+	// Merge is the wall time of the final union of the workers' lists
+	// and any spilled or remote runs, plus the canonical finish.
 	Merge time.Duration
 }
 
@@ -103,15 +105,13 @@ func Naive(ctx context.Context, r *relation.Relation) (*Result, error) {
 		batch = batch[:0]
 		for j := i + 1; j < r.Rows(); j++ {
 			res.Couples++
-			if s := r.AgreeSet(i, j); s != full {
-				batch = append(batch, s)
-			}
+			batch = append(batch, r.AgreeSet(i, j))
 		}
-		if err := acc.absorb(batch); err != nil {
+		if err := acc.absorb(batch, full); err != nil {
 			return nil, err
 		}
 	}
-	res.Sets = attrset.Family(acc.sorted)
+	res.Sets = attrset.Family(acc.sets)
 	res.Sets.Sort()
 	return res, nil
 }
@@ -154,7 +154,7 @@ func (o Options) chunkSize() int {
 
 // coupleT and coupleU decode an encoded couple: an ordered pair of tuple
 // ids (t < u) packed as t<<32 | u. Keeping couples encoded halves their
-// memory footprint and makes dedup a sort-and-compact over []uint64.
+// memory footprint.
 func coupleT(e uint64) int { return int(e >> 32) }
 func coupleU(e uint64) int { return int(uint32(e)) }
 
@@ -184,104 +184,162 @@ func generateCouples(db *partition.Database) []uint64 {
 	return enc
 }
 
-// setAccum deduplicates agree sets without hashing: batches are sorted,
-// compacted, and merged into one sorted run. The run is kept in raw
-// word order (rawCompare) — an arbitrary but consistent total order
-// whose comparisons cost four word compares, against the canonical
-// Compare's eight popcounts; only the final deduplicated family (far
-// smaller than the batches) is re-sorted canonically, by mergeAccums or
-// the caller. Merges across workers are order-insensitive.
+// setAccum deduplicates agree sets at insert: sets lists the distinct
+// sets seen since the last spill, in insertion order, and index is an
+// open-addressing table over it (0 = empty, k = sets[k-1]; linear
+// probing, power-of-two size, load at most ½). The family is tiny next
+// to the couple stream — 69 distinct sets for 359,428 couples on a
+// 12×30,000 relation — so the index stays cache-resident, and only the
+// distinct sets are ever sorted: by seal, where a sorted run is required.
+// The hash is seeded because uploaded data decides the agree sets, and
+// must not be able to predict the probe sequence.
 //
-// With a spiller attached, a run that grows past limit bytes is flushed
-// to disk and the in-memory accumulation restarts empty; the spilled
-// runs rejoin at mergeAccums' k-way merge. Spill boundaries cannot
-// change the emitted family — the merge is the same dedup union wherever
-// its inputs live.
+// With a spiller attached, the list is sealed and spilled after a batch
+// once it holds limit bytes, and accumulation restarts empty; the spilled
+// runs rejoin at mergeAccums' k-way merge, so spill boundaries cannot
+// change the emitted family.
 type setAccum struct {
-	sorted []attrset.Set // deduplicated accumulation, raw word order
-	merged []attrset.Set // scratch buffer the merge writes into
-	sp     *extsort.Spiller
-	limit  int64 // spill threshold in bytes; only read when sp != nil
+	sets  []attrset.Set
+	index []int32
+	seed  maphash.Seed // zero = drawn on first insert
+	sp    *extsort.Spiller
+	limit int64 // spill threshold in bytes; only read when sp != nil
 }
 
 // rawCompare orders sets by their backing words — extsort.Compare, the
 // run order shared with the on-disk spill files. Zero iff the sets are
-// equal, so compact/merge dedup is exact; the order itself carries no
+// equal, so the k-way merge dedups exactly; the order itself carries no
 // meaning and never reaches callers.
 func rawCompare(a, b attrset.Set) int { return extsort.Compare(a, b) }
 
-// absorb folds an unsorted batch (modified in place) into the run,
-// spilling the run to disk when it outgrows the configured threshold.
-func (ac *setAccum) absorb(batch []attrset.Set) error {
-	if len(batch) == 0 {
+// absorb inserts a batch's sets except full (the whole schema, i.e.
+// couples of duplicate tuples: set semantics), then spills the list once
+// it holds the configured threshold.
+func (ac *setAccum) absorb(batch []attrset.Set, full attrset.Set) error {
+	for _, s := range batch {
+		if s != full {
+			ac.insert(s)
+		}
+	}
+	if ac.sp == nil || int64(len(ac.sets))*extsort.SetBytes < ac.limit {
 		return nil
 	}
-	slices.SortFunc(batch, rawCompare)
-	batch = slices.Compact(batch)
-	merged := mergeSets(ac.merged[:0], ac.sorted, batch)
-	ac.merged = ac.sorted[:0] // the old run becomes the next scratch
-	ac.sorted = merged
-	if ac.sp != nil && int64(len(ac.sorted))*extsort.SetBytes >= ac.limit {
-		if err := ac.sp.Spill(ac.sorted); err != nil {
-			return err
-		}
-		ac.sorted = ac.sorted[:0]
+	// On a refused spill the sealed list stays: no set is lost.
+	if err := ac.sp.Spill(ac.seal()); err != nil {
+		return err
 	}
+	ac.sets = ac.sets[:0]
 	return nil
 }
 
-// mergeSets merges two sorted deduplicated runs, appending to dst (which
-// must not alias a or b). Equal elements are emitted once.
-func mergeSets(dst, a, b []attrset.Set) []attrset.Set {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := rawCompare(a[i], b[j]); {
-		case c < 0:
-			dst = append(dst, a[i])
-			i++
-		case c > 0:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
+// insert adds s to the list unless it is already there.
+func (ac *setAccum) insert(s attrset.Set) {
+	if 2*(len(ac.sets)+1) > len(ac.index) {
+		ac.rehash(len(ac.sets) + 1)
 	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
+	if i := ac.probe(s); ac.index[i] == 0 {
+		ac.sets = append(ac.sets, s)
+		ac.index[i] = int32(len(ac.sets))
+	}
 }
 
-// memRuns lists the workers' non-empty in-memory runs and their total
-// length.
-func memRuns(locals []*workerState) ([][]attrset.Set, int) {
+// probe returns the slot naming s, or the empty slot where s belongs.
+func (ac *setAccum) probe(s attrset.Set) uint64 {
+	mask := uint64(len(ac.index) - 1)
+	i := maphash.Comparable(ac.seed, s) & mask
+	for k := ac.index[i]; k != 0 && ac.sets[k-1] != s; k = ac.index[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// indexSize is the index size for n ≥ 1 sets: the smallest power of two,
+// and at least 64, that holds them at load at most ½.
+func indexSize(n int) int { return max(64, 1<<bits.Len(uint(2*n-1))) }
+
+// rehash sizes the index for n ≥ 1 sets, within its backing array when
+// that is large enough, and re-enters the listed sets.
+func (ac *setAccum) rehash(n int) {
+	if ac.seed == (maphash.Seed{}) {
+		ac.seed = maphash.MakeSeed()
+	}
+	if size := indexSize(n); cap(ac.index) >= size {
+		ac.index = ac.index[:size]
+		clear(ac.index)
+	} else {
+		ac.index = make([]int32, size)
+	}
+	for k, s := range ac.sets {
+		ac.index[ac.probe(s)] = int32(k + 1)
+	}
+}
+
+// seal sorts the list in raw run order and returns it. The index no
+// longer matches the list, so it is emptied: the next insert rebuilds it.
+func (ac *setAccum) seal() []attrset.Set {
+	slices.SortFunc(ac.sets, rawCompare)
+	ac.index = ac.index[:0]
+	return ac.sets
+}
+
+// union folds the workers' lists into one accumulator whose list and
+// index are reserved for their total. The index starts at the longest
+// list, a lower bound on the union, so overlapping lists probe a small
+// table. A lone non-empty list is already distinct: it is only copied.
+func union(locals []*workerState) setAccum {
+	total, longest := 0, 0
+	for _, w := range locals {
+		total += len(w.accum.sets)
+		longest = max(longest, len(w.accum.sets))
+	}
+	u := setAccum{sets: make([]attrset.Set, 0, total)}
+	if longest == total {
+		for _, w := range locals {
+			u.sets = append(u.sets, w.accum.sets...)
+		}
+		return u
+	}
+	u.index = make([]int32, 0, indexSize(total))
+	u.rehash(longest)
+	for _, w := range locals {
+		for _, s := range w.accum.sets {
+			u.insert(s)
+		}
+	}
+	return u
+}
+
+// sealedRuns seals the workers' non-empty lists into sorted runs for the
+// k-way merge and returns them with their total length.
+func sealedRuns(locals []*workerState) ([][]attrset.Set, int) {
 	runs := make([][]attrset.Set, 0, len(locals))
 	total := 0
 	for _, w := range locals {
-		if len(w.accum.sorted) > 0 {
-			runs = append(runs, w.accum.sorted)
-			total += len(w.accum.sorted)
+		if len(w.accum.sets) > 0 {
+			runs = append(runs, w.accum.seal())
+			total += len(w.accum.sets)
 		}
 	}
 	return runs, total
 }
 
-// mergeAccums folds per-worker sorted runs — plus any runs the workers
-// spilled to disk — into one deduplicated family in raw run order (never
-// nil); the canonical sort is the caller's. Merging is order-insensitive,
-// so the result depends neither on how couples were distributed across
-// workers nor on where spill boundaries fell: the family is
-// byte-identical to the all-in-RAM path for every threshold and worker
-// count.
+// mergeAccums unites the workers' lists with any runs they spilled or a
+// Remote delivered into one deduplicated family — never nil, sharing no
+// memory with the workers, exact-size when nothing spilled — whose
+// canonical sort is the caller's. A union cannot depend on how couples
+// were spread over workers or where spills fell, so neither can ag(r).
 func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, error) {
-	runs, total := memRuns(locals)
 	if sp == nil || sp.Runs() == 0 {
-		return mergeRuns(runs), nil
+		u := union(locals)
+		if len(u.sets) == cap(u.sets) {
+			return u.sets, nil
+		}
+		return append(make(attrset.Family, 0, len(u.sets)), u.sets...), nil
 	}
 	// Streaming k-way merge over disk readers and in-memory runs. The
 	// capacity estimate counts cross-run duplicates once each, so it can
 	// overshoot; clip before handing the family on.
+	runs, total := sealedRuns(locals)
 	out := make(attrset.Family, 0, total+int(sp.Stats().SpilledSets))
 	err := sp.Merge(runs, func(s attrset.Set) error {
 		out = append(out, s)
@@ -291,57 +349,6 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 		return nil, err
 	}
 	return slices.Clip(out), nil
-}
-
-// mergeRuns folds sorted deduplicated runs into one via balanced pairwise
-// merging (k-1 two-way merges). Rounds ping-pong between two
-// total-capacity scratch buffers — round N's outputs are slices of one
-// buffer, round N+1 writes the other — so the whole fold costs a
-// constant five allocations regardless of k or round count. An odd
-// leftover run is copied into the round's buffer rather than carried by
-// reference: a leftover pointing into buffer A would otherwise be read
-// two rounds later while buffer A is being rewritten. The result is never
-// nil.
-func mergeRuns(runs [][]attrset.Set) []attrset.Set {
-	switch len(runs) {
-	case 0:
-		return []attrset.Set{}
-	case 1:
-		return slices.Clip(runs[0])
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	half := (len(runs) + 1) / 2
-	bufs := [2][]attrset.Set{
-		make([]attrset.Set, 0, total),
-		make([]attrset.Set, 0, total),
-	}
-	hdrs := [2][][]attrset.Set{
-		make([][]attrset.Set, 0, half),
-		make([][]attrset.Set, 0, half),
-	}
-	cur := runs
-	for round := 0; len(cur) > 1; round++ {
-		dst := bufs[round&1][:0]
-		next := hdrs[round&1][:0]
-		for i := 0; i+1 < len(cur); i += 2 {
-			start := len(dst)
-			dst = mergeSets(dst, cur[i], cur[i+1])
-			next = append(next, dst[start:len(dst):len(dst)])
-		}
-		if len(cur)%2 == 1 {
-			start := len(dst)
-			dst = append(dst, cur[len(cur)-1]...)
-			next = append(next, dst[start:len(dst):len(dst)])
-		}
-		cur = next
-	}
-	// Exact-size copy so the family does not pin a total-capacity buffer.
-	out := make([]attrset.Set, len(cur[0]))
-	copy(out, cur[0])
-	return out
 }
 
 // workerState is the per-worker accumulation and scratch reused across
@@ -359,15 +366,15 @@ type workerState struct {
 // swept against every stripped partition, chunked to bound memory. Chunks
 // are independent (each sweeps the partitions for its own couples only),
 // so they are distributed over Options.Workers goroutines, cut further
-// when there are fewer chunks than workers; per-worker sorted runs are
-// merged and emitted in canonical order, making the result independent of
-// worker count and scheduling.
+// when there are fewer chunks than workers; the per-worker lists are
+// united and emitted in canonical order, making the result independent
+// of worker count and scheduling.
 func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
 	return NewPlan(db).Run(ctx, VariantCouples, opts, nil)
 }
 
 // Run sweeps the plan's whole couple space through variant v and
-// finishes the merged runs into ag(r), charging the couple count before
+// finishes the united family into ag(r), charging the couple count before
 // the sweep and the family size after it. With a nil remote the sweep is
 // local; otherwise the couple space is fanned out over the remote's
 // shards (see fanOut), whose runs join the same merge as local and
@@ -422,7 +429,7 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 
 // sweep runs couples through variant v — Algorithm 2's chunk loop or
 // Algorithm 3's stride loop — over Options.Workers goroutines, each
-// absorbing its batches into a private sorted run (spilled into sp past
+// absorbing its batches into a private distinct list (spilled into sp past
 // Options.MaxAgreeBytes). Every task first passes the variant's fault
 // hook and a budget deadline checkpoint. pool.Run joins every worker
 // before returning, so the locals are safe to merge whatever the error.
@@ -450,12 +457,12 @@ func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Opti
 		if v == VariantCouples {
 			return processChunk(p.db, part, full, ws)
 		}
-		batch, err := intersectStride(taskCtx, ec, ecOff, part, full, ws.batch[:0])
+		batch, err := intersectStride(taskCtx, ec, ecOff, part, ws.batch[:0])
 		ws.batch = batch
 		if err != nil {
 			return err
 		}
-		return ws.accum.absorb(batch)
+		return ws.accum.absorb(batch, full)
 	})
 	return locals, err
 }
@@ -544,8 +551,7 @@ func addEmptyIfUncovered(db *partition.Database, covered int, sets attrset.Famil
 // of attribute A's row says A ∈ ag(chunk[k]), so an attribute pass writes
 // one |chunk|-bit row instead of a 32-byte set per couple. The sets are
 // then assembled stride by stride into ws.batch and absorbed into
-// ws.accum; sets equal to full (the whole schema, i.e. duplicate-tuple
-// couples) are dropped: set semantics. It reads db and writes only
+// ws.accum, which drops sets equal to full. It reads db and writes only
 // worker-local state, so concurrent calls on distinct workerStates are
 // safe.
 //
@@ -613,13 +619,7 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 				}
 			}
 		}
-		kept := batch[:0]
-		for _, s := range batch {
-			if s != full {
-				kept = append(kept, s)
-			}
-		}
-		if err := ws.accum.absorb(kept); err != nil {
+		if err := ws.accum.absorb(batch, full); err != nil {
 			return err
 		}
 	}
@@ -628,9 +628,9 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 
 // stride is the couple count of the smallest unit of sweep work: one
 // Identifiers task, the floor of a Couples task, and one batch of agree
-// sets assembled for absorption. It is large enough to amortise dispatch
-// and sorting, small enough to balance load, keep cancellation latency
-// low and keep an assembled batch (32 bytes a couple) cache-resident.
+// sets assembled for absorption. It is large enough to amortise dispatch,
+// small enough to balance load, keep cancellation latency low and keep
+// an assembled batch (32 bytes a couple) cache-resident.
 const stride = 1 << 13
 
 // buildECIndex lays out, per tuple t, the list ec(t) of (attribute, class
@@ -667,9 +667,9 @@ func buildECIndex(db *partition.Database) (ecOff []int32, ec []uint64) {
 }
 
 // intersectStride runs the Lemma 2 intersection for one stride of
-// couples, appending each non-full agree set to batch. It checks the
-// task context every 4096 couples to keep cancellation latency low.
-func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, couples []uint64, full attrset.Set, batch []attrset.Set) ([]attrset.Set, error) {
+// couples, appending each agree set to batch. It checks the task context
+// every 4096 couples to keep cancellation latency low.
+func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, couples []uint64, batch []attrset.Set) ([]attrset.Set, error) {
 	for i, cp := range couples {
 		if i&0xFFF == 0 {
 			if err := taskCtx.Err(); err != nil {
@@ -695,15 +695,13 @@ func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, couple
 				y++
 			}
 		}
-		if s != full {
-			batch = append(batch, s)
-		}
+		batch = append(batch, s)
 	}
 	return batch, nil
 }
 
-// FromRelation is a convenience: builds the stripped partition database and
-// runs the identifier algorithm (the more scalable default).
+// FromRelation builds the stripped partition database and runs Algorithm
+// 3, the paper's more scalable choice (EXPERIMENTS.md: not reproduced).
 func FromRelation(ctx context.Context, r *relation.Relation) (*Result, error) {
 	return NewPlan(partition.NewDatabase(r)).Run(ctx, VariantIdentifiers, Options{}, nil)
 }

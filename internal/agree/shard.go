@@ -50,8 +50,8 @@ const (
 	VariantCouples Variant = iota
 	// VariantIdentifiers is Algorithm 3 (AGREE_SET 2): per-tuple
 	// equivalence-class identifier lists, intersected per MC couple
-	// (Lemma 2) — the evaluation's "Dep-Miner 2", more efficient when
-	// equivalence classes are large or numerous.
+	// (Lemma 2) — the evaluation's "Dep-Miner 2", which the paper finds
+	// faster on large |R| or |r|; EXPERIMENTS.md no longer reproduces it.
 	VariantIdentifiers
 )
 
@@ -172,14 +172,14 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 	if sp != nil && sp.Runs() > 0 {
 		// Stream the disk-backed merge straight out: a spilling worker
 		// never holds its shard's family in memory.
-		runs, _ := memRuns(locals)
+		runs, _ := sealedRuns(locals)
 		if err := sp.Merge(runs, counted); err != nil {
 			return res, fmt.Errorf("agree: shard [%d,%d) merge: %w", sh.Start, sh.End, err)
 		}
 		return res, nil
 	}
-	sets, _ := mergeAccums(locals, nil)
-	for _, s := range sets {
+	u := union(locals)
+	for _, s := range u.seal() {
 		if err := counted(s); err != nil {
 			return res, err
 		}

@@ -146,10 +146,9 @@ func TestSpillGovernedPartial(t *testing.T) {
 	}
 }
 
-// TestMergeAccumsAllocs is the satellite guard on the ping-pong merge:
-// folding any number of per-worker runs must cost a constant number of
-// allocations (two set buffers, two header arrays, the final copy, and
-// the runs header).
+// TestMergeAccumsAllocs guards the in-memory union: folding any number
+// of per-worker lists must cost a constant number of allocations: the
+// reserved list and index, and the exact-size copy.
 func TestMergeAccumsAllocs(t *testing.T) {
 	locals := makeRunLocals(16, 2000)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -162,22 +161,19 @@ func TestMergeAccumsAllocs(t *testing.T) {
 	}
 }
 
-// makeRunLocals builds worker states whose accumulators hold sorted
-// deduplicated runs with heavy cross-run overlap.
+// makeRunLocals builds worker states whose accumulators hold distinct
+// lists with heavy cross-worker overlap.
 func makeRunLocals(workers, perRun int) []*workerState {
 	rng := rand.New(rand.NewSource(23))
 	locals := make([]*workerState, workers)
 	for w := range locals {
-		run := make([]attrset.Set, 0, perRun)
+		locals[w] = &workerState{}
 		for i := 0; i < perRun; i++ {
 			var s attrset.Set
 			s[0] = uint64(rng.Intn(perRun))
 			s[1] = uint64(rng.Intn(4))
-			run = append(run, s)
+			locals[w].accum.insert(s)
 		}
-		slices.SortFunc(run, rawCompare)
-		run = slices.Compact(run)
-		locals[w] = &workerState{accum: setAccum{sorted: run}}
 	}
 	return locals
 }
