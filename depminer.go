@@ -313,9 +313,10 @@ func NewIncrementalMiner(names []string) (*IncrementalMiner, error) {
 }
 
 // IncrementalFromRelation creates an incremental miner pre-loaded with a
-// relation's tuples.
+// relation's tuples, seeded by one agree-set sweep. The miner adopts r's
+// columns and dictionaries; r itself never changes.
 func IncrementalFromRelation(r *Relation) (*IncrementalMiner, error) {
-	return incremental.FromRelation(r)
+	return incremental.FromStore(context.Background(), relation.StoreOf(r), 0)
 }
 
 // StreamCSV reads CSV data into a single-use Source in one pass. The

@@ -206,6 +206,18 @@ type setAccum struct {
 	limit int64 // spill threshold in bytes; only read when sp != nil
 }
 
+// Accum is a growing set family deduplicated at insert by the sweep's
+// own accumulator, for callers that maintain ag(r) outside a sweep. The
+// zero value is an empty family.
+type Accum struct{ acc setAccum }
+
+// Insert adds s to the family unless it is already there.
+func (a *Accum) Insert(s attrset.Set) { a.acc.insert(s) }
+
+// Sets returns the distinct sets in insertion order. The returned slice
+// must not be modified, and is valid only until the next Insert.
+func (a *Accum) Sets() []attrset.Set { return a.acc.sets }
+
 // rawCompare orders sets by their backing words — extsort.Compare, the
 // run order shared with the on-disk spill files. Zero iff the sets are
 // equal, so the k-way merge dedups exactly; the order itself carries no

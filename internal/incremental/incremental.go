@@ -14,6 +14,10 @@
 // family via the ordinary CMAX_SET → LEFT_HAND_SIDE steps (steps 2–4 of
 // the pipeline), whose cost depends on |ag(r)| and |R| but not on |r|.
 //
+// A miner over existing tuples (FromStore) is seeded in one Algorithm 2
+// sweep rather than one insert per tuple. The tuples live in one
+// append-only relation.Store, which Snapshot hands out as zero-copy views.
+//
 // Deletions are not supported: removing a tuple can invalidate agree sets
 // non-monotonically, requiring a rebuild (call New again). This matches
 // the dominant dba workload the paper targets — analysing growing data.
@@ -29,25 +33,23 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fd"
 	"repro/internal/guard"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
 // Miner maintains discovery state for a growing relation.
 type Miner struct {
-	names []string
-	// dicts[a] maps attribute a's string values to dense codes.
-	dicts []map[string]int
-	// buckets[a][code] lists tuple ids holding that code.
-	buckets [][][]int
-	// cols[a][t] is tuple t's code on attribute a.
-	cols [][]int
+	// store holds the tuples: one append-only dictionary-encoded column
+	// store, which Snapshot hands out as zero-copy views.
+	store *relation.Store
+	// buckets[a][code] lists, ascending, the tuples holding that code.
+	buckets [][][]int32
 	// agree is the maintained ag(r) (excluding ∅, tracked separately).
-	agree map[attrset.Set]struct{}
+	agree agree.Accum
 	// nonEmptyCouples counts couples with a non-empty agree set; when it
 	// lags behind C(rows,2), some couple disagrees everywhere and
 	// ∅ ∈ ag(r).
 	nonEmptyCouples int
-	rows            int
 	// stamp dedups candidate tuples per insert.
 	stamp   []int
 	stampID int
@@ -55,51 +57,100 @@ type Miner struct {
 
 // New creates an empty miner for the given schema.
 func New(names []string) (*Miner, error) {
-	if !attrset.Valid(len(names)) {
+	s, err := relation.StoreFromRows(names, nil)
+	if err != nil {
 		return nil, fmt.Errorf("incremental: schema exceeds %d attributes", attrset.MaxAttrs)
 	}
-	m := &Miner{
-		names:   append([]string(nil), names...),
-		dicts:   make([]map[string]int, len(names)),
-		buckets: make([][][]int, len(names)),
-		cols:    make([][]int, len(names)),
-		agree:   make(map[attrset.Set]struct{}),
-	}
-	for a := range names {
-		m.dicts[a] = make(map[string]int)
-	}
-	return m, nil
+	return &Miner{store: s, buckets: make([][][]int32, len(names))}, nil
 }
 
-// FromRelation builds a miner pre-loaded with a relation's tuples.
-func FromRelation(r *relation.Relation) (*Miner, error) {
-	return FromRelationCtx(context.Background(), r)
-}
-
-// FromRelationCtx is FromRelation under a context: loading aborts
-// mid-relation (and mid-scan within a tuple) when ctx is cancelled,
-// returning an error wrapping guard.ErrDeadline.
-func FromRelationCtx(ctx context.Context, r *relation.Relation) (*Miner, error) {
-	m, err := New(r.Names())
-	if err != nil {
+// FromStore builds a miner over the tuples of s, which it takes over:
+// later inserts append to s. Instead of one insert per tuple it seeds
+// ag(r) with one Algorithm 2 sweep (in memory, over workers goroutines,
+// 0 meaning GOMAXPROCS), and builds the bucket index with one counting
+// pass per attribute. Loading aborts when ctx is cancelled, returning an
+// error wrapping guard.ErrDeadline.
+func FromStore(ctx context.Context, s *relation.Store, workers int) (*Miner, error) {
+	if err := insertCtxErr(ctx); err != nil {
 		return nil, err
 	}
-	for t := 0; t < r.Rows(); t++ {
-		if err := m.InsertCtx(ctx, r.Row(t)); err != nil {
-			return nil, err
+	view := s.View()
+	db := partition.NewDatabase(view)
+	res, err := agree.NewPlan(db).Run(ctx, agree.VariantCouples, agree.Options{Workers: workers}, nil)
+	if err != nil {
+		if cerr := insertCtxErr(ctx); cerr != nil {
+			return nil, cerr
+		}
+		return nil, fmt.Errorf("incremental: seeding ag(r): %w", err)
+	}
+	m := &Miner{store: s, buckets: bucketIndex(view), nonEmptyCouples: res.Couples}
+	// The plan's couples are exactly those sharing a value, and its
+	// family drops ∅ (tracked by the couple count) and R, which the
+	// miner keeps when two tuples are identical.
+	for _, set := range res.Sets {
+		if !set.IsEmpty() {
+			m.agree.Insert(set)
 		}
 	}
+	if hasDuplicate(db) {
+		m.agree.Insert(attrset.Universe(db.Arity()))
+	}
 	return m, nil
+}
+
+// bucketIndex lists, per attribute and code, the tuples holding that code
+// in ascending order: one counting pass per attribute, every list a
+// capped sub-slice of one backing array, so an insert appending to a
+// list reallocates that list alone.
+func bucketIndex(r *relation.Relation) [][][]int32 {
+	backing := make([]int32, r.Rows()*r.Arity())
+	buckets := make([][][]int32, r.Arity())
+	for a := range buckets {
+		col, dom, _ := r.Column(a)
+		offs := make([]int, dom+1)
+		for _, code := range col {
+			offs[code+1]++
+		}
+		for c := range dom {
+			offs[c+1] += offs[c]
+		}
+		lists := backing[a*r.Rows() : (a+1)*r.Rows()]
+		buckets[a] = make([][]int32, dom)
+		for c := range dom {
+			buckets[a][c] = lists[offs[c]:offs[c]:offs[c+1]]
+		}
+		for t, code := range col {
+			buckets[a][code] = append(buckets[a][code], int32(t))
+		}
+	}
+	return buckets
+}
+
+// hasDuplicate reports whether two tuples agree on every attribute: the
+// product of all stripped partitions is then non-empty.
+func hasDuplicate(db *partition.Database) bool {
+	if db.Arity() == 0 {
+		return false
+	}
+	pr := partition.NewProber(db.NumRows)
+	p := db.Attr[0]
+	for _, q := range db.Attr[1:] {
+		if p.IsUnique() {
+			return false
+		}
+		p = pr.Product(p, q)
+	}
+	return !p.IsUnique()
 }
 
 // Rows returns the number of inserted tuples.
-func (m *Miner) Rows() int { return m.rows }
+func (m *Miner) Rows() int { return m.store.Rows() }
 
 // Arity returns |R|.
-func (m *Miner) Arity() int { return len(m.names) }
+func (m *Miner) Arity() int { return m.store.Arity() }
 
 // Names returns the schema's attribute names.
-func (m *Miner) Names() []string { return m.names }
+func (m *Miner) Names() []string { return m.store.Names() }
 
 // Insert adds one tuple and updates ag(r).
 func (m *Miner) Insert(row []string) error {
@@ -116,19 +167,21 @@ const insertCheckStride = 256
 // mid-scan: the candidate sweep checks ctx every insertCheckStride
 // couples and aborts with an error wrapping the typed guard.ErrDeadline
 // (not a bare ctx error), so governed callers classify the outcome with
-// one errors.Is test. An aborted insert leaves the miner's tuple state
-// unchanged — agree sets are staged and committed only after the scan
+// one errors.Is test. An aborted insert leaves the miner unchanged —
+// a new value only takes a provisional code during the scan, and agree
+// sets, dictionary codes and buckets are committed only after the scan
 // completes — so the session stays consistent and the insert can be
 // retried.
 func (m *Miner) InsertCtx(ctx context.Context, row []string) error {
-	if len(row) != len(m.names) {
-		return fmt.Errorf("incremental: row arity %d, schema %d", len(row), len(m.names))
+	if len(row) != m.Arity() {
+		return fmt.Errorf("incremental: row arity %d, schema %d", len(row), m.Arity())
 	}
 	if err := insertCtxErr(ctx); err != nil {
 		return err
 	}
-	t := m.rows
-	// Encode and collect candidate partners: tuples sharing ≥ 1 value.
+	t := m.store.Rows()
+	// Encode and collect candidate partners: tuples sharing ≥ 1 value. A
+	// new value's provisional code has no bucket and matches no tuple.
 	codes := make([]int, len(row))
 	m.stampID++
 	if len(m.stamp) < t {
@@ -136,15 +189,13 @@ func (m *Miner) InsertCtx(ctx context.Context, row []string) error {
 		copy(grown, m.stamp)
 		m.stamp = grown
 	}
-	var candidates []int
+	var candidates []int32
 	for a, v := range row {
-		code, ok := m.dicts[a][v]
-		if !ok {
-			code = len(m.buckets[a])
-			m.dicts[a][v] = code
-			m.buckets[a] = append(m.buckets[a], nil)
-		}
+		code := m.store.Lookup(a, v)
 		codes[a] = code
+		if code == len(m.buckets[a]) {
+			continue
+		}
 		for _, u := range m.buckets[a][code] {
 			if m.stamp[u] != m.stampID {
 				m.stamp[u] = m.stampID
@@ -164,8 +215,8 @@ func (m *Miner) InsertCtx(ctx context.Context, row []string) error {
 			}
 		}
 		var s attrset.Set
-		for a := range codes {
-			if m.cols[a][u] == codes[a] {
+		for a, code := range codes {
+			if m.store.Code(int(u), a) == code {
 				s.Add(a)
 			}
 		}
@@ -175,16 +226,21 @@ func (m *Miner) InsertCtx(ctx context.Context, row []string) error {
 	if err := faultinject.Fire(faultinject.IncrementalInsert); err != nil {
 		return err
 	}
-	// Commit: agree sets first, then the tuple itself.
+	// Commit: agree sets first, then the tuple itself — its codes, new
+	// dictionary values included, and its bucket entries.
 	for _, s := range staged {
-		m.agree[s] = struct{}{}
+		m.agree.Insert(s)
 	}
 	m.nonEmptyCouples += len(staged)
-	for a, code := range codes {
-		m.buckets[a][code] = append(m.buckets[a][code], t)
-		m.cols[a] = append(m.cols[a], code)
+	if err := m.store.Append(row); err != nil {
+		return err // unreachable: the arity was checked above
 	}
-	m.rows++
+	for a, code := range codes {
+		if code == len(m.buckets[a]) {
+			m.buckets[a] = append(m.buckets[a], nil)
+		}
+		m.buckets[a][code] = append(m.buckets[a][code], int32(t))
+	}
 	return nil
 }
 
@@ -200,10 +256,9 @@ func insertCtxErr(ctx context.Context) error {
 // AgreeSets returns the maintained ag(r) in canonical order (∅ included
 // when some couple disagrees everywhere).
 func (m *Miner) AgreeSets() attrset.Family {
-	out := make(attrset.Family, 0, len(m.agree)+1)
-	for s := range m.agree {
-		out = append(out, s)
-	}
+	sets := m.agree.Sets()
+	out := make(attrset.Family, len(sets), len(sets)+1)
+	copy(out, sets)
 	if m.emptyCouplePresent() {
 		out = append(out, attrset.Empty())
 	}
@@ -212,7 +267,8 @@ func (m *Miner) AgreeSets() attrset.Family {
 }
 
 func (m *Miner) emptyCouplePresent() bool {
-	return m.nonEmptyCouples < m.rows*(m.rows-1)/2
+	n := m.store.Rows()
+	return m.nonEmptyCouples < n*(n-1)/2
 }
 
 // Cover derives the current canonical cover of minimal non-trivial FDs
@@ -239,28 +295,14 @@ func (m *Miner) MaxSets(ctx context.Context) (attrset.Family, error) {
 // on the sequential reference path: the cost is independent of |r| and
 // too small to benefit from fan-out.
 func (m *Miner) derive(ctx context.Context) (*core.Result, error) {
-	in := core.Input{Agree: &agree.Result{Sets: m.AgreeSets()}, Arity: len(m.names)}
+	in := core.Input{Agree: &agree.Result{Sets: m.AgreeSets()}, Arity: m.Arity()}
 	return core.Run(ctx, in, core.Options{Workers: 1})
 }
 
-// Snapshot materialises the current tuples as a Relation (e.g. to build a
-// real-world Armstrong relation with values from the data).
+// Snapshot returns the current tuples as a Relation (e.g. to build a
+// real-world Armstrong relation with values from the data). It is an
+// O(|R|) immutable view that shares memory with the miner: later inserts
+// never change it, and it is never copied. The error is always nil.
 func (m *Miner) Snapshot() (*relation.Relation, error) {
-	rows := make([][]string, m.rows)
-	// Reverse dictionaries once.
-	rev := make([][]string, len(m.names))
-	for a := range m.names {
-		rev[a] = make([]string, len(m.dicts[a]))
-		for v, code := range m.dicts[a] {
-			rev[a][code] = v
-		}
-	}
-	for t := 0; t < m.rows; t++ {
-		row := make([]string, len(m.names))
-		for a := range m.names {
-			row[a] = rev[a][m.cols[a][t]]
-		}
-		rows[t] = row
-	}
-	return relation.FromRows(m.names, rows)
+	return m.store.View(), nil
 }

@@ -70,7 +70,7 @@ func seq(n int) []int {
 
 func TestAgreeSetsMatchBatch(t *testing.T) {
 	r := relation.PaperExample()
-	m, err := FromRelation(r)
+	m, err := FromStore(context.Background(), relation.StoreOf(r), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestInsertErrors(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	r := relation.PaperExample()
-	m, err := FromRelation(r)
+	m, err := FromStore(context.Background(), relation.StoreOf(r), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestMaxSets(t *testing.T) {
-	m, err := FromRelation(relation.PaperExample())
+	m, err := FromStore(context.Background(), relation.StoreOf(relation.PaperExample()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPropertyMatchesBatchOnRandomStreams(t *testing.T) {
 }
 
 func TestCancellation(t *testing.T) {
-	m, err := FromRelation(relation.PaperExample())
+	m, err := FromStore(context.Background(), relation.StoreOf(relation.PaperExample()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCancellation(t *testing.T) {
 }
 
 func TestInsertCtxCancelledLeavesMinerUnchanged(t *testing.T) {
-	m, err := FromRelation(relation.PaperExample())
+	m, err := FromStore(context.Background(), relation.StoreOf(relation.PaperExample()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +308,8 @@ func TestInsertCtxHonoursMidScanDeadline(t *testing.T) {
 func TestFromRelationCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FromRelationCtx(ctx, relation.PaperExample()); !errors.Is(err, guard.ErrDeadline) {
-		t.Fatalf("FromRelationCtx under cancelled ctx: err = %v, want guard.ErrDeadline", err)
+	if _, err := FromStore(ctx, relation.StoreOf(relation.PaperExample()), 1); !errors.Is(err, guard.ErrDeadline) {
+		t.Fatalf("FromStore under cancelled ctx: err = %v, want guard.ErrDeadline", err)
 	}
 }
 

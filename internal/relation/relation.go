@@ -54,57 +54,11 @@ type Relation struct {
 
 // FromRows builds a relation from attribute names and string rows.
 func FromRows(names []string, rows [][]string) (*Relation, error) {
-	t := 0
-	return encode(names, len(rows), func() ([]string, error) {
-		if t == len(rows) {
-			return nil, io.EOF
-		}
-		t++
-		return rows[t-1], nil
-	})
-}
-
-// encode builds a relation from the rows next yields until io.EOF,
-// assigning dictionary codes in first-occurrence order — the one encoder
-// behind FromRows and Load. It keeps no reference to a yielded row slice,
-// so next may reuse it; rowsHint presizes the columns.
-func encode(names []string, rowsHint int, next func() ([]string, error)) (*Relation, error) {
-	if !attrset.Valid(len(names)) {
-		return nil, ErrTooManyAttributes
+	s, err := StoreFromRows(names, rows)
+	if err != nil {
+		return nil, err
 	}
-	r := &Relation{
-		names: append([]string(nil), names...),
-		cols:  make([][]int, len(names)),
-		dicts: make([][]string, len(names)),
-	}
-	codes := make([]map[string]int, len(names))
-	for a := range names {
-		r.cols[a] = make([]int, 0, rowsHint)
-		codes[a] = make(map[string]int)
-	}
-	for {
-		row, err := next()
-		if err == io.EOF {
-			return r, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(row) != len(names) {
-			return nil, fmt.Errorf("%w: row %d has %d fields, schema has %d",
-				ErrRaggedRow, r.rows, len(row), len(names))
-		}
-		for a, v := range row {
-			code, ok := codes[a][v]
-			if !ok {
-				code = len(r.dicts[a])
-				codes[a][v] = code
-				r.dicts[a] = append(r.dicts[a], v)
-			}
-			r.cols[a] = append(r.cols[a], code)
-		}
-		r.rows++
-	}
+	return s.View(), nil
 }
 
 // FromCodes builds a relation directly from integer-coded columns,
@@ -154,38 +108,11 @@ func FromCodes(names []string, cols [][]int) (*Relation, error) {
 // If header is true the first record names the attributes; otherwise
 // attributes are named col0, col1, ....
 func Load(rd io.Reader, header bool) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = -1 // we validate arity ourselves for better errors
-	cr.ReuseRecord = true
-	read := func() ([]string, error) {
-		rec, err := cr.Read()
-		if err != nil && err != io.EOF {
-			err = fmt.Errorf("relation: reading csv: %w", err)
-		}
-		return rec, err
-	}
-	first, err := read()
-	if err == io.EOF {
-		return nil, errors.New("relation: empty input")
-	}
+	s, err := LoadStore(rd, header)
 	if err != nil {
 		return nil, err
 	}
-	if header {
-		return encode(first, 0, read)
-	}
-	names := make([]string, len(first))
-	for i := range names {
-		names[i] = "col" + strconv.Itoa(i)
-	}
-	pending := first
-	return encode(names, 0, func() ([]string, error) {
-		if row := pending; row != nil {
-			pending = nil
-			return row, nil
-		}
-		return read()
-	})
+	return s.View(), nil
 }
 
 // LoadFile reads a CSV relation from the named file.

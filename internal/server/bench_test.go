@@ -2,15 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/durable"
+	"repro/internal/partition"
 )
 
 // benchServer boots a server + httptest listener and registers a
@@ -23,6 +27,12 @@ func benchServer(b *testing.B) (*Server, *httptest.Server, string, []byte) {
 }
 
 func benchServerCfg(b *testing.B, cfg Config) (*Server, *httptest.Server, string, []byte) {
+	return benchServerShape(b, cfg, datagen.Spec{Attrs: 8, Rows: 1000, Correlation: 0.4, Seed: 3})
+}
+
+// benchServerShape boots a server under cfg and registers a relation
+// generated from spec.
+func benchServerShape(b *testing.B, cfg Config, spec datagen.Spec) (*Server, *httptest.Server, string, []byte) {
 	b.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -30,8 +40,9 @@ func benchServerCfg(b *testing.B, cfg Config) (*Server, *httptest.Server, string
 	}
 	ts := httptest.NewServer(s)
 	b.Cleanup(ts.Close)
+	b.Cleanup(func() { s.Shutdown(context.Background()) })
 
-	r, err := datagen.Generate(datagen.Spec{Attrs: 8, Rows: 1000, Correlation: 0.4, Seed: 3})
+	r, err := datagen.Generate(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,4 +151,53 @@ func BenchmarkDiscoverSharded(b *testing.B) {
 		s.cache.invalidateDataset(id)
 		benchDiscover(b, ts, body, false)
 	}
+}
+
+// BenchmarkDiscoverySource compares the two inputs a batch discovery can
+// read on serve-fleet's dataset shape (8 attrs x 2,002 rows, c=0.4, a
+// registered base plus one appended row folded into a durable snapshot):
+// "view" captures the resident store's view and partitions it;
+// "stream" opens and verifies the DMSNAP1 snapshot and partitions it
+// column by column. Both end at the same stripped partition database.
+func BenchmarkDiscoverySource(b *testing.B) {
+	s, ts, id, _ := benchServerShape(b, Config{DataDir: b.TempDir(), SnapshotEvery: -1},
+		datagen.Spec{Attrs: 8, Rows: 2001, Correlation: 0.4, Seed: 3})
+	resp, err := http.Post(ts.URL+"/v1/datasets/"+id+"/rows", "text/csv", strings.NewReader("0,1,2,3,4,5,6,7\n"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := s.store.CompactAll(); err != nil {
+		b.Fatal(err)
+	}
+	d, _ := s.reg.get(id)
+	path, complete := d.dur.SnapshotInfo()
+	if !complete {
+		b.Fatal("the snapshot does not cover the dataset")
+	}
+	b.Run("view", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			rel, _, err := d.snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := partition.NewDatabaseFromSource(rel); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			sr, err := durable.OpenSnapshotStream(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := partition.NewDatabaseFromSource(sr); err != nil {
+				b.Fatal(err)
+			}
+			sr.Close()
+		}
+	})
 }

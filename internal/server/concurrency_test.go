@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/relation"
 )
@@ -190,4 +192,99 @@ func TestConcurrentAppendsAndDiscoveries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestViewsRaceAppends races one appender against depminer discoveries
+// with Armstrong relations and incremental discoveries on one dataset
+// (run with -race in CI). Each discovery reads a view of the store
+// captured under the dataset lock while appends carrying new values grow
+// the store past it; with one writer the committed rows are a known
+// prefix, so every 200 response must equal the library's cover — and,
+// for depminer, its Armstrong relation — over the first resp.Rows rows.
+func TestViewsRaceAppends(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxJobs: 4})
+	base := relation.PaperExample()
+	reg := register(t, ts, base)
+	extra := make([][]string, 40)
+	for i := range extra {
+		extra[i] = []string{fmt.Sprintf("e%d", i), fmt.Sprintf("d%d", i%3), fmt.Sprint(1990 + i%10), fmt.Sprintf("Dept%d", i%4), fmt.Sprintf("m%d", i%5)}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, row := range extra {
+			resp, err := http.Post(ts.URL+"/v1/datasets/"+reg.ID+"/rows", "text/csv", strings.NewReader(strings.Join(row, ",")+"\n"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("append status = %d", resp.StatusCode)
+				return
+			}
+		}
+	}()
+	var mu sync.Mutex
+	var got []DiscoverResponse
+	var wg sync.WaitGroup
+	for _, req := range []DiscoverRequest{
+		{Dataset: reg.ID, Armstrong: true},
+		{Dataset: reg.ID, Algorithm: "incremental"},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var resp DiscoverResponse
+				switch code := postJSON(t, ts.URL+"/v1/discover", req, &resp); code {
+				case http.StatusOK:
+					mu.Lock()
+					got = append(got, resp)
+					mu.Unlock()
+				case http.StatusTooManyRequests:
+				default:
+					t.Errorf("discover status = %d (%s)", code, resp.Error)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+
+	type reference struct {
+		cover     []string
+		armstrong string
+	}
+	refs := map[int]reference{}
+	for _, resp := range got {
+		ref, ok := refs[resp.Rows]
+		if !ok {
+			prefix := appendRows(t, base, extra[:resp.Rows-base.Rows()])
+			res, err := core.Discover(context.Background(), prefix, core.Options{Armstrong: core.ArmstrongRealWorldOrSynthetic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var arm [][]string
+			for tt := range res.Armstrong.Rows() {
+				arm = append(arm, res.Armstrong.Row(tt))
+			}
+			ref = reference{renderCover(res.FDs, prefix.Names()), fmt.Sprint(arm)}
+			refs[resp.Rows] = ref
+		}
+		if !sameCover(resp.FDs, ref.cover) {
+			t.Fatalf("%s over %d rows: cover %v, want %v", resp.Algorithm, resp.Rows, resp.FDs, ref.cover)
+		}
+		if resp.Algorithm != "incremental" && fmt.Sprint(resp.Armstrong) != ref.armstrong {
+			t.Fatalf("Armstrong relation over %d rows: %v, want %s", resp.Rows, resp.Armstrong, ref.armstrong)
+		}
+	}
+	t.Logf("%d responses over %d distinct prefixes", len(got), len(refs))
 }

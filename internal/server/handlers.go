@@ -92,14 +92,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		header = b
 	}
-	rel, err := relation.Load(r.Body, header)
+	st, err := relation.LoadStore(r.Body, header)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad CSV: %v", err)
 		return
 	}
-	m, err := incremental.FromRelationCtx(r.Context(), rel)
+	m, err := incremental.FromStore(r.Context(), st, s.cfg.Workers)
 	if err != nil {
 		writeError(w, classifyStatus(err), "building incremental session: %v", err)
+		return
+	}
+	rel, err := m.Snapshot()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	name := r.URL.Query().Get("name")

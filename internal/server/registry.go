@@ -13,9 +13,10 @@ import (
 )
 
 // dataset is one registered relation: an incremental discovery session
-// (the miner maintains ag(r) under appends) plus a running content
-// fingerprint. The fingerprint commits the schema and every appended row
-// in order, so it identifies the exact relation instance — the result
+// (the miner holds the dataset's one column store and maintains ag(r)
+// under appends) plus a running content fingerprint. The fingerprint
+// commits the schema and every appended row in order, so it identifies
+// the exact relation instance — the result
 // cache keys on it, which makes append-then-discover a guaranteed miss
 // and repeat discovery a guaranteed hit. The same fingerprint is logged
 // with every durable record, which is what recovery verifies against.
@@ -24,18 +25,18 @@ type dataset struct {
 	name    string
 	created time.Time
 
-	// mu serialises appends against snapshots and incremental
+	// mu serialises appends against view captures and incremental
 	// derivations, so every reader sees a consistent (rows, fingerprint)
 	// pair.
 	mu     sync.Mutex
 	miner  *incremental.Miner
 	hasher *durable.Fingerprint
 	fp     string
-	// version counts committed appends; the cached snapshot is keyed on
-	// it so discoveries re-materialise the relation only after growth.
-	version     int
-	snap        *relation.Relation
-	snapVersion int
+	// version counts committed appends.
+	version int
+	// views counts the views captured by snapshot: a discovery that
+	// streams its durable snapshot, and a warm fleet, capture none.
+	views int
 
 	// dur is the dataset's durable handle; nil when the server runs
 	// memory-only (no -data-dir). brokenErr is the sticky durability
@@ -68,21 +69,15 @@ func (d *dataset) fingerprint() string {
 	return d.fp
 }
 
-// snapshot returns the materialised relation and the fingerprint it
-// corresponds to, rebuilding only when appends happened since the last
-// call.
+// snapshot returns a view of the dataset's current rows and the
+// fingerprint it corresponds to. The view is captured under the lock in
+// O(|R|) and shares the miner's store; later appends never change it.
 func (d *dataset) snapshot() (*relation.Relation, string, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.snap == nil || d.snapVersion != d.version {
-		r, err := d.miner.Snapshot()
-		if err != nil {
-			return nil, "", err
-		}
-		d.snap = r
-		d.snapVersion = d.version
-	}
-	return d.snap, d.fp, nil
+	d.views++
+	rel, err := d.miner.Snapshot()
+	return rel, d.fp, err
 }
 
 // errDurability marks appends (or registrations) refused because the
@@ -245,17 +240,17 @@ func (r *registry) register(name string, rel *relation.Relation, m *incremental.
 	return d, true, nil
 }
 
-// restore publishes a dataset recovered from disk at boot: the relation
-// and incremental session are rebuilt from the replayed rows and the
-// fingerprint is recomputed once more on the registry's own hasher — a
-// final cross-check that the recovered content is exactly what was
-// acknowledged.
-func (r *registry) restore(rd durable.RecoveredDataset, dur *durable.Dataset, now time.Time) error {
-	rel, err := relation.FromRows(rd.Names, rd.Rows)
+// restore publishes a dataset recovered from disk at boot: the column
+// store is built once from the replayed rows, the incremental session is
+// seeded over it (workers wide), and the fingerprint is recomputed once
+// more on the registry's own hasher — a final cross-check that the
+// recovered content is exactly what was acknowledged.
+func (r *registry) restore(rd durable.RecoveredDataset, dur *durable.Dataset, now time.Time, workers int) error {
+	st, err := relation.StoreFromRows(rd.Names, rd.Rows)
 	if err != nil {
 		return fmt.Errorf("restoring %s: %w", rd.ID, err)
 	}
-	m, err := incremental.FromRelation(rel)
+	m, err := incremental.FromStore(context.Background(), st, workers)
 	if err != nil {
 		return fmt.Errorf("restoring %s: %w", rd.ID, err)
 	}

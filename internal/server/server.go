@@ -240,7 +240,7 @@ func New(cfg Config) (*Server, error) {
 				cancel()
 				return nil, fmt.Errorf("server: recovered dataset %s has no durable handle", rd.ID)
 			}
-			if err := s.reg.restore(rd, dur, s.started); err != nil {
+			if err := s.reg.restore(rd, dur, s.started, cfg.Workers); err != nil {
 				store.Close()
 				cancel()
 				return nil, fmt.Errorf("server: %w", err)
@@ -529,9 +529,9 @@ func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams)
 	}
 
 	// Dep-Miner and FastFDs: core.Run over the opened source, which it
-	// partitions once; preparing the source — materialising the relation,
-	// or opening and verifying the snapshot — is added to the partition
-	// phase. A coordinator hands core.Run its fan-out as step 1's remote
+	// partitions once; preparing the source — capturing the store's
+	// view, or opening and verifying the snapshot — is added to the
+	// partition phase. A coordinator hands core.Run its fan-out as step 1's remote
 	// run source.
 	in := core.Input{Source: src.ColumnSource}
 	var fan *fanOut

@@ -82,11 +82,12 @@ func newFleet(endpoints []string) ([]*client.Client, error) {
 }
 
 // discSource is the input of one batch discovery: the column source
-// — the materialised relation or a verified snapshot reader — pinned to
-// the fingerprint it was derived from. Close releases a snapshot reader.
+// — a view of the dataset's store or a verified snapshot reader — pinned
+// to the fingerprint it was derived from. Close releases a snapshot
+// reader.
 type discSource struct {
 	partition.ColumnSource
-	rel *relation.Relation // nil when streamed from a snapshot
+	rel *relation.Relation // the view; nil when streamed from a snapshot
 	fp  string
 }
 
@@ -99,11 +100,11 @@ func (src *discSource) Close() {
 }
 
 // discoverySource opens the discovery input for d, preferring a streamed
-// durable snapshot — no relation materialisation — when one fully covers
-// the dataset. The snapshot's embedded
-// fingerprint is re-verified against the registry after opening, so a
-// compaction or append racing the check degrades to the materialised
-// path, never to stale data. The caller must Close the source.
+// durable snapshot when one fully covers the dataset, and otherwise a
+// view of the dataset's store. The snapshot's embedded fingerprint is
+// re-verified against the registry after opening, so a compaction or
+// append racing the check degrades to the view, never to stale data.
+// The caller must Close the source.
 func (s *Server) discoverySource(d *dataset) (*discSource, error) {
 	if src, ok := s.tryStreamSource(d); ok {
 		return src, nil
@@ -117,7 +118,7 @@ func (s *Server) discoverySource(d *dataset) (*discSource, error) {
 
 // tryStreamSource opens d's snapshot when it covers the dataset. Open
 // verifies the CRC and every code, so a damaged snapshot fails here: it
-// is logged and left to the materialised fallback. A fingerprint
+// is logged and left to the view fallback. A fingerprint
 // mismatch is a race with an append or compaction, not damage, and falls
 // back silently.
 func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
@@ -134,7 +135,7 @@ func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
 	}
 	sr, err := durable.OpenSnapshotStream(path)
 	if err != nil {
-		s.log.Warn("snapshot unreadable, materialising the relation instead",
+		s.log.Warn("snapshot unreadable, reading the resident store instead",
 			slog.String("dataset", d.id), slog.String("path", path), slog.String("error", err.Error()))
 		return nil, false
 	}
@@ -348,9 +349,9 @@ func (f *fanOut) pushDataset(ctx context.Context, cl *client.Client) error {
 	return nil
 }
 
-// datasetCSV materialises the relation once, for pushing to workers
-// that have never seen it. This is the one place a streamed-snapshot
-// discovery rehydrates rows — only on a cold fleet, never on the
+// datasetCSV serialises the relation once, for pushing to workers that
+// have never seen it. This is the one place a streamed-snapshot
+// discovery reads the resident rows — only on a cold fleet, never on the
 // steady-state path. Rows appended since planning would push content the
 // coordinator never planned against, so a fingerprint mismatch fails the
 // push and leaves the shard to the local sweep.

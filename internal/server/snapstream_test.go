@@ -27,9 +27,10 @@ import (
 	"repro/wire"
 )
 
-// snapNil reports whether the dataset has ever materialised its
-// relation snapshot — the white-box "no rehydration" proof.
-func snapNil(t *testing.T, s *Server, id string) bool {
+// neverViewed reports whether no discovery or push has ever read the
+// dataset's rows from its in-memory store — the white-box "streamed, not
+// read from memory" proof.
+func neverViewed(t *testing.T, s *Server, id string) bool {
 	t.Helper()
 	d, ok := s.reg.get(id)
 	if !ok {
@@ -37,7 +38,7 @@ func snapNil(t *testing.T, s *Server, id string) bool {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.snap == nil
+	return d.views == 0
 }
 
 func TestSnapshotStreamedDiscovery(t *testing.T) {
@@ -73,7 +74,7 @@ func TestSnapshotStreamedDiscovery(t *testing.T) {
 	}
 	// The proof that nothing was rehydrated: the dataset's materialised
 	// snapshot was never built, and the stats counter moved.
-	if !snapNil(t, s, reg.ID) {
+	if !neverViewed(t, s, reg.ID) {
 		t.Fatal("streamed discovery materialised the relation anyway")
 	}
 	var st StatsResponse
@@ -92,7 +93,7 @@ func TestSnapshotStreamedDiscovery(t *testing.T) {
 	if !arm.SnapshotStreamed {
 		t.Fatal("armstrong discovery did not stream the complete snapshot")
 	}
-	if !snapNil(t, s, reg.ID) {
+	if !neverViewed(t, s, reg.ID) {
 		t.Fatal("armstrong discovery materialised the relation")
 	}
 	_, mem := newTestServer(t, Config{})
@@ -110,8 +111,8 @@ func TestSnapshotStreamedDiscovery(t *testing.T) {
 		if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Algorithm: algo}, &got); code != http.StatusOK {
 			t.Fatalf("%s discover status %d (%s)", algo, code, got.Error)
 		}
-		if !got.SnapshotStreamed || !snapNil(t, s, reg.ID) {
-			t.Fatalf("%s: streamed=%v, relation materialised=%v", algo, got.SnapshotStreamed, !snapNil(t, s, reg.ID))
+		if !got.SnapshotStreamed || !neverViewed(t, s, reg.ID) {
+			t.Fatalf("%s: streamed=%v, relation materialised=%v", algo, got.SnapshotStreamed, !neverViewed(t, s, reg.ID))
 		}
 		if !sameCover(got.FDs, fromScratchCover(t, grown)) {
 			t.Fatalf("%s: streamed cover differs from reference:\n%v", algo, got.FDs)
@@ -173,7 +174,7 @@ func TestSnapshotStreamedRecovery(t *testing.T) {
 	if !sameCover(resp.FDs, fromScratchCover(t, grown)) {
 		t.Fatal("recovered streamed cover differs from reference")
 	}
-	if !snapNil(t, s2, reg.ID) {
+	if !neverViewed(t, s2, reg.ID) {
 		t.Fatal("recovered streamed discovery materialised the relation")
 	}
 }
@@ -260,7 +261,7 @@ func TestSnapshotStreamedSharded(t *testing.T) {
 	}
 	// The cold fleet forced one CSV push, which is the single permitted
 	// rehydration point.
-	if snapNil(t, s, reg.ID) {
+	if neverViewed(t, s, reg.ID) {
 		t.Fatal("expected the cold-fleet push to have materialised the relation once")
 	}
 }
