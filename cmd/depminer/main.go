@@ -31,7 +31,6 @@ type config struct {
 	armstrong     string
 	timeout       time.Duration
 	budget        int64
-	maxCouples    int
 	workers       int
 	maxAgreeBytes int64
 	spillDir      string
@@ -52,7 +51,6 @@ func main() {
 	flag.BoolVar(&cfg.snapshot, "snapshot", false, "treat the input file as a durable DMSNAP1 snapshot and stream it column by column (out-of-core read path; no naive)")
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Hour, "deadline for discovery (the paper's cutoff); on expiry partial results are printed and the exit code is 3")
 	flag.Int64Var(&cfg.budget, "budget", 0, "resource budget in work units (couples + agree sets + candidate-level widths); 0 = unlimited; on overrun partial results are printed and the exit code is 3")
-	flag.IntVar(&cfg.maxCouples, "max-couples", 0, "couple threshold above which -algo depminer degrades to depminer2 (0 = never degrade)")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool width for the parallel pipeline phases: 0 = all cores, 1 = sequential (output is identical for every value)")
 	flag.Int64Var(&cfg.maxAgreeBytes, "max-agree-bytes", 0, "resident agree-set bytes per worker pool before sorted runs spill to disk (0 = in-memory; the cover is identical either way)")
 	flag.StringVar(&cfg.spillDir, "spill-dir", "", "directory for spilled agree-set runs (empty = system temp dir)")
@@ -129,7 +127,6 @@ func (cfg *config) run(ctx context.Context) error {
 	opts := depminer.Options{
 		Workers:       cfg.workers,
 		Budget:        budget,
-		MaxCouples:    cfg.maxCouples,
 		MaxAgreeBytes: cfg.maxAgreeBytes,
 		SpillDir:      cfg.spillDir,
 	}
@@ -166,9 +163,6 @@ func (cfg *config) run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "depminer: partial results (%v)\n", rerr)
 	}
 
-	for _, note := range res.Notes {
-		fmt.Fprintln(os.Stderr, "depminer: note:", note)
-	}
 	suffix := ""
 	if opts.Algorithm == depminer.FastFDs {
 		suffix = " (FastFDs)"

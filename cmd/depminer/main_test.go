@@ -157,17 +157,20 @@ func TestRunSnapshot(t *testing.T) {
 	for i := range rows {
 		rows[i] = r.Row(i)
 	}
+	empty, err := depminer.NewRelation(r.Names(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	store, _, err := durable.Open(durable.Options{Dir: dir, DisableFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := durable.ContentFingerprint(r.Names(), rows)
-	ds, err := store.Create("paper", "paper", r.Names(), nil, fp)
+	ds, err := store.Create("paper", "paper", empty, durable.FingerprintOf(empty).Sum())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, err := ds.Append(rows, len(rows), fp)
+	tok, err := ds.Append(rows, r, durable.FingerprintOf(r).Sum())
 	if err != nil {
 		t.Fatal(err)
 	}

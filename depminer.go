@@ -316,7 +316,11 @@ func NewIncrementalMiner(names []string) (*IncrementalMiner, error) {
 // relation's tuples, seeded by one agree-set sweep. The miner adopts r's
 // columns and dictionaries; r itself never changes.
 func IncrementalFromRelation(r *Relation) (*IncrementalMiner, error) {
-	return incremental.FromStore(context.Background(), relation.StoreOf(r), 0)
+	st, err := relation.StoreOf(r)
+	if err != nil {
+		return nil, err
+	}
+	return incremental.FromStore(context.Background(), st, 0)
 }
 
 // StreamCSV reads CSV data into a single-use Source in one pass. The

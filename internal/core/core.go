@@ -111,12 +111,6 @@ type Options struct {
 	// every value — parallelism only changes scheduling, never results.
 	// The naive agree-set baseline ignores it and stays sequential.
 	Workers int
-	// MaxCouples is the graceful-degradation threshold for AgreeCouples:
-	// when Algorithm 2's couple space exceeds it, Discover falls back to
-	// AgreeIdentifiers (Algorithm 3 — the paper's own remedy for the
-	// correlated-relation blow-up of §5.2) before any sweep work, and
-	// records the switch in Result.Notes. 0 disables degradation.
-	MaxCouples int
 	// Budget governs the run: a wall-clock deadline plus a size budget
 	// charged in each phase's own units (couples enumerated, agree sets
 	// produced, transversal frontier width). Overruns return a
@@ -150,9 +144,6 @@ func (o Options) Validate() error {
 	}
 	if o.ChunkSize < 0 {
 		return fmt.Errorf("%w: negative ChunkSize %d", ErrInvalidOptions, o.ChunkSize)
-	}
-	if o.MaxCouples < 0 {
-		return fmt.Errorf("%w: negative MaxCouples %d", ErrInvalidOptions, o.MaxCouples)
 	}
 	if o.MaxAgreeBytes < 0 {
 		return fmt.Errorf("%w: negative MaxAgreeBytes %d", ErrInvalidOptions, o.MaxAgreeBytes)
@@ -222,10 +213,6 @@ type Result struct {
 	// accompanied by a non-nil error wrapping guard.ErrBudget,
 	// guard.ErrDeadline, or guard.ErrPanic.
 	Partial bool
-	// Notes records run-time adaptations, e.g. the Algorithm 2 → 3
-	// graceful degradation when the couple space crosses
-	// Options.MaxCouples.
-	Notes []string
 }
 
 // fail classifies a phase error. Governed outcomes — budget or deadline
@@ -331,15 +318,6 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	return res, nil
 }
 
-// degradeNote is the Notes line recorded when the couple space crosses
-// the MaxCouples threshold and the run degrades from Algorithm 2 to
-// Algorithm 3.
-func degradeNote(couples, max int) string {
-	return fmt.Sprintf(
-		"agree: degraded from Dep-Miner (Algorithm 2) to Dep-Miner 2 (Algorithm 3): %d couples exceed the %d-couple threshold",
-		couples, max)
-}
-
 // adoptAgree copies whatever step 1 accumulated before failing into res,
 // so a governed overrun mid-sweep still reports the couples examined and
 // the (partial) agree sets collected.
@@ -356,11 +334,9 @@ func adoptAgree(res *Result, agr *agree.Result) {
 
 // agreeStep runs step 1: the naive scan over the relation rel, or the
 // partition build from in.Source followed by the stripped-partition sweep
-// over one plan, local or fanned out over in.Remote. The sweep degrades
-// from Algorithm 2 to Algorithm 3 when the couple space crosses
-// Options.MaxCouples — the paper's own remedy for correlated relations,
-// recorded in res.Notes — so every shard of a fanned-out run uses the
-// same variant.
+// over one plan, local or fanned out over in.Remote. Every shard of a
+// fanned-out run sweeps the run's own variant: Algorithm 3 for
+// AgreeIdentifiers and FastFDs, Algorithm 2 otherwise.
 func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Options, res *Result) (*agree.Result, error) {
 	var db *partition.Database
 	if opts.Algorithm != AgreeNaive {
@@ -393,15 +369,11 @@ func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Optio
 	if opts.Algorithm == AgreeNaive {
 		return agree.Naive(ctx, rel)
 	}
-	plan := agree.NewPlan(db)
 	v := agree.VariantCouples
 	if opts.Algorithm == AgreeIdentifiers || opts.Algorithm == FastFDs {
 		v = agree.VariantIdentifiers
-	} else if opts.MaxCouples > 0 && plan.Couples() > opts.MaxCouples {
-		res.Notes = append(res.Notes, degradeNote(plan.Couples(), opts.MaxCouples))
-		v = agree.VariantIdentifiers
 	}
-	return plan.Run(ctx, v, aopts, in.Remote)
+	return agree.NewPlan(db).Run(ctx, v, aopts, in.Remote)
 }
 
 // deriveFDs runs steps 2–4 from the agree sets into res.

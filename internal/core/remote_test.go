@@ -45,36 +45,45 @@ func (r *recordingRemote) Fetch(ctx context.Context, _ int, sh agree.Shard, v ag
 	return nil
 }
 
-// TestDegradedRunFetchesIdentifiers: core decides the Algorithm 2 → 3
-// degradation once, from the plan's couple count, so every shard of a
-// fanned-out run is fetched as Algorithm 3 and the run records one note.
-func TestDegradedRunFetchesIdentifiers(t *testing.T) {
+// TestRemoteFetchesRunVariant: core maps each miner to its agree
+// variant once, so every shard of a fanned-out run is fetched as that
+// variant, and the fanned-out cover equals the single-node one.
+func TestRemoteFetchesRunVariant(t *testing.T) {
 	r, err := datagen.Generate(datagen.Spec{Attrs: 5, Rows: 70, Correlation: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Armstrong: ArmstrongNone, MaxCouples: 1}
-	want, err := Discover(context.Background(), r, opts)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		algo AgreeAlgorithm
+		want agree.Variant
+	}{
+		{AgreeCouples, agree.VariantCouples},
+		{AgreeIdentifiers, agree.VariantIdentifiers},
+		{FastFDs, agree.VariantIdentifiers},
 	}
-	remote := &recordingRemote{plan: agree.NewPlan(partition.NewDatabase(r)), n: 3}
-	got, err := Run(context.Background(), Input{Source: r, Remote: remote}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remote.variants) != 3 {
-		t.Fatalf("%d fetches, want 3", len(remote.variants))
-	}
-	for i, v := range remote.variants {
-		if v != agree.VariantIdentifiers {
-			t.Fatalf("fetch %d asked for %s, want the degraded identifier scan", i, v)
-		}
-	}
-	if len(got.Notes) != 1 || fmt.Sprint(got.Notes) != fmt.Sprint(want.Notes) {
-		t.Fatalf("notes %q, want the one single-node note %q", got.Notes, want.Notes)
-	}
-	if fmt.Sprint(got.FDs) != fmt.Sprint(want.FDs) {
-		t.Fatal("fanned-out cover differs from the single-node one")
+	for _, tc := range cases {
+		t.Run(tc.algo.String(), func(t *testing.T) {
+			opts := Options{Algorithm: tc.algo, Armstrong: ArmstrongNone}
+			want, err := Discover(context.Background(), r, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote := &recordingRemote{plan: agree.NewPlan(partition.NewDatabase(r)), n: 3}
+			got, err := Run(context.Background(), Input{Source: r, Remote: remote}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(remote.variants) != 3 {
+				t.Fatalf("%d fetches, want 3", len(remote.variants))
+			}
+			for i, v := range remote.variants {
+				if v != tc.want {
+					t.Fatalf("fetch %d asked for %s, want %s", i, v, tc.want)
+				}
+			}
+			if fmt.Sprint(got.FDs) != fmt.Sprint(want.FDs) {
+				t.Fatal("fanned-out cover differs from the single-node one")
+			}
+		})
 	}
 }

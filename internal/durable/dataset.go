@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // Token identifies a logged-but-possibly-unsynced WAL write: the logical
@@ -17,20 +18,20 @@ import (
 type Token int64
 
 // Dataset is the durable handle of one registered dataset: its WAL
-// writer, group-commit syncer, and the columnar mirror the compactor
-// snapshots. Appends may be issued concurrently; frames are written under
-// an internal lock and fsyncs are shared (group commit).
+// writer, group-commit syncer, and the latest view of the serving
+// layer's column store, which the compactor snapshots. It holds no column
+// data of its own. Appends may be issued concurrently; frames are written
+// under an internal lock and fsyncs are shared (group commit).
 type Dataset struct {
 	id    string
 	dir   string
 	store *Store
 
-	// wmu serialises frame writes, columnar updates, and compaction.
+	// wmu serialises frame writes, view updates, and compaction.
 	wmu  sync.Mutex
 	wal  *os.File
-	cols *colstore
+	view *relation.Relation // the dataset's rows as of the last record
 	name string
-	rows int
 	fp   string
 	// tail counts append records since the last snapshot; at
 	// SnapshotEvery the dataset is queued for compaction.
@@ -94,13 +95,13 @@ func (d *Dataset) SnapshotInfo() (path string, complete bool) {
 }
 
 // Append logs one acknowledged-to-be batch: rows were committed in
-// memory, bringing the dataset to rowsAfter total rows with content
-// fingerprint fp. The frame is written (not yet synced) and a Token is
-// returned; the caller must Sync it before acknowledging the append.
-// Splitting the two lets the caller drop its own dataset lock before the
-// fsync wait, which is what makes group commit batch under load.
-func (d *Dataset) Append(rows [][]string, rowsAfter int, fp string) (Token, error) {
-	payload := encodeAppend(rowsAfter, rows, fp)
+// memory, and view is the dataset with them, content fingerprint fp. The
+// frame is written (not yet synced) and a Token is returned; the caller
+// must Sync it before acknowledging the append. Splitting the two lets
+// the caller drop its own dataset lock before the fsync wait, which is
+// what makes group commit batch under load.
+func (d *Dataset) Append(rows [][]string, view *relation.Relation, fp string) (Token, error) {
+	payload := encodeAppend(view.Rows(), rows, fp)
 	frame := appendFrame(nil, payload)
 
 	d.wmu.Lock()
@@ -125,17 +126,7 @@ func (d *Dataset) Append(rows [][]string, rowsAfter int, fp string) (Token, erro
 		d.sy.mu.Unlock()
 		return 0, werr
 	}
-	for _, row := range rows {
-		if err := d.cols.appendRow(row); err != nil {
-			// Arity was validated upstream; reaching here is a bug, but
-			// poison the dataset rather than diverge silently.
-			d.sy.mu.Lock()
-			d.sy.fail(err)
-			d.sy.mu.Unlock()
-			return 0, err
-		}
-	}
-	d.rows = rowsAfter
+	d.view = view
 	d.fp = fp
 	d.tail++
 	d.walSize += int64(len(frame))
@@ -199,8 +190,8 @@ func (d *Dataset) Sync(tok Token) error {
 	}
 }
 
-// compact folds the dataset's WAL into a snapshot: encode the columnar
-// state, write it to a temp file, fsync, atomically rename it over the
+// compact folds the dataset's WAL into a snapshot: encode the latest
+// view, write it to a temp file, fsync, atomically rename it over the
 // previous snapshot, fsync the directory, then truncate the WAL so
 // recovery replays nothing. A crash between the rename and the truncate
 // is benign — replay skips records the snapshot already covers. Errors
@@ -216,7 +207,7 @@ func (d *Dataset) compact() error {
 		return nil
 	}
 
-	data := encodeSnapshot(d.name, d.cols, d.fp)
+	data := encodeSnapshot(d.name, d.view, d.fp)
 	tmp := filepath.Join(d.dir, "snapshot.tmp")
 	final := filepath.Join(d.dir, "snapshot.snap")
 	err := faultinject.Fire(faultinject.DurableWrite)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // testRows builds n deterministic rows over a 3-attribute schema with
@@ -43,28 +44,56 @@ func openStore(t *testing.T, dir string, opts Options) (*Store, *Recovery) {
 	return s, rec
 }
 
+// viewOf encodes rows over testNames.
+func viewOf(rows [][]string) *relation.Relation {
+	r, err := relation.FromRows(testNames, rows)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// mirror is what the serving layer keeps beside a durable dataset: the
+// column store whose views the handle logs, and the running fingerprint.
+type mirror struct {
+	st *relation.Store
+	*Fingerprint
+}
+
+// add commits rows to the store and the fingerprint, returning the view
+// with them. It reports a failure with t.Error, so appenders on other
+// goroutines may call it.
+func (m *mirror) add(t *testing.T, rows [][]string) *relation.Relation {
+	t.Helper()
+	for _, r := range rows {
+		if err := m.st.Append(r); err != nil {
+			t.Error(err)
+		}
+		m.AddRow(r)
+	}
+	return m.st.View()
+}
+
 // mustCreate registers a dataset computing its fingerprint the same way
 // the server does.
-func mustCreate(t *testing.T, s *Store, id string, rows [][]string) (*Dataset, *Fingerprint) {
+func mustCreate(t *testing.T, s *Store, id string, rows [][]string) (*Dataset, *mirror) {
 	t.Helper()
-	f := NewFingerprint(testNames)
-	for _, r := range rows {
-		f.AddRow(r)
+	st, err := relation.StoreFromRows(testNames, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d, err := s.Create(id, "t/"+id, testNames, rows, f.Sum())
+	m := &mirror{st: st, Fingerprint: FingerprintOf(st.View())}
+	d, err := s.Create(id, "t/"+id, st.View(), m.Sum())
 	if err != nil {
 		t.Fatalf("Create %s: %v", id, err)
 	}
-	return d, f
+	return d, m
 }
 
-// mustAppend appends rows, advancing the fingerprint, and syncs.
-func mustAppend(t *testing.T, d *Dataset, f *Fingerprint, rowsBefore int, rows [][]string) {
+// mustAppend appends rows, advancing the mirror, and syncs.
+func mustAppend(t *testing.T, d *Dataset, m *mirror, rows [][]string) {
 	t.Helper()
-	for _, r := range rows {
-		f.AddRow(r)
-	}
-	tok, err := d.Append(rows, rowsBefore+len(rows), f.Sum())
+	tok, err := d.Append(rows, m.add(t, rows), m.Sum())
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -81,8 +110,8 @@ func TestCreateAppendReopen(t *testing.T) {
 	}
 	init := testRows(0, 5)
 	d, f := mustCreate(t, s, "ds-alpha", init)
-	mustAppend(t, d, f, 5, testRows(5, 4))
-	mustAppend(t, d, f, 9, testRows(9, 3))
+	mustAppend(t, d, f, testRows(5, 4))
+	mustAppend(t, d, f, testRows(9, 3))
 	wantFP := f.Sum()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -103,10 +132,10 @@ func TestCreateAppendReopen(t *testing.T) {
 	if rd.Fingerprint != wantFP {
 		t.Fatalf("recovered fp %s, want %s", rd.Fingerprint, wantFP)
 	}
-	if len(rd.Rows) != 12 {
-		t.Fatalf("recovered %d rows, want 12", len(rd.Rows))
+	if rd.Store.Rows() != 12 {
+		t.Fatalf("recovered %d rows, want 12", rd.Store.Rows())
 	}
-	if got := ContentFingerprint(rd.Names, rd.Rows); got != wantFP {
+	if got := FingerprintOf(rd.Store.View()).Sum(); got != wantFP {
 		t.Fatalf("replayed content fingerprint %s, want %s", got, wantFP)
 	}
 	if rd.Replayed != 3 { // register + 2 appends
@@ -122,7 +151,7 @@ func TestRecoveredDatasetAcceptsAppends(t *testing.T) {
 	s, _ := openStore(t, dir, Options{})
 	init := testRows(0, 3)
 	d, f := mustCreate(t, s, "ds-app", init)
-	mustAppend(t, d, f, 3, testRows(3, 2))
+	mustAppend(t, d, f, testRows(3, 2))
 	s.Close()
 
 	s2, rec := openStore(t, dir, Options{})
@@ -133,11 +162,9 @@ func TestRecoveredDatasetAcceptsAppends(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered dataset not addressable")
 	}
-	f2 := NewFingerprint(testNames)
-	for _, r := range rec.Datasets[0].Rows {
-		f2.AddRow(r)
-	}
-	mustAppend(t, d2, f2, 5, testRows(5, 4))
+	st := rec.Datasets[0].Store
+	f2 := &mirror{st: st, Fingerprint: FingerprintOf(st.View())}
+	mustAppend(t, d2, f2, testRows(5, 4))
 	want := f2.Sum()
 	s2.Close()
 
@@ -145,7 +172,7 @@ func TestRecoveredDatasetAcceptsAppends(t *testing.T) {
 	if got := rec3.Datasets[0].Fingerprint; got != want {
 		t.Fatalf("after post-recovery append: fp %s, want %s", got, want)
 	}
-	if n := len(rec3.Datasets[0].Rows); n != 9 {
+	if n := rec3.Datasets[0].Store.Rows(); n != 9 {
 		t.Fatalf("after post-recovery append: %d rows, want 9", n)
 	}
 }
@@ -156,9 +183,9 @@ func TestTornTailTruncated(t *testing.T) {
 	base := t.TempDir()
 	s, _ := openStore(t, base, Options{})
 	d, f := mustCreate(t, s, "ds-torn", testRows(0, 4))
-	mustAppend(t, d, f, 4, testRows(4, 3))
+	mustAppend(t, d, f, testRows(4, 3))
 	prefixFP := f.Sum()
-	mustAppend(t, d, f, 7, testRows(7, 2))
+	mustAppend(t, d, f, testRows(7, 2))
 	s.Close()
 
 	walPath := filepath.Join(base, "datasets", "ds-torn", "wal.log")
@@ -192,9 +219,9 @@ func TestTornTailTruncated(t *testing.T) {
 		if !rd.TornTail {
 			t.Fatalf("cut=%d no torn tail reported", cut)
 		}
-		if len(rd.Rows) != 7 || rd.Fingerprint != prefixFP {
+		if rd.Store.Rows() != 7 || rd.Fingerprint != prefixFP {
 			t.Fatalf("cut=%d recovered %d rows fp=%s, want 7 rows fp=%s",
-				cut, len(rd.Rows), rd.Fingerprint, prefixFP)
+				cut, rd.Store.Rows(), rd.Fingerprint, prefixFP)
 		}
 		// The repair must be durable: the file now holds only the prefix.
 		repaired, err := os.ReadFile(filepath.Join(dsDir, "wal.log"))
@@ -212,8 +239,8 @@ func TestMidLogCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{})
 	d, f := mustCreate(t, s, "ds-bad", testRows(0, 4))
-	mustAppend(t, d, f, 4, testRows(4, 3))
-	mustAppend(t, d, f, 7, testRows(7, 2))
+	mustAppend(t, d, f, testRows(4, 3))
+	mustAppend(t, d, f, testRows(7, 2))
 	s.Close()
 
 	walPath := filepath.Join(dir, "datasets", "ds-bad", "wal.log")
@@ -295,7 +322,7 @@ func TestFingerprintMismatchQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := testRows(0, 3)
-	wal := appendFrame(nil, encodeRegister("t/lie", testNames, rows, strings.Repeat("f", 64)))
+	wal := appendFrame(nil, encodeRegister("t/lie", viewOf(rows), strings.Repeat("f", 64)))
 	if err := os.WriteFile(filepath.Join(dsDir, "wal.log"), wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +339,9 @@ func TestSequenceGapQuarantined(t *testing.T) {
 	if err := os.MkdirAll(dsDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	rows := testRows(0, 2)
-	f := NewFingerprint(testNames)
-	for _, r := range rows {
-		f.AddRow(r)
-	}
-	wal := appendFrame(nil, encodeRegister("t/gap", testNames, rows, f.Sum()))
+	reg := viewOf(testRows(0, 2))
+	f := FingerprintOf(reg)
+	wal := appendFrame(nil, encodeRegister("t/gap", reg, f.Sum()))
 	// An append record claiming to raise the count to 10 with one row.
 	wal = appendFrame(wal, encodeAppend(10, testRows(2, 1), f.Sum()))
 	if err := os.WriteFile(filepath.Join(dsDir, "wal.log"), wal, 0o644); err != nil {
@@ -355,14 +379,14 @@ func TestCompactionFoldsWAL(t *testing.T) {
 	rows := 3
 	for i := 0; i < 5; i++ {
 		batch := testRows(rows, 4)
-		mustAppend(t, d, f, rows, batch)
+		mustAppend(t, d, f, batch)
 		rows += 4
 	}
 	if err := d.compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	// More appends after the snapshot land in a fresh WAL tail.
-	mustAppend(t, d, f, rows, testRows(rows, 2))
+	mustAppend(t, d, f, testRows(rows, 2))
 	rows += 2
 	want := f.Sum()
 	st := s.Stats()
@@ -377,8 +401,8 @@ func TestCompactionFoldsWAL(t *testing.T) {
 		t.Fatalf("recovery %+v", rec)
 	}
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != rows || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", len(rd.Rows), rd.Fingerprint, rows, want)
+	if rd.Store.Rows() != rows || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", rd.Store.Rows(), rd.Fingerprint, rows, want)
 	}
 	if rd.Replayed != 1 { // only the post-snapshot append
 		t.Fatalf("replayed %d records over snapshot, want 1", rd.Replayed)
@@ -389,7 +413,7 @@ func TestCompactAllThenReopenReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{SnapshotEvery: -1})
 	d, f := mustCreate(t, s, "ds-drain", testRows(0, 6))
-	mustAppend(t, d, f, 6, testRows(6, 6))
+	mustAppend(t, d, f, testRows(6, 6))
 	want := f.Sum()
 	if err := s.CompactAll(); err != nil {
 		t.Fatalf("CompactAll: %v", err)
@@ -401,8 +425,8 @@ func TestCompactAllThenReopenReplaysNothing(t *testing.T) {
 	if rd.Replayed != 0 {
 		t.Fatalf("replayed %d records after a clean drain, want 0", rd.Replayed)
 	}
-	if rd.Fingerprint != want || len(rd.Rows) != 12 {
-		t.Fatalf("drained recovery %d rows fp=%s", len(rd.Rows), rd.Fingerprint)
+	if rd.Fingerprint != want || rd.Store.Rows() != 12 {
+		t.Fatalf("drained recovery %d rows fp=%s", rd.Store.Rows(), rd.Fingerprint)
 	}
 }
 
@@ -413,7 +437,7 @@ func TestReplaySkipsRecordsCoveredBySnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{SnapshotEvery: -1})
 	d, f := mustCreate(t, s, "ds-skip", testRows(0, 3))
-	mustAppend(t, d, f, 3, testRows(3, 3))
+	mustAppend(t, d, f, testRows(3, 3))
 	walPath := filepath.Join(dir, "datasets", "ds-skip", "wal.log")
 	preCompact, err := os.ReadFile(walPath)
 	if err != nil {
@@ -422,7 +446,7 @@ func TestReplaySkipsRecordsCoveredBySnapshot(t *testing.T) {
 	if err := d.compact(); err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, d, f, 6, testRows(6, 2))
+	mustAppend(t, d, f, testRows(6, 2))
 	want := f.Sum()
 	postCompact, err := os.ReadFile(walPath)
 	if err != nil {
@@ -441,8 +465,8 @@ func TestReplaySkipsRecordsCoveredBySnapshot(t *testing.T) {
 		t.Fatalf("quarantined: %+v", rec.Quarantined)
 	}
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != 8 || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s, want 8 fp=%s", len(rd.Rows), rd.Fingerprint, want)
+	if rd.Store.Rows() != 8 || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s, want 8 fp=%s", rd.Store.Rows(), rd.Fingerprint, want)
 	}
 	if rd.Replayed != 1 {
 		t.Fatalf("replayed %d, want 1 (covered records skipped)", rd.Replayed)
@@ -453,7 +477,7 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{SnapshotEvery: -1})
 	d, f := mustCreate(t, s, "ds-snapbad", testRows(0, 5))
-	mustAppend(t, d, f, 5, testRows(5, 3))
+	mustAppend(t, d, f, testRows(5, 3))
 	if err := d.compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,28 +498,66 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundtrip(t *testing.T) {
-	c := newColstore(testNames)
-	rows := testRows(0, 50)
-	for _, r := range rows {
-		if err := c.appendRow(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fp := ContentFingerprint(testNames, rows)
-	data := encodeSnapshot("t/round", c, fp)
-	name, c2, fp2, err := decodeSnapshot(data)
+// duplicateDictSnapshot hand-builds a CRC-valid snapshot whose one
+// dictionary holds "Paris" twice, with one row on each code. Its recorded
+// fingerprint matches the decoded strings, so only the duplicate check
+// can tell that the two rows would fall into different partition classes.
+func duplicateDictSnapshot() []byte {
+	p := putString(nil, "t/dup")
+	p = putUvarint(p, 1) // attributes
+	p = putString(p, "city")
+	p = putUvarint(p, 2) // rows
+	p = putUvarint(p, 2) // dictionary size
+	p = putString(p, "Paris")
+	p = putString(p, "Paris")
+	p = putUvarint(p, 0)
+	p = putUvarint(p, 1)
+	rel, err := relation.FromRows([]string{"city"}, [][]string{{"Paris"}, {"Paris"}})
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		panic(err)
 	}
-	if name != "t/round" || fp2 != fp || c2.rows != 50 {
-		t.Fatalf("decoded name=%q fp=%s rows=%d", name, fp2, c2.rows)
+	p = putString(p, FingerprintOf(rel).Sum())
+	return appendFrame(append([]byte(nil), snapshotMagic...), p)
+}
+
+func TestDuplicateDictionaryQuarantined(t *testing.T) {
+	data := duplicateDictSnapshot()
+	// The file itself is well formed: the store constructor is what
+	// refuses it.
+	openSnapshotBytes(t, data)
+	dir := t.TempDir()
+	dsDir := filepath.Join(dir, "datasets", "ds-dup")
+	if err := os.MkdirAll(dsDir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	back := c2.materialize()
+	if err := os.WriteFile(filepath.Join(dsDir, "snapshot.snap"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rec := openStore(t, dir, Options{})
+	defer s.Close()
+	if len(rec.Datasets) != 0 || len(rec.Quarantined) != 1 ||
+		!strings.Contains(rec.Quarantined[0].Reason, "duplicate dictionary value") {
+		t.Fatalf("recovery %+v", rec)
+	}
+}
+
+func TestSnapshotRoundtrip(t *testing.T) {
+	rows := testRows(0, 50)
+	view := viewOf(rows)
+	fp := FingerprintOf(view).Sum()
+	sr := openSnapshotBytes(t, encodeSnapshot("t/round", view, fp))
+	if sr.Name() != "t/round" || sr.Fingerprint() != fp || sr.Rows() != 50 {
+		t.Fatalf("decoded name=%q fp=%s rows=%d", sr.Name(), sr.Fingerprint(), sr.Rows())
+	}
+	st, err := relation.StoreOf(sr)
+	if err != nil {
+		t.Fatalf("store from snapshot: %v", err)
+	}
+	back := st.View()
 	for i := range rows {
 		for a := range rows[i] {
-			if back[i][a] != rows[i][a] {
-				t.Fatalf("row %d attr %d: %q != %q", i, a, back[i][a], rows[i][a])
+			if back.Value(i, a) != rows[i][a] {
+				t.Fatalf("row %d attr %d: %q != %q", i, a, back.Value(i, a), rows[i][a])
 			}
 		}
 	}
@@ -507,13 +569,11 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	// Correctness, not batching, is asserted — timing decides the latter.
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{SnapshotEvery: -1})
-	d, _ := mustCreate(t, s, "ds-group", nil)
+	d, m := mustCreate(t, s, "ds-group", nil)
 
 	const workers = 8
 	const perWorker = 16
 	var mu sync.Mutex
-	rows := 0
-	f := NewFingerprint(testNames)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -524,12 +584,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 				// Serialise the logical commit (as the registry does under
 				// its dataset lock) but sync outside it.
 				mu.Lock()
-				batch := testRows(rows, 2)
-				for _, r := range batch {
-					f.AddRow(r)
-				}
-				rows += 2
-				tok, err := d.Append(batch, rows, f.Sum())
+				batch := testRows(m.st.Rows(), 2)
+				tok, err := d.Append(batch, m.add(t, batch), m.Sum())
 				mu.Unlock()
 				if err != nil {
 					errs <- err
@@ -547,7 +603,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent append: %v", err)
 	}
-	want := f.Sum()
+	want := m.Sum()
 	st := s.Stats()
 	if st.AppendRecords != workers*perWorker {
 		t.Fatalf("AppendRecords = %d, want %d", st.AppendRecords, workers*perWorker)
@@ -559,8 +615,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 
 	_, rec := openStore(t, dir, Options{})
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != workers*perWorker*2 || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", len(rd.Rows), rd.Fingerprint, workers*perWorker*2, want)
+	if rd.Store.Rows() != workers*perWorker*2 || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", rd.Store.Rows(), rd.Fingerprint, workers*perWorker*2, want)
 	}
 }
 
@@ -569,17 +625,17 @@ func TestWriteFaultMarksBroken(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{})
 	d, f := mustCreate(t, s, "ds-wf", testRows(0, 3))
-	mustAppend(t, d, f, 3, testRows(3, 2))
+	mustAppend(t, d, f, testRows(3, 2))
 	durableFP := f.Sum()
 
 	boom := errors.New("injected write fault")
 	faultinject.Set(faultinject.DurableWrite, faultinject.FailWith(boom))
-	if _, err := d.Append(testRows(5, 2), 7, "whatever"); !errors.Is(err, boom) {
+	if _, err := d.Append(testRows(5, 2), viewOf(testRows(0, 7)), "whatever"); !errors.Is(err, boom) {
 		t.Fatalf("Append under fault: %v", err)
 	}
 	faultinject.Reset()
 	// Sticky: the fault is cleared but the dataset stays read-only.
-	if _, err := d.Append(testRows(5, 2), 7, "whatever"); err == nil {
+	if _, err := d.Append(testRows(5, 2), viewOf(testRows(0, 7)), "whatever"); err == nil {
 		t.Fatal("broken dataset accepted an append")
 	}
 	if !d.broken() {
@@ -593,8 +649,8 @@ func TestWriteFaultMarksBroken(t *testing.T) {
 	// Reboot recovers the last durable prefix, cleanly.
 	_, rec := openStore(t, dir, Options{})
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != 5 || rd.Fingerprint != durableFP {
-		t.Fatalf("recovered %d rows fp=%s, want 5 fp=%s", len(rd.Rows), rd.Fingerprint, durableFP)
+	if rd.Store.Rows() != 5 || rd.Fingerprint != durableFP {
+		t.Fatalf("recovered %d rows fp=%s, want 5 fp=%s", rd.Store.Rows(), rd.Fingerprint, durableFP)
 	}
 }
 
@@ -606,8 +662,8 @@ func TestFsyncFaultMarksBroken(t *testing.T) {
 
 	boom := errors.New("injected fsync fault")
 	faultinject.Set(faultinject.DurableFsync, faultinject.FailWith(boom))
-	f.AddRow([]string{"x", "y", "z"})
-	tok, err := d.Append([][]string{{"x", "y", "z"}}, 4, f.Sum())
+	row := [][]string{{"x", "y", "z"}}
+	tok, err := d.Append(row, f.add(t, row), f.Sum())
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -625,7 +681,7 @@ func TestRenameFaultLeavesWALAuthoritative(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{SnapshotEvery: -1})
 	d, f := mustCreate(t, s, "ds-rn", testRows(0, 4))
-	mustAppend(t, d, f, 4, testRows(4, 4))
+	mustAppend(t, d, f, testRows(4, 4))
 	want := f.Sum()
 
 	boom := errors.New("injected rename fault")
@@ -651,8 +707,8 @@ func TestRenameFaultLeavesWALAuthoritative(t *testing.T) {
 
 	_, rec := openStore(t, dir, Options{})
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != 8 || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s after failed+retried compaction", len(rd.Rows), rd.Fingerprint)
+	if rd.Store.Rows() != 8 || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s after failed+retried compaction", rd.Store.Rows(), rd.Fingerprint)
 	}
 }
 
@@ -661,7 +717,7 @@ func TestReplayFaultQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{})
 	d, f := mustCreate(t, s, "ds-rp", testRows(0, 3))
-	mustAppend(t, d, f, 3, testRows(3, 2))
+	mustAppend(t, d, f, testRows(3, 2))
 	s.Close()
 
 	boom := errors.New("injected replay fault")
@@ -680,7 +736,8 @@ func TestCreateFaultLeavesNoResidue(t *testing.T) {
 	s, _ := openStore(t, dir, Options{})
 	boom := errors.New("injected create fault")
 	faultinject.Set(faultinject.DurableWrite, faultinject.FailWith(boom))
-	if _, err := s.Create("ds-cf", "t/cf", testNames, testRows(0, 2), "fp"); !errors.Is(err, boom) {
+	reg := viewOf(testRows(0, 2))
+	if _, err := s.Create("ds-cf", "t/cf", reg, "fp"); !errors.Is(err, boom) {
 		t.Fatalf("Create under fault: %v", err)
 	}
 	faultinject.Reset()
@@ -688,7 +745,7 @@ func TestCreateFaultLeavesNoResidue(t *testing.T) {
 		t.Fatal("failed Create left its directory behind")
 	}
 	// The id is reusable after the failure.
-	if _, err := s.Create("ds-cf", "t/cf", testNames, testRows(0, 2), ContentFingerprint(testNames, testRows(0, 2))); err != nil {
+	if _, err := s.Create("ds-cf", "t/cf", reg, FingerprintOf(reg).Sum()); err != nil {
 		t.Fatalf("Create retry: %v", err)
 	}
 }
@@ -699,8 +756,8 @@ func TestTokenSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir, Options{SnapshotEvery: -1})
 	d, f := mustCreate(t, s, "ds-tok", testRows(0, 2))
-	f.AddRow([]string{"a", "b", "c"})
-	tok, err := d.Append([][]string{{"a", "b", "c"}}, 3, f.Sum())
+	row := [][]string{{"a", "b", "c"}}
+	tok, err := d.Append(row, f.add(t, row), f.Sum())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,8 +768,8 @@ func TestTokenSurvivesCompaction(t *testing.T) {
 	if err := d.Sync(tok); err != nil {
 		t.Fatalf("Sync on pre-compaction token: %v", err)
 	}
-	f.AddRow([]string{"d", "e", "f"})
-	tok2, err := d.Append([][]string{{"d", "e", "f"}}, 4, f.Sum())
+	row = [][]string{{"d", "e", "f"}}
+	tok2, err := d.Append(row, f.add(t, row), f.Sum())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,12 +782,9 @@ func TestTokenSurvivesCompaction(t *testing.T) {
 }
 
 func TestScanWALClassification(t *testing.T) {
-	f := NewFingerprint(testNames)
-	rows := testRows(0, 2)
-	for _, r := range rows {
-		f.AddRow(r)
-	}
-	reg := appendFrame(nil, encodeRegister("t/s", testNames, rows, f.Sum()))
+	view := viewOf(testRows(0, 2))
+	f := FingerprintOf(view)
+	reg := appendFrame(nil, encodeRegister("t/s", view, f.Sum()))
 	f.AddRow([]string{"q", "w", "e"})
 	app := appendFrame(nil, encodeAppend(3, [][]string{{"q", "w", "e"}}, f.Sum()))
 	log := append(append([]byte(nil), reg...), app...)
@@ -785,7 +839,7 @@ func TestFingerprintMatchesIncremental(t *testing.T) {
 	for _, r := range rows {
 		f.AddRow(r)
 	}
-	if got, want := f.Sum(), ContentFingerprint(testNames, rows); got != want {
+	if got, want := f.Sum(), FingerprintOf(viewOf(rows)).Sum(); got != want {
 		t.Fatalf("incremental %s != one-shot %s", got, want)
 	}
 	// Sum is non-consuming.

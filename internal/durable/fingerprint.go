@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+
+	"repro/internal/relation"
 )
 
 // Fingerprint is the running content hash identifying a dataset instance:
@@ -49,13 +51,15 @@ func (f *Fingerprint) Sum() string {
 	return hex.EncodeToString(f.h.Sum(nil))
 }
 
-// ContentFingerprint computes the fingerprint of a complete relation in
-// one call — what recovery compares against the value recorded at write
-// time.
-func ContentFingerprint(names []string, rows [][]string) string {
-	f := NewFingerprint(names)
-	for _, row := range rows {
-		f.AddRow(row)
+// FingerprintOf starts the running hash of r: its schema, then every row
+// in order. Recovery compares its Sum against the value recorded at write
+// time, and the serving layer keeps adding appended rows to it.
+func FingerprintOf(r *relation.Relation) *Fingerprint {
+	f := NewFingerprint(r.Names())
+	for t := 0; t < r.Rows(); t++ {
+		for a := 0; a < r.Arity(); a++ {
+			f.field(r.Value(t, a))
+		}
 	}
-	return f.Sum()
+	return f
 }

@@ -3,18 +3,17 @@ package durable
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // fuzzSeedWAL builds a realistic multi-record WAL the fuzzer mutates.
 func fuzzSeedWAL() []byte {
-	names := []string{"user", "city", "val"}
-	f := NewFingerprint(names)
-	rows := testRows(0, 3)
-	for _, r := range rows {
-		f.AddRow(r)
-	}
-	wal := appendFrame(nil, encodeRegister("fuzz/seed", names, rows, f.Sum()))
+	reg := viewOf(testRows(0, 3))
+	f := FingerprintOf(reg)
+	wal := appendFrame(nil, encodeRegister("fuzz/seed", reg, f.Sum()))
 	total := 3
 	for b := 0; b < 4; b++ {
 		batch := testRows(total, 2)
@@ -65,7 +64,7 @@ func FuzzWALReplay(f *testing.F) {
 				len(rec.Datasets), len(rec.Quarantined))
 		}
 		for _, rd := range rec.Datasets {
-			if got := ContentFingerprint(rd.Names, rd.Rows); got != rd.Fingerprint {
+			if got := FingerprintOf(rd.Store.View()).Sum(); got != rd.Fingerprint {
 				t.Fatalf("recovered dataset fails its own fingerprint: %s != %s", got, rd.Fingerprint)
 			}
 		}
@@ -99,34 +98,60 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode hardens the snapshot reader the same way: arbitrary
-// bytes must decode cleanly or error, never panic, and a successful
-// decode must round-trip.
+// FuzzSnapshotDecode hardens the one snapshot decoder the same way:
+// arbitrary bytes must open cleanly or error, never panic, and a snapshot
+// the store accepts must round-trip — decode → store → encodeSnapshot →
+// decode gives the same name, fingerprint, rows and dictionaries.
 func FuzzSnapshotDecode(f *testing.F) {
-	c := newColstore([]string{"a", "b"})
-	rows := [][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}}
-	for _, r := range rows {
-		c.appendRow(r)
+	rel, err := relation.FromRows([]string{"a", "b"}, [][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}})
+	if err != nil {
+		f.Fatal(err)
 	}
-	good := encodeSnapshot("fuzz/snap", c, ContentFingerprint([]string{"a", "b"}, rows))
+	good := encodeSnapshot("fuzz/snap", rel, FingerprintOf(rel).Sum())
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add(flipAt(good, len(good)/2))
 	f.Add([]byte{})
+	f.Add(duplicateDictSnapshot())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, c, fp, err := decodeSnapshot(data)
+		sr, err := OpenSnapshotStream(writeSnapshotFile(t, data))
 		if err != nil {
 			return
 		}
-		c2Rows := c.materialize()
-		reenc := encodeSnapshot(name, c, fp)
-		name2, c2, fp2, err := decodeSnapshot(reenc)
+		defer sr.Close()
+		st, err := relation.StoreOf(sr)
+		if err != nil {
+			return // e.g. a repeated dictionary value
+		}
+		sr2 := openSnapshotBytes(t, encodeSnapshot(sr.Name(), st.View(), sr.Fingerprint()))
+		if sr2.Name() != sr.Name() || sr2.Fingerprint() != sr.Fingerprint() {
+			t.Fatal("snapshot round-trip drifted: name or fingerprint")
+		}
+		st2, err := relation.StoreOf(sr2)
 		if err != nil {
 			t.Fatalf("re-encode of accepted snapshot fails decode: %v", err)
 		}
-		if name2 != name || fp2 != fp || c2.rows != len(c2Rows) {
-			t.Fatal("snapshot round-trip drifted")
+		if !sameEncoding(st.View(), st2.View()) {
+			t.Fatal("snapshot round-trip drifted: rows or dictionaries")
 		}
 	})
+}
+
+// sameEncoding reports whether a and b have the same schema, and per
+// attribute the same dictionary and code column.
+func sameEncoding(a, b *relation.Relation) bool {
+	if !slices.Equal(a.Names(), b.Names()) || a.Rows() != b.Rows() {
+		return false
+	}
+	for x := range a.Arity() {
+		ca, da, _ := a.Column(x)
+		cb, db, _ := b.Column(x)
+		va, _ := a.DictPrefix(x, da)
+		vb, _ := b.DictPrefix(x, db)
+		if !slices.Equal(ca, cb) || !slices.Equal(va, vb) {
+			return false
+		}
+	}
+	return true
 }

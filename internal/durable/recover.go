@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // recoverAll scans the datasets directory and rebuilds every dataset.
@@ -75,18 +76,25 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	}
 
 	var (
-		cols    *colstore
+		st      *relation.Store
 		name    string
 		lastFP  string
 		applied int
 	)
+	// The snapshot goes through the one decoder, which verifies its
+	// checksum, structure and code ranges; the store adopts its columns
+	// and full dictionaries and refuses a repeated dictionary value.
 	snapPath := filepath.Join(dir, "snapshot.snap")
-	if data, err := os.ReadFile(snapPath); err == nil {
-		sname, sc, sfp, derr := decodeSnapshot(data)
-		if derr != nil {
-			return nil, nil, fmt.Sprintf("snapshot: %v", derr), nil
+	if f, err := os.Open(snapPath); err == nil {
+		sr, serr := loadSnapshotStream(f)
+		if serr == nil {
+			name, lastFP = sr.Name(), sr.Fingerprint()
+			st, serr = relation.StoreOf(sr)
 		}
-		name, cols, lastFP = sname, sc, sfp
+		f.Close()
+		if serr != nil {
+			return nil, nil, fmt.Sprintf("snapshot: %v", serr), nil
+		}
 	} else if !os.IsNotExist(err) {
 		return nil, nil, "", fmt.Errorf("durable: reading %s: %w", snapPath, err)
 	}
@@ -116,8 +124,8 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	for i, r := range recs {
 		switch r.Kind {
 		case recRegister:
-			if cols != nil {
-				if r.RowsAfter > cols.rows {
+			if st != nil {
+				if r.RowsAfter > st.Rows() {
 					return nil, nil, fmt.Sprintf("registration record at index %d above snapshot watermark", i), nil
 				}
 				continue // pre-snapshot history
@@ -128,27 +136,25 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 			if r.RowsAfter != len(r.Rows) {
 				return nil, nil, fmt.Sprintf("registration row watermark %d does not match its %d rows", r.RowsAfter, len(r.Rows)), nil
 			}
-			cols = newColstore(r.Names)
-			name = r.Name
-			for _, row := range r.Rows {
-				if aerr := cols.appendRow(row); aerr != nil {
-					return nil, nil, fmt.Sprintf("registration rows: %v", aerr), nil
-				}
+			var rerr error
+			if st, rerr = relation.StoreFromRows(r.Names, r.Rows); rerr != nil {
+				return nil, nil, fmt.Sprintf("registration rows: %v", rerr), nil
 			}
+			name = r.Name
 			lastFP = r.FP
 			applied++
 		case recAppend:
-			if cols == nil {
+			if st == nil {
 				return nil, nil, "append record before any registration or snapshot", nil
 			}
-			if r.RowsAfter <= cols.rows {
+			if r.RowsAfter <= st.Rows() {
 				continue // already in the snapshot
 			}
-			if r.RowsAfter != cols.rows+len(r.Rows) {
-				return nil, nil, fmt.Sprintf("sequence gap: record raises rows to %d but %d+%d expected", r.RowsAfter, cols.rows, len(r.Rows)), nil
+			if r.RowsAfter != st.Rows()+len(r.Rows) {
+				return nil, nil, fmt.Sprintf("sequence gap: record raises rows to %d but %d+%d expected", r.RowsAfter, st.Rows(), len(r.Rows)), nil
 			}
 			for _, row := range r.Rows {
-				if aerr := cols.appendRow(row); aerr != nil {
+				if aerr := st.Append(row); aerr != nil {
 					return nil, nil, fmt.Sprintf("append rows: %v", aerr), nil
 				}
 			}
@@ -156,14 +162,14 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 			applied++
 		}
 	}
-	if cols == nil {
+	if st == nil {
 		return nil, nil, reasonEmpty, nil
 	}
 
 	// The decisive check: the fingerprint of the replayed content must
 	// equal the one recorded when the last surviving record was written.
-	rows := cols.materialize()
-	if got := ContentFingerprint(cols.names, rows); got != lastFP {
+	view := st.View()
+	if got := FingerprintOf(view).Sum(); got != lastFP {
 		return nil, nil, fmt.Sprintf("fingerprint mismatch: recorded %.12s…, replayed %.12s…", lastFP, got), nil
 	}
 
@@ -176,9 +182,8 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 		dir:     dir,
 		store:   s,
 		wal:     wal,
-		cols:    cols,
+		view:    view,
 		name:    name,
-		rows:    cols.rows,
 		fp:      lastFP,
 		tail:    applied,
 		walSize: int64(validLen),
@@ -189,8 +194,7 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	rd := &RecoveredDataset{
 		ID:          id,
 		Name:        name,
-		Names:       append([]string(nil), cols.names...),
-		Rows:        rows,
+		Store:       st,
 		Fingerprint: lastFP,
 		Replayed:    applied,
 		TornTail:    torn,

@@ -1,160 +1,36 @@
 package durable
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
-
-// colstore is the in-memory dictionary-encoded columnar mirror of a
-// dataset: per attribute, a dictionary of distinct values and a column of
-// codes. It is what the compactor serialises into a snapshot, kept
-// incrementally by Append so snapshotting never re-reads the WAL.
-type colstore struct {
-	names []string
-	dicts []map[string]uint32
-	vals  [][]string // code → value, per attribute
-	cols  [][]uint32 // cols[a][t] is row t's code on attribute a
-	rows  int
-}
-
-func newColstore(names []string) *colstore {
-	c := &colstore{
-		names: append([]string(nil), names...),
-		dicts: make([]map[string]uint32, len(names)),
-		vals:  make([][]string, len(names)),
-		cols:  make([][]uint32, len(names)),
-	}
-	for a := range names {
-		c.dicts[a] = make(map[string]uint32)
-	}
-	return c
-}
-
-func (c *colstore) appendRow(row []string) error {
-	if len(row) != len(c.names) {
-		return fmt.Errorf("durable: row arity %d, schema %d", len(row), len(c.names))
-	}
-	for a, v := range row {
-		code, ok := c.dicts[a][v]
-		if !ok {
-			code = uint32(len(c.vals[a]))
-			c.dicts[a][v] = code
-			c.vals[a] = append(c.vals[a], v)
-		}
-		c.cols[a] = append(c.cols[a], code)
-	}
-	c.rows++
-	return nil
-}
-
-// materialize decodes every row back to strings, in insertion order.
-func (c *colstore) materialize() [][]string {
-	rows := make([][]string, c.rows)
-	for t := 0; t < c.rows; t++ {
-		row := make([]string, len(c.names))
-		for a := range c.names {
-			row[a] = c.vals[a][c.cols[a][t]]
-		}
-		rows[t] = row
-	}
-	return rows
-}
+import "repro/internal/relation"
 
 // snapshotMagic leads the snapshot file, before the standard frame, so a
 // WAL accidentally dropped in its place fails fast.
 var snapshotMagic = []byte("DMSNAP1\n")
 
-// encodeSnapshot serialises the dataset's full state: label, schema,
-// per-attribute dictionaries, uvarint-packed code columns, the row count,
-// and the content fingerprint — all inside one checksummed frame.
-func encodeSnapshot(name string, c *colstore, fp string) []byte {
+// encodeSnapshot serialises a dataset's full state from view, the latest
+// view of the serving layer's column store: label, schema, per-attribute
+// dictionaries, uvarint-packed code columns, the row count, and the
+// content fingerprint — all inside one checksummed frame. SnapshotReader
+// is its one decoder.
+func encodeSnapshot(name string, view *relation.Relation, fp string) []byte {
+	names := view.Names()
 	p := putString(nil, name)
-	p = putUvarint(p, uint64(len(c.names)))
-	for _, n := range c.names {
+	p = putUvarint(p, uint64(len(names)))
+	for _, n := range names {
 		p = putString(p, n)
 	}
-	p = putUvarint(p, uint64(c.rows))
-	for a := range c.names {
-		p = putUvarint(p, uint64(len(c.vals[a])))
-		for _, v := range c.vals[a] {
+	p = putUvarint(p, uint64(view.Rows()))
+	for a := range names {
+		col, dom, _ := view.Column(a) // a Relation's column never fails
+		dict, _ := view.DictPrefix(a, dom)
+		p = putUvarint(p, uint64(dom))
+		for _, v := range dict {
 			p = putString(p, v)
 		}
-		for _, code := range c.cols[a] {
+		for _, code := range col {
 			p = putUvarint(p, uint64(code))
 		}
 	}
 	p = putString(p, fp)
 	out := append([]byte(nil), snapshotMagic...)
 	return appendFrame(out, p)
-}
-
-// decodeSnapshot rebuilds the columnar state from a snapshot file's
-// bytes. Any damage — bad magic, checksum mismatch, structural error, an
-// out-of-range code — returns an error; the caller quarantines, because
-// with the WAL already compacted away there is nothing to fall back on.
-func decodeSnapshot(data []byte) (name string, c *colstore, fp string, err error) {
-	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != string(snapshotMagic) {
-		return "", nil, "", fmt.Errorf("bad snapshot magic")
-	}
-	body := data[len(snapshotMagic):]
-	if len(body) < frameHeaderLen {
-		return "", nil, "", fmt.Errorf("snapshot truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(body[0:4]))
-	if n > maxRecordBytes || frameHeaderLen+n != len(body) {
-		return "", nil, "", fmt.Errorf("snapshot frame length %d does not match file size %d", n, len(body)-frameHeaderLen)
-	}
-	payload := body[frameHeaderLen:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(body[4:8]) {
-		return "", nil, "", fmt.Errorf("snapshot checksum mismatch")
-	}
-
-	r := &payloadReader{buf: payload}
-	name = r.string()
-	nAttrs := r.uvarint()
-	if nAttrs > uint64(len(payload)) {
-		return "", nil, "", fmt.Errorf("implausible attribute count %d", nAttrs)
-	}
-	names := make([]string, nAttrs)
-	for i := range names {
-		names[i] = r.string()
-	}
-	if r.err != nil {
-		return "", nil, "", r.err
-	}
-	c = newColstore(names)
-	rows := r.uvarint()
-	if rows > uint64(len(payload)) {
-		return "", nil, "", fmt.Errorf("implausible row count %d", rows)
-	}
-	c.rows = int(rows)
-	for a := range names {
-		dictSize := r.uvarint()
-		if dictSize > uint64(len(payload)) {
-			return "", nil, "", fmt.Errorf("implausible dictionary size %d", dictSize)
-		}
-		c.vals[a] = make([]string, dictSize)
-		for code := range c.vals[a] {
-			v := r.string()
-			c.vals[a][code] = v
-			c.dicts[a][v] = uint32(code)
-		}
-		if r.err == nil && len(c.vals[a]) != len(c.dicts[a]) {
-			return "", nil, "", fmt.Errorf("duplicate dictionary value on attribute %d", a)
-		}
-		c.cols[a] = make([]uint32, c.rows)
-		for t := 0; t < c.rows; t++ {
-			code := r.uvarint()
-			if r.err == nil && code >= dictSize {
-				return "", nil, "", fmt.Errorf("code %d out of dictionary range %d", code, dictSize)
-			}
-			c.cols[a][t] = uint32(code)
-		}
-	}
-	fp = r.string()
-	if err := r.done(); err != nil {
-		return "", nil, "", err
-	}
-	return name, c, fp, nil
 }

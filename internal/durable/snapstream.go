@@ -9,20 +9,21 @@ import (
 	"os"
 )
 
-// SnapshotReader is a streaming view over a DMSNAP1 snapshot file: one
-// validation pass records where each attribute's dictionary and code
-// column live inside the checksummed frame, and Column then decodes one
-// column at a time straight off the file. It is how a recovered dataset
-// feeds chunked agree-set computation without materialising every column
-// — the snapshot stays on disk; memory holds one column (plus the
-// schema) at a time.
+// SnapshotReader is the one decoder of DMSNAP1 snapshot files, a
+// streaming view over one: a validation pass records where each
+// attribute's dictionary and code column live inside the checksummed
+// frame, and Column then decodes one column at a time straight off the
+// file. Recovery adopts its columns and dictionaries into a
+// relation.Store; discovery can instead feed chunked agree-set
+// computation from it without materialising every column — the snapshot
+// stays on disk; memory holds one column (plus the schema) at a time.
 //
-// The open-time pass is as strict as decodeSnapshot: it verifies the
-// magic, the frame length against the file size, the CRC32C over the
-// whole payload, and every code against its dictionary size. A damaged
-// snapshot therefore fails at Open, never mid-computation — matching the
-// quarantine contract (a snapshot is the compacted past; there is no WAL
-// to fall back on, so damage must surface loudly and immediately).
+// The open-time pass verifies the magic, the frame length against the
+// file size, the CRC32C over the whole payload, and every code against
+// its dictionary size. A damaged snapshot therefore fails at Open, never
+// mid-computation — matching the quarantine contract (a snapshot is the
+// compacted past; there is no WAL to fall back on, so damage must
+// surface loudly and immediately).
 //
 // Column reads are independent section readers over the shared file
 // handle, so concurrent column loads from pool workers are safe.

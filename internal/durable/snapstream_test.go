@@ -1,7 +1,7 @@
 package durable
 
-// Streamed snapshot reads must agree exactly with the in-memory decoder
-// and reject damage just as loudly.
+// Streamed snapshot reads must agree exactly with the relation the
+// snapshot was encoded from, and reject damage loudly.
 
 import (
 	"fmt"
@@ -10,32 +10,51 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/relation"
 )
 
-func writeTestSnapshot(t *testing.T, rows int) (path string, c *colstore) {
+func writeTestSnapshot(t *testing.T, rows int) (path string, r *relation.Relation) {
 	t.Helper()
-	names := []string{"city", "zip", "state"}
-	c = newColstore(names)
-	for i := 0; i < rows; i++ {
-		row := []string{
+	data := make([][]string, rows)
+	for i := range data {
+		data[i] = []string{
 			"c" + strconv.Itoa(i%7),
 			strconv.Itoa(i % 13),
 			"s" + strconv.Itoa(i%3),
 		}
-		if err := c.appendRow(row); err != nil {
-			t.Fatal(err)
-		}
 	}
-	data := encodeSnapshot("places", c, "fp-test")
-	path = filepath.Join(t.TempDir(), "snapshot.snap")
+	r, err := relation.FromRows([]string{"city", "zip", "state"}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeSnapshotFile(t, encodeSnapshot("places", r, "fp-test")), r
+}
+
+// writeSnapshotFile writes snapshot bytes to a fresh temp file.
+func writeSnapshotFile(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snapshot.snap")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return path, c
+	return path
+}
+
+// openSnapshotBytes opens snapshot bytes through the one decoder, closing
+// the reader when the test ends.
+func openSnapshotBytes(t *testing.T, data []byte) *SnapshotReader {
+	t.Helper()
+	sr, err := OpenSnapshotStream(writeSnapshotFile(t, data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sr.Close() })
+	return sr
 }
 
 func TestSnapshotStreamMatchesDecode(t *testing.T) {
-	path, c := writeTestSnapshot(t, 200)
+	path, r := writeTestSnapshot(t, 200)
 	sr, err := OpenSnapshotStream(path)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +64,10 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 	if sr.Name() != "places" || sr.Fingerprint() != "fp-test" {
 		t.Fatalf("metadata = %q/%q", sr.Name(), sr.Fingerprint())
 	}
-	if sr.Arity() != len(c.names) || sr.Rows() != c.rows {
-		t.Fatalf("shape = %d×%d, want %d×%d", sr.Arity(), sr.Rows(), len(c.names), c.rows)
+	if sr.Arity() != r.Arity() || sr.Rows() != r.Rows() {
+		t.Fatalf("shape = %d×%d, want %d×%d", sr.Arity(), sr.Rows(), r.Arity(), r.Rows())
 	}
-	for a, name := range c.names {
+	for a, name := range r.Names() {
 		if sr.Names()[a] != name {
 			t.Fatalf("name[%d] = %q, want %q", a, sr.Names()[a], name)
 		}
@@ -56,12 +75,12 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dom != len(c.vals[a]) {
-			t.Fatalf("column %d domain = %d, want %d", a, dom, len(c.vals[a]))
+		if dom != r.DomainSize(a) {
+			t.Fatalf("column %d domain = %d, want %d", a, dom, r.DomainSize(a))
 		}
 		for tt, code := range codes {
-			if uint32(code) != c.cols[a][tt] {
-				t.Fatalf("column %d row %d code = %d, want %d", a, tt, code, c.cols[a][tt])
+			if code != r.Code(tt, a) {
+				t.Fatalf("column %d row %d code = %d, want %d", a, tt, code, r.Code(tt, a))
 			}
 		}
 		dict, err := sr.DictPrefix(a, sr.DomainSize(a))
@@ -69,15 +88,15 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, v := range dict {
-			if v != c.vals[a][i] {
-				t.Fatalf("dict %d[%d] = %q, want %q", a, i, v, c.vals[a][i])
+			if v != r.ValueForCode(a, i) {
+				t.Fatalf("dict %d[%d] = %q, want %q", a, i, v, r.ValueForCode(a, i))
 			}
 		}
 	}
 }
 
 func TestSnapshotStreamConcurrentColumns(t *testing.T) {
-	path, c := writeTestSnapshot(t, 500)
+	path, r := writeTestSnapshot(t, 500)
 	sr, err := OpenSnapshotStream(path)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +114,7 @@ func TestSnapshotStreamConcurrentColumns(t *testing.T) {
 					return
 				}
 				for tt, code := range codes {
-					if uint32(code) != c.cols[a][tt] {
+					if code != r.Code(tt, a) {
 						t.Errorf("column %d row %d mismatch", a, tt)
 						return
 					}
@@ -139,17 +158,11 @@ func TestSnapshotStreamRejectsDamage(t *testing.T) {
 // TestSnapshotStreamEmptyDataset covers the zero-row edge: schema without
 // tuples streams back as cleanly as it decodes.
 func TestSnapshotStreamEmptyDataset(t *testing.T) {
-	c := newColstore([]string{"a", "b"})
-	data := encodeSnapshot("empty", c, "fp")
-	path := filepath.Join(t.TempDir(), "snapshot.snap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := OpenSnapshotStream(path)
+	empty, err := relation.FromRows([]string{"a", "b"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sr.Close()
+	sr := openSnapshotBytes(t, encodeSnapshot("empty", empty, "fp"))
 	if sr.Rows() != 0 || sr.Arity() != 2 {
 		t.Fatalf("shape = %d×%d", sr.Arity(), sr.Rows())
 	}
@@ -162,26 +175,19 @@ func TestSnapshotStreamEmptyDataset(t *testing.T) {
 // TestSnapshotStreamLargeStrings exercises chunk-boundary spanning: values
 // longer than the scanner's buffer must still parse and verify.
 func TestSnapshotStreamLargeStrings(t *testing.T) {
-	c := newColstore([]string{"blob"})
 	big := make([]byte, 90_000) // larger than the 64 KiB scanner chunk
 	for i := range big {
 		big[i] = byte('a' + i%26)
 	}
+	var rows [][]string
 	for i := 0; i < 3; i++ {
-		if err := c.appendRow([]string{string(big) + fmt.Sprint(i)}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, []string{string(big) + fmt.Sprint(i)})
 	}
-	data := encodeSnapshot("blobs", c, "fp")
-	path := filepath.Join(t.TempDir(), "snapshot.snap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := OpenSnapshotStream(path)
+	blobs, err := relation.FromRows([]string{"blob"}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sr.Close()
+	sr := openSnapshotBytes(t, encodeSnapshot("blobs", blobs, "fp"))
 	dict, err := sr.DictPrefix(0, sr.DomainSize(0))
 	if err != nil || len(dict) != 3 {
 		t.Fatalf("Dict = %d values, err %v", len(dict), err)

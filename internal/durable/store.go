@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // Options configures a Store. Zero values get production-safe defaults,
@@ -62,12 +63,12 @@ type Store struct {
 }
 
 // RecoveredDataset is one dataset rebuilt from disk, handed to the
-// serving layer to re-register.
+// serving layer to re-register. Store holds its rows; the serving layer
+// adopts it, and the durable handle keeps only a view of it.
 type RecoveredDataset struct {
 	ID          string
 	Name        string
-	Names       []string
-	Rows        [][]string
+	Store       *relation.Store
 	Fingerprint string
 	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int
@@ -162,10 +163,10 @@ func (s *Store) queueCompact(d *Dataset) {
 }
 
 // Create durably registers a dataset: its directory is created and the
-// registration record (schema, label, initial rows, fingerprint) is
+// registration record (label, view's schema and rows, fingerprint) is
 // written and fsync'd before Create returns. The returned handle serves
 // all later appends.
-func (s *Store) Create(id, name string, names []string, rows [][]string, fp string) (*Dataset, error) {
+func (s *Store) Create(id, name string, view *relation.Relation, fp string) (*Dataset, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -181,7 +182,7 @@ func (s *Store) Create(id, name string, names []string, rows [][]string, fp stri
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	frame := appendFrame(nil, encodeRegister(name, names, rows, fp))
+	frame := appendFrame(nil, encodeRegister(name, view, fp))
 	walPath := filepath.Join(dir, "wal.log")
 	err := faultinject.Fire(faultinject.DurableWrite)
 	var wal *os.File
@@ -210,22 +211,13 @@ func (s *Store) Create(id, name string, names []string, rows [][]string, fp stri
 		return nil, fmt.Errorf("durable: registering %s: %w", id, err)
 	}
 
-	cols := newColstore(names)
-	for _, row := range rows {
-		if cerr := cols.appendRow(row); cerr != nil {
-			wal.Close()
-			os.RemoveAll(dir)
-			return nil, cerr
-		}
-	}
 	d := &Dataset{
 		id:      id,
 		dir:     dir,
 		store:   s,
 		wal:     wal,
-		cols:    cols,
+		view:    view,
 		name:    name,
-		rows:    len(rows),
 		fp:      fp,
 		walSize: int64(len(frame)),
 	}

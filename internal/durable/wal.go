@@ -15,9 +15,14 @@
 // is in flight, subsequent writers append their frames and share the
 // next one — so the cost of durability amortises under load (dataset.go).
 //
-// A background compactor folds a grown WAL into a snapshot written to a
-// temp file, fsync'd, and atomically renamed, then truncates the log, so
-// boot replays only the tail (snapshot.go, store.go).
+// The package keeps no column data of its own: the serving layer's
+// relation.Store is the one column encoding of a dataset. Each append
+// hands the handle the store's latest view, and a background compactor
+// encodes that view into a snapshot written to a temp file, fsync'd, and
+// atomically renamed, then truncates the log, so boot replays only the
+// tail (snapshot.go, store.go). Recovery decodes the snapshot through
+// SnapshotReader, the one snapshot decoder, into a relation.Store and
+// replays the WAL tail into it (recover.go).
 //
 // Recovery classifies damage conservatively (recover.go): a torn final
 // record — the expected state after a crash mid-write — is truncated
@@ -31,6 +36,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/relation"
 )
 
 // Frame layout: u32 payload length, u32 CRC32C of the payload, payload.
@@ -148,16 +155,24 @@ func (r *payloadReader) done() error {
 	return nil
 }
 
-// encodeRegister builds the payload of a registration record.
-func encodeRegister(name string, names []string, rows [][]string, fp string) []byte {
+// encodeRegister builds the payload of a registration record: the
+// label, then view's schema and rows, in the append record's row layout.
+func encodeRegister(name string, view *relation.Relation, fp string) []byte {
 	p := []byte{recRegister}
 	p = putString(p, name)
-	p = putUvarint(p, uint64(len(names)))
-	for _, n := range names {
+	p = putUvarint(p, uint64(view.Arity()))
+	for _, n := range view.Names() {
 		p = putString(p, n)
 	}
-	p = encodeRowsTail(p, len(rows), rows, fp)
-	return p
+	p = putUvarint(p, uint64(view.Rows())) // rowsAfter
+	p = putUvarint(p, uint64(view.Rows()))
+	for t := 0; t < view.Rows(); t++ {
+		p = putUvarint(p, uint64(view.Arity()))
+		for a := 0; a < view.Arity(); a++ {
+			p = putString(p, view.Value(t, a))
+		}
+	}
+	return putString(p, fp)
 }
 
 // encodeAppend builds the payload of an append record.

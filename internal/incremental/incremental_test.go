@@ -70,7 +70,7 @@ func seq(n int) []int {
 
 func TestAgreeSetsMatchBatch(t *testing.T) {
 	r := relation.PaperExample()
-	m, err := FromStore(context.Background(), relation.StoreOf(r), 1)
+	m, err := FromStore(context.Background(), storeOf(t, r), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestInsertErrors(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	r := relation.PaperExample()
-	m, err := FromStore(context.Background(), relation.StoreOf(r), 1)
+	m, err := FromStore(context.Background(), storeOf(t, r), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestMaxSets(t *testing.T) {
-	m, err := FromStore(context.Background(), relation.StoreOf(relation.PaperExample()), 1)
+	m, err := FromStore(context.Background(), storeOf(t, relation.PaperExample()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPropertyMatchesBatchOnRandomStreams(t *testing.T) {
 }
 
 func TestCancellation(t *testing.T) {
-	m, err := FromStore(context.Background(), relation.StoreOf(relation.PaperExample()), 1)
+	m, err := FromStore(context.Background(), storeOf(t, relation.PaperExample()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCancellation(t *testing.T) {
 }
 
 func TestInsertCtxCancelledLeavesMinerUnchanged(t *testing.T) {
-	m, err := FromStore(context.Background(), relation.StoreOf(relation.PaperExample()), 1)
+	m, err := FromStore(context.Background(), storeOf(t, relation.PaperExample()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestInsertCtxHonoursMidScanDeadline(t *testing.T) {
 func TestFromRelationCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FromStore(ctx, relation.StoreOf(relation.PaperExample()), 1); !errors.Is(err, guard.ErrDeadline) {
+	if _, err := FromStore(ctx, storeOf(t, relation.PaperExample()), 1); !errors.Is(err, guard.ErrDeadline) {
 		t.Fatalf("FromStore under cancelled ctx: err = %v, want guard.ErrDeadline", err)
 	}
 }
@@ -421,4 +421,14 @@ func TestInsertFaultSweepNeverLeaksPartialCommit(t *testing.T) {
 			t.Fatalf("k=%d: post-retry state diverged from fault-free run", k)
 		}
 	}
+}
+
+// storeOf adopts r into a store for FromStore.
+func storeOf(t testing.TB, r *relation.Relation) *relation.Store {
+	t.Helper()
+	st, err := relation.StoreOf(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -257,7 +257,7 @@ func TestStoresOfOneRelationStayApart(t *testing.T) {
 	grown := make([][][]string, 2)
 	miners := make([]*Miner, 2)
 	for k := range miners {
-		m, err := FromStore(context.Background(), relation.StoreOf(r), 1)
+		m, err := FromStore(context.Background(), storeOf(t, r), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,19 +41,56 @@ func StoreFromRows(names []string, rows [][]string) (*Store, error) {
 	})
 }
 
-// StoreOf returns a store holding r's tuples. It adopts r's columns and
-// dictionaries without re-encoding them, and only indexes the dictionary
-// values; r is never modified, since the adopted slices are capped.
-func StoreOf(r *Relation) *Store {
-	v := r.view()
-	s := &Store{rel: *v, index: make([]map[string]int, len(r.names))}
-	for a, dict := range v.dicts {
-		s.index[a] = make(map[string]int, len(dict))
-		for code, val := range dict {
-			s.index[a][val] = code
+// Source is what StoreOf adopts: each attribute's code column, domain
+// size and dictionary. A Relation and a durable snapshot reader are both
+// sources.
+type Source interface {
+	Names() []string
+	Rows() int
+	Column(a int) ([]int, int, error)
+	DictPrefix(a, k int) ([]string, error)
+}
+
+// StoreOf returns a store holding src's tuples. It adopts src's columns
+// and dictionaries without re-encoding them, and only indexes the
+// dictionary values; src is never modified, since the adopted slices are
+// capped. A dictionary that repeats a value is refused: the value would
+// hold two codes and silently split its partition class.
+func StoreOf(src Source) (*Store, error) {
+	names := src.Names()
+	if !attrset.Valid(len(names)) {
+		return nil, ErrTooManyAttributes
+	}
+	n := src.Rows()
+	s := &Store{
+		rel: Relation{
+			names: names,
+			cols:  make([][]int, len(names)),
+			dicts: make([][]string, len(names)),
+			rows:  n,
+		},
+		index: make([]map[string]int, len(names)),
+	}
+	for a := range names {
+		col, dom, err := src.Column(a)
+		if err != nil {
+			return nil, err
+		}
+		dict, err := src.DictPrefix(a, dom)
+		if err != nil {
+			return nil, err
+		}
+		s.rel.cols[a] = col[:n:n]
+		s.rel.dicts[a] = dict[:dom:dom]
+		s.index[a] = make(map[string]int, dom)
+		for code, v := range dict {
+			s.index[a][v] = code
+		}
+		if len(s.index[a]) != dom {
+			return nil, fmt.Errorf("relation: duplicate dictionary value on attribute %d", a)
 		}
 	}
-	return s
+	return s, nil
 }
 
 // LoadStore reads a CSV relation from rd into a store, encoding each

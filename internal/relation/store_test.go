@@ -114,7 +114,7 @@ func TestStoreMatchesFromRows(t *testing.T) {
 	if !recordView(st.View()).equal(recordView(r)) {
 		t.Fatal("appended store differs from FromRows")
 	}
-	if !recordView(StoreOf(r).View()).equal(recordView(r)) {
+	if !recordView(mustStoreOf(t, r).View()).equal(recordView(r)) {
 		t.Fatal("adopted store differs from its relation")
 	}
 	for a := range r.Arity() {
@@ -128,4 +128,14 @@ func TestStoreMatchesFromRows(t *testing.T) {
 	if err := st.Append([]string{"short"}); err == nil {
 		t.Fatal("ragged row appended")
 	}
+}
+
+// mustStoreOf adopts r into a store.
+func mustStoreOf(t *testing.T, r *Relation) *Store {
+	t.Helper()
+	st, err := StoreOf(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

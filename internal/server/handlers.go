@@ -111,11 +111,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var create durableCreate
 	if s.store != nil {
 		create = func(id, fp string) (*durable.Dataset, error) {
-			rows := make([][]string, rel.Rows())
-			for t := range rows {
-				rows[t] = rel.Row(t)
-			}
-			return s.store.Create(id, name, rel.Names(), rows, fp)
+			return s.store.Create(id, name, rel, fp)
 		}
 	}
 	d, created, err := s.reg.register(name, rel, m, time.Now(), create)

@@ -123,8 +123,11 @@ func (d *dataset) appendRows(ctx context.Context, rows [][]string) (committed in
 		return committed, fp, err
 	}
 	// A WAL write failure supersedes any insert error: the dataset is now
-	// broken and the caller must not acknowledge the batch.
-	tok, werr := d.dur.Append(rows[:committed], d.miner.Rows(), d.fp)
+	// broken and the caller must not acknowledge the batch. The durable
+	// handle keeps the view for its compactor; it is captured from the
+	// miner directly, since views counts only discoveries' captures.
+	view, _ := d.miner.Snapshot() // Snapshot never fails
+	tok, werr := d.dur.Append(rows[:committed], view, d.fp)
 	if werr != nil {
 		d.brokenErr = werr
 		d.mu.Unlock()
@@ -192,10 +195,7 @@ type durableCreate func(id, fp string) (*durable.Dataset, error)
 // fresh suffixed id. With durability on, the registration record is
 // logged and fsync'd (via create) before the dataset is published.
 func (r *registry) register(name string, rel *relation.Relation, m *incremental.Miner, now time.Time, create durableCreate) (*dataset, bool, error) {
-	h := durable.NewFingerprint(rel.Names())
-	for t := 0; t < rel.Rows(); t++ {
-		h.AddRow(rel.Row(t))
-	}
+	h := durable.FingerprintOf(rel)
 	fp := h.Sum()
 	base := "ds-" + fp[:12]
 
@@ -240,23 +240,16 @@ func (r *registry) register(name string, rel *relation.Relation, m *incremental.
 	return d, true, nil
 }
 
-// restore publishes a dataset recovered from disk at boot: the column
-// store is built once from the replayed rows, the incremental session is
-// seeded over it (workers wide), and the fingerprint is recomputed once
-// more on the registry's own hasher — a final cross-check that the
+// restore publishes a dataset recovered from disk at boot: the
+// incremental session is seeded (workers wide) over the recovered column
+// store, adopted without re-encoding, and the fingerprint is recomputed
+// once more on the registry's own hasher — a final cross-check that the
 // recovered content is exactly what was acknowledged.
 func (r *registry) restore(rd durable.RecoveredDataset, dur *durable.Dataset, now time.Time, workers int) error {
-	st, err := relation.StoreFromRows(rd.Names, rd.Rows)
+	h := durable.FingerprintOf(rd.Store.View())
+	m, err := incremental.FromStore(context.Background(), rd.Store, workers)
 	if err != nil {
 		return fmt.Errorf("restoring %s: %w", rd.ID, err)
-	}
-	m, err := incremental.FromStore(context.Background(), st, workers)
-	if err != nil {
-		return fmt.Errorf("restoring %s: %w", rd.ID, err)
-	}
-	h := durable.NewFingerprint(rd.Names)
-	for _, row := range rd.Rows {
-		h.AddRow(row)
 	}
 	if got := h.Sum(); got != rd.Fingerprint {
 		return fmt.Errorf("restoring %s: rebuilt fingerprint %s does not match recovered %s", rd.ID, got, rd.Fingerprint)

@@ -378,7 +378,6 @@ func (d *discoveryStats) addPstore(st pstore.Stats) {
 type discoverParams struct {
 	algorithm         string
 	workers           int
-	maxCouples        int
 	epsilon           float64
 	maxPartitionBytes int64
 	maxAgreeBytes     int64
@@ -408,7 +407,6 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 	p := discoverParams{
 		algorithm:         strings.ToLower(strings.TrimSpace(req.Algorithm)),
 		workers:           req.Workers,
-		maxCouples:        req.MaxCouples,
 		epsilon:           req.Epsilon,
 		maxPartitionBytes: req.MaxPartitionBytes,
 		maxAgreeBytes:     req.MaxAgreeBytes,
@@ -426,7 +424,7 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 		sort.Strings(names)
 		return p, fmt.Errorf("unknown algorithm %q (have: %s)", req.Algorithm, strings.Join(names, ", "))
 	}
-	if p.workers < 0 || p.maxCouples < 0 || p.maxPartitionBytes < 0 || p.maxAgreeBytes < 0 || p.shards < 0 || req.TimeoutMS < 0 || req.BudgetUnits < 0 {
+	if p.workers < 0 || p.maxPartitionBytes < 0 || p.maxAgreeBytes < 0 || p.shards < 0 || req.TimeoutMS < 0 || req.BudgetUnits < 0 {
 		return p, fmt.Errorf("negative knobs are invalid")
 	}
 	if p.epsilon < 0 || p.epsilon >= 1 {

@@ -150,7 +150,6 @@ func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
 func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Options {
 	opts := core.Options{
 		Workers:       p.workers,
-		MaxCouples:    p.maxCouples,
 		Budget:        budget,
 		Armstrong:     core.ArmstrongNone,
 		MaxAgreeBytes: p.maxAgreeBytes,
@@ -179,7 +178,6 @@ func (s *Server) depminerResponse(ctx context.Context, resp *DiscoverResponse, r
 	resp.AgreeSets = len(res.AgreeSets)
 	resp.MaxSets = len(res.MaxSets)
 	resp.DFSNodes = res.DFSNodes
-	resp.Notes = append(resp.Notes, res.Notes...)
 	if arm := res.Armstrong; arm != nil {
 		resp.ArmstrongSynthetic = res.ArmstrongSynthetic
 		resp.Armstrong = make([][]string, arm.Rows())

@@ -105,38 +105,6 @@ func TestShardedDifferentialSweep(t *testing.T) {
 	}
 }
 
-// TestShardDegradationIsGlobal pins the Algorithm 2 → 3 degradation on
-// the coordinator: decided once from the global couple count, noted in
-// the response exactly like single-node, and still byte-identical.
-func TestShardDegradationIsGlobal(t *testing.T) {
-	r := shardTestRelation(t, 4)
-	workers := newWorkerFleet(t, 2, Config{})
-	_, ts := newCoordServer(t, workers, Config{})
-	reg := register(t, ts, r)
-
-	code, resp := discover(t, ts, DiscoverRequest{Dataset: reg.ID, Shards: 2, MaxCouples: 1})
-	if code != http.StatusOK || resp.Partial {
-		t.Fatalf("degraded sharded discover: code=%d partial=%v (%s)", code, resp.Partial, resp.Error)
-	}
-	if !sameCover(resp.FDs, fromScratchCover(t, r)) {
-		t.Fatalf("degraded sharded cover differs from reference")
-	}
-	if len(resp.Notes) != 1 {
-		t.Fatalf("degradation note missing: %v", resp.Notes)
-	}
-
-	// The same request single-node produces the identical note.
-	_, solo := newTestServer(t, Config{})
-	regS := register(t, solo, r)
-	codeS, respS := discover(t, solo, DiscoverRequest{Dataset: regS.ID, MaxCouples: 1})
-	if codeS != http.StatusOK {
-		t.Fatalf("single-node degraded discover: %d", codeS)
-	}
-	if len(respS.Notes) != 1 || respS.Notes[0] != resp.Notes[0] {
-		t.Fatalf("degradation notes differ:\nsharded     %v\nsingle-node %v", resp.Notes, respS.Notes)
-	}
-}
-
 // TestShardDatasetPushAndStats starts with a cold fleet: no worker knows
 // the dataset, so the first dispatch 404s, the coordinator pushes the
 // CSV through the ordinary registration API, and the retry succeeds

@@ -2,7 +2,7 @@ package depminer
 
 // The robustness suite: fault injection at every hook point, typed-error
 // unwinding, partial-result integrity, budget and deadline governance,
-// graceful degradation, pathological inputs, and goroutine-leak freedom.
+// pathological inputs, and goroutine-leak freedom.
 // Run it under -race: the containment boundaries and the shared budget
 // are exactly where races would hide.
 
@@ -296,37 +296,6 @@ func TestBudgetSufficientIsIdentical(t *testing.T) {
 	}
 }
 
-// TestGracefulDegradation forces the Algorithm 2 → 3 fallback with a
-// 1-couple threshold and checks the cover is unchanged and the switch is
-// recorded in Notes.
-func TestGracefulDegradation(t *testing.T) {
-	leakcheck.Check(t)
-	ctx := context.Background()
-	r := PaperExample()
-	plain, err := Discover(ctx, r, Options{Armstrong: ArmstrongNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded, err := Discover(ctx, r, Options{Armstrong: ArmstrongNone, MaxCouples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(degraded.Notes) != 1 || !strings.Contains(degraded.Notes[0], "degraded") {
-		t.Fatalf("Notes = %v", degraded.Notes)
-	}
-	if fmt.Sprint(plain.FDs) != fmt.Sprint(degraded.FDs) {
-		t.Errorf("degraded cover differs:\n%v\n%v", plain.FDs, degraded.FDs)
-	}
-	// A threshold the couple space fits under must not degrade.
-	roomy, err := Discover(ctx, r, Options{Armstrong: ArmstrongNone, MaxCouples: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roomy.Notes) != 0 {
-		t.Errorf("unexpected Notes = %v", roomy.Notes)
-	}
-}
-
 // TestOptionsValidation checks malformed Options fail fast with the typed
 // sentinel, over a relation and over a streamed source.
 func TestOptionsValidation(t *testing.T) {
@@ -335,7 +304,6 @@ func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Workers: -1},
 		{ChunkSize: -5},
-		{MaxCouples: -1},
 		{MaxAgreeBytes: -8},
 		{Algorithm: Algorithm(99)},
 		{Armstrong: ArmstrongMode(-2)},

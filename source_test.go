@@ -20,17 +20,20 @@ func writeSnapshot(t testing.TB, r *Relation) string {
 	for i := range rows {
 		rows[i] = r.Row(i)
 	}
+	empty, err := NewRelation(r.Names(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	store, _, err := durable.Open(durable.Options{Dir: dir, DisableFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := durable.ContentFingerprint(r.Names(), rows)
-	ds, err := store.Create("snap", "snap", r.Names(), nil, fp)
+	ds, err := store.Create("snap", "snap", empty, durable.FingerprintOf(empty).Sum())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, err := ds.Append(rows, len(rows), fp)
+	tok, err := ds.Append(rows, r, durable.FingerprintOf(r).Sum())
 	if err != nil {
 		t.Fatal(err)
 	}

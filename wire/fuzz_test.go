@@ -42,7 +42,7 @@ func FuzzRoundTrip(f *testing.F) {
 		`{"dataset":"ds-16cdf3225d07","algorithm":"tane","timeout_ms":5000}`,
 		`{"dataset":"ds-16cdf3225d07","algorithm":"incremental"}`,
 		`{"dataset":"ds-abc","async":true}`,
-		`{"dataset":"ds-abc","algorithm":"depminer2","workers":4,"budget_units":1,"max_couples":100}`,
+		`{"dataset":"ds-abc","algorithm":"depminer2","workers":4,"budget_units":1}`,
 		`{"dataset":"ds-abc","epsilon":0.1,"max_partition_bytes":1,"armstrong":true}`,
 		// DiscoverResponse as the server writes it.
 		`{"dataset":"ds-1","fingerprint":"f","algorithm":"depminer","rows":7,"attributes":5,` +

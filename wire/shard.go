@@ -32,8 +32,9 @@ type ShardRequest struct {
 	// over (required). 404 if this worker has no dataset with it.
 	Fingerprint string `json:"fingerprint"`
 	// Algorithm selects the sweep: "depminer" (Algorithm 2, the default)
-	// or "depminer2" (Algorithm 3). The coordinator decides degradation
-	// globally, so every shard of one discovery carries the same value.
+	// or "depminer2" (Algorithm 3). The coordinator maps the discovery's
+	// miner to it once, so every shard of one discovery carries the same
+	// value.
 	Algorithm string `json:"algorithm,omitempty"`
 	// CoupleStart and CoupleEnd bound the shard's half-open couple index
 	// range into the globally sorted deduplicated couple list.

@@ -72,8 +72,6 @@ type DiscoverRequest struct {
 	// BudgetUnits is the requested guard unit budget, clamped to the
 	// server's MaxBudgetUnits.
 	BudgetUnits int64 `json:"budget_units,omitempty"`
-	// MaxCouples enables the Algorithm 2 → 3 degradation threshold.
-	MaxCouples int `json:"max_couples,omitempty"`
 	// Epsilon is the approximate-dependency threshold (tane only).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// MaxPartitionBytes caps resident partition bytes (tane only).
@@ -110,7 +108,6 @@ type DiscoverResponse struct {
 	Cached             bool       `json:"cached"`
 	Partial            bool       `json:"partial,omitempty"`
 	Error              string     `json:"error,omitempty"`
-	Notes              []string   `json:"notes,omitempty"`
 	Couples            int        `json:"couples,omitempty"`
 	AgreeSets          int        `json:"agree_sets,omitempty"`
 	MaxSets            int        `json:"max_sets,omitempty"`
