@@ -198,7 +198,11 @@ func BenchmarkAblation_AgreeSets(b *testing.B) {
 	b.Run("identifiers", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := agree.NewPlan(db).Run(context.Background(), agree.VariantIdentifiers, agree.Options{}, nil); err != nil {
+			plan, err := agree.NewPlan(context.Background(), db, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := plan.Run(context.Background(), agree.VariantIdentifiers, agree.Options{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -228,7 +232,7 @@ func BenchmarkAblation_ChunkSize(b *testing.B) {
 // the "set operations in constant time" implementation note of §5.
 func BenchmarkAblation_SetAsMapKey(b *testing.B) {
 	r := dataset(b, 20, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +269,7 @@ func BenchmarkAblation_SetAsMapKey(b *testing.B) {
 func BenchmarkAblation_Transversal(b *testing.B) {
 	b.ReportAllocs()
 	r := dataset(b, 20, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

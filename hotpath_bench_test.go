@@ -55,20 +55,6 @@ func BenchmarkHotpathProduct(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathPlan isolates Algorithm 2's couple generation on the
-// tall shape: the MC test plus the (t, u)-ordered couple list.
-func BenchmarkHotpathPlan(b *testing.B) {
-	r := dataset(b, 12, 30000, 0.5)
-	db := partition.NewDatabase(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if agree.NewPlan(db).Couples() == 0 {
-			b.Fatal("no couples")
-		}
-	}
-}
-
 // BenchmarkHotpathAgreeCouples isolates step 1 via Algorithm 2: MC couple
 // generation plus the chunked partition sweep and agree-set dedup.
 func BenchmarkHotpathAgreeCouples(b *testing.B) {
@@ -91,7 +77,11 @@ func BenchmarkHotpathAgreeIdentifiers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agree.NewPlan(db).Run(context.Background(), agree.VariantIdentifiers, agree.Options{Workers: 1}, nil); err != nil {
+		plan, err := agree.NewPlan(context.Background(), db, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Run(context.Background(), agree.VariantIdentifiers, agree.Options{Workers: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +92,7 @@ func BenchmarkHotpathAgreeIdentifiers(b *testing.B) {
 // shape where the agree sets are many and the schema is wide.
 func BenchmarkHotpathMaxSets(b *testing.B) {
 	r := dataset(b, 30, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -119,7 +109,7 @@ func BenchmarkHotpathMaxSets(b *testing.B) {
 // transversal search over every per-attribute cmax hypergraph.
 func BenchmarkHotpathTransversal(b *testing.B) {
 	r := dataset(b, 20, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

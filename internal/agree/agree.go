@@ -28,18 +28,21 @@
 // tuples (which would agree on the full schema R) contributes nothing to
 // ag(r), exactly as if the relation had been deduplicated first.
 //
-// Couples are encoded into uint64s and listed once, in (t, u) order by
-// construction (see generateCouples). Agree sets are deduplicated as they
-// are produced, by a hash-indexed list of the distinct sets (setAccum),
-// so only the family — orders of magnitude smaller than the couple
-// stream — is ever sorted (see DESIGN.md §9).
+// Couples are never listed whole: the plan numbers the couple space
+// u-major (partition.CoupleSpace), and each task regenerates the
+// partners of its own index range into a per-worker scratch of 4 B per
+// couple. Agree sets are deduplicated as they are produced, by a
+// hash-indexed list of the distinct sets (setAccum), so only the family
+// — orders of magnitude smaller than the couple stream — is ever sorted
+// (see DESIGN.md §9).
 //
 // Both variants parallelise across Options.Workers goroutines by cutting
-// the couple list into contiguous tasks: Algorithm 3 into fixed strides,
-// Algorithm 2 into tasks of at most one chunk, a chunk being cut further
-// only when there are fewer chunks than workers. Every worker accumulates
-// into a private distinct list and the union is emitted in canonical
-// order, so results are byte-identical for any worker count.
+// the couple space into the same contiguous tasks of at most one chunk,
+// a chunk being cut further only when there are fewer chunks than
+// workers; Algorithm 3 then intersects a task stride by stride. Every
+// worker accumulates into a private distinct list and the union is
+// emitted in canonical order, so results are byte-identical for any
+// worker count.
 package agree
 
 import (
@@ -61,9 +64,9 @@ import (
 
 // DefaultChunkSize is the default bound on couples one Algorithm 2 pass
 // over r̂ sweeps. The paper uses "a threshold (associated to the number of
-// tuples)". A swept couple costs 8 B (its encoding) plus |R| bits of
-// agree state, so a full chunk holds 8 MB of couples plus |R|/8 MB of
-// bits, whichever way it is cut across workers.
+// tuples)". A swept couple costs 4 B (its regenerated partner) plus |R|
+// bits of agree state, so a full chunk holds 4 MB of couples plus
+// |R|/8 MB of bits, whichever way it is cut across workers.
 const DefaultChunkSize = 1 << 20
 
 // Result is the outcome of an agree-set computation.
@@ -118,8 +121,9 @@ func Naive(ctx context.Context, r *relation.Relation) (*Result, error) {
 
 // Options configure the stripped-partition algorithms.
 type Options struct {
-	// ChunkSize bounds the couples one Algorithm 2 pass over r̂ sweeps.
-	// Zero means DefaultChunkSize.
+	// ChunkSize bounds the couples one Algorithm 2 pass over r̂ sweeps,
+	// and the couples one task of either variant regenerates. Zero means
+	// DefaultChunkSize.
 	ChunkSize int
 	// Workers is the worker-pool width for the couple sweep: 0 means
 	// runtime.GOMAXPROCS(0), 1 the sequential reference path. Results are
@@ -150,38 +154,6 @@ func (o Options) chunkSize() int {
 		return DefaultChunkSize
 	}
 	return o.ChunkSize
-}
-
-// coupleT and coupleU decode an encoded couple: an ordered pair of tuple
-// ids (t < u) packed as t<<32 | u. Keeping couples encoded halves their
-// memory footprint.
-func coupleT(e uint64) int { return int(e >> 32) }
-func coupleU(e uint64) int { return int(uint32(e)) }
-
-// generateCouples lists the distinct couples of the classes of MC,
-// encoded, in strictly increasing (t, u) order by construction, in an
-// exact-size slice. partition.MaximalPartners lists them u-major; a stable
-// counting scatter by t then places each couple in its (t, u) slot, so
-// neither MC nor the couple space is ever sorted.
-func generateCouples(db *partition.Database) []uint64 {
-	partners, ends := db.MaximalPartners()
-	slot := make([]int, db.NumRows+1) // couples per t, then t's next slot
-	for _, t := range partners {
-		slot[t+1]++
-	}
-	for t := range db.NumRows {
-		slot[t+1] += slot[t]
-	}
-	enc := make([]uint64, len(partners))
-	k := 0
-	for u, end := range ends {
-		for ; k < end; k++ {
-			t := partners[k]
-			enc[slot[t]] = uint64(t)<<32 | uint64(u)
-			slot[t]++
-		}
-	}
-	return enc
 }
 
 // setAccum deduplicates agree sets at insert: sets lists the distinct
@@ -366,12 +338,13 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 // workerState is the per-worker accumulation and scratch reused across
 // every chunk or stride the worker processes.
 type workerState struct {
-	accum setAccum
+	accum    setAccum
+	walker   partition.Walker // regenerates the task's couples
+	partners []int32          // the task's couples: partner per couple
+	batch    []attrset.Set    // per-stride batch before absorption
 	// chunk sweep scratch (Couples only):
-	agBits  []uint64      // one bit per (attribute, couple), attribute-major
-	counts  []int32       // counting layout of couples by first tuple
-	inClass []bool        // per-class membership marks
-	batch   []attrset.Set // per-stride batch before absorption
+	agBits  []uint64 // one bit per (attribute, couple), attribute-major
+	inClass []bool   // per-class membership marks
 }
 
 // Couples computes ag(r) with Algorithm 2 (AGREE_SET): couples from MC,
@@ -382,7 +355,11 @@ type workerState struct {
 // united and emitted in canonical order, making the result independent
 // of worker count and scheduling.
 func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	return NewPlan(db).Run(ctx, VariantCouples, opts, nil)
+	p, err := NewPlan(ctx, db, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(ctx, VariantCouples, opts, nil)
 }
 
 // Run sweeps the plan's whole couple space through variant v and
@@ -392,15 +369,16 @@ func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result
 // shards (see fanOut), whose runs join the same merge as local and
 // spilled ones.
 func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) (*Result, error) {
-	res := &Result{Couples: len(p.couples), Chunks: 1}
+	couples := p.Couples()
+	res := &Result{Couples: couples, Chunks: 1}
 	if v == VariantCouples {
-		res.Chunks = max(1, (len(p.couples)+opts.chunkSize()-1)/opts.chunkSize())
+		res.Chunks = max(1, (couples+opts.chunkSize()-1)/opts.chunkSize())
 	}
 	var shards []Shard
 	if remote != nil {
-		shards = p.Split(remote.Shards(len(p.couples)))
+		shards = p.Split(remote.Shards(couples))
 	}
-	if err := opts.Budget.Charge("agree", len(p.couples)); err != nil {
+	if err := opts.Budget.Charge("agree", couples); err != nil {
 		return res, err
 	}
 	// Remote runs are adopted into a spiller whatever the threshold.
@@ -414,7 +392,7 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 	var locals []*workerState
 	var err error
 	if remote == nil {
-		locals, err = p.sweep(ctx, p.couples, v, opts, sp)
+		locals, err = p.sweep(ctx, 0, couples, v, opts, sp)
 	} else {
 		locals, err = p.fanOut(ctx, shards, v, opts, remote, sp)
 	}
@@ -439,51 +417,78 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 	return res, nil
 }
 
-// sweep runs couples through variant v — Algorithm 2's chunk loop or
-// Algorithm 3's stride loop — over Options.Workers goroutines, each
-// absorbing its batches into a private distinct list (spilled into sp past
-// Options.MaxAgreeBytes). Every task first passes the variant's fault
-// hook and a budget deadline checkpoint. pool.Run joins every worker
-// before returning, so the locals are safe to merge whatever the error.
-func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Options, sp *extsort.Spiller) ([]*workerState, error) {
+// sweep runs the couples [lo, hi) through variant v — Algorithm 2's
+// chunk loop or Algorithm 3's stride loop — over Options.Workers
+// goroutines, each absorbing its batches into a private distinct list
+// (spilled into sp past Options.MaxAgreeBytes). Both variants cut
+// [lo, hi) into the same tasks (taskSize), and every task regenerates
+// its own couples once. An Algorithm 2 task first passes the AgreeChunk
+// hook and a budget deadline checkpoint; an Algorithm 3 task passes the
+// AgreeStride hook and a checkpoint before each stride it intersects.
+// pool.Run joins every worker before returning, so the locals are safe
+// to merge whatever the error.
+func (p *Plan) sweep(ctx context.Context, lo, hi int, v Variant, opts Options, sp *extsort.Spiller) ([]*workerState, error) {
 	workers := pool.Resolve(opts.Workers)
 	locals := makeWorkers(workers, opts, sp)
 	full := attrset.Universe(p.db.Arity())
-	step, hook := taskSize(len(couples), opts.chunkSize(), workers), faultinject.AgreeChunk
+	step := taskSize(hi-lo, opts.chunkSize(), workers)
 	var ecOff []int32
 	var ec []uint64
 	if v == VariantIdentifiers {
-		step, hook = stride, faultinject.AgreeStride
 		ecOff, ec = p.ecIndex()
 	}
-	tasks := (len(couples) + step - 1) / step
+	ends := p.cs.Ends()
+	tasks := (hi - lo + step - 1) / step
 	err := pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
-		if err := faultinject.Fire(hook); err != nil {
-			return err
-		}
-		if err := opts.Budget.Checkpoint("agree"); err != nil {
-			return err
-		}
-		part := couples[t*step : min((t+1)*step, len(couples))]
+		from := lo + t*step
 		ws := locals[w]
 		if v == VariantCouples {
-			return processChunk(p.db, part, full, ws)
+			if err := checkpoint(faultinject.AgreeChunk, opts); err != nil {
+				return err
+			}
+			ws.partners, _ = p.cs.Partners(from, min(from+step, hi), &ws.walker, ws.partners)
+			return processChunk(p.db, ends, from, ws.partners, full, ws)
 		}
-		batch, err := intersectStride(taskCtx, ec, ecOff, part, ws.batch[:0])
-		ws.batch = batch
-		if err != nil {
-			return err
+		var u int
+		ws.partners, u = p.cs.Partners(from, min(from+step, hi), &ws.walker, ws.partners)
+		for s := 0; s < len(ws.partners); s += stride {
+			if err := checkpoint(faultinject.AgreeStride, opts); err != nil {
+				return err
+			}
+			var err error
+			ws.batch, u, err = intersectStride(taskCtx, ec, ecOff, ends, from+s, u, ws.partners[s:min(s+stride, len(ws.partners))], ws.batch[:0])
+			if err != nil {
+				return err
+			}
+			if err := ws.accum.absorb(ws.batch, full); err != nil {
+				return err
+			}
 		}
-		return ws.accum.absorb(batch, full)
+		return nil
 	})
 	return locals, err
 }
 
-// taskSize is the couple count of one Algorithm 2 task over n couples:
-// at most one chunk, cut smaller when there are fewer chunks than workers
-// so that every worker gets a share, but never below stride. Each task is
-// one full pass over r̂, so the cut trades extra passes for parallelism
-// only where workers would otherwise idle.
+// checkpoint fires a sweep fault hook, then checks the budget deadline.
+func checkpoint(hook string, opts Options) error {
+	if err := faultinject.Fire(hook); err != nil {
+		return err
+	}
+	return opts.Budget.Checkpoint("agree")
+}
+
+// taskSize is the couple count of one sweep task over n couples: at
+// most one chunk, cut smaller when there are fewer chunks than workers
+// so that every worker gets a share, but never below stride. Each
+// Algorithm 2 task is one full pass over r̂, so the cut trades extra
+// passes for parallelism only where workers would otherwise idle.
+//
+// A task regenerates its couples once, and a tuple whose couples it
+// enters mid-way is re-walked from its first partner: at most ‖r̂‖ walk
+// steps per task, no more than the task's own pass over r̂ in Algorithm
+// 2. Algorithm 3 intersects a task stride by stride, so it keeps the
+// stride's small batches and its checkpoints while a tuple with many
+// partners is walked once per task, not once per stride.
 func taskSize(n, chunkSize, workers int) int {
 	return min(chunkSize, max((n+workers-1)/workers, stride))
 }
@@ -556,45 +561,37 @@ func addEmptyIfUncovered(db *partition.Database, covered int, sets attrset.Famil
 	return append(attrset.Family{attrset.Empty()}, sets...)
 }
 
-// processChunk runs lines 10–21 of Algorithm 2 for one chunk of couples:
-// for each stripped partition π̂_A and each of its classes, mark the
-// class's tuples and record A for every chunk couple lying inside it. A
-// couple's agree set is stored as one bit per (attribute, couple): bit k
-// of attribute A's row says A ∈ ag(chunk[k]), so an attribute pass writes
-// one |chunk|-bit row instead of a 32-byte set per couple. The sets are
-// then assembled stride by stride into ws.batch and absorbed into
-// ws.accum, which drops sets equal to full. It reads db and writes only
+// processChunk runs lines 10–21 of Algorithm 2 for one chunk of couples,
+// the couples [lo, lo+len(partners)) with partners[k−lo] the partner of
+// couple k, whose tuple u has ends[u] ≤ k < ends[u+1]: for each stripped
+// partition π̂_A and each of its classes, mark the class's tuples and
+// record A for every chunk couple lying inside it. A couple's agree set
+// is stored as one bit per (attribute, couple): bit i of attribute A's
+// row says A ∈ ag(couple lo+i), so an attribute pass writes one
+// |chunk|-bit row instead of a 32-byte set per couple. The sets are then
+// assembled stride by stride into ws.batch and absorbed into ws.accum,
+// which drops sets equal to full. It reads db and writes only
 // worker-local state, so concurrent calls on distinct workerStates are
 // safe.
 //
-// To keep the per-class couple lookup sub-quadratic, couples are indexed by
-// their first tuple: for a class c and each t ∈ c, only couples starting at
-// t are probed, and membership of the partner is tested with a per-class
-// mark table — an indexing refinement of the paper's "if t ∈ c and t' ∈ c".
-func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *workerState) error {
+// To keep the per-class couple lookup sub-quadratic, couples are indexed
+// by their tuple u, straight from ends: for a class c and each u ∈ c,
+// only u's couples in the chunk are probed, and membership of the
+// partner is tested with a per-class mark table — an indexing refinement
+// of the paper's "if t ∈ c and t' ∈ c".
+func processChunk(db *partition.Database, ends []int, lo int, partners []int32, full attrset.Set, ws *workerState) error {
 	// One row of words per attribute, reset to ∅.
-	words := (len(chunk) + 63) / 64
+	hi := lo + len(partners)
+	words := (len(partners) + 63) / 64
 	if cap(ws.agBits) < db.Arity()*words {
 		ws.agBits = make([]uint64, db.Arity()*words)
 	}
 	agBits := ws.agBits[:db.Arity()*words]
 	clear(agBits)
-	// Index couples by first tuple: counts[t]..counts[t+1] slices into
-	// couple indices. chunk arrives sorted by (t, u) from
-	// generateCouples, so a counting layout avoids per-tuple allocations.
-	if cap(ws.counts) < db.NumRows+1 {
-		ws.counts = make([]int32, db.NumRows+1)
+	if cap(ws.inClass) < db.NumRows {
 		ws.inClass = make([]bool, db.NumRows)
 	}
-	counts := ws.counts[:db.NumRows+1]
-	clear(counts)
 	inClass := ws.inClass[:db.NumRows]
-	for _, cp := range chunk {
-		counts[coupleT(cp)+1]++
-	}
-	for t := 0; t < db.NumRows; t++ {
-		counts[t+1] += counts[t]
-	}
 	for a, p := range db.Attr {
 		row := agBits[a*words : (a+1)*words]
 		for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
@@ -602,10 +599,10 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 			for _, t := range cls {
 				inClass[t] = true
 			}
-			for _, t := range cls {
-				for k := counts[t]; k < counts[t+1]; k++ {
-					if inClass[coupleU(chunk[k])] {
-						row[k>>6] |= 1 << (k & 63)
+			for _, u := range cls {
+				for i := max(ends[u], lo) - lo; i < min(ends[u+1], hi)-lo; i++ {
+					if inClass[partners[i]] {
+						row[i>>6] |= 1 << (i & 63)
 					}
 				}
 			}
@@ -616,15 +613,15 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 	}
 	// Assemble the sets of one stride at a time; stride is a multiple of
 	// 64, so each stride starts on a word boundary.
-	for lo := 0; lo < len(chunk); lo += stride {
-		hi := min(lo+stride, len(chunk))
-		if cap(ws.batch) < hi-lo {
+	for from := 0; from < len(partners); from += stride {
+		to := min(from+stride, len(partners))
+		if cap(ws.batch) < to-from {
 			ws.batch = make([]attrset.Set, stride)
 		}
-		batch := ws.batch[:hi-lo]
+		batch := ws.batch[:to-from]
 		clear(batch)
 		for a := range db.Arity() {
-			row := agBits[a*words+lo/64 : a*words+(hi+63)/64]
+			row := agBits[a*words+from/64 : a*words+(to+63)/64]
 			for w, word := range row {
 				for ; word != 0; word &= word - 1 {
 					batch[w*64+bits.TrailingZeros64(word)].Add(a)
@@ -638,11 +635,11 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 	return nil
 }
 
-// stride is the couple count of the smallest unit of sweep work: one
-// Identifiers task, the floor of a Couples task, and one batch of agree
-// sets assembled for absorption. It is large enough to amortise dispatch,
-// small enough to balance load, keep cancellation latency low and keep
-// an assembled batch (32 bytes a couple) cache-resident.
+// stride is the couple count of the smallest unit of sweep work: the
+// floor of a task, one Identifiers intersection between checkpoints, and
+// one batch of agree sets assembled for absorption. It is large enough
+// to amortise dispatch, small enough to keep cancellation latency low
+// and keep an assembled batch (32 bytes a couple) cache-resident.
 const stride = 1 << 13
 
 // buildECIndex lays out, per tuple t, the list ec(t) of (attribute, class
@@ -679,18 +676,24 @@ func buildECIndex(db *partition.Database) (ecOff []int32, ec []uint64) {
 }
 
 // intersectStride runs the Lemma 2 intersection for one stride of
-// couples, appending each agree set to batch. It checks the task context
-// every 4096 couples to keep cancellation latency low.
-func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, couples []uint64, batch []attrset.Set) ([]attrset.Set, error) {
-	for i, cp := range couples {
+// couples, the couples [lo, lo+len(partners)) with partners[k−lo] the
+// partner of couple k, appending each agree set to batch. u is the tuple
+// of couple lo; intersectStride returns the tuple of the stride's last
+// couple, where the next stride starts looking. It checks the task
+// context every 4096 couples to keep cancellation latency low.
+func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, ends []int, lo, u int, partners []int32, batch []attrset.Set) ([]attrset.Set, int, error) {
+	for i, t := range partners {
 		if i&0xFFF == 0 {
 			if err := taskCtx.Err(); err != nil {
-				return batch, err
+				return batch, u, err
 			}
 		}
+		for lo+i >= ends[u+1] {
+			u++
+		}
 		var s attrset.Set
-		et := ec[ecOff[coupleT(cp)]:ecOff[coupleT(cp)+1]]
-		eu := ec[ecOff[coupleU(cp)]:ecOff[coupleU(cp)+1]]
+		et := ec[ecOff[t]:ecOff[t+1]]
+		eu := ec[ecOff[u]:ecOff[u+1]]
 		x, y := 0, 0
 		for x < len(et) && y < len(eu) {
 			at, au := et[x]>>32, eu[y]>>32
@@ -709,11 +712,5 @@ func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, couple
 		}
 		batch = append(batch, s)
 	}
-	return batch, nil
-}
-
-// FromRelation builds the stripped partition database and runs Algorithm
-// 3, the paper's more scalable choice (EXPERIMENTS.md: not reproduced).
-func FromRelation(ctx context.Context, r *relation.Relation) (*Result, error) {
-	return NewPlan(partition.NewDatabase(r)).Run(ctx, VariantIdentifiers, Options{}, nil)
+	return batch, u, nil
 }

@@ -12,7 +12,27 @@ import (
 
 // identifiers runs Algorithm 3 over db's whole couple space, locally.
 func identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	return NewPlan(db).Run(ctx, VariantIdentifiers, opts, nil)
+	p, err := NewPlan(ctx, db, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(ctx, VariantIdentifiers, opts, nil)
+}
+
+// fromRelation builds the stripped partition database and runs
+// Algorithm 3 with default options.
+func fromRelation(ctx context.Context, r *relation.Relation) (*Result, error) {
+	return identifiers(ctx, partition.NewDatabase(r), Options{})
+}
+
+// mustPlan builds db's plan sequentially.
+func mustPlan(tb testing.TB, db *partition.Database) *Plan {
+	tb.Helper()
+	p, err := NewPlan(context.Background(), db, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 func mustSets(t *testing.T, specs ...string) attrset.Family {
@@ -38,7 +58,7 @@ func TestPaperExampleAllAlgorithms(t *testing.T) {
 		"naive":   func() (*Result, error) { return Naive(context.Background(), r) },
 		"couples": func() (*Result, error) { return Couples(context.Background(), db, Options{}) },
 		"ids":     func() (*Result, error) { return identifiers(context.Background(), db, Options{}) },
-		"default": func() (*Result, error) { return FromRelation(context.Background(), r) },
+		"default": func() (*Result, error) { return fromRelation(context.Background(), r) },
 	}
 	for name, fn := range algos {
 		res, err := fn()
@@ -285,7 +305,7 @@ func TestAgreeSetsNeverContainFullSchemaWithoutDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		r = r.Deduplicate()
-		res, err := FromRelation(context.Background(), r)
+		res, err := fromRelation(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}

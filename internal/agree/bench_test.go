@@ -3,9 +3,12 @@ package agree
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/partition"
+	"repro/internal/relation"
 )
 
 // BenchmarkAgreeAllDistinct is the accumulator's worst case: 40 random
@@ -18,10 +21,82 @@ func BenchmarkAgreeAllDistinct(b *testing.B) {
 	db := partition.NewDatabase(r)
 	for _, v := range []Variant{VariantCouples, VariantIdentifiers} {
 		b.Run(v.String(), func(b *testing.B) {
-			plan := NewPlan(db)
+			plan := mustPlan(b, db)
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := plan.Run(context.Background(), v, Options{Workers: 1}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlan measures step 1's plan on the tall shape (12×30,000,
+// c=0.5: 359,428 couples): the couple space build alone, and the build
+// plus the Algorithm 2 sweep it plans, at one and two workers.
+func BenchmarkPlan(b *testing.B) {
+	r, err := datagen.Generate(datagen.Spec{Attrs: 12, Rows: 30000, Correlation: 0.5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := partition.NewDatabase(r)
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		b.Run("NewPlan/workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := NewPlan(ctx, db, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("NewPlan+Run/workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Couples(ctx, db, Options{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// largeClassRelation is 4 attributes over 8,000 rows whose first column
+// is boolean: two classes of 4,000 tuples, each far wider than a stride,
+// give 15,996,000 couples, nearly all in MC. The other columns draw
+// from 1,000 values.
+func largeClassRelation(b *testing.B) *relation.Relation {
+	rng := rand.New(rand.NewSource(8))
+	cols := make([][]int, 4)
+	for a := range cols {
+		cols[a] = make([]int, 8000)
+		for i := range cols[a] {
+			if a == 0 {
+				cols[a][i] = i % 2
+			} else {
+				cols[a][i] = rng.Intn(1000)
+			}
+		}
+	}
+	r, err := relation.FromCodes(make([]string, len(cols)), cols)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkIdentifiersLargeClass measures Algorithm 3, plan included,
+// where one tuple's couples span many strides: a task regenerates its
+// range once, and a stride must not re-walk the partners before it.
+func BenchmarkIdentifiersLargeClass(b *testing.B) {
+	db := partition.NewDatabase(largeClassRelation(b))
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := identifiers(ctx, db, Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

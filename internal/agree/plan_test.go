@@ -11,8 +11,9 @@ import (
 	"repro/internal/relation"
 )
 
-// bruteCouples is the couple list's oracle: every couple t < u whose
-// agree set is non-empty, encoded, straight from the relation.
+// bruteCouples is the couple space's oracle: every couple t < u whose
+// agree set is non-empty, encoded t<<32 | u in increasing order, straight
+// from the relation.
 func bruteCouples(r *relation.Relation) []uint64 {
 	out := []uint64{}
 	for t := 0; t < r.Rows(); t++ {
@@ -35,11 +36,14 @@ func codesRelation(t *testing.T, cols [][]int) *relation.Relation {
 	return r
 }
 
-// TestPlanCouplesMatchBruteForce: NewPlan's couple list is exactly the
-// brute-force set of couples with a non-empty agree set, strictly
-// increasing and exact-size, on random relations with 0, 1 and 2 rows,
-// constant columns, duplicate rows, identical columns (the MC tie-break)
-// and one giant class.
+// TestPlanCouplesMatchBruteForce: the plan's regenerated couple sequence
+// holds each brute-force couple with a non-empty agree set exactly once,
+// grouped by ascending u; every Split(n) shard and random [lo, hi) cut
+// regenerates exactly its slice of that sequence; and one workerState
+// reused across two tasks that split one tuple's couples regenerates
+// both slices exactly. Relations have 0, 1 and 2 rows, constant
+// columns, duplicate rows, identical columns (the MC tie-break) and one
+// giant class.
 func TestPlanCouplesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var rels []*relation.Relation
@@ -81,16 +85,77 @@ func TestPlanCouplesMatchBruteForce(t *testing.T) {
 		rels = append(rels, codesRelation(t, cols))
 	}
 	for i, r := range rels {
-		got := NewPlan(partition.NewDatabase(r)).couples
-		want := bruteCouples(r)
-		if !slices.Equal(got, want) {
-			t.Fatalf("relation %d (%d×%d): couples %v, want %v", i, r.Rows(), r.Arity(), got, want)
+		p := mustPlan(t, partition.NewDatabase(r))
+		n := p.Couples()
+		all := regenerate(p, 0, n, &workerState{})
+		for k := 1; k < n; k++ {
+			if coupleU(all[k]) < coupleU(all[k-1]) {
+				t.Fatalf("relation %d: couple %d's u %d follows u %d", i, k, coupleU(all[k]), coupleU(all[k-1]))
+			}
 		}
-		if cap(got) != len(got) {
-			t.Fatalf("relation %d: couple list cap %d for %d couples", i, cap(got), len(got))
+		sorted := slices.Clone(all)
+		slices.Sort(sorted)
+		if want := bruteCouples(r); !slices.Equal(sorted, want) {
+			t.Fatalf("relation %d (%d×%d): couples %v, want %v", i, r.Rows(), r.Arity(), sorted, want)
+		}
+		var cuts []Shard
+		for _, shards := range []int{1, 2, 3, 7} {
+			cuts = append(cuts, p.Split(shards)...)
+		}
+		for range 5 {
+			lo := rng.Intn(n + 1)
+			cuts = append(cuts, Shard{lo, lo + rng.Intn(n-lo+1)})
+		}
+		for _, sh := range cuts {
+			if got := regenerate(p, sh.Start, sh.End, &workerState{}); !slices.Equal(got, all[sh.Start:sh.End]) {
+				t.Fatalf("relation %d: range %v regenerates %v, want %v", i, sh, got, all[sh.Start:sh.End])
+			}
+		}
+		// Two tasks on one worker, cut inside the couples of the tuple
+		// with the most partners.
+		if n < 2 {
+			continue
+		}
+		ends := p.cs.Ends()
+		u := 0
+		for v := range r.Rows() {
+			if ends[v+1]-ends[v] > ends[u+1]-ends[u] {
+				u = v
+			}
+		}
+		if ends[u+1]-ends[u] < 2 {
+			continue
+		}
+		ws := &workerState{}
+		mid := ends[u] + 1 + rng.Intn(ends[u+1]-ends[u]-1)
+		for _, sh := range []Shard{{ends[u], mid}, {mid, ends[u+1]}} {
+			if got := regenerate(p, sh.Start, sh.End, ws); !slices.Equal(got, all[sh.Start:sh.End]) {
+				t.Fatalf("relation %d: reused worker regenerates %v as %v, want %v", i, sh, got, all[sh.Start:sh.End])
+			}
 		}
 	}
 }
+
+// regenerate regenerates the couples [lo, hi) of p on ws, as a task
+// does, encoded t<<32 | u.
+func regenerate(p *Plan, lo, hi int, ws *workerState) []uint64 {
+	var u int
+	ws.partners, u = p.cs.Partners(lo, hi, &ws.walker, ws.partners)
+	ends := p.cs.Ends()
+	if lo < hi && (ends[u] > lo || lo >= ends[u+1]) {
+		panic(fmt.Sprintf("Partners(%d, %d) reports tuple %d, whose couples are [%d, %d)", lo, hi, u, ends[u], ends[u+1]))
+	}
+	out := make([]uint64, len(ws.partners))
+	for i, t := range ws.partners {
+		for lo+i >= ends[u+1] {
+			u++
+		}
+		out[i] = uint64(t)<<32 | uint64(u)
+	}
+	return out
+}
+
+func coupleU(e uint64) int { return int(uint32(e)) }
 
 // TestCouplesWideMatchesNaive: the bit-per-(attribute, couple) layout
 // assembles the same ag(r) as the naive scan at arities that span two and
@@ -137,7 +202,7 @@ func TestChunkCut(t *testing.T) {
 	small := randomRelation(t, rand.New(rand.NewSource(5)), 3, 30, 3)
 	for _, r := range []*relation.Relation{codesRelation(t, big), small} {
 		db := partition.NewDatabase(r)
-		couples := NewPlan(db).Couples()
+		couples := mustPlan(t, db).Couples()
 		for _, workers := range []int{1, 2, 3, 8} {
 			fires := countSweeps(t)
 			res, err := Couples(ctx, db, Options{Workers: workers})

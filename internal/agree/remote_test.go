@@ -105,7 +105,7 @@ func TestRemoteDifferential(t *testing.T) {
 	ctx := context.Background()
 	for ri, r := range rels {
 		db := partition.NewDatabase(r)
-		plan := NewPlan(db)
+		plan := mustPlan(t, db)
 		refs := map[Variant]*Result{}
 		for v, run := range map[Variant]func(context.Context, *partition.Database, Options) (*Result, error){
 			VariantCouples: Couples, VariantIdentifiers: identifiers,
@@ -153,7 +153,7 @@ func TestRemoteDifferential(t *testing.T) {
 // falls back to a local sweep.
 func TestRemoteGovernedFetchNoLocalSweep(t *testing.T) {
 	db := partition.NewDatabase(relation.PaperExample())
-	plan := NewPlan(db)
+	plan := mustPlan(t, db)
 	ref, err := Couples(context.Background(), db, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestRemoteGovernedFetchNoLocalSweep(t *testing.T) {
 // TestRemoteShardMergeFault: the ShardMerge point fires before the merge
 // of a run with a remote, and only there.
 func TestRemoteShardMergeFault(t *testing.T) {
-	plan := NewPlan(partition.NewDatabase(relation.PaperExample()))
+	plan := mustPlan(t, partition.NewDatabase(relation.PaperExample()))
 	injected := errors.New("injected merge fault")
 	faultinject.Set(faultinject.ShardMerge, faultinject.FailWith(injected))
 	t.Cleanup(faultinject.Reset)
@@ -208,7 +208,7 @@ func TestRemoteEmptyCoupleSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(partition.NewDatabase(single))
+	plan := mustPlan(t, partition.NewDatabase(single))
 	remote := &fakeRemote{plan: plan, n: 4}
 	res, err := plan.Run(context.Background(), VariantCouples, Options{}, remote)
 	if err != nil {

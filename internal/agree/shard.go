@@ -3,28 +3,32 @@
 // that makes some of a run's shards remote.
 //
 // A Plan pins the shardable state both sides must agree on: the couple
-// list is generated once (deduplicated, in (t, u) order by construction —
-// generateCouples), so a [Start,End) index range names the same couples
-// on every node that computes it from the same relation bytes; content
-// fingerprints make "same bytes" verifiable. ComputeShard sweeps only its
-// range and emits the deduplicated agree sets in raw word order
-// (extsort.Compare) — the run order — without the canonical sort or the
-// empty-set completion, which belong to whoever unions the shards. Finish
-// applies exactly that tail once over the merged family.
+// space of MC, numbered u-major by partition.CoupleSpace, so a
+// [Start,End) index range names the same couples on every node that
+// builds its plan from the same relation bytes; content fingerprints
+// make "same bytes" verifiable. Ranges only match under one numbering:
+// it is a function of the stripped partition database and of the walk
+// that numbers it, not of the couples as a set, so nodes exchange its
+// name (partition.CoupleNumbering) with every range. ComputeShard
+// regenerates and
+// sweeps only its range and emits the deduplicated agree sets in raw
+// word order (extsort.Compare) — the run order — without the canonical
+// sort or the empty-set completion, which belong to whoever unions the
+// shards. Finish applies exactly that tail once over the merged family.
 //
 // Plan.Run with a Remote is that union: each shard's run is fetched from
 // the remote source or, when the fetch fails, swept locally, and every
 // run joins the one merge a local sweep uses.
 //
 // Byte-identity argument (the distributed analogue of the spill
-// contract): the shards are contiguous ranges of one globally sorted
-// deduplicated couple list, so their union examines exactly the couples
-// the single-node sweep examines, each once; every shard's output is a
-// sorted deduplicated run; the k-way dedup merge of sorted runs is
-// insensitive to how its inputs were partitioned; and the one canonical
-// sort plus empty-set completion then run once, identically. Where shard
-// boundaries fall can therefore never change the merged family — and
-// hence never the cover.
+// contract): the shards are contiguous ranges of one numbering of the
+// deduplicated couple space, so their union examines exactly the
+// couples the single-node sweep examines, each once; every shard's
+// output is a sorted deduplicated run; the k-way dedup merge of sorted
+// runs is insensitive to how its inputs were partitioned; and the one
+// canonical sort plus empty-set completion then run once, identically.
+// Where shard boundaries fall can therefore never change the merged
+// family — and hence never the cover.
 package agree
 
 import (
@@ -64,38 +68,46 @@ func (v Variant) String() string {
 }
 
 // Shard is a half-open couple index range [Start, End) into the plan's
-// couple list.
+// couple space.
 type Shard struct {
 	Start, End int
 }
 
 // Plan is the frame of one agree-set computation: the stripped-partition
-// database and its globally sorted deduplicated couple list. Run sweeps a
-// Plan's full couple range, ComputeShard a sub-range,
-// through the same sweep. Coordinator and workers each build a Plan from
-// the same relation bytes; equality of the couple count is the cheap
-// structural check that they did. The identifier arena is built lazily,
-// once, and shared by concurrent ComputeShard calls.
+// database and its couple space. Run sweeps a Plan's full couple range,
+// ComputeShard a sub-range, through the same sweep; every task
+// regenerates the couples of its own range. Coordinator and workers
+// each build a Plan from the same relation bytes under the same
+// numbering; equality of the couple count is the cheap structural check
+// that they did. The identifier
+// arena is built lazily, once, and shared by concurrent ComputeShard
+// calls.
 type Plan struct {
-	db      *partition.Database
-	couples []uint64
+	db *partition.Database
+	cs *partition.CoupleSpace
 
 	ecOnce sync.Once
 	ecOff  []int32
 	ec     []uint64
 }
 
-// NewPlan builds the couple list for db.
-func NewPlan(db *partition.Database) *Plan {
-	return &Plan{db: db, couples: generateCouples(db)}
+// NewPlan builds db's couple space over up to workers goroutines (0
+// meaning GOMAXPROCS; at 1 on the calling goroutine alone). It fails
+// when ctx ends or a build task fails.
+func NewPlan(ctx context.Context, db *partition.Database, workers int) (*Plan, error) {
+	cs, err := partition.NewCoupleSpace(ctx, db, workers)
+	if err != nil {
+		return nil, fmt.Errorf("agree: planning couples: %w", err)
+	}
+	return &Plan{db: db, cs: cs}, nil
 }
 
 // Couples returns the total couple count — the space Split partitions.
-func (p *Plan) Couples() int { return len(p.couples) }
+func (p *Plan) Couples() int { return p.cs.Couples() }
 
 // Split partitions the plan's couple space into n contiguous near-equal
 // shards; see the function Split.
-func (p *Plan) Split(n int) []Shard { return Split(len(p.couples), n) }
+func (p *Plan) Split(n int) []Shard { return Split(p.Couples(), n) }
 
 // Split partitions a space of total couples into n contiguous near-equal
 // shards (never more shards than couples; an empty couple space yields
@@ -149,12 +161,12 @@ type ShardResult struct {
 // failure during the final merge read-back (or from emit itself) can
 // surface after emission started.
 func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Options, emit func(attrset.Set) error) (*ShardResult, error) {
-	if sh.Start < 0 || sh.End < sh.Start || sh.End > len(p.couples) {
-		return nil, fmt.Errorf("agree: shard [%d,%d) outside couple range [0,%d]", sh.Start, sh.End, len(p.couples))
+	if sh.Start < 0 || sh.End < sh.Start || sh.End > p.Couples() {
+		return nil, fmt.Errorf("agree: shard [%d,%d) outside couple range [0,%d]", sh.Start, sh.End, p.Couples())
 	}
 	res := &ShardResult{}
 	sp := newSpiller(opts, false)
-	locals, err := p.sweep(ctx, p.couples[sh.Start:sh.End], v, opts, sp)
+	locals, err := p.sweep(ctx, sh.Start, sh.End, v, opts, sp)
 	if sp != nil {
 		defer func() {
 			res.Spill = sp.Stats()
@@ -196,7 +208,7 @@ func (p *Plan) Finish(sets attrset.Family) attrset.Family {
 		sets = attrset.Family{}
 	}
 	sets.Sort()
-	return addEmptyIfUncovered(p.db, len(p.couples), sets)
+	return addEmptyIfUncovered(p.db, p.Couples(), sets)
 }
 
 // Remote is a source of sorted runs computed elsewhere — a worker fleet.
@@ -257,7 +269,7 @@ func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Optio
 				fail(ctx.Err()) // cancelled, or a sibling already failed
 				return
 			}
-			ws, err := p.sweep(ctx, p.couples[sh.Start:sh.End], v, opts, sp)
+			ws, err := p.sweep(ctx, sh.Start, sh.End, v, opts, sp)
 			mu.Lock()
 			locals = append(locals, ws...)
 			mu.Unlock()

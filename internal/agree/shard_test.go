@@ -21,7 +21,7 @@ import (
 
 func TestSplitCoversCoupleSpace(t *testing.T) {
 	r := relation.PaperExample()
-	plan := NewPlan(partition.NewDatabase(r))
+	plan := mustPlan(t, partition.NewDatabase(r))
 	total := plan.Couples()
 	if total == 0 {
 		t.Fatal("paper example has no couples")
@@ -48,14 +48,14 @@ func TestSplitCoversCoupleSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := NewPlan(partition.NewDatabase(single))
+	empty := mustPlan(t, partition.NewDatabase(single))
 	if shards := empty.Split(4); len(shards) != 1 || shards[0] != (Shard{0, 0}) {
 		t.Fatalf("empty couple space Split = %v, want [{0 0}]", shards)
 	}
 }
 
 func TestComputeShardRangeValidation(t *testing.T) {
-	plan := NewPlan(partition.NewDatabase(relation.PaperExample()))
+	plan := mustPlan(t, partition.NewDatabase(relation.PaperExample()))
 	for _, sh := range []Shard{{-1, 0}, {2, 1}, {0, plan.Couples() + 1}} {
 		if _, err := plan.ComputeShard(context.Background(), sh, VariantCouples, Options{}, func(attrset.Set) error { return nil }); err == nil {
 			t.Fatalf("ComputeShard(%v) accepted an invalid range", sh)
@@ -122,7 +122,7 @@ func TestShardDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan := NewPlan(db)
+			plan := mustPlan(t, db)
 			if plan.Couples() != ref.Couples {
 				t.Fatalf("rel %d %s: plan couples %d, reference examined %d", ri, v.name, plan.Couples(), ref.Couples)
 			}
@@ -147,7 +147,7 @@ func TestShardDifferential(t *testing.T) {
 // merge collapses exactly those.
 func TestShardFamiliesDisjointUnion(t *testing.T) {
 	r := relation.PaperExample()
-	plan := NewPlan(partition.NewDatabase(r))
+	plan := mustPlan(t, partition.NewDatabase(r))
 	ref, err := Couples(context.Background(), partition.NewDatabase(r), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

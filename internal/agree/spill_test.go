@@ -146,6 +146,38 @@ func TestSpillGovernedPartial(t *testing.T) {
 	}
 }
 
+// TestSpillCountersDeterministic: at one worker the plan fixes the
+// order couples reach the accumulator, and with it every spill boundary,
+// so two spilling runs report identical counters, for both variants and
+// two thresholds. The relation is TestSpillGovernedPartial's shape with
+// enough rows for its 79,800 couples to cross several absorb batches.
+func TestSpillCountersDeterministic(t *testing.T) {
+	r := randomRelation(t, rand.New(rand.NewSource(17)), 5, 400, 2)
+	db := partition.NewDatabase(r)
+	for _, algo := range []struct {
+		name string
+		run  func(Options) (*Result, error)
+	}{
+		{"couples", func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
+		{"identifiers", func(o Options) (*Result, error) { return identifiers(context.Background(), db, o) }},
+	} {
+		for _, maxBytes := range []int64{1, 4 * extsort.SetBytes} {
+			var stats [2]extsort.Stats
+			for i := range stats {
+				res, err := algo.run(Options{Workers: 1, MaxAgreeBytes: maxBytes, SpillDir: t.TempDir()})
+				if err != nil {
+					t.Fatalf("%s max=%d: %v", algo.name, maxBytes, err)
+				}
+				stats[i] = res.Spill
+			}
+			if stats[0] != stats[1] || stats[0].RunsSpilled == 0 {
+				t.Fatalf("%s max=%d: spill counters %+v then %+v", algo.name, maxBytes, stats[0], stats[1])
+			}
+			t.Logf("%s max=%d: %+v", algo.name, maxBytes, stats[0])
+		}
+	}
+}
+
 // TestMergeAccumsAllocs guards the in-memory union: folding any number
 // of per-worker lists must cost a constant number of allocations: the
 // reserved list and index, and the exact-size copy.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/attrset"
 	"repro/internal/fd"
 	"repro/internal/maxsets"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -204,7 +205,7 @@ func TestEmptyMaxSets(t *testing.T) {
 // maxSetsOf computes MAX(dep(r)) through the agree-set pipeline.
 func maxSetsOf(t *testing.T, r *relation.Relation) attrset.Family {
 	t.Helper()
-	ag, err := agree.FromRelation(context.Background(), r)
+	ag, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -373,7 +373,11 @@ func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Optio
 	if opts.Algorithm == AgreeIdentifiers || opts.Algorithm == FastFDs {
 		v = agree.VariantIdentifiers
 	}
-	return agree.NewPlan(db).Run(ctx, v, aopts, in.Remote)
+	plan, err := agree.NewPlan(ctx, db, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Run(ctx, v, aopts, in.Remote)
 }
 
 // deriveFDs runs steps 2–4 from the agree sets into res.

@@ -68,7 +68,11 @@ func TestRemoteFetchesRunVariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			remote := &recordingRemote{plan: agree.NewPlan(partition.NewDatabase(r)), n: 3}
+			plan, err := agree.NewPlan(context.Background(), partition.NewDatabase(r), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote := &recordingRemote{plan: plan, n: 3}
 			got, err := Run(context.Background(), Input{Source: r, Remote: remote}, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/agree"
 	"repro/internal/datagen"
 	"repro/internal/maxsets"
+	"repro/internal/partition"
 )
 
 // BenchmarkAblation_TransversalAlgorithm compares the paper's levelwise
@@ -17,7 +18,7 @@ func BenchmarkAblation_TransversalAlgorithm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func FromStore(ctx context.Context, s *relation.Store, workers int) (*Miner, err
 	}
 	view := s.View()
 	db := partition.NewDatabase(view)
-	res, err := agree.NewPlan(db).Run(ctx, agree.VariantCouples, agree.Options{Workers: workers}, nil)
+	res, err := agree.Couples(ctx, db, agree.Options{Workers: workers})
 	if err != nil {
 		if cerr := insertCtxErr(ctx); cerr != nil {
 			return nil, cerr

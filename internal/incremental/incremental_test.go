@@ -74,7 +74,9 @@ func TestAgreeSetsMatchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := agree.FromRelation(context.Background(), r)
+	// FromStore seeds ag(r) with Algorithm 2, so the reference is the
+	// naive pairwise scan, computed separately.
+	batch, err := agree.Naive(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

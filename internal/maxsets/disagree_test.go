@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agree"
 	"repro/internal/attrset"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -71,7 +72,7 @@ func TestDisagreeSetsPaperExample(t *testing.T) {
 
 func TestFromDisagreeSetsMatchesComputePaperExample(t *testing.T) {
 	r := relation.PaperExample()
-	agr, err := agree.FromRelation(context.Background(), r)
+	agr, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/attrset"
 	"repro/internal/fd"
 	"repro/internal/hypergraph"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -110,7 +111,7 @@ func TestFromCoverPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := agree.FromRelation(context.Background(), r)
+	ag, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestFromCoverMatchesAgreePathOnRandomRelations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ag, err := agree.FromRelation(context.Background(), r)
+		ag, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

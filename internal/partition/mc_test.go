@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,8 +13,8 @@ import (
 )
 
 // MaximalClasses computes MC = Max⊆{c ∈ π̂_A | π̂_A ∈ r̂} as a sorted
-// class list: the test oracle for maximalClassIndex, whose tables the
-// couple generation reads instead. A class c of π̂_A is dominated exactly
+// class list: the test oracle for NewCoupleSpace's gated MC test. A
+// class c of π̂_A is dominated exactly
 // when all its tuples fall in one common class c' of some π̂_B with
 // |c'| > |c|; equal-size coincidences (c = c') are kept once, for the
 // smallest attribute index. The returned classes are views into the
@@ -185,28 +186,191 @@ func TestMaximalClassesDedupAcrossAttrs(t *testing.T) {
 	}
 }
 
-// indexedClasses lists the classes maximalClassIndex keeps, sorted like
-// the oracle, and the attribute each was kept for.
-func indexedClasses(t *testing.T, db *Database) (classes [][]int, attrs map[string]int) {
+// mcRelation draws a relation for the MC tests: up to 6 attributes over
+// up to 80 rows, whose columns are random, constant, identical to an
+// earlier column (the equal-size tie-break), a coarsening of an earlier
+// column, or a copy of one with a few values moved. Coarsenings nest:
+// their classes are unions of the earlier column's, so hierarchies of
+// dominated classes arise, big enough to pass the gate. Moved values
+// make classes that hold all of another class but one tuple.
+func mcRelation(t *testing.T, rng *rand.Rand) *relation.Relation {
 	t.Helper()
-	idx, n := db.maximalClassIndex(), db.Arity()
-	attrs = map[string]int{}
-	for a, p := range db.Attr {
-		for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
-			c := p.Class(ci)
-			for _, u := range c {
-				if idx[u*n+a] != int32(ci) && idx[u*n+a] != -1 {
-					t.Fatalf("tuple %d of class %d of attribute %d maps to %d", u, ci, a, idx[u*n+a])
+	n, rows := 1+rng.Intn(6), rng.Intn(80)
+	cols := make([][]int, n)
+	for a := range cols {
+		cols[a] = make([]int, rows)
+		switch k := rng.Intn(9); {
+		case k == 0: // constant
+		case k == 1 && a > 0: // identical
+			copy(cols[a], cols[rng.Intn(a)])
+		case k == 2 && a > 0: // a few values moved
+			copy(cols[a], cols[rng.Intn(a)])
+			for range 1 + rng.Intn(3) {
+				if rows > 0 {
+					cols[a][rng.Intn(rows)] = rng.Intn(8)
 				}
 			}
-			if idx[c[0]*n+a] == int32(ci) {
-				classes = append(classes, c)
-				attrs[fmt.Sprint(c)] = a
+		case k <= 5 && a > 0: // nested hierarchy
+			src, d := cols[rng.Intn(a)], 2+rng.Intn(3)
+			for i := range cols[a] {
+				cols[a][i] = src[i] / d
+			}
+		default:
+			dom := 1 + rng.Intn(24)
+			for i := range cols[a] {
+				cols[a][i] = rng.Intn(dom)
 			}
 		}
 	}
-	slices.SortFunc(classes, cmpInts)
-	return classes, attrs
+	r, err := relation.FromCodes(make([]string, n), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// keptClasses returns, per attribute, which classes cs keeps, failing
+// when a class is kept in some of its tuples' lists but not in others,
+// or entered in the list of the tuple that opens it.
+func keptClasses(t *testing.T, cs *CoupleSpace) [][]bool {
+	t.Helper()
+	kept := make([][]bool, cs.db.Arity())
+	for a, p := range cs.db.Attr {
+		kept[a] = make([]bool, p.NumClasses())
+		for ci := range kept[a] {
+			start := cs.base[a] + p.offs[ci]
+			for i, u := range p.Class(ci)[1:] {
+				in := slices.Contains(cs.list(u), start)
+				if i > 0 && in != kept[a][ci] {
+					t.Fatalf("class %d of attribute %d kept for some tuples only", ci, a)
+				}
+				kept[a][ci] = in
+			}
+			if slices.Contains(cs.list(p.Class(ci)[0]), start) {
+				t.Fatalf("class %d of attribute %d listed for its first tuple", ci, a)
+			}
+		}
+	}
+	return kept
+}
+
+// TestCoupleSpaceKeepsOracleMC: the gated table keeps every oracle MC
+// class, for the lowest attribute that has it; a class big enough to be
+// tested is kept only when it is in MC, for that lowest attribute; and
+// the kept classes' walk is at most the MC walk plus |R| steps per
+// untested class outside MC (or a repeat of an MC class). Relations
+// include nested hierarchies, identical columns and constant ones; the
+// table is identical at every worker count.
+func TestCoupleSpaceKeepsOracleMC(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	ctx := context.Background()
+	for iter := 0; iter < 300; iter++ {
+		db := NewDatabase(mcRelation(t, rng))
+		cs, err := NewCoupleSpace(ctx, db, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := keptClasses(t, cs)
+		mc := db.MaximalClasses()
+		inMC := map[string]bool{}
+		mcWalk := 0
+		for _, c := range mc {
+			inMC[fmt.Sprint(c)] = true
+			mcWalk += len(c) * (len(c) - 1) / 2
+			a := firstAttrWith(db, c)
+			ci := slices.IndexFunc(db.Attr[a].Classes(), func(x []int) bool { return slices.Equal(x, c) })
+			if !kept[a][ci] {
+				t.Fatalf("iter %d: MC class %v of attribute %d not kept", iter, c, a)
+			}
+		}
+		walk, extra := 0, 0
+		for a, p := range db.Attr {
+			for ci, k := range kept[a] {
+				if !k {
+					continue
+				}
+				c := p.Class(ci)
+				walk += len(c) * (len(c) - 1) / 2
+				isMC := inMC[fmt.Sprint(c)] && firstAttrWith(db, c) == a
+				switch {
+				case len(c)*(len(c)-1)/2 > db.Arity() && !isMC:
+					t.Fatalf("iter %d: tested class %v of attribute %d kept outside MC", iter, c, a)
+				case !isMC:
+					extra++
+				}
+			}
+		}
+		if walk > mcWalk+extra*db.Arity() {
+			t.Fatalf("iter %d: walk %d > MC walk %d + |R|=%d × %d untested", iter, walk, mcWalk, db.Arity(), extra)
+		}
+		for _, workers := range []int{2, 5} {
+			par, err := NewCoupleSpace(ctx, db, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(par.starts, cs.starts) || !slices.Equal(par.off, cs.off) || !slices.Equal(par.ends, cs.ends) {
+				t.Fatalf("iter %d: table at %d workers differs from the sequential one", iter, workers)
+			}
+		}
+	}
+}
+
+// TestCoupleSpacePartnersMatchOracle: regenerating the whole space meets,
+// tuple by tuple, exactly the earlier tuples sharing an oracle MC class
+// with it, once each, and Ends counts them.
+func TestCoupleSpacePartnersMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for iter := 0; iter < 300; iter++ {
+		db := NewDatabase(mcRelation(t, rng))
+		cs, err := NewCoupleSpace(context.Background(), db, 1+iter%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := cs.Ends()
+		if len(ends) != db.NumRows+1 || ends[0] != 0 || cs.Couples() != ends[db.NumRows] {
+			t.Fatalf("iter %d: ends %v for %d rows, %d couples", iter, ends, db.NumRows, cs.Couples())
+		}
+		want := map[[2]int]bool{}
+		for _, c := range db.MaximalClasses() {
+			for i, u := range c {
+				for _, v := range c[:i] {
+					want[[2]int{v, u}] = true
+				}
+			}
+		}
+		var w Walker
+		partners, _ := cs.Partners(0, cs.Couples(), &w, nil)
+		got := map[[2]int]bool{}
+		for u := range db.NumRows {
+			for _, v := range partners[ends[u]:ends[u+1]] {
+				k := [2]int{int(v), u}
+				if int(v) >= u || got[k] {
+					t.Fatalf("iter %d: partner %d of %d is later or repeated", iter, v, u)
+				}
+				got[k] = true
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: %d couples, oracle MC has %d", iter, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkAblation_MaximalClasses isolates the gated MC table (Lemma
+// 1's enabler) from the rest of step 1: the whole couple space build,
+// sequentially.
+func BenchmarkAblation_MaximalClasses(b *testing.B) {
+	r, err := datagen.Generate(datagen.Spec{Attrs: 20, Rows: 5000, Correlation: 0.3, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := NewDatabase(r)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewCoupleSpace(context.Background(), db, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // firstAttrWith returns the lowest attribute whose stripped partition has
@@ -220,96 +384,4 @@ func firstAttrWith(db *Database, c []int) int {
 		}
 	}
 	return -1
-}
-
-// TestMaximalClassIndexMatchesOracle: the tables keep exactly the oracle's
-// MC, each class once and for the lowest attribute that has it (the
-// equal-size tie-break), and mark or unmark a class as a whole, on random
-// relations that include identical columns and constant ones.
-func TestMaximalClassIndexMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(6)
-		rows := rng.Intn(40)
-		cols := make([][]int, n)
-		for a := range cols {
-			if a > 0 && rng.Intn(4) == 0 {
-				cols[a] = slices.Clone(cols[rng.Intn(a)])
-				continue
-			}
-			cols[a] = make([]int, rows)
-			dom := 1 + rng.Intn(5)
-			for i := range cols[a] {
-				cols[a][i] = rng.Intn(dom)
-			}
-		}
-		r, err := relation.FromCodes(make([]string, n), cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := NewDatabase(r)
-		got, attrs := indexedClasses(t, db)
-		want := db.MaximalClasses()
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("iter %d: index keeps %v, oracle MC %v", iter, got, want)
-		}
-		for _, c := range got {
-			if a, first := attrs[fmt.Sprint(c)], firstAttrWith(db, c); a != first {
-				t.Fatalf("iter %d: class %v kept for attribute %d, want the lowest, %d", iter, c, a, first)
-			}
-		}
-	}
-}
-
-// TestMaximalPartnersMatchOracle: every tuple's partner list holds, once
-// each, exactly the earlier tuples sharing an oracle MC class with it.
-func TestMaximalPartnersMatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for iter := 0; iter < 100; iter++ {
-		r := randRelation(rng)
-		db := NewDatabase(r)
-		partners, ends := db.MaximalPartners()
-		if len(ends) != r.Rows() {
-			t.Fatalf("iter %d: %d ends for %d rows", iter, len(ends), r.Rows())
-		}
-		want := map[[2]int]bool{}
-		for _, c := range db.MaximalClasses() {
-			for i, u := range c {
-				for _, v := range c[:i] {
-					want[[2]int{v, u}] = true
-				}
-			}
-		}
-		got, from := map[[2]int]bool{}, 0
-		for u, end := range ends {
-			for _, v := range partners[from:end] {
-				k := [2]int{int(v), u}
-				if v >= int32(u) || got[k] {
-					t.Fatalf("iter %d: partner %d of %d is later or repeated", iter, v, u)
-				}
-				got[k] = true
-			}
-			from = end
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("iter %d: %d couples, oracle MC has %d", iter, len(got), len(want))
-		}
-	}
-}
-
-// BenchmarkAblation_MaximalClasses isolates the MC test (Lemma 1's
-// enabler) from the rest of step 1.
-func BenchmarkAblation_MaximalClasses(b *testing.B) {
-	r, err := datagen.Generate(datagen.Spec{Attrs: 20, Rows: 5000, Correlation: 0.3, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := NewDatabase(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(db.maximalClassIndex()) != 20*5000 {
-			b.Fatal("no tables")
-		}
-	}
 }

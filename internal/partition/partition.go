@@ -414,123 +414,3 @@ func NewDatabaseFromSource(src ColumnSource) (*Database, error) {
 
 // Arity returns |R|.
 func (db *Database) Arity() int { return len(db.Attr) }
-
-// MaximalPartners lists the couples of MC (paper §3.1, Lemma 1): only
-// couples inside some class of MC = Max⊆{c ∈ π̂_A | π̂_A ∈ r̂} can have a
-// non-empty agree set. The couples come as per-tuple lists, u-major:
-// partners[ends[u-1]:ends[u]] (from 0 for u = 0) holds each tuple t < u
-// that shares a class of MC with u exactly once. Within one tuple's list
-// the partners come class by class, so the list is ordered only when one
-// class contributed.
-//
-// The MC test's tuple→class table is re-keyed to each kept class's start
-// in the row store: the partners of u in that class are the run of the
-// class up to u, since classes are ascending. MC classes of different
-// attributes can overlap, so a per-tuple stamp drops repeated partners.
-// Neither MC nor the couple space is ever sorted.
-func (db *Database) MaximalPartners() (partners []int32, ends []int) {
-	n := len(db.Attr)
-	start := db.maximalClassIndex()
-	bound := 0
-	for a, p := range db.Attr {
-		for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
-			if c := p.Class(ci); start[c[0]*n+a] == int32(ci) {
-				bound += len(c) * (len(c) - 1) / 2
-			}
-		}
-	}
-	for i, ci := range start {
-		if ci >= 0 {
-			start[i] = db.Attr[i%n].offs[ci]
-		}
-	}
-	partners = make([]int32, 0, bound)
-	ends = make([]int, db.NumRows)
-	stamp := make([]int32, db.NumRows) // stamp[t] = u+1: t is already u's partner
-	for u := range db.NumRows {
-		for a, s := range start[u*n : (u+1)*n] {
-			if s < 0 {
-				continue
-			}
-			for _, t := range db.Attr[a].rows[s:] {
-				if t == u {
-					break
-				}
-				if stamp[t] != int32(u+1) {
-					stamp[t] = int32(u + 1)
-					partners = append(partners, int32(t))
-				}
-			}
-		}
-		ends[u] = len(partners)
-	}
-	return partners, ends
-}
-
-// maximalClassIndex is the MC test of paper §3.1: it decides which
-// equivalence classes belong to MC, the ⊆-maximal classes across all
-// attributes. It returns the tuple→class table, tuple-major: entry
-// t·|R|+a is the id of t's class within π̂_a when that class belongs to
-// MC, and -1 when t is a singleton of π̂_a or its class is dominated. One
-// tuple's entries share a cache line, which is what both the domination
-// test and MaximalPartners read together.
-//
-// A class c of π̂_A is dominated exactly when all its tuples fall in one
-// common class c' of some π̂_B with |c'| > |c| (equivalence classes of a
-// single partition are disjoint, so c ⊂ c' forces this shape). Equal-size
-// coincidences (c = c') are kept once, for the smallest attribute index.
-// Testing each class against every other attribute costs O(‖r̂‖·|R|)
-// overall — linear in the stripped partition database per attribute —
-// and no step sorts the classes.
-func (db *Database) maximalClassIndex() []int32 {
-	n := len(db.Attr)
-	idx := make([]int32, db.NumRows*n)
-	for i := range idx {
-		idx[i] = -1
-	}
-	for a, p := range db.Attr {
-		for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
-			for _, t := range p.Class(ci) {
-				idx[t*n+a] = int32(ci)
-			}
-		}
-	}
-	// Unmarking a dominated class at once is safe: every class lies inside
-	// a class of MC, which stays marked and dominates whatever the
-	// unmarked class dominated.
-	for a, p := range db.Attr {
-		for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
-			if c := p.Class(ci); db.dominated(idx, a, c) {
-				for _, t := range c {
-					idx[t*n+a] = -1
-				}
-			}
-		}
-	}
-	return idx
-}
-
-// dominated reports whether class c of π̂_a lies inside one class c' of
-// another attribute b with |c'| > |c|, or with |c'| = |c| and b < a.
-func (db *Database) dominated(idx []int32, a int, c []int) bool {
-	n := len(db.Attr)
-	for b, id := range idx[c[0]*n : (c[0]+1)*n] {
-		if b == a || id < 0 {
-			continue
-		}
-		same := true
-		for _, t := range c[1:] {
-			if idx[t*n+b] != id {
-				same = false
-				break
-			}
-		}
-		if !same {
-			continue
-		}
-		if other := len(db.Attr[b].Class(int(id))); other > len(c) || (other == len(c) && b < a) {
-			return true
-		}
-	}
-	return false
-}

@@ -55,7 +55,7 @@ const maxShards = 64
 // planCacheCap bounds retained shard plans per worker. Plans are keyed
 // by content fingerprint, so an append orphans old entries naturally;
 // the cap keeps a worker serving many datasets from pinning every
-// couple list it ever built.
+// couple space it ever built.
 const planCacheCap = 4
 
 // newFleet builds the coordinator's side of the fan-out: one SDK client
@@ -287,6 +287,7 @@ func (f *fanOut) tryRemote(ctx context.Context, i int, sh agree.Shard, v agree.V
 		Algorithm:     algo,
 		CoupleStart:   sh.Start,
 		CoupleEnd:     sh.End,
+		Numbering:     partition.CoupleNumbering,
 		TotalCouples:  f.couples,
 		Workers:       f.p.workers,
 		TimeoutMS:     int64(f.p.timeout / time.Millisecond),
@@ -446,7 +447,7 @@ var errShardStale = errors.New("dataset fingerprint changed")
 
 // planCache caches the plans a worker serves shards from, by content
 // fingerprint, with singleflight builds so concurrent shards of one
-// discovery share one couple-list generation. FIFO eviction; stale
+// discovery share one couple-space build. FIFO eviction; stale
 // fingerprints age out.
 type planCache struct {
 	mu      sync.Mutex
@@ -526,6 +527,14 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// A range cut under another numbering names other couples even over
+	// the same bytes; refuse rather than compute it.
+	if req.Numbering != partition.CoupleNumbering {
+		s.noteShardServedError()
+		writeError(w, http.StatusConflict,
+			"couple numbering mismatch: worker numbers %q, coordinator planned %q", partition.CoupleNumbering, req.Numbering)
+		return
+	}
 	d, ok := s.reg.findByFingerprint(req.Fingerprint)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no dataset with fingerprint %s", req.Fingerprint)
@@ -554,7 +563,9 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		if derr != nil {
 			return nil, derr
 		}
-		return agree.NewPlan(db), nil
+		// The plan is shared by every shard of this fingerprint, so no
+		// one request's cancellation may fail its build.
+		return agree.NewPlan(context.WithoutCancel(r.Context()), db, p.workers)
 	})
 	if err != nil {
 		s.noteShardServedError()

@@ -447,13 +447,23 @@ func TestShardParamValidation(t *testing.T) {
 // round trip through the SDK client (dispatch → adopt → merge → Finish)
 // must reproduce the single-node family, and every malformed request
 // must map to its status.
+// shardPlan builds the plan a coordinator would split r's couples by.
+func shardPlan(t *testing.T, r *relation.Relation) *agree.Plan {
+	t.Helper()
+	plan, err := agree.NewPlan(context.Background(), partition.NewDatabase(r), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func TestShardAgreeEndpoint(t *testing.T) {
 	r := shardTestRelation(t, 14)
 	s, ts := newTestServer(t, Config{})
 	reg := register(t, ts, r)
 
 	db := partition.NewDatabase(r)
-	plan := agree.NewPlan(db)
+	plan := shardPlan(t, r)
 	ref, err := agree.Couples(context.Background(), db, agree.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -468,6 +478,7 @@ func TestShardAgreeEndpoint(t *testing.T) {
 			Fingerprint:  reg.Fingerprint,
 			CoupleStart:  sh.Start,
 			CoupleEnd:    sh.End,
+			Numbering:    partition.CoupleNumbering,
 			TotalCouples: plan.Couples(),
 		})
 		if err != nil {
@@ -520,13 +531,15 @@ func TestShardAgreeEndpoint(t *testing.T) {
 		req  wire.ShardRequest
 		code int
 	}{
-		"unknown fingerprint": {wire.ShardRequest{Fingerprint: "nope", CoupleEnd: 1, TotalCouples: 1}, http.StatusNotFound},
-		"missing fingerprint": {wire.ShardRequest{CoupleEnd: 1, TotalCouples: 1}, http.StatusBadRequest},
-		"negative start":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleStart: -1, CoupleEnd: 1, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"inverted range":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleStart: 2, CoupleEnd: 1, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"range past total":    {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: plan.Couples() + 1, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"unshardable algo":    {wire.ShardRequest{Fingerprint: reg.Fingerprint, Algorithm: "tane", CoupleEnd: 1, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"couple mismatch":     {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, TotalCouples: plan.Couples() + 7}, http.StatusConflict},
+		"unknown fingerprint": {wire.ShardRequest{Fingerprint: "nope", CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: 1}, http.StatusNotFound},
+		"missing fingerprint": {wire.ShardRequest{CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: 1}, http.StatusBadRequest},
+		"negative start":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleStart: -1, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
+		"inverted range":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleStart: 2, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
+		"range past total":    {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: plan.Couples() + 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
+		"unshardable algo":    {wire.ShardRequest{Fingerprint: reg.Fingerprint, Algorithm: "tane", CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
+		"couple mismatch":     {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples() + 7}, http.StatusConflict},
+		"numbering mismatch":  {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, Numbering: "t-u-sorted", TotalCouples: plan.Couples()}, http.StatusConflict},
+		"missing numbering":   {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, TotalCouples: plan.Couples()}, http.StatusConflict},
 	} {
 		code := postJSON(t, ts.URL+"/v1/shard/agree", tc.req, nil)
 		if code != tc.code {
@@ -545,14 +558,14 @@ func TestShardPlanStaleAfterAppend(t *testing.T) {
 	r := shardTestRelation(t, 15)
 	_, ts := newTestServer(t, Config{})
 	reg := register(t, ts, r)
-	plan := agree.NewPlan(partition.NewDatabase(r))
+	plan := shardPlan(t, r)
 
 	// Coordinator planned against the pre-append fingerprint; the append
 	// lands before the dispatch arrives.
 	if code, _ := appendCSV(t, ts.URL, reg.ID, "a,b,c,d,e\n"); code != http.StatusOK {
 		t.Fatal("append failed")
 	}
-	req := wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, TotalCouples: plan.Couples()}
+	req := wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}
 	if code := postJSON(t, ts.URL+"/v1/shard/agree", req, nil); code != http.StatusNotFound {
 		// The old fingerprint no longer names any dataset: 404, which
 		// sends the coordinator down the push-and-retry rung.

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/agree"
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -203,8 +202,8 @@ func TestShardServingIsNotASnapshotStream(t *testing.T) {
 		return st
 	}
 
-	couples := agree.NewPlan(partition.NewDatabase(grown)).Couples()
-	req := wire.ShardRequest{Fingerprint: app.Fingerprint, CoupleEnd: couples, TotalCouples: couples}
+	couples := shardPlan(t, grown).Couples()
+	req := wire.ShardRequest{Fingerprint: app.Fingerprint, CoupleEnd: couples, Numbering: partition.CoupleNumbering, TotalCouples: couples}
 	if code := postJSON(t, ts.URL+"/v1/shard/agree", req, nil); code != http.StatusOK {
 		t.Fatalf("shard status %d", code)
 	}

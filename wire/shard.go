@@ -26,7 +26,7 @@ const ShardSetsTrailer = "X-Depminer-Shard-Sets"
 
 // ShardRequest is the body of POST /v1/shard/agree: compute the agree
 // sets of couples [CoupleStart, CoupleEnd) of the named dataset's couple
-// list and stream them back as a DMRUN1 run.
+// space and stream them back as a DMRUN1 run.
 type ShardRequest struct {
 	// Fingerprint is the content fingerprint of the dataset to compute
 	// over (required). 404 if this worker has no dataset with it.
@@ -37,9 +37,14 @@ type ShardRequest struct {
 	// value.
 	Algorithm string `json:"algorithm,omitempty"`
 	// CoupleStart and CoupleEnd bound the shard's half-open couple index
-	// range into the globally sorted deduplicated couple list.
+	// range into the deduplicated couple space, under Numbering.
 	CoupleStart int `json:"couple_start"`
 	CoupleEnd   int `json:"couple_end"`
+	// Numbering names the couple order the coordinator cut the range in
+	// (required). A worker numbering its couples otherwise — a different
+	// build — answers 409: the same bytes and couple count can still
+	// give the same index a different couple.
+	Numbering string `json:"numbering"`
 	// TotalCouples is the coordinator's couple count for the whole
 	// dataset. The worker recomputes the list and answers 409 on
 	// disagreement — a structural proof the two sides planned against
