@@ -209,9 +209,11 @@ func BenchmarkAblation_AgreeSets(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_ChunkSize isolates the couple-chunking memory bound of
-// Algorithm 2: smaller chunks re-sweep the stripped partitions more often
-// (the paper's "several steps" slowdown on large relations).
+// BenchmarkAblation_ChunkSize measures what Algorithm 2's couple chunks
+// cost. In the paper each chunk is one more pass over the stripped
+// partitions (its "several steps" slowdown on large relations); the
+// tuple-major kernel computes each couple once whatever the chunk size,
+// so only task dispatch and the tuples cut at task edges remain.
 func BenchmarkAblation_ChunkSize(b *testing.B) {
 	r := dataset(b, 15, 2000, 0.5)
 	db := partition.NewDatabase(r)

@@ -8,13 +8,15 @@
 //   - Naive: direct O(n·p²) pairwise scan of the relation — the baseline
 //     the paper's introduction rules out for large relations.
 //     (It remains strictly sequential: the reference implementation.)
-//   - Couples (Algorithm 2 / "Dep-Miner"): generate the tuple couples of
-//     the maximal equivalence classes MC (Lemma 1), then sweep the
-//     stripped partitions once, adding attribute A to ag(t,t') whenever
-//     both tuples share a class of π̂_A. Couples are processed in chunks of
-//     at most ChunkSize to bound memory, exactly like the paper's
+//   - Couples (Algorithm 2 / "Dep-Miner"): the tuple couples of the
+//     maximal equivalence classes MC (Lemma 1), each agree set built by
+//     adding attribute A to ag(t,t') whenever both tuples share a class
+//     of π̂_A. The loop runs tuple-major (partition.CoupleSpace.AgreeSets):
+//     a tuple's classes are walked once for all its couples, so the work
+//     is the couples' agree-set sizes, not a pass over r̂ per chunk.
+//     Couples are cut into chunks of at most ChunkSize, like the paper's
 //     "computing agree sets as soon as a fixed number of couples was
-//     generated".
+//     generated"; here a chunk is a unit of scheduling, not of memory.
 //   - Identifiers (Algorithm 3 / "Dep-Miner 2"): build, per tuple, the
 //     list ec(t) of equivalence-class identifiers containing t; then
 //     ag(ti,tj) is read off the intersection ec(ti) ∩ ec(tj) (Lemma 2).
@@ -29,12 +31,13 @@
 // ag(r), exactly as if the relation had been deduplicated first.
 //
 // Couples are never listed whole: the plan numbers the couple space
-// u-major (partition.CoupleSpace), and each task regenerates the
-// partners of its own index range into a per-worker scratch of 4 B per
-// couple. Agree sets are deduplicated as they are produced, by a
-// hash-indexed list of the distinct sets (setAccum), so only the family
-// — orders of magnitude smaller than the couple stream — is ever sorted
-// (see DESIGN.md §9).
+// u-major (partition.CoupleSpace), and each task regenerates its own
+// index range. An Algorithm 2 worker holds one stride batch of agree
+// sets plus the sets of the widest tuple's couples; an Algorithm 3
+// worker holds 4 B per couple of its task. Agree sets are deduplicated
+// as they are produced, by a hash-indexed list of the distinct sets
+// (setAccum), so only the family — orders of magnitude smaller than the
+// couple stream — is ever sorted (see DESIGN.md §9).
 //
 // Both variants parallelise across Options.Workers goroutines by cutting
 // the couple space into the same contiguous tasks of at most one chunk,
@@ -62,11 +65,11 @@ import (
 	"repro/internal/relation"
 )
 
-// DefaultChunkSize is the default bound on couples one Algorithm 2 pass
-// over r̂ sweeps. The paper uses "a threshold (associated to the number of
-// tuples)". A swept couple costs 4 B (its regenerated partner) plus |R|
-// bits of agree state, so a full chunk holds 4 MB of couples plus
-// |R|/8 MB of bits, whichever way it is cut across workers.
+// DefaultChunkSize is the default couple count of one chunk, the paper's
+// "threshold (associated to the number of tuples)". It sets the task
+// granularity and Result.Chunks, not Algorithm 2's memory: a worker
+// holds one stride batch (32 B per couple, 256 KiB) plus 32 B per
+// couple of the widest tuple, whatever the chunk size.
 const DefaultChunkSize = 1 << 20
 
 // Result is the outcome of an agree-set computation.
@@ -121,9 +124,8 @@ func Naive(ctx context.Context, r *relation.Relation) (*Result, error) {
 
 // Options configure the stripped-partition algorithms.
 type Options struct {
-	// ChunkSize bounds the couples one Algorithm 2 pass over r̂ sweeps,
-	// and the couples one task of either variant regenerates. Zero means
-	// DefaultChunkSize.
+	// ChunkSize bounds the couples one task of either variant
+	// regenerates, and sets Result.Chunks. Zero means DefaultChunkSize.
 	ChunkSize int
 	// Workers is the worker-pool width for the couple sweep: 0 means
 	// runtime.GOMAXPROCS(0), 1 the sequential reference path. Results are
@@ -340,16 +342,13 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 type workerState struct {
 	accum    setAccum
 	walker   partition.Walker // regenerates the task's couples
-	partners []int32          // the task's couples: partner per couple
+	partners []int32          // Identifiers: the task's partner per couple
 	batch    []attrset.Set    // per-stride batch before absorption
-	// chunk sweep scratch (Couples only):
-	agBits  []uint64 // one bit per (attribute, couple), attribute-major
-	inClass []bool   // per-class membership marks
 }
 
 // Couples computes ag(r) with Algorithm 2 (AGREE_SET): couples from MC,
-// swept against every stripped partition, chunked to bound memory. Chunks
-// are independent (each sweeps the partitions for its own couples only),
+// each agree set read off the classes its tuples share, in chunks.
+// Chunks are independent (each computes its own couples' sets only),
 // so they are distributed over Options.Workers goroutines, cut further
 // when there are fewer chunks than workers; the per-worker lists are
 // united and emitted in canonical order, making the result independent
@@ -434,10 +433,11 @@ func (p *Plan) sweep(ctx context.Context, lo, hi int, v Variant, opts Options, s
 	step := taskSize(hi-lo, opts.chunkSize(), workers)
 	var ecOff []int32
 	var ec []uint64
+	var ends []int
 	if v == VariantIdentifiers {
 		ecOff, ec = p.ecIndex()
+		ends = p.cs.Ends()
 	}
-	ends := p.cs.Ends()
 	tasks := (hi - lo + step - 1) / step
 	err := pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
 		from := lo + t*step
@@ -446,8 +446,7 @@ func (p *Plan) sweep(ctx context.Context, lo, hi int, v Variant, opts Options, s
 			if err := checkpoint(faultinject.AgreeChunk, opts); err != nil {
 				return err
 			}
-			ws.partners, _ = p.cs.Partners(from, min(from+step, hi), &ws.walker, ws.partners)
-			return processChunk(p.db, ends, from, ws.partners, full, ws)
+			return ws.agreeSets(p.cs, from, min(from+step, hi), full)
 		}
 		var u int
 		ws.partners, u = p.cs.Partners(from, min(from+step, hi), &ws.walker, ws.partners)
@@ -479,14 +478,12 @@ func checkpoint(hook string, opts Options) error {
 
 // taskSize is the couple count of one sweep task over n couples: at
 // most one chunk, cut smaller when there are fewer chunks than workers
-// so that every worker gets a share, but never below stride. Each
-// Algorithm 2 task is one full pass over r̂, so the cut trades extra
-// passes for parallelism only where workers would otherwise idle.
+// so that every worker gets a share, but never below stride.
 //
-// A task regenerates its couples once, and a tuple whose couples it
-// enters mid-way is re-walked from its first partner: at most ‖r̂‖ walk
-// steps per task, no more than the task's own pass over r̂ in Algorithm
-// 2. Algorithm 3 intersects a task stride by stride, so it keeps the
+// A task regenerates its couples once. A tuple whose couples it enters
+// mid-way is re-walked from its first partner, and in Algorithm 2 a
+// tuple it leaves mid-way is walked whole too: at most ‖r̂‖ steps each.
+// Algorithm 3 intersects a task stride by stride, so it keeps the
 // stride's small batches and its checkpoints while a tuple with many
 // partners is walked once per task, not once per stride.
 func taskSize(n, chunkSize, workers int) int {
@@ -561,78 +558,31 @@ func addEmptyIfUncovered(db *partition.Database, covered int, sets attrset.Famil
 	return append(attrset.Family{attrset.Empty()}, sets...)
 }
 
-// processChunk runs lines 10–21 of Algorithm 2 for one chunk of couples,
-// the couples [lo, lo+len(partners)) with partners[k−lo] the partner of
-// couple k, whose tuple u has ends[u] ≤ k < ends[u+1]: for each stripped
-// partition π̂_A and each of its classes, mark the class's tuples and
-// record A for every chunk couple lying inside it. A couple's agree set
-// is stored as one bit per (attribute, couple): bit i of attribute A's
-// row says A ∈ ag(couple lo+i), so an attribute pass writes one
-// |chunk|-bit row instead of a 32-byte set per couple. The sets are then
-// assembled stride by stride into ws.batch and absorbed into ws.accum,
-// which drops sets equal to full. It reads db and writes only
-// worker-local state, so concurrent calls on distinct workerStates are
-// safe.
-//
-// To keep the per-class couple lookup sub-quadratic, couples are indexed
-// by their tuple u, straight from ends: for a class c and each u ∈ c,
-// only u's couples in the chunk are probed, and membership of the
-// partner is tested with a per-class mark table — an indexing refinement
-// of the paper's "if t ∈ c and t' ∈ c".
-func processChunk(db *partition.Database, ends []int, lo int, partners []int32, full attrset.Set, ws *workerState) error {
-	// One row of words per attribute, reset to ∅.
-	hi := lo + len(partners)
-	words := (len(partners) + 63) / 64
-	if cap(ws.agBits) < db.Arity()*words {
-		ws.agBits = make([]uint64, db.Arity()*words)
-	}
-	agBits := ws.agBits[:db.Arity()*words]
-	clear(agBits)
-	if cap(ws.inClass) < db.NumRows {
-		ws.inClass = make([]bool, db.NumRows)
-	}
-	inClass := ws.inClass[:db.NumRows]
-	for a, p := range db.Attr {
-		row := agBits[a*words : (a+1)*words]
-		for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
-			cls := p.Class(ci)
-			for _, t := range cls {
-				inClass[t] = true
-			}
-			for _, u := range cls {
-				for i := max(ends[u], lo) - lo; i < min(ends[u+1], hi)-lo; i++ {
-					if inClass[partners[i]] {
-						row[i>>6] |= 1 << (i & 63)
-					}
+// agreeSets runs Algorithm 2 over the couples [lo, hi) of cs
+// (partition.CoupleSpace.AgreeSets), copying the sets into ws.batch and
+// absorbing it into ws.accum every stride couples from lo and at hi, so
+// a spill can only fall where those boundaries put it. ws.accum drops
+// sets equal to full. It writes only worker-local state, so concurrent
+// calls on distinct workerStates are safe.
+func (ws *workerState) agreeSets(cs *partition.CoupleSpace, lo, hi int, full attrset.Set) error {
+	ws.batch = slices.Grow(ws.batch[:0], min(hi-lo, stride))
+	err := cs.AgreeSets(lo, hi, &ws.walker, func(sets []attrset.Set) error {
+		for len(sets) > 0 {
+			n := min(len(sets), stride-len(ws.batch))
+			ws.batch = append(ws.batch, sets[:n]...)
+			if sets = sets[n:]; len(ws.batch) == stride {
+				if err := ws.accum.absorb(ws.batch, full); err != nil {
+					return err
 				}
-			}
-			for _, t := range cls {
-				inClass[t] = false
+				ws.batch = ws.batch[:0]
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	// Assemble the sets of one stride at a time; stride is a multiple of
-	// 64, so each stride starts on a word boundary.
-	for from := 0; from < len(partners); from += stride {
-		to := min(from+stride, len(partners))
-		if cap(ws.batch) < to-from {
-			ws.batch = make([]attrset.Set, stride)
-		}
-		batch := ws.batch[:to-from]
-		clear(batch)
-		for a := range db.Arity() {
-			row := agBits[a*words+from/64 : a*words+(to+63)/64]
-			for w, word := range row {
-				for ; word != 0; word &= word - 1 {
-					batch[w*64+bits.TrailingZeros64(word)].Add(a)
-				}
-			}
-		}
-		if err := ws.accum.absorb(batch, full); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ws.accum.absorb(ws.batch, full)
 }
 
 // stride is the couple count of the smallest unit of sweep work: the

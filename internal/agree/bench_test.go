@@ -86,20 +86,28 @@ func largeClassRelation(b *testing.B) *relation.Relation {
 	return r
 }
 
-// BenchmarkIdentifiersLargeClass measures Algorithm 3, plan included,
-// where one tuple's couples span many strides: a task regenerates its
-// range once, and a stride must not re-walk the partners before it.
-func BenchmarkIdentifiersLargeClass(b *testing.B) {
+// BenchmarkLargeClass measures both variants, plan included, where one
+// tuple's couples span many strides: a task regenerates its range once,
+// an Algorithm 3 stride must not re-walk the partners before it, and an
+// Algorithm 2 worker must hold the widest tuple's sets in one buffer
+// sized once per plan, not regrown per tuple.
+func BenchmarkLargeClass(b *testing.B) {
 	db := partition.NewDatabase(largeClassRelation(b))
 	ctx := context.Background()
-	for _, workers := range []int{1, 2} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := identifiers(ctx, db, Options{Workers: workers}); err != nil {
-					b.Fatal(err)
+	for _, v := range []Variant{VariantCouples, VariantIdentifiers} {
+		for _, workers := range []int{1, 2} {
+			b.Run(v.String()+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					plan, err := NewPlan(ctx, db, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := plan.Run(ctx, v, Options{Workers: workers}, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -85,17 +85,10 @@ func Synthetic(maxSets attrset.Family, names []string) (*relation.Relation, erro
 	return relation.FromRows(names, rows)
 }
 
-// Check verifies Proposition 1 against the initial relation: every
-// attribute must have at least |{X ∈ maxSets | A ∉ X}| + 1 distinct
-// values. It returns nil when a real-world Armstrong relation exists.
-func Check(r Source, maxSets attrset.Family) error {
-	_, err := need(r, maxSets)
-	return err
-}
-
 // need returns, per attribute, the number of distinct values the
 // real-world construction consumes, or ErrNotEnoughValues when
-// Proposition 1 fails.
+// Proposition 1 fails: every attribute A must have at least
+// |{X ∈ maxSets | A ∉ X}| + 1 distinct values.
 func need(r Source, maxSets attrset.Family) ([]int, error) {
 	names := r.Names()
 	out := make([]int, len(names))

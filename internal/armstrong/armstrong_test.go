@@ -88,7 +88,7 @@ func TestSyntheticIsArmstrongForPaperExample(t *testing.T) {
 // example's printed right-hand sides omit it, but the condition holds
 // either way: 6≥3, 4≥3, 6≥3, 4≥3, 3≥2).
 func TestCheckPaperExample(t *testing.T) {
-	if err := Check(relation.PaperExample(), paperMax()); err != nil {
+	if _, err := need(relation.PaperExample(), paperMax()); err != nil {
 		t.Fatalf("existence condition should hold: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/attrset"
 	"repro/internal/fd"
 	"repro/internal/guard"
-	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -117,7 +116,8 @@ func TestDegenerate(t *testing.T) {
 	}
 }
 
-// bruteKeys enumerates minimal unique sets directly.
+// bruteKeys enumerates minimal unique sets directly: X is unique when no
+// two tuples agree on all of X.
 func bruteKeys(r *relation.Relation) attrset.Family {
 	n := r.Arity()
 	var uniques attrset.Family
@@ -128,11 +128,23 @@ func bruteKeys(r *relation.Relation) attrset.Family {
 				x.Add(b)
 			}
 		}
-		if partition.Of(r, x).IsUnique() {
+		if unique(r, x) {
 			uniques = append(uniques, x)
 		}
 	}
 	return uniques.Minimal()
+}
+
+// unique reports whether no two tuples of r agree on all of x.
+func unique(r *relation.Relation, x attrset.Set) bool {
+	for i := range r.Rows() {
+		for j := i + 1; j < r.Rows(); j++ {
+			if x.SubsetOf(r.AgreeSet(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestPropertyMatchesBruteForceAndTheory(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/attrset"
 	"repro/internal/pool"
 )
 
@@ -24,8 +25,8 @@ import (
 // (CoupleNumbering) number their couples identically, whatever the
 // worker counts; nothing else does.
 //
-// A CoupleSpace is read-only once built: concurrent Partners calls are
-// safe, each with its own Walker.
+// A CoupleSpace is read-only once built: concurrent Partners and
+// AgreeSets calls are safe, each with its own Walker.
 type CoupleSpace struct {
 	db *Database
 	// base[a] is the offset of π̂_a's row store in the concatenation of
@@ -36,11 +37,14 @@ type CoupleSpace struct {
 	// containing u, ascending, that is by attribute — except the classes
 	// u opens, where u has no earlier partner: a walk over them would
 	// cost a cache miss and meet nothing. A class found dominated is
-	// overwritten with -1 in all its tuples' lists.
+	// complemented (^start, negative) in all its tuples' lists: the
+	// couple walk skips it, the agree-set walk still reads it.
 	off, starts []int32
 	// ends[u] is the number of couples whose tuple u' < u: a prefix sum
 	// of the tuples' partner counts, |r|+1 entries.
 	ends []int
+	// widest is the largest partner count of one tuple.
+	widest int
 }
 
 // CoupleNumbering names the order CoupleSpace numbers couples in. Nodes
@@ -184,7 +188,7 @@ func (cs *CoupleSpace) prune(ctx context.Context, workers int) error {
 			start := cs.base[a] + p.offs[ci]
 			for _, t := range p.Class(int(ci))[1:] {
 				list := cs.list(t)
-				list[slices.Index(list, start)] = -1
+				list[slices.Index(list, start)] = ^start
 			}
 		}
 	}
@@ -264,6 +268,7 @@ func (cs *CoupleSpace) count(ctx context.Context, workers int) error {
 		return err
 	}
 	for u := range rows {
+		cs.widest = max(cs.widest, cs.ends[u+1])
 		cs.ends[u+1] += cs.ends[u]
 	}
 	return nil
@@ -277,26 +282,28 @@ func (cs *CoupleSpace) Couples() int { return cs.ends[len(cs.ends)-1] }
 func (cs *CoupleSpace) Ends() []int { return cs.ends }
 
 // Walker is the scratch a goroutine regenerates couples with: a stamp
-// per tuple, holding the epoch of the walk that last met it as a
-// partner. Each walk takes a fresh epoch, so one tuple's couples split
-// over consecutive ranges regenerate whole on the same Walker. The zero
-// value is ready to use.
+// per tuple, and the agree sets of one tuple's couples. A walk stamps
+// its i-th partner from+i, from lying above every earlier walk's stamps,
+// so a stamp says both that the tuple was met and at which index; one
+// tuple's couples split over consecutive ranges therefore regenerate
+// whole on the same Walker. The zero value is ready to use.
 type Walker struct {
 	stamp []int32
-	epoch int32
+	top   int32 // the highest stamp issued
+	sets  []attrset.Set
 }
 
-// next starts a walk over a space of rows tuples and returns its epoch.
+// next starts a walk over a space of rows tuples and returns its first
+// stamp.
 func (w *Walker) next(rows int) int32 {
 	if len(w.stamp) < rows {
-		w.stamp, w.epoch = make([]int32, rows), 0
+		w.stamp, w.top = make([]int32, rows), 0
 	}
-	if w.epoch == math.MaxInt32 {
+	if int(w.top) > math.MaxInt32-rows { // a walk meets under rows partners
 		clear(w.stamp)
-		w.epoch = 0
+		w.top = 0
 	}
-	w.epoch++
-	return w.epoch
+	return w.top + 1
 }
 
 // Partners regenerates the couples [lo, hi) of the space: out[k−lo] is
@@ -324,10 +331,11 @@ func (cs *CoupleSpace) Partners(lo, hi int, w *Walker, out []int32) (partners []
 // index skip, skip+1, … into out until out is full, and returns how many
 // it met: all of them when out is empty.
 func (cs *CoupleSpace) walk(u int, w *Walker, skip int, out []int32) int {
-	epoch := w.next(cs.db.NumRows)
+	from := w.next(cs.db.NumRows)
 	stamp, base, attrs := w.stamp, cs.base, cs.db.Attr
 	stop := skip + len(out) // never reached when out is empty
 	n, a := 0, 0
+classes:
 	for _, g := range cs.list(u) {
 		if g < 0 {
 			continue
@@ -339,17 +347,69 @@ func (cs *CoupleSpace) walk(u int, w *Walker, skip int, out []int32) int {
 			if t == u {
 				break
 			}
-			if stamp[t] == epoch {
+			if stamp[t] >= from {
 				continue
 			}
-			stamp[t] = epoch
+			stamp[t] = from + int32(n)
 			if n >= skip && n < stop {
 				out[n-skip] = int32(t)
 			}
 			if n++; n == stop {
-				return n
+				break classes
 			}
 		}
 	}
+	w.top = from + int32(n) - 1
 	return n
+}
+
+// AgreeSets runs lines 10–21 of Algorithm 2 for the couples [lo, hi),
+// tuple by tuple: yield receives, in couple order, the agree sets of
+// each tuple's couples that lie in the range, in a slice of w's scratch
+// valid until yield returns. For a tuple u, a walk over u's kept
+// classes gives every partner its index, and a second walk over all of
+// u's classes — dominated ones too, each inside a kept class — adds A
+// to ag(u, t) for every t < u in u's class of π̂_A. A tuple thus costs
+// its walk plus Σ |ag(u, t)| over its couples. yield's error ends the
+// run and is returned.
+func (cs *CoupleSpace) AgreeSets(lo, hi int, w *Walker, yield func([]attrset.Set) error) error {
+	if len(w.sets) < cs.widest {
+		w.sets = make([]attrset.Set, cs.widest)
+	}
+	u, _ := slices.BinarySearch(cs.ends, lo+1)
+	for u--; lo < hi; u++ {
+		begin, end := cs.ends[u], min(cs.ends[u+1], hi)
+		if end == lo {
+			continue
+		}
+		if err := yield(cs.agree(u, w)[lo-begin : end-begin]); err != nil {
+			return err
+		}
+		lo = end
+	}
+	return nil
+}
+
+// agree returns the agree sets of all u's couples, in couple order.
+func (cs *CoupleSpace) agree(u int, w *Walker) []attrset.Set {
+	n := cs.walk(u, w, 0, nil)
+	from := w.top + 1 - int32(n) // the walk's first stamp
+	sets, stamp, base, attrs := w.sets[:n], w.stamp, cs.base, cs.db.Attr
+	clear(sets)
+	a := 0
+	for _, g := range cs.list(u) {
+		if g < 0 {
+			g = ^g
+		}
+		for g >= base[a+1] {
+			a++
+		}
+		for _, t := range attrs[a].rows[g-base[a]:] {
+			if t == u {
+				break
+			}
+			sets[stamp[t]-from].Add(a)
+		}
+	}
+	return sets
 }

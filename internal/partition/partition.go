@@ -20,7 +20,6 @@ package partition
 import (
 	"slices"
 
-	"repro/internal/attrset"
 	"repro/internal/relation"
 )
 
@@ -43,18 +42,12 @@ type Partition struct {
 	NumRows int
 }
 
-// Single computes the stripped partition π̂_A for one attribute directly
-// from the relation's dictionary codes. Cost: O(|r| + |dom(A)|), with
-// exactly four allocations regardless of the number of classes.
-func Single(r *relation.Relation, a attrset.Attr) *Partition {
-	col, dom, _ := r.Column(a) // a Relation's Column never fails
-	return SingleFromCodes(r.Rows(), col, dom)
-}
-
-// SingleFromCodes computes π̂_A from a bare dictionary-coded column: codes
-// per tuple, dense in [0, dom). It is Single without the relation — the
-// entry point for column sources that never materialise a
-// relation.Relation (the durable snapshot reader, the CSV source).
+// SingleFromCodes computes the stripped partition π̂_A from a bare
+// dictionary-coded column: codes per tuple, dense in [0, dom).
+// NewDatabaseFromSource builds every partition through it, from a
+// relation.Relation or from a source that never materialises one (the
+// durable snapshot reader, the CSV source). Cost: O(|r| + |dom(A)|),
+// with exactly four allocations regardless of the number of classes.
 func SingleFromCodes(numRows int, col []int, dom int) *Partition {
 	p := &Partition{NumRows: numRows}
 	if dom == 0 {
@@ -343,26 +336,6 @@ func (pr *Prober) Product(x, y *Partition) *Partition {
 	out.rows = rows
 	out.offs = offs
 	return out
-}
-
-// Of computes the stripped partition of an arbitrary attribute set by
-// folding Product over the single-attribute partitions. The empty set
-// yields one class containing all tuples (every pair of tuples agrees on
-// ∅), stripped if |r| < 2.
-func Of(r *relation.Relation, x attrset.Set) *Partition {
-	attrs := x.Attrs()
-	if len(attrs) == 0 {
-		all := make([]int, r.Rows())
-		for i := range all {
-			all[i] = i
-		}
-		return FromClasses(r.Rows(), [][]int{all})
-	}
-	p := Single(r, attrs[0])
-	for _, a := range attrs[1:] {
-		p = Product(p, Single(r, a))
-	}
-	return p
 }
 
 // Database is the stripped partition database r̂ = ⋃_{A∈R} π̂_A: one

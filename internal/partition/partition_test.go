@@ -9,6 +9,32 @@ import (
 	"repro/internal/relation"
 )
 
+// Single is the stripped partition π̂_a of r.
+func Single(r *relation.Relation, a attrset.Attr) *Partition {
+	col, dom, _ := r.Column(a) // a Relation's Column never fails
+	return SingleFromCodes(r.Rows(), col, dom)
+}
+
+// Of computes the stripped partition of an arbitrary attribute set by
+// folding Product over the single-attribute partitions. The empty set
+// yields one class containing all tuples (every pair of tuples agrees on
+// ∅), stripped if |r| < 2.
+func Of(r *relation.Relation, x attrset.Set) *Partition {
+	attrs := x.Attrs()
+	if len(attrs) == 0 {
+		all := make([]int, r.Rows())
+		for i := range all {
+			all[i] = i
+		}
+		return FromClasses(r.Rows(), [][]int{all})
+	}
+	p := Single(r, attrs[0])
+	for _, a := range attrs[1:] {
+		p = Product(p, Single(r, a))
+	}
+	return p
+}
+
 // classesEqual compares two class lists ignoring order (both are
 // normalised, so reflect.DeepEqual suffices after construction, but tests
 // use this for clarity).

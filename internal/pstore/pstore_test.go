@@ -13,6 +13,12 @@ import (
 	"repro/internal/relation"
 )
 
+// single is the stripped partition π̂_a of r.
+func single(r *relation.Relation, a int) *partition.Partition {
+	col, dom, _ := r.Column(a) // a Relation's Column never fails
+	return partition.SingleFromCodes(r.Rows(), col, dom)
+}
+
 // fixture builds a small relation with enough value collisions that every
 // partition has stripped classes, plus its singles pre-installed as roots.
 func fixture(t testing.TB, capBytes int64, budget *guard.Budget) (*relation.Relation, *Store) {
@@ -31,7 +37,7 @@ func fixture(t testing.TB, capBytes int64, budget *guard.Budget) (*relation.Rela
 	}
 	s := New(capBytes, budget)
 	for a := 0; a < r.Arity(); a++ {
-		s.PutRoot(attrset.Single(a), partition.Single(r, a))
+		s.PutRoot(attrset.Single(a), single(r, a))
 	}
 	return r, s
 }
@@ -152,7 +158,7 @@ func TestEvictionPrefersOldestLevel(t *testing.T) {
 	// entry via a new tight-capped store exercising the same sequence.
 	tight := New(s.Stats().ResidentBytes-1, nil)
 	for a := 0; a < r.Arity(); a++ {
-		tight.PutRoot(attrset.Single(a), partition.Single(r, a))
+		tight.PutRoot(attrset.Single(a), single(r, a))
 	}
 	putProduct(t, r, tight, attrset.Single(0), attrset.Single(1))
 	putProduct(t, r, tight, attrset.New(0, 1), attrset.Single(2))
