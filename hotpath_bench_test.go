@@ -14,10 +14,12 @@ package depminer
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/agree"
 	"repro/internal/core"
+	"repro/internal/fastfds"
 	"repro/internal/hypergraph"
 	"repro/internal/maxsets"
 	"repro/internal/partition"
@@ -127,6 +129,42 @@ func BenchmarkHotpathTransversal(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkHotpathStep3 isolates step 3 on the wide-lhs shape (30
+// attributes × 2,000 rows, c=0.3), the paper's |R| axis: the cmax
+// families are wrapped with hypergraph.Unchecked as core builds them, then
+// searched by the levelwise Algorithm 5 at one and two workers and, for
+// comparison, by FastFDs' DFS over the same families.
+func BenchmarkHotpathStep3(b *testing.B) {
+	r := dataset(b, 30, 2000, 0.3)
+	res, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms := maxsets.Compute(res.Sets, r.Arity())
+	hs := make([]*hypergraph.Hypergraph, r.Arity())
+	for a := range hs {
+		hs[a] = hypergraph.Unchecked(ms.CMax[a])
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("levelwise/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := hypergraph.TransversalsAll(context.Background(), hs, workers, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("fastfds", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := fastfds.Covers(context.Background(), ms.CMax, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkHotpathTANE isolates the TANE lattice search (level loop,

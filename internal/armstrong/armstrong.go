@@ -125,36 +125,30 @@ func RealWorld(r Source, maxSets attrset.Family) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(needs)
-	vals := make([][]string, n) // v_A0, v_A1, … per attribute
-	for a := range vals {
-		if vals[a], err = r.DictPrefix(a, needs[a]); err != nil {
+	// The relation is built as code columns: code c of attribute A is
+	// v_Ac. Tuple 0 is all code 0, and the tuple of each Xi takes code 0
+	// on Xi and A's next fresh code elsewhere, so every column's codes
+	// appear in first-occurrence order and A's dictionary is exactly its
+	// first needs[A] values.
+	rows := len(maxSets) + 1
+	codes := make([]int, len(needs)*rows)
+	cols := make([][]int, len(needs))
+	dicts := make([][]string, len(needs))
+	for a := range cols {
+		if dicts[a], err = r.DictPrefix(a, needs[a]); err != nil {
 			return nil, err
 		}
-	}
-	next := make([]int, n) // per-attribute counter of consumed values
-	for a := range next {
-		next[a] = 1 // code 0 is v_A0
-	}
-	rows := make([][]string, 0, len(maxSets)+1)
-	first := make([]string, n)
-	for a := 0; a < n; a++ {
-		first[a] = vals[a][0]
-	}
-	rows = append(rows, first)
-	for _, x := range maxSets {
-		row := make([]string, n)
-		for a := 0; a < n; a++ {
-			if x.Contains(a) {
-				row[a] = vals[a][0]
-			} else {
-				row[a] = vals[a][next[a]]
-				next[a]++
+		col := codes[a*rows : (a+1)*rows : (a+1)*rows]
+		next := 1
+		for i, x := range maxSets {
+			if !x.Contains(a) {
+				col[i+1] = next
+				next++
 			}
 		}
-		rows = append(rows, row)
+		cols[a] = col
 	}
-	return relation.FromRows(r.Names(), rows)
+	return relation.FromEncoded(r.Names(), cols, dicts)
 }
 
 // Size returns the number of tuples of the (real-world or synthetic)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/agree"
 	"repro/internal/attrset"
+	"repro/internal/datagen"
 	"repro/internal/fd"
 	"repro/internal/maxsets"
 	"repro/internal/partition"
@@ -289,6 +290,78 @@ func TestAgreeSetsOfArmstrongRelation(t *testing.T) {
 	for _, x := range agArm.Sets {
 		if !closed.Contains(x) {
 			t.Errorf("agree set %v of armstrong relation is not closed", x)
+		}
+	}
+}
+
+// TestRealWorldEncodingMatchesFromRows pins the code-column construction
+// of RealWorld to the string construction it replaced: the rows must be
+// the paper's (v_A0 on Xi, the next unused value of π_A(r) elsewhere),
+// and the codes, domain sizes and dictionaries must equal those
+// relation.FromRows gives the same rows. The shapes include the wide
+// 30×2,000 relation at c=0.3 and a narrow 8×2,400 one.
+func TestRealWorldEncodingMatchesFromRows(t *testing.T) {
+	srcs := []*relation.Relation{relation.PaperExample()}
+	for _, spec := range []datagen.Spec{
+		{Attrs: 30, Rows: 2000, Correlation: 0.3, Seed: 1},
+		{Attrs: 8, Rows: 2400, Correlation: 0.5, Seed: 2},
+		{Attrs: 12, Rows: 500, Correlation: 0.3, Seed: 3},
+	} {
+		r, err := datagen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, r)
+	}
+	for i, r := range srcs {
+		maxSets := maxSetsOf(t, r)
+		arm, err := RealWorld(r, maxSets)
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		// The paper's rows, built from strings.
+		want := [][]string{make([]string, r.Arity())}
+		next := make([]int, r.Arity())
+		for a := range next {
+			want[0][a] = r.ValueForCode(a, 0)
+			next[a] = 1
+		}
+		for _, x := range maxSets {
+			row := make([]string, r.Arity())
+			for a := range row {
+				if x.Contains(a) {
+					row[a] = r.ValueForCode(a, 0)
+				} else {
+					row[a] = r.ValueForCode(a, next[a])
+					next[a]++
+				}
+			}
+			want = append(want, row)
+		}
+		ref, err := relation.FromRows(r.Names(), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arm.Rows() != ref.Rows() || arm.Arity() != ref.Arity() {
+			t.Fatalf("source %d: %d×%d relation, want %d×%d", i, arm.Rows(), arm.Arity(), ref.Rows(), ref.Arity())
+		}
+		for a := 0; a < arm.Arity(); a++ {
+			if arm.Name(a) != ref.Name(a) {
+				t.Fatalf("source %d: attribute %d named %q, want %q", i, a, arm.Name(a), ref.Name(a))
+			}
+			if arm.DomainSize(a) != ref.DomainSize(a) {
+				t.Fatalf("source %d, attribute %d: domain %d, want %d", i, a, arm.DomainSize(a), ref.DomainSize(a))
+			}
+			for c := 0; c < ref.DomainSize(a); c++ {
+				if arm.ValueForCode(a, c) != ref.ValueForCode(a, c) {
+					t.Fatalf("source %d, attribute %d: code %d is %q, want %q", i, a, c, arm.ValueForCode(a, c), ref.ValueForCode(a, c))
+				}
+			}
+			for tt := 0; tt < arm.Rows(); tt++ {
+				if arm.Code(tt, a) != ref.Code(tt, a) {
+					t.Fatalf("source %d: tuple %d's code on attribute %d is %d, want %d", i, tt, a, arm.Code(tt, a), ref.Code(tt, a))
+				}
+			}
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/attrset"
 	"repro/internal/faultinject"
@@ -125,46 +126,55 @@ func (h *Hypergraph) IsMinimalTransversal(t attrset.Set) bool {
 //
 // Each candidate carries a bitmap of the edges it already hits; the join
 // ORs the parents' bitmaps (the candidate is exactly their union), so the
-// transversal test is a word-wise comparison instead of an edge scan.
+// transversal test is a word-wise comparison instead of an edge scan, made
+// as the candidate is generated.
 func (h *Hypergraph) MinimalTransversals(ctx context.Context) (attrset.Family, error) {
 	return h.MinimalTransversalsGoverned(ctx, nil)
 }
 
 // MinimalTransversalsGoverned is MinimalTransversals under a resource
-// budget: each candidate level charges its width — the frontier size,
-// which is exactly the search's memory footprint — against the budget,
-// and passes a deadline checkpoint, so a combinatorial blow-up of the
-// levelwise search is stopped within one level of crossing the limit.
+// budget: each candidate level charges its generated width — every
+// candidate the join produced, the transversals it emitted at once
+// included — against the budget, and passes a deadline checkpoint, so a
+// combinatorial blow-up of the levelwise search is stopped within one
+// level of crossing the limit. Only a level's non-transversals stay in
+// the frontier, so the charge bounds the frontier from above.
 //
 // The search keeps no hash maps: a level is a lexicographically sorted
-// candidate slice (the Apriori join emits candidates already in that
-// order, so prefix groups are contiguous runs and the subset test is a
-// binary search), and the per-candidate edge-cover bitmaps live in one
-// arena per level instead of one allocation per candidate. Set operations
-// are bounded by the hypergraph's active word count — the number of
-// attrset words its vertices actually occupy — so a 10-attribute schema
-// pays for 64 bits per operation, not attrset.MaxAttrs.
+// slice of surviving non-transversals (the Apriori join generates
+// candidates already in that order, so prefix groups are contiguous runs,
+// and the subset test is a binary search within one smallest-vertex run),
+// and the per-candidate edge-cover bitmaps live in one arena per level
+// instead of one allocation per candidate. Set operations are bounded by
+// the hypergraph's active word count — the number of attrset words its
+// vertices actually occupy — so a 10-attribute schema pays for 64 bits per
+// operation, not attrset.MaxAttrs.
 func (h *Hypergraph) MinimalTransversalsGoverned(ctx context.Context, b *guard.Budget) (attrset.Family, error) {
 	return h.transversals(ctx, b, new(scratch))
 }
 
 // scratch is the frontier memory of one levelwise search: the current
-// and next candidate levels with their edge-cover arenas, and the emitted
+// and next levels of surviving non-transversals with their edge-cover
+// arenas, the per-level smallest-vertex index, and the emitted
 // transversals. TransversalsAll keeps one per worker and reuses it across
 // that worker's searches; each search truncates every buffer first, so
 // nothing carries over.
 type scratch struct {
 	cands, nextCands []attrset.Set
 	arena, nextArena []uint64
+	first            []int32
 	out              attrset.Family
 }
 
 // transversals is the levelwise search over the buffers of s. Its output
 // is an exact-size copy, so s may serve the next search at once.
 //
-// The output is in canonical order without a sort: levels run in
-// ascending cardinality, and each level's candidates — hence the
-// transversals emitted from it — are in lexicographic order, which is
+// A level is generated in full by the previous level's join, but only
+// its non-transversals are kept: a joined candidate whose cover is full
+// is emitted on the spot, so no transversal is stored, compacted or read
+// back. The output is still in canonical order without a sort: levels
+// finish in ascending cardinality, and the join generates each level —
+// hence its emissions — in lexicographic order, which is
 // attrset.Set.Compare's order among sets of equal size.
 func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scratch) (attrset.Family, error) {
 	if len(h.edges) == 0 {
@@ -177,11 +187,12 @@ func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scrat
 		full[e>>6] |= 1 << uint(e&63)
 	}
 	verts := h.Vertices()
+	nv := verts.Max() + 1
 	// aw is the active attrset word count: trailing all-zero words of any
 	// candidate set are skipped by every union/compare below.
 	aw := verts.Max()>>6 + 1
 	// vcArena[a*words:(a+1)*words] = bitmap of edges containing vertex a.
-	vcArena := make([]uint64, (verts.Max()+1)*words)
+	vcArena := make([]uint64, nv*words)
 	for e, edge := range h.edges {
 		edge.ForEach(func(a attrset.Attr) {
 			vcArena[a*words+e>>6] |= 1 << uint(e&63)
@@ -196,68 +207,84 @@ func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scrat
 		return true
 	}
 
-	// L1: the vertices appearing in edges, as singletons — ascending
-	// vertex order is lexicographic order for singletons.
 	cands, arena := s.cands[:0], s.arena[:0]
 	nextCands, nextArena := s.nextCands[:0], s.nextArena[:0]
 	out := s.out[:0]
+	first := slices.Grow(s.first[:0], nv+1)[:nv+1]
 	defer func() {
-		s.cands, s.arena, s.nextCands, s.nextArena, s.out = cands, arena, nextCands, nextArena, out
+		s.cands, s.arena, s.nextCands, s.nextArena, s.first, s.out = cands, arena, nextCands, nextArena, first, out
 	}()
+	// L1: the vertices appearing in edges, as singletons — ascending
+	// vertex order is lexicographic order for singletons. width counts the
+	// level's generated candidates, emitted transversals included.
+	width := 0
 	verts.ForEach(func(a attrset.Attr) {
+		width++
+		cover := vcArena[a*words : (a+1)*words]
+		if covers(cover) {
+			out = append(out, attrset.Single(a))
+			return
+		}
 		cands = append(cands, attrset.Single(a))
-		arena = append(arena, vcArena[a*words:(a+1)*words]...)
+		arena = append(arena, cover...)
 	})
 
-	for len(cands) > 0 {
+	for width > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("hypergraph: transversal search cancelled: %w", err)
 		}
 		if err := faultinject.Fire(faultinject.HypergraphLevel); err != nil {
 			return nil, err
 		}
-		if err := b.Charge("lhs", len(cands)); err != nil {
+		if err := b.Charge("lhs", width); err != nil {
 			return nil, err
 		}
-		// Emit transversals; compact the surviving non-transversals (and
-		// their covers) to the front in place, preserving sorted order.
-		keep := 0
-		for i, c := range cands {
-			cover := arena[i*words : (i+1)*words]
-			if covers(cover) {
-				out = append(out, c)
-				continue
+		// Survivors in lexicographic order have non-decreasing smallest
+		// vertices: cands[first[v]:first[v+1]] are those whose smallest
+		// vertex is v.
+		k := 0
+		for v := range first {
+			for k < len(cands) && cands[k].Min() < v {
+				k++
 			}
-			cands[keep] = c
-			copy(arena[keep*words:(keep+1)*words], cover)
-			keep++
+			first[v] = int32(k)
 		}
-		cands = cands[:keep]
 		// Apriori join over contiguous prefix runs: survivors sharing all
 		// but their largest vertex are adjacent in lexicographic order,
 		// and each joined candidate arises from exactly one (prefix,
-		// pair), emitted in lexicographic order again — so the next level
-		// is sorted and duplicate-free by construction.
+		// pair), generated in lexicographic order again — so the next
+		// level is sorted and duplicate-free by construction. Its cover
+		// is the union of the parents' covers, ORed into the tail of
+		// nextArena; a full one is emitted and its row dropped.
+		width = 0
 		nextCands = nextCands[:0]
 		nextArena = nextArena[:0]
-		for lo := 0; lo < keep; {
+		for lo := 0; lo < len(cands); {
 			prefix := cands[lo].Without(cands[lo].Max())
 			hi := lo + 1
-			for hi < keep && cands[hi].Without(cands[hi].Max()) == prefix {
+			for hi < len(cands) && cands[hi].Without(cands[hi].Max()) == prefix {
 				hi++
 			}
 			for i := lo; i < hi; i++ {
+				ci := arena[i*words : (i+1)*words]
 				for j := i + 1; j < hi; j++ {
 					u := unionW(cands[i], cands[j], aw)
-					if !apriori(u, cands, aw) {
+					if !apriori(u, prefix, cands, first, aw) {
+						continue
+					}
+					width++
+					row := len(nextArena)
+					nextArena = append(nextArena, ci...)
+					cover := nextArena[row:]
+					for w, c := range arena[j*words : (j+1)*words] {
+						cover[w] |= c
+					}
+					if covers(cover) {
+						nextArena = nextArena[:row]
+						out = append(out, u)
 						continue
 					}
 					nextCands = append(nextCands, u)
-					ci := arena[i*words : (i+1)*words]
-					cj := arena[j*words : (j+1)*words]
-					for w := 0; w < words; w++ {
-						nextArena = append(nextArena, ci[w]|cj[w])
-					}
 				}
 			}
 			lo = hi
@@ -297,15 +324,24 @@ func lexCmpW(a, b attrset.Set, aw int) int {
 	return 0
 }
 
-// apriori reports whether every (|cand|-1)-subset of cand is a surviving
-// non-transversal, by binary search in the sorted survivor slice. Any
-// subset that was emitted as a minimal transversal, or never generated,
-// disqualifies cand: its supersets cannot be minimal transversals (or
-// were already pruned).
-func apriori(cand attrset.Set, surviving []attrset.Set, aw int) bool {
-	for a := cand.Min(); a >= 0; a = cand.Next(a) {
-		sub := cand.Without(a)
-		lo, hi := 0, len(surviving)
+// apriori reports whether every (|u|-1)-subset of the joined candidate
+// u = P ∪ {x_i, x_j} is a surviving non-transversal. Any subset that was
+// emitted as a minimal transversal, or never generated, disqualifies u:
+// its supersets cannot be minimal transversals (or were already pruned).
+//
+// u∖{x_j} and u∖{x_i} are the join's own parents, which survive by
+// construction, so only the subsets u∖{p} for p ∈ P = prefix are looked
+// up — each by binary search over the survivors sharing its smallest
+// vertex, surviving[first[m]:first[m+1]].
+func apriori(u, prefix attrset.Set, surviving []attrset.Set, first []int32, aw int) bool {
+	m := prefix.Min() // every prefix vertex is below x_i < x_j, so m = min u
+	for p := m; p >= 0; p = prefix.Next(p) {
+		sub := u.Without(p)
+		sm := m
+		if p == m {
+			sm = u.Next(m)
+		}
+		lo, hi := int(first[sm]), int(first[sm+1])
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if lexCmpW(surviving[mid], sub, aw) < 0 {
@@ -314,7 +350,7 @@ func apriori(cand attrset.Set, surviving []attrset.Set, aw int) bool {
 				hi = mid
 			}
 		}
-		if lo == len(surviving) || surviving[lo] != sub {
+		if lo == int(first[sm+1]) || surviving[lo] != sub {
 			return false
 		}
 	}

@@ -25,13 +25,13 @@ import (
 // cancels the remaining tasks and is returned after all workers exit.
 //
 // The budget b (nil = ungoverned) is shared across all searches: every
-// in-flight level charges its frontier width against the same pool, so
-// the combined memory footprint of the concurrent searches is what the
-// budget bounds. Each worker keeps one search scratch (candidate levels,
-// cover arenas, output buffer) and reuses it for every hypergraph it
-// takes, so the frontier is allocated once per worker, not once per
-// attribute. Panics inside a search are contained at the pool's task
-// boundary and surface as a *guard.PanicError.
+// in-flight level charges its generated width against the same pool, so
+// the budget bounds the combined work, and with it the memory, of the
+// concurrent searches. Each worker keeps one search scratch (candidate
+// levels, cover arenas, smallest-vertex index, output buffer) and reuses
+// it for every hypergraph it takes, so the frontier is allocated once per
+// worker, not once per attribute. Panics inside a search are contained at
+// the pool's task boundary and surface as a *guard.PanicError.
 func TransversalsAll(ctx context.Context, hs []*Hypergraph, workers int, b *guard.Budget) ([]attrset.Family, error) {
 	out := make([]attrset.Family, len(hs))
 	scratches := make([]scratch, pool.Resolve(workers))

@@ -66,11 +66,40 @@ func FromRows(names []string, rows [][]string) (*Relation, error) {
 // dictionary strings are materialised lazily as the decimal representation
 // of the code. All columns must have equal length.
 func FromCodes(names []string, cols [][]int) (*Relation, error) {
+	dense := make([][]int, len(cols))
+	dicts := make([][]string, len(cols))
+	for a, col := range cols {
+		// Re-encode into dense codes in first-occurrence order so that
+		// dictionaries stay compact even if the input codes are sparse.
+		ids := make(map[int]int)
+		dense[a] = make([]int, len(col))
+		for t, v := range col {
+			code, ok := ids[v]
+			if !ok {
+				code = len(dicts[a])
+				ids[v] = code
+				dicts[a] = append(dicts[a], strconv.Itoa(v))
+			}
+			dense[a][t] = code
+		}
+	}
+	return FromEncoded(names, dense, dicts)
+}
+
+// FromEncoded builds a relation that adopts already-encoded columns and
+// their dictionaries: cols[a][t] is tuple t's code on attribute a, and
+// dicts[a][code] is that code's value. Each column's codes must be dense
+// in first-occurrence order, and each dictionary must hold exactly the
+// codes its column uses, with distinct values; the result then equals
+// FromRows over its own rows. Columns and dictionaries are adopted
+// capped, not copied, so the caller must not modify them afterwards, and
+// a dictionary that is a prefix of a growing one never sees it grow.
+func FromEncoded(names []string, cols [][]int, dicts [][]string) (*Relation, error) {
 	if !attrset.Valid(len(names)) {
 		return nil, ErrTooManyAttributes
 	}
-	if len(cols) != len(names) {
-		return nil, fmt.Errorf("relation: %d columns for %d attributes", len(cols), len(names))
+	if len(cols) != len(names) || len(dicts) != len(names) {
+		return nil, fmt.Errorf("relation: %d columns and %d dictionaries for %d attributes", len(cols), len(dicts), len(names))
 	}
 	rows := 0
 	if len(cols) > 0 {
@@ -82,24 +111,24 @@ func FromCodes(names []string, cols [][]int) (*Relation, error) {
 		dicts: make([][]string, len(names)),
 		rows:  rows,
 	}
-	for a := range cols {
-		if len(cols[a]) != rows {
-			return nil, fmt.Errorf("relation: column %d has %d rows, want %d", a, len(cols[a]), rows)
+	for a, col := range cols {
+		if len(col) != rows {
+			return nil, fmt.Errorf("relation: column %d has %d rows, want %d", a, len(col), rows)
 		}
-		// Re-encode into dense codes in first-occurrence order so that
-		// dictionaries stay compact even if the input codes are sparse.
-		dense := make(map[int]int)
-		col := make([]int, rows)
-		for t, v := range cols[a] {
-			code, ok := dense[v]
-			if !ok {
-				code = len(r.dicts[a])
-				dense[v] = code
-				r.dicts[a] = append(r.dicts[a], strconv.Itoa(v))
+		next := 0 // the code a new value must take
+		for t, c := range col {
+			if c < 0 || c > next {
+				return nil, fmt.Errorf("relation: code %d of tuple %d on attribute %d is not in first-occurrence order", c, t, a)
 			}
-			col[t] = code
+			if c == next {
+				next++
+			}
 		}
-		r.cols[a] = col
+		if next != len(dicts[a]) {
+			return nil, fmt.Errorf("relation: column %d uses %d codes of a %d-value dictionary", a, next, len(dicts[a]))
+		}
+		r.cols[a] = col[:rows:rows]
+		r.dicts[a] = dicts[a][:next:next]
 	}
 	return r, nil
 }

@@ -164,6 +164,48 @@ func TestFromCodes(t *testing.T) {
 	}
 }
 
+func TestFromEncoded(t *testing.T) {
+	names := []string{"a", "b"}
+	rows := [][]string{{"x", "p"}, {"x", "q"}, {"y", "p"}}
+	// The dictionaries are prefixes of longer ones, as a store's are.
+	dictA, dictB := []string{"x", "y", "z"}, []string{"p", "q", "r"}
+	r, err := FromEncoded(names, [][]int{{0, 0, 1}, {0, 1, 0}}, [][]string{dictA[:2], dictB[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FromRows(names, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.String() != want.String() {
+		t.Fatalf("FromEncoded gave\n%v\nwant\n%v", r, want)
+	}
+	for a := 0; a < 2; a++ {
+		if r.DomainSize(a) != 2 {
+			t.Errorf("attribute %d: domain %d, want 2", a, r.DomainSize(a))
+		}
+		if d, _ := r.DictPrefix(a, 2); cap(d) != 2 {
+			t.Errorf("attribute %d: dictionary cap %d aliases the caller's tail", a, cap(d))
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		cols  [][]int
+		dicts [][]string
+	}{
+		{"column count", [][]int{{0}}, [][]string{{"x"}, {"p"}}},
+		{"dictionary count", [][]int{{0}, {0}}, [][]string{{"x"}}},
+		{"ragged columns", [][]int{{0, 0}, {0}}, [][]string{{"x"}, {"p"}}},
+		{"skipped code", [][]int{{0, 2}, {0, 0}}, [][]string{{"x", "y", "z"}, {"p"}}},
+		{"negative code", [][]int{{-1}, {0}}, [][]string{{"x"}, {"p"}}},
+		{"unused dictionary value", [][]int{{0, 0}, {0, 0}}, [][]string{{"x", "y"}, {"p"}}},
+	} {
+		if _, err := FromEncoded(names, tc.cols, tc.dicts); err == nil {
+			t.Errorf("%s: want an error", tc.name)
+		}
+	}
+}
+
 func TestLoadCSV(t *testing.T) {
 	csvData := "a,b,c\n1,x,9\n2,x,9\n1,y,8\n"
 	r, err := Load(strings.NewReader(csvData), true)
