@@ -13,7 +13,6 @@ package depminer
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/internal/agree"
@@ -207,26 +206,6 @@ func BenchmarkAblation_AgreeSets(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_ChunkSize measures what Algorithm 2's couple chunks
-// cost. In the paper each chunk is one more pass over the stripped
-// partitions (its "several steps" slowdown on large relations); the
-// tuple-major kernel computes each couple once whatever the chunk size,
-// so only task dispatch and the tuples cut at task edges remain.
-func BenchmarkAblation_ChunkSize(b *testing.B) {
-	r := dataset(b, 15, 2000, 0.5)
-	db := partition.NewDatabase(r)
-	for _, chunk := range []int{1 << 10, 1 << 14, 1 << 20} {
-		b.Run(strconv.Itoa(chunk), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := agree.Couples(context.Background(), db, agree.Options{ChunkSize: chunk}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblation_SetAsMapKey isolates the bit-vector design: agree-set

@@ -15,8 +15,8 @@ import (
 
 // RunStream is a worker's answer to an agree-set shard dispatch: the
 // DMRUN1 run stream, unconsumed. The caller streams Body to EOF (e.g.
-// through extsort.AdoptRun), then reads the end-of-stream attestation
-// with TrailerSets, then Closes. A stream abandoned mid-body must still
+// through extsort.AdoptRun), then reads the end-of-stream attestations
+// with TrailerSets and TrailerCouples, then Closes. A stream abandoned mid-body must still
 // be Closed.
 type RunStream struct {
 	// Body is the raw run stream (magic + CRC-framed blocks).
@@ -30,8 +30,15 @@ func (rs *RunStream) Close() error { return rs.Body.Close() }
 // TrailerSets returns the worker's end-of-stream record count. Valid
 // only after Body has been read to EOF; ok is false when the trailer is
 // absent (a proxy stripped it) or malformed.
-func (rs *RunStream) TrailerSets() (int64, bool) {
-	v := rs.resp.Trailer.Get(wire.ShardSetsTrailer)
+func (rs *RunStream) TrailerSets() (int64, bool) { return rs.trailer(wire.ShardSetsTrailer) }
+
+// TrailerCouples returns the shard's couple count as the worker
+// attested it, under the same conditions as TrailerSets.
+func (rs *RunStream) TrailerCouples() (int64, bool) { return rs.trailer(wire.ShardCouplesTrailer) }
+
+// trailer parses a non-negative integer trailer.
+func (rs *RunStream) trailer(name string) (int64, bool) {
+	v := rs.resp.Trailer.Get(name)
 	if v == "" {
 		return 0, false
 	}

@@ -201,8 +201,8 @@ func (cfg *config) run(ctx context.Context) error {
 		fmt.Printf("\nphases: partitions=%v agree-sets=%v max-sets=%v lhs=%v armstrong=%v\n",
 			res.Stats.Partition, res.Stats.AgreeSets, res.Stats.MaxSets,
 			res.Stats.LHS, res.Stats.Armstrong)
-		fmt.Printf("couples=%d chunks=%d |ag(r)|=%d |MAX(dep(r))|=%d\n",
-			res.Couples, res.Chunks, len(res.AgreeSets), len(res.MaxSets))
+		fmt.Printf("couples=%d |ag(r)|=%d |MAX(dep(r))|=%d\n",
+			res.Couples, len(res.AgreeSets), len(res.MaxSets))
 		if opts.Algorithm == depminer.FastFDs {
 			fmt.Printf("DFS nodes=%d\n", res.DFSNodes)
 		}

@@ -153,9 +153,9 @@ func discoverFingerprint(res *Result) string {
 	if res.Armstrong != nil {
 		arm = res.Armstrong.String()
 	}
-	return fmt.Sprintf("fds=%v ag=%v max=%v lhs=%v couples=%d chunks=%d synthetic=%t armstrong=%s",
+	return fmt.Sprintf("fds=%v ag=%v max=%v lhs=%v couples=%d synthetic=%t armstrong=%s",
 		res.FDs, res.AgreeSets, res.MaxSets, res.LHS,
-		res.Couples, res.Chunks, res.ArmstrongSynthetic, arm)
+		res.Couples, res.ArmstrongSynthetic, arm)
 }
 
 // assertCanonicalOrder checks the order steps 2–4 construct rather than

@@ -11,15 +11,13 @@
 //   - Couples (Algorithm 2 / "Dep-Miner"): the tuple couples of the
 //     maximal equivalence classes MC (Lemma 1), each agree set built by
 //     adding attribute A to ag(t,t') whenever both tuples share a class
-//     of π̂_A. The loop runs tuple-major (partition.CoupleSpace.AgreeSets):
-//     a tuple's classes are walked once for all its couples, so the work
-//     is the couples' agree-set sizes, not a pass over r̂ per chunk.
-//     Couples are cut into chunks of at most ChunkSize, like the paper's
-//     "computing agree sets as soon as a fixed number of couples was
-//     generated"; here a chunk is a unit of scheduling, not of memory.
+//     of π̂_A. The loop runs tuple by tuple
+//     (partition.CoupleSpace.AgreeSets): a tuple's classes are walked
+//     once to meet its couples and once more to build their sets.
 //   - Identifiers (Algorithm 3 / "Dep-Miner 2"): build, per tuple, the
 //     list ec(t) of equivalence-class identifiers containing t; then
-//     ag(ti,tj) is read off the intersection ec(ti) ∩ ec(tj) (Lemma 2).
+//     ag(ti,tj) is read off the intersection ec(ti) ∩ ec(tj) (Lemma 2),
+//     for each partner the couple walk of tuple tj meets.
 //
 // All three return the deduplicated set family ag(r); the empty agree set
 // is included when some couple of tuples disagrees everywhere, matching
@@ -30,22 +28,18 @@
 // tuples (which would agree on the full schema R) contributes nothing to
 // ag(r), exactly as if the relation had been deduplicated first.
 //
-// Couples are never listed whole: the plan numbers the couple space
-// u-major (partition.CoupleSpace), and each task regenerates its own
-// index range. An Algorithm 2 worker holds one stride batch of agree
-// sets plus the sets of the widest tuple's couples; an Algorithm 3
-// worker holds 4 B per couple of its task. Agree sets are deduplicated
-// as they are produced, by a hash-indexed list of the distinct sets
-// (setAccum), so only the family — orders of magnitude smaller than the
-// couple stream — is ever sorted (see DESIGN.md §9).
+// Couples are never listed whole: a sweep task is a block of tuples,
+// and each tuple's couples are regenerated by one walk over its classes
+// (partition.CoupleSpace), so a worker holds one stride batch of agree
+// sets plus the partners and sets of its widest tuple. Agree sets are
+// deduplicated as they are produced, by a hash-indexed list of the
+// distinct sets (setAccum), so only the family — orders of magnitude
+// smaller than the couple stream — is ever sorted (see DESIGN.md §9).
 //
-// Both variants parallelise across Options.Workers goroutines by cutting
-// the couple space into the same contiguous tasks of at most one chunk,
-// a chunk being cut further only when there are fewer chunks than
-// workers; Algorithm 3 then intersects a task stride by stride. Every
-// worker accumulates into a private distinct list and the union is
-// emitted in canonical order, so results are byte-identical for any
-// worker count.
+// Both variants parallelise across Options.Workers goroutines over the
+// same tuple blocks, cut to near-equal walk cost. Every worker
+// accumulates into a private distinct list and the union is emitted in
+// canonical order, so results are byte-identical for any worker count.
 package agree
 
 import (
@@ -65,13 +59,6 @@ import (
 	"repro/internal/relation"
 )
 
-// DefaultChunkSize is the default couple count of one chunk, the paper's
-// "threshold (associated to the number of tuples)". It sets the task
-// granularity and Result.Chunks, not Algorithm 2's memory: a worker
-// holds one stride batch (32 B per couple, 256 KiB) plus 32 B per
-// couple of the widest tuple, whatever the chunk size.
-const DefaultChunkSize = 1 << 20
-
 // Result is the outcome of an agree-set computation.
 type Result struct {
 	// Sets is ag(r) deduplicated, in canonical order. It never contains
@@ -79,12 +66,9 @@ type Result struct {
 	// couples of duplicate rows are collapsed by all three algorithms
 	// (set semantics — the paper defines a relation as a set of tuples).
 	Sets attrset.Family
-	// Couples is the number of tuple couples examined.
+	// Couples is the number of tuple couples examined: the sum of the
+	// sweep tasks' and remote shards' counts.
 	Couples int
-	// Chunks is the paper's chunk count ⌈couples/ChunkSize⌉ for the
-	// couples algorithm (1 otherwise), whatever the worker count: a chunk
-	// cut across idle workers still counts once.
-	Chunks int
 	// Spill counts the out-of-core activity when Options.MaxAgreeBytes
 	// made the accumulators spill sorted runs to disk, or a Remote's runs
 	// were adopted onto disk; all-zero for in-memory runs.
@@ -102,7 +86,7 @@ type Result struct {
 func Naive(ctx context.Context, r *relation.Relation) (*Result, error) {
 	var acc setAccum
 	var batch []attrset.Set
-	res := &Result{Chunks: 1}
+	res := &Result{}
 	full := attrset.Universe(r.Arity())
 	for i := 0; i < r.Rows(); i++ {
 		if err := ctx.Err(); err != nil {
@@ -124,17 +108,15 @@ func Naive(ctx context.Context, r *relation.Relation) (*Result, error) {
 
 // Options configure the stripped-partition algorithms.
 type Options struct {
-	// ChunkSize bounds the couples one task of either variant
-	// regenerates, and sets Result.Chunks. Zero means DefaultChunkSize.
-	ChunkSize int
 	// Workers is the worker-pool width for the couple sweep: 0 means
 	// runtime.GOMAXPROCS(0), 1 the sequential reference path. Results are
 	// byte-identical for every value.
 	Workers int
-	// Budget governs the computation: the couple count and the agree
-	// sets produced are charged against it, and each chunk/stride passes
-	// a deadline checkpoint. On overrun the partial Result accumulated so
-	// far is returned together with the guard error. nil = ungoverned.
+	// Budget governs the computation: the couples are charged against it
+	// batch by batch as the sweep meets them, each batch passing a
+	// deadline checkpoint, and the agree sets produced once at the end.
+	// On overrun the partial Result accumulated so far is returned
+	// together with the guard error. nil = ungoverned.
 	Budget *guard.Budget
 	// MaxAgreeBytes bounds the agree sets accumulated in memory: when the
 	// per-worker accumulation exceeds MaxAgreeBytes/Workers, the sorted
@@ -149,13 +131,6 @@ type Options struct {
 	// per-computation subdirectory is created on first spill and removed
 	// when the computation finishes.
 	SpillDir string
-}
-
-func (o Options) chunkSize() int {
-	if o.ChunkSize <= 0 {
-		return DefaultChunkSize
-	}
-	return o.ChunkSize
 }
 
 // setAccum deduplicates agree sets at insert: sets lists the distinct
@@ -338,21 +313,20 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 }
 
 // workerState is the per-worker accumulation and scratch reused across
-// every chunk or stride the worker processes.
+// every task the worker runs.
 type workerState struct {
-	accum    setAccum
-	walker   partition.Walker // regenerates the task's couples
-	partners []int32          // Identifiers: the task's partner per couple
-	batch    []attrset.Set    // per-stride batch before absorption
+	accum   setAccum
+	walker  partition.Walker // walks the task's tuples
+	batch   []attrset.Set    // the sets of up to stride couples before absorption
+	couples int              // couples met, over every task
 }
 
 // Couples computes ag(r) with Algorithm 2 (AGREE_SET): couples from MC,
-// each agree set read off the classes its tuples share, in chunks.
-// Chunks are independent (each computes its own couples' sets only),
-// so they are distributed over Options.Workers goroutines, cut further
-// when there are fewer chunks than workers; the per-worker lists are
-// united and emitted in canonical order, making the result independent
-// of worker count and scheduling.
+// each agree set read off the classes its tuples share, tuple by tuple.
+// Tuple blocks are independent (each computes its own couples' sets
+// only), so they are distributed over Options.Workers goroutines; the
+// per-worker lists are united and emitted in canonical order, making
+// the result independent of worker count and scheduling.
 func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
 	p, err := NewPlan(ctx, db, opts.Workers)
 	if err != nil {
@@ -361,25 +335,14 @@ func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result
 	return p.Run(ctx, VariantCouples, opts, nil)
 }
 
-// Run sweeps the plan's whole couple space through variant v and
-// finishes the united family into ag(r), charging the couple count before
-// the sweep and the family size after it. With a nil remote the sweep is
-// local; otherwise the couple space is fanned out over the remote's
-// shards (see fanOut), whose runs join the same merge as local and
-// spilled ones.
+// Run sweeps all the plan's tuples through variant v and finishes the
+// united family into ag(r), charging the couples as the sweep meets
+// them and the family size after it. With a nil remote the sweep is
+// local; otherwise the tuples are fanned out over the remote's shards
+// (see fanOut), whose runs join the same merge as local and spilled
+// ones.
 func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) (*Result, error) {
-	couples := p.Couples()
-	res := &Result{Couples: couples, Chunks: 1}
-	if v == VariantCouples {
-		res.Chunks = max(1, (couples+opts.chunkSize()-1)/opts.chunkSize())
-	}
-	var shards []Shard
-	if remote != nil {
-		shards = p.Split(remote.Shards(couples))
-	}
-	if err := opts.Budget.Charge("agree", couples); err != nil {
-		return res, err
-	}
+	res := &Result{}
 	// Remote runs are adopted into a spiller whatever the threshold.
 	sp := newSpiller(opts, remote != nil)
 	if sp != nil {
@@ -391,9 +354,9 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 	var locals []*workerState
 	var err error
 	if remote == nil {
-		locals, err = p.sweep(ctx, 0, couples, v, opts, sp)
+		locals, res.Couples, err = p.sweep(ctx, Shard{0, p.Rows()}, v, opts, sp)
 	} else {
-		locals, err = p.fanOut(ctx, shards, v, opts, remote, sp)
+		locals, res.Couples, err = p.fanOut(ctx, p.Split(remote.Shards()), v, opts, remote, sp)
 	}
 	if err != nil {
 		return governedPartial(res, locals, sp, err, v)
@@ -408,7 +371,7 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 	if err != nil {
 		return nil, fmt.Errorf("agree: merging %s runs: %w", v, err)
 	}
-	res.Sets = p.Finish(sets)
+	res.Sets = p.Finish(sets, res.Couples)
 	res.Merge = time.Since(t0)
 	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
 		return res, err
@@ -416,78 +379,106 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 	return res, nil
 }
 
-// sweep runs the couples [lo, hi) through variant v — Algorithm 2's
-// chunk loop or Algorithm 3's stride loop — over Options.Workers
+// sweep runs the tuples of sh through variant v over Options.Workers
 // goroutines, each absorbing its batches into a private distinct list
-// (spilled into sp past Options.MaxAgreeBytes). Both variants cut
-// [lo, hi) into the same tasks (taskSize), and every task regenerates
-// its own couples once. An Algorithm 2 task first passes the AgreeChunk
-// hook and a budget deadline checkpoint; an Algorithm 3 task passes the
-// AgreeStride hook and a checkpoint before each stride it intersects.
-// pool.Run joins every worker before returning, so the locals are safe
-// to merge whatever the error.
-func (p *Plan) sweep(ctx context.Context, lo, hi int, v Variant, opts Options, sp *extsort.Spiller) ([]*workerState, error) {
+// (spilled into sp past Options.MaxAgreeBytes), and returns the workers
+// with the couples they met. Both variants cut sh into the same tasks:
+// one tuple block per worker, of near-equal walk cost, each costing at
+// least a stride. pool.Run joins every worker before returning, so the
+// locals and their counts are safe to read whatever the error.
+func (p *Plan) sweep(ctx context.Context, sh Shard, v Variant, opts Options, sp *extsort.Spiller) ([]*workerState, int, error) {
 	workers := pool.Resolve(opts.Workers)
 	locals := makeWorkers(workers, opts, sp)
-	full := attrset.Universe(p.db.Arity())
-	step := taskSize(hi-lo, opts.chunkSize(), workers)
-	var ecOff []int32
-	var ec []uint64
-	var ends []int
+	cost := p.cs.Cost()
+	n := (cost[sh.End] - cost[sh.Start] + stride - 1) / stride
+	tasks := p.cut(sh, int(min(n, int64(workers))))
+	k := kernel{p: p, v: v, opts: opts, full: attrset.Universe(p.db.Arity()), hook: faultinject.AgreeChunk}
 	if v == VariantIdentifiers {
-		ecOff, ec = p.ecIndex()
-		ends = p.cs.Ends()
+		k.ecOff, k.ec = p.ecIndex()
+		k.hook = faultinject.AgreeStride
 	}
-	tasks := (hi - lo + step - 1) / step
-	err := pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
-		from := lo + t*step
-		ws := locals[w]
-		if v == VariantCouples {
-			if err := checkpoint(faultinject.AgreeChunk, opts); err != nil {
-				return err
-			}
-			return ws.agreeSets(p.cs, from, min(from+step, hi), full)
-		}
-		var u int
-		ws.partners, u = p.cs.Partners(from, min(from+step, hi), &ws.walker, ws.partners)
-		for s := 0; s < len(ws.partners); s += stride {
-			if err := checkpoint(faultinject.AgreeStride, opts); err != nil {
-				return err
-			}
-			var err error
-			ws.batch, u, err = intersectStride(taskCtx, ec, ecOff, ends, from+s, u, ws.partners[s:min(s+stride, len(ws.partners))], ws.batch[:0])
-			if err != nil {
-				return err
-			}
-			if err := ws.accum.absorb(ws.batch, full); err != nil {
-				return err
-			}
-		}
-		return nil
+	err := pool.Run(ctx, workers, len(tasks), func(taskCtx context.Context, w, t int) error {
+		return locals[w].sweep(taskCtx, &k, tasks[t])
 	})
-	return locals, err
+	couples := 0
+	for _, ws := range locals {
+		couples += ws.couples
+	}
+	return locals, couples, err
 }
 
-// checkpoint fires a sweep fault hook, then checks the budget deadline.
-func checkpoint(hook string, opts Options) error {
-	if err := faultinject.Fire(hook); err != nil {
+// kernel is what every task of one sweep shares: the plan, the variant
+// and its per-tuple inputs, and the batch checkpoint's hook and budget.
+type kernel struct {
+	p     *Plan
+	v     Variant
+	opts  Options
+	full  attrset.Set // the whole schema: couples of duplicate tuples
+	hook  string      // AgreeChunk for Algorithm 2, AgreeStride for 3
+	ecOff []int32     // Algorithm 3's identifier arena
+	ec    []uint64
+}
+
+// sweep runs one task, the tuples of sh, on ws: each tuple's couples
+// are met by one walk, and their agree sets built by Algorithm 2's
+// second class walk or by Algorithm 3's intersection of ec(u) with each
+// partner's list. Sets are batched and flushed every stride couples
+// and at the end of the task, so a spill can only fall where those
+// boundaries put it. It writes only worker-local state, so concurrent
+// calls on distinct workerStates are safe.
+func (ws *workerState) sweep(ctx context.Context, k *kernel, sh Shard) error {
+	cs := k.p.cs
+	ws.batch = slices.Grow(ws.batch[:0], stride)
+	for u := sh.Start; u < sh.End; u++ {
+		if k.v == VariantCouples {
+			sets := cs.AgreeSets(u, &ws.walker)
+			for len(sets) > 0 {
+				n := min(len(sets), stride-len(ws.batch))
+				ws.batch = append(ws.batch, sets[:n]...)
+				if sets = sets[n:]; len(ws.batch) == stride {
+					if err := ws.flush(ctx, k); err != nil {
+						return err
+					}
+				}
+			}
+			continue
+		}
+		eu := k.ec[k.ecOff[u]:k.ecOff[u+1]]
+		for _, t := range cs.Walk(u, &ws.walker) {
+			ws.batch = append(ws.batch, intersect(eu, k.ec[k.ecOff[t]:k.ecOff[t+1]]))
+			if len(ws.batch) == stride {
+				if err := ws.flush(ctx, k); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return ws.flush(ctx, k)
+}
+
+// flush counts the batch's couples, passes the checkpoint — context,
+// the variant's fault hook, and the couples' budget charge with its
+// deadline check — and absorbs the batch into ws.accum, which drops
+// sets equal to the whole schema.
+func (ws *workerState) flush(ctx context.Context, k *kernel) error {
+	if len(ws.batch) == 0 {
+		return nil
+	}
+	ws.couples += len(ws.batch)
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return opts.Budget.Checkpoint("agree")
-}
-
-// taskSize is the couple count of one sweep task over n couples: at
-// most one chunk, cut smaller when there are fewer chunks than workers
-// so that every worker gets a share, but never below stride.
-//
-// A task regenerates its couples once. A tuple whose couples it enters
-// mid-way is re-walked from its first partner, and in Algorithm 2 a
-// tuple it leaves mid-way is walked whole too: at most ‖r̂‖ steps each.
-// Algorithm 3 intersects a task stride by stride, so it keeps the
-// stride's small batches and its checkpoints while a tuple with many
-// partners is walked once per task, not once per stride.
-func taskSize(n, chunkSize, workers int) int {
-	return min(chunkSize, max((n+workers-1)/workers, stride))
+	if err := faultinject.Fire(k.hook); err != nil {
+		return err
+	}
+	if err := k.opts.Budget.Charge("agree", len(ws.batch)); err != nil {
+		return err
+	}
+	if err := ws.accum.absorb(ws.batch, k.full); err != nil {
+		return err
+	}
+	ws.batch = ws.batch[:0]
+	return nil
 }
 
 // newSpiller returns the spiller a sweep under opts accumulates into, or
@@ -558,38 +549,11 @@ func addEmptyIfUncovered(db *partition.Database, covered int, sets attrset.Famil
 	return append(attrset.Family{attrset.Empty()}, sets...)
 }
 
-// agreeSets runs Algorithm 2 over the couples [lo, hi) of cs
-// (partition.CoupleSpace.AgreeSets), copying the sets into ws.batch and
-// absorbing it into ws.accum every stride couples from lo and at hi, so
-// a spill can only fall where those boundaries put it. ws.accum drops
-// sets equal to full. It writes only worker-local state, so concurrent
-// calls on distinct workerStates are safe.
-func (ws *workerState) agreeSets(cs *partition.CoupleSpace, lo, hi int, full attrset.Set) error {
-	ws.batch = slices.Grow(ws.batch[:0], min(hi-lo, stride))
-	err := cs.AgreeSets(lo, hi, &ws.walker, func(sets []attrset.Set) error {
-		for len(sets) > 0 {
-			n := min(len(sets), stride-len(ws.batch))
-			ws.batch = append(ws.batch, sets[:n]...)
-			if sets = sets[n:]; len(ws.batch) == stride {
-				if err := ws.accum.absorb(ws.batch, full); err != nil {
-					return err
-				}
-				ws.batch = ws.batch[:0]
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return ws.accum.absorb(ws.batch, full)
-}
-
-// stride is the couple count of the smallest unit of sweep work: the
-// floor of a task, one Identifiers intersection between checkpoints, and
-// one batch of agree sets assembled for absorption. It is large enough
-// to amortise dispatch, small enough to keep cancellation latency low
-// and keep an assembled batch (32 bytes a couple) cache-resident.
+// stride is the couple count of one batch of agree sets assembled for
+// absorption, the floor of a task's walk cost, and the unit of work
+// between checkpoints. It is large enough to amortise dispatch, small
+// enough to keep cancellation latency low and keep an assembled batch
+// (32 bytes a couple) cache-resident.
 const stride = 1 << 13
 
 // buildECIndex lays out, per tuple t, the list ec(t) of (attribute, class
@@ -625,42 +589,25 @@ func buildECIndex(db *partition.Database) (ecOff []int32, ec []uint64) {
 	return ecOff, ec
 }
 
-// intersectStride runs the Lemma 2 intersection for one stride of
-// couples, the couples [lo, lo+len(partners)) with partners[k−lo] the
-// partner of couple k, appending each agree set to batch. u is the tuple
-// of couple lo; intersectStride returns the tuple of the stride's last
-// couple, where the next stride starts looking. It checks the task
-// context every 4096 couples to keep cancellation latency low.
-func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, ends []int, lo, u int, partners []int32, batch []attrset.Set) ([]attrset.Set, int, error) {
-	for i, t := range partners {
-		if i&0xFFF == 0 {
-			if err := taskCtx.Err(); err != nil {
-				return batch, u, err
+// intersect is Lemma 2 for one couple: the attributes A whose class
+// ids agree in the two tuples' ec lists, both sorted by attribute.
+func intersect(eu, et []uint64) attrset.Set {
+	var s attrset.Set
+	x, y := 0, 0
+	for x < len(et) && y < len(eu) {
+		at, au := et[x]>>32, eu[y]>>32
+		switch {
+		case at < au:
+			x++
+		case at > au:
+			y++
+		default:
+			if uint32(et[x]) == uint32(eu[y]) {
+				s.Add(int(at))
 			}
+			x++
+			y++
 		}
-		for lo+i >= ends[u+1] {
-			u++
-		}
-		var s attrset.Set
-		et := ec[ecOff[t]:ecOff[t+1]]
-		eu := ec[ecOff[u]:ecOff[u+1]]
-		x, y := 0, 0
-		for x < len(et) && y < len(eu) {
-			at, au := et[x]>>32, eu[y]>>32
-			switch {
-			case at < au:
-				x++
-			case at > au:
-				y++
-			default:
-				if uint32(et[x]) == uint32(eu[y]) {
-					s.Add(int(at))
-				}
-				x++
-				y++
-			}
-		}
-		batch = append(batch, s)
 	}
-	return batch, u, nil
+	return s
 }

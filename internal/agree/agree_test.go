@@ -92,24 +92,18 @@ func TestPaperExampleCoupleCount(t *testing.T) {
 	}
 }
 
+// TestChunkingMatchesUnchunked sweeps the paper example in tuple blocks
+// of several sizes: the blocks' runs, merged and Finished, are the
+// whole sweep's ag(r), and their couples sum to its count.
 func TestChunkingMatchesUnchunked(t *testing.T) {
 	db := partition.NewDatabase(relation.PaperExample())
 	whole, err := Couples(context.Background(), db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{1, 2, 3, 5, 7, 100} {
-		res, err := Couples(context.Background(), db, Options{ChunkSize: chunk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Sets.Equal(whole.Sets) {
-			t.Errorf("chunk=%d: %v != %v", chunk, res.Sets.Strings(), whole.Sets.Strings())
-		}
-		wantChunks := (res.Couples + chunk - 1) / chunk
-		if res.Chunks != wantChunks {
-			t.Errorf("chunk=%d: Chunks = %d, want %d", chunk, res.Chunks, wantChunks)
-		}
+	plan := mustPlan(t, db)
+	for _, size := range []int{1, 2, 3, 5, 7, 100} {
+		checkShards(t, plan, blocks(db.NumRows, size), VariantCouples, Options{}, whole)
 	}
 }
 
@@ -280,7 +274,7 @@ func TestCancellation(t *testing.T) {
 	if _, err := Naive(ctx, r); err == nil {
 		t.Error("naive should observe cancellation")
 	}
-	if _, err := Couples(ctx, db, Options{ChunkSize: 10}); err == nil {
+	if _, err := Couples(ctx, db, Options{}); err == nil {
 		t.Error("couples should observe cancellation")
 	}
 	if _, err := identifiers(ctx, db, Options{}); err == nil {

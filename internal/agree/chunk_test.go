@@ -3,39 +3,97 @@ package agree
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attrset"
+	"repro/internal/datagen"
 	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
-// TestChunkBoundariesExhaustive runs the couples algorithm with every
-// chunk size from 1 to couples+1 on the paper example — chunk handling
-// must never change the result or the couple count.
-func TestChunkBoundariesExhaustive(t *testing.T) {
-	db := partition.NewDatabase(relation.PaperExample())
-	ref, err := Couples(context.Background(), db, Options{})
-	if err != nil {
-		t.Fatal(err)
+// boundaryRelations are the small shapes every split point is tried on:
+// the paper example, two overlapping classes, all-duplicate rows, and
+// one large class.
+func boundaryRelations(t *testing.T) []*relation.Relation {
+	t.Helper()
+	large := [][]int{make([]int, 40), make([]int, 40)}
+	for i := range large[1] {
+		large[1][i] = i % 3
 	}
-	for chunk := 1; chunk <= ref.Couples+1; chunk++ {
-		res, err := Couples(context.Background(), db, Options{ChunkSize: chunk})
+	return []*relation.Relation{
+		relation.PaperExample(),
+		codesRelation(t, [][]int{{0, 0, 0, 1, 2}, {7, 5, 5, 5, 8}}),
+		codesRelation(t, [][]int{{4, 4, 4, 4, 4, 4}, {1, 1, 1, 1, 1, 1}, {0, 0, 0, 0, 0, 0}}),
+		codesRelation(t, large),
+	}
+}
+
+// TestChunkBoundariesExhaustive cuts the tuples of small relations at
+// every split point, into two and three shards and into blocks of every
+// size, for both variants: the union of the shard runs plus Finish must
+// equal Run at one worker, and the shards' couples must sum to its
+// count.
+func TestChunkBoundariesExhaustive(t *testing.T) {
+	for _, r := range boundaryRelations(t) {
+		plan := mustPlan(t, partition.NewDatabase(r))
+		rows := r.Rows()
+		for _, v := range []Variant{VariantCouples, VariantIdentifiers} {
+			ref, err := plan.Run(context.Background(), v, Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			splits := [][]Shard{}
+			for i := 0; i <= rows; i++ {
+				splits = append(splits, splitAt(rows, i), blocks(rows, i))
+				for j := i; j <= rows && rows <= 12; j++ {
+					splits = append(splits, splitAt(rows, i, j))
+				}
+			}
+			for _, shards := range splits {
+				checkShards(t, plan, shards, v, Options{Workers: 1}, ref)
+			}
+		}
+	}
+}
+
+// TestRandomSplitsOnGeneratedShapes cuts datagen relations into k
+// random contiguous shards, k from 2 to 6, for both variants and two
+// worker counts per shard: the merged family and the couple sum must
+// equal Run's at one worker.
+func TestRandomSplitsOnGeneratedShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, spec := range []datagen.Spec{
+		{Attrs: 6, Rows: 300, Correlation: 0.5, Seed: 1},
+		{Attrs: 12, Rows: 400, Correlation: 0.3, Seed: 2},
+		{Attrs: 8, Rows: 501, Correlation: 0.4, Seed: 3},
+	} {
+		r, err := datagen.Generate(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Sets.Equal(ref.Sets) {
-			t.Fatalf("chunk=%d changed agree sets", chunk)
-		}
-		if res.Couples != ref.Couples {
-			t.Fatalf("chunk=%d changed couple count", chunk)
+		plan := mustPlan(t, partition.NewDatabase(r))
+		for _, v := range []Variant{VariantCouples, VariantIdentifiers} {
+			ref, err := plan.Run(context.Background(), v, Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 2; k <= 6; k++ {
+				cuts := make([]int, k-1)
+				for i := range cuts {
+					cuts[i] = rng.Intn(r.Rows() + 1)
+				}
+				slices.Sort(cuts)
+				checkShards(t, plan, splitAt(r.Rows(), cuts...), v, Options{Workers: 1 + k%2}, ref)
+			}
 		}
 	}
 }
 
 // TestLargeSingleClass stresses the quadratic couple generation of one
 // big equivalence class (the paper's "equivalence classes are large"
-// regime where Dep-Miner 2 is preferable).
+// regime where Dep-Miner 2 is preferable), whole and in blocks of 100
+// tuples.
 func TestLargeSingleClass(t *testing.T) {
 	const rows = 200
 	cols := [][]int{make([]int, rows), make([]int, rows)}
@@ -48,16 +106,12 @@ func TestLargeSingleClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := partition.NewDatabase(r)
-	res, err := Couples(context.Background(), db, Options{ChunkSize: 100})
+	res, err := Couples(context.Background(), db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Couples != rows*(rows-1)/2 {
 		t.Errorf("couples = %d, want %d", res.Couples, rows*(rows-1)/2)
-	}
-	wantChunks := (res.Couples + 99) / 100
-	if res.Chunks != wantChunks {
-		t.Errorf("chunks = %d, want %d", res.Chunks, wantChunks)
 	}
 	// ag(r) = {A}: pairs share a always; pairs with i≡j (mod 3) are
 	// duplicate tuples (rows are (0, i%3)), which collapse under set
@@ -73,9 +127,13 @@ func TestLargeSingleClass(t *testing.T) {
 	if !ids.Sets.Equal(want) {
 		t.Errorf("identifiers ag = %v", ids.Sets.Strings())
 	}
+	plan := mustPlan(t, db)
+	checkShards(t, plan, blocks(rows, 100), VariantCouples, Options{}, res)
+	checkShards(t, plan, blocks(rows, 100), VariantIdentifiers, Options{}, res)
 }
 
-// TestManySmallClasses stresses the other regime: many classes of size 2.
+// TestManySmallClasses stresses the other regime: many classes of size
+// 2, whole and in blocks of 7 tuples, which cut some pairs apart.
 func TestManySmallClasses(t *testing.T) {
 	const pairs = 300
 	rows := 2 * pairs
@@ -89,19 +147,18 @@ func TestManySmallClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := partition.NewDatabase(r)
-	for _, opts := range []Options{{}, {ChunkSize: 7}} {
-		res, err := Couples(context.Background(), db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Couples != pairs {
-			t.Errorf("couples = %d, want %d", res.Couples, pairs)
-		}
-		want := attrset.Family{attrset.New(0), attrset.Empty()}
-		if !res.Sets.Equal(want) {
-			t.Errorf("ag = %v, want {∅, A}", res.Sets.Strings())
-		}
+	res, err := Couples(context.Background(), db, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res.Couples != pairs {
+		t.Errorf("couples = %d, want %d", res.Couples, pairs)
+	}
+	want := attrset.Family{attrset.New(0), attrset.Empty()}
+	if !res.Sets.Equal(want) {
+		t.Errorf("ag = %v, want {∅, A}", res.Sets.Strings())
+	}
+	checkShards(t, mustPlan(t, db), blocks(rows, 7), VariantCouples, Options{}, res)
 }
 
 // TestGenerateCouplesDedupAcrossOverlappingClasses builds overlapping MC

@@ -38,13 +38,12 @@ func randomRelation(t testing.TB, rng *rand.Rand, attrs, rows, domain int) *rela
 // TestParallelMatchesSequential pins the determinism guarantee: for both
 // stripped-partition algorithms, every worker count yields a Result
 // identical to the sequential reference (Workers=1), including the
-// Couples and Chunks counters.
+// Couples counter.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 30; iter++ {
 		r := randomRelation(t, rng, 2+rng.Intn(5), 5+rng.Intn(60), 1+rng.Intn(5))
 		db := partition.NewDatabase(r)
-		chunk := 1 + rng.Intn(64)
 		for _, algo := range []struct {
 			name string
 			run  func(Options) (*Result, error)
@@ -52,12 +51,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 			{"couples", func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
 			{"identifiers", func(o Options) (*Result, error) { return identifiers(context.Background(), db, o) }},
 		} {
-			seq, err := algo.run(Options{ChunkSize: chunk, Workers: 1})
+			seq, err := algo.run(Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				par, err := algo.run(Options{ChunkSize: chunk, Workers: workers})
+				par, err := algo.run(Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,9 +64,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("iter %d %s workers=%d: ag = %v, sequential = %v",
 						iter, algo.name, workers, par.Sets.Strings(), seq.Sets.Strings())
 				}
-				if par.Couples != seq.Couples || par.Chunks != seq.Chunks {
-					t.Fatalf("iter %d %s workers=%d: counters (%d,%d) differ from sequential (%d,%d)",
-						iter, algo.name, workers, par.Couples, par.Chunks, seq.Couples, seq.Chunks)
+				if par.Couples != seq.Couples {
+					t.Fatalf("iter %d %s workers=%d: %d couples, sequential %d",
+						iter, algo.name, workers, par.Couples, seq.Couples)
 				}
 			}
 		}
@@ -142,20 +141,19 @@ func runCancelledMidFlight(t *testing.T, fn func(context.Context) error) {
 	}
 }
 
-// TestParallelCouplesCancellationMidFlight cancels the chunked couple
-// sweep while its workers are running. ChunkSize 1 maximises dispatch
-// points so the cancellation must be noticed between chunks.
+// TestParallelCouplesCancellationMidFlight cancels the Algorithm 2
+// sweep while its workers are running: a task notices at its next batch
+// checkpoint.
 func TestParallelCouplesCancellationMidFlight(t *testing.T) {
 	db := cancellationWorkload(t, 3, 4000)
 	runCancelledMidFlight(t, func(ctx context.Context) error {
-		_, err := Couples(ctx, db, Options{ChunkSize: 1, Workers: 4})
+		_, err := Couples(ctx, db, Options{Workers: 4})
 		return err
 	})
 }
 
 // TestParallelIdentifiersCancellationMidFlight does the same for the
-// identifier-intersection algorithm, whose workers poll the context
-// inside their stride loops.
+// identifier-intersection algorithm.
 func TestParallelIdentifiersCancellationMidFlight(t *testing.T) {
 	db := cancellationWorkload(t, 24, 6000)
 	runCancelledMidFlight(t, func(ctx context.Context) error {
@@ -164,8 +162,9 @@ func TestParallelIdentifiersCancellationMidFlight(t *testing.T) {
 	})
 }
 
-// TestParallelChunkBoundaries sweeps worker × chunk-size combinations on
-// one relation, guarding the range arithmetic of the chunk scheduler.
+// TestParallelChunkBoundaries sweeps worker counts × tuple blocks of
+// chunk tuples on one relation, guarding the range arithmetic of the
+// task cut inside each block.
 func TestParallelChunkBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := randomRelation(t, rng, 4, 40, 3)
@@ -174,16 +173,11 @@ func TestParallelChunkBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := mustPlan(t, db)
 	for _, chunk := range []int{1, 2, 3, 7, 64, 1 << 20} {
 		for _, workers := range []int{2, 5} {
 			t.Run("chunk="+strconv.Itoa(chunk)+"/workers="+strconv.Itoa(workers), func(t *testing.T) {
-				res, err := Couples(context.Background(), db, Options{ChunkSize: chunk, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Sets.Equal(want.Sets) {
-					t.Errorf("ag = %v, want %v", res.Sets.Strings(), want.Sets.Strings())
-				}
+				checkShards(t, plan, blocks(r.Rows(), chunk), VariantCouples, Options{Workers: workers}, want)
 			})
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/attrset"
 	"repro/internal/partition"
 	"repro/internal/relation"
 )
@@ -36,14 +37,13 @@ func codesRelation(t *testing.T, cols [][]int) *relation.Relation {
 	return r
 }
 
-// TestPlanCouplesMatchBruteForce: the plan's regenerated couple sequence
-// holds each brute-force couple with a non-empty agree set exactly once,
-// grouped by ascending u; every Split(n) shard and random [lo, hi) cut
-// regenerates exactly its slice of that sequence; and one workerState
-// reused across two tasks that split one tuple's couples regenerates
-// both slices exactly. Relations have 0, 1 and 2 rows, constant
-// columns, duplicate rows, identical columns (the MC tie-break) and one
-// giant class.
+// TestPlanCouplesMatchBruteForce: walking every tuple meets each
+// brute-force couple with a non-empty agree set exactly once; every
+// Split(n) shard and random tuple range [lo, hi) meets exactly the
+// couples (t, u) with u in it, and ComputeShard counts them — all on one
+// reused walker. Relations have 0, 1 and 2 rows, constant columns,
+// duplicate rows, identical columns (the MC tie-break) and one giant
+// class.
 func TestPlanCouplesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var rels []*relation.Relation
@@ -86,16 +86,12 @@ func TestPlanCouplesMatchBruteForce(t *testing.T) {
 	}
 	for i, r := range rels {
 		p := mustPlan(t, partition.NewDatabase(r))
-		n := p.Couples()
-		all := regenerate(p, 0, n, &workerState{})
-		for k := 1; k < n; k++ {
-			if coupleU(all[k]) < coupleU(all[k-1]) {
-				t.Fatalf("relation %d: couple %d's u %d follows u %d", i, k, coupleU(all[k]), coupleU(all[k-1]))
-			}
-		}
+		ws := &workerState{} // one walker for every regeneration below
+		all := regenerate(p, Shard{0, r.Rows()}, ws)
 		sorted := slices.Clone(all)
 		slices.Sort(sorted)
-		if want := bruteCouples(r); !slices.Equal(sorted, want) {
+		want := bruteCouples(r)
+		if !slices.Equal(sorted, want) {
 			t.Fatalf("relation %d (%d×%d): couples %v, want %v", i, r.Rows(), r.Arity(), sorted, want)
 		}
 		var cuts []Shard
@@ -103,66 +99,47 @@ func TestPlanCouplesMatchBruteForce(t *testing.T) {
 			cuts = append(cuts, p.Split(shards)...)
 		}
 		for range 5 {
-			lo := rng.Intn(n + 1)
-			cuts = append(cuts, Shard{lo, lo + rng.Intn(n-lo+1)})
+			lo := rng.Intn(r.Rows() + 1)
+			cuts = append(cuts, Shard{lo, lo + rng.Intn(r.Rows()-lo+1)})
 		}
 		for _, sh := range cuts {
-			if got := regenerate(p, sh.Start, sh.End, &workerState{}); !slices.Equal(got, all[sh.Start:sh.End]) {
-				t.Fatalf("relation %d: range %v regenerates %v, want %v", i, sh, got, all[sh.Start:sh.End])
+			got := regenerate(p, sh, ws)
+			slices.Sort(got)
+			wantIn := slices.DeleteFunc(slices.Clone(want), func(e uint64) bool { return coupleU(e) < sh.Start || coupleU(e) >= sh.End })
+			if !slices.Equal(got, wantIn) {
+				t.Fatalf("relation %d: range %v regenerates %v, want %v", i, sh, got, wantIn)
 			}
-		}
-		// Two tasks on one worker, cut inside the couples of the tuple
-		// with the most partners.
-		if n < 2 {
-			continue
-		}
-		ends := p.cs.Ends()
-		u := 0
-		for v := range r.Rows() {
-			if ends[v+1]-ends[v] > ends[u+1]-ends[u] {
-				u = v
+			res, err := p.ComputeShard(context.Background(), sh, VariantCouples, Options{Workers: 2}, func(attrset.Set) error { return nil })
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if ends[u+1]-ends[u] < 2 {
-			continue
-		}
-		ws := &workerState{}
-		mid := ends[u] + 1 + rng.Intn(ends[u+1]-ends[u]-1)
-		for _, sh := range []Shard{{ends[u], mid}, {mid, ends[u+1]}} {
-			if got := regenerate(p, sh.Start, sh.End, ws); !slices.Equal(got, all[sh.Start:sh.End]) {
-				t.Fatalf("relation %d: reused worker regenerates %v as %v, want %v", i, sh, got, all[sh.Start:sh.End])
+			if res.Couples != len(wantIn) {
+				t.Fatalf("relation %d: range %v counts %d couples, want %d", i, sh, res.Couples, len(wantIn))
 			}
 		}
 	}
 }
 
-// regenerate regenerates the couples [lo, hi) of p on ws, as a task
-// does, encoded t<<32 | u.
-func regenerate(p *Plan, lo, hi int, ws *workerState) []uint64 {
-	var u int
-	ws.partners, u = p.cs.Partners(lo, hi, &ws.walker, ws.partners)
-	ends := p.cs.Ends()
-	if lo < hi && (ends[u] > lo || lo >= ends[u+1]) {
-		panic(fmt.Sprintf("Partners(%d, %d) reports tuple %d, whose couples are [%d, %d)", lo, hi, u, ends[u], ends[u+1]))
-	}
-	out := make([]uint64, len(ws.partners))
-	for i, t := range ws.partners {
-		for lo+i >= ends[u+1] {
-			u++
+// regenerate walks the tuples of sh on ws, as a task does, and returns
+// their couples encoded t<<32 | u.
+func regenerate(p *Plan, sh Shard, ws *workerState) []uint64 {
+	var out []uint64
+	for u := sh.Start; u < sh.End; u++ {
+		for _, t := range p.cs.Walk(u, &ws.walker) {
+			out = append(out, uint64(t)<<32|uint64(u))
 		}
-		out[i] = uint64(t)<<32 | uint64(u)
 	}
 	return out
 }
 
 func coupleU(e uint64) int { return int(uint32(e)) }
 
-// TestCouplesWideMatchesNaive: the bit-per-(attribute, couple) layout
-// assembles the same ag(r) as the naive scan at arities that span two and
-// three set words, for chunk sizes on both sides of a bit-row word, at
-// several worker counts. The 40×150 relation gives nearly every one of
-// its 11,175 couples an agree set of its own, so a couple lost at an
-// assembly-stride boundary (default chunk size) changes ag(r).
+// TestCouplesWideMatchesNaive: the sweep assembles the same ag(r) as the
+// naive scan at arities that span two and three set words, over tuple
+// blocks of several sizes (chunk=0 is one block) at several worker
+// counts, and the blocks' couples sum to the whole sweep's. The 40×150
+// relation gives nearly every one of its 11,175 couples an agree set of
+// its own, so a couple lost at a batch or block boundary changes ag(r).
 func TestCouplesWideMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ctx := context.Background()
@@ -173,74 +150,22 @@ func TestCouplesWideMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := partition.NewDatabase(r)
+		whole, err := Couples(ctx, db, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := mustPlan(t, db)
 		for _, chunk := range []int{0, 1, 7, 63, 64, 65, 4097} {
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("arity=%d/rows=%d/chunk=%d/workers=%d", shape[0], shape[1], chunk, workers), func(t *testing.T) {
-					res, err := Couples(ctx, db, Options{ChunkSize: chunk, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
+					sets, couples := runShards(t, plan, blocks(shape[1], chunk), VariantCouples, Options{Workers: workers})
+					if !sets.Equal(ref.Sets) {
+						t.Fatalf("ag(r) differs from Naive: %d sets vs %d", len(sets), len(ref.Sets))
 					}
-					if !res.Sets.Equal(ref.Sets) {
-						t.Fatalf("ag(r) differs from Naive: %d sets vs %d", len(res.Sets), len(ref.Sets))
+					if couples != whole.Couples {
+						t.Fatalf("blocks hold %d couples, the whole sweep %d", couples, whole.Couples)
 					}
 				})
-			}
-		}
-	}
-}
-
-// TestChunkCut counts Algorithm 2 tasks through the AgreeChunk hook: a
-// one-chunk plan gives min(W, ⌈couples/stride⌉) tasks at W workers, a
-// 7-couple chunk size gives one task per chunk, and Result.Chunks is the
-// paper's ⌈couples/ChunkSize⌉ whatever the worker count.
-func TestChunkCut(t *testing.T) {
-	ctx := context.Background()
-	big := [][]int{make([]int, 200), make([]int, 200)}
-	for i := range big[1] {
-		big[1][i] = i % 3
-	}
-	small := randomRelation(t, rand.New(rand.NewSource(5)), 3, 30, 3)
-	for _, r := range []*relation.Relation{codesRelation(t, big), small} {
-		db := partition.NewDatabase(r)
-		couples := mustPlan(t, db).Couples()
-		for _, workers := range []int{1, 2, 3, 8} {
-			fires := countSweeps(t)
-			res, err := Couples(ctx, db, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := min(workers, (couples+stride-1)/stride); fires.Load() != int64(want) {
-				t.Errorf("%d couples, workers=%d: %d tasks, want %d", couples, workers, fires.Load(), want)
-			}
-			if res.Chunks != 1 {
-				t.Errorf("%d couples, workers=%d: Chunks = %d, want 1", couples, workers, res.Chunks)
-			}
-			fires.Store(0)
-			res, err = Couples(ctx, db, Options{ChunkSize: 7, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := (couples + 6) / 7
-			if fires.Load() != int64(want) || res.Chunks != want {
-				t.Errorf("%d couples, chunk=7, workers=%d: %d tasks, Chunks = %d, want %d", couples, workers, fires.Load(), res.Chunks, want)
-			}
-		}
-	}
-}
-
-// TestTaskSize pins the cut itself: no task exceeds a chunk, none is cut
-// below stride unless the chunk is smaller, and W workers never get more
-// than max(W, chunks) tasks.
-func TestTaskSize(t *testing.T) {
-	for _, n := range []int{1, 7, stride - 1, stride, 3*stride + 1, 1 << 20, 5 << 20} {
-		for _, chunk := range []int{1, 7, stride, 1 << 14, DefaultChunkSize} {
-			for _, workers := range []int{1, 2, 3, 8} {
-				size := taskSize(n, chunk, workers)
-				tasks := (n + size - 1) / size
-				chunks := (n + chunk - 1) / chunk
-				if size > chunk || size < min(chunk, stride) || tasks > max(workers, chunks) {
-					t.Errorf("n=%d chunk=%d workers=%d: task size %d (%d tasks, %d chunks)", n, chunk, workers, size, tasks, chunks)
-				}
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/attrset"
+	"repro/internal/datagen"
 	"repro/internal/extsort"
 	"repro/internal/faultinject"
 	"repro/internal/guard"
@@ -34,52 +35,63 @@ type fakeRemote struct {
 
 	mu       sync.Mutex
 	variants []Variant
-	runs     map[Shard][]byte
+	runs     map[Shard]servedRun
+	adopted  int64 // wire bytes of the runs Fetch delivered
 }
 
-func (f *fakeRemote) Shards(int) int { return f.n }
+// servedRun is a shard's run in the wire format and its couple count.
+type servedRun struct {
+	run     []byte
+	couples int
+}
 
-func (f *fakeRemote) Fetch(ctx context.Context, i int, sh Shard, v Variant, sp *extsort.Spiller) error {
+func (f *fakeRemote) Shards() int { return f.n }
+
+func (f *fakeRemote) Fetch(ctx context.Context, i int, sh Shard, v Variant, sp *extsort.Spiller) (int, error) {
 	f.mu.Lock()
 	f.variants = append(f.variants, v)
 	f.mu.Unlock()
 	if f.fail != nil {
 		if err := f.fail(i); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	run, err := f.run(ctx, sh, v)
+	sr, err := f.run(ctx, sh, v)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	pr, err := sp.AdoptRun(bytes.NewReader(run), 0)
+	pr, err := sp.AdoptRun(bytes.NewReader(sr.run), 0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	pr.Commit()
-	return nil
+	f.mu.Lock()
+	f.adopted += int64(len(sr.run))
+	f.mu.Unlock()
+	return sr.couples, nil
 }
 
-// run is shard sh's run in the wire format, computed on first use.
-func (f *fakeRemote) run(ctx context.Context, sh Shard, v Variant) ([]byte, error) {
+// run is shard sh's served run, computed on first use.
+func (f *fakeRemote) run(ctx context.Context, sh Shard, v Variant) (servedRun, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if run, ok := f.runs[sh]; ok {
-		return run, nil
+	if sr, ok := f.runs[sh]; ok {
+		return sr, nil
 	}
 	var buf bytes.Buffer
 	rw := extsort.NewRunWriter(&buf)
-	if _, err := f.plan.ComputeShard(ctx, sh, v, Options{Workers: 1}, rw.Write); err != nil {
-		return nil, err
+	res, err := f.plan.ComputeShard(ctx, sh, v, Options{Workers: 1}, rw.Write)
+	if err != nil {
+		return servedRun{}, err
 	}
 	if err := rw.Close(); err != nil {
-		return nil, err
+		return servedRun{}, err
 	}
 	if f.runs == nil {
-		f.runs = map[Shard][]byte{}
+		f.runs = map[Shard]servedRun{}
 	}
-	f.runs[sh] = buf.Bytes()
-	return buf.Bytes(), nil
+	f.runs[sh] = servedRun{buf.Bytes(), res.Couples}
+	return f.runs[sh], nil
 }
 
 // countSweeps arms both sweep hooks with a counter of local sweep tasks.
@@ -216,5 +228,51 @@ func TestRemoteEmptyCoupleSpace(t *testing.T) {
 	}
 	if len(remote.variants) != 0 || !slices.Equal(res.Sets, attrset.Family{attrset.Empty()}) {
 		t.Fatalf("fetches=%d sets=%v, want none and {∅}", len(remote.variants), res.Sets)
+	}
+}
+
+// TestBudgetChargePinned pins what a governed run charges on the tall
+// shape (12×30,000, c=0.5, seed 1): its 359,428 couples plus |ag(r)|,
+// whether swept at one or two workers or fanned out over two fake
+// remote shards with either one failing — the served shard's couples
+// charged from its attestation, the failed one's by the local sweep.
+// An adopted remote run also charges its wire bytes under "extsort".
+func TestBudgetChargePinned(t *testing.T) {
+	r, err := datagen.Generate(datagen.Spec{Attrs: 12, Rows: 30000, Correlation: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mustPlan(t, partition.NewDatabase(r))
+	const couples = 359428
+	ctx := context.Background()
+	check := func(name string, workers int, remote *fakeRemote) {
+		t.Helper()
+		b := guard.New(guard.Limits{Units: 1 << 40})
+		var res *Result
+		var err error
+		adopted := int64(0)
+		if remote == nil {
+			res, err = plan.Run(ctx, VariantCouples, Options{Workers: workers, Budget: b}, nil)
+		} else {
+			res, err = plan.Run(ctx, VariantCouples, Options{Workers: workers, Budget: b}, remote)
+			adopted = remote.adopted
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := int64(couples+len(res.Sets)) + adopted; res.Couples != couples || b.Used() != want {
+			t.Fatalf("%s: %d couples, %d units used, want %d + |ag(r)| + %d adopted bytes = %d",
+				name, res.Couples, b.Used(), couples, adopted, want)
+		}
+	}
+	check("workers=1", 1, nil)
+	check("workers=2", 2, nil)
+	for _, failing := range []int{0, 1} {
+		check(fmt.Sprintf("remote shard %d failing", failing), 2, &fakeRemote{plan: plan, n: 2, fail: func(i int) error {
+			if i == failing {
+				return errors.New("worker down")
+			}
+			return nil
+		}})
 	}
 }

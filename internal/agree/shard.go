@@ -1,39 +1,39 @@
-// Shard computation: the agree-set sweep over an explicit couple range,
+// Shard computation: the agree-set sweep over an explicit tuple range,
 // the unit a distributed discovery dispatches to workers, and the fan-out
 // that makes some of a run's shards remote.
 //
-// A Plan pins the shardable state both sides must agree on: the couple
-// space of MC, numbered u-major by partition.CoupleSpace, so a
-// [Start,End) index range names the same couples on every node that
-// builds its plan from the same relation bytes; content fingerprints
-// make "same bytes" verifiable. Ranges only match under one numbering:
-// it is a function of the stripped partition database and of the walk
-// that numbers it, not of the couples as a set, so nodes exchange its
-// name (partition.CoupleNumbering) with every range. ComputeShard
-// regenerates and
-// sweeps only its range and emits the deduplicated agree sets in raw
-// word order (extsort.Compare) — the run order — without the canonical
-// sort or the empty-set completion, which belong to whoever unions the
-// shards. Finish applies exactly that tail once over the merged family.
+// A shard is a block of tuples [Start, End), and stands for their
+// couples: each tuple u with every earlier tuple t < u sharing a class
+// with it. That set is a function of the data alone — not of the walk
+// order, nor of which classes the MC test keeps, since every dominated
+// class lies inside a kept one — so a tuple range names the same
+// couples on every node that builds its plan from the same relation
+// bytes, and content fingerprints make "same bytes" verifiable. No
+// numbering of the couples needs to be shared. ComputeShard sweeps only
+// its tuples and emits the deduplicated agree sets in raw word order
+// (extsort.Compare) — the run order — without the canonical sort or the
+// empty-set completion, which belong to whoever unions the shards.
+// Finish applies exactly that tail once over the merged family.
 //
 // Plan.Run with a Remote is that union: each shard's run is fetched from
 // the remote source or, when the fetch fails, swept locally, and every
 // run joins the one merge a local sweep uses.
 //
 // Byte-identity argument (the distributed analogue of the spill
-// contract): the shards are contiguous ranges of one numbering of the
-// deduplicated couple space, so their union examines exactly the
-// couples the single-node sweep examines, each once; every shard's
-// output is a sorted deduplicated run; the k-way dedup merge of sorted
-// runs is insensitive to how its inputs were partitioned; and the one
-// canonical sort plus empty-set completion then run once, identically.
-// Where shard boundaries fall can therefore never change the merged
-// family — and hence never the cover.
+// contract): the shards partition the tuples, so their union examines
+// exactly the couples the single-node sweep examines, each once, and
+// their couple counts sum to its count; every shard's output is a
+// sorted deduplicated run; the k-way dedup merge of sorted runs is
+// insensitive to how its inputs were partitioned; and the one canonical
+// sort plus empty-set completion then run once, identically. Where
+// shard boundaries fall can therefore never change the merged family —
+// and hence never the cover.
 package agree
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/attrset"
@@ -67,21 +67,18 @@ func (v Variant) String() string {
 	return "couples scan"
 }
 
-// Shard is a half-open couple index range [Start, End) into the plan's
-// couple space.
+// Shard is a half-open tuple range [Start, End) of the plan: the
+// couples (t, u) with Start ≤ u < End.
 type Shard struct {
 	Start, End int
 }
 
 // Plan is the frame of one agree-set computation: the stripped-partition
-// database and its couple space. Run sweeps a Plan's full couple range,
-// ComputeShard a sub-range, through the same sweep; every task
-// regenerates the couples of its own range. Coordinator and workers
-// each build a Plan from the same relation bytes under the same
-// numbering; equality of the couple count is the cheap structural check
-// that they did. The identifier
-// arena is built lazily, once, and shared by concurrent ComputeShard
-// calls.
+// database and its couple space. Run sweeps all of a Plan's tuples,
+// ComputeShard a range of them, through the same sweep. Coordinator and
+// workers each build a Plan from the same relation bytes. The
+// identifier arena is built lazily, once, and shared by concurrent
+// ComputeShard calls.
 type Plan struct {
 	db *partition.Database
 	cs *partition.CoupleSpace
@@ -102,31 +99,41 @@ func NewPlan(ctx context.Context, db *partition.Database, workers int) (*Plan, e
 	return &Plan{db: db, cs: cs}, nil
 }
 
-// Couples returns the total couple count — the space Split partitions.
-func (p *Plan) Couples() int { return p.cs.Couples() }
+// Rows returns |r|, the tuple range shards are cut from.
+func (p *Plan) Rows() int { return p.db.NumRows }
 
-// Split partitions the plan's couple space into n contiguous near-equal
-// shards; see the function Split.
-func (p *Plan) Split(n int) []Shard { return Split(p.Couples(), n) }
+// Split cuts the plan's tuples into at most n contiguous shards of
+// near-equal walk cost (partition.CoupleSpace.Cost), every one holding
+// couples; a plan without couples has no shards.
+func (p *Plan) Split(n int) []Shard { return p.cut(Shard{0, p.Rows()}, n) }
 
-// Split partitions a space of total couples into n contiguous near-equal
-// shards (never more shards than couples; an empty couple space yields
-// one empty shard, so the pipeline shape is uniform).
-func Split(total, n int) []Shard {
-	if n < 1 {
-		n = 1
-	}
+// cut splits the tuples of sh into at most n contiguous blocks of
+// near-equal walk cost, each with a positive cost, together covering
+// sh; it returns nil when sh has no couples. Block i ends at the first
+// tuple boundary where the cost reaches i/n of the total, and a block
+// that would cost nothing joins the next one.
+func (p *Plan) cut(sh Shard, n int) []Shard {
+	cost := p.cs.Cost()
+	base, total := cost[sh.Start], cost[sh.End]-cost[sh.Start]
 	if total == 0 {
-		return []Shard{{0, 0}}
+		return nil
 	}
-	if n > total {
-		n = total
+	n = int(max(1, min(int64(n), total)))
+	blocks := make([]Shard, 0, n)
+	lo := sh.Start
+	for i := 1; i <= n; i++ {
+		hi := sh.End
+		if i < n {
+			off, _ := slices.BinarySearch(cost[lo:sh.End+1], base+total*int64(i)/int64(n))
+			hi = lo + off
+		}
+		if cost[hi] > cost[lo] {
+			blocks = append(blocks, Shard{lo, hi})
+			lo = hi
+		}
 	}
-	shards := make([]Shard, 0, n)
-	for i := 0; i < n; i++ {
-		shards = append(shards, Shard{Start: i * total / n, End: (i + 1) * total / n})
-	}
-	return shards
+	blocks[len(blocks)-1].End = sh.End
+	return blocks
 }
 
 func (p *Plan) ecIndex() ([]int32, []uint64) {
@@ -140,33 +147,36 @@ func (p *Plan) ecIndex() ([]int32, []uint64) {
 type ShardResult struct {
 	// Sets is the number of agree sets emitted.
 	Sets int64
+	// Couples is the number of couples the shard's tuples hold.
+	Couples int
 	// Spill counts the shard's own out-of-core activity (all-zero when the
 	// shard's accumulation stayed in memory).
 	Spill extsort.Stats
 }
 
-// ComputeShard sweeps the couples in sh and emits the shard's
+// ComputeShard sweeps the tuples in sh and emits the shard's
 // deduplicated agree sets in raw run order (strictly increasing
-// extsort.Compare), sequentially from one goroutine. No canonical sort,
-// no empty-set completion — see Finish.
+// extsort.Compare). No canonical sort, no empty-set completion — see
+// Finish.
 //
-// Budget contract: ComputeShard does not charge the couple count — the
-// caller charges it (the coordinator once for the whole space, a worker
-// per request), keeping governed totals identical to single-node runs.
-// opts.Budget still governs the sweep's deadline checkpoints and any
-// spill bytes.
+// Budget contract: the sweep charges its couples to opts.Budget as it
+// meets them, exactly as a local sweep of the same tuples would, and
+// opts.Budget governs its deadline checkpoints and any spill bytes. A
+// coordinator charges a remote shard's attested couples to its own
+// budget, keeping governed totals identical to single-node runs.
 //
 // Errors: a sweep or spill failure is returned before anything is
 // emitted, so stream producers can still send a clean error. Only a
 // failure during the final merge read-back (or from emit itself) can
 // surface after emission started.
 func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Options, emit func(attrset.Set) error) (*ShardResult, error) {
-	if sh.Start < 0 || sh.End < sh.Start || sh.End > p.Couples() {
-		return nil, fmt.Errorf("agree: shard [%d,%d) outside couple range [0,%d]", sh.Start, sh.End, p.Couples())
+	if sh.Start < 0 || sh.End < sh.Start || sh.End > p.Rows() {
+		return nil, fmt.Errorf("agree: shard [%d,%d) outside tuple range [0,%d]", sh.Start, sh.End, p.Rows())
 	}
 	res := &ShardResult{}
 	sp := newSpiller(opts, false)
-	locals, err := p.sweep(ctx, sh.Start, sh.End, v, opts, sp)
+	locals, couples, err := p.sweep(ctx, sh, v, opts, sp)
+	res.Couples = couples
 	if sp != nil {
 		defer func() {
 			res.Spill = sp.Stats()
@@ -200,47 +210,50 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 }
 
 // Finish turns the raw-order union of the shards' emitted runs into the
-// final ag(r): the one canonical sort plus the empty-set completion —
-// exactly the tail of the single-node computation, applied once by
-// whoever merged the shards.
-func (p *Plan) Finish(sets attrset.Family) attrset.Family {
+// final ag(r): the one canonical sort plus the empty-set completion,
+// given the shards' total couple count — exactly the tail of the
+// single-node computation, applied once by whoever merged the shards.
+func (p *Plan) Finish(sets attrset.Family, couples int) attrset.Family {
 	if sets == nil {
 		sets = attrset.Family{}
 	}
 	sets.Sort()
-	return addEmptyIfUncovered(p.db, p.Couples(), sets)
+	return addEmptyIfUncovered(p.db, couples, sets)
 }
 
 // Remote is a source of sorted runs computed elsewhere — a worker fleet.
-// Plan.Run fans its couple space out over the remote's shards; a shard
-// the remote cannot serve is swept locally, so a Remote only ever saves
+// Plan.Run fans its tuples out over the remote's shards; a shard the
+// remote cannot serve is swept locally, so a Remote only ever saves
 // local work and never changes the family.
 type Remote interface {
-	// Shards is called once per run, before any Fetch, with the size of
-	// the couple space; it returns how many contiguous shards to split it
-	// into (Split clamps the count).
-	Shards(couples int) int
-	// Fetch computes shard i with variant v elsewhere and adopts its run
-	// into sp (extsort.Spiller.AdoptRun, then Commit). On error nothing
+	// Shards is called once per run, before any Fetch; it returns how
+	// many shards to split the tuples into (Split may make fewer).
+	Shards() int
+	// Fetch computes shard i with variant v elsewhere, adopts its run
+	// into sp (extsort.Spiller.AdoptRun, then Commit), and returns the
+	// shard's couple count as the remote attested it. On error nothing
 	// of the shard may remain in sp. A governed error (guard.Governed)
 	// fails the run, because the budget is shared; any other error
 	// makes the run sweep the shard locally. Fetch is called
-	// concurrently, one goroutine per non-empty shard.
-	Fetch(ctx context.Context, i int, sh Shard, v Variant, sp *extsort.Spiller) error
+	// concurrently, one goroutine per shard.
+	Fetch(ctx context.Context, i int, sh Shard, v Variant, sp *extsort.Spiller) (couples int, err error)
 }
 
-// fanOut runs every non-empty shard on its own goroutine: fetched from
-// remote into sp or, when the fetch fails, swept locally into workers
-// that spill into the same sp. It returns the local sweeps' workers for
-// the merge. The first fatal error — a governed fetch failure or a
-// failed local sweep — cancels the sibling shards and is returned.
-func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Options, remote Remote, sp *extsort.Spiller) ([]*workerState, error) {
+// fanOut runs every shard on its own goroutine: fetched from remote
+// into sp, its attested couples charged to the run's budget, or, when
+// the fetch fails, swept locally into workers that spill into the same
+// sp. It returns the local sweeps' workers for the merge, and the
+// couples of every shard that completed. The first fatal error — a
+// governed fetch failure or charge, or a failed local sweep — cancels
+// the sibling shards and is returned.
+func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Options, remote Remote, sp *extsort.Spiller) ([]*workerState, int, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		locals   []*workerState
+		couples  int
 		firstErr error
 	)
 	fail := func(err error) {
@@ -252,15 +265,18 @@ func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Optio
 		}
 	}
 	for i, sh := range shards {
-		if sh.Start == sh.End {
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ferr := remote.Fetch(ctx, i, sh, v, sp)
+			n, ferr := remote.Fetch(ctx, i, sh, v, sp)
 			switch {
 			case ferr == nil:
+				mu.Lock()
+				couples += n
+				mu.Unlock()
+				if err := opts.Budget.Charge("agree", n); err != nil {
+					fail(err)
+				}
 				return
 			case guard.Governed(ferr):
 				fail(ferr)
@@ -269,9 +285,10 @@ func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Optio
 				fail(ctx.Err()) // cancelled, or a sibling already failed
 				return
 			}
-			ws, err := p.sweep(ctx, sh.Start, sh.End, v, opts, sp)
+			ws, n, err := p.sweep(ctx, sh, v, opts, sp)
 			mu.Lock()
 			locals = append(locals, ws...)
+			couples += n
 			mu.Unlock()
 			if err != nil {
 				fail(fmt.Errorf("shard [%d,%d) local fallback (remote: %v): %w", sh.Start, sh.End, ferr, err))
@@ -279,5 +296,5 @@ func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Optio
 		}()
 	}
 	wg.Wait()
-	return locals, firstErr
+	return locals, couples, firstErr
 }

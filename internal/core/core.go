@@ -46,7 +46,7 @@ type AgreeAlgorithm int
 const (
 	// AgreeCouples is Algorithm 2 (the "Dep-Miner" variant of the
 	// evaluation): couples of maximal equivalence classes swept against
-	// the stripped partitions, chunked to bound memory.
+	// the stripped partitions, tuple by tuple.
 	AgreeCouples AgreeAlgorithm = iota
 	// AgreeIdentifiers is Algorithm 3 ("Dep-Miner 2"): per-tuple
 	// equivalence-class identifier lists intersected per couple.
@@ -93,15 +93,12 @@ const (
 	ArmstrongNone
 )
 
-// Options configure a discovery run. The zero value runs Algorithm 2 with
-// the default chunk size, all cores, and builds a real-world Armstrong
-// relation with synthetic fallback.
+// Options configure a discovery run. The zero value runs Algorithm 2 on
+// all cores and builds a real-world Armstrong relation with synthetic
+// fallback.
 type Options struct {
 	// Algorithm selects the miner.
 	Algorithm AgreeAlgorithm
-	// ChunkSize bounds couples in memory for AgreeCouples; 0 means
-	// agree.DefaultChunkSize.
-	ChunkSize int
 	// Armstrong selects step 5's behaviour.
 	Armstrong ArmstrongMode
 	// Workers is the worker-pool width of the parallel pipeline phases
@@ -141,9 +138,6 @@ var ErrInvalidOptions = guard.ErrInvalidOptions
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("%w: negative Workers %d", ErrInvalidOptions, o.Workers)
-	}
-	if o.ChunkSize < 0 {
-		return fmt.Errorf("%w: negative ChunkSize %d", ErrInvalidOptions, o.ChunkSize)
 	}
 	if o.MaxAgreeBytes < 0 {
 		return fmt.Errorf("%w: negative MaxAgreeBytes %d", ErrInvalidOptions, o.MaxAgreeBytes)
@@ -202,9 +196,8 @@ type Result struct {
 	// ArmstrongSynthetic reports that the synthetic construction was
 	// used (always, or as fallback).
 	ArmstrongSynthetic bool
-	// Couples is the number of tuple couples examined by step 1; Chunks
-	// the number of chunk passes.
-	Couples, Chunks int
+	// Couples is the number of tuple couples examined by step 1.
+	Couples int
 	// Stats records per-phase wall-clock durations and spill traffic.
 	Stats Stats
 	// Partial reports that the run stopped early — budget or deadline
@@ -247,12 +240,12 @@ type Input struct {
 	// Source supplies the dictionary-coded columns step 1 partitions.
 	Source partition.ColumnSource
 	// Agree is a complete, canonical ag(r) plus the counters of whatever
-	// computed it (couples, chunks, spill), adopted into the Result as is.
+	// computed it (couples, spill), adopted into the Result as is.
 	Agree *agree.Result
 	// Arity is the schema width, read only when Source is nil.
 	Arity int
 	// Remote, when set, is where some of step 1's runs come from: the
-	// couple space is fanned out over its shards, and a shard it fails to
+	// tuples are fanned out over its shards, and a shard it fails to
 	// serve is swept locally (agree.Plan.Run). nil sweeps locally.
 	Remote agree.Remote
 }
@@ -327,7 +320,6 @@ func adoptAgree(res *Result, agr *agree.Result) {
 	}
 	res.AgreeSets = agr.Sets
 	res.Couples = agr.Couples
-	res.Chunks = agr.Chunks
 	res.Stats.Spill = agr.Spill
 	res.Stats.AgreeMerge = agr.Merge
 }
@@ -360,7 +352,6 @@ func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Optio
 	t0 := time.Now()
 	defer func() { res.Stats.AgreeSets = time.Since(t0) }()
 	aopts := agree.Options{
-		ChunkSize:     opts.ChunkSize,
 		Workers:       opts.Workers,
 		Budget:        opts.Budget,
 		MaxAgreeBytes: opts.MaxAgreeBytes,

@@ -151,7 +151,7 @@ func TestRunInputsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := &agree.Result{Sets: want.AgreeSets, Couples: want.Couples, Chunks: want.Chunks}
+		full := &agree.Result{Sets: want.AgreeSets, Couples: want.Couples}
 		for _, tc := range []struct {
 			in        string
 			input     Input
@@ -374,7 +374,6 @@ func TestPropertyDiscoverMatchesBruteForce(t *testing.T) {
 			res, err := Discover(context.Background(), r, Options{
 				Algorithm: algo,
 				Armstrong: ArmstrongNone,
-				ChunkSize: 1 + rng.Intn(50),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -20,9 +20,9 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", Options{}, true},
-		{"full", Options{Algorithm: AgreeIdentifiers, ChunkSize: 10, Workers: 3, Armstrong: ArmstrongNone}, true},
+		{"full", Options{Algorithm: AgreeIdentifiers, Workers: 3, MaxAgreeBytes: 10, Armstrong: ArmstrongNone}, true},
 		{"neg-workers", Options{Workers: -1}, false},
-		{"neg-chunk", Options{ChunkSize: -1}, false},
+		{"neg-spill", Options{MaxAgreeBytes: -1}, false},
 		{"bad-algo", Options{Algorithm: AgreeAlgorithm(7)}, false},
 		{"neg-algo", Options{Algorithm: AgreeAlgorithm(-1)}, false},
 		{"bad-armstrong", Options{Armstrong: ArmstrongMode(9)}, false},

@@ -1,9 +1,10 @@
 package core
 
 // Pipeline-level determinism test for the parallel execution layer: a
-// Result produced with Workers=N must be identical — FD cover, agree
-// sets, maximal sets, per-attribute LHS families and counters — to the
-// sequential reference (Workers=1).
+// Result produced with Workers=N, swept locally or over explicit tuple
+// shards served through ComputeShard, must be identical — FD cover,
+// agree sets, maximal sets, per-attribute LHS families and the couple
+// count — to the sequential reference (Workers=1).
 
 import (
 	"context"
@@ -11,14 +12,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/agree"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
 // resultFingerprint renders every deterministic field of a Result (all
 // but the timings) so two runs can be compared byte-for-byte.
 func resultFingerprint(res *Result) string {
-	return fmt.Sprintf("fds=%v ag=%v max=%v lhs=%v couples=%d chunks=%d",
-		res.FDs, res.AgreeSets, res.MaxSets, res.LHS, res.Couples, res.Chunks)
+	return fmt.Sprintf("fds=%v ag=%v max=%v lhs=%v couples=%d",
+		res.FDs, res.AgreeSets, res.MaxSets, res.LHS, res.Couples)
 }
 
 func TestParallelDiscoverMatchesSequential(t *testing.T) {
@@ -38,25 +41,29 @@ func TestParallelDiscoverMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan, err := agree.NewPlan(context.Background(), partition.NewDatabase(r), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, algo := range []AgreeAlgorithm{AgreeCouples, AgreeIdentifiers} {
-			chunk := 1 + rng.Intn(32)
-			seq, err := Discover(context.Background(), r, Options{
-				Algorithm: algo, ChunkSize: chunk, Armstrong: ArmstrongNone, Workers: 1,
-			})
+			seq, err := Discover(context.Background(), r, Options{Algorithm: algo, Armstrong: ArmstrongNone, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := resultFingerprint(seq)
+			shards := 1 + rng.Intn(8)
 			for _, workers := range []int{0, 2, 7} {
-				par, err := Discover(context.Background(), r, Options{
-					Algorithm: algo, ChunkSize: chunk, Armstrong: ArmstrongNone, Workers: workers,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := resultFingerprint(par); got != want {
-					t.Fatalf("iter %d algo %v workers=%d:\n got %s\nwant %s",
-						iter, algo, workers, got, want)
+				for _, remote := range []agree.Remote{nil, &recordingRemote{plan: plan, n: shards}} {
+					par, err := Run(context.Background(), Input{Source: r, Remote: remote}, Options{
+						Algorithm: algo, Armstrong: ArmstrongNone, Workers: workers,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := resultFingerprint(par); got != want {
+						t.Fatalf("iter %d algo %v workers=%d shards=%d:\n got %s\nwant %s",
+							iter, algo, workers, shards, got, want)
+					}
 				}
 			}
 		}

@@ -23,26 +23,27 @@ type recordingRemote struct {
 	variants []agree.Variant
 }
 
-func (r *recordingRemote) Shards(int) int { return r.n }
+func (r *recordingRemote) Shards() int { return r.n }
 
-func (r *recordingRemote) Fetch(ctx context.Context, _ int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) error {
+func (r *recordingRemote) Fetch(ctx context.Context, _ int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) (int, error) {
 	r.mu.Lock()
 	r.variants = append(r.variants, v)
 	r.mu.Unlock()
 	var buf bytes.Buffer
 	rw := extsort.NewRunWriter(&buf)
-	if _, err := r.plan.ComputeShard(ctx, sh, v, agree.Options{Workers: 1}, rw.Write); err != nil {
-		return err
+	res, err := r.plan.ComputeShard(ctx, sh, v, agree.Options{Workers: 1}, rw.Write)
+	if err != nil {
+		return 0, err
 	}
 	if err := rw.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	pr, err := sp.AdoptRun(&buf, 0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	pr.Commit()
-	return nil
+	return res.Couples, nil
 }
 
 // TestRemoteFetchesRunVariant: core maps each miner to its agree
@@ -85,8 +86,8 @@ func TestRemoteFetchesRunVariant(t *testing.T) {
 					t.Fatalf("fetch %d asked for %s, want %s", i, v, tc.want)
 				}
 			}
-			if fmt.Sprint(got.FDs) != fmt.Sprint(want.FDs) {
-				t.Fatal("fanned-out cover differs from the single-node one")
+			if fmt.Sprint(got.FDs) != fmt.Sprint(want.FDs) || got.Couples != want.Couples {
+				t.Fatal("fanned-out cover or couple count differs from the single-node one")
 			}
 		})
 	}

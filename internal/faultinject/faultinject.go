@@ -29,8 +29,8 @@ const (
 	CoreLHS         = "core/lhs"         // before steps 3–4 (transversals)
 	CoreArmstrong   = "core/armstrong"   // before step 5 (Armstrong relation)
 	PoolTask        = "pool/task"        // inside every worker-pool task dispatch
-	AgreeChunk      = "agree/chunk"      // inside each Algorithm 2 chunk sweep
-	AgreeStride     = "agree/stride"     // inside each Algorithm 3 couple stride
+	AgreeChunk      = "agree/chunk"      // at each Algorithm 2 batch of couples
+	AgreeStride     = "agree/stride"     // at each Algorithm 3 batch of couples
 	HypergraphLevel = "hypergraph/level" // at each transversal-search level
 	TANELevel       = "tane/level"       // at each TANE lattice level
 	KeysLevel       = "keys/level"       // at each key-search lattice level

@@ -13,20 +13,18 @@ import (
 // CoupleSpace is the couple space of MC (paper §3.1, Lemma 1) as a
 // function rather than a list: only couples inside some class of
 // MC = Max⊆{c ∈ π̂_A | π̂_A ∈ r̂} can have a non-empty agree set, and
-// couple k is computed on demand, by a binary search over Ends plus the
-// walk of one tuple's classes, from a table of O(|r| + ‖r̂‖) entries.
+// tuple u's couples are computed on demand, by one walk over u's
+// classes, from a table of O(|r| + ‖r̂‖) entries.
 //
-// The couples are ordered u-major. Tuple u's partners are the tuples
-// t < u sharing a kept class with u, each once, in the order a walk
-// over u's kept classes meets them: attribute by attribute, each class
-// run up to u (classes are ascending). Couple k belongs to the u with
-// Ends()[u] ≤ k < Ends()[u+1], and is u's (k − Ends()[u])-th partner.
-// Two spaces built from identical databases by the same numbering
-// (CoupleNumbering) number their couples identically, whatever the
-// worker counts; nothing else does.
+// Tuple u's couples are (t, u) for the tuples t < u that share a kept
+// class with u, each once. That set is the data's alone: every
+// dominated class lies inside a kept one, so it does not depend on
+// which classes the MC test keeps, and it does not depend on the order
+// a walk meets them. A tuple range [lo, hi) therefore names the same
+// couples on every node that holds the same relation.
 //
-// A CoupleSpace is read-only once built: concurrent Partners and
-// AgreeSets calls are safe, each with its own Walker.
+// A CoupleSpace is read-only once built: concurrent Walk and AgreeSets
+// calls are safe, each with its own Walker.
 type CoupleSpace struct {
 	db *Database
 	// base[a] is the offset of π̂_a's row store in the concatenation of
@@ -40,40 +38,25 @@ type CoupleSpace struct {
 	// complemented (^start, negative) in all its tuples' lists: the
 	// couple walk skips it, the agree-set walk still reads it.
 	off, starts []int32
-	// ends[u] is the number of couples whose tuple u' < u: a prefix sum
-	// of the tuples' partner counts, |r|+1 entries.
-	ends []int
-	// widest is the largest partner count of one tuple.
-	widest int
+	// cost[u] is the walk cost of the tuples before u, |r|+1 prefix
+	// sums: a tuple costs Σ over its classes of its position in the
+	// class, the tuples a walk over all its classes steps over. It bounds
+	// the tuple's couple count from above, and is positive exactly when
+	// the tuple has a couple.
+	cost []int64
 }
-
-// CoupleNumbering names the order CoupleSpace numbers couples in. Nodes
-// that exchange couple index ranges exchange it too, so a range is only
-// ever read under the numbering it was cut in. Any change to that order
-// — the walk, the table's class order, which classes the MC test keeps
-// — must change this name; TestCoupleNumberingPinned fails until it
-// does.
-const CoupleNumbering = "mc-u-major/1"
-
-// countBlock is the tuple count of one counting task: small enough to
-// balance tuples whose walks differ by orders of magnitude, large
-// enough to amortise dispatch.
-const countBlock = 1 << 10
 
 // NewCoupleSpace builds db's couple space over up to workers goroutines
 // (0 meaning GOMAXPROCS; at 1 everything runs on the calling
-// goroutine), in three passes:
+// goroutine), in two passes:
 //
-//  1. the class-start table: every attribute's classes entered into
-//     their tuples' lists, attributes split into contiguous groups
-//     filled in parallel;
+//  1. the class-start table and the tuples' costs: every attribute's
+//     classes entered into their tuples' lists, attributes split into
+//     contiguous groups filled in parallel;
 //  2. the MC test, gated: a class of k tuples is tested for domination
 //     only when k(k−1)/2 > |R|, in parallel per attribute over the
 //     un-pruned table, and the dominated classes are unmarked after all
-//     tests finished;
-//  3. a count of every tuple's distinct partners, in parallel over
-//     blocks of tuples, each worker with its own Walker, summed into
-//     Ends.
+//     tests finished.
 //
 // The gate can never add cost. An untested dominated class wastes at
 // most k(k−1)/2 ≤ |R| walk steps, on couples a per-walk stamp drops as
@@ -84,7 +67,7 @@ const countBlock = 1 << 10
 // It fails only when ctx ends, a pool task fails (the PoolTask fault
 // point, or a contained panic), or ‖r̂‖ exceeds the int32 table.
 func NewCoupleSpace(ctx context.Context, db *Database, workers int) (*CoupleSpace, error) {
-	cs := &CoupleSpace{db: db, base: make([]int32, len(db.Attr)+1), ends: make([]int, db.NumRows+1)}
+	cs := &CoupleSpace{db: db, base: make([]int32, len(db.Attr)+1)}
 	total := 0
 	for a, p := range db.Attr {
 		total += len(p.rows)
@@ -100,45 +83,49 @@ func NewCoupleSpace(ctx context.Context, db *Database, workers int) (*CoupleSpac
 	if err := cs.prune(ctx, workers); err != nil {
 		return nil, err
 	}
-	if err := cs.count(ctx, workers); err != nil {
-		return nil, err
-	}
 	return cs, nil
 }
 
-// index fills off and starts, the class-start table. Attributes are cut
-// into one contiguous group per worker; each group first counts its
-// classes per tuple, a serial pass turns the counts into every group's
-// cursor within each tuple's list, and each group then enters its
-// classes at its own cursors. Groups follow attribute order, so every
-// list comes out ascending.
+// index fills off, starts and cost. Attributes are cut into one
+// contiguous group per worker; each group first counts its classes and
+// adds up its positions per tuple, a serial pass turns the counts into
+// every group's cursor within each tuple's list and the positions into
+// cost, and each group then enters its classes at its own cursors.
+// Groups follow attribute order, so every list comes out ascending.
 func (cs *CoupleSpace) index(ctx context.Context, workers int) error {
 	n, rows := len(cs.db.Attr), cs.db.NumRows
 	groups := max(1, min(workers, n))
 	attrs := func(g int) []*Partition { return cs.db.Attr[g*n/groups : (g+1)*n/groups] }
 	cursor := make([][]int32, groups) // classes of group g per tuple, then g's cursor
+	// steps[g][t] sums t's positions in group g's classes. A position
+	// is below its class's size, so a tuple's sum over all attributes
+	// stays below ‖r̂‖, which fits an int32.
+	steps := make([][]int32, groups)
 	err := pool.Run(ctx, groups, groups, func(_ context.Context, _, g int) error {
-		c := make([]int32, rows)
+		c, s := make([]int32, rows), make([]int32, rows)
 		for _, p := range attrs(g) {
 			for ci, nc := 0, p.NumClasses(); ci < nc; ci++ {
-				for _, t := range p.Class(ci)[1:] {
+				for i, t := range p.Class(ci)[1:] {
 					c[t]++
+					s[t] += int32(i + 1)
 				}
 			}
 		}
-		cursor[g] = c
+		cursor[g], steps[g] = c, s
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	cs.off = make([]int32, rows+1)
+	cs.cost = make([]int64, rows+1)
 	for t := range rows {
-		o := cs.off[t]
-		for _, c := range cursor {
+		o, w := cs.off[t], cs.cost[t]
+		for g, c := range cursor {
 			c[t], o = o, o+c[t]
+			w += int64(steps[g][t])
 		}
-		cs.off[t+1] = o
+		cs.off[t+1], cs.cost[t+1] = o, w
 	}
 	cs.starts = make([]int32, cs.off[rows])
 	return pool.Run(ctx, groups, groups, func(_ context.Context, _, g int) error {
@@ -253,44 +240,21 @@ func intersect(xs, ys []int32) []int32 {
 // list returns tuple t's class starts.
 func (cs *CoupleSpace) list(t int) []int32 { return cs.starts[cs.off[t]:cs.off[t+1]] }
 
-// count fills ends: every tuple's partner count, walked in parallel over
-// blocks of tuples, then summed.
-func (cs *CoupleSpace) count(ctx context.Context, workers int) error {
-	rows := cs.db.NumRows
-	walkers := make([]Walker, workers) // a stamp is allocated on first use
-	err := pool.Run(ctx, workers, (rows+countBlock-1)/countBlock, func(_ context.Context, w, b int) error {
-		for u := b * countBlock; u < min((b+1)*countBlock, rows); u++ {
-			cs.ends[u+1] = cs.walk(u, &walkers[w], 0, nil)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for u := range rows {
-		cs.widest = max(cs.widest, cs.ends[u+1])
-		cs.ends[u+1] += cs.ends[u]
-	}
-	return nil
-}
+// Cost returns the |r|+1 prefix sums of the tuples' walk costs:
+// tuples [lo, hi) cost Cost()[hi] − Cost()[lo], which is zero exactly
+// when they have no couple. The caller must not modify it.
+func (cs *CoupleSpace) Cost() []int64 { return cs.cost }
 
-// Couples returns the size of the couple space.
-func (cs *CoupleSpace) Couples() int { return cs.ends[len(cs.ends)-1] }
-
-// Ends returns the |r|+1 couple offsets: tuple u's couples are
-// [Ends()[u], Ends()[u+1]). The caller must not modify it.
-func (cs *CoupleSpace) Ends() []int { return cs.ends }
-
-// Walker is the scratch a goroutine regenerates couples with: a stamp
-// per tuple, and the agree sets of one tuple's couples. A walk stamps
-// its i-th partner from+i, from lying above every earlier walk's stamps,
-// so a stamp says both that the tuple was met and at which index; one
-// tuple's couples split over consecutive ranges therefore regenerate
-// whole on the same Walker. The zero value is ready to use.
+// Walker is the scratch a goroutine walks tuples with: a stamp per
+// tuple, and the partners and agree sets of one tuple's couples, grown
+// on demand. A walk stamps its i-th partner from+i, from lying above
+// every earlier walk's stamps, so a stamp says both that the tuple was
+// met and at which index. The zero value is ready to use.
 type Walker struct {
-	stamp []int32
-	top   int32 // the highest stamp issued
-	sets  []attrset.Set
+	stamp    []int32
+	top      int32 // the highest stamp issued
+	partners []int32
+	sets     []attrset.Set
 }
 
 // next starts a walk over a space of rows tuples and returns its first
@@ -306,36 +270,15 @@ func (w *Walker) next(rows int) int32 {
 	return w.top + 1
 }
 
-// Partners regenerates the couples [lo, hi) of the space: out[k−lo] is
-// the partner t of couple k. It returns out, reused when its capacity
-// holds hi−lo partners and otherwise replaced by an exact-size slice,
-// and u, the tuple of couple lo: couple k's tuple is the u' ≥ u with
-// Ends()[u'] ≤ k < Ends()[u'+1].
-func (cs *CoupleSpace) Partners(lo, hi int, w *Walker, out []int32) (partners []int32, u int) {
-	if cap(out) < hi-lo {
-		out = make([]int32, hi-lo)
-	}
-	out = out[:hi-lo]
-	u, _ = slices.BinarySearch(cs.ends, lo+1)
-	u-- // the last tuple whose couples begin at or before lo
-	for v, k := u, lo; k < hi; v++ {
-		if end := min(cs.ends[v+1], hi); end > k {
-			cs.walk(v, w, k-cs.ends[v], out[k-lo:end-lo])
-			k = end
-		}
-	}
-	return out, u
-}
-
-// walk meets u's distinct partners in couple order, storing those with
-// index skip, skip+1, … into out until out is full, and returns how many
-// it met: all of them when out is empty.
-func (cs *CoupleSpace) walk(u int, w *Walker, skip int, out []int32) int {
+// walk meets u's distinct partners t < u: over u's kept classes,
+// attribute by attribute, each class run up to u (classes are
+// ascending). It returns how many it met, and lists them in w.partners
+// when list is set.
+func (cs *CoupleSpace) walk(u int, w *Walker, list bool) int {
 	from := w.next(cs.db.NumRows)
 	stamp, base, attrs := w.stamp, cs.base, cs.db.Attr
-	stop := skip + len(out) // never reached when out is empty
+	partners := w.partners[:0]
 	n, a := 0, 0
-classes:
 	for _, g := range cs.list(u) {
 		if g < 0 {
 			continue
@@ -351,50 +294,35 @@ classes:
 				continue
 			}
 			stamp[t] = from + int32(n)
-			if n >= skip && n < stop {
-				out[n-skip] = int32(t)
+			if list {
+				partners = append(partners, int32(t))
 			}
-			if n++; n == stop {
-				break classes
-			}
+			n++
 		}
 	}
+	w.partners = partners
 	w.top = from + int32(n) - 1
 	return n
 }
 
-// AgreeSets runs lines 10–21 of Algorithm 2 for the couples [lo, hi),
-// tuple by tuple: yield receives, in couple order, the agree sets of
-// each tuple's couples that lie in the range, in a slice of w's scratch
-// valid until yield returns. For a tuple u, a walk over u's kept
-// classes gives every partner its index, and a second walk over all of
-// u's classes — dominated ones too, each inside a kept class — adds A
-// to ag(u, t) for every t < u in u's class of π̂_A. A tuple thus costs
-// its walk plus Σ |ag(u, t)| over its couples. yield's error ends the
-// run and is returned.
-func (cs *CoupleSpace) AgreeSets(lo, hi int, w *Walker, yield func([]attrset.Set) error) error {
-	if len(w.sets) < cs.widest {
-		w.sets = make([]attrset.Set, cs.widest)
-	}
-	u, _ := slices.BinarySearch(cs.ends, lo+1)
-	for u--; lo < hi; u++ {
-		begin, end := cs.ends[u], min(cs.ends[u+1], hi)
-		if end == lo {
-			continue
-		}
-		if err := yield(cs.agree(u, w)[lo-begin : end-begin]); err != nil {
-			return err
-		}
-		lo = end
-	}
-	return nil
+// Walk returns u's couples as its partners t < u, each once, in w's
+// scratch: valid until w's next walk.
+func (cs *CoupleSpace) Walk(u int, w *Walker) []int32 {
+	cs.walk(u, w, true)
+	return w.partners
 }
 
-// agree returns the agree sets of all u's couples, in couple order.
-func (cs *CoupleSpace) agree(u int, w *Walker) []attrset.Set {
-	n := cs.walk(u, w, 0, nil)
+// AgreeSets runs lines 10–21 of Algorithm 2 for tuple u's couples and
+// returns their agree sets in w's scratch, valid until w's next walk.
+// A walk over u's kept classes gives every partner its index, and a
+// second walk over all of u's classes — dominated ones too, each inside
+// a kept class — adds A to ag(u, t) for every t < u in u's class of
+// π̂_A. A tuple thus costs its walk plus Σ |ag(u, t)| over its couples.
+func (cs *CoupleSpace) AgreeSets(u int, w *Walker) []attrset.Set {
+	n := cs.walk(u, w, false)
 	from := w.top + 1 - int32(n) // the walk's first stamp
-	sets, stamp, base, attrs := w.sets[:n], w.stamp, cs.base, cs.db.Attr
+	w.sets = slices.Grow(w.sets[:0], n)[:n]
+	sets, stamp, base, attrs := w.sets, w.stamp, cs.base, cs.db.Attr
 	clear(sets)
 	a := 0
 	for _, g := range cs.list(u) {

@@ -3,8 +3,6 @@ package partition
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -12,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/attrset"
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
 	"repro/internal/relation"
@@ -28,10 +25,9 @@ func goroutineID() uint64 {
 }
 
 // TestCoupleSpaceOneWorkerStartsNoGoroutines: at one worker every build
-// task runs on the calling goroutine, and at two some run elsewhere. The
-// relation has enough rows for several counting tasks.
+// task runs on the calling goroutine, and at two some run elsewhere.
 func TestCoupleSpaceOneWorkerStartsNoGoroutines(t *testing.T) {
-	r, err := datagen.Generate(datagen.Spec{Attrs: 6, Rows: 5 * countBlock, Correlation: 0.5, Seed: 3})
+	r, err := datagen.Generate(datagen.Spec{Attrs: 6, Rows: 5000, Correlation: 0.5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,55 +49,6 @@ func TestCoupleSpaceOneWorkerStartsNoGoroutines(t *testing.T) {
 		if tasks.Load() == 0 || (elsewhere.Load() == 0) != (workers == 1) {
 			t.Fatalf("workers=%d: %d of %d build tasks ran off the calling goroutine", workers, elsewhere.Load(), tasks.Load())
 		}
-	}
-}
-
-// TestCoupleNumberingPinned pins the couple numbering CoupleNumbering
-// names: the paper example's partners literally, and a digest of Ends
-// and the partners of a 6×300 relation whose last column nests in the
-// one before (so the MC test prunes). Nodes exchanging couple ranges
-// trust the name, so when this test fails the numbering changed: change
-// CoupleNumbering, then the pins.
-func TestCoupleNumberingPinned(t *testing.T) {
-	if CoupleNumbering != "mc-u-major/1" {
-		t.Fatalf("CoupleNumbering is %q: re-pin this test", CoupleNumbering)
-	}
-	space := func(r *relation.Relation) ([]int, []int32) {
-		cs, err := NewCoupleSpace(context.Background(), NewDatabase(r), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w Walker
-		partners, _ := cs.Partners(0, cs.Couples(), &w, nil)
-		return cs.Ends(), partners
-	}
-	ends, partners := space(relation.PaperExample())
-	if !slices.Equal(ends, []int{0, 0, 1, 1, 2, 4, 5, 6}) || !slices.Equal(partners, []int32{0, 2, 3, 2, 0, 1}) {
-		t.Errorf("paper example: ends %v, partners %v", ends, partners)
-	}
-	rng := rand.New(rand.NewSource(1))
-	cols := make([][]int, 6)
-	for a := range cols {
-		cols[a] = make([]int, 300)
-		for i := range cols[a] {
-			cols[a][i] = rng.Intn(2 + 3*a)
-		}
-	}
-	for i := range cols[5] {
-		cols[5][i] = cols[4][i] / 2
-	}
-	r, err := relation.FromCodes(make([]string, len(cols)), cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ends, partners = space(r)
-	h := fnv.New64a()
-	for _, e := range ends {
-		binary.Write(h, binary.LittleEndian, int64(e))
-	}
-	binary.Write(h, binary.LittleEndian, partners)
-	if n, sum := len(partners), h.Sum64(); n != 32643 || sum != 0xed3c891991fc7e6b {
-		t.Errorf("6×300 relation: %d couples, digest %#x", n, sum)
 	}
 }
 
@@ -132,11 +79,12 @@ func agreeOracleRelations(t *testing.T) []*relation.Relation {
 	return out
 }
 
-// TestAgreeSetsMatchOracle: for every couple k of a range [lo, hi), the
-// set AgreeSets yields at position k−lo is relation.AgreeSet of k's two
-// tuples. Ranges cover the whole space, single tuples, and random bounds
-// that start and end mid-tuple, on one reused Walker; relations are the
-// fixed shapes above plus mcRelation's random ones.
+// TestAgreeSetsMatchOracle: for every tuple u, AgreeSets(u) yields, at
+// position i, relation.AgreeSet of u and the i-th partner Walk(u)
+// meets. Tuples are visited in order and then in a random order, on one
+// reused Walker, so a walk's stamps can never leak into the next; and a
+// tuple's cost bounds its couples and is zero exactly when it has none.
+// Relations are the fixed shapes above plus mcRelation's random ones.
 func TestAgreeSetsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rels := agreeOracleRelations(t)
@@ -148,38 +96,21 @@ func TestAgreeSetsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, ends := cs.Couples(), cs.Ends()
-		ranges := [][2]int{{0, n}}
-		for u := range r.Rows() {
-			if ends[u] < ends[u+1] {
-				ranges = append(ranges, [2]int{ends[u], ends[u+1]})
-			}
-		}
-		for range 5 {
-			lo := rng.Intn(n + 1)
-			ranges = append(ranges, [2]int{lo, lo + rng.Intn(n-lo+1)})
-		}
 		var w Walker
-		for _, rg := range ranges {
-			lo, hi := rg[0], rg[1]
-			var got []attrset.Set
-			err := cs.AgreeSets(lo, hi, &w, func(sets []attrset.Set) error {
-				got = append(got, sets...)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+		order := append(rng.Perm(r.Rows()), rng.Perm(r.Rows())...)
+		slices.Sort(order[:r.Rows()])
+		for _, u := range order {
+			sets := slices.Clone(cs.AgreeSets(u, &w))
+			partners := cs.Walk(u, &w)
+			if len(sets) != len(partners) {
+				t.Fatalf("relation %d: tuple %d has %d sets for %d partners", i, u, len(sets), len(partners))
 			}
-			if len(got) != hi-lo {
-				t.Fatalf("relation %d: range [%d,%d) yields %d sets", i, lo, hi, len(got))
+			if cost := cs.Cost()[u+1] - cs.Cost()[u]; cost < int64(len(sets)) || (cost == 0) != (len(sets) == 0) {
+				t.Fatalf("relation %d: tuple %d costs %d for %d couples", i, u, cost, len(sets))
 			}
-			partners, u := cs.Partners(lo, hi, &Walker{}, nil)
-			for k := lo; k < hi; k++ {
-				for k >= ends[u+1] {
-					u++
-				}
-				if want := r.AgreeSet(u, int(partners[k-lo])); got[k-lo] != want {
-					t.Fatalf("relation %d: couple %d (%d, %d) of range [%d,%d): got %v, want %v", i, k, partners[k-lo], u, lo, hi, got[k-lo], want)
+			for k, t0 := range partners {
+				if want := r.AgreeSet(u, int(t0)); sets[k] != want {
+					t.Fatalf("relation %d: couple (%d, %d): got %v, want %v", i, t0, u, sets[k], want)
 				}
 			}
 		}

@@ -308,16 +308,16 @@ func TestCoupleSpaceKeepsOracleMC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(par.starts, cs.starts) || !slices.Equal(par.off, cs.off) || !slices.Equal(par.ends, cs.ends) {
+			if !slices.Equal(par.starts, cs.starts) || !slices.Equal(par.off, cs.off) || !slices.Equal(par.cost, cs.cost) {
 				t.Fatalf("iter %d: table at %d workers differs from the sequential one", iter, workers)
 			}
 		}
 	}
 }
 
-// TestCoupleSpacePartnersMatchOracle: regenerating the whole space meets,
-// tuple by tuple, exactly the earlier tuples sharing an oracle MC class
-// with it, once each, and Ends counts them.
+// TestCoupleSpacePartnersMatchOracle: walking every tuple meets
+// exactly the earlier tuples sharing an oracle MC class with it, once
+// each.
 func TestCoupleSpacePartnersMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 300; iter++ {
@@ -326,9 +326,8 @@ func TestCoupleSpacePartnersMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ends := cs.Ends()
-		if len(ends) != db.NumRows+1 || ends[0] != 0 || cs.Couples() != ends[db.NumRows] {
-			t.Fatalf("iter %d: ends %v for %d rows, %d couples", iter, ends, db.NumRows, cs.Couples())
+		if len(cs.Cost()) != db.NumRows+1 || cs.Cost()[0] != 0 {
+			t.Fatalf("iter %d: cost %v for %d rows", iter, cs.Cost(), db.NumRows)
 		}
 		want := map[[2]int]bool{}
 		for _, c := range db.MaximalClasses() {
@@ -339,10 +338,9 @@ func TestCoupleSpacePartnersMatchOracle(t *testing.T) {
 			}
 		}
 		var w Walker
-		partners, _ := cs.Partners(0, cs.Couples(), &w, nil)
 		got := map[[2]int]bool{}
 		for u := range db.NumRows {
-			for _, v := range partners[ends[u]:ends[u+1]] {
+			for _, v := range cs.Walk(u, &w) {
 				k := [2]int{int(v), u}
 				if int(v) >= u || got[k] {
 					t.Fatalf("iter %d: partner %d of %d is later or repeated", iter, v, u)

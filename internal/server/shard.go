@@ -4,15 +4,16 @@
 // A coordinator-configured server runs depminer/depminer2/fastfds
 // discoveries through the same core.Run as a single node, with one difference: step
 // 1's runs may come from elsewhere. fanOut is the agree.Remote that
-// dispatches each shard of the couple space to a worker depminerd over
+// dispatches each shard — a block of tuples — to a worker depminerd over
 // POST /v1/shard/agree. Datasets are addressed by content fingerprint, so
 // a worker provably computes over the same bytes the coordinator planned
 // against; each worker streams its shard's sorted deduplicated agree sets
-// back as a DMRUN1 run (the spill-file format generalised to the wire),
-// which fanOut adopts into the run's spiller — CRC-verified,
-// order-checked, budget-charged. agree merges those runs with any local
-// ones and core runs the canonical tail once, so the cover is
-// byte-identical to single-node output at every shard count.
+// back as a DMRUN1 run (the spill-file format generalised to the wire)
+// with the shard's couple count in a trailer, which fanOut adopts into
+// the run's spiller — CRC-verified, order-checked, budget-charged.
+// agree merges those runs with any local ones and core runs the
+// canonical tail once, so the cover is byte-identical to single-node
+// output at every shard count.
 //
 // The per-shard fallback ladder: transport retry/backoff (client
 // policy) → push the dataset and dispatch once more (worker answered
@@ -206,8 +207,6 @@ type fanOut struct {
 	src *discSource
 	n   int // shards requested
 
-	couples, shards int // set by Shards
-
 	csvOnce sync.Once
 	csvData []byte
 	csvErr  error
@@ -234,20 +233,15 @@ func (s *Server) newFanOut(d *dataset, p discoverParams, src *discSource) *fanOu
 	return &fanOut{s: s, d: d, p: p, src: src, n: min(n, maxShards)}
 }
 
-// Shards implements agree.Remote. It runs before any Fetch goroutine
-// starts, so couples and shards need no lock.
-func (f *fanOut) Shards(couples int) int {
-	f.couples = couples
-	f.shards = len(agree.Split(couples, f.n))
-	return f.n
-}
+// Shards implements agree.Remote.
+func (f *fanOut) Shards() int { return f.n }
 
 // Fetch implements agree.Remote: shard i goes to worker i mod fleet
 // size. A non-governed failure hands the shard to the local sweep.
-func (f *fanOut) Fetch(ctx context.Context, i int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) error {
+func (f *fanOut) Fetch(ctx context.Context, i int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) (int, error) {
 	span := obs.StartSpan(ctx, f.s.log, "shard",
-		obs.Int("shard", i), obs.Int("couple_start", sh.Start), obs.Int("couple_end", sh.End))
-	err := f.tryRemote(ctx, i, sh, v, sp)
+		obs.Int("shard", i), obs.Int("tuple_start", sh.Start), obs.Int("tuple_end", sh.End))
+	couples, err := f.tryRemote(ctx, i, sh, v, sp)
 	mode := "remote"
 	f.mu.Lock()
 	f.attempted++
@@ -266,12 +260,12 @@ func (f *fanOut) Fetch(ctx context.Context, i int, sh agree.Shard, v agree.Varia
 			obs.Int("shard", i), obs.String("remote_error", err.Error()))
 	}
 	span.End(obs.String("mode", mode))
-	return err
+	return couples, err
 }
 
-func (f *fanOut) tryRemote(ctx context.Context, i int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) error {
+func (f *fanOut) tryRemote(ctx context.Context, i int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) (int, error) {
 	if ferr := faultinject.Fire(faultinject.ShardDispatch); ferr != nil {
-		return ferr
+		return 0, ferr
 	}
 	// Forward the discovery's request id on the dispatch (and on any
 	// dataset push): the worker's middleware adopts it, so its log lines
@@ -285,10 +279,8 @@ func (f *fanOut) tryRemote(ctx context.Context, i int, sh agree.Shard, v agree.V
 	req := wire.ShardRequest{
 		Fingerprint:   f.src.fp,
 		Algorithm:     algo,
-		CoupleStart:   sh.Start,
-		CoupleEnd:     sh.End,
-		Numbering:     partition.CoupleNumbering,
-		TotalCouples:  f.couples,
+		TupleStart:    sh.Start,
+		TupleEnd:      sh.End,
 		Workers:       f.p.workers,
 		TimeoutMS:     int64(f.p.timeout / time.Millisecond),
 		BudgetUnits:   f.p.units,
@@ -301,27 +293,32 @@ func (f *fanOut) tryRemote(ctx context.Context, i int, sh agree.Shard, v agree.V
 		// ordinary registration API (content-derived ids converge on
 		// identical bytes) and dispatch once more.
 		if perr := f.pushDataset(ctx, cl); perr != nil {
-			return fmt.Errorf("pushing dataset: %w", perr)
+			return 0, fmt.Errorf("pushing dataset: %w", perr)
 		}
 		stream, err = cl.AgreeShard(ctx, req)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer stream.Close()
 	dispatchDur := time.Since(t0)
 	if ferr := faultinject.Fire(faultinject.ShardStream); ferr != nil {
-		return ferr
+		return 0, ferr
 	}
 	t1 := time.Now()
 	cr := &countingReader{r: stream.Body}
 	pr, err := sp.AdoptRun(cr, f.p.maxAgreeBytes)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if want, ok := stream.TrailerSets(); ok && want != pr.Sets() {
 		pr.Discard()
-		return fmt.Errorf("worker attested %d sets, stream carried %d", want, pr.Sets())
+		return 0, fmt.Errorf("worker attested %d sets, stream carried %d", want, pr.Sets())
+	}
+	couples, ok := stream.TrailerCouples()
+	if !ok {
+		pr.Discard()
+		return 0, errors.New("worker attested no couple count")
 	}
 	pr.Commit()
 	streamDur := time.Since(t1)
@@ -331,7 +328,7 @@ func (f *fanOut) tryRemote(ctx context.Context, i int, sh agree.Shard, v agree.V
 	f.dispatchDur += dispatchDur
 	f.streamDur += streamDur
 	f.mu.Unlock()
-	return nil
+	return int(couples), nil
 }
 
 func (f *fanOut) pushDataset(ctx context.Context, cl *client.Client) error {
@@ -388,9 +385,9 @@ func (f *fanOut) record(ctx context.Context, resp *DiscoverResponse, res *core.R
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	resp.Shards, resp.ShardsRemote, resp.ShardsLocal = f.shards, f.remote, f.local
+	resp.Shards, resp.ShardsRemote, resp.ShardsLocal = f.attempted, f.remote, f.local
 	obs.Event(ctx, f.s.log, "shard fan-out done",
-		obs.Int("shards", f.shards),
+		obs.Int("shards", f.attempted),
 		obs.Int("remote", f.remote),
 		obs.Int("local", f.local),
 		obs.Duration("dispatch", f.dispatchDur),
@@ -444,6 +441,10 @@ type shardCounters struct {
 // plan-build time — the dataset grew in between. The coordinator's
 // reaction to the 409 is the local fallback.
 var errShardStale = errors.New("dataset fingerprint changed")
+
+// errBadShardRange rejects a shard request whose tuple range is
+// inverted, negative, or past the dataset's tuples.
+var errBadShardRange = errors.New("bad shard range")
 
 // planCache caches the plans a worker serves shards from, by content
 // fingerprint, with singleflight builds so concurrent shards of one
@@ -500,15 +501,16 @@ func (s *Server) shardParams(req *wire.ShardRequest) (discoverParams, error) {
 		return p, fmt.Errorf("algorithm %q cannot be sharded", req.Algorithm)
 	case req.Fingerprint == "":
 		return p, errors.New("missing fingerprint")
-	case req.CoupleStart < 0 || req.CoupleEnd < req.CoupleStart || req.CoupleEnd > req.TotalCouples:
-		return p, errors.New("bad shard range")
+	case req.TupleStart < 0 || req.TupleEnd < req.TupleStart:
+		return p, errBadShardRange
 	}
 	return p, nil
 }
 
 // handleShardAgree implements POST /v1/shard/agree — the worker half of
 // distributed discovery. The response is not JSON: it is a DMRUN1 run
-// stream with the record count attested in an HTTP trailer. An error
+// stream with the record count and the shard's couple count attested
+// in HTTP trailers. An error
 // after the first streamed byte aborts the connection
 // (http.ErrAbortHandler) rather than fabricating a valid-looking tail;
 // the coordinator's CRC, order, and trailer checks make any truncation
@@ -525,14 +527,6 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	p, err := s.shardParams(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// A range cut under another numbering names other couples even over
-	// the same bytes; refuse rather than compute it.
-	if req.Numbering != partition.CoupleNumbering {
-		s.noteShardServedError()
-		writeError(w, http.StatusConflict,
-			"couple numbering mismatch: worker numbers %q, coordinator planned %q", partition.CoupleNumbering, req.Numbering)
 		return
 	}
 	d, ok := s.reg.findByFingerprint(req.Fingerprint)
@@ -576,34 +570,24 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		writeError(w, classifyStatus(err), "building shard plan: %v", err)
 		return
 	}
-	// A couple-count disagreement is a structural proof the two sides
-	// planned against different bytes; refuse rather than compute a
-	// range with a different meaning.
-	if plan.Couples() != req.TotalCouples {
+	if req.TupleEnd > plan.Rows() {
 		s.noteShardServedError()
-		writeError(w, http.StatusConflict,
-			"couple count mismatch: worker has %d, coordinator planned %d", plan.Couples(), req.TotalCouples)
+		writeError(w, http.StatusBadRequest, "%v: the dataset has %d tuples", errBadShardRange, plan.Rows())
 		return
 	}
 
-	// The worker charges its own shard's couples: the worker-side
-	// analogue of the coordinator's single upfront charge.
+	// The sweep charges the shard's couples to the worker's own budget,
+	// as a local sweep of the same tuples would.
 	budget := guard.WithTimeout(p.timeout, p.units)
-	if cerr := budget.Charge("agree", req.CoupleEnd-req.CoupleStart); cerr != nil {
-		s.noteShardServedError()
-		writeError(w, classifyStatus(cerr), "shard budget: %v", cerr)
-		return
-	}
-
 	w.Header().Set("Content-Type", wire.RunContentType)
-	w.Header().Set("Trailer", wire.ShardSetsTrailer)
+	w.Header().Set("Trailer", wire.ShardSetsTrailer+", "+wire.ShardCouplesTrailer)
 	rw := extsort.NewRunWriter(w)
 	v := agree.VariantCouples
 	if p.algorithm == "depminer2" {
 		v = agree.VariantIdentifiers
 	}
 	aopts := agree.Options{Workers: p.workers, Budget: budget, MaxAgreeBytes: p.maxAgreeBytes, SpillDir: s.cfg.SpillDir}
-	res, cerr := plan.ComputeShard(r.Context(), agree.Shard{Start: req.CoupleStart, End: req.CoupleEnd}, v, aopts, rw.Write)
+	res, cerr := plan.ComputeShard(r.Context(), agree.Shard{Start: req.TupleStart, End: req.TupleEnd}, v, aopts, rw.Write)
 	if cerr == nil {
 		cerr = rw.Close()
 	}
@@ -623,6 +607,7 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	w.Header().Set(wire.ShardSetsTrailer, strconv.FormatInt(res.Sets, 10))
+	w.Header().Set(wire.ShardCouplesTrailer, strconv.Itoa(res.Couples))
 	s.stats.mu.Lock()
 	s.stats.shard.served++
 	s.stats.shard.servedSets += res.Sets
@@ -632,7 +617,8 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	// coordinator's fan-out lines.
 	obs.Event(r.Context(), s.log, "shard served",
 		obs.String("fingerprint", req.Fingerprint),
-		obs.Int("couple_start", req.CoupleStart),
-		obs.Int("couple_end", req.CoupleEnd),
+		obs.Int("tuple_start", req.TupleStart),
+		obs.Int("tuple_end", req.TupleEnd),
+		obs.Int("couples", res.Couples),
 		obs.Int64("sets", res.Sets))
 }

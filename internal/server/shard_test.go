@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/client"
 	"repro/internal/agree"
 	"repro/internal/attrset"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/extsort"
 	"repro/internal/faultinject"
@@ -301,6 +303,71 @@ func TestShardTrailerMismatchDiscards(t *testing.T) {
 	}
 }
 
+// TestShardCouplesTrailerFallsBackLocal relays a real worker's stream
+// but drops or garbles its couple-count trailer: the coordinator cannot
+// add the shard's couples, so it discards the run and sweeps the shard
+// locally, and the cover and couple count are the single-node ones.
+func TestShardCouplesTrailerFallsBackLocal(t *testing.T) {
+	r := shardTestRelation(t, 12)
+	ref, err := core.Discover(context.Background(), r, core.Options{Armstrong: core.ArmstrongNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, realWorker := newTestServer(t, Config{})
+	for _, couples := range []string{"", "many", "-5"} {
+		worker := fakeWorker(t, realWorker, func(w http.ResponseWriter, req *http.Request) {
+			resp, err := http.Post(realWorker.URL+req.URL.Path, "application/json", req.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				w.WriteHeader(resp.StatusCode)
+				io.Copy(w, resp.Body)
+				return
+			}
+			w.Header().Set("Trailer", wire.ShardSetsTrailer+", "+wire.ShardCouplesTrailer)
+			w.Header().Set("Content-Type", wire.RunContentType)
+			io.Copy(w, resp.Body)
+			w.Header().Set(wire.ShardSetsTrailer, resp.Trailer.Get(wire.ShardSetsTrailer))
+			if couples != "" {
+				w.Header().Set(wire.ShardCouplesTrailer, couples)
+			}
+		})
+		_, ts := newCoordServer(t, []string{worker.URL}, Config{})
+		reg := register(t, ts, r)
+		code, resp := discover(t, ts, DiscoverRequest{Dataset: reg.ID, Shards: 1})
+		if code != http.StatusOK || resp.Partial {
+			t.Fatalf("couples trailer %q: code=%d partial=%v (%s)", couples, code, resp.Partial, resp.Error)
+		}
+		if resp.ShardsLocal != 1 || resp.ShardsRemote != 0 {
+			t.Fatalf("couples trailer %q: remote=%d local=%d, want the shard recomputed", couples, resp.ShardsRemote, resp.ShardsLocal)
+		}
+		if !sameCover(resp.FDs, renderCover(ref.FDs, r.Names())) || resp.Couples != ref.Couples {
+			t.Fatalf("couples trailer %q: couples %d (want %d), or the cover differs", couples, resp.Couples, ref.Couples)
+		}
+	}
+}
+
+// TestShardRejectsCoupleRangeFields posts a shard request in the
+// couple-index form, with couple_start, couple_end, numbering and
+// total_couples: strict decoding refuses it with 400, which sends a
+// coordinator of that form to its local fallback.
+func TestShardRejectsCoupleRangeFields(t *testing.T) {
+	r := shardTestRelation(t, 13)
+	_, ts := newTestServer(t, Config{})
+	reg := register(t, ts, r)
+	for name, body := range map[string]map[string]any{
+		"couple range": {"fingerprint": reg.Fingerprint, "couple_start": 0, "couple_end": 1},
+		"numbering":    {"fingerprint": reg.Fingerprint, "tuple_end": 1, "numbering": "mc-u-major/1", "total_couples": 1},
+	} {
+		if code := postJSON(t, ts.URL+"/v1/shard/agree", body, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+}
+
 // TestShardFaultInjectionSweep arms every distributed hook point. A
 // dispatch or stream fault degrades that shard to the local rung; a
 // merge fault fails the discovery cleanly. In no case may a wrong cover
@@ -473,13 +540,12 @@ func TestShardAgreeEndpoint(t *testing.T) {
 	sp := extsort.NewSpiller(t.TempDir(), nil)
 	defer sp.Close()
 	var streamedSets int64
+	streamedCouples := 0
 	for _, sh := range plan.Split(3) {
 		stream, err := cl.AgreeShard(context.Background(), wire.ShardRequest{
-			Fingerprint:  reg.Fingerprint,
-			CoupleStart:  sh.Start,
-			CoupleEnd:    sh.End,
-			Numbering:    partition.CoupleNumbering,
-			TotalCouples: plan.Couples(),
+			Fingerprint: reg.Fingerprint,
+			TupleStart:  sh.Start,
+			TupleEnd:    sh.End,
 		})
 		if err != nil {
 			t.Fatalf("AgreeShard(%v): %v", sh, err)
@@ -495,8 +561,13 @@ func TestShardAgreeEndpoint(t *testing.T) {
 		if want != pr.Sets() {
 			t.Fatalf("shard %v: trailer %d, adopted %d", sh, want, pr.Sets())
 		}
+		couples, ok := stream.TrailerCouples()
+		if !ok {
+			t.Fatalf("shard %v: missing couples trailer", sh)
+		}
 		pr.Commit()
 		streamedSets += pr.Sets()
+		streamedCouples += int(couples)
 		stream.Close()
 	}
 	var merged attrset.Family
@@ -506,7 +577,10 @@ func TestShardAgreeEndpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fam := plan.Finish(merged)
+	if streamedCouples != ref.Couples {
+		t.Fatalf("shards attested %d couples, reference %d", streamedCouples, ref.Couples)
+	}
+	fam := plan.Finish(merged, streamedCouples)
 	if len(fam) != len(ref.Sets) {
 		t.Fatalf("remote family has %d sets, reference %d", len(fam), len(ref.Sets))
 	}
@@ -531,15 +605,12 @@ func TestShardAgreeEndpoint(t *testing.T) {
 		req  wire.ShardRequest
 		code int
 	}{
-		"unknown fingerprint": {wire.ShardRequest{Fingerprint: "nope", CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: 1}, http.StatusNotFound},
-		"missing fingerprint": {wire.ShardRequest{CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: 1}, http.StatusBadRequest},
-		"negative start":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleStart: -1, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"inverted range":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleStart: 2, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"range past total":    {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: plan.Couples() + 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"unshardable algo":    {wire.ShardRequest{Fingerprint: reg.Fingerprint, Algorithm: "tane", CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}, http.StatusBadRequest},
-		"couple mismatch":     {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples() + 7}, http.StatusConflict},
-		"numbering mismatch":  {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, Numbering: "t-u-sorted", TotalCouples: plan.Couples()}, http.StatusConflict},
-		"missing numbering":   {wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, TotalCouples: plan.Couples()}, http.StatusConflict},
+		"unknown fingerprint": {wire.ShardRequest{Fingerprint: "nope", TupleEnd: 1}, http.StatusNotFound},
+		"missing fingerprint": {wire.ShardRequest{TupleEnd: 1}, http.StatusBadRequest},
+		"negative start":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, TupleStart: -1, TupleEnd: 1}, http.StatusBadRequest},
+		"inverted range":      {wire.ShardRequest{Fingerprint: reg.Fingerprint, TupleStart: 2, TupleEnd: 1}, http.StatusBadRequest},
+		"range past rows":     {wire.ShardRequest{Fingerprint: reg.Fingerprint, TupleEnd: plan.Rows() + 1}, http.StatusBadRequest},
+		"unshardable algo":    {wire.ShardRequest{Fingerprint: reg.Fingerprint, Algorithm: "tane", TupleEnd: 1}, http.StatusBadRequest},
 	} {
 		code := postJSON(t, ts.URL+"/v1/shard/agree", tc.req, nil)
 		if code != tc.code {
@@ -552,20 +623,19 @@ func TestShardAgreeEndpoint(t *testing.T) {
 }
 
 // TestShardPlanStaleAfterAppend grows the dataset between the
-// coordinator's plan and the dispatch: the worker must refuse with 409
-// rather than compute a range with a different meaning.
+// coordinator's plan and the dispatch: the worker must refuse rather
+// than compute a range over other bytes.
 func TestShardPlanStaleAfterAppend(t *testing.T) {
 	r := shardTestRelation(t, 15)
 	_, ts := newTestServer(t, Config{})
 	reg := register(t, ts, r)
-	plan := shardPlan(t, r)
 
 	// Coordinator planned against the pre-append fingerprint; the append
 	// lands before the dispatch arrives.
 	if code, _ := appendCSV(t, ts.URL, reg.ID, "a,b,c,d,e\n"); code != http.StatusOK {
 		t.Fatal("append failed")
 	}
-	req := wire.ShardRequest{Fingerprint: reg.Fingerprint, CoupleEnd: 1, Numbering: partition.CoupleNumbering, TotalCouples: plan.Couples()}
+	req := wire.ShardRequest{Fingerprint: reg.Fingerprint, TupleEnd: r.Rows()}
 	if code := postJSON(t, ts.URL+"/v1/shard/agree", req, nil); code != http.StatusNotFound {
 		// The old fingerprint no longer names any dataset: 404, which
 		// sends the coordinator down the push-and-retry rung.

@@ -21,7 +21,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/wire"
 )
@@ -202,8 +201,7 @@ func TestShardServingIsNotASnapshotStream(t *testing.T) {
 		return st
 	}
 
-	couples := shardPlan(t, grown).Couples()
-	req := wire.ShardRequest{Fingerprint: app.Fingerprint, CoupleEnd: couples, Numbering: partition.CoupleNumbering, TotalCouples: couples}
+	req := wire.ShardRequest{Fingerprint: app.Fingerprint, TupleEnd: grown.Rows()}
 	if code := postJSON(t, ts.URL+"/v1/shard/agree", req, nil); code != http.StatusOK {
 		t.Fatalf("shard status %d", code)
 	}

@@ -59,15 +59,14 @@ func TestOutOfCoreDiscovery(t *testing.T) {
 	old := debug.SetMemoryLimit(256 << 20)
 	defer debug.SetMemoryLimit(old)
 
-	// The out-of-core configuration bounds both resident buffers: couples
-	// per chunk (ChunkSize) and agree-set bytes per pool (MaxAgreeBytes).
-	// Each chunk window re-contributes its distinct sets, so the spilled
-	// volume scales with the couple count while residency stays capped.
+	// The out-of-core configuration bounds the agree-set bytes per pool
+	// (MaxAgreeBytes). Each batch of couples re-contributes its distinct
+	// sets, so the spilled volume scales with the couple count while
+	// residency stays capped.
 	const threshold = 1 << 10
 	res, err := Discover(context.Background(), r, Options{
 		Workers:       4,
 		Armstrong:     ArmstrongNone,
-		ChunkSize:     500,
 		MaxAgreeBytes: threshold,
 		SpillDir:      t.TempDir(),
 	})

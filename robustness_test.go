@@ -303,7 +303,6 @@ func TestOptionsValidation(t *testing.T) {
 	r := PaperExample()
 	bad := []Options{
 		{Workers: -1},
-		{ChunkSize: -5},
 		{MaxAgreeBytes: -8},
 		{Algorithm: Algorithm(99)},
 		{Armstrong: ArmstrongMode(-2)},
@@ -322,7 +321,7 @@ func TestOptionsValidation(t *testing.T) {
 		t.Errorf("streamed bad workers err = %v, want ErrInvalidOptions", err)
 	}
 	// Valid options still validate clean.
-	if err := (core.Options{Workers: 4, ChunkSize: 100}).Validate(); err != nil {
+	if err := (core.Options{Workers: 4, MaxAgreeBytes: 100}).Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 }

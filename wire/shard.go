@@ -11,8 +11,9 @@ package wire
 // both sides converge on the same id). The response body is not JSON: it
 // is a DMRUN1 run stream (Content-Type RunContentType) — the same
 // CRC32C-framed format as spill files — carrying the shard's sorted
-// deduplicated agree sets, with the true record count attested in an
-// HTTP trailer the coordinator verifies after EOF.
+// deduplicated agree sets, with the true record count and the shard's
+// couple count attested in HTTP trailers the coordinator verifies after
+// EOF.
 
 // RunContentType is the media type of a DMRUN1 agree-set run stream.
 const RunContentType = "application/x-depminer-run"
@@ -24,9 +25,16 @@ const RunContentType = "application/x-depminer-run"
 // block boundary by a worker that died politely.
 const ShardSetsTrailer = "X-Depminer-Shard-Sets"
 
+// ShardCouplesTrailer is the HTTP trailer carrying the number of couples
+// the worker's sweep met in the shard's tuples. The coordinator adds it
+// to the discovery's couple count and charges it to its budget; a
+// stream without it is discarded like a sets mismatch.
+const ShardCouplesTrailer = "X-Depminer-Shard-Couples"
+
 // ShardRequest is the body of POST /v1/shard/agree: compute the agree
-// sets of couples [CoupleStart, CoupleEnd) of the named dataset's couple
-// space and stream them back as a DMRUN1 run.
+// sets of the couples of tuples [TupleStart, TupleEnd) of the named
+// dataset — each tuple u with every earlier tuple sharing a class with
+// it — and stream them back as a DMRUN1 run.
 type ShardRequest struct {
 	// Fingerprint is the content fingerprint of the dataset to compute
 	// over (required). 404 if this worker has no dataset with it.
@@ -36,20 +44,11 @@ type ShardRequest struct {
 	// miner to it once, so every shard of one discovery carries the same
 	// value.
 	Algorithm string `json:"algorithm,omitempty"`
-	// CoupleStart and CoupleEnd bound the shard's half-open couple index
-	// range into the deduplicated couple space, under Numbering.
-	CoupleStart int `json:"couple_start"`
-	CoupleEnd   int `json:"couple_end"`
-	// Numbering names the couple order the coordinator cut the range in
-	// (required). A worker numbering its couples otherwise — a different
-	// build — answers 409: the same bytes and couple count can still
-	// give the same index a different couple.
-	Numbering string `json:"numbering"`
-	// TotalCouples is the coordinator's couple count for the whole
-	// dataset. The worker recomputes the list and answers 409 on
-	// disagreement — a structural proof the two sides planned against
-	// different bytes.
-	TotalCouples int `json:"total_couples"`
+	// TupleStart and TupleEnd bound the shard's half-open tuple range.
+	// The couples of a tuple depend on the data alone, so the range
+	// names the same couples on every node holding the fingerprint.
+	TupleStart int `json:"tuple_start"`
+	TupleEnd   int `json:"tuple_end"`
 	// Workers is the worker-pool width for the sweep (0 = worker default).
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS and BudgetUnits govern the shard computation on the
