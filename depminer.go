@@ -104,8 +104,8 @@ const (
 	// FastFDs mines the same cover with a depth-first search over
 	// difference sets (Wyss et al. 2001) in place of the levelwise
 	// transversal search — preferable when the levelwise candidate levels
-	// grow too wide. Steps 1–2 are Dep-Miner 2's; Result.LHS stays nil
-	// and Result.DFSNodes counts the search.
+	// grow too wide. Steps 1–2 are Dep-Miner 2's;
+	// Result.DFSNodes counts the search.
 	FastFDs = core.FastFDs
 )
 

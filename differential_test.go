@@ -16,6 +16,8 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/attrset"
 )
 
 // miners enumerates every FD-discovery entry point of the public API as a
@@ -145,23 +147,39 @@ func TestDifferentialGoldenFixture(t *testing.T) {
 	assertMinersAgree(t, r, "employees fixture")
 }
 
+// lhsFamilies derives lhs(dep(r),A) from the cover, as Algorithm 5
+// computes it: the cover's LHSs for A plus the trivial {A}, which is a
+// minimal transversal of cmax(dep(r),A) unless A is constant (∅ → A).
+func lhsFamilies(c Cover, arity int) []AttrSetFamily {
+	out := c.ByRHS(arity)
+	for a, xs := range out {
+		if len(xs) > 0 && xs[0].IsEmpty() {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(xs, attrset.Single(a), AttrSet.Compare)
+		out[a] = slices.Insert(xs, i, attrset.Single(a))
+	}
+	return out
+}
+
 // discoverFingerprint renders every deterministic field of a Result — the
-// cover, all intermediate set families, the counters, and the Armstrong
-// relation when built — so two runs can be compared byte-for-byte.
-func discoverFingerprint(res *Result) string {
+// cover, all intermediate set families (the LHS families derived from
+// the cover), the counters, and the Armstrong relation when built — so
+// two runs can be compared byte-for-byte.
+func discoverFingerprint(res *Result, arity int) string {
 	arm := "<nil>"
 	if res.Armstrong != nil {
 		arm = res.Armstrong.String()
 	}
 	return fmt.Sprintf("fds=%v ag=%v max=%v lhs=%v couples=%d synthetic=%t armstrong=%s",
-		res.FDs, res.AgreeSets, res.MaxSets, res.LHS,
+		res.FDs, res.AgreeSets, res.MaxSets, lhsFamilies(res.FDs, arity),
 		res.Couples, res.ArmstrongSynthetic, arm)
 }
 
 // assertCanonicalOrder checks the order steps 2–4 construct rather than
 // sort: the cover in FD.Compare order, and every LHS family and
 // MAX(dep(r)) strictly increasing in AttrSet.Compare order.
-func assertCanonicalOrder(t *testing.T, label string, res *Result) {
+func assertCanonicalOrder(t *testing.T, label string, res *Result, arity int) {
 	t.Helper()
 	if !slices.IsSortedFunc(res.FDs, FD.Compare) {
 		t.Fatalf("%s: FDs not in canonical order: %v", label, res.FDs)
@@ -174,7 +192,7 @@ func assertCanonicalOrder(t *testing.T, label string, res *Result) {
 		}
 		return true
 	}
-	for a, f := range res.LHS {
+	for a, f := range lhsFamilies(res.FDs, arity) {
 		if !strict(f) {
 			t.Fatalf("%s: LHS[%d] not canonical: %v", label, a, f.Strings())
 		}
@@ -216,15 +234,15 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v workers=1: %v", in.label, algo, err)
 			}
-			assertCanonicalOrder(t, fmt.Sprintf("%s %v workers=1", in.label, algo), seq)
-			want := discoverFingerprint(seq)
+			assertCanonicalOrder(t, fmt.Sprintf("%s %v workers=1", in.label, algo), seq, in.r.Arity())
+			want := discoverFingerprint(seq, in.r.Arity())
 			for _, workers := range []int{0, 2, 4, 8, 9} {
 				par, err := Discover(ctx, in.r, Options{Algorithm: algo, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s %v workers=%d: %v", in.label, algo, workers, err)
 				}
-				assertCanonicalOrder(t, fmt.Sprintf("%s %v workers=%d", in.label, algo, workers), par)
-				if got := discoverFingerprint(par); got != want {
+				assertCanonicalOrder(t, fmt.Sprintf("%s %v workers=%d", in.label, algo, workers), par, in.r.Arity())
+				if got := discoverFingerprint(par, in.r.Arity()); got != want {
 					t.Fatalf("%s %v workers=%d: Result differs from sequential:\n got %s\nwant %s",
 						in.label, algo, workers, got, want)
 				}

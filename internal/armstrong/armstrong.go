@@ -64,46 +64,40 @@ func (e *ErrNotEnoughValues) Error() string {
 // (for X0 = R), and tuple i has "0" on Xi and the value strconv.Itoa(i)
 // elsewhere.
 func Synthetic(maxSets attrset.Family, names []string) (*relation.Relation, error) {
-	n := len(names)
-	rows := make([][]string, 0, len(maxSets)+1)
-	zero := make([]string, n)
-	for a := range zero {
-		zero[a] = "0"
+	// Attribute A's dictionary is "0" followed by the numbers of the
+	// tuples that disagree on A, the order their codes take in build.
+	nums := make([]string, len(maxSets)+1)
+	for i := range nums {
+		nums[i] = strconv.Itoa(i)
 	}
-	rows = append(rows, zero)
-	for i, x := range maxSets {
-		row := make([]string, n)
-		for a := 0; a < n; a++ {
-			if x.Contains(a) {
-				row[a] = "0"
-			} else {
-				row[a] = strconv.Itoa(i + 1)
+	return build(names, maxSets, func(a, k int) ([]string, error) {
+		dict := append(make([]string, 0, k), nums[0])
+		for i, x := range maxSets {
+			if !x.Contains(a) {
+				dict = append(dict, nums[i+1])
 			}
 		}
-		rows = append(rows, row)
-	}
-	return relation.FromRows(names, rows)
+		return dict, nil
+	})
 }
 
-// need returns, per attribute, the number of distinct values the
-// real-world construction consumes, or ErrNotEnoughValues when
-// Proposition 1 fails: every attribute A must have at least
-// |{X ∈ maxSets | A ∉ X}| + 1 distinct values.
-func need(r Source, maxSets attrset.Family) ([]int, error) {
+// checkValues returns ErrNotEnoughValues when Proposition 1 fails: every
+// attribute A must have at least |{X ∈ maxSets | A ∉ X}| + 1 distinct
+// values, the number the real-world construction consumes.
+func checkValues(r Source, maxSets attrset.Family) error {
 	names := r.Names()
-	out := make([]int, len(names))
-	for a := range out {
-		out[a] = 1
+	for a := range names {
+		need := 1
 		for _, x := range maxSets {
 			if !x.Contains(a) {
-				out[a]++
+				need++
 			}
 		}
-		if have := r.DomainSize(a); have < out[a] {
-			return nil, &ErrNotEnoughValues{Attr: a, Name: names[a], Have: have, Need: out[a]}
+		if have := r.DomainSize(a); have < need {
+			return &ErrNotEnoughValues{Attr: a, Name: names[a], Have: have, Need: need}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // RealWorld builds a real-world Armstrong relation (eq. 2) for the initial
@@ -121,23 +115,22 @@ func need(r Source, maxSets attrset.Family) ([]int, error) {
 // It returns ErrNotEnoughValues when Proposition 1 fails, and the
 // source's error when a dictionary cannot be read.
 func RealWorld(r Source, maxSets attrset.Family) (*relation.Relation, error) {
-	needs, err := need(r, maxSets)
-	if err != nil {
+	if err := checkValues(r, maxSets); err != nil {
 		return nil, err
 	}
-	// The relation is built as code columns: code c of attribute A is
-	// v_Ac. Tuple 0 is all code 0, and the tuple of each Xi takes code 0
-	// on Xi and A's next fresh code elsewhere, so every column's codes
-	// appear in first-occurrence order and A's dictionary is exactly its
-	// first needs[A] values.
+	return build(r.Names(), maxSets, r.DictPrefix)
+}
+
+// build lays out both constructions as code columns: tuple 0 is all code
+// 0, and the tuple of each Xi takes code 0 on Xi and A's next fresh code
+// elsewhere, so every column's codes appear in first-occurrence order.
+// dict(a, k) supplies the values of attribute A's k codes.
+func build(names []string, maxSets attrset.Family, dict func(a, k int) ([]string, error)) (*relation.Relation, error) {
 	rows := len(maxSets) + 1
-	codes := make([]int, len(needs)*rows)
-	cols := make([][]int, len(needs))
-	dicts := make([][]string, len(needs))
+	codes := make([]int, len(names)*rows)
+	cols := make([][]int, len(names))
+	dicts := make([][]string, len(names))
 	for a := range cols {
-		if dicts[a], err = r.DictPrefix(a, needs[a]); err != nil {
-			return nil, err
-		}
 		col := codes[a*rows : (a+1)*rows : (a+1)*rows]
 		next := 1
 		for i, x := range maxSets {
@@ -147,8 +140,12 @@ func RealWorld(r Source, maxSets attrset.Family) (*relation.Relation, error) {
 			}
 		}
 		cols[a] = col
+		var err error
+		if dicts[a], err = dict(a, next); err != nil {
+			return nil, err
+		}
 	}
-	return relation.FromEncoded(r.Names(), cols, dicts)
+	return relation.FromEncoded(names, cols, dicts)
 }
 
 // Size returns the number of tuples of the (real-world or synthetic)

@@ -3,7 +3,9 @@ package armstrong
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/agree"
@@ -89,7 +91,7 @@ func TestSyntheticIsArmstrongForPaperExample(t *testing.T) {
 // example's printed right-hand sides omit it, but the condition holds
 // either way: 6≥3, 4≥3, 6≥3, 4≥3, 3≥2).
 func TestCheckPaperExample(t *testing.T) {
-	if _, err := need(relation.PaperExample(), paperMax()); err != nil {
+	if err := checkValues(relation.PaperExample(), paperMax()); err != nil {
 		t.Fatalf("existence condition should hold: %v", err)
 	}
 }
@@ -295,11 +297,12 @@ func TestAgreeSetsOfArmstrongRelation(t *testing.T) {
 }
 
 // TestRealWorldEncodingMatchesFromRows pins the code-column construction
-// of RealWorld to the string construction it replaced: the rows must be
-// the paper's (v_A0 on Xi, the next unused value of π_A(r) elsewhere),
-// and the codes, domain sizes and dictionaries must equal those
-// relation.FromRows gives the same rows. The shapes include the wide
-// 30×2,000 relation at c=0.3 and a narrow 8×2,400 one.
+// of RealWorld and Synthetic to the string construction it replaced: the
+// rows must be the paper's (RealWorld: v_A0 on Xi, the next unused value
+// of π_A(r) elsewhere; Synthetic: "0" on Xi, the tuple number i
+// elsewhere), and the codes, domain sizes and dictionaries must equal
+// those relation.FromRows gives the same rows. The shapes include the
+// wide 30×2,000 relation at c=0.3 and a narrow 8×2,400 one.
 func TestRealWorldEncodingMatchesFromRows(t *testing.T) {
 	srcs := []*relation.Relation{relation.PaperExample()}
 	for _, spec := range []datagen.Spec{
@@ -313,28 +316,40 @@ func TestRealWorldEncodingMatchesFromRows(t *testing.T) {
 		}
 		srcs = append(srcs, r)
 	}
-	for i, r := range srcs {
+	for j := 0; j < 2*len(srcs); j++ {
+		r, synthetic := srcs[j/2], j%2 == 1
+		i := fmt.Sprintf("%d (synthetic %t)", j/2, synthetic)
 		maxSets := maxSetsOf(t, r)
-		arm, err := RealWorld(r, maxSets)
+		var arm *relation.Relation
+		var err error
+		if synthetic {
+			arm, err = Synthetic(maxSets, r.Names())
+		} else {
+			arm, err = RealWorld(r, maxSets)
+		}
 		if err != nil {
-			t.Fatalf("source %d: %v", i, err)
+			t.Fatalf("source %s: %v", i, err)
 		}
-		// The paper's rows, built from strings.
-		want := [][]string{make([]string, r.Arity())}
+		// The paper's rows, built from strings: tuple k agrees with
+		// tuple 0 on X0 = R and on Xk.
 		next := make([]int, r.Arity())
-		for a := range next {
-			want[0][a] = r.ValueForCode(a, 0)
-			next[a] = 1
+		cell := func(a, k int, agrees bool) string {
+			switch {
+			case synthetic && agrees:
+				return "0"
+			case synthetic:
+				return strconv.Itoa(k)
+			case agrees:
+				return r.ValueForCode(a, 0)
+			}
+			next[a]++
+			return r.ValueForCode(a, next[a])
 		}
-		for _, x := range maxSets {
+		var want [][]string
+		for k := 0; k <= len(maxSets); k++ {
 			row := make([]string, r.Arity())
 			for a := range row {
-				if x.Contains(a) {
-					row[a] = r.ValueForCode(a, 0)
-				} else {
-					row[a] = r.ValueForCode(a, next[a])
-					next[a]++
-				}
+				row[a] = cell(a, k, k == 0 || maxSets[k-1].Contains(a))
 			}
 			want = append(want, row)
 		}
@@ -343,23 +358,23 @@ func TestRealWorldEncodingMatchesFromRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		if arm.Rows() != ref.Rows() || arm.Arity() != ref.Arity() {
-			t.Fatalf("source %d: %d×%d relation, want %d×%d", i, arm.Rows(), arm.Arity(), ref.Rows(), ref.Arity())
+			t.Fatalf("source %s: %d×%d relation, want %d×%d", i, arm.Rows(), arm.Arity(), ref.Rows(), ref.Arity())
 		}
 		for a := 0; a < arm.Arity(); a++ {
 			if arm.Name(a) != ref.Name(a) {
-				t.Fatalf("source %d: attribute %d named %q, want %q", i, a, arm.Name(a), ref.Name(a))
+				t.Fatalf("source %s: attribute %d named %q, want %q", i, a, arm.Name(a), ref.Name(a))
 			}
 			if arm.DomainSize(a) != ref.DomainSize(a) {
-				t.Fatalf("source %d, attribute %d: domain %d, want %d", i, a, arm.DomainSize(a), ref.DomainSize(a))
+				t.Fatalf("source %s, attribute %d: domain %d, want %d", i, a, arm.DomainSize(a), ref.DomainSize(a))
 			}
 			for c := 0; c < ref.DomainSize(a); c++ {
 				if arm.ValueForCode(a, c) != ref.ValueForCode(a, c) {
-					t.Fatalf("source %d, attribute %d: code %d is %q, want %q", i, a, c, arm.ValueForCode(a, c), ref.ValueForCode(a, c))
+					t.Fatalf("source %s, attribute %d: code %d is %q, want %q", i, a, c, arm.ValueForCode(a, c), ref.ValueForCode(a, c))
 				}
 			}
 			for tt := 0; tt < arm.Rows(); tt++ {
 				if arm.Code(tt, a) != ref.Code(tt, a) {
-					t.Fatalf("source %d: tuple %d's code on attribute %d is %d, want %d", i, tt, a, arm.Code(tt, a), ref.Code(tt, a))
+					t.Fatalf("source %s: tuple %d's code on attribute %d is %d, want %d", i, tt, a, arm.Code(tt, a), ref.Code(tt, a))
 				}
 			}
 		}

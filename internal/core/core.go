@@ -185,9 +185,6 @@ type Result struct {
 	AgreeSets attrset.Family
 	// MaxSets is MAX(dep(r)) = GEN(dep(r)).
 	MaxSets attrset.Family
-	// LHS[a] is lhs(dep(r), a) including the trivial {a} when present,
-	// exactly as Algorithm 5 computes it; nil under FastFDs.
-	LHS []attrset.Family
 	// DFSNodes counts the FastFDs search-tree nodes visited in step 3.
 	DFSNodes int
 	// Armstrong is the Armstrong relation, nil when Options.Armstrong is
@@ -413,7 +410,6 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 			hs[a] = hypergraph.Unchecked(ms.CMax[a])
 		}
 		lhs, err = hypergraph.TransversalsAll(ctx, hs, opts.Workers, opts.Budget)
-		res.LHS = lhs
 	}
 	// Emitting RHS-major from canonical LHS families is fd.FD.Compare's
 	// order already: the cover needs no sort. It stays nil when there is

@@ -18,10 +18,11 @@ import (
 )
 
 // resultFingerprint renders every deterministic field of a Result (all
-// but the timings) so two runs can be compared byte-for-byte.
-func resultFingerprint(res *Result) string {
+// but the timings), and the LHS families derived from its cover, so two
+// runs can be compared byte-for-byte.
+func resultFingerprint(res *Result, arity int) string {
 	return fmt.Sprintf("fds=%v ag=%v max=%v lhs=%v couples=%d",
-		res.FDs, res.AgreeSets, res.MaxSets, res.LHS, res.Couples)
+		res.FDs, res.AgreeSets, res.MaxSets, lhsFamilies(res.FDs, arity), res.Couples)
 }
 
 func TestParallelDiscoverMatchesSequential(t *testing.T) {
@@ -50,7 +51,7 @@ func TestParallelDiscoverMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := resultFingerprint(seq)
+			want := resultFingerprint(seq, n)
 			shards := 1 + rng.Intn(8)
 			for _, workers := range []int{0, 2, 7} {
 				for _, remote := range []agree.Remote{nil, &recordingRemote{plan: plan, n: shards}} {
@@ -60,7 +61,7 @@ func TestParallelDiscoverMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := resultFingerprint(par); got != want {
+					if got := resultFingerprint(par, n); got != want {
 						t.Fatalf("iter %d algo %v workers=%d shards=%d:\n got %s\nwant %s",
 							iter, algo, workers, shards, got, want)
 					}

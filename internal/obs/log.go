@@ -1,3 +1,23 @@
+// Package obs is the observability subsystem of the repository: the
+// structured-logging, metrics, tracing, and profiling plumbing shared by
+// depminerd, the shard fleet, and the CLIs (DESIGN.md §16).
+//
+// Four pillars:
+//
+//   - attributes: request-scoped log/slog attributes — request id,
+//     dataset fingerprint, shard index — carried through
+//     context.Context (ContextWithAttrs) and attached to every log line
+//     a request produces;
+//   - logging: log/slog configuration layered from environment and
+//     flags (Config), with a guaranteed-quiet default (Nop) so tests
+//     and library use never print;
+//   - metrics: a dependency-free Prometheus text-exposition registry
+//     (Registry) with atomic counters, gauges, and histograms on the
+//     hot paths and scrape-time samplers bridging existing stats
+//     structs;
+//   - tracing: lightweight spans (StartSpan) that log structured
+//     duration events instead of shipping to a collector, so per-phase
+//     and per-shard timings can be joined across a fleet by request id.
 package obs
 
 import (
@@ -6,6 +26,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -85,7 +106,7 @@ func NewLogger(w io.Writer, cfg Config) (*slog.Logger, error) {
 // default for tests and for servers constructed without a logger.
 func Nop() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
-// ctxKey keys the request-scoped attribute set in a context.
+// ctxKey keys the request-scoped attributes in a context.
 type ctxKey struct{}
 
 // AttrKeyRequestID is the canonical key of the per-request correlation
@@ -94,45 +115,44 @@ type ctxKey struct{}
 // the workers that served its shards.
 const AttrKeyRequestID = "request_id"
 
-// ContextWithAttrs layers attrs onto the context's attribute set.
-func ContextWithAttrs(ctx context.Context, attrs ...Attr) context.Context {
-	return context.WithValue(ctx, ctxKey{}, ContextAttrs(ctx).Merge(attrs...))
+// ContextWithAttrs returns a copy of ctx whose attributes are ctx's
+// followed by attrs. The parent's attributes are copied, never extended
+// in place, so sibling goroutines can extend one request context (shard
+// index, job id) without racing.
+func ContextWithAttrs(ctx context.Context, attrs ...slog.Attr) context.Context {
+	return context.WithValue(ctx, ctxKey{}, append(ContextAttrs(ctx), attrs...))
 }
 
-// ContextWithSet replaces the context's attribute set — used to carry a
-// request's attributes onto a detached context (async jobs run under the
-// server's base context, not the request's).
-func ContextWithSet(ctx context.Context, set Set) context.Context {
-	return context.WithValue(ctx, ctxKey{}, set)
-}
-
-// ContextAttrs returns the context's attribute set (empty when absent).
-func ContextAttrs(ctx context.Context) Set {
-	if s, ok := ctx.Value(ctxKey{}).(Set); ok {
-		return s
-	}
-	return Set{}
+// ContextAttrs returns the context's attributes in the order they were
+// added (nil when absent) — also the bridge that carries a request's
+// attributes onto a detached context, since async jobs run under the
+// server's base context, not the request's. The slice is clipped, so
+// appending to it copies rather than writing to the context's array.
+func ContextAttrs(ctx context.Context) []slog.Attr {
+	attrs, _ := ctx.Value(ctxKey{}).([]slog.Attr)
+	return slices.Clip(attrs)
 }
 
 // RequestID returns the context's request id, or "".
 func RequestID(ctx context.Context) string {
-	a, ok := ContextAttrs(ctx).Get(AttrKeyRequestID)
-	if !ok {
-		return ""
+	for _, a := range ContextAttrs(ctx) {
+		if a.Key == AttrKeyRequestID {
+			return a.Value.String()
+		}
 	}
-	return a.AsString()
+	return ""
 }
 
-// Logger returns base with the context's attribute set attached, so one
+// Logger returns base with the context's attributes attached, so one
 // call site produces lines carrying the request id, dataset, and shard
 // attributes without threading them by hand. A nil base means Nop.
 func Logger(ctx context.Context, base *slog.Logger) *slog.Logger {
 	if base == nil {
 		return Nop()
 	}
-	set := ContextAttrs(ctx)
-	if set.Len() == 0 {
+	attrs := ContextAttrs(ctx)
+	if len(attrs) == 0 {
 		return base
 	}
-	return base.With(set.Args()...)
+	return slog.New(base.Handler().WithAttrs(attrs))
 }

@@ -72,7 +72,7 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := requestID(r)
 		w.Header().Set(wire.RequestIDHeader, id)
-		ctx := ContextWithAttrs(r.Context(), String(AttrKeyRequestID, id))
+		ctx := ContextWithAttrs(r.Context(), slog.String(AttrKeyRequestID, id))
 		r = r.WithContext(ctx)
 
 		if cfg.Metrics != nil {

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"log/slog"
+	"slices"
 	"time"
 )
 
@@ -13,7 +14,8 @@ import (
 // the distributed timeline the way a trace viewer would.
 
 // Span measures one named section of work. End logs the event; a Span
-// is single-use and not safe for concurrent End calls.
+// is single-use and not safe for concurrent End calls. The nil Span is
+// what StartSpan returns when debug logging is off: its End does nothing.
 type Span struct {
 	log   *slog.Logger
 	name  string
@@ -21,37 +23,42 @@ type Span struct {
 }
 
 // StartSpan opens a span named name. The event is logged at debug level
-// on End, carrying the context's attribute set (request id and friends),
-// the given attrs, and the measured duration.
-func StartSpan(ctx context.Context, base *slog.Logger, name string, attrs ...Attr) *Span {
+// on End, carrying the context's attributes (request id and friends),
+// the given attrs, and the measured duration. With debug logging off it
+// returns nil and builds nothing.
+func StartSpan(ctx context.Context, base *slog.Logger, name string, attrs ...slog.Attr) *Span {
+	if base == nil || !base.Enabled(ctx, slog.LevelDebug) {
+		return nil
+	}
 	log := Logger(ctx, base)
 	if len(attrs) > 0 {
-		log = log.With(NewSet(attrs...).Args()...)
+		// A copy, so the caller's variadic array never escapes: a
+		// disabled span then allocates nothing.
+		log = slog.New(log.Handler().WithAttrs(slices.Clone(attrs)))
 	}
 	return &Span{log: log, name: name, start: time.Now()}
 }
 
 // End closes the span, logging its duration plus any extra attributes
 // measured along the way (byte counts, set counts).
-func (s *Span) End(extra ...Attr) {
-	args := []any{
+func (s *Span) End(extra ...slog.Attr) {
+	if s == nil {
+		return
+	}
+	attrs := append([]slog.Attr{
 		slog.String("span", s.name),
 		slog.Float64("duration_ms", float64(time.Since(s.start))/float64(time.Millisecond)),
-	}
-	for _, a := range extra {
-		args = append(args, a.Slog())
-	}
-	s.log.Debug("span", args...)
+	}, extra...)
+	s.log.LogAttrs(context.Background(), slog.LevelDebug, "span", attrs...)
 }
 
 // Event logs a one-shot structured event at debug level with the
 // context's attributes attached — the span form for durations that were
-// measured elsewhere (e.g. the per-phase timings in Result.Stats).
-func Event(ctx context.Context, base *slog.Logger, msg string, attrs ...Attr) {
-	log := Logger(ctx, base)
-	args := make([]any, 0, len(attrs))
-	for _, a := range attrs {
-		args = append(args, a.Slog())
+// measured elsewhere (e.g. the per-phase timings in Result.Stats). With
+// debug logging off it builds nothing.
+func Event(ctx context.Context, base *slog.Logger, msg string, attrs ...slog.Attr) {
+	if base == nil || !base.Enabled(ctx, slog.LevelDebug) {
+		return
 	}
-	log.Debug(msg, args...)
+	Logger(ctx, base).LogAttrs(ctx, slog.LevelDebug, msg, attrs...)
 }

@@ -234,9 +234,9 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	// or on a worker serving one of its shards — carries the dataset,
 	// fingerprint, and algorithm alongside the middleware's request id.
 	ctx := obs.ContextWithAttrs(r.Context(),
-		obs.String("dataset", d.id),
-		obs.String("fingerprint", info.Fingerprint),
-		obs.String("algorithm", p.algorithm))
+		slog.String("dataset", d.id),
+		slog.String("fingerprint", info.Fingerprint),
+		slog.String("algorithm", p.algorithm))
 	key := cacheKey{fingerprint: info.Fingerprint, algorithm: p.algorithm, options: p.optionsKey()}
 	if resp, hit := s.cache.get(key); hit {
 		out := *resp
@@ -280,10 +280,10 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 
 	j := s.jobs.add(d.id, p.algorithm)
 	// The job outlives this request, so it runs under the server's base
-	// context — but carries the request's attribute set (request id
+	// context — but carries the request's attributes (request id
 	// included) onto it, joining the job's log lines to the HTTP request
 	// that submitted it.
-	jctx := obs.ContextWithSet(s.baseCtx, obs.ContextAttrs(ctx).Merge(obs.String("job_id", j.id)))
+	jctx := obs.ContextWithAttrs(s.baseCtx, append(obs.ContextAttrs(ctx), slog.String("job_id", j.id))...)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

@@ -357,11 +357,11 @@ func (d *discoveryStats) addPhases(st core.Stats) {
 // phase_seconds_total; this is the per-request view of them.
 func (s *Server) logPhases(ctx context.Context, st core.Stats) {
 	obs.Event(ctx, s.log, "discovery phases",
-		obs.Duration("partition", st.Partition),
-		obs.Duration("agree_sets", st.AgreeSets),
-		obs.Duration("max_sets", st.MaxSets),
-		obs.Duration("lhs", st.LHS),
-		obs.Duration("armstrong", st.Armstrong))
+		slog.Duration("partition", st.Partition),
+		slog.Duration("agree_sets", st.AgreeSets),
+		slog.Duration("max_sets", st.MaxSets),
+		slog.Duration("lhs", st.LHS),
+		slog.Duration("armstrong", st.Armstrong))
 }
 
 func (d *discoveryStats) addPstore(st pstore.Stats) {

@@ -240,7 +240,7 @@ func (f *fanOut) Shards() int { return f.n }
 // size. A non-governed failure hands the shard to the local sweep.
 func (f *fanOut) Fetch(ctx context.Context, i int, sh agree.Shard, v agree.Variant, sp *extsort.Spiller) (int, error) {
 	span := obs.StartSpan(ctx, f.s.log, "shard",
-		obs.Int("shard", i), obs.Int("tuple_start", sh.Start), obs.Int("tuple_end", sh.End))
+		slog.Int("shard", i), slog.Int("tuple_start", sh.Start), slog.Int("tuple_end", sh.End))
 	couples, err := f.tryRemote(ctx, i, sh, v, sp)
 	mode := "remote"
 	f.mu.Lock()
@@ -257,9 +257,9 @@ func (f *fanOut) Fetch(ctx context.Context, i int, sh agree.Shard, v agree.Varia
 	f.mu.Unlock()
 	if mode == "local" {
 		obs.Event(ctx, f.s.log, "shard falling back local",
-			obs.Int("shard", i), obs.String("remote_error", err.Error()))
+			slog.Int("shard", i), slog.String("remote_error", err.Error()))
 	}
-	span.End(obs.String("mode", mode))
+	span.End(slog.String("mode", mode))
 	return couples, err
 }
 
@@ -387,12 +387,12 @@ func (f *fanOut) record(ctx context.Context, resp *DiscoverResponse, res *core.R
 	defer f.mu.Unlock()
 	resp.Shards, resp.ShardsRemote, resp.ShardsLocal = f.attempted, f.remote, f.local
 	obs.Event(ctx, f.s.log, "shard fan-out done",
-		obs.Int("shards", f.attempted),
-		obs.Int("remote", f.remote),
-		obs.Int("local", f.local),
-		obs.Duration("dispatch", f.dispatchDur),
-		obs.Duration("stream", f.streamDur),
-		obs.Duration("merge", merge))
+		slog.Int("shards", f.attempted),
+		slog.Int("remote", f.remote),
+		slog.Int("local", f.local),
+		slog.Duration("dispatch", f.dispatchDur),
+		slog.Duration("stream", f.streamDur),
+		slog.Duration("merge", merge))
 	st := &f.s.stats
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -616,9 +616,9 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	// middleware from the dispatch header), so this line joins the
 	// coordinator's fan-out lines.
 	obs.Event(r.Context(), s.log, "shard served",
-		obs.String("fingerprint", req.Fingerprint),
-		obs.Int("tuple_start", req.TupleStart),
-		obs.Int("tuple_end", req.TupleEnd),
-		obs.Int("couples", res.Couples),
-		obs.Int64("sets", res.Sets))
+		slog.String("fingerprint", req.Fingerprint),
+		slog.Int("tuple_start", req.TupleStart),
+		slog.Int("tuple_end", req.TupleEnd),
+		slog.Int("couples", res.Couples),
+		slog.Int64("sets", res.Sets))
 }
