@@ -23,7 +23,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/incremental"
 	"repro/internal/ind"
-	"repro/internal/keys"
 	"repro/internal/maxsets"
 	"repro/internal/partition"
 	"repro/internal/pstore"
@@ -322,7 +321,7 @@ func BenchmarkExtension_Keys(b *testing.B) {
 	b.ReportAllocs()
 	r := dataset(b, 15, 2000, 0.3)
 	for i := 0; i < b.N; i++ {
-		if _, err := keys.Discover(context.Background(), r, keys.Options{}); err != nil {
+		if _, err := tane.Keys(context.Background(), r, tane.KeysOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

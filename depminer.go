@@ -39,7 +39,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/incremental"
 	"repro/internal/ind"
-	"repro/internal/keys"
 	"repro/internal/normalize"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -289,17 +288,17 @@ func DiscoverINDs(ctx context.Context, rels []*Relation, opts INDOptions) (*INDR
 }
 
 // KeysResult is the outcome of candidate-key discovery.
-type KeysResult = keys.Result
+type KeysResult = tane.KeysResult
 
 // KeysOptions configure candidate-key discovery.
-type KeysOptions = keys.Options
+type KeysOptions = tane.KeysOptions
 
 // DiscoverKeys finds the minimal candidate keys (minimal unique column
 // combinations) of the relation instance src supplies with a levelwise
-// partition search. For duplicate-free relations these coincide with the
-// keys of the discovered FD cover.
+// partition search over TANE's lattice. For duplicate-free relations
+// these coincide with the keys of the discovered FD cover.
 func DiscoverKeys(ctx context.Context, src Source, opts KeysOptions) (*KeysResult, error) {
-	return keys.Discover(ctx, src, opts)
+	return tane.Keys(ctx, src, opts)
 }
 
 // IncrementalMiner maintains FD discovery state under tuple insertions:

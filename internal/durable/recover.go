@@ -169,7 +169,8 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	// The decisive check: the fingerprint of the replayed content must
 	// equal the one recorded when the last surviving record was written.
 	view := st.View()
-	if got := FingerprintOf(view).Sum(); got != lastFP {
+	h := FingerprintOf(view)
+	if got := h.Sum(); got != lastFP {
 		return nil, nil, fmt.Sprintf("fingerprint mismatch: recorded %.12s…, replayed %.12s…", lastFP, got), nil
 	}
 
@@ -196,6 +197,7 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 		Name:        name,
 		Store:       st,
 		Fingerprint: lastFP,
+		Hasher:      h,
 		Replayed:    applied,
 		TornTail:    torn,
 	}

@@ -70,6 +70,9 @@ type RecoveredDataset struct {
 	Name        string
 	Store       *relation.Store
 	Fingerprint string
+	// Hasher is the running hash recovery checked Fingerprint with, over
+	// Store's rows; the serving layer keeps adding appended rows to it.
+	Hasher *Fingerprint
 	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int
 	// TornTail reports that a torn final record was dropped — the

@@ -242,24 +242,20 @@ func (r *registry) register(name string, rel *relation.Relation, m *incremental.
 
 // restore publishes a dataset recovered from disk at boot: the
 // incremental session is seeded (workers wide) over the recovered column
-// store, adopted without re-encoding, and the fingerprint is recomputed
-// once more on the registry's own hasher — a final cross-check that the
-// recovered content is exactly what was acknowledged.
+// store, adopted without re-encoding, and the registry keeps recovery's
+// running hash, which recovery already checked against the fingerprint
+// recorded on disk.
 func (r *registry) restore(rd durable.RecoveredDataset, dur *durable.Dataset, now time.Time, workers int) error {
-	h := durable.FingerprintOf(rd.Store.View())
 	m, err := incremental.FromStore(context.Background(), rd.Store, workers)
 	if err != nil {
 		return fmt.Errorf("restoring %s: %w", rd.ID, err)
-	}
-	if got := h.Sum(); got != rd.Fingerprint {
-		return fmt.Errorf("restoring %s: rebuilt fingerprint %s does not match recovered %s", rd.ID, got, rd.Fingerprint)
 	}
 	d := &dataset{
 		id:      rd.ID,
 		name:    rd.Name,
 		created: now,
 		miner:   m,
-		hasher:  h,
+		hasher:  rd.Hasher,
 		fp:      rd.Fingerprint,
 		dur:     dur,
 	}

@@ -32,6 +32,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -449,23 +450,30 @@ var errBadShardRange = errors.New("bad shard range")
 // planCache caches the plans a worker serves shards from, by content
 // fingerprint, with singleflight builds so concurrent shards of one
 // discovery share one couple-space build. FIFO eviction; stale
-// fingerprints age out.
+// fingerprints age out. A failed build is not kept: its waiters share
+// the error, and the next request builds afresh.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]func() (*agree.Plan, error)
+	entries map[string]*planEntry
 	order   []string
 }
 
+// planEntry is one fingerprint's build, shared by everyone who asks
+// while it is cached.
+type planEntry struct {
+	build func() (*agree.Plan, error)
+}
+
 func newPlanCache(capEntries int) *planCache {
-	return &planCache{cap: capEntries, entries: make(map[string]func() (*agree.Plan, error))}
+	return &planCache{cap: capEntries, entries: make(map[string]*planEntry)}
 }
 
 func (pc *planCache) get(fp string, build func() (*agree.Plan, error)) (*agree.Plan, error) {
 	pc.mu.Lock()
 	e, ok := pc.entries[fp]
 	if !ok {
-		e = sync.OnceValues(build)
+		e = &planEntry{build: sync.OnceValues(build)}
 		pc.entries[fp] = e
 		pc.order = append(pc.order, fp)
 		for pc.cap > 0 && len(pc.order) > pc.cap {
@@ -474,7 +482,16 @@ func (pc *planCache) get(fp string, build func() (*agree.Plan, error)) (*agree.P
 		}
 	}
 	pc.mu.Unlock()
-	return e()
+	plan, err := e.build()
+	if err != nil {
+		pc.mu.Lock()
+		if pc.entries[fp] == e {
+			delete(pc.entries, fp)
+			pc.order = slices.DeleteFunc(pc.order, func(k string) bool { return k == fp })
+		}
+		pc.mu.Unlock()
+	}
+	return plan, err
 }
 
 func (s *Server) noteShardServedError() {

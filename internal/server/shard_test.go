@@ -649,3 +649,24 @@ func newClientFor(t *testing.T, ts *httptest.Server) *client.Client {
 	t.Helper()
 	return client.New(ts.URL)
 }
+
+// TestShardPlanBuildFailureNotCached fails one worker-side plan build
+// with an injected fault. The request answers 500; once the fault is
+// cleared, the next request for the same fingerprint must build afresh
+// and serve the shard instead of replaying the cached failure.
+func TestShardPlanBuildFailureNotCached(t *testing.T) {
+	r := shardTestRelation(t, 14)
+	_, ts := newTestServer(t, Config{})
+	reg := register(t, ts, r)
+	req := wire.ShardRequest{Fingerprint: reg.Fingerprint, TupleEnd: r.Rows()}
+
+	faultinject.Set(faultinject.PoolTask, faultinject.FailWith(fmt.Errorf("boom")))
+	code := postJSON(t, ts.URL+"/v1/shard/agree", req, nil)
+	faultinject.Clear(faultinject.PoolTask)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("faulted plan build: status %d, want 500", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/shard/agree", req, nil); code != http.StatusOK {
+		t.Fatalf("after the fault cleared: status %d, want 200", code)
+	}
+}

@@ -1,4 +1,4 @@
-package keys
+package tane_test
 
 import (
 	"context"
@@ -10,18 +10,19 @@ import (
 	"repro/internal/fd"
 	"repro/internal/guard"
 	"repro/internal/relation"
+	"repro/internal/tane"
 )
 
-func TestOptionsValidate(t *testing.T) {
-	for _, opts := range []Options{{Workers: -1}, {MaxPartitionBytes: -1}} {
+func TestKeysOptionsValidate(t *testing.T) {
+	for _, opts := range []tane.KeysOptions{{Workers: -1}, {MaxPartitionBytes: -1}} {
 		if err := opts.Validate(); !errors.Is(err, guard.ErrInvalidOptions) {
 			t.Errorf("Validate(%+v) = %v, want ErrInvalidOptions", opts, err)
 		}
-		if _, err := Discover(context.Background(), relation.PaperExample(), opts); !errors.Is(err, guard.ErrInvalidOptions) {
-			t.Errorf("Discover(%+v) err = %v, want ErrInvalidOptions", opts, err)
+		if _, err := tane.Keys(context.Background(), relation.PaperExample(), opts); !errors.Is(err, guard.ErrInvalidOptions) {
+			t.Errorf("tane.Keys(%+v) err = %v, want ErrInvalidOptions", opts, err)
 		}
 	}
-	if err := (Options{Workers: 4, MaxPartitionBytes: 1 << 20}).Validate(); err != nil {
+	if err := (tane.KeysOptions{Workers: 4, MaxPartitionBytes: 1 << 20}).Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 }
@@ -36,7 +37,7 @@ func set(spec string) attrset.Set {
 
 func TestPaperExampleKeys(t *testing.T) {
 	r := relation.PaperExample()
-	res, err := Discover(context.Background(), r, Options{})
+	res, err := tane.Keys(context.Background(), r, tane.KeysOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSingleColumnKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(context.Background(), r, Options{})
+	res, err := tane.Keys(context.Background(), r, tane.KeysOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestDuplicateTuplesHaveNoKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(context.Background(), r, Options{})
+	res, err := tane.Keys(context.Background(), r, tane.KeysOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +88,14 @@ func TestDuplicateTuplesHaveNoKey(t *testing.T) {
 	}
 }
 
-func TestDegenerate(t *testing.T) {
+func TestKeysDegenerate(t *testing.T) {
 	// ≤ 1 tuple: the empty set is the key.
 	for _, rows := range [][][]string{{}, {{"1", "x"}}} {
 		r, err := relation.FromRows([]string{"a", "b"}, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Discover(context.Background(), r, Options{})
+		res, err := tane.Keys(context.Background(), r, tane.KeysOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(context.Background(), r0, Options{})
+	res, err := tane.Keys(context.Background(), r0, tane.KeysOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestPropertyMatchesBruteForceAndTheory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Discover(context.Background(), r, Options{})
+		res, err := tane.Keys(context.Background(), r, tane.KeysOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestPropertyMatchesBruteForceAndTheory(t *testing.T) {
 		// Theory cross-check on duplicate-free relations: instance keys
 		// equal the keys of the discovered FD cover.
 		d := r.Deduplicate()
-		resD, err := Discover(context.Background(), d, Options{})
+		resD, err := tane.Keys(context.Background(), d, tane.KeysOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,10 +189,10 @@ func TestPropertyMatchesBruteForceAndTheory(t *testing.T) {
 	}
 }
 
-func TestCancellation(t *testing.T) {
+func TestKeysCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Discover(ctx, relation.PaperExample(), Options{}); err == nil {
+	if _, err := tane.Keys(ctx, relation.PaperExample(), tane.KeysOptions{}); err == nil {
 		t.Error("cancelled context should abort")
 	}
 }

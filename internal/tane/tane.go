@@ -17,7 +17,10 @@
 //
 // The package also provides TANE's approximate-dependency mode: X → A is
 // approximately valid when its g₃ error (minimum fraction of tuples to
-// remove for the FD to hold) is at most a threshold ε.
+// remove for the FD to hold) is at most a threshold ε, and the
+// candidate keys of the instance (Keys): the key search is the same walk
+// of the lattice — the same level loop, join and partition store — with
+// "every tuple unique" as its only per-node rule.
 //
 // # Execution model
 //
@@ -42,7 +45,6 @@ package tane
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/attrset"
@@ -145,60 +147,86 @@ type search struct {
 	rows     int // |r|
 	universe attrset.Set
 	epsilon  float64
+	maxLHS   int
 	workers  int
+	budget   *guard.Budget
 	probers  []*partition.Prober
 	checkers []*g3Checker
 	store    *pstore.Store
 	cstore   *cplusStore
 }
 
-// Run executes TANE on the relation src supplies, reading each column
-// once into its single-attribute partition. Panics anywhere in the search
-// are contained at this boundary and surface as a *guard.PanicError.
+// newSearch reads each column of src once into its single-attribute
+// partition and sets up what every walk of the lattice shares: one prober
+// per worker and the store with the singletons pinned as roots. It
+// returns the first level, one node per attribute.
+func newSearch(src partition.ColumnSource, workers int, capBytes int64, budget *guard.Budget) (*search, []*node, error) {
+	db, err := partition.NewDatabaseFromSource(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := len(db.Attr)
+	sr := &search{
+		rows:     db.NumRows,
+		universe: attrset.Universe(n),
+		workers:  workers,
+		budget:   budget,
+		probers:  make([]*partition.Prober, workers),
+		store:    pstore.New(capBytes, budget),
+	}
+	for w := range sr.probers {
+		sr.probers[w] = partition.NewProber(sr.rows)
+	}
+	singles := make([]node, n)
+	level := make([]*node, n)
+	for a, p := range db.Attr {
+		sr.store.PutRoot(attrset.Single(a), p)
+		singles[a] = node{set: attrset.Single(a), size: p.Size(), full: p.FullClassCount()}
+		level[a] = &singles[a]
+	}
+	return sr, level, nil
+}
+
+// stats returns the store's counters, or none before the store exists.
+func (sr *search) stats() pstore.Stats {
+	if sr == nil {
+		return pstore.Stats{}
+	}
+	return sr.store.Stats()
+}
+
+// Run executes TANE on the relation src supplies. Panics anywhere in the
+// search are contained at this boundary and surface as a
+// *guard.PanicError.
 func Run(ctx context.Context, src partition.ColumnSource, opts Options) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{}
 	var sr *search
 	defer func() {
 		if p := recover(); p != nil {
-			if sr != nil {
-				res.Stats = sr.store.Stats()
-			}
-			res.Partial = true
-			res.Elapsed = time.Since(start)
+			res.Partial, res.Stats, res.Elapsed = true, sr.stats(), time.Since(start)
 			err = guard.NewPanicError("tane", p)
 		}
 	}()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	n := src.Arity()
-	if n == 0 {
+	if src.Arity() == 0 {
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
-	db, err := partition.NewDatabaseFromSource(src)
-	if err != nil {
+	var level []*node
+	if sr, level, err = newSearch(src, pool.Resolve(opts.Workers), opts.MaxPartitionBytes, opts.Budget); err != nil {
 		return nil, err
 	}
-
-	workers := pool.Resolve(opts.Workers)
-	sr = &search{
-		rows:     db.NumRows,
-		universe: attrset.Universe(n),
-		epsilon:  opts.Epsilon,
-		workers:  workers,
-		probers:  make([]*partition.Prober, workers),
-		checkers: make([]*g3Checker, workers),
-		store:    pstore.New(opts.MaxPartitionBytes, opts.Budget),
-		cstore: &cplusStore{universe: attrset.Universe(n), m: map[attrset.Set]attrset.Set{
-			attrset.Empty(): attrset.Universe(n), // C⁺(∅) = R
-		}},
-	}
-	for w := range sr.probers {
-		sr.probers[w] = partition.NewProber(sr.rows)
+	sr.epsilon, sr.maxLHS = opts.Epsilon, opts.MaxLHS
+	sr.checkers = make([]*g3Checker, sr.workers)
+	for w := range sr.checkers {
 		sr.checkers[w] = newG3Checker(sr.rows)
 	}
+	sr.cstore = &cplusStore{universe: sr.universe, m: map[attrset.Set]attrset.Set{
+		attrset.Empty(): sr.universe, // C⁺(∅) = R
+	}}
 
 	// π_∅ has a single class (all tuples); its full class count is 1.
 	all := make([]int, sr.rows)
@@ -209,60 +237,27 @@ func Run(ctx context.Context, src partition.ColumnSource, opts Options) (res *Re
 	sr.store.PutRoot(attrset.Empty(), emptyPart)
 	empty := &node{set: attrset.Empty(), cplus: sr.universe,
 		size: emptyPart.Size(), full: emptyPart.FullClassCount()}
-	prevIdx := map[attrset.Set]*node{attrset.Empty(): empty}
 
-	// Level 1: the single-attribute roots, pinned in the store.
-	singles := make([]node, n)
-	level := make([]*node, 0, n)
-	for a, p := range db.Attr {
-		sr.store.PutRoot(attrset.Single(a), p)
-		singles[a] = node{set: attrset.Single(a), size: p.Size(), full: p.FullClassCount()}
-		level = append(level, &singles[a])
+	err = sr.walk(ctx, map[attrset.Set]*node{attrset.Empty(): empty}, level, "tane", faultinject.TANELevel,
+		func(prev map[attrset.Set]*node, level []*node) ([]*node, error) {
+			res.Levels++
+			res.LatticeNodes += len(level)
+			if err := sr.computeDependencies(ctx, prev, level); err != nil {
+				return nil, err
+			}
+			// Merge the per-node FD buffers in canonical node order.
+			for _, nd := range level {
+				res.FDs = append(res.FDs, nd.fds...)
+				nd.fds = nil
+				sr.cstore.m[nd.set] = nd.cplus
+			}
+			return sr.prune(level, res), nil
+		})
+	// A governed cutoff keeps the FDs of the completed levels as a
+	// partial result; any other failure discards it.
+	if err != nil && !guard.Governed(err) {
+		return nil, err
 	}
-
-	for len(level) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("tane: cancelled at level %d: %w", res.Levels+1, err)
-		}
-		if ferr := faultinject.Fire(faultinject.TANELevel); ferr != nil {
-			return failTANE(res, sr, start, ferr)
-		}
-		if cerr := opts.Budget.Charge("tane", len(level)); cerr != nil {
-			return failTANE(res, sr, start, cerr)
-		}
-		res.Levels++
-		res.LatticeNodes += len(level)
-
-		if derr := sr.computeDependencies(ctx, prevIdx, level); derr != nil {
-			return failTANE(res, sr, start, derr)
-		}
-		// Merge the per-node FD buffers in canonical node order.
-		for _, nd := range level {
-			res.FDs = append(res.FDs, nd.fds...)
-			nd.fds = nil
-			sr.cstore.m[nd.set] = nd.cplus
-		}
-		survivors := sr.prune(level, res)
-
-		if opts.MaxLHS > 0 && res.Levels > opts.MaxLHS {
-			break
-		}
-		next, nextIdx, gerr := sr.generateNextLevel(ctx, survivors, res.Levels+1)
-		if gerr != nil {
-			return failTANE(res, sr, start, gerr)
-		}
-		// Levels below the new one are dead weight: exact mode never
-		// reads a partition outside the join, approximate mode still
-		// needs the current level's partitions for next level's g₃.
-		if opts.Epsilon == 0 {
-			sr.store.Forget(res.Levels)
-		} else {
-			sr.store.Forget(res.Levels - 1)
-		}
-		prevIdx = nextIdx
-		level = next
-	}
-
 	if opts.MaxLHS > 0 {
 		kept := res.FDs[:0]
 		for _, f := range res.FDs {
@@ -273,23 +268,50 @@ func Run(ctx context.Context, src partition.ColumnSource, opts Options) (res *Re
 		res.FDs = kept
 	}
 	res.FDs.Sort()
-	res.Stats = sr.store.Stats()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	res.Partial, res.Stats, res.Elapsed = err != nil, sr.stats(), time.Since(start)
+	return res, err
 }
 
-// failTANE classifies a mid-search failure: governed outcomes keep the
-// FDs of the completed levels (Partial = true); anything else discards
-// the result.
-func failTANE(res *Result, sr *search, start time.Time, err error) (*Result, error) {
-	if !guard.Governed(err) {
-		return nil, err
+// walk is the level loop both searches run. Each level passes the
+// context and fault checkpoints and charges its width to the budget
+// under phase; visit then handles it — with prev indexing the previous
+// level's survivors — and returns the nodes that may grow, whose Apriori
+// join is the next level. The walk ends when a level comes out empty, or
+// after level maxLHS when that is set.
+func (sr *search) walk(ctx context.Context, prev map[attrset.Set]*node, level []*node, phase, point string,
+	visit func(prev map[attrset.Set]*node, level []*node) ([]*node, error)) error {
+	for k := 1; len(level) > 0; k++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%s: cancelled at level %d: %w", phase, k, err)
+		}
+		if err := faultinject.Fire(point); err != nil {
+			return err
+		}
+		if err := sr.budget.Charge(phase, len(level)); err != nil {
+			return err
+		}
+		survivors, err := visit(prev, level)
+		if err != nil {
+			return err
+		}
+		if sr.maxLHS > 0 && k > sr.maxLHS {
+			return nil
+		}
+		next, nextIdx, err := sr.generateNextLevel(ctx, survivors, k+1)
+		if err != nil {
+			return err
+		}
+		// Levels below the new one are dead weight: exact searches never
+		// read a partition outside the join, approximate mode still needs
+		// the current level's partitions for next level's g₃.
+		if sr.epsilon == 0 {
+			sr.store.Forget(k)
+		} else {
+			sr.store.Forget(k - 1)
+		}
+		prev, level = nextIdx, next
 	}
-	res.Partial = true
-	res.FDs.Sort()
-	res.Stats = sr.store.Stats()
-	res.Elapsed = time.Since(start)
-	return res, err
+	return nil
 }
 
 // computeDependencies is TANE's COMPUTE_DEPENDENCIES, fanned out one task
@@ -438,26 +460,22 @@ func (s *cplusStore) cplusOf(y attrset.Set) attrset.Set {
 // all-subsets-present prune — is pure set algebra and runs serially over
 // the sorted survivors (consecutive runs share a prefix, so the join is a
 // linear scan). The partition products, the expensive part, fan out one
-// task per candidate; each stores its product under the candidate's
-// recorded path and caches the class counts on the node. It returns the
-// new level in canonical order together with the survivors' index (the
-// next iteration's previous-level lookup).
+// task per candidate; each multiplies the candidate's two join parents,
+// stores the product under that path and caches the class counts on the
+// node. It returns the new level in canonical order together with the
+// survivors' index (the next iteration's previous-level lookup).
 func (sr *search) generateNextLevel(ctx context.Context, survivors []*node, levelNum int) ([]*node, map[attrset.Set]*node, error) {
 	surviveIdx := make(map[attrset.Set]*node, len(survivors))
 	for _, nd := range survivors {
 		surviveIdx[nd.set] = nd
 	}
-	if len(survivors) == 0 {
-		return nil, surviveIdx, nil
-	}
-
-	type candidate struct {
-		set, left, right attrset.Set
-	}
-	var cands []candidate
+	var cands []attrset.Set
 	// Prefix runs: survivors are sorted lexicographically, so all sets
 	// sharing the |X|-1 smallest attributes (the set minus its largest)
 	// are consecutive, each run internally ascending by last attribute.
+	// The candidates therefore come out in canonical order — runs ascend
+	// by prefix, and within a run by the pair of last attributes — so the
+	// next level needs no sort.
 	for lo := 0; lo < len(survivors); {
 		prefix := survivors[lo].set.Without(survivors[lo].set.Max())
 		hi := lo + 1
@@ -474,41 +492,37 @@ func (sr *search) generateNextLevel(ctx context.Context, survivors []*node, leve
 						ok = false
 					}
 				})
-				if !ok {
-					continue
+				if ok {
+					cands = append(cands, cand)
 				}
-				cands = append(cands, candidate{
-					set:  cand,
-					left: survivors[i].set, right: survivors[j].set,
-				})
 			}
 		}
 		lo = hi
 	}
-	// The construction order is already canonical; the sort is cheap
-	// insurance that the next level's node order — and with it every
-	// merge — stays deterministic.
-	slices.SortFunc(cands, func(a, b candidate) int { return a.set.CompareLex(b.set) })
-
 	nodes := make([]node, len(cands))
 	err := pool.Run(ctx, sr.workers, len(cands), func(ctx context.Context, w, t int) error {
-		c := cands[t]
-		lp, err := sr.store.Get(c.left, sr.probers[w])
+		nd := &nodes[t]
+		nd.set = cands[t]
+		// The join parents: the candidate without its largest attribute,
+		// and without its second largest.
+		left := nd.set.Without(nd.set.Max())
+		right := nd.set.Without(left.Max())
+		lp, err := sr.store.Get(left, sr.probers[w])
 		if err != nil {
 			return err
 		}
-		rp, err := sr.store.Get(c.right, sr.probers[w])
+		rp, err := sr.store.Get(right, sr.probers[w])
 		if err != nil {
 			return err
 		}
 		p := sr.probers[w].Product(lp, rp)
-		nodes[t] = node{set: c.set, size: p.Size(), full: p.FullClassCount()}
-		return sr.store.Put(c.set, c.left, c.right, levelNum, p)
+		nd.size, nd.full = p.Size(), p.FullClassCount()
+		return sr.store.Put(nd.set, left, right, levelNum, p)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	next := make([]*node, len(cands))
+	next := make([]*node, len(nodes))
 	for i := range nodes {
 		next[i] = &nodes[i]
 	}
