@@ -383,8 +383,7 @@ func BenchmarkTANEApproximate(b *testing.B) {
 // BenchmarkTANEParallel measures TANE's parallel level evaluation at
 // increasing worker counts on the widest default workload. Workers=1 is
 // the sequential reference path; speedups are relative to it and bounded
-// by GOMAXPROCS — on a single-core testbed all counts degenerate to ~1×
-// (see BENCH_TANE.json for recorded numbers).
+// by GOMAXPROCS — on a single-core testbed all counts degenerate to ~1×.
 func BenchmarkTANEParallel(b *testing.B) {
 	r := dataset(b, 20, 5000, 0.3)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -431,8 +430,7 @@ func BenchmarkTANEMemBound(b *testing.B) {
 // the full pipeline (agree-set sweep + per-attribute transversal fan-out)
 // at increasing worker counts on one workload. Workers=1 is the
 // sequential reference path; speedups are relative to it and bounded by
-// GOMAXPROCS — on a single-core testbed all counts degenerate to ~1×
-// (see BENCH_PARALLEL.json for recorded numbers).
+// GOMAXPROCS — on a single-core testbed all counts degenerate to ~1×.
 func BenchmarkDiscoverParallel(b *testing.B) {
 	r := dataset(b, 20, 5000, 0.3)
 	for _, algo := range []core.AgreeAlgorithm{core.AgreeCouples, core.AgreeIdentifiers} {

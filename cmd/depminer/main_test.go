@@ -145,8 +145,8 @@ func TestRunStreamed(t *testing.T) {
 
 // TestRunSnapshot discovers off a durable DMSNAP1 snapshot: the output —
 // Armstrong relation and candidate keys included — must equal the plain
-// CSV run's for every miner but naive, which needs the rows and must be
-// refused.
+// CSV run's for every miner, TANE included, but naive, which needs the
+// rows and must be refused.
 func TestRunSnapshot(t *testing.T) {
 	csv := paperCSV(t)
 	r, err := depminer.LoadCSVFile(csv, true)
@@ -201,6 +201,13 @@ func TestRunSnapshot(t *testing.T) {
 			t.Errorf("%s: snapshot output differs from the CSV run:\n got %s\nwant %s", algo, got, plain)
 		}
 	}
+	plain, err := run(config{algo: "tane", timeout: time.Minute, useNames: true, showKeys: true, args: []string{csv}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := run(config{algo: "tane", timeout: time.Minute, useNames: true, showKeys: true, snapshot: true, args: []string{snap}}); err != nil || got != plain {
+		t.Errorf("tane: snapshot output differs from the CSV run (err %v):\n got %s\nwant %s", err, got, plain)
+	}
 	for _, cfg := range []config{
 		{algo: "naive", armstrong: "auto", timeout: time.Minute, snapshot: true, args: []string{snap}},
 		{algo: "depminer", armstrong: "auto", timeout: time.Minute, snapshot: true, args: []string{csv}},
@@ -208,5 +215,114 @@ func TestRunSnapshot(t *testing.T) {
 		if _, err := run(cfg); err == nil {
 			t.Errorf("-snapshot accepted algo=%s keys=%v file=%s", cfg.algo, cfg.showKeys, cfg.args[0])
 		}
+	}
+}
+
+func TestRunTANEPaperExample(t *testing.T) {
+	out, err := capture(t, func() error {
+		cfg := config{algo: "tane", timeout: time.Minute, stats: true}
+		return cfg.run(context.Background())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "14 minimal functional dependencies") {
+		t.Errorf("output:\n%s", out)
+	}
+	if !strings.Contains(out, "BC → A") {
+		t.Error("letter notation missing")
+	}
+	if !strings.Contains(out, "lattice:") {
+		t.Error("stats missing")
+	}
+}
+
+func TestRunTANEApproximate(t *testing.T) {
+	out, err := capture(t, func() error {
+		cfg := config{algo: "tane", epsilon: 0.3, timeout: time.Minute, useNames: true}
+		return cfg.run(context.Background())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "approximate dependencies (g3 ≤ 0.3)") {
+		t.Errorf("output:\n%s", out)
+	}
+}
+
+func TestRunTANECSVAndErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.csv")
+	if err := os.WriteFile(path, []byte("a,b\n1,x\n2,x\n3,y\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, func() error {
+		cfg := config{algo: "tane", maxLHS: 1, timeout: time.Minute, useNames: true, args: []string{path}}
+		return cfg.run(context.Background())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "a → b") {
+		t.Errorf("output:\n%s", out)
+	}
+	if _, err := capture(t, func() error {
+		cfg := config{algo: "tane", epsilon: -1, timeout: time.Minute, useNames: true}
+		return cfg.run(context.Background())
+	}); err == nil {
+		t.Error("negative epsilon accepted")
+	}
+	if _, err := capture(t, func() error {
+		cfg := config{algo: "tane", timeout: time.Minute, useNames: true, args: []string{"x", "y"}}
+		return cfg.run(context.Background())
+	}); err == nil {
+		t.Error("two files accepted")
+	}
+}
+
+// TestRunTANEStreamed reads the one-pass CSV stream with -algo tane: the
+// cover must equal the materialised run's, -keys included on the plain
+// run only.
+func TestRunTANEStreamed(t *testing.T) {
+	csv := paperCSV(t)
+	run := func(cfg config) string {
+		t.Helper()
+		out, err := capture(t, func() error { return cfg.run(context.Background()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain := run(config{algo: "tane", timeout: time.Minute, useNames: true, args: []string{csv}})
+	if got := run(config{algo: "tane", timeout: time.Minute, useNames: true, stream: true, args: []string{csv}}); got != plain {
+		t.Errorf("-stream output differs:\n got %s\nwant %s", got, plain)
+	}
+	if got := run(config{algo: "tane", timeout: time.Minute, useNames: true, showKeys: true, args: []string{csv}}); !strings.Contains(got, "6 minimal candidate keys") {
+		t.Errorf("-keys with tane:\n%s", got)
+	}
+}
+
+// TestRunMinerOnlyFlags: a flag that applies to other miners only is an
+// error, never silently ignored — before any input is read.
+func TestRunMinerOnlyFlags(t *testing.T) {
+	for _, cfg := range []config{
+		{algo: "depminer", epsilon: 0.1},
+		{algo: "fastfds", maxLHS: 2},
+		{algo: "depminer2", partBytes: 1},
+		{algo: "tane", armstrong: "auto"},
+		{algo: "tane", armstrong: "real"},
+		{algo: "tane", maxAgreeBytes: 1},
+		{algo: "tane", spillDir: "d"},
+	} {
+		cfg.timeout, cfg.args = time.Minute, []string{"/nonexistent.csv"}
+		if err := cfg.run(context.Background()); err == nil || strings.Contains(err.Error(), "nonexistent") {
+			t.Errorf("%+v: err = %v, want a flag error", cfg, err)
+		}
+	}
+	out, err := capture(t, func() error {
+		cfg := config{algo: "tane", armstrong: "none", timeout: time.Minute, useNames: true}
+		return cfg.run(context.Background())
+	})
+	if err != nil || !strings.Contains(out, "14 minimal functional dependencies") {
+		t.Errorf("-armstrong none with tane: err %v, output:\n%s", err, out)
 	}
 }

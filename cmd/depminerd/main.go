@@ -69,7 +69,7 @@ func main() {
 	flag.Int64Var(&cfg.server.MaxBodyBytes, "max-body-bytes", 32<<20, "cap on request bodies (CSV uploads)")
 	flag.IntVar(&cfg.server.MaxDatasets, "max-datasets", 64, "cap on registered datasets")
 	flag.IntVar(&cfg.server.CacheEntries, "cache-entries", 128, "cap on result-cache entries (LRU)")
-	flag.IntVar(&cfg.server.Workers, "workers", 0, "default worker-pool width for discoveries (0 = all cores)")
+	flag.IntVar(&cfg.server.Workers, "workers", 0, "worker-pool width for discoveries: caps and defaults a request's workers (0 = all cores)")
 	flag.Int64Var(&cfg.server.MaxAgreeBytes, "max-agree-bytes", 0, "cap (and default) for resident agree-set bytes per discovery; past it sorted runs spill to disk (0 = in-memory)")
 	flag.StringVar(&cfg.server.SpillDir, "spill-dir", "", "directory for spilled agree-set runs (empty = system temp dir)")
 	flag.StringVar(&cfg.server.DataDir, "data-dir", "", "data directory for durable datasets (WAL + snapshots, recovered on boot); empty = memory-only")

@@ -73,15 +73,7 @@ func run(ctx context.Context, fdsPath string, noHeader, explain bool, timeout ti
 
 	var cover depminer.Cover
 	if explain {
-		l := depminer.Limits{Units: budget}
-		if timeout > 0 {
-			l.Deadline = time.Now().Add(timeout)
-		}
-		var b *depminer.Budget
-		if l.Units > 0 || !l.Deadline.IsZero() {
-			b = depminer.NewBudget(l)
-		}
-		res, err := depminer.Discover(ctx, r, depminer.Options{Armstrong: depminer.ArmstrongNone, Budget: b})
+		res, err := depminer.Discover(ctx, r, depminer.Options{Armstrong: depminer.ArmstrongNone, Budget: cli.NewBudget(timeout, budget)})
 		if err != nil {
 			// A partial cover cannot explain anything soundly; fail the
 			// run with the governed error (exit code 3).
@@ -92,9 +84,8 @@ func run(ctx context.Context, fdsPath string, noHeader, explain bool, timeout ti
 
 	failed := 0
 	for _, rule := range rules {
-		if ok, _ := depminer.Verify(r, depminer.Cover{rule}); !ok {
+		if ti, tj := r.Violation(rule.LHS, rule.RHS); ti >= 0 {
 			failed++
-			ti, tj := findViolation(r, rule)
 			fmt.Printf("FAIL  %s\n", rule.Names(r.Names()))
 			fmt.Printf("      tuples %d and %d agree on the LHS but differ on %s (%q vs %q)\n",
 				ti+1, tj+1, r.Name(rule.RHS), r.Value(ti, rule.RHS), r.Value(tj, rule.RHS))
@@ -121,24 +112,4 @@ func run(ctx context.Context, fdsPath string, noHeader, explain bool, timeout ti
 		return errRulesViolated
 	}
 	return nil
-}
-
-// findViolation locates a witnessing tuple pair for a failing rule.
-func findViolation(r *depminer.Relation, rule depminer.FD) (int, int) {
-	type firstSeen struct{ tuple, code int }
-	groups := map[string]firstSeen{}
-	for t := 0; t < r.Rows(); t++ {
-		key := ""
-		rule.LHS.ForEach(func(a int) {
-			key += r.Value(t, a) + "\x00"
-		})
-		if prev, ok := groups[key]; ok {
-			if prev.code != r.Code(t, rule.RHS) {
-				return prev.tuple, t
-			}
-		} else {
-			groups[key] = firstSeen{t, r.Code(t, rule.RHS)}
-		}
-	}
-	return -1, -1
 }

@@ -74,6 +74,23 @@ func TestCheckViolationWitness(t *testing.T) {
 	}
 }
 
+// TestCheckViolationNULValues: values containing NUL bytes must not make
+// tuples that differ on the LHS look like a witness. Tuples 1 and 2 differ
+// on both A and B; the only violating pair is 3 and 4.
+func TestCheckViolationNULValues(t *testing.T) {
+	csv := write(t, "d.csv", "A,B,C\na\x00,b,1\na,\x00b,2\nx,y,1\nx,y,2\n")
+	rules := write(t, "r.txt", "A,B -> C\n")
+	out, err := capture(t, func() error {
+		return run(context.Background(), rules, false, false, time.Minute, 0, []string{csv})
+	})
+	if err == nil || !strings.Contains(err.Error(), "violated") {
+		t.Errorf("err = %v, want rules-violated sentinel", err)
+	}
+	if !strings.Contains(out, "tuples 3 and 4 agree on the LHS") {
+		t.Errorf("wrong witness:\n%s", out)
+	}
+}
+
 func TestCheckErrors(t *testing.T) {
 	csv := write(t, "d.csv", "a,b\n1,x\n")
 	if err := run(context.Background(), "", false, false, time.Minute, 0, []string{csv}); err == nil {
@@ -106,7 +123,7 @@ func TestFindViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti, tj := findViolation(r, rule)
+	ti, tj := r.Violation(rule.LHS, rule.RHS)
 	if ti != 0 || tj != 2 {
 		t.Errorf("witness = (%d,%d), want (0,2)", ti, tj)
 	}
@@ -114,7 +131,7 @@ func TestFindViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ti, tj := findViolation(r, holds); ti != -1 || tj != -1 {
+	if ti, tj := r.Violation(holds.LHS, holds.RHS); ti != -1 || tj != -1 {
 		t.Errorf("witness for holding rule = (%d,%d)", ti, tj)
 	}
 }

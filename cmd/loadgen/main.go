@@ -9,7 +9,7 @@
 //
 //	depminerd -addr 127.0.0.1:8080 &
 //	go run ./cmd/loadgen -addr http://127.0.0.1:8080 -duration 30s -concurrency 16 \
-//	    -mix hit=4,cold=2,append=1,inc=1,async=1 -json > BENCH_LOAD.json
+//	    -mix hit=4,cold=2,append=1,inc=1,async=1 -json > load.json
 //
 // Operations:
 //
@@ -97,7 +97,7 @@ type latency struct {
 	Max   float64 `json:"max"`
 }
 
-// report is the BENCH_LOAD.json schema. The top-level requests/errors
+// report is the -json report schema. The top-level requests/errors
 // fields are scalars on purpose: the CI smoke step pulls them out with
 // scripts/jsonfield, which only reads one level deep.
 type report struct {
@@ -122,7 +122,7 @@ type report struct {
 	Ops              map[string]*opStats `json:"ops"`
 	ServerStats      *wire.StatsResponse `json:"server_stats,omitempty"`
 	// ServerBuild identifies the binary that served the run, so two
-	// BENCH_LOAD.json files are attributable to exact builds.
+	// reports are attributable to exact builds.
 	ServerBuild *wire.VersionResponse `json:"server_build,omitempty"`
 	// MetricsDelta is the per-series change in the server's /metrics
 	// exposition across the run (after minus before, zero deltas
@@ -533,7 +533,7 @@ func main() {
 	flag.IntVar(&cfg.attrs, "attrs", 6, "attributes in the generated datasets")
 	flag.Int64Var(&cfg.seed, "seed", 1, "deterministic dataset and mix-draw seed")
 	flag.IntVar(&cfg.maxAttempts, "retries", 6, "client retry budget per request (1 disables retries)")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the JSON report (BENCH_LOAD.json schema) to stdout instead of the summary")
+	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the JSON report to stdout instead of the summary")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

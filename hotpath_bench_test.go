@@ -1,8 +1,9 @@
 package depminer
 
 // Per-phase hot-path benchmarks: one Benchmark per pipeline kernel, each
-// reporting allocations. These are the regression guard behind
-// BENCH_HOTPATH.json — run them with
+// reporting allocations, for before/after comparisons on one machine
+// (the recorded end-to-end benchmark is cmd/dmbench, declared in
+// BENCHMARK.json) — run them with
 //
 //	go test -run xxx -bench 'Hotpath' -benchtime 2s -count 5 . > new.txt
 //	go run ./scripts/benchcmp old.txt new.txt

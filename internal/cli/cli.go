@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/guard"
 )
@@ -38,7 +39,7 @@ const (
 // in-flight phases unwind, partial results print, and servers drain); a
 // second signal kills the process via the default handler, because stop()
 // restores it — callers should defer stop(). This is the one signal path
-// shared by the five CLIs and the depminerd daemon.
+// shared by the four CLIs and the depminerd daemon.
 func NotifyContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 }
@@ -62,6 +63,17 @@ func Main(name string, run func(ctx context.Context) error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 	}
 	osExit(code)
+}
+
+// NewBudget builds a run's budget from a -timeout and a -budget unit
+// count, or returns nil (ungoverned) when both are zero. The guard
+// deadline, rather than a context deadline, lets an over-time run print
+// its partial results.
+func NewBudget(timeout time.Duration, units int64) *guard.Budget {
+	if timeout <= 0 && units == 0 {
+		return nil
+	}
+	return guard.WithTimeout(timeout, units)
 }
 
 // osExit is swapped out by tests of Main.

@@ -106,3 +106,21 @@ func TestMainExitCodes(t *testing.T) {
 
 // os_Exit keeps a reference to the real exiter for restoration.
 var os_Exit = osExit
+
+func TestNewBudget(t *testing.T) {
+	if b := NewBudget(0, 0); b != nil {
+		t.Errorf("NewBudget(0, 0) = %v, want nil (ungoverned)", b)
+	}
+	if err := NewBudget(time.Hour, 0).Checkpoint("x"); err != nil {
+		t.Errorf("hour deadline already passed: %v", err)
+	}
+	expiring := NewBudget(time.Nanosecond, 0)
+	time.Sleep(time.Millisecond)
+	if err := expiring.Checkpoint("x"); !errors.Is(err, guard.ErrDeadline) {
+		t.Errorf("nanosecond deadline: err = %v, want ErrDeadline", err)
+	}
+	b := NewBudget(0, 2)
+	if err := b.Charge("x", 3); !errors.Is(err, guard.ErrBudget) {
+		t.Errorf("3 units on a budget of 2: err = %v, want ErrBudget", err)
+	}
+}

@@ -313,13 +313,22 @@ func (r *Relation) AgreeSet(ti, tj int) attrset.Set {
 }
 
 // Satisfies reports whether the functional dependency X → A holds in r, by
-// definition: ∀ti,tj, ti[X] = tj[X] ⇒ ti[A] = tj[A]. It groups tuples by
-// their X-projection in a hash map, so it runs in O(|r|·|X|) time. Use it
-// as the ground-truth oracle in tests; discovery algorithms use partitions
+// definition: ∀ti,tj, ti[X] = tj[X] ⇒ ti[A] = tj[A]. Use it as the
+// ground-truth oracle in tests; discovery algorithms use partitions
 // instead.
 func (r *Relation) Satisfies(x attrset.Set, a attrset.Attr) bool {
+	ti, _ := r.Violation(x, a)
+	return ti < 0
+}
+
+// Violation returns a witness that X → A fails in r: the first tuple tj
+// that agrees on X with an earlier tuple ti but differs from it on A,
+// with ti the first tuple of its X-group; (-1, -1) when X → A holds. It
+// groups tuples by their X-projection codes in a hash map, so it runs in
+// O(|r|·|X|) time.
+func (r *Relation) Violation(x attrset.Set, a attrset.Attr) (ti, tj int) {
 	attrs := x.Attrs()
-	groups := make(map[string]int, r.rows)
+	first := make(map[string]int, r.rows)
 	var key strings.Builder
 	for t := 0; t < r.rows; t++ {
 		key.Reset()
@@ -328,15 +337,13 @@ func (r *Relation) Satisfies(x attrset.Set, a attrset.Attr) bool {
 			key.WriteByte('|')
 		}
 		k := key.String()
-		if prev, ok := groups[k]; ok {
-			if prev != r.cols[a][t] {
-				return false
-			}
-		} else {
-			groups[k] = r.cols[a][t]
+		if prev, ok := first[k]; !ok {
+			first[k] = t
+		} else if r.cols[a][prev] != r.cols[a][t] {
+			return prev, t
 		}
 	}
-	return true
+	return -1, -1
 }
 
 // Project returns a new relation containing only the attributes of X, in

@@ -111,8 +111,8 @@ func BenchmarkServerDiscoverCached(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscoverSharded is the distributed record behind
-// BENCH_SHARD.json. The same benchmark name measures both sides so
+// BenchmarkDiscoverSharded measures distributed discovery against
+// single-node. The same benchmark name measures both sides so
 // scripts/benchcmp can compare them: DEPMINER_SHARD_WORKERS unset (or
 // 0) is the single-node baseline; a positive value boots that many
 // in-process worker servers and shards every discovery across them.

@@ -259,21 +259,13 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if req.Async != nil {
 		async = *req.Async
 	}
+	s.wg.Add(1)
 	if !async {
-		s.wg.Add(1)
-		defer s.wg.Done()
-		defer s.jobs.release()
-		if s.testHookJobStart != nil {
-			s.testHookJobStart(d.id)
-		}
-		resp, rerr := s.runDiscovery(ctx, d, p)
-		s.recordOutcome(resp, rerr, false)
-		s.logOutcome(ctx, resp, rerr)
+		resp, rerr := s.serve(ctx, d, p, false)
 		if rerr != nil {
 			writeError(w, classifyStatus(rerr), "discovery failed: %v", rerr)
 			return
 		}
-		s.maybeCache(d.id, p, resp)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -284,25 +276,34 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	// included) onto it, joining the job's log lines to the HTTP request
 	// that submitted it.
 	jctx := obs.ContextWithAttrs(s.baseCtx, append(obs.ContextAttrs(ctx), slog.String("job_id", j.id))...)
-	s.wg.Add(1)
 	go func() {
-		defer s.wg.Done()
-		defer s.jobs.release()
-		if s.testHookJobStart != nil {
-			s.testHookJobStart(d.id)
-		}
-		resp, rerr := s.runDiscovery(jctx, d, p)
-		s.recordOutcome(resp, rerr, true)
-		s.logOutcome(jctx, resp, rerr)
+		resp, rerr := s.serve(jctx, d, p, true)
 		if rerr != nil {
 			j.finish(nil, rerr.Error())
 			return
 		}
-		s.maybeCache(d.id, p, resp)
 		j.finish(resp, "")
 	}()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, j.info())
+}
+
+// serve runs one admitted discovery, sync or async, to its outcome: it
+// records and logs it, caches a complete result, and gives back the job
+// slot and the shutdown wait-group count the caller took.
+func (s *Server) serve(ctx context.Context, d *dataset, p discoverParams, async bool) (*DiscoverResponse, error) {
+	defer s.wg.Done()
+	defer s.jobs.release()
+	if s.testHookJobStart != nil {
+		s.testHookJobStart(d.id)
+	}
+	resp, err := s.runDiscovery(ctx, d, p)
+	s.recordOutcome(resp, err, async)
+	s.logOutcome(ctx, resp, err)
+	if err == nil {
+		s.maybeCache(d.id, p, resp)
+	}
+	return resp, err
 }
 
 // logOutcome writes the one per-discovery summary line.

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -69,16 +70,15 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxDatasets caps the registry. Default 64.
 	MaxDatasets int
-	// MaxJobRecords caps retained finished async job records. Default 256.
-	MaxJobRecords int
 	// CacheEntries caps the result cache. Default 128.
 	CacheEntries int
 	// RetryAfter is the delay hinted in the Retry-After header of 429
 	// responses, rendered as RFC 9110 delta-seconds (rounded up, min 1).
 	// Default 1s.
 	RetryAfter time.Duration
-	// Workers is the default worker-pool width for discoveries whose
-	// request omits it: 0 = all cores.
+	// Workers is the server's worker-pool width: it caps (and defaults)
+	// the per-request workers, so a request may ask for fewer but never
+	// more. 0 = all cores (GOMAXPROCS).
 	Workers int
 	// MaxAgreeBytes caps (and defaults) the per-request resident
 	// agree-set bytes for depminer/depminer2/fastfds; past the cap,
@@ -130,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDatasets <= 0 {
 		c.MaxDatasets = 64
 	}
-	if c.MaxJobRecords <= 0 {
-		c.MaxJobRecords = 256
-	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
 	}
@@ -141,6 +138,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxJobRecords caps the retained finished async job records; past it the
+// oldest are pruned.
+const maxJobRecords = 256
 
 // Server is the depminerd HTTP handler plus its state. Create with New;
 // it is an http.Handler.
@@ -202,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		reg:        newRegistry(cfg.MaxDatasets),
 		cache:      newResultCache(cfg.CacheEntries),
-		jobs:       newJobQueue(cfg.MaxJobs, cfg.MaxJobRecords),
+		jobs:       newJobQueue(cfg.MaxJobs, maxJobRecords),
 		mux:        http.NewServeMux(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -398,9 +399,9 @@ var algorithms = map[string]bool{
 
 // resolveParams validates the request and clamps it under the server
 // caps: the effective deadline is min(request, MaxTimeout), the unit
-// budget min(request, MaxBudgetUnits) and the resident agree bytes
-// min(request, MaxAgreeBytes), with the caps as defaults; workers default
-// to Config.Workers. Every discovery — and, through shardParams, every
+// budget min(request, MaxBudgetUnits), the resident agree bytes
+// min(request, MaxAgreeBytes) and the workers min(request, server width),
+// with the caps as defaults. Every discovery — and, through shardParams, every
 // served shard — runs governed, so no request can exceed the server-wide
 // ceiling.
 func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
@@ -445,9 +446,11 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 			return p, fmt.Errorf("shards is a depminer/depminer2/fastfds option")
 		}
 	}
-	if p.workers == 0 {
-		p.workers = s.cfg.Workers
+	width := s.cfg.Workers
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
 	}
+	p.workers = int(clampCap(int64(p.workers), int64(width)))
 	p.timeout = s.cfg.MaxTimeout
 	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < p.timeout {
 		p.timeout = t

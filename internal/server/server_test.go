@@ -497,8 +497,9 @@ func TestTimeoutParamClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One table for both entry points: a discovery and a served shard
-	// resolve deadline, budget units, max_agree_bytes and default workers
-	// through the same clamp.
+	// resolve deadline, budget units, max_agree_bytes and workers through
+	// the same clamp. Only params resolve here: no discovery ever runs
+	// with the over-cap worker count.
 	hour := int64(time.Hour / time.Millisecond)
 	for _, tc := range []struct {
 		name                       string
@@ -511,6 +512,7 @@ func TestTimeoutParamClamped(t *testing.T) {
 		{"defaults", 0, 0, 0, 0, time.Minute, 100, 4096, 3},
 		{"over caps", hour, 1000, 1 << 30, 0, time.Minute, 100, 4096, 3},
 		{"under caps", 1500, 7, 64, 2, 1500 * time.Millisecond, 7, 64, 2},
+		{"over cap", 0, 0, 0, 1 << 30, time.Minute, 100, 4096, 3},
 	} {
 		dp, err := s.resolveParams(&DiscoverRequest{
 			TimeoutMS: tc.timeoutMS, BudgetUnits: tc.units, MaxAgreeBytes: tc.maxAgree, Workers: tc.workers,

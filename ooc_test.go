@@ -134,8 +134,9 @@ func TestOutOfCoreFromSnapshot(t *testing.T) {
 	}
 }
 
-// BenchmarkDiscoverOOC is the out-of-core record behind BENCH_OOC.json.
-// The same benchmark name measures both sides so scripts/benchcmp can
+// BenchmarkDiscoverOOC measures the out-of-core spill path against the
+// in-memory one. The same benchmark name measures both sides so
+// scripts/benchcmp can
 // compare them: unset (or 0) DEPMINER_OOC_SPILL_BYTES is the in-memory
 // baseline, a positive value is the resident cap of the spilled side.
 func BenchmarkDiscoverOOC(b *testing.B) {

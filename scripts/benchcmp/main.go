@@ -8,8 +8,8 @@
 //	go test -run xxx -bench Hotpath -benchtime 2s -count 5 . > new.txt
 //	go run ./scripts/benchcmp old.txt new.txt
 //
-// With -json the comparison is emitted as a machine-readable record (the
-// format stored in BENCH_HOTPATH.json).
+// With -json the comparison is emitted as a machine-readable record. The
+// recorded end-to-end benchmark is cmd/dmbench, declared in BENCHMARK.json.
 package main
 
 import (

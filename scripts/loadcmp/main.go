@@ -1,5 +1,5 @@
-// Command loadcmp diffs two BENCH_LOAD.json reports (cmd/loadgen -json)
-// on the metrics that matter for a serving regression: throughput and the
+// Command loadcmp diffs two load reports (cmd/loadgen -json) on the
+// metrics that matter for a serving regression: throughput and the
 // p50/p95/p99/max latency percentiles, overall and per operation. It is
 // the load-report sibling of scripts/benchcmp.
 //
@@ -36,7 +36,7 @@ type latency struct {
 	Max   float64 `json:"max"`
 }
 
-// loadReport is the subset of the BENCH_LOAD.json schema loadcmp reads;
+// loadReport is the subset of the cmd/loadgen -json report loadcmp reads;
 // unknown fields are ignored, so the report can grow without breaking
 // old comparisons.
 type loadReport struct {
