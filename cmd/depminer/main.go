@@ -72,12 +72,14 @@ func main() {
 	cli.Main("depminer", cfg.run)
 }
 
-// check rejects flag combinations the chosen miner or source cannot
-// honour. A flag that applies to other miners only is an error, never
-// silently ignored.
+// check rejects negative limits and flag combinations the chosen miner
+// or source cannot honour. A flag that applies to other miners only is
+// an error, never silently ignored.
 func (cfg *config) check() error {
 	tane := cfg.algo == "tane"
 	switch {
+	case cfg.timeout < 0 || cfg.budget < 0:
+		return fmt.Errorf("-timeout and -budget must not be negative (0 = unlimited)")
 	case (cfg.stream || cfg.snapshot) && cfg.algo == "naive":
 		return fmt.Errorf("-stream and -snapshot keep no rows: -algo naive needs the materialised relation")
 	case cfg.stream && cfg.showKeys:

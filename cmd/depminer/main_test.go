@@ -106,6 +106,17 @@ func TestRunErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("missing file accepted")
 	}
+	// A negative limit is an error, not "unlimited".
+	for _, cfg := range []config{
+		{algo: "depminer", armstrong: "none", timeout: time.Minute, budget: -5},
+		{algo: "depminer", armstrong: "none", timeout: -time.Second},
+		{algo: "tane", timeout: time.Minute, budget: -1},
+	} {
+		out, err := capture(t, func() error { return cfg.run(context.Background()) })
+		if err == nil || !strings.Contains(err.Error(), "must not be negative") || out != "" {
+			t.Errorf("timeout %v, budget %d: err %v, output %q", cfg.timeout, cfg.budget, err, out)
+		}
+	}
 }
 
 func TestRunStreamed(t *testing.T) {

@@ -57,6 +57,9 @@ func run(ctx context.Context, fdsPath string, noHeader, explain bool, timeout ti
 	if len(args) != 1 {
 		return fmt.Errorf("expected exactly one CSV file")
 	}
+	if timeout < 0 || budget < 0 {
+		return fmt.Errorf("-timeout and -budget must not be negative")
+	}
 	r, err := depminer.LoadCSVFile(args[0], !noHeader)
 	if err != nil {
 		return err

@@ -105,6 +105,13 @@ func TestCheckErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("unparseable rules accepted")
 	}
+	rules := write(t, "r.txt", "a -> b\n")
+	if err := run(context.Background(), rules, false, true, time.Minute, -5, []string{csv}); err == nil {
+		t.Error("negative -budget accepted")
+	}
+	if err := run(context.Background(), rules, false, true, -time.Second, 0, []string{csv}); err == nil {
+		t.Error("negative -timeout accepted")
+	}
 	unknown := write(t, "u.txt", "z -> a\n")
 	if _, err := capture(t, func() error {
 		return run(context.Background(), unknown, false, false, time.Minute, 0, []string{csv})

@@ -164,8 +164,10 @@ var (
 // LHSs), the Armstrong relation and per-phase timings.
 type Result = core.Result
 
-// Source is what Discover reads: dictionary-coded columns, one at a time.
-// A *Relation is one; StreamCSV and OpenSnapshot return the others.
+// Source is what Discover reads: dictionary-coded columns, one at a time,
+// with codes dense and in first-occurrence order (see
+// partition.ColumnSource). A *Relation is one; StreamCSV and OpenSnapshot
+// return the others.
 type Source = partition.ColumnSource
 
 // Discover runs the Dep-Miner pipeline over src: agree sets from stripped

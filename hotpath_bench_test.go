@@ -28,15 +28,29 @@ import (
 )
 
 // BenchmarkHotpathPartition isolates the stripped-partition database
-// extraction (the pre-processing phase): one π̂_A per attribute.
+// extraction (the pre-processing phase): one π̂_A per attribute, built
+// serially and over two workers, on the hot-path shape (20×5,000,
+// c = 0.3) and on dmbench's tall-agree shape (12×30,000, c = 0.5).
 func BenchmarkHotpathPartition(b *testing.B) {
-	r := dataset(b, 20, 5000, 0.3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db := partition.NewDatabase(r)
-		if db.Arity() != 20 {
-			b.Fatal("bad database")
+	for _, shape := range []struct {
+		name        string
+		attrs, rows int
+		c           float64
+	}{
+		{"R=20/r=5000", 20, 5000, 0.3},
+		{"tall-agree", 12, 30000, 0.5},
+	} {
+		r := dataset(b, shape.attrs, shape.rows, shape.c)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/Workers=%d", shape.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					db, err := partition.NewDatabaseFromSource(context.Background(), r, workers)
+					if err != nil || db.Arity() != shape.attrs {
+						b.Fatal("bad database", err)
+					}
+				}
+			})
 		}
 	}
 }

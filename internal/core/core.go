@@ -334,7 +334,7 @@ func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Optio
 		}
 		t0 := time.Now()
 		var err error
-		db, err = partition.NewDatabaseFromSource(in.Source)
+		db, err = partition.NewDatabaseFromSource(ctx, in.Source, opts.Workers)
 		res.Stats.Partition = time.Since(t0)
 		if err != nil {
 			return nil, err

@@ -541,6 +541,59 @@ func TestDuplicateDictionaryQuarantined(t *testing.T) {
 	}
 }
 
+// outOfOrderSnapshot is a well-formed snapshot (valid frame and checksum,
+// every code in its dictionary's range) whose one column opens with code
+// 1: it breaks the first-occurrence order partition.SingleFromCodes
+// relies on, so accepting it would give classes out of canonical order.
+func outOfOrderSnapshot() []byte {
+	p := putString(nil, "t/order")
+	p = putUvarint(p, 1) // attributes
+	p = putString(p, "city")
+	p = putUvarint(p, 3) // rows
+	p = putUvarint(p, 2) // dictionary size
+	p = putString(p, "Paris")
+	p = putString(p, "Lyon")
+	for _, code := range []uint64{1, 0, 1} {
+		p = putUvarint(p, code)
+	}
+	rel, err := relation.FromRows([]string{"city"}, [][]string{{"Lyon"}, {"Paris"}, {"Lyon"}})
+	if err != nil {
+		panic(err)
+	}
+	p = putString(p, FingerprintOf(rel).Sum())
+	return appendFrame(append([]byte(nil), snapshotMagic...), p)
+}
+
+// TestOutOfOrderCodesRefused: a snapshot whose codes break
+// first-occurrence order opens (its frame is sound), but reading its
+// column fails, and so does recovery, which adopts the columns through
+// relation.StoreOf: the dataset is quarantined, never served with wrong
+// classes.
+func TestOutOfOrderCodesRefused(t *testing.T) {
+	data := outOfOrderSnapshot()
+	sr := openSnapshotBytes(t, data)
+	if _, _, err := sr.Column(0); err == nil || !strings.Contains(err.Error(), "first-occurrence order") {
+		t.Fatalf("Column err = %v, want a first-occurrence order error", err)
+	}
+	if _, err := relation.StoreOf(sr); err == nil {
+		t.Fatal("StoreOf adopted out-of-order codes")
+	}
+	dir := t.TempDir()
+	dsDir := filepath.Join(dir, "datasets", "ds-order")
+	if err := os.MkdirAll(dsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dsDir, "snapshot.snap"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rec := openStore(t, dir, Options{})
+	defer s.Close()
+	if len(rec.Datasets) != 0 || len(rec.Quarantined) != 1 ||
+		!strings.Contains(rec.Quarantined[0].Reason, "first-occurrence order") {
+		t.Fatalf("recovery %+v", rec)
+	}
+}
+
 func TestSnapshotRoundtrip(t *testing.T) {
 	rows := testRows(0, 50)
 	view := viewOf(rows)

@@ -113,6 +113,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(flipAt(good, len(good)/2))
 	f.Add([]byte{})
 	f.Add(duplicateDictSnapshot())
+	f.Add(outOfOrderSnapshot())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr, err := OpenSnapshotStream(writeSnapshotFile(t, data))

@@ -16,7 +16,8 @@ import (
 // file. Recovery adopts its columns and dictionaries into a
 // relation.Store; discovery can instead feed chunked agree-set
 // computation from it without materialising every column — the snapshot
-// stays on disk; memory holds one column (plus the schema) at a time.
+// stays on disk; memory holds one column (plus the schema) per
+// partition-build worker at a time.
 //
 // The open-time pass verifies the magic, the frame length against the
 // file size, the CRC32C over the whole payload, and every code against
@@ -162,11 +163,12 @@ func (sr *SnapshotReader) Arity() int { return len(sr.names) }
 func (sr *SnapshotReader) Rows() int { return sr.rows }
 
 // Column decodes attribute a's code column from the file: the codes per
-// row plus the domain size (the dictionary cardinality). Codes are dense
-// in [0, dom) by construction of the columnar encoder, so the column can
-// feed partition construction directly. Each call allocates a fresh
-// slice and reads through its own section reader, so concurrent calls
-// are safe.
+// row plus the domain size (the dictionary cardinality). The columnar
+// encoder writes codes dense in [0, dom) and in first-occurrence order,
+// the partition.ColumnSource contract, so the column can feed partition
+// construction directly; a code out of range or out of that order is an
+// error, never wrong classes. Each call allocates a fresh slice and reads
+// through its own section reader, so concurrent calls are safe.
 func (sr *SnapshotReader) Column(a int) ([]int, int, error) {
 	if a < 0 || a >= len(sr.cols) {
 		return nil, 0, fmt.Errorf("durable: column %d out of range %d", a, len(sr.cols))
@@ -174,6 +176,7 @@ func (sr *SnapshotReader) Column(a int) ([]int, int, error) {
 	col := sr.cols[a]
 	br := bufio.NewReaderSize(io.NewSectionReader(sr.f, sr.base+col.codesOff, col.codesEnd-col.codesOff), 1<<16)
 	codes := make([]int, sr.rows)
+	next := uint64(0) // the code a new value must take
 	for t := range codes {
 		code, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -181,6 +184,12 @@ func (sr *SnapshotReader) Column(a int) ([]int, int, error) {
 		}
 		if code >= col.dictSize {
 			return nil, 0, fmt.Errorf("durable: column %d code %d out of dictionary range %d", a, code, col.dictSize)
+		}
+		if code > next {
+			return nil, 0, fmt.Errorf("durable: column %d code %d of tuple %d is not in first-occurrence order", a, code, t)
+		}
+		if code == next {
+			next++
 		}
 		codes[t] = int(code)
 	}

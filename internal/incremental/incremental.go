@@ -66,17 +66,20 @@ func New(names []string) (*Miner, error) {
 
 // FromStore builds a miner over the tuples of s, which it takes over:
 // later inserts append to s. Instead of one insert per tuple it seeds
-// ag(r) with one Algorithm 2 sweep (in memory, over workers goroutines,
-// 0 meaning GOMAXPROCS), and builds the bucket index with one counting
-// pass per attribute. Loading aborts when ctx is cancelled, returning an
-// error wrapping guard.ErrDeadline.
+// ag(r) with one partition build and one Algorithm 2 sweep (in memory,
+// each over workers goroutines, 0 meaning GOMAXPROCS), and builds the
+// bucket index with one counting pass per attribute. Loading aborts when
+// ctx is cancelled, returning an error wrapping guard.ErrDeadline.
 func FromStore(ctx context.Context, s *relation.Store, workers int) (*Miner, error) {
 	if err := insertCtxErr(ctx); err != nil {
 		return nil, err
 	}
 	view := s.View()
-	db := partition.NewDatabase(view)
-	res, err := agree.Couples(ctx, db, agree.Options{Workers: workers})
+	db, err := partition.NewDatabaseFromSource(ctx, view, workers)
+	var res *agree.Result
+	if err == nil {
+		res, err = agree.Couples(ctx, db, agree.Options{Workers: workers})
+	}
 	if err != nil {
 		if cerr := insertCtxErr(ctx); cerr != nil {
 			return nil, cerr

@@ -109,7 +109,7 @@ func TestMaximalClassesProperties(t *testing.T) {
 		mc := db.MaximalClasses()
 		// 1. Every class of every stripped partition is ⊆ some MC class.
 		for _, p := range db.Attr {
-			for _, c := range p.Classes() {
+			for _, c := range classes(p) {
 				if !coveredBy(c, mc) {
 					t.Fatalf("class %v not covered by MC %v", c, mc)
 				}
@@ -127,7 +127,7 @@ func TestMaximalClassesProperties(t *testing.T) {
 		for _, c := range mc {
 			found := false
 			for _, p := range db.Attr {
-				for _, pc := range p.Classes() {
+				for _, pc := range classes(p) {
 					if reflect.DeepEqual(c, pc) {
 						found = true
 					}
@@ -278,7 +278,7 @@ func TestCoupleSpaceKeepsOracleMC(t *testing.T) {
 			inMC[fmt.Sprint(c)] = true
 			mcWalk += len(c) * (len(c) - 1) / 2
 			a := firstAttrWith(db, c)
-			ci := slices.IndexFunc(db.Attr[a].Classes(), func(x []int) bool { return slices.Equal(x, c) })
+			ci := slices.IndexFunc(classes(db.Attr[a]), func(x []int) bool { return slices.Equal(x, c) })
 			if !kept[a][ci] {
 				t.Fatalf("iter %d: MC class %v of attribute %d not kept", iter, c, a)
 			}
@@ -375,7 +375,7 @@ func BenchmarkAblation_MaximalClasses(b *testing.B) {
 // class c.
 func firstAttrWith(db *Database, c []int) int {
 	for a, p := range db.Attr {
-		for _, pc := range p.Classes() {
+		for _, pc := range classes(p) {
 			if slices.Equal(pc, c) {
 				return a
 			}

@@ -18,8 +18,11 @@
 package partition
 
 import (
+	"context"
 	"slices"
+	"sync"
 
+	"repro/internal/pool"
 	"repro/internal/relation"
 )
 
@@ -43,17 +46,19 @@ type Partition struct {
 }
 
 // SingleFromCodes computes the stripped partition π̂_A from a bare
-// dictionary-coded column: codes per tuple, dense in [0, dom).
-// NewDatabaseFromSource builds every partition through it, from a
-// relation.Relation or from a source that never materialises one (the
-// durable snapshot reader, the CSV source). Cost: O(|r| + |dom(A)|),
-// with exactly four allocations regardless of the number of classes.
+// dictionary-coded column: codes per tuple, dense in [0, dom) and in
+// first-occurrence order (the ColumnSource contract), so that code order
+// is exactly "classes sorted by smallest tuple index" and no
+// normalisation is needed. NewDatabaseFromSource builds every partition
+// through it. Cost: two passes over the column (count, fill) and one
+// over the domain, with three allocations regardless of the number of
+// classes: the per-code counts, which become the fill cursors, and the
+// partition's row store and offsets.
 func SingleFromCodes(numRows int, col []int, dom int) *Partition {
 	p := &Partition{NumRows: numRows}
 	if dom == 0 {
 		return p
 	}
-	// Count occurrences per dictionary code.
 	counts := make([]int32, dom)
 	for _, c := range col {
 		counts[c]++
@@ -68,32 +73,25 @@ func SingleFromCodes(numRows int, col []int, dom int) *Partition {
 	if nc == 0 {
 		return p
 	}
-	// Assign class ids to codes with count > 1 in order of first
-	// occurrence: that order is exactly "classes sorted by smallest tuple
-	// index", so no normalisation sort is needed afterwards.
-	classOf := make([]int32, dom)
-	for i := range classOf {
-		classOf[i] = -1
-	}
+	// Turn each count into its class's fill cursor: the class's start in
+	// the row store, or -1 for a code held by one tuple.
 	p.rows = make([]int, size)
-	p.offs = make([]int32, nc+1)
-	next := 0
-	for _, c := range col {
-		if counts[c] > 1 && classOf[c] == -1 {
-			classOf[c] = int32(next)
-			p.offs[next+1] = counts[c]
-			next++
+	p.offs = make([]int32, 1, nc+1)
+	end := int32(0)
+	for c, n := range counts {
+		if n > 1 {
+			counts[c] = end
+			end += n
+			p.offs = append(p.offs, end)
+		} else {
+			counts[c] = -1
 		}
 	}
-	for i := 0; i < nc; i++ {
-		p.offs[i+1] += p.offs[i]
-	}
 	// Fill: scanning tuples in order keeps each class ascending.
-	cursor := make([]int32, nc)
 	for t, c := range col {
-		if id := classOf[c]; id >= 0 {
-			p.rows[p.offs[id]+cursor[id]] = t
-			cursor[id]++
+		if at := counts[c]; at >= 0 {
+			p.rows[at] = t
+			counts[c] = at + 1
 		}
 	}
 	return p
@@ -143,17 +141,6 @@ func (p *Partition) Class(i int) []int {
 	return p.rows[p.offs[i]:p.offs[i+1]]
 }
 
-// Classes materialises the classes as a slice of views into the row store
-// (one allocation for the spine; the classes themselves are not copied).
-// Hot paths should iterate with NumClasses/Class instead.
-func (p *Partition) Classes() [][]int {
-	out := make([][]int, p.NumClasses())
-	for i := range out {
-		out[i] = p.Class(i)
-	}
-	return out
-}
-
 // Size returns ||π̂||, the total number of tuples across stripped classes.
 func (p *Partition) Size() int { return len(p.rows) }
 
@@ -196,38 +183,6 @@ func (p *Partition) Couples() int {
 		n += l * (l - 1) / 2
 	}
 	return n
-}
-
-// Refines reports whether p refines q: every class of p is contained in a
-// class of q. (π_X refines π_Y ⟺ Y ⊆ X determines at tuple level; in
-// particular X → A holds iff π_X refines π_{A}.) Both partitions must be
-// over the same number of rows.
-func (p *Partition) Refines(q *Partition) bool {
-	// Map each tuple to its class id in q; stripped-away singletons get -1
-	// (a unique virtual class each, which any subset of size ≥ 2 cannot
-	// be inside).
-	cls := make([]int32, p.NumRows)
-	for i := range cls {
-		cls[i] = -1
-	}
-	for id, nc := 0, q.NumClasses(); id < nc; id++ {
-		for _, t := range q.Class(id) {
-			cls[t] = int32(id)
-		}
-	}
-	for i, nc := 0, p.NumClasses(); i < nc; i++ {
-		c := p.Class(i)
-		first := cls[c[0]]
-		if first == -1 {
-			return false
-		}
-		for _, t := range c[1:] {
-			if cls[t] != first {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Product computes the stripped partition π̂_{X∪Y} = π̂_X · π̂_Y from the
@@ -349,18 +304,22 @@ type Database struct {
 }
 
 // NewDatabase extracts the stripped partition database from a relation —
-// the paper's pre-processing phase.
+// the paper's pre-processing phase — over all cores.
 func NewDatabase(r *relation.Relation) *Database {
-	db, _ := NewDatabaseFromSource(r) // a Relation's Column never fails
+	db, _ := NewDatabaseFromSource(context.Background(), r, 0) // a Relation's Column never fails
 	return db
 }
 
 // ColumnSource supplies a relation's dictionary-coded columns one at a
 // time: everything steps 1–4 of the pipeline read. Column returns
-// attribute a's codes (dense in [0, domain)) plus the domain size; it may
-// read from disk, and the caller must not modify the returned slice. A
+// attribute a's codes plus the domain size; it may read from disk, and
+// the caller must not modify the returned slice. Codes are dense in
+// [0, domain) and in first-occurrence order: the first tuple holding
+// any code c > 0 comes after the first tuple holding c-1.
+// SingleFromCodes relies on that order for canonical classes. A
 // relation.Relation, the single-use relation.CSVSource and the durable
-// snapshot reader all satisfy it.
+// snapshot reader all satisfy it; the snapshot reader refuses a column
+// that breaks the order.
 type ColumnSource interface {
 	Names() []string
 	Arity() int
@@ -369,18 +328,36 @@ type ColumnSource interface {
 }
 
 // NewDatabaseFromSource extracts the stripped partition database from a
-// column source: one column is read at a time, and only its stripped
-// partition (typically far smaller than the column) is retained. This is
-// how a multi-gigabyte snapshot feeds discovery without ever
-// materialising the relation.
-func NewDatabaseFromSource(src ColumnSource) (*Database, error) {
+// column source over workers goroutines (0 meaning GOMAXPROCS). Columns
+// are read in attribute order under one lock, so a single-use or
+// sequential source works unchanged; each worker then builds the
+// partition of the column it read and drops the column, so at most
+// workers columns are resident at once, and only the stripped partitions
+// (typically far smaller) are retained. This is how a multi-gigabyte
+// snapshot feeds discovery without ever materialising the relation. The
+// build stops at the first Column error, or when ctx ends.
+func NewDatabaseFromSource(ctx context.Context, src ColumnSource, workers int) (*Database, error) {
 	db := &Database{Attr: make([]*Partition, src.Arity()), NumRows: src.Rows()}
-	for a := range db.Attr {
+	var (
+		mu   sync.Mutex
+		next int // the next attribute to read
+	)
+	// A task reads whichever column is next, not the one its index names:
+	// tasks may take the lock out of order.
+	err := pool.Run(ctx, workers, len(db.Attr), func(context.Context, int, int) error {
+		mu.Lock()
+		a := next
+		next++
 		col, dom, err := src.Column(a)
+		mu.Unlock()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		db.Attr[a] = SingleFromCodes(db.NumRows, col, dom)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return db, nil
 }

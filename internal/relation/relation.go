@@ -362,20 +362,30 @@ func (r *Relation) Project(x attrset.Set) *Relation {
 }
 
 // Restrict returns a new relation containing only the tuples whose indices
-// are listed, in the given order. Indices may repeat.
+// are listed, in the given order. Indices may repeat. Its columns are
+// re-encoded densely in first-occurrence order, with dictionaries holding
+// only the values the chosen tuples use, so the result equals FromRows
+// over its own rows.
 func (r *Relation) Restrict(tuples []int) *Relation {
 	cols := make([][]int, len(r.names))
-	for a := range r.cols {
+	dicts := make([][]string, len(r.names))
+	for a, src := range r.cols {
+		code := make([]int, len(r.dicts[a])) // old code → new code + 1
 		col := make([]int, len(tuples))
 		for i, t := range tuples {
-			col[i] = r.cols[a][t]
+			c := src[t]
+			if code[c] == 0 {
+				dicts[a] = append(dicts[a], r.dicts[a][c])
+				code[c] = len(dicts[a])
+			}
+			col[i] = code[c] - 1
 		}
 		cols[a] = col
 	}
 	return &Relation{
 		names: r.names,
 		cols:  cols,
-		dicts: r.dicts,
+		dicts: dicts,
 		rows:  len(tuples),
 	}
 }

@@ -285,6 +285,18 @@ func TestRestrictAndRow(t *testing.T) {
 	if s.Value(2, 0) != "2" {
 		t.Error("repeated index broken")
 	}
+	// Tuple 2 now comes first, so the columns are re-encoded: FromEncoded
+	// accepts them only dense, in first-occurrence order, and with
+	// dictionaries holding exactly the values used.
+	cols, dicts := make([][]int, s.Arity()), make([][]string, s.Arity())
+	for a := range cols {
+		col, dom, _ := s.Column(a)
+		dict, _ := s.DictPrefix(a, dom)
+		cols[a], dicts[a] = col, dict
+	}
+	if _, err := FromEncoded(s.Names(), cols, dicts); err != nil {
+		t.Errorf("Restrict broke the encoding: %v", err)
+	}
 }
 
 func TestDeduplicate(t *testing.T) {

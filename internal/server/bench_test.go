@@ -182,7 +182,7 @@ func BenchmarkDiscoverySource(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := partition.NewDatabaseFromSource(rel); err != nil {
+			if _, err := partition.NewDatabaseFromSource(context.Background(), rel, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -194,7 +194,7 @@ func BenchmarkDiscoverySource(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := partition.NewDatabaseFromSource(sr); err != nil {
+			if _, err := partition.NewDatabaseFromSource(context.Background(), sr, 0); err != nil {
 				b.Fatal(err)
 			}
 			sr.Close()

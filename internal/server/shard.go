@@ -570,13 +570,14 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		if src.fp != req.Fingerprint {
 			return nil, errShardStale
 		}
-		db, derr := partition.NewDatabaseFromSource(src)
+		// The plan is shared by every shard of this fingerprint, so no
+		// one request's cancellation may fail its build.
+		ctx := context.WithoutCancel(r.Context())
+		db, derr := partition.NewDatabaseFromSource(ctx, src, p.workers)
 		if derr != nil {
 			return nil, derr
 		}
-		// The plan is shared by every shard of this fingerprint, so no
-		// one request's cancellation may fail its build.
-		return agree.NewPlan(context.WithoutCancel(r.Context()), db, p.workers)
+		return agree.NewPlan(ctx, db, p.workers)
 	})
 	if err != nil {
 		s.noteShardServedError()

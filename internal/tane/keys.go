@@ -85,7 +85,7 @@ func Keys(ctx context.Context, src partition.ColumnSource, opts KeysOptions) (re
 		return res, nil
 	}
 	var level []*node
-	if sr, level, err = newSearch(src, pool.Resolve(opts.Workers), opts.MaxPartitionBytes, opts.Budget); err != nil {
+	if sr, level, err = newSearch(ctx, src, pool.Resolve(opts.Workers), opts.MaxPartitionBytes, opts.Budget); err != nil {
 		return nil, err
 	}
 	err = sr.walk(ctx, nil, level, "keys", faultinject.KeysLevel,

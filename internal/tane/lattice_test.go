@@ -73,7 +73,7 @@ func TestJoinCanonicalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, level, err := newSearch(r, 1+rng.Intn(3), 0, nil)
+		sr, level, err := newSearch(context.Background(), r, 1+rng.Intn(3), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

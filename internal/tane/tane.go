@@ -160,8 +160,8 @@ type search struct {
 // partition and sets up what every walk of the lattice shares: one prober
 // per worker and the store with the singletons pinned as roots. It
 // returns the first level, one node per attribute.
-func newSearch(src partition.ColumnSource, workers int, capBytes int64, budget *guard.Budget) (*search, []*node, error) {
-	db, err := partition.NewDatabaseFromSource(src)
+func newSearch(ctx context.Context, src partition.ColumnSource, workers int, capBytes int64, budget *guard.Budget) (*search, []*node, error) {
+	db, err := partition.NewDatabaseFromSource(ctx, src, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -216,7 +216,7 @@ func Run(ctx context.Context, src partition.ColumnSource, opts Options) (res *Re
 		return res, nil
 	}
 	var level []*node
-	if sr, level, err = newSearch(src, pool.Resolve(opts.Workers), opts.MaxPartitionBytes, opts.Budget); err != nil {
+	if sr, level, err = newSearch(ctx, src, pool.Resolve(opts.Workers), opts.MaxPartitionBytes, opts.Budget); err != nil {
 		return nil, err
 	}
 	sr.epsilon, sr.maxLHS = opts.Epsilon, opts.MaxLHS
