@@ -1,8 +1,8 @@
 // Command depminer discovers minimal functional dependencies and a
 // real-world Armstrong relation from a CSV relation — the full Dep-Miner
 // pipeline of the paper — or runs one of the comparison miners over the
-// same input: FastFDs, the naive baseline, or TANE (exact or, with
-// -epsilon, approximate dependencies).
+// same input: FastFDs or TANE (exact or, with -epsilon, approximate
+// dependencies).
 //
 // Usage:
 //
@@ -51,10 +51,10 @@ type config struct {
 func main() {
 	cfg := config{}
 	flag.BoolVar(&cfg.noHeader, "no-header", false, "treat the first CSV record as data, not attribute names")
-	flag.StringVar(&cfg.algo, "algo", "depminer", "miner: depminer (alg. 2), depminer2 (alg. 3), fastfds (alg. 3 agree sets, depth-first lhs search), naive, tane (levelwise lattice search)")
+	flag.StringVar(&cfg.algo, "algo", "depminer", "miner: depminer (alg. 2), depminer2 (alg. 3), fastfds (alg. 3 agree sets, depth-first lhs search), tane (levelwise lattice search)")
 	flag.StringVar(&cfg.armstrong, "armstrong", "", "armstrong relation: auto (the default: real-world with synthetic fallback), real, synthetic, none; not with tane")
-	flag.BoolVar(&cfg.stream, "stream", false, "one-pass mode: encode the CSV, drop its values, keep only the stripped partitions; no Armstrong relation, -keys or naive")
-	flag.BoolVar(&cfg.snapshot, "snapshot", false, "treat the input file as a durable DMSNAP1 snapshot and stream it column by column (out-of-core read path; no naive)")
+	flag.BoolVar(&cfg.stream, "stream", false, "one-pass mode: encode the CSV, drop its values, keep only the stripped partitions; no Armstrong relation or -keys")
+	flag.BoolVar(&cfg.snapshot, "snapshot", false, "treat the input file as a durable DMSNAP1 snapshot and stream it column by column (out-of-core read path)")
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Hour, "deadline for discovery (the paper's cutoff); on expiry partial results are printed and the exit code is 3")
 	flag.Int64Var(&cfg.budget, "budget", 0, "resource budget in work units (couples + agree sets + candidate-level widths; tane: lattice nodes + materialised partition bytes); 0 = unlimited; on overrun partial results are printed and the exit code is 3")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool width for the parallel pipeline phases: 0 = all cores, 1 = sequential (output is identical for every value)")
@@ -80,8 +80,6 @@ func (cfg *config) check() error {
 	switch {
 	case cfg.timeout < 0 || cfg.budget < 0:
 		return fmt.Errorf("-timeout and -budget must not be negative (0 = unlimited)")
-	case (cfg.stream || cfg.snapshot) && cfg.algo == "naive":
-		return fmt.Errorf("-stream and -snapshot keep no rows: -algo naive needs the materialised relation")
 	case cfg.stream && cfg.showKeys:
 		return fmt.Errorf("-stream is single-use: discovery consumes it, leaving nothing for -keys")
 	case !tane && (cfg.epsilon != 0 || cfg.maxLHS != 0 || cfg.partBytes != 0):
@@ -199,8 +197,6 @@ func (cfg *config) discover(ctx context.Context, src depminer.Source, budget *de
 		opts.Algorithm = depminer.DepMiner
 	case "depminer2":
 		opts.Algorithm = depminer.DepMiner2
-	case "naive":
-		opts.Algorithm = depminer.NaiveBaseline
 	case "fastfds":
 		opts.Algorithm = depminer.FastFDs
 	default:

@@ -77,7 +77,6 @@ func main() {
 	flag.IntVar(&cfg.server.SnapshotEvery, "snapshot-every", 0, "WAL records per dataset before background compaction into a snapshot (0 = default 256, negative = never)")
 	workerEndpoints := flag.String("workers-endpoints", "", "comma-separated worker depminerd base URLs; non-empty makes this server a shard coordinator for depminer/depminer2/fastfds discoveries")
 	shardRole := flag.String("shard-role", "", "optional role sanity check: \"coordinator\" requires -workers-endpoints, \"worker\" forbids it (empty = no check)")
-	flag.IntVar(&cfg.server.DefaultShards, "shards", 0, "default shard count for coordinated discoveries (0 = one shard per worker endpoint)")
 	flag.StringVar(&cfg.log.Level, "log-level", "", "log level: debug, info, warn, error (empty = $DEPMINER_LOG_LEVEL, else info)")
 	flag.StringVar(&cfg.log.Format, "log-format", "", "log format: text or json (empty = $DEPMINER_LOG_FORMAT, else text)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "listen address for /debug/pprof (empty = profiling off)")

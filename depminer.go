@@ -98,8 +98,6 @@ const (
 	// intersection) — the evaluation's "Dep-Miner 2", preferable on
 	// large or highly correlated relations.
 	DepMiner2 = core.AgreeIdentifiers
-	// NaiveBaseline is the O(n·p²) pairwise scan, for comparison only.
-	NaiveBaseline = core.AgreeNaive
 	// FastFDs mines the same cover with a depth-first search over
 	// difference sets (Wyss et al. 2001) in place of the levelwise
 	// transversal search — preferable when the levelwise candidate levels
@@ -173,9 +171,7 @@ type Source = partition.ColumnSource
 // Discover runs the Dep-Miner pipeline over src: agree sets from stripped
 // partitions, maximal sets, minimal transversals, minimal FDs, and — when
 // src keeps its dictionaries, as a *Relation and a *SnapshotReader do —
-// the Armstrong relation. Over a StreamCSV source Result.Armstrong is nil;
-// NaiveBaseline needs a *Relation and fails with ErrInvalidOptions on any
-// other source.
+// the Armstrong relation. Over a StreamCSV source Result.Armstrong is nil.
 func Discover(ctx context.Context, src Source, opts Options) (*Result, error) {
 	return core.Run(ctx, core.Input{Source: src}, opts)
 }
@@ -304,8 +300,9 @@ func DiscoverKeys(ctx context.Context, src Source, opts KeysOptions) (*KeysResul
 }
 
 // IncrementalMiner maintains FD discovery state under tuple insertions:
-// ag(r) is updated per insert, and the cover is re-derived on demand at a
-// cost independent of |r|.
+// ag(r) is updated per insert, and Discover re-derives the Result — the
+// cover, MAX(dep(r)) and the Armstrong relation — from it on demand, at
+// a cost independent of |r|.
 type IncrementalMiner = incremental.Miner
 
 // NewIncrementalMiner creates an empty incremental miner for a schema.

@@ -38,39 +38,26 @@ func TestPublicAPIIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cover, err := m.Cover(context.Background())
+	res, err := m.Discover(context.Background(), Options{Armstrong: ArmstrongRealWorld})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cover) != 14 {
-		t.Fatalf("incremental cover has %d FDs, want 14", len(cover))
+	if len(res.FDs) != 14 {
+		t.Fatalf("incremental cover has %d FDs, want 14", len(res.FDs))
+	}
+	if res.Armstrong.Rows() != 4 {
+		t.Errorf("Armstrong rows = %d, want 4", res.Armstrong.Rows())
 	}
 	m2, err := IncrementalFromRelation(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cover2, err := m2.Cover(context.Background())
+	res2, err := m2.Discover(context.Background(), Options{Armstrong: ArmstrongNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cover2) != len(cover) {
+	if len(res2.FDs) != len(res.FDs) {
 		t.Error("FromRelation and per-insert paths disagree")
-	}
-	// Armstrong via MaxSets + Snapshot.
-	maxSets, err := m.MaxSets(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	arm, err := RealWorldArmstrong(snap, maxSets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arm.Rows() != 4 {
-		t.Errorf("Armstrong rows = %d, want 4", arm.Rows())
 	}
 }
 

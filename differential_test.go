@@ -1,7 +1,8 @@
 package depminer
 
 // Cross-algorithm differential harness: five independent miners — the two
-// Dep-Miner variants, the naive pairwise baseline, FastFDs and TANE — must
+// Dep-Miner variants, the pipeline fed the naive pairwise scan's ag(r),
+// FastFDs and TANE — must
 // produce the identical canonical cover on every input, and the parallel
 // execution layer must produce a byte-identical Result for every worker
 // count. Each miner takes a different route to dep(r) (stripped-partition
@@ -17,11 +18,13 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/agree"
 	"repro/internal/attrset"
+	"repro/internal/core"
 )
 
-// miners enumerates every FD-discovery entry point of the public API as a
-// name → canonical-cover function.
+// miners enumerates every FD-discovery entry point of the public API, plus
+// the naive oracle, as a name → canonical-cover function.
 var miners = []struct {
 	name string
 	run  func(context.Context, *Relation) (Cover, error)
@@ -41,7 +44,11 @@ var miners = []struct {
 		return res.FDs, nil
 	}},
 	{"naive", func(ctx context.Context, r *Relation) (Cover, error) {
-		res, err := Discover(ctx, r, Options{Algorithm: NaiveBaseline, Armstrong: ArmstrongNone})
+		naive, err := agree.Naive(ctx, r)
+		if err != nil {
+			return nil, err
+		}
+		res, err := core.Run(ctx, core.Input{Source: r, Agree: naive}, Options{Armstrong: ArmstrongNone})
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +236,7 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 
 	ctx := context.Background()
 	for _, in := range inputs {
-		for _, algo := range []Algorithm{DepMiner, DepMiner2, NaiveBaseline, FastFDs} {
+		for _, algo := range []Algorithm{DepMiner, DepMiner2, FastFDs} {
 			seq, err := Discover(ctx, in.r, Options{Algorithm: algo, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s %v workers=1: %v", in.label, algo, err)

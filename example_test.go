@@ -151,11 +151,11 @@ func ExampleNewIncrementalMiner() {
 			log.Fatal(err)
 		}
 	}
-	cover, err := m.Cover(context.Background())
+	res, err := m.Discover(context.Background(), depminer.Options{Armstrong: depminer.ArmstrongNone})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, f := range cover {
+	for _, f := range res.FDs {
 		fmt.Println(f.Names(m.Names()))
 	}
 	// Output:

@@ -40,12 +40,12 @@ func main() {
 		if err := m.Insert(row); err != nil {
 			log.Fatal(err)
 		}
-		cover, err := m.Cover(ctx)
+		res, err := m.Discover(ctx, depminer.Options{Armstrong: depminer.ArmstrongNone})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("after %d tuples (%v): %d minimal FDs\n", i+1, row, len(cover))
-		for _, f := range cover {
+		fmt.Printf("after %d tuples (%v): %d minimal FDs\n", i+1, row, len(res.FDs))
+		for _, f := range res.FDs {
 			fmt.Println("    " + f.Names(names))
 		}
 	}
@@ -55,19 +55,12 @@ func main() {
 	fmt.Println("without ever re-scanning earlier tuples.")
 
 	// The maintained state still supports the full Dep-Miner outputs.
-	maxSets, err := m.MaxSets(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	arm, err := depminer.RealWorldArmstrong(snap, maxSets)
+	res, err := m.Discover(ctx, depminer.Options{Armstrong: depminer.ArmstrongRealWorld})
 	if err != nil {
 		fmt.Printf("\n(real-world Armstrong relation unavailable: %v)\n", err)
 		return
 	}
+	arm := res.Armstrong
 	fmt.Printf("\nreal-world Armstrong relation of the stream so far (%d of %d tuples):\n\n",
 		arm.Rows(), m.Rows())
 	fmt.Println(arm)

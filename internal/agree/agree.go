@@ -6,8 +6,9 @@
 // provided:
 //
 //   - Naive: direct O(n·p²) pairwise scan of the relation — the baseline
-//     the paper's introduction rules out for large relations.
-//     (It remains strictly sequential: the reference implementation.)
+//     the paper's introduction rules out for large relations. No miner
+//     runs it: it is the strictly sequential reference that tests feed to
+//     core.Run as a known ag(r).
 //   - Couples (Algorithm 2 / "Dep-Miner"): the tuple couples of the
 //     maximal equivalence classes MC (Lemma 1), each agree set built by
 //     adding attribute A to ag(t,t') whenever both tuples share a class

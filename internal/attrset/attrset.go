@@ -173,9 +173,6 @@ func (s Set) ProperSubsetOf(t Set) bool {
 	return s != t && s.SubsetOf(t)
 }
 
-// SupersetOf reports whether s ⊇ t.
-func (s Set) SupersetOf(t Set) bool { return t.SubsetOf(s) }
-
 // Intersects reports whether s ∩ t ≠ ∅.
 func (s Set) Intersects(t Set) bool {
 	for i := range s {
@@ -185,9 +182,6 @@ func (s Set) Intersects(t Set) bool {
 	}
 	return false
 }
-
-// Disjoint reports whether s ∩ t = ∅.
-func (s Set) Disjoint(t Set) bool { return !s.Intersects(t) }
 
 // Attrs returns the attributes of the set in increasing order.
 func (s Set) Attrs() []Attr {

@@ -12,11 +12,6 @@ func (f Family) Sort() {
 	slices.SortFunc(f, Set.Compare)
 }
 
-// SortLex orders the family lexicographically by element sequence.
-func (f Family) SortLex() {
-	slices.SortFunc(f, Set.CompareLex)
-}
-
 // Dedup returns f with duplicate sets removed. Order of first occurrences
 // is preserved; the receiver is not modified.
 func (f Family) Dedup() Family {
@@ -110,23 +105,6 @@ func (f Family) Minimal() Family {
 	}
 	out.Sort()
 	return out
-}
-
-// IsSimple reports whether f is a simple hypergraph over its union: no
-// empty edge and no edge contained in another (after dedup).
-func (f Family) IsSimple() bool {
-	d := f.Dedup()
-	for i, s := range d {
-		if s.IsEmpty() {
-			return false
-		}
-		for j, t := range d {
-			if i != j && s.SubsetOf(t) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Clone returns a copy of the family (sets are values; only the slice is

@@ -12,7 +12,8 @@
 //  5. ARMSTRONG_RELATION — internal/armstrong (§4)
 //
 // Run is the one entry point: its Input is a column source (a relation, a
-// CSV stream or a snapshot) or a complete ag(r). Steps 1–4 consume only
+// CSV stream or a snapshot), with ag(r) when a caller such as the
+// incremental session already holds it. Steps 1–4 consume only
 // the stripped partition database built from the source's columns, and
 // step 5 reads only each attribute's domain size and first dictionary
 // values, from any source that keeps its dictionaries (armstrong.Source)
@@ -51,9 +52,6 @@ const (
 	// AgreeIdentifiers is Algorithm 3 ("Dep-Miner 2"): per-tuple
 	// equivalence-class identifier lists intersected per couple.
 	AgreeIdentifiers
-	// AgreeNaive is the O(n·p²) direct pairwise scan, for baselines and
-	// tests only. It requires a *relation.Relation source.
-	AgreeNaive
 	// FastFDs is Dep-Miner with a different step 3 (Wyss et al. 2001):
 	// agree sets by Algorithm 3 and maximal sets as for Dep-Miner, then a
 	// depth-first search over difference sets instead of Algorithm 5.
@@ -67,8 +65,6 @@ func (a AgreeAlgorithm) String() string {
 		return "Dep-Miner"
 	case AgreeIdentifiers:
 		return "Dep-Miner 2"
-	case AgreeNaive:
-		return "naive"
 	case FastFDs:
 		return "FastFDs"
 	default:
@@ -106,7 +102,6 @@ type Options struct {
 	// transversal searches of steps 3–4): 0 means runtime.GOMAXPROCS(0),
 	// 1 the sequential reference path. Output is byte-identical for
 	// every value — parallelism only changes scheduling, never results.
-	// The naive agree-set baseline ignores it and stays sequential.
 	Workers int
 	// Budget governs the run: a wall-clock deadline plus a size budget
 	// charged in each phase's own units (couples enumerated, agree sets
@@ -143,7 +138,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative MaxAgreeBytes %d", ErrInvalidOptions, o.MaxAgreeBytes)
 	}
 	switch o.Algorithm {
-	case AgreeCouples, AgreeIdentifiers, AgreeNaive, FastFDs:
+	case AgreeCouples, AgreeIdentifiers, FastFDs:
 	default:
 		return fmt.Errorf("%w: unknown agree algorithm %d", ErrInvalidOptions, int(o.Algorithm))
 	}
@@ -229,29 +224,21 @@ func contain(phase string, res *Result, errp *error) {
 }
 
 // Input states what a run starts from: a Source runs the whole pipeline,
-// Agree skips step 1. The naive agree-set scan reads rows, so it needs a
-// *relation.Relation source; step 5 reads dictionaries, so over a source
-// that is not an armstrong.Source it is skipped whatever
-// Options.Armstrong says.
+// and a Source with a known Agree skips step 1. Step 5 reads
+// dictionaries, so over a source that is not an armstrong.Source it is
+// skipped whatever Options.Armstrong says.
 type Input struct {
-	// Source supplies the dictionary-coded columns step 1 partitions.
+	// Source supplies the dictionary-coded columns step 1 partitions and
+	// the schema width; it is required.
 	Source partition.ColumnSource
-	// Agree is a complete, canonical ag(r) plus the counters of whatever
-	// computed it (couples, spill), adopted into the Result as is.
+	// Agree is a complete, canonical ag(r) of Source plus the counters of
+	// whatever computed it (couples, spill), adopted into the Result as
+	// is.
 	Agree *agree.Result
-	// Arity is the schema width, read only when Source is nil.
-	Arity int
 	// Remote, when set, is where some of step 1's runs come from: the
 	// tuples are fanned out over its shards, and a shard it fails to
 	// serve is swept locally (agree.Plan.Run). nil sweeps locally.
 	Remote agree.Remote
-}
-
-func (in Input) arity() int {
-	if in.Source != nil {
-		return in.Source.Arity()
-	}
-	return in.Arity
 }
 
 // Discover runs the full Dep-Miner pipeline on a relation.
@@ -260,15 +247,13 @@ func Discover(ctx context.Context, r *relation.Relation, opts Options) (*Result,
 }
 
 // Run executes the Dep-Miner pipeline (Algorithm 1) from what in already
-// knows; see Input. Step 1 needs a source, and the naive scan a relation
-// one, or Run fails with ErrInvalidOptions.
+// knows; see Input. Without a source Run fails with ErrInvalidOptions.
 func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	rel, _ := in.Source.(*relation.Relation)
-	if in.Agree == nil && (in.Source == nil || opts.Algorithm == AgreeNaive && rel == nil) {
-		return nil, fmt.Errorf("%w: step 1 needs a column source (the naive scan a relation)", ErrInvalidOptions)
+	if in.Source == nil {
+		return nil, fmt.Errorf("%w: no column source", ErrInvalidOptions)
 	}
 	res = &Result{}
 	defer contain("core.Run", res, &err)
@@ -276,14 +261,14 @@ func Run(ctx context.Context, in Input, opts Options) (res *Result, err error) {
 	// Step 1: AGREE_SET, unless ag(r) is already known.
 	agr := in.Agree
 	if agr == nil {
-		if agr, err = agreeStep(ctx, in, rel, opts, res); err != nil {
+		if agr, err = agreeStep(ctx, in, opts, res); err != nil {
 			adoptAgree(res, agr)
 			return fail(res, err)
 		}
 	}
 
 	// Steps 2–4.
-	if err := deriveFDs(ctx, agr, in.arity(), opts, res); err != nil {
+	if err := deriveFDs(ctx, agr, in.Source.Arity(), opts, res); err != nil {
 		return fail(res, err)
 	}
 
@@ -321,41 +306,34 @@ func adoptAgree(res *Result, agr *agree.Result) {
 	res.Stats.AgreeMerge = agr.Merge
 }
 
-// agreeStep runs step 1: the naive scan over the relation rel, or the
-// partition build from in.Source followed by the stripped-partition sweep
-// over one plan, local or fanned out over in.Remote. Every shard of a
-// fanned-out run sweeps the run's own variant: Algorithm 3 for
-// AgreeIdentifiers and FastFDs, Algorithm 2 otherwise.
-func agreeStep(ctx context.Context, in Input, rel *relation.Relation, opts Options, res *Result) (*agree.Result, error) {
-	var db *partition.Database
-	if opts.Algorithm != AgreeNaive {
-		if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
-			return nil, ferr
-		}
-		t0 := time.Now()
-		var err error
-		db, err = partition.NewDatabaseFromSource(ctx, in.Source, opts.Workers)
-		res.Stats.Partition = time.Since(t0)
-		if err != nil {
-			return nil, err
-		}
-		if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
-			return nil, cerr
-		}
+// agreeStep runs step 1: the partition build from in.Source followed by
+// the stripped-partition sweep over one plan, local or fanned out over
+// in.Remote. Every shard of a fanned-out run sweeps the run's own
+// variant: Algorithm 3 for AgreeIdentifiers and FastFDs, Algorithm 2
+// otherwise.
+func agreeStep(ctx context.Context, in Input, opts Options, res *Result) (*agree.Result, error) {
+	if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
+		return nil, ferr
+	}
+	t0 := time.Now()
+	db, err := partition.NewDatabaseFromSource(ctx, in.Source, opts.Workers)
+	res.Stats.Partition = time.Since(t0)
+	if err != nil {
+		return nil, err
+	}
+	if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
+		return nil, cerr
 	}
 	if ferr := faultinject.Fire(faultinject.CoreAgree); ferr != nil {
 		return nil, ferr
 	}
-	t0 := time.Now()
+	t0 = time.Now()
 	defer func() { res.Stats.AgreeSets = time.Since(t0) }()
 	aopts := agree.Options{
 		Workers:       opts.Workers,
 		Budget:        opts.Budget,
 		MaxAgreeBytes: opts.MaxAgreeBytes,
 		SpillDir:      opts.SpillDir,
-	}
-	if opts.Algorithm == AgreeNaive {
-		return agree.Naive(ctx, rel)
 	}
 	v := agree.VariantCouples
 	if opts.Algorithm == AgreeIdentifiers || opts.Algorithm == FastFDs {

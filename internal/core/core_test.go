@@ -56,8 +56,22 @@ func coversIdentical(a, b fd.Cover) bool {
 func TestDiscoverPaperExampleAllAlgorithms(t *testing.T) {
 	r := relation.PaperExample()
 	want := paperFDs()
-	for _, algo := range []AgreeAlgorithm{AgreeCouples, AgreeIdentifiers, AgreeNaive} {
-		res, err := Discover(context.Background(), r, Options{Algorithm: algo})
+	// The naive pairwise scan is the reference ag(r), fed in as a known one.
+	naive, err := agree.Naive(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"Dep-Miner", "Dep-Miner 2", "FastFDs", "naive"} {
+		in, opts := Input{Source: r}, Options{}
+		switch algo {
+		case "Dep-Miner 2":
+			opts.Algorithm = AgreeIdentifiers
+		case "FastFDs":
+			opts.Algorithm = FastFDs
+		case "naive":
+			in.Agree = naive
+		}
+		res, err := Run(context.Background(), in, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -118,9 +132,8 @@ func lhsFamilies(c fd.Cover, arity int) []attrset.Family {
 	return out
 }
 
-// codesOnly is a column source that is neither a *relation.Relation nor
-// an armstrong.Source: it hides the rows the naive scan needs and the
-// dictionaries step 5 reads.
+// codesOnly is a column source that is not an armstrong.Source: it hides
+// the dictionaries step 5 reads.
 type codesOnly struct{ partition.ColumnSource }
 
 func TestRunFromDatabase(t *testing.T) {
@@ -135,10 +148,10 @@ func TestRunFromDatabase(t *testing.T) {
 	if res.Armstrong != nil {
 		t.Error("Run without a relation must not build Armstrong relations")
 	}
-	// Naive needs the relation, and some input must be present.
-	for _, in := range []Input{{Source: src}, {}} {
-		if _, err := Run(context.Background(), in, Options{Algorithm: AgreeNaive}); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("AgreeNaive over %+v: err = %v, want ErrInvalidOptions", in, err)
+	// A source must be present, even when ag(r) is known.
+	for _, in := range []Input{{}, {Agree: &agree.Result{Sets: res.AgreeSets}}} {
+		if _, err := Run(context.Background(), in, Options{}); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("Run(%+v): err = %v, want ErrInvalidOptions", in, err)
 		}
 	}
 	if _, err := Run(context.Background(), Input{Source: src}, Options{Algorithm: AgreeAlgorithm(99)}); err == nil {
@@ -176,7 +189,8 @@ func TestRunInputsAgree(t *testing.T) {
 		}{
 			{"relation", Input{Source: r}, true},
 			{"codes", Input{Source: codesOnly{r}}, false},
-			{"agree", Input{Agree: full, Arity: r.Arity()}, false},
+			{"agree", Input{Source: r, Agree: full}, true},
+			{"codes+agree", Input{Source: codesOnly{r}, Agree: full}, false},
 		} {
 			got, err := Run(ctx, tc.input, Options{})
 			if err != nil {
@@ -318,7 +332,7 @@ func TestCancellation(t *testing.T) {
 func TestAlgorithmString(t *testing.T) {
 	if AgreeCouples.String() != "Dep-Miner" ||
 		AgreeIdentifiers.String() != "Dep-Miner 2" ||
-		AgreeNaive.String() != "naive" {
+		FastFDs.String() != "FastFDs" {
 		t.Error("algorithm names wrong")
 	}
 	if AgreeAlgorithm(42).String() == "" {

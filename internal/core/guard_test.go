@@ -127,7 +127,7 @@ func TestRunFromAgreeSetsNotPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), Input{Agree: &agree.Result{Sets: full.AgreeSets}, Arity: r.Arity()}, Options{Workers: 1})
+	res, err := Run(context.Background(), Input{Source: r, Agree: &agree.Result{Sets: full.AgreeSets}}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ package guard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -116,17 +115,6 @@ func (b *Budget) Used() int64 {
 		return 0
 	}
 	return b.used.Load()
-}
-
-// Remaining returns the units left, or math.MaxInt64 when unlimited.
-func (b *Budget) Remaining() int64 {
-	if b == nil || b.limit <= 0 {
-		return math.MaxInt64
-	}
-	if rem := b.limit - b.used.Load(); rem > 0 {
-		return rem
-	}
-	return 0
 }
 
 // Error is a budget or deadline overrun, attributed to the pipeline phase

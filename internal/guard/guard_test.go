@@ -189,3 +189,14 @@ func TestGoverned(t *testing.T) {
 		}
 	}
 }
+
+// Remaining returns the units left, or math.MaxInt64 when unlimited.
+func (b *Budget) Remaining() int64 {
+	if b == nil || b.limit <= 0 {
+		return math.MaxInt64
+	}
+	if rem := b.limit - b.used.Load(); rem > 0 {
+		return rem
+	}
+	return 0
+}

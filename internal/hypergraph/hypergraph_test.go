@@ -259,3 +259,28 @@ func TestCancellation(t *testing.T) {
 		t.Error("expected cancellation error")
 	}
 }
+
+// Edges returns the edges in canonical order. The caller must not modify
+// the returned family.
+func (h *Hypergraph) Edges() attrset.Family { return h.edges }
+
+// NumEdges returns the number of edges.
+func (h *Hypergraph) NumEdges() int { return len(h.edges) }
+
+// Transversal computes Tr(H) and verifies the result is itself simple,
+// returning it as a hypergraph. Useful with the nihilpotence property
+// Tr(Tr(H)) = H.
+func (h *Hypergraph) Transversal(ctx context.Context) (*Hypergraph, error) {
+	tr, err := h.MinimalTransversals(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if len(tr) == 1 && tr[0].IsEmpty() {
+		// Tr of the edgeless hypergraph; {∅} is not a simple hypergraph,
+		// and Tr({∅}-like input) cannot occur since New rejects it. The
+		// edgeless hypergraph is its own fixed point's dual: Tr(∅) = {∅}
+		// and Tr of that is undefined — return the edgeless hypergraph.
+		return &Hypergraph{}, nil
+	}
+	return New(tr)
+}

@@ -10,9 +10,10 @@
 // least one value with t — exactly the couples Dep-Miner's Lemma 1 would
 // generate for t.
 //
-// Dependencies are re-derived on demand from the maintained agree-set
-// family via the ordinary CMAX_SET → LEFT_HAND_SIDE steps (steps 2–4 of
-// the pipeline), whose cost depends on |ag(r)| and |R| but not on |r|.
+// Discover re-derives dependencies on demand by handing the maintained
+// agree-set family to core.Run, which skips step 1 and runs CMAX_SET →
+// LEFT_HAND_SIDE → FD_OUTPUT (and the Armstrong relation, if asked),
+// whose cost depends on |ag(r)| and |R| but not on |r|.
 //
 // A miner over existing tuples (FromStore) is seeded in one Algorithm 2
 // sweep rather than one insert per tuple. The tuples live in one
@@ -31,7 +32,6 @@ import (
 	"repro/internal/attrset"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/fd"
 	"repro/internal/guard"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -274,32 +274,15 @@ func (m *Miner) emptyCouplePresent() bool {
 	return m.nonEmptyCouples < n*(n-1)/2
 }
 
-// Cover derives the current canonical cover of minimal non-trivial FDs
-// (steps 2–4 of the Dep-Miner pipeline over the maintained agree sets).
-func (m *Miner) Cover(ctx context.Context) (fd.Cover, error) {
-	res, err := m.derive(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res.FDs, nil
-}
-
-// MaxSets derives MAX(dep(r)) for the current state (for Armstrong
-// construction).
-func (m *Miner) MaxSets(ctx context.Context) (attrset.Family, error) {
-	res, err := m.derive(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res.MaxSets, nil
-}
-
-// derive runs steps 2–4 of the pipeline over the maintained agree sets,
-// on the sequential reference path: the cost is independent of |r| and
-// too small to benefit from fan-out.
-func (m *Miner) derive(ctx context.Context) (*core.Result, error) {
-	in := core.Input{Agree: &agree.Result{Sets: m.AgreeSets()}, Arity: m.Arity()}
-	return core.Run(ctx, in, core.Options{Workers: 1})
+// Discover runs the Dep-Miner pipeline from the maintained ag(r): steps
+// 2–5 of core.Run over the current tuples, with opts' workers, budget
+// and Armstrong mode. Step 1 does not run, so the cost depends on
+// |ag(r)| and |R| (and, for the Armstrong relation, on the dictionaries)
+// but not on |r|. A governed overrun returns the partial Result with the
+// error, as core.Run does.
+func (m *Miner) Discover(ctx context.Context, opts core.Options) (*core.Result, error) {
+	in := core.Input{Source: m.store.View(), Agree: &agree.Result{Sets: m.AgreeSets()}}
+	return core.Run(ctx, in, opts)
 }
 
 // Snapshot returns the current tuples as a Relation (e.g. to build a

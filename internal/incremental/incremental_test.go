@@ -17,6 +17,16 @@ import (
 	"repro/internal/relation"
 )
 
+// cover runs m.Discover without the Armstrong relation and returns the FDs.
+func cover(t *testing.T, ctx context.Context, m *Miner) fd.Cover {
+	t.Helper()
+	res, err := m.Discover(ctx, core.Options{Armstrong: core.ArmstrongNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.FDs
+}
+
 func coversIdentical(a, b fd.Cover) bool {
 	if len(a) != len(b) {
 		return false
@@ -47,11 +57,7 @@ func TestPaperExampleIncrementally(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Cover(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !coversIdentical(got, want.FDs) {
+		if got := cover(t, ctx, m); !coversIdentical(got, want.FDs) {
 			t.Fatalf("after %d inserts:\n got %s\nwant %s", tt+1, got, want.FDs)
 		}
 	}
@@ -149,21 +155,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMaxSets(t *testing.T) {
-	m, err := FromStore(context.Background(), storeOf(t, relation.PaperExample()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	max, err := m.MaxSets(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := attrset.Family{attrset.New(0), attrset.New(1, 3, 4), attrset.New(2, 4)}
-	if !max.Equal(want) {
-		t.Errorf("MaxSets = %v, want %v", max.Strings(), want.Strings())
-	}
-}
-
 func TestDuplicateInserts(t *testing.T) {
 	m, err := New([]string{"a", "b"})
 	if err != nil {
@@ -180,49 +171,81 @@ func TestDuplicateInserts(t *testing.T) {
 	}
 }
 
-// TestPropertyMatchesBatchOnRandomStreams: interleave inserts with cover
-// checks against the batch pipeline on random tuple streams.
+// TestPropertyMatchesBatchOnRandomStreams: interleave inserts with
+// checks against the batch pipeline, on the paper's example and on
+// random tuple streams. At every checked prefix Discover's whole result
+// — cover, MAX(dep(r)), Armstrong relation and whether it is synthetic —
+// equals core.Discover's over the same rows.
 func TestPropertyMatchesBatchOnRandomStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	ctx := context.Background()
-	for iter := 0; iter < 25; iter++ {
-		n := 1 + rng.Intn(5)
-		names := make([]string, n)
-		for a := range names {
-			names[a] = "c" + strconv.Itoa(a)
+	paper := relation.PaperExample()
+	for iter := 0; iter < 26; iter++ {
+		var names []string
+		var stream [][]string
+		if iter == 0 {
+			names = paper.Names()
+			for tt := range paper.Rows() {
+				stream = append(stream, paper.Row(tt))
+			}
+		} else {
+			n := 1 + rng.Intn(5)
+			names = make([]string, n)
+			for a := range names {
+				names[a] = "c" + strconv.Itoa(a)
+			}
+			stream = make([][]string, 2+rng.Intn(18))
+			for s := range stream {
+				stream[s] = make([]string, n)
+				for a := range n {
+					stream[s][a] = strconv.Itoa(rng.Intn(4))
+				}
+			}
 		}
 		m, err := New(names)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rows [][]string
-		steps := 2 + rng.Intn(18)
-		for s := 0; s < steps; s++ {
-			row := make([]string, n)
-			for a := range row {
-				row[a] = strconv.Itoa(rng.Intn(4))
-			}
-			rows = append(rows, row)
+		steps := len(stream)
+		for s, row := range stream {
 			if err := m.Insert(row); err != nil {
 				t.Fatal(err)
 			}
-			if s%3 != steps%3 {
+			if iter > 0 && s%3 != steps%3 {
 				continue // check at a third of the steps to keep it fast
 			}
-			r, err := relation.FromRows(names, rows)
+			r, err := relation.FromRows(names, stream[:s+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.Discover(ctx, r, core.Options{Armstrong: core.ArmstrongNone})
+			want, err := core.Discover(ctx, r, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := m.Cover(ctx)
+			got, err := m.Discover(ctx, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !coversIdentical(got, want.FDs) {
-				t.Fatalf("iter %d step %d:\n got %s\nwant %s", iter, s, got, want.FDs)
+			if !coversIdentical(got.FDs, want.FDs) {
+				t.Fatalf("iter %d step %d:\n got %s\nwant %s", iter, s, got.FDs, want.FDs)
+			}
+			if !got.MaxSets.Equal(want.MaxSets) {
+				t.Fatalf("iter %d step %d: MaxSets = %v, want %v", iter, s, got.MaxSets.Strings(), want.MaxSets.Strings())
+			}
+			if got.Armstrong.String() != want.Armstrong.String() || got.ArmstrongSynthetic != want.ArmstrongSynthetic {
+				t.Fatalf("iter %d step %d: Armstrong relation (synthetic %v)\n%s\nwant (synthetic %v)\n%s",
+					iter, s, got.ArmstrongSynthetic, got.Armstrong, want.ArmstrongSynthetic, want.Armstrong)
+			}
+		}
+		if iter == 0 {
+			// The paper's MAX(dep(r)) after all seven tuples: A, BDE, CE.
+			want := attrset.Family{attrset.New(0), attrset.New(1, 3, 4), attrset.New(2, 4)}
+			got, err := m.Discover(ctx, core.Options{Armstrong: core.ArmstrongNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.MaxSets.Equal(want) {
+				t.Errorf("paper example: MaxSets = %v, want %v", got.MaxSets.Strings(), want.Strings())
 			}
 		}
 	}
@@ -235,8 +258,8 @@ func TestCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.Cover(ctx); err == nil {
-		t.Error("cancelled context should abort Cover")
+	if _, err := m.Discover(ctx, core.Options{}); err == nil {
+		t.Error("cancelled context should abort Discover")
 	}
 }
 

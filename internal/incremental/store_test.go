@@ -48,14 +48,7 @@ func sameMiner(t *testing.T, got, want *Miner) {
 	if !got.AgreeSets().Equal(want.AgreeSets()) {
 		t.Fatalf("ag(r) = %v, want %v", got.AgreeSets().Strings(), want.AgreeSets().Strings())
 	}
-	gc, err := got.Cover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := want.Cover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc, wc := cover(t, context.Background(), got), cover(t, context.Background(), want)
 	if !coversIdentical(gc, wc) {
 		t.Fatalf("cover %s, want %s", gc, wc)
 	}

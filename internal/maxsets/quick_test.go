@@ -122,8 +122,9 @@ func TestQuickComputeMatchesOracles(t *testing.T) {
 			return false
 		}
 		for a, cmax := range got.CMax {
-			h, err := hypergraph.New(cmax)
-			if err != nil || !slices.Equal(h.Edges(), cmax) {
+			_, err := hypergraph.New(cmax)
+			canonical := slices.IsSortedFunc(cmax, attrset.Set.Compare) && len(cmax.Dedup()) == len(cmax)
+			if err != nil || !canonical {
 				t.Logf("arity %d: CMax[%d] = %v is not simple and canonical (%v)", in.Arity, a, cmax.Strings(), err)
 				return false
 			}

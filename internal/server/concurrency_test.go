@@ -194,13 +194,13 @@ func TestConcurrentAppendsAndDiscoveries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestViewsRaceAppends races one appender against depminer discoveries
-// with Armstrong relations and incremental discoveries on one dataset
+// TestViewsRaceAppends races one appender against depminer and
+// incremental discoveries with Armstrong relations on one dataset
 // (run with -race in CI). Each discovery reads a view of the store
 // captured under the dataset lock while appends carrying new values grow
 // the store past it; with one writer the committed rows are a known
-// prefix, so every 200 response must equal the library's cover — and,
-// for depminer, its Armstrong relation — over the first resp.Rows rows.
+// prefix, so every 200 response must equal the library's cover and
+// Armstrong relation over the first resp.Rows rows.
 func TestViewsRaceAppends(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxJobs: 4})
 	base := relation.PaperExample()
@@ -231,7 +231,7 @@ func TestViewsRaceAppends(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, req := range []DiscoverRequest{
 		{Dataset: reg.ID, Armstrong: true},
-		{Dataset: reg.ID, Algorithm: "incremental"},
+		{Dataset: reg.ID, Algorithm: "incremental", Armstrong: true},
 	} {
 		wg.Add(1)
 		go func() {
@@ -282,8 +282,8 @@ func TestViewsRaceAppends(t *testing.T) {
 		if !sameCover(resp.FDs, ref.cover) {
 			t.Fatalf("%s over %d rows: cover %v, want %v", resp.Algorithm, resp.Rows, resp.FDs, ref.cover)
 		}
-		if resp.Algorithm != "incremental" && fmt.Sprint(resp.Armstrong) != ref.armstrong {
-			t.Fatalf("Armstrong relation over %d rows: %v, want %s", resp.Rows, resp.Armstrong, ref.armstrong)
+		if fmt.Sprint(resp.Armstrong) != ref.armstrong {
+			t.Fatalf("%s Armstrong relation over %d rows: %v, want %s", resp.Algorithm, resp.Rows, resp.Armstrong, ref.armstrong)
 		}
 	}
 	t.Logf("%d responses over %d distinct prefixes", len(got), len(refs))

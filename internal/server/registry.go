@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/fd"
 	"repro/internal/incremental"
 	"repro/internal/relation"
 )
@@ -50,6 +50,11 @@ type dataset struct {
 func (d *dataset) info() DatasetInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.infoLocked()
+}
+
+// infoLocked is info for a caller that holds d.mu.
+func (d *dataset) infoLocked() DatasetInfo {
 	return DatasetInfo{
 		ID:          d.id,
 		Name:        d.name,
@@ -145,25 +150,15 @@ func (d *dataset) appendRows(ctx context.Context, rows [][]string) (committed in
 	return committed, fp, err
 }
 
-// deriveCover re-derives the canonical cover from the maintained agree
-// sets (steps 2–4 only — no re-scan of the data; cost independent of the
-// row count). The lock holds appends off so the cover matches the
-// returned fingerprint.
-func (d *dataset) deriveCover(ctx context.Context) (fd.Cover, DatasetInfo, error) {
+// discover runs the Dep-Miner pipeline from the session's maintained
+// agree sets (incremental.Miner.Discover: no re-scan of the data, cost
+// independent of the row count). The lock holds appends off so the
+// result matches the returned fingerprint.
+func (d *dataset) discover(ctx context.Context, opts core.Options) (*core.Result, DatasetInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cover, err := d.miner.Cover(ctx)
-	info := DatasetInfo{
-		ID:          d.id,
-		Name:        d.name,
-		Fingerprint: d.fp,
-		Rows:        d.miner.Rows(),
-		Attributes:  d.miner.Arity(),
-		Names:       append([]string(nil), d.miner.Names()...),
-		Version:     d.version,
-		Created:     d.created,
-	}
-	return cover, info, err
+	res, err := d.miner.Discover(ctx, opts)
+	return res, d.infoLocked(), err
 }
 
 // registry is the server's dataset store.

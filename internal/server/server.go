@@ -104,9 +104,6 @@ type Config struct {
 	// depminer/depminer2/fastfds discoveries split their agree-set phase
 	// across the fleet (shard.go). Empty = single-node.
 	WorkerEndpoints []string
-	// DefaultShards is the shard count for coordinated discoveries whose
-	// request leaves Shards at 0. 0 = one shard per worker endpoint.
-	DefaultShards int
 	// Logger receives the server's structured logs (access lines, span
 	// events, discovery outcomes). nil = silent, the right default for
 	// tests and embedded use; depminerd wires os.Stderr through the
@@ -354,8 +351,9 @@ func (d *discoveryStats) addPhases(st core.Stats) {
 
 // logPhases emits the per-discovery phase span event: Result.Stats
 // timings as one structured debug line, joined to the request by the
-// context's attribute set. The same numbers accumulate into
-// phase_seconds_total; this is the per-request view of them.
+// context's attribute set. Except for incremental runs, the same numbers
+// accumulate into phase_seconds_total; this is the per-request view of
+// them.
 func (s *Server) logPhases(ctx context.Context, st core.Stats) {
 	obs.Event(ctx, s.log, "discovery phases",
 		slog.Duration("partition", st.Partition),
@@ -434,15 +432,14 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 	if p.epsilon > 0 && p.algorithm != "tane" {
 		return p, fmt.Errorf("epsilon is a tane-only option")
 	}
-	coreMiner := p.algorithm != "tane" && p.algorithm != "incremental"
-	if p.armstrong && !coreMiner {
-		return p, fmt.Errorf("armstrong is a depminer/depminer2/fastfds option")
+	if p.armstrong && p.algorithm == "tane" {
+		return p, fmt.Errorf("armstrong is not a tane option: TANE builds no Armstrong relation")
 	}
 	if p.shards > 0 {
 		if s.fleet == nil {
 			return p, fmt.Errorf("shards is a coordinator-only option (no worker endpoints configured)")
 		}
-		if !coreMiner {
+		if p.algorithm == "tane" || p.algorithm == "incremental" {
 			return p, fmt.Errorf("shards is a depminer/depminer2/fastfds option")
 		}
 	}
@@ -480,18 +477,28 @@ func (p discoverParams) optionsKey() string {
 	return fmt.Sprintf("eps=%g|arm=%t", p.epsilon, p.armstrong)
 }
 
-// runDiscovery executes one admitted discovery: incremental re-derives
-// from the session's agree sets, and every other miner reads the one
-// source discoverySource opens. Governed overruns — budget, deadline,
-// contained panic — return the partial response (Partial set, Error
-// describing the cutoff) with a nil error, honouring the partial-result
-// contract over the wire; hard failures return a nil response.
+// runDiscovery executes one admitted discovery on one of two miners:
+// TANE over the source discoverySource opens, or the Dep-Miner family's
+// core.Run. core.Run starts from the session's maintained ag(r) for
+// incremental, and reads the opened source for every other miner.
+// Governed overruns — budget, deadline, contained panic — return the
+// partial response (Partial set, Error describing the cutoff) with a nil
+// error, honouring the partial-result contract over the wire; hard
+// failures return a nil response.
 func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams) (*DiscoverResponse, error) {
 	start := time.Now()
 	budget := guard.WithTimeout(p.timeout, p.units)
 
 	if p.algorithm == "incremental" {
-		return s.runIncremental(ctx, d, p, start)
+		res, info, runErr := d.discover(ctx, s.coreOptions(p, budget))
+		resp := &DiscoverResponse{
+			Dataset:     info.ID,
+			Fingerprint: info.Fingerprint,
+			Algorithm:   p.algorithm,
+			Rows:        info.Rows,
+			Attributes:  info.Attributes,
+		}
+		return s.depminerResponse(ctx, resp, res, runErr, info.Names, start, budget)
 	}
 	src, err := s.discoverySource(d)
 	if err != nil {
@@ -564,28 +571,6 @@ func finishResponse(resp *DiscoverResponse, cover fd.Cover, partial bool, runErr
 	}
 	resp.BudgetUsed = budget.Used()
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
-}
-
-// runIncremental serves the "incremental" algorithm: the cover is
-// re-derived from the session's maintained agree sets (steps 2–4 only),
-// at a cost independent of the dataset's row count.
-func (s *Server) runIncremental(ctx context.Context, d *dataset, p discoverParams, start time.Time) (*DiscoverResponse, error) {
-	dctx, cancel := context.WithTimeout(ctx, p.timeout)
-	defer cancel()
-	cover, info, err := d.deriveCover(dctx)
-	if err != nil {
-		return nil, err
-	}
-	resp := &DiscoverResponse{
-		Dataset:     info.ID,
-		Fingerprint: info.Fingerprint,
-		Algorithm:   p.algorithm,
-		Rows:        info.Rows,
-		Attributes:  info.Attributes,
-		FDs:         renderCover(cover, info.Names),
-		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
-	}
 	return resp, nil
 }
 

@@ -321,33 +321,66 @@ func TestSyncAsyncThreshold(t *testing.T) {
 	}
 }
 
+// TestBudgetOverrunReturnsPartial: a 1-unit budget ends every Dep-Miner
+// discovery, incremental included, in a governed partial — 200, partial,
+// units charged, a cover that is a subset of the full one — and partials
+// do not poison the cache. Incremental runs add nothing to the phase
+// totals.
 func TestBudgetOverrunReturnsPartial(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
 	r, err := datagen.Generate(datagen.Spec{Attrs: 8, Rows: 400, Correlation: 0.5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := register(t, ts, r)
-	var resp DiscoverResponse
-	code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, BudgetUnits: 1}, &resp)
-	if code != http.StatusOK {
-		t.Fatalf("governed discover status = %d", code)
+	want := fromScratchCover(t, r)
+	inFull := make(map[string]bool, len(want))
+	for _, f := range want {
+		inFull[f] = true
 	}
-	if !resp.Partial || resp.Error == "" {
-		t.Fatalf("1-unit budget: partial = %v error = %q, want partial with error", resp.Partial, resp.Error)
-	}
+	for _, algo := range []string{"depminer", "incremental"} {
+		_, ts := newTestServer(t, Config{})
+		reg := register(t, ts, r)
+		var resp DiscoverResponse
+		code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Algorithm: algo, BudgetUnits: 1}, &resp)
+		if code != http.StatusOK {
+			t.Fatalf("%s: governed discover status = %d", algo, code)
+		}
+		if !resp.Partial || resp.Error == "" || resp.BudgetUsed <= 0 {
+			t.Fatalf("%s: 1-unit budget: partial = %v error = %q budget_used = %d, want a charged partial",
+				algo, resp.Partial, resp.Error, resp.BudgetUsed)
+		}
+		for _, f := range resp.FDs {
+			if !inFull[f] {
+				t.Fatalf("%s: partial cover holds %s, which is not in the full cover", algo, f)
+			}
+		}
+		if len(resp.FDs) >= len(want) {
+			t.Fatalf("%s: partial cover has %d FDs, the full cover %d", algo, len(resp.FDs), len(want))
+		}
 
-	// Partial results must not poison the cache: an ungoverned run still
-	// computes (and then caches) the full cover.
-	var full DiscoverResponse
-	if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID}, &full); code != http.StatusOK {
-		t.Fatalf("full discover status = %d", code)
-	}
-	if full.Cached || full.Partial {
-		t.Fatalf("full run after partial: cached=%v partial=%v", full.Cached, full.Partial)
-	}
-	if !sameCover(full.FDs, fromScratchCover(t, r)) {
-		t.Fatal("full cover differs from reference")
+		// Partial results must not poison the cache: an ungoverned run
+		// still computes (and then caches) the full cover.
+		var full DiscoverResponse
+		if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Algorithm: algo}, &full); code != http.StatusOK {
+			t.Fatalf("%s: full discover status = %d", algo, code)
+		}
+		if full.Cached || full.Partial {
+			t.Fatalf("%s: full run after partial: cached=%v partial=%v", algo, full.Cached, full.Partial)
+		}
+		if !sameCover(full.FDs, want) {
+			t.Fatalf("%s: full cover differs from reference", algo)
+		}
+		if algo != "incremental" {
+			continue
+		}
+		var st StatsResponse
+		if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+			t.Fatalf("stats status = %d", code)
+		}
+		for phase, ms := range st.Discoveries.PhaseTotalMS {
+			if ms != 0 {
+				t.Errorf("incremental runs added %g ms to the %s phase total", ms, phase)
+			}
+		}
 	}
 }
 
@@ -364,10 +397,8 @@ func TestErrorPaths(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Epsilon: 0.1}, nil); code != http.StatusBadRequest {
 		t.Errorf("epsilon on depminer: status = %d, want 400", code)
 	}
-	for _, algo := range []string{"tane", "incremental"} {
-		if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Algorithm: algo, Armstrong: true}, nil); code != http.StatusBadRequest {
-			t.Errorf("armstrong on %s: status = %d, want 400", algo, code)
-		}
+	if code := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Dataset: reg.ID, Algorithm: "tane", Armstrong: true}, nil); code != http.StatusBadRequest {
+		t.Errorf("armstrong on tane: status = %d, want 400", code)
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/job-999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: status = %d, want 404", code)

@@ -169,9 +169,10 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 	return opts
 }
 
-// depminerResponse completes resp from a depminer run — local or
-// sharded, complete or partial — and folds the run's phase timings and
-// spill traffic into the server stats. A nil res is an outright failure.
+// depminerResponse completes resp from a core.Run — local, sharded or
+// incremental, complete or partial — and folds the run's phase timings
+// and spill traffic into the server stats. A nil res is an outright
+// failure.
 func (s *Server) depminerResponse(ctx context.Context, resp *DiscoverResponse, res *core.Result, runErr error, names []string, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
 	if res == nil {
 		return nil, runErr
@@ -189,10 +190,14 @@ func (s *Server) depminerResponse(ctx context.Context, resp *DiscoverResponse, r
 	}
 	resp.SpilledRuns = res.Stats.Spill.RunsSpilled
 	resp.SpilledBytes = res.Stats.Spill.SpilledBytes
-	s.stats.mu.Lock()
-	s.stats.addPhases(res.Stats)
-	s.stats.spill.Add(res.Stats.Spill)
-	s.stats.mu.Unlock()
+	// An incremental run's phases stay out of the phase totals, which
+	// account for the pipelines of discoveries that read the data.
+	if resp.Algorithm != "incremental" {
+		s.stats.mu.Lock()
+		s.stats.addPhases(res.Stats)
+		s.stats.spill.Add(res.Stats.Spill)
+		s.stats.mu.Unlock()
+	}
 	s.logPhases(ctx, res.Stats)
 	return finishResponse(resp, res.FDs, res.Partial, runErr, names, start, budget)
 }
@@ -225,9 +230,6 @@ type fanOut struct {
 
 func (s *Server) newFanOut(d *dataset, p discoverParams, src *discSource) *fanOut {
 	n := p.shards
-	if n == 0 {
-		n = s.cfg.DefaultShards
-	}
 	if n == 0 {
 		n = len(s.fleet)
 	}

@@ -312,11 +312,7 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("Discover(%+v) err = %v, want ErrInvalidOptions", opts, err)
 		}
 	}
-	// Without the relation, the naive algorithm is rejected too.
 	src := mustStream(t, r)
-	if _, err := Discover(ctx, src, Options{Algorithm: NaiveBaseline}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("streamed naive err = %v, want ErrInvalidOptions", err)
-	}
 	if _, err := Discover(ctx, src, Options{Workers: -3}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("streamed bad workers err = %v, want ErrInvalidOptions", err)
 	}

@@ -62,7 +62,8 @@ type DiscoverRequest struct {
 	// Dataset is the registered dataset id (required).
 	Dataset string `json:"dataset"`
 	// Algorithm is depminer (default), depminer2, fastfds, tane, or
-	// incremental (re-derive from the maintained session, no re-scan).
+	// incremental (the Dep-Miner pipeline from the session's maintained
+	// agree sets, no re-scan).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Workers is the worker-pool width (0 = server default).
 	Workers int `json:"workers,omitempty"`
@@ -70,7 +71,9 @@ type DiscoverRequest struct {
 	// MaxTimeout (0 = the server cap).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// BudgetUnits is the requested guard unit budget, clamped to the
-	// server's MaxBudgetUnits.
+	// server's MaxBudgetUnits. Every algorithm, incremental included,
+	// runs under it; an overrun returns the partial result (Partial set,
+	// BudgetUsed the units charged).
 	BudgetUnits int64 `json:"budget_units,omitempty"`
 	// Epsilon is the approximate-dependency threshold (tane only).
 	Epsilon float64 `json:"epsilon,omitempty"`
@@ -83,7 +86,7 @@ type DiscoverRequest struct {
 	// cover is byte-identical for every threshold.
 	MaxAgreeBytes int64 `json:"max_agree_bytes,omitempty"`
 	// Armstrong includes the Armstrong relation in the response
-	// (depminer/depminer2/fastfds only; other miners answer 400).
+	// (depminer/depminer2/fastfds/incremental; tane answers 400).
 	Armstrong bool `json:"armstrong,omitempty"`
 	// Shards is the shard count for distributed discovery
 	// (depminer/depminer2/fastfds only), honoured only by a
