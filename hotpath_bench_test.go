@@ -146,40 +146,66 @@ func BenchmarkHotpathTransversal(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathStep3 isolates step 3 on the wide-lhs shape (30
-// attributes × 2,000 rows, c=0.3), the paper's |R| axis: the cmax
-// families are wrapped with hypergraph.Unchecked as core builds them, then
-// searched by the levelwise Algorithm 5 at one and two workers and, for
-// comparison, by FastFDs' DFS over the same families.
+// BenchmarkHotpathStep3 isolates steps 3–4 on the paper's |R| axis: the
+// wide-lhs shape (30 attributes × 2,000 rows, c=0.3) and a 50-attribute
+// one (50 × 2,000, c=0.3). The cmax families are wrapped with
+// hypergraph.Unchecked as core builds them, then searched by the
+// levelwise Algorithm 5 at one and two workers and, for comparison, by
+// FastFDs' DFS over the same families. The pipeline/workers=N cases time
+// what a discovery runs from a known ag(r): core.Run with Input.Agree and
+// no Armstrong relation, i.e. step 2, the searches and the emission of
+// the cover.
 func BenchmarkHotpathStep3(b *testing.B) {
-	r := dataset(b, 30, 2000, 0.3)
-	res, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ms := maxsets.Compute(res.Sets, r.Arity())
-	hs := make([]*hypergraph.Hypergraph, r.Arity())
-	for a := range hs {
-		hs[a] = hypergraph.Unchecked(ms.CMax[a])
-	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("levelwise/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := hypergraph.TransversalsAll(context.Background(), hs, workers, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("fastfds", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := fastfds.Covers(context.Background(), ms.CMax, nil); err != nil {
-				b.Fatal(err)
-			}
+	for _, shape := range []struct {
+		name  string
+		attrs int
+	}{
+		{"R=30", 30},
+		{"R=50", 50},
+	} {
+		r := dataset(b, shape.attrs, 2000, 0.3)
+		agr, err := agree.Couples(context.Background(), partition.NewDatabase(r), agree.Options{})
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		ms := maxsets.Compute(agr.Sets, r.Arity())
+		hs := make([]*hypergraph.Hypergraph, r.Arity())
+		for a := range hs {
+			hs[a] = hypergraph.Unchecked(ms.CMax[a])
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/levelwise/workers=%d", shape.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := hypergraph.TransversalsAll(context.Background(), hs, workers, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		if shape.attrs <= 30 { // FastFDs takes seconds per op at |R| = 50
+			b.Run(shape.name+"/fastfds", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := fastfds.Covers(context.Background(), ms.CMax, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/pipeline/workers=%d", shape.name, workers), func(b *testing.B) {
+				opts := core.Options{Armstrong: core.ArmstrongNone, Workers: workers}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := core.Run(context.Background(), core.Input{Source: r, Agree: agr}, opts)
+					if err != nil || len(res.FDs) == 0 {
+						b.Fatal("no cover", err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkHotpathTANE isolates the TANE lattice search (level loop,

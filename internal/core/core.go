@@ -21,6 +21,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -98,10 +99,12 @@ type Options struct {
 	// Armstrong selects step 5's behaviour.
 	Armstrong ArmstrongMode
 	// Workers is the worker-pool width of the parallel pipeline phases
-	// (the agree-set couple sweep of step 1 and the per-attribute
-	// transversal searches of steps 3–4): 0 means runtime.GOMAXPROCS(0),
-	// 1 the sequential reference path. Output is byte-identical for
-	// every value — parallelism only changes scheduling, never results.
+	// (the stripped partition build, the agree-set sweep of step 1, and
+	// in steps 3–4 the per-attribute transversal searches and the
+	// emission of their FDs into the cover): 0 means
+	// runtime.GOMAXPROCS(0), 1 the sequential reference path. Output is
+	// byte-identical for every value — parallelism only changes
+	// scheduling, never results.
 	Workers int
 	// Budget governs the run: a wall-clock deadline plus a size budget
 	// charged in each phase's own units (couples enumerated, agree sets
@@ -364,11 +367,11 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 
 	// Steps 3–4: LEFT_HAND_SIDE then FD_OUTPUT. The per-attribute searches
 	// Tr(cmax(dep(r),A)) are independent, so they fan out one task per RHS
-	// attribute (paper Fig. 1 step 4); FDs are then emitted from the
-	// index-ordered results, keeping the output canonical regardless of
-	// which worker finished first. FastFDs searches attribute by
-	// attribute instead, and a governed cutoff keeps the attributes it
-	// finished.
+	// attribute (paper Fig. 1 step 4), and so does the emission of their
+	// FDs into one cover, each attribute into its own range; the cover is
+	// canonical regardless of which worker finished first. FastFDs
+	// searches attribute by attribute instead, and a governed cutoff keeps
+	// the attributes it finished; a levelwise cutoff emits nothing.
 	if ferr := faultinject.Fire(faultinject.CoreLHS); ferr != nil {
 		return ferr
 	}
@@ -376,38 +379,22 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 		return cerr
 	}
 	t0 = time.Now()
-	var lhs []attrset.Family
-	var err error
+	defer func() { res.Stats.LHS = time.Since(t0) }()
 	if opts.Algorithm == FastFDs {
+		var lhs []attrset.Family
+		var err, eerr error
 		lhs, res.DFSNodes, err = fastfds.Covers(ctx, ms.CMax, opts.Budget)
-	} else {
-		// cmax(dep(r),A) is simple by construction (maxsets.Result.CMax),
-		// so it needs no Min⊆ pass.
-		hs := make([]*hypergraph.Hypergraph, arity)
-		for a := 0; a < arity; a++ {
-			hs[a] = hypergraph.Unchecked(ms.CMax[a])
-		}
-		lhs, err = hypergraph.TransversalsAll(ctx, hs, opts.Workers, opts.Budget)
+		res.FDs, eerr = hypergraph.CoverOf(ctx, lhs, opts.Workers)
+		return cmp.Or(err, eerr)
 	}
-	// Emitting RHS-major from canonical LHS families is fd.FD.Compare's
-	// order already: the cover needs no sort. It stays nil when there is
-	// nothing to emit.
-	n := 0
-	for _, xs := range lhs {
-		n += len(xs)
+	// cmax(dep(r),A) is simple by construction (maxsets.Result.CMax), so
+	// it needs no Min⊆ pass.
+	hs := make([]*hypergraph.Hypergraph, arity)
+	for a := 0; a < arity; a++ {
+		hs[a] = hypergraph.Unchecked(ms.CMax[a])
 	}
-	for a, xs := range lhs {
-		for _, x := range xs {
-			if x == attrset.Single(a) {
-				continue
-			}
-			if res.FDs == nil {
-				res.FDs = make(fd.Cover, 0, n)
-			}
-			res.FDs = append(res.FDs, fd.FD{LHS: x, RHS: a})
-		}
-	}
-	res.Stats.LHS = time.Since(t0)
+	var err error
+	res.FDs, err = hypergraph.Cover(ctx, hs, opts.Workers, opts.Budget)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,6 +63,37 @@ func TestBudgetOverrunKeepsPhaseOutputs(t *testing.T) {
 	}
 	if res.Couples != 6 {
 		t.Errorf("Couples = %d, want 6", res.Couples)
+	}
+	// A levelwise cutoff emits nothing.
+	if len(res.FDs) != 0 {
+		t.Errorf("levelwise cutoff kept %d FDs, want none", len(res.FDs))
+	}
+
+	// FastFDs keeps the attributes it finished: under every budget that
+	// cuts it mid-search, the partial cover is a prefix of the full one,
+	// so no unfilled slot — a zero fd.FD, ∅ → attribute 0 — leaks out.
+	full, err := Discover(context.Background(), r, Options{Algorithm: FastFDs, Armstrong: ArmstrongNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for units := int64(12); ; units++ {
+		res, err := Discover(context.Background(), r, Options{Algorithm: FastFDs, Budget: guard.New(guard.Limits{Units: units}), Armstrong: ArmstrongNone})
+		if err == nil {
+			break
+		}
+		if !errors.As(err, &ge) || ge.Phase != "fastfds" || res == nil || !res.Partial {
+			t.Fatalf("units=%d: err = %v, want a partial fastfds cutoff", units, err)
+		}
+		if len(res.FDs) >= len(full.FDs) || !slices.Equal(res.FDs, full.FDs[:len(res.FDs)]) {
+			t.Fatalf("units=%d: partial cover %v is not a proper prefix of %v", units, res.FDs, full.FDs)
+		}
+		if len(res.FDs) > 0 {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Error("no FastFDs cutoff kept a finished attribute")
 	}
 }
 

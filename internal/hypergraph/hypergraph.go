@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/attrset"
@@ -136,31 +137,91 @@ func (h *Hypergraph) MinimalTransversals(ctx context.Context) (attrset.Family, e
 // The search keeps no hash maps: a level is a lexicographically sorted
 // slice of surviving non-transversals (the Apriori join generates
 // candidates already in that order, so prefix groups are contiguous runs,
-// and the subset test is a binary search within one smallest-vertex run),
+// and the subset test searches one smallest-vertex run, resuming where
+// the previous test of the same run ended),
 // and the per-candidate edge-cover bitmaps live in one arena per level
-// instead of one allocation per candidate. Set operations are bounded by
-// the hypergraph's active word count — the number of attrset words its
-// vertices actually occupy — so a 10-attribute schema pays for 64 bits per
-// operation, not attrset.MaxAttrs.
+// instead of one allocation per candidate. The candidates are one word
+// wide when every vertex is below 64 and attrset.Set wide otherwise, so a
+// schema of at most 64 attributes pays for one word per set operation;
+// the result is widened to attrset.Set on return, and the levels charged
+// are the same at either width.
 func (h *Hypergraph) MinimalTransversalsGoverned(ctx context.Context, b *guard.Budget) (attrset.Family, error) {
 	return h.transversals(ctx, b, new(scratch))
 }
 
-// scratch is the frontier memory of one levelwise search: the current
+// candSet is the type set of the search's candidates: narrow when every
+// vertex of the hypergraph is below 64, attrset.Set otherwise. Go allows
+// indexing and len on both, so one kernel source serves the two widths,
+// and each array length is compiled as its own instantiation.
+type candSet interface{ narrow | attrset.Set }
+
+// narrow is an attribute set over the first 64 attributes.
+type narrow [1]uint64
+
+// frontier is the memory of one levelwise search at width S: the current
 // and next levels of surviving non-transversals with their edge-cover
-// arenas, the per-level smallest-vertex index, and the emitted
-// transversals. TransversalsAll keeps one per worker and reuses it across
-// that worker's searches; each search truncates every buffer first, so
-// nothing carries over.
-type scratch struct {
-	cands, nextCands []attrset.Set
+// arenas, the per-level smallest-vertex index, the Apriori lookups of the
+// current join, and the emitted transversals. Each search truncates every buffer first, so nothing
+// carries over from the search before.
+type frontier[S candSet] struct {
+	cands, nextCands []S
 	arena, nextArena []uint64
 	first            []int32
-	out              attrset.Family
+	looks            []lookup
+	out              []S
 }
 
-// transversals is the levelwise search over the buffers of s. Its output
-// is an exact-size copy, so s may serve the next search at once.
+// scratch holds one frontier per width. TransversalsAll and Cover keep
+// one per worker and reuse it for every hypergraph that worker takes,
+// whichever width its search runs at.
+type scratch struct {
+	narrow frontier[narrow]
+	wide   frontier[attrset.Set]
+}
+
+// family is one hypergraph's minimal transversals at the width its search
+// ran at: narrow when every vertex is below 64, wide otherwise. Either way
+// it is in canonical order.
+type family struct {
+	narrow []narrow
+	wide   attrset.Family
+}
+
+// search runs the levelwise search at the narrowest width holding h's
+// vertices, over that width's frontier in s.
+func (h *Hypergraph) search(ctx context.Context, b *guard.Budget, s *scratch) (family, error) {
+	if h.Vertices().Max() < 64 {
+		xs, err := levelwise(ctx, h, b, &s.narrow)
+		return family{narrow: xs}, err
+	}
+	xs, err := levelwise(ctx, h, b, &s.wide)
+	return family{wide: xs}, err
+}
+
+// transversals is search with its output widened to attrset.Set.
+func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scratch) (attrset.Family, error) {
+	f, err := h.search(ctx, b, s)
+	if err != nil {
+		return nil, err
+	}
+	return f.widen(), nil
+}
+
+// widen returns f as an attrset.Family, converting a narrow family.
+func (f family) widen() attrset.Family {
+	if f.narrow == nil {
+		return f.wide
+	}
+	out := make(attrset.Family, len(f.narrow))
+	for i, x := range f.narrow {
+		out[i] = widen(x)
+	}
+	return out
+}
+
+// levelwise is the levelwise search over the buffers of s, with
+// candidates of width S; every vertex of h must fit in S. Its output is
+// an exact-size copy, so s may serve the next search at once.
 //
 // A level is generated in full by the previous level's join, but only
 // its non-transversals are kept: a joined candidate whose cover is full
@@ -169,9 +230,9 @@ type scratch struct {
 // finish in ascending cardinality, and the join generates each level —
 // hence its emissions — in lexicographic order, which is
 // attrset.Set.Compare's order among sets of equal size.
-func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scratch) (attrset.Family, error) {
+func levelwise[S candSet](ctx context.Context, h *Hypergraph, b *guard.Budget, s *frontier[S]) ([]S, error) {
 	if len(h.edges) == 0 {
-		return attrset.Family{attrset.Empty()}, nil
+		return make([]S, 1), nil // {∅}
 	}
 	ne := len(h.edges)
 	words := (ne + 63) / 64
@@ -181,19 +242,21 @@ func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scrat
 	}
 	verts := h.Vertices()
 	nv := verts.Max() + 1
-	// aw is the active attrset word count: trailing all-zero words of any
-	// candidate set are skipped by every union/compare below.
-	aw := verts.Max()>>6 + 1
 	// vcArena[a*words:(a+1)*words] = bitmap of edges containing vertex a.
 	vcArena := make([]uint64, nv*words)
 	for e, edge := range h.edges {
-		edge.ForEach(func(a attrset.Attr) {
-			vcArena[a*words+e>>6] |= 1 << uint(e&63)
-		})
+		bit := uint64(1) << uint(e&63)
+		for w, x := range edge {
+			for ; x != 0; x &= x - 1 {
+				a := w<<6 + bits.TrailingZeros64(x)
+				vcArena[a*words+e>>6] |= bit
+			}
+		}
 	}
-	covers := func(c []uint64) bool {
+	// covers reports whether c ∪ d is every edge; pass d = c for c alone.
+	covers := func(c, d []uint64) bool {
 		for i, w := range full {
-			if c[i] != w {
+			if c[i]|d[i] != w {
 				return false
 			}
 		}
@@ -204,23 +267,24 @@ func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scrat
 	nextCands, nextArena := s.nextCands[:0], s.nextArena[:0]
 	out := s.out[:0]
 	first := slices.Grow(s.first[:0], nv+1)[:nv+1]
+	looks := s.looks[:0]
 	defer func() {
-		s.cands, s.arena, s.nextCands, s.nextArena, s.first, s.out = cands, arena, nextCands, nextArena, first, out
+		s.cands, s.arena, s.nextCands, s.nextArena, s.first, s.looks, s.out = cands, arena, nextCands, nextArena, first, looks, out
 	}()
 	// L1: the vertices appearing in edges, as singletons — ascending
 	// vertex order is lexicographic order for singletons. width counts the
 	// level's generated candidates, emitted transversals included.
 	width := 0
-	verts.ForEach(func(a attrset.Attr) {
+	for a := verts.Min(); a >= 0; a = verts.Next(a) {
 		width++
 		cover := vcArena[a*words : (a+1)*words]
-		if covers(cover) {
-			out = append(out, attrset.Single(a))
-			return
+		if covers(cover, cover) {
+			out = append(out, single[S](a))
+			continue
 		}
-		cands = append(cands, attrset.Single(a))
+		cands = append(cands, single[S](a))
 		arena = append(arena, cover...)
-	})
+	}
 
 	for width > 0 {
 		if err := ctx.Err(); err != nil {
@@ -237,7 +301,7 @@ func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scrat
 		// vertex is v.
 		k := 0
 		for v := range first {
-			for k < len(cands) && cands[k].Min() < v {
+			for k < len(cands) && minOf(cands[k]) < v {
 				k++
 			}
 			first[v] = int32(k)
@@ -247,35 +311,48 @@ func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scrat
 		// and each joined candidate arises from exactly one (prefix,
 		// pair), generated in lexicographic order again — so the next
 		// level is sorted and duplicate-free by construction. Its cover
-		// is the union of the parents' covers, ORed into the tail of
-		// nextArena; a full one is emitted and its row dropped.
+		// is the union of the parents' covers: a full one is emitted, and
+		// only a non-transversal's cover is written, ORed into the tail of
+		// nextArena.
 		width = 0
 		nextCands = nextCands[:0]
 		nextArena = nextArena[:0]
 		for lo := 0; lo < len(cands); {
-			prefix := cands[lo].Without(cands[lo].Max())
+			prefix := without(cands[lo], maxOf(cands[lo]))
+			m := minOf(prefix)
 			hi := lo + 1
-			for hi < len(cands) && cands[hi].Without(cands[hi].Max()) == prefix {
+			for hi < len(cands) && without(cands[hi], maxOf(cands[hi])) == prefix {
 				hi++
 			}
 			for i := lo; i < hi; i++ {
 				ci := arena[i*words : (i+1)*words]
+				// For u = P ∪ {x_i, x_j}, u∖{p} has smallest vertex m,
+				// the smallest of P, unless p = m: then it is the second
+				// vertex of P ∪ {x_i}, since x_j comes after both.
+				looks = looks[:0]
+				for p := m; p >= 0; p = next(prefix, p) {
+					sm := m
+					if p == m {
+						sm = next(cands[i], m)
+					}
+					looks = append(looks, lookup{p: int32(p), at: first[sm], end: first[sm+1]})
+				}
 				for j := i + 1; j < hi; j++ {
-					u := unionW(cands[i], cands[j], aw)
-					if !apriori(u, prefix, cands, first, aw) {
+					u := union(cands[i], cands[j])
+					if !apriori(u, cands, looks) {
 						continue
 					}
 					width++
+					cj := arena[j*words : (j+1)*words]
+					if covers(ci, cj) {
+						out = append(out, u)
+						continue
+					}
 					row := len(nextArena)
 					nextArena = append(nextArena, ci...)
 					cover := nextArena[row:]
-					for w, c := range arena[j*words : (j+1)*words] {
+					for w, c := range cj {
 						cover[w] |= c
-					}
-					if covers(cover) {
-						nextArena = nextArena[:row]
-						out = append(out, u)
-						continue
 					}
 					nextCands = append(nextCands, u)
 				}
@@ -285,28 +362,125 @@ func (h *Hypergraph) transversals(ctx context.Context, b *guard.Budget, s *scrat
 		cands, nextCands = nextCands, cands
 		arena, nextArena = nextArena, arena
 	}
-	res := make(attrset.Family, len(out))
+	res := make([]S, len(out))
 	copy(res, out)
 	return res, nil
 }
 
-// unionW returns a ∪ b touching only the first aw words; the rest are
-// zero for every set in a transversal search over aw active words.
-func unionW(a, b attrset.Set, aw int) attrset.Set {
-	var u attrset.Set
-	for w := 0; w < aw; w++ {
-		u[w] = a[w] | b[w]
+// lookup is where apriori finds u∖{p} for one prefix vertex p:
+// somewhere in surviving[at:end], the survivors sharing its smallest
+// vertex. For a fixed x_i, u∖{p} grows with x_j, so each lookup resumes
+// at the at where the previous one ended.
+type lookup struct{ p, at, end int32 }
+
+// apriori reports whether every (|u|-1)-subset of the joined candidate
+// u = P ∪ {x_i, x_j} is a surviving non-transversal. Any subset that was
+// emitted as a minimal transversal, or never generated, disqualifies u:
+// its supersets cannot be minimal transversals (or were already pruned).
+//
+// u∖{x_j} and u∖{x_i} are the join's own parents, which survive by
+// construction, so only the subsets u∖{p} for p ∈ P are looked up, one
+// per entry of looks.
+func apriori[S candSet](u S, surviving []S, looks []lookup) bool {
+	for k := range looks {
+		l := &looks[k]
+		sub := without(u, int(l.p))
+		at := seek(surviving, int(l.at), int(l.end), sub)
+		l.at = int32(at)
+		if at == int(l.end) || surviving[at] != sub {
+			return false
+		}
 	}
-	return u
+	return true
 }
 
-// lexCmpW orders equal-cardinality sets lexicographically by element
-// sequence, touching only the first aw words: the set containing the
-// smallest element of the symmetric difference sorts first. (For sets of
-// the same size this coincides with attrset.CompareLex; proper-prefix
-// cases cannot arise.)
-func lexCmpW(a, b attrset.Set, aw int) int {
-	for w := 0; w < aw; w++ {
+// seek returns the first index in [lo, hi) of the lexicographically
+// sorted s whose set is not below sub, or hi. It gallops from lo before
+// it bisects, so a lookup just past the previous one costs a few steps.
+func seek[S candSet](s []S, lo, hi int, sub S) int {
+	if lo == hi || lexCmp(s[lo], sub) >= 0 {
+		return lo
+	}
+	step := 1
+	for lo+step < hi && lexCmp(s[lo+step], sub) < 0 {
+		lo += step
+		step <<= 1
+	}
+	// s[lo] is below sub; s[lo+step], if in range, is not.
+	lo, hi = lo+1, min(lo+step, hi)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lexCmp(s[mid], sub) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// The set operations of the kernel, at width S. They mirror the
+// attrset.Set methods of the same names; a vertex passed in must fit in S.
+
+func single[S candSet](a attrset.Attr) S {
+	var s S
+	s[a>>6] = 1 << uint(a&63)
+	return s
+}
+
+func without[S candSet](s S, a attrset.Attr) S {
+	s[a>>6] &^= 1 << uint(a&63)
+	return s
+}
+
+func union[S candSet](a, b S) S {
+	for w := 0; w < len(a); w++ {
+		a[w] |= b[w]
+	}
+	return a
+}
+
+// minOf returns the smallest vertex of s, or -1 if s is empty.
+func minOf[S candSet](s S) attrset.Attr {
+	for w := 0; w < len(s); w++ {
+		if s[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(s[w])
+		}
+	}
+	return -1
+}
+
+// maxOf returns the largest vertex of s, or -1 if s is empty.
+func maxOf[S candSet](s S) attrset.Attr {
+	for w := len(s) - 1; w >= 0; w-- {
+		if s[w] != 0 {
+			return w<<6 + 63 - bits.LeadingZeros64(s[w])
+		}
+	}
+	return -1
+}
+
+// next returns the smallest vertex of s above a ≥ 0, or -1 if none is.
+func next[S candSet](s S, a attrset.Attr) attrset.Attr {
+	a++
+	for w := a >> 6; w < len(s); w++ {
+		x := s[w]
+		if w == a>>6 {
+			x &= ^uint64(0) << uint(a&63)
+		}
+		if x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// lexCmp orders equal-cardinality sets lexicographically by element
+// sequence: the set containing the smallest element of the symmetric
+// difference sorts first. (For sets of the same size this coincides with
+// attrset.CompareLex; proper-prefix cases cannot arise.)
+func lexCmp[S candSet](a, b S) int {
+	for w := 0; w < len(a); w++ {
 		if d := a[w] ^ b[w]; d != 0 {
 			if a[w]&(d&-d) != 0 {
 				return -1
@@ -317,35 +491,11 @@ func lexCmpW(a, b attrset.Set, aw int) int {
 	return 0
 }
 
-// apriori reports whether every (|u|-1)-subset of the joined candidate
-// u = P ∪ {x_i, x_j} is a surviving non-transversal. Any subset that was
-// emitted as a minimal transversal, or never generated, disqualifies u:
-// its supersets cannot be minimal transversals (or were already pruned).
-//
-// u∖{x_j} and u∖{x_i} are the join's own parents, which survive by
-// construction, so only the subsets u∖{p} for p ∈ P = prefix are looked
-// up — each by binary search over the survivors sharing its smallest
-// vertex, surviving[first[m]:first[m+1]].
-func apriori(u, prefix attrset.Set, surviving []attrset.Set, first []int32, aw int) bool {
-	m := prefix.Min() // every prefix vertex is below x_i < x_j, so m = min u
-	for p := m; p >= 0; p = prefix.Next(p) {
-		sub := u.Without(p)
-		sm := m
-		if p == m {
-			sm = u.Next(m)
-		}
-		lo, hi := int(first[sm]), int(first[sm+1])
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if lexCmpW(surviving[mid], sub, aw) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == int(first[sm+1]) || surviving[lo] != sub {
-			return false
-		}
+// widen returns s as an attrset.Set.
+func widen[S candSet](s S) attrset.Set {
+	var t attrset.Set
+	for w := 0; w < len(s); w++ {
+		t[w] = s[w]
 	}
-	return true
+	return t
 }
