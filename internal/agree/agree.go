@@ -12,9 +12,9 @@
 //   - Couples (Algorithm 2 / "Dep-Miner"): the tuple couples of the
 //     maximal equivalence classes MC (Lemma 1), each agree set built by
 //     adding attribute A to ag(t,t') whenever both tuples share a class
-//     of π̂_A. The loop runs tuple by tuple
-//     (partition.CoupleSpace.AgreeSets): a tuple's classes are walked
-//     once to meet its couples and once more to build their sets.
+//     of π̂_A. The loop runs tuple by tuple (partition.Walker.AgreeSets):
+//     one walk over a tuple's classes meets its couples and builds their
+//     sets.
 //   - Identifiers (Algorithm 3 / "Dep-Miner 2"): build, per tuple, the
 //     list ec(t) of equivalence-class identifiers containing t; then
 //     ag(ti,tj) is read off the intersection ec(ti) ∩ ec(tj) (Lemma 2),
@@ -37,6 +37,13 @@
 // distinct sets (setAccum), so only the family — orders of magnitude
 // smaller than the couple stream — is ever sorted (see DESIGN.md §9).
 //
+// A sweep's sets are one word (attrset.Narrow) when the schema has at
+// most 64 attributes and attrset.Set otherwise, picked once per run from
+// the arity: the walker, the batch, the accumulator and Algorithm 3's
+// intersection are one generic source over attrset.Width. Sets widen to
+// attrset.Set only where they leave the package: Result.Sets, spilled
+// runs, a shard's emitted run, and Accum.
+//
 // Both variants parallelise across Options.Workers goroutines over the
 // same tuple blocks, cut to near-equal walk cost. Every worker
 // accumulates into a private distinct list and the union is emitted in
@@ -44,6 +51,7 @@
 package agree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/maphash"
@@ -85,7 +93,7 @@ type Result struct {
 // the same ag(r) as the deduplicated relation — matching the partition
 // algorithms, which apply the same set semantics.
 func Naive(ctx context.Context, r *relation.Relation) (*Result, error) {
-	var acc setAccum
+	var acc setAccum[attrset.Set]
 	var batch []attrset.Set
 	res := &Result{}
 	full := attrset.Universe(r.Arity())
@@ -141,25 +149,27 @@ type Options struct {
 // to the couple stream — 69 distinct sets for 359,428 couples on a
 // 12×30,000 relation — so the index stays cache-resident, and only the
 // distinct sets are ever sorted: by seal, where a sorted run is required.
-// The hash is seeded because uploaded data decides the agree sets, and
+// The hash is keyed because uploaded data decides the agree sets, and
 // must not be able to predict the probe sequence.
 //
 // With a spiller attached, the list is sealed and spilled after a batch
-// once it holds limit bytes, and accumulation restarts empty; the spilled
-// runs rejoin at mergeAccums' k-way merge, so spill boundaries cannot
-// change the emitted family.
-type setAccum struct {
-	sets  []attrset.Set
+// once it holds limit bytes, counted as extsort.SetBytes per set at
+// either width, and accumulation restarts empty; the spilled runs rejoin
+// at mergeAccums' k-way merge, so spill boundaries cannot change the
+// emitted family.
+type setAccum[S attrset.Width] struct {
+	sets  []S
 	index []int32
-	seed  maphash.Seed // zero = drawn on first insert
+	keys  [2]uint64 // the hash's keys; zero = drawn on first insert
 	sp    *extsort.Spiller
-	limit int64 // spill threshold in bytes; only read when sp != nil
+	limit int64         // spill threshold in bytes; only read when sp != nil
+	wide  []attrset.Set // the run last handed to the spiller, reused when narrow
 }
 
 // Accum is a growing set family deduplicated at insert by the sweep's
 // own accumulator, for callers that maintain ag(r) outside a sweep. The
 // zero value is an empty family.
-type Accum struct{ acc setAccum }
+type Accum struct{ acc setAccum[attrset.Set] }
 
 // Insert adds s to the family unless it is already there.
 func (a *Accum) Insert(s attrset.Set) { a.acc.insert(s) }
@@ -169,15 +179,40 @@ func (a *Accum) Insert(s attrset.Set) { a.acc.insert(s) }
 func (a *Accum) Sets() []attrset.Set { return a.acc.sets }
 
 // rawCompare orders sets by their backing words — extsort.Compare, the
-// run order shared with the on-disk spill files. Zero iff the sets are
-// equal, so the k-way merge dedups exactly; the order itself carries no
-// meaning and never reaches callers.
-func rawCompare(a, b attrset.Set) int { return extsort.Compare(a, b) }
+// run order shared with the on-disk spill files. A narrow set's missing
+// words are zero, so narrow sets sort as their widened copies do. Zero
+// iff the sets are equal, so the k-way merge dedups exactly; the order
+// itself carries no meaning and never reaches callers.
+func rawCompare[S attrset.Width](a, b S) int {
+	for w := 0; w < len(a); w++ {
+		if a[w] != b[w] {
+			return cmp.Compare(a[w], b[w])
+		}
+	}
+	return 0
+}
+
+// widen returns xs as attrset.Sets: xs itself at the wide width, else a
+// widened copy in buf's backing array, or in a new exact-size one when
+// buf is too short.
+func widen[S attrset.Width](xs []S, buf []attrset.Set) []attrset.Set {
+	if wide, ok := any(xs).([]attrset.Set); ok {
+		return wide
+	}
+	if cap(buf) < len(xs) {
+		buf = make([]attrset.Set, len(xs))
+	}
+	buf = buf[:len(xs)]
+	for i, x := range xs {
+		buf[i] = attrset.Widen(x)
+	}
+	return buf
+}
 
 // absorb inserts a batch's sets except full (the whole schema, i.e.
 // couples of duplicate tuples: set semantics), then spills the list once
 // it holds the configured threshold.
-func (ac *setAccum) absorb(batch []attrset.Set, full attrset.Set) error {
+func (ac *setAccum[S]) absorb(batch []S, full S) error {
 	for _, s := range batch {
 		if s != full {
 			ac.insert(s)
@@ -186,8 +221,10 @@ func (ac *setAccum) absorb(batch []attrset.Set, full attrset.Set) error {
 	if ac.sp == nil || int64(len(ac.sets))*extsort.SetBytes < ac.limit {
 		return nil
 	}
-	// On a refused spill the sealed list stays: no set is lost.
-	if err := ac.sp.Spill(ac.seal()); err != nil {
+	// On a refused spill the sealed list stays: no set is lost. The
+	// spiller writes the run before it returns, so ac.wide is free again.
+	ac.wide = widen(ac.seal(), ac.wide)
+	if err := ac.sp.Spill(ac.wide); err != nil {
 		return err
 	}
 	ac.sets = ac.sets[:0]
@@ -195,7 +232,7 @@ func (ac *setAccum) absorb(batch []attrset.Set, full attrset.Set) error {
 }
 
 // insert adds s to the list unless it is already there.
-func (ac *setAccum) insert(s attrset.Set) {
+func (ac *setAccum[S]) insert(s S) {
 	if 2*(len(ac.sets)+1) > len(ac.index) {
 		ac.rehash(len(ac.sets) + 1)
 	}
@@ -206,13 +243,31 @@ func (ac *setAccum) insert(s attrset.Set) {
 }
 
 // probe returns the slot naming s, or the empty slot where s belongs.
-func (ac *setAccum) probe(s attrset.Set) uint64 {
+func (ac *setAccum[S]) probe(s S) uint64 {
 	mask := uint64(len(ac.index) - 1)
-	i := maphash.Comparable(ac.seed, s) & mask
+	i := ac.hash(s) & mask
 	for k := ac.index[i]; k != 0 && ac.sets[k-1] != s; k = ac.index[i] {
 		i = (i + 1) & mask
 	}
 	return i
+}
+
+// hash folds s's words under the accumulator's two keys, wyhash's way:
+// each word, keyed, is multiplied by the other key mixed with the hash so
+// far, and the 128-bit product's halves are XORed.
+func (ac *setAccum[S]) hash(s S) uint64 {
+	var h uint64
+	for w := 0; w < len(s); w++ {
+		hi, lo := bits.Mul64(s[w]^ac.keys[0], ac.keys[1]^h)
+		h = hi ^ lo
+	}
+	return h
+}
+
+// newKeys draws an accumulator's two hash keys from a fresh random seed.
+func newKeys() [2]uint64 {
+	seed := maphash.MakeSeed()
+	return [2]uint64{maphash.String(seed, "k0"), maphash.String(seed, "k1")}
 }
 
 // indexSize is the index size for n ≥ 1 sets: the smallest power of two,
@@ -221,9 +276,9 @@ func indexSize(n int) int { return max(64, 1<<bits.Len(uint(2*n-1))) }
 
 // rehash sizes the index for n ≥ 1 sets, within its backing array when
 // that is large enough, and re-enters the listed sets.
-func (ac *setAccum) rehash(n int) {
-	if ac.seed == (maphash.Seed{}) {
-		ac.seed = maphash.MakeSeed()
+func (ac *setAccum[S]) rehash(n int) {
+	if ac.keys == [2]uint64{} {
+		ac.keys = newKeys()
 	}
 	if size := indexSize(n); cap(ac.index) >= size {
 		ac.index = ac.index[:size]
@@ -238,8 +293,8 @@ func (ac *setAccum) rehash(n int) {
 
 // seal sorts the list in raw run order and returns it. The index no
 // longer matches the list, so it is emptied: the next insert rebuilds it.
-func (ac *setAccum) seal() []attrset.Set {
-	slices.SortFunc(ac.sets, rawCompare)
+func (ac *setAccum[S]) seal() []S {
+	slices.SortFunc(ac.sets, rawCompare[S])
 	ac.index = ac.index[:0]
 	return ac.sets
 }
@@ -248,13 +303,13 @@ func (ac *setAccum) seal() []attrset.Set {
 // index are reserved for their total. The index starts at the longest
 // list, a lower bound on the union, so overlapping lists probe a small
 // table. A lone non-empty list is already distinct: it is only copied.
-func union(locals []*workerState) setAccum {
+func union[S attrset.Width](locals []*workerState[S]) setAccum[S] {
 	total, longest := 0, 0
 	for _, w := range locals {
 		total += len(w.accum.sets)
 		longest = max(longest, len(w.accum.sets))
 	}
-	u := setAccum{sets: make([]attrset.Set, 0, total)}
+	u := setAccum[S]{sets: make([]S, 0, total)}
 	if longest == total {
 		for _, w := range locals {
 			u.sets = append(u.sets, w.accum.sets...)
@@ -272,13 +327,13 @@ func union(locals []*workerState) setAccum {
 }
 
 // sealedRuns seals the workers' non-empty lists into sorted runs for the
-// k-way merge and returns them with their total length.
-func sealedRuns(locals []*workerState) ([][]attrset.Set, int) {
+// k-way merge, widened, and returns them with their total length.
+func sealedRuns[S attrset.Width](locals []*workerState[S]) ([][]attrset.Set, int) {
 	runs := make([][]attrset.Set, 0, len(locals))
 	total := 0
 	for _, w := range locals {
 		if len(w.accum.sets) > 0 {
-			runs = append(runs, w.accum.seal())
+			runs = append(runs, widen(w.accum.seal(), nil))
 			total += len(w.accum.sets)
 		}
 	}
@@ -290,13 +345,13 @@ func sealedRuns(locals []*workerState) ([][]attrset.Set, int) {
 // memory with the workers, exact-size when nothing spilled — whose
 // canonical sort is the caller's. A union cannot depend on how couples
 // were spread over workers or where spills fell, so neither can ag(r).
-func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, error) {
+func mergeAccums[S attrset.Width](locals []*workerState[S], sp *extsort.Spiller) (attrset.Family, error) {
 	if sp == nil || sp.Runs() == 0 {
-		u := union(locals)
-		if len(u.sets) == cap(u.sets) {
-			return u.sets, nil
+		sets := widen(union(locals).sets, nil)
+		if len(sets) == cap(sets) {
+			return sets, nil
 		}
-		return append(make(attrset.Family, 0, len(u.sets)), u.sets...), nil
+		return append(make(attrset.Family, 0, len(sets)), sets...), nil
 	}
 	// Streaming k-way merge over disk readers and in-memory runs. The
 	// capacity estimate counts cross-run duplicates once each, so it can
@@ -314,12 +369,12 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 }
 
 // workerState is the per-worker accumulation and scratch reused across
-// every task the worker runs.
-type workerState struct {
-	accum   setAccum
-	walker  partition.Walker // walks the task's tuples
-	batch   []attrset.Set    // the sets of up to stride couples before absorption
-	couples int              // couples met, over every task
+// every task the worker runs, its sets at the sweep's width S.
+type workerState[S attrset.Width] struct {
+	accum   setAccum[S]
+	walker  partition.Walker[S] // walks the task's tuples
+	batch   []S                 // the sets of up to stride couples before absorption
+	couples int                 // couples met, over every task
 }
 
 // Couples computes ag(r) with Algorithm 2 (AGREE_SET): couples from MC,
@@ -343,6 +398,14 @@ func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result
 // (see fanOut), whose runs join the same merge as local and spilled
 // ones.
 func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) (*Result, error) {
+	if p.narrow() {
+		return run[attrset.Narrow](ctx, p, v, opts, remote)
+	}
+	return run[attrset.Set](ctx, p, v, opts, remote)
+}
+
+// run is Plan.Run at set width S.
+func run[S attrset.Width](ctx context.Context, p *Plan, v Variant, opts Options, remote Remote) (*Result, error) {
 	res := &Result{}
 	// Remote runs are adopted into a spiller whatever the threshold.
 	sp := newSpiller(opts, remote != nil)
@@ -352,12 +415,12 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 			sp.Close()
 		}()
 	}
-	var locals []*workerState
+	var locals []*workerState[S]
 	var err error
 	if remote == nil {
-		locals, res.Couples, err = p.sweep(ctx, Shard{0, p.Rows()}, v, opts, sp)
+		locals, res.Couples, err = sweep[S](ctx, p, Shard{0, p.Rows()}, v, opts, sp)
 	} else {
-		locals, res.Couples, err = p.fanOut(ctx, p.Split(remote.Shards()), v, opts, remote, sp)
+		locals, res.Couples, err = fanOut[S](ctx, p, p.Split(remote.Shards()), v, opts, remote, sp)
 	}
 	if err != nil {
 		return governedPartial(res, locals, sp, err, v)
@@ -387,13 +450,16 @@ func (p *Plan) Run(ctx context.Context, v Variant, opts Options, remote Remote) 
 // one tuple block per worker, of near-equal walk cost, each costing at
 // least a stride. pool.Run joins every worker before returning, so the
 // locals and their counts are safe to read whatever the error.
-func (p *Plan) sweep(ctx context.Context, sh Shard, v Variant, opts Options, sp *extsort.Spiller) ([]*workerState, int, error) {
+func sweep[S attrset.Width](ctx context.Context, p *Plan, sh Shard, v Variant, opts Options, sp *extsort.Spiller) ([]*workerState[S], int, error) {
 	workers := pool.Resolve(opts.Workers)
-	locals := makeWorkers(workers, opts, sp)
+	locals := makeWorkers[S](workers, opts, sp)
 	cost := p.cs.Cost()
 	n := (cost[sh.End] - cost[sh.Start] + stride - 1) / stride
 	tasks := p.cut(sh, int(min(n, int64(workers))))
-	k := kernel{p: p, v: v, opts: opts, full: attrset.Universe(p.db.Arity()), hook: faultinject.AgreeChunk}
+	k := kernel[S]{p: p, v: v, opts: opts, hook: faultinject.AgreeChunk}
+	for a := range p.db.Arity() {
+		attrset.Add(&k.full, a)
+	}
 	if v == VariantIdentifiers {
 		k.ecOff, k.ec = p.ecIndex()
 		k.hook = faultinject.AgreeStride
@@ -410,29 +476,29 @@ func (p *Plan) sweep(ctx context.Context, sh Shard, v Variant, opts Options, sp 
 
 // kernel is what every task of one sweep shares: the plan, the variant
 // and its per-tuple inputs, and the batch checkpoint's hook and budget.
-type kernel struct {
+type kernel[S attrset.Width] struct {
 	p     *Plan
 	v     Variant
 	opts  Options
-	full  attrset.Set // the whole schema: couples of duplicate tuples
-	hook  string      // AgreeChunk for Algorithm 2, AgreeStride for 3
-	ecOff []int32     // Algorithm 3's identifier arena
+	full  S       // the whole schema: couples of duplicate tuples
+	hook  string  // AgreeChunk for Algorithm 2, AgreeStride for 3
+	ecOff []int32 // Algorithm 3's identifier arena
 	ec    []uint64
 }
 
 // sweep runs one task, the tuples of sh, on ws: each tuple's couples
-// are met by one walk, and their agree sets built by Algorithm 2's
-// second class walk or by Algorithm 3's intersection of ec(u) with each
-// partner's list. Sets are batched and flushed every stride couples
-// and at the end of the task, so a spill can only fall where those
-// boundaries put it. It writes only worker-local state, so concurrent
-// calls on distinct workerStates are safe.
-func (ws *workerState) sweep(ctx context.Context, k *kernel, sh Shard) error {
+// are met by one walk, which builds their agree sets as it goes for
+// Algorithm 2, and for Algorithm 3 lists the partners whose lists are
+// intersected with ec(u). Sets are batched and flushed every stride
+// couples and at the end of the task, so a spill can only fall where
+// those boundaries put it. It writes only worker-local state, so
+// concurrent calls on distinct workerStates are safe.
+func (ws *workerState[S]) sweep(ctx context.Context, k *kernel[S], sh Shard) error {
 	cs := k.p.cs
 	ws.batch = slices.Grow(ws.batch[:0], stride)
 	for u := sh.Start; u < sh.End; u++ {
 		if k.v == VariantCouples {
-			sets := cs.AgreeSets(u, &ws.walker)
+			sets := ws.walker.AgreeSets(cs, u)
 			for len(sets) > 0 {
 				n := min(len(sets), stride-len(ws.batch))
 				ws.batch = append(ws.batch, sets[:n]...)
@@ -445,8 +511,8 @@ func (ws *workerState) sweep(ctx context.Context, k *kernel, sh Shard) error {
 			continue
 		}
 		eu := k.ec[k.ecOff[u]:k.ecOff[u+1]]
-		for _, t := range cs.Walk(u, &ws.walker) {
-			ws.batch = append(ws.batch, intersect(eu, k.ec[k.ecOff[t]:k.ecOff[t+1]]))
+		for _, t := range ws.walker.Walk(cs, u) {
+			ws.batch = append(ws.batch, intersect[S](eu, k.ec[k.ecOff[t]:k.ecOff[t+1]]))
 			if len(ws.batch) == stride {
 				if err := ws.flush(ctx, k); err != nil {
 					return err
@@ -461,7 +527,7 @@ func (ws *workerState) sweep(ctx context.Context, k *kernel, sh Shard) error {
 // the variant's fault hook, and the couples' budget charge with its
 // deadline check — and absorbs the batch into ws.accum, which drops
 // sets equal to the whole schema.
-func (ws *workerState) flush(ctx context.Context, k *kernel) error {
+func (ws *workerState[S]) flush(ctx context.Context, k *kernel[S]) error {
 	if len(ws.batch) == 0 {
 		return nil
 	}
@@ -497,11 +563,11 @@ func newSpiller(opts Options, needed bool) *extsort.Spiller {
 // out-of-core accumulation. The per-worker share is clamped up to one
 // record, so even a degenerate threshold spills whole records rather
 // than nothing.
-func makeWorkers(workers int, opts Options, sp *extsort.Spiller) []*workerState {
-	locals := make([]*workerState, workers)
+func makeWorkers[S attrset.Width](workers int, opts Options, sp *extsort.Spiller) []*workerState[S] {
+	locals := make([]*workerState[S], workers)
 	perWorker := max(opts.MaxAgreeBytes/int64(workers), extsort.SetBytes)
 	for w := range locals {
-		locals[w] = &workerState{}
+		locals[w] = &workerState[S]{}
 		if opts.MaxAgreeBytes > 0 {
 			locals[w].accum.sp = sp
 			locals[w].accum.limit = perWorker
@@ -518,7 +584,7 @@ func makeWorkers(workers int, opts Options, sp *extsort.Spiller) []*workerState 
 // When merging the partial runs itself fails (a damaged spill file, say),
 // the partial is returned with no family at all — never a silently
 // truncated one.
-func governedPartial(res *Result, locals []*workerState, sp *extsort.Spiller, err error, v Variant) (*Result, error) {
+func governedPartial[S attrset.Width](res *Result, locals []*workerState[S], sp *extsort.Spiller, err error, v Variant) (*Result, error) {
 	if !guard.Governed(err) {
 		return nil, fmt.Errorf("agree: %s cancelled: %w", v, err)
 	}
@@ -554,7 +620,8 @@ func addEmptyIfUncovered(db *partition.Database, covered int, sets attrset.Famil
 // absorption, the floor of a task's walk cost, and the unit of work
 // between checkpoints. It is large enough to amortise dispatch, small
 // enough to keep cancellation latency low and keep an assembled batch
-// (32 bytes a couple) cache-resident.
+// (8 bytes a couple at one word, 32 at four: 64 or 256 KiB)
+// cache-resident.
 const stride = 1 << 13
 
 // buildECIndex lays out, per tuple t, the list ec(t) of (attribute, class
@@ -592,8 +659,8 @@ func buildECIndex(db *partition.Database) (ecOff []int32, ec []uint64) {
 
 // intersect is Lemma 2 for one couple: the attributes A whose class
 // ids agree in the two tuples' ec lists, both sorted by attribute.
-func intersect(eu, et []uint64) attrset.Set {
-	var s attrset.Set
+func intersect[S attrset.Width](eu, et []uint64) S {
+	var s S
 	x, y := 0, 0
 	for x < len(et) && y < len(eu) {
 		at, au := et[x]>>32, eu[y]>>32
@@ -604,7 +671,7 @@ func intersect(eu, et []uint64) attrset.Set {
 			y++
 		default:
 			if uint32(et[x]) == uint32(eu[y]) {
-				s.Add(int(at))
+				attrset.Add(&s, int(at))
 			}
 			x++
 			y++

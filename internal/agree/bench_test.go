@@ -15,26 +15,39 @@ import (
 // binary attributes over 800 rows put every one of the 319,600 couples
 // in MC, and almost every couple has an agree set of its own, so the
 // distinct family is as large as the couple stream. One worker keeps the
-// whole family in one accumulator.
+// whole family in one accumulator. Each variant runs at the schema's
+// width (one word) and, as width=wide, at four words.
 func BenchmarkAgreeAllDistinct(b *testing.B) {
 	r := randomRelation(b, rand.New(rand.NewSource(40)), 40, 800, 2)
 	db := partition.NewDatabase(r)
 	for _, v := range []Variant{VariantCouples, VariantIdentifiers} {
-		b.Run(v.String(), func(b *testing.B) {
-			plan := mustPlan(b, db)
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := plan.Run(context.Background(), v, Options{Workers: 1}, nil); err != nil {
-					b.Fatal(err)
+		for _, wide := range []bool{false, true} {
+			b.Run(v.String()+widthName(wide), func(b *testing.B) {
+				plan := mustPlan(b, db)
+				plan.wide = wide
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := plan.Run(context.Background(), v, Options{Workers: 1}, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// widthName suffixes a benchmark forced to four-word sets.
+func widthName(wide bool) string {
+	if wide {
+		return "/width=wide"
+	}
+	return ""
 }
 
 // BenchmarkPlan measures step 1's plan on the tall shape (12×30,000,
 // c=0.5: 359,428 couples): the couple space build alone, and the build
-// plus the Algorithm 2 sweep it plans, at one and two workers.
+// plus the Algorithm 2 sweep it plans, at one and two workers, the sweep
+// at the schema's width (one word) and, as width=wide, at four words.
 func BenchmarkPlan(b *testing.B) {
 	r, err := datagen.Generate(datagen.Spec{Attrs: 12, Rows: 30000, Correlation: 0.5, Seed: 1})
 	if err != nil {
@@ -51,14 +64,21 @@ func BenchmarkPlan(b *testing.B) {
 				}
 			}
 		})
-		b.Run("NewPlan+Run/workers="+strconv.Itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := Couples(ctx, db, Options{Workers: workers}); err != nil {
-					b.Fatal(err)
+		for _, wide := range []bool{false, true} {
+			b.Run("NewPlan+Run/workers="+strconv.Itoa(workers)+widthName(wide), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					p, err := NewPlan(ctx, db, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					p.wide = wide
+					if _, err := p.Run(ctx, VariantCouples, Options{Workers: workers}, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

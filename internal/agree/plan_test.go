@@ -86,7 +86,7 @@ func TestPlanCouplesMatchBruteForce(t *testing.T) {
 	}
 	for i, r := range rels {
 		p := mustPlan(t, partition.NewDatabase(r))
-		ws := &workerState{} // one walker for every regeneration below
+		ws := &workerState[attrset.Set]{} // one walker for every regeneration below
 		all := regenerate(p, Shard{0, r.Rows()}, ws)
 		sorted := slices.Clone(all)
 		slices.Sort(sorted)
@@ -122,10 +122,10 @@ func TestPlanCouplesMatchBruteForce(t *testing.T) {
 
 // regenerate walks the tuples of sh on ws, as a task does, and returns
 // their couples encoded t<<32 | u.
-func regenerate(p *Plan, sh Shard, ws *workerState) []uint64 {
+func regenerate(p *Plan, sh Shard, ws *workerState[attrset.Set]) []uint64 {
 	var out []uint64
 	for u := sh.Start; u < sh.End; u++ {
-		for _, t := range p.cs.Walk(u, &ws.walker) {
+		for _, t := range ws.walker.Walk(p.cs, u) {
 			out = append(out, uint64(t)<<32|uint64(u))
 		}
 	}

@@ -2,7 +2,6 @@ package agree
 
 import (
 	"context"
-	"hash/maphash"
 	"math/rand"
 	"slices"
 	"testing"
@@ -96,7 +95,7 @@ func TestQuickSortedDedupMatchesMapReference(t *testing.T) {
 // random streams of batches — sets over all four words, duplicates within
 // and across batches, the skipped full set among them, enough distinct
 // sets to force several rehashes — and checks the merged family against
-// a Go-map dedup of the same stream, under two seeds, in memory and with
+// a Go-map dedup of the same stream, under two key pairs, in memory and with
 // a spiller at several thresholds. The spill counters must follow the
 // rule "spill after a batch once the distinct sets since the last spill
 // fill the threshold", and the merged family must be exact-size in
@@ -132,15 +131,15 @@ func TestQuickSetAccumMatchesMapDedup(t *testing.T) {
 		want.Sort()
 
 		workers := 1 + rng.Intn(3)
-		for _, seed := range []maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()} {
+		for _, keys := range [][2]uint64{newKeys(), newKeys()} {
 			for _, limit := range []int64{0, 1, 100, 1 << 10} {
 				var sp *extsort.Spiller
 				if limit > 0 {
 					sp = extsort.NewSpiller(dir, nil)
 				}
-				locals := make([]*workerState, workers)
+				locals := make([]*workerState[attrset.Set], workers)
 				for w := range locals {
-					locals[w] = &workerState{accum: setAccum{seed: seed, sp: sp, limit: limit}}
+					locals[w] = &workerState[attrset.Set]{accum: setAccum[attrset.Set]{keys: keys, sp: sp, limit: limit}}
 				}
 				// The rule's model: per worker, the distinct sets since
 				// its last spill.

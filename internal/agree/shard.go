@@ -82,6 +82,9 @@ type Shard struct {
 type Plan struct {
 	db *partition.Database
 	cs *partition.CoupleSpace
+	// wide makes the plan's sweeps run at four words even when the
+	// schema fits in one: a test hook for the width differential.
+	wide bool
 
 	ecOnce sync.Once
 	ecOff  []int32
@@ -98,6 +101,10 @@ func NewPlan(ctx context.Context, db *partition.Database, workers int) (*Plan, e
 	}
 	return &Plan{db: db, cs: cs}, nil
 }
+
+// narrow reports whether the plan's sweeps run at one word: the schema
+// fits in attrset.NarrowAttrs and the wide hook is off.
+func (p *Plan) narrow() bool { return p.db.Arity() <= attrset.NarrowAttrs && !p.wide }
 
 // Rows returns |r|, the tuple range shards are cut from.
 func (p *Plan) Rows() int { return p.db.NumRows }
@@ -173,9 +180,17 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 	if sh.Start < 0 || sh.End < sh.Start || sh.End > p.Rows() {
 		return nil, fmt.Errorf("agree: shard [%d,%d) outside tuple range [0,%d]", sh.Start, sh.End, p.Rows())
 	}
+	if p.narrow() {
+		return computeShard[attrset.Narrow](ctx, p, sh, v, opts, emit)
+	}
+	return computeShard[attrset.Set](ctx, p, sh, v, opts, emit)
+}
+
+// computeShard is ComputeShard at set width S, sh already checked.
+func computeShard[S attrset.Width](ctx context.Context, p *Plan, sh Shard, v Variant, opts Options, emit func(attrset.Set) error) (*ShardResult, error) {
 	res := &ShardResult{}
 	sp := newSpiller(opts, false)
-	locals, couples, err := p.sweep(ctx, sh, v, opts, sp)
+	locals, couples, err := sweep[S](ctx, p, sh, v, opts, sp)
 	res.Couples = couples
 	if sp != nil {
 		defer func() {
@@ -202,7 +217,7 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 	}
 	u := union(locals)
 	for _, s := range u.seal() {
-		if err := counted(s); err != nil {
+		if err := counted(attrset.Widen(s)); err != nil {
 			return res, err
 		}
 	}
@@ -246,13 +261,13 @@ type Remote interface {
 // couples of every shard that completed. The first fatal error — a
 // governed fetch failure or charge, or a failed local sweep — cancels
 // the sibling shards and is returned.
-func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Options, remote Remote, sp *extsort.Spiller) ([]*workerState, int, error) {
+func fanOut[S attrset.Width](ctx context.Context, p *Plan, shards []Shard, v Variant, opts Options, remote Remote, sp *extsort.Spiller) ([]*workerState[S], int, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		locals   []*workerState
+		locals   []*workerState[S]
 		couples  int
 		firstErr error
 	)
@@ -285,7 +300,7 @@ func (p *Plan) fanOut(ctx context.Context, shards []Shard, v Variant, opts Optio
 				fail(ctx.Err()) // cancelled, or a sibling already failed
 				return
 			}
-			ws, n, err := p.sweep(ctx, sh, v, opts, sp)
+			ws, n, err := sweep[S](ctx, p, sh, v, opts, sp)
 			mu.Lock()
 			locals = append(locals, ws...)
 			couples += n

@@ -149,8 +149,9 @@ func TestSpillGovernedPartial(t *testing.T) {
 // TestSpillCountersDeterministic: at one worker the plan fixes the
 // order couples reach the accumulator, and with it every spill boundary,
 // so two spilling runs report identical counters, for both variants and
-// two thresholds. The relation is TestSpillGovernedPartial's shape with
-// enough rows for its 79,800 couples to cross several absorb batches.
+// two thresholds, and the counters stay pinned at 10 runs of 30 sets.
+// The relation is TestSpillGovernedPartial's shape with enough rows for
+// its 79,800 couples to cross several absorb batches.
 func TestSpillCountersDeterministic(t *testing.T) {
 	r := randomRelation(t, rand.New(rand.NewSource(17)), 5, 400, 2)
 	db := partition.NewDatabase(r)
@@ -170,8 +171,9 @@ func TestSpillCountersDeterministic(t *testing.T) {
 				}
 				stats[i] = res.Spill
 			}
-			if stats[0] != stats[1] || stats[0].RunsSpilled == 0 {
-				t.Fatalf("%s max=%d: spill counters %+v then %+v", algo.name, maxBytes, stats[0], stats[1])
+			pinned := extsort.Stats{RunsSpilled: 10, SpilledSets: 300, SpilledBytes: 9750, MergedRuns: 10, ReadBlocks: 10}
+			if stats[0] != stats[1] || stats[0] != pinned {
+				t.Fatalf("%s max=%d: spill counters %+v then %+v, pinned %+v", algo.name, maxBytes, stats[0], stats[1], pinned)
 			}
 			t.Logf("%s max=%d: %+v", algo.name, maxBytes, stats[0])
 		}
@@ -195,11 +197,11 @@ func TestMergeAccumsAllocs(t *testing.T) {
 
 // makeRunLocals builds worker states whose accumulators hold distinct
 // lists with heavy cross-worker overlap.
-func makeRunLocals(workers, perRun int) []*workerState {
+func makeRunLocals(workers, perRun int) []*workerState[attrset.Set] {
 	rng := rand.New(rand.NewSource(23))
-	locals := make([]*workerState, workers)
+	locals := make([]*workerState[attrset.Set], workers)
 	for w := range locals {
-		locals[w] = &workerState{}
+		locals[w] = &workerState[attrset.Set]{}
 		for i := 0; i < perRun; i++ {
 			var s attrset.Set
 			s[0] = uint64(rng.Intn(perRun))

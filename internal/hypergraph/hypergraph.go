@@ -149,21 +149,12 @@ func (h *Hypergraph) MinimalTransversalsGoverned(ctx context.Context, b *guard.B
 	return h.transversals(ctx, b, new(scratch))
 }
 
-// candSet is the type set of the search's candidates: narrow when every
-// vertex of the hypergraph is below 64, attrset.Set otherwise. Go allows
-// indexing and len on both, so one kernel source serves the two widths,
-// and each array length is compiled as its own instantiation.
-type candSet interface{ narrow | attrset.Set }
-
-// narrow is an attribute set over the first 64 attributes.
-type narrow [1]uint64
-
 // frontier is the memory of one levelwise search at width S: the current
 // and next levels of surviving non-transversals with their edge-cover
 // arenas, the per-level smallest-vertex index, the Apriori lookups of the
 // current join, and the emitted transversals. Each search truncates every buffer first, so nothing
 // carries over from the search before.
-type frontier[S candSet] struct {
+type frontier[S attrset.Width] struct {
 	cands, nextCands []S
 	arena, nextArena []uint64
 	first            []int32
@@ -175,7 +166,7 @@ type frontier[S candSet] struct {
 // one per worker and reuse it for every hypergraph that worker takes,
 // whichever width its search runs at.
 type scratch struct {
-	narrow frontier[narrow]
+	narrow frontier[attrset.Narrow]
 	wide   frontier[attrset.Set]
 }
 
@@ -183,14 +174,14 @@ type scratch struct {
 // ran at: narrow when every vertex is below 64, wide otherwise. Either way
 // it is in canonical order.
 type family struct {
-	narrow []narrow
+	narrow []attrset.Narrow
 	wide   attrset.Family
 }
 
 // search runs the levelwise search at the narrowest width holding h's
 // vertices, over that width's frontier in s.
 func (h *Hypergraph) search(ctx context.Context, b *guard.Budget, s *scratch) (family, error) {
-	if h.Vertices().Max() < 64 {
+	if h.Vertices().Max() < attrset.NarrowAttrs {
 		xs, err := levelwise(ctx, h, b, &s.narrow)
 		return family{narrow: xs}, err
 	}
@@ -214,7 +205,7 @@ func (f family) widen() attrset.Family {
 	}
 	out := make(attrset.Family, len(f.narrow))
 	for i, x := range f.narrow {
-		out[i] = widen(x)
+		out[i] = attrset.Widen(x)
 	}
 	return out
 }
@@ -230,7 +221,7 @@ func (f family) widen() attrset.Family {
 // finish in ascending cardinality, and the join generates each level —
 // hence its emissions — in lexicographic order, which is
 // attrset.Set.Compare's order among sets of equal size.
-func levelwise[S candSet](ctx context.Context, h *Hypergraph, b *guard.Budget, s *frontier[S]) ([]S, error) {
+func levelwise[S attrset.Width](ctx context.Context, h *Hypergraph, b *guard.Budget, s *frontier[S]) ([]S, error) {
 	if len(h.edges) == 0 {
 		return make([]S, 1), nil // {∅}
 	}
@@ -279,10 +270,10 @@ func levelwise[S candSet](ctx context.Context, h *Hypergraph, b *guard.Budget, s
 		width++
 		cover := vcArena[a*words : (a+1)*words]
 		if covers(cover, cover) {
-			out = append(out, single[S](a))
+			out = append(out, attrset.Bit[S](a))
 			continue
 		}
-		cands = append(cands, single[S](a))
+		cands = append(cands, attrset.Bit[S](a))
 		arena = append(arena, cover...)
 	}
 
@@ -381,7 +372,7 @@ type lookup struct{ p, at, end int32 }
 // u∖{x_j} and u∖{x_i} are the join's own parents, which survive by
 // construction, so only the subsets u∖{p} for p ∈ P are looked up, one
 // per entry of looks.
-func apriori[S candSet](u S, surviving []S, looks []lookup) bool {
+func apriori[S attrset.Width](u S, surviving []S, looks []lookup) bool {
 	for k := range looks {
 		l := &looks[k]
 		sub := without(u, int(l.p))
@@ -397,7 +388,7 @@ func apriori[S candSet](u S, surviving []S, looks []lookup) bool {
 // seek returns the first index in [lo, hi) of the lexicographically
 // sorted s whose set is not below sub, or hi. It gallops from lo before
 // it bisects, so a lookup just past the previous one costs a few steps.
-func seek[S candSet](s []S, lo, hi int, sub S) int {
+func seek[S attrset.Width](s []S, lo, hi int, sub S) int {
 	if lo == hi || lexCmp(s[lo], sub) >= 0 {
 		return lo
 	}
@@ -422,18 +413,12 @@ func seek[S candSet](s []S, lo, hi int, sub S) int {
 // The set operations of the kernel, at width S. They mirror the
 // attrset.Set methods of the same names; a vertex passed in must fit in S.
 
-func single[S candSet](a attrset.Attr) S {
-	var s S
-	s[a>>6] = 1 << uint(a&63)
-	return s
-}
-
-func without[S candSet](s S, a attrset.Attr) S {
+func without[S attrset.Width](s S, a attrset.Attr) S {
 	s[a>>6] &^= 1 << uint(a&63)
 	return s
 }
 
-func union[S candSet](a, b S) S {
+func union[S attrset.Width](a, b S) S {
 	for w := 0; w < len(a); w++ {
 		a[w] |= b[w]
 	}
@@ -441,7 +426,7 @@ func union[S candSet](a, b S) S {
 }
 
 // minOf returns the smallest vertex of s, or -1 if s is empty.
-func minOf[S candSet](s S) attrset.Attr {
+func minOf[S attrset.Width](s S) attrset.Attr {
 	for w := 0; w < len(s); w++ {
 		if s[w] != 0 {
 			return w<<6 + bits.TrailingZeros64(s[w])
@@ -451,7 +436,7 @@ func minOf[S candSet](s S) attrset.Attr {
 }
 
 // maxOf returns the largest vertex of s, or -1 if s is empty.
-func maxOf[S candSet](s S) attrset.Attr {
+func maxOf[S attrset.Width](s S) attrset.Attr {
 	for w := len(s) - 1; w >= 0; w-- {
 		if s[w] != 0 {
 			return w<<6 + 63 - bits.LeadingZeros64(s[w])
@@ -461,7 +446,7 @@ func maxOf[S candSet](s S) attrset.Attr {
 }
 
 // next returns the smallest vertex of s above a ≥ 0, or -1 if none is.
-func next[S candSet](s S, a attrset.Attr) attrset.Attr {
+func next[S attrset.Width](s S, a attrset.Attr) attrset.Attr {
 	a++
 	for w := a >> 6; w < len(s); w++ {
 		x := s[w]
@@ -479,7 +464,7 @@ func next[S candSet](s S, a attrset.Attr) attrset.Attr {
 // sequence: the set containing the smallest element of the symmetric
 // difference sorts first. (For sets of the same size this coincides with
 // attrset.CompareLex; proper-prefix cases cannot arise.)
-func lexCmp[S candSet](a, b S) int {
+func lexCmp[S attrset.Width](a, b S) int {
 	for w := 0; w < len(a); w++ {
 		if d := a[w] ^ b[w]; d != 0 {
 			if a[w]&(d&-d) != 0 {
@@ -489,13 +474,4 @@ func lexCmp[S candSet](a, b S) int {
 		}
 	}
 	return 0
-}
-
-// widen returns s as an attrset.Set.
-func widen[S candSet](s S) attrset.Set {
-	var t attrset.Set
-	for w := 0; w < len(s); w++ {
-		t[w] = s[w]
-	}
-	return t
 }

@@ -154,12 +154,12 @@ func emit(ctx context.Context, fams []family, workers int) (fd.Cover, error) {
 // trivialAt returns the index of {a} in the canonical family xs, or -1.
 // Canonical order puts ∅ and the singletons first, so the scan stops at
 // the first set whose smallest and largest vertices differ.
-func trivialAt[S candSet](xs []S, a attrset.Attr) int {
+func trivialAt[S attrset.Width](xs []S, a attrset.Attr) int {
 	var t S
 	if a>>6 >= len(t) {
 		return -1
 	}
-	t = single[S](a)
+	t = attrset.Bit[S](a)
 	for i, x := range xs {
 		if x == t {
 			return i
@@ -174,7 +174,7 @@ func trivialAt[S candSet](xs []S, a attrset.Attr) int {
 // fill writes X → a for every X of xs but xs[skip] into dst, in order.
 // dst is freshly allocated, so the LHS words beyond x's stay zero and
 // only x's are written.
-func fill[S candSet](dst fd.Cover, xs []S, a attrset.Attr, skip int) {
+func fill[S attrset.Width](dst fd.Cover, xs []S, a attrset.Attr, skip int) {
 	k := 0
 	for i, x := range xs {
 		if i == skip {

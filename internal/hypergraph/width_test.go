@@ -52,7 +52,7 @@ func randomOver(rng *rand.Rand, verts []attrset.Attr) *Hypergraph {
 // chargedLevels runs search and returns its output, widened, and the
 // width each level charged, read off the budget as the HypergraphLevel
 // point fires just before each charge.
-func chargedLevels[S candSet](t *testing.T, h *Hypergraph, s *frontier[S]) (attrset.Family, []int64) {
+func chargedLevels[S attrset.Width](t *testing.T, h *Hypergraph, s *frontier[S]) (attrset.Family, []int64) {
 	t.Helper()
 	b := guard.New(guard.Limits{})
 	var marks []int64
@@ -72,7 +72,7 @@ func chargedLevels[S candSet](t *testing.T, h *Hypergraph, s *frontier[S]) (attr
 	}
 	out := make(attrset.Family, len(xs))
 	for i, x := range xs {
-		out[i] = widen(x)
+		out[i] = attrset.Widen(x)
 	}
 	return out, widths
 }
@@ -83,7 +83,7 @@ func chargedLevels[S candSet](t *testing.T, h *Hypergraph, s *frontier[S]) (attr
 // family must equal the map-based reference search.
 func TestWidthsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	var sn frontier[narrow]
+	var sn frontier[attrset.Narrow]
 	var sw frontier[attrset.Set]
 	for iter := 0; iter < 2000; iter++ {
 		h := randomNarrow(rng)

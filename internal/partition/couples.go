@@ -23,8 +23,8 @@ import (
 // a walk meets them. A tuple range [lo, hi) therefore names the same
 // couples on every node that holds the same relation.
 //
-// A CoupleSpace is read-only once built: concurrent Walk and AgreeSets
-// calls are safe, each with its own Walker.
+// A CoupleSpace is read-only once built: concurrent walks over it are
+// safe, each with its own Walker.
 type CoupleSpace struct {
 	db *Database
 	// base[a] is the offset of π̂_a's row store in the concatenation of
@@ -247,19 +247,20 @@ func (cs *CoupleSpace) Cost() []int64 { return cs.cost }
 
 // Walker is the scratch a goroutine walks tuples with: a stamp per
 // tuple, and the partners and agree sets of one tuple's couples, grown
-// on demand. A walk stamps its i-th partner from+i, from lying above
+// on demand, the sets at width S (attrset.Narrow when the schema fits
+// in one word). A walk stamps its i-th partner from+i, from lying above
 // every earlier walk's stamps, so a stamp says both that the tuple was
 // met and at which index. The zero value is ready to use.
-type Walker struct {
+type Walker[S attrset.Width] struct {
 	stamp    []int32
 	top      int32 // the highest stamp issued
 	partners []int32
-	sets     []attrset.Set
+	sets     []S
 }
 
 // next starts a walk over a space of rows tuples and returns its first
 // stamp.
-func (w *Walker) next(rows int) int32 {
+func (w *Walker[S]) next(rows int) int32 {
 	if len(w.stamp) < rows {
 		w.stamp, w.top = make([]int32, rows), 0
 	}
@@ -270,15 +271,15 @@ func (w *Walker) next(rows int) int32 {
 	return w.top + 1
 }
 
-// walk meets u's distinct partners t < u: over u's kept classes,
-// attribute by attribute, each class run up to u (classes are
-// ascending). It returns how many it met, and lists them in w.partners
-// when list is set.
-func (cs *CoupleSpace) walk(u int, w *Walker, list bool) int {
+// Walk returns tuple u's couples in cs as its partners t < u, each
+// once, in w's scratch: valid until w's next walk. It walks u's kept
+// classes, attribute by attribute, each class run up to u (classes are
+// ascending).
+func (w *Walker[S]) Walk(cs *CoupleSpace, u int) []int32 {
 	from := w.next(cs.db.NumRows)
 	stamp, base, attrs := w.stamp, cs.base, cs.db.Attr
 	partners := w.partners[:0]
-	n, a := 0, 0
+	a := 0
 	for _, g := range cs.list(u) {
 		if g < 0 {
 			continue
@@ -293,37 +294,31 @@ func (cs *CoupleSpace) walk(u int, w *Walker, list bool) int {
 			if stamp[t] >= from {
 				continue
 			}
-			stamp[t] = from + int32(n)
-			if list {
-				partners = append(partners, int32(t))
-			}
-			n++
+			stamp[t] = from + int32(len(partners))
+			partners = append(partners, int32(t))
 		}
 	}
 	w.partners = partners
-	w.top = from + int32(n) - 1
-	return n
+	w.top = from + int32(len(partners)) - 1
+	return partners
 }
 
-// Walk returns u's couples as its partners t < u, each once, in w's
-// scratch: valid until w's next walk.
-func (cs *CoupleSpace) Walk(u int, w *Walker) []int32 {
-	cs.walk(u, w, true)
-	return w.partners
-}
-
-// AgreeSets runs lines 10–21 of Algorithm 2 for tuple u's couples and
-// returns their agree sets in w's scratch, valid until w's next walk.
-// A walk over u's kept classes gives every partner its index, and a
-// second walk over all of u's classes — dominated ones too, each inside
-// a kept class — adds A to ag(u, t) for every t < u in u's class of
-// π̂_A. A tuple thus costs its walk plus Σ |ag(u, t)| over its couples.
-func (cs *CoupleSpace) AgreeSets(u int, w *Walker) []attrset.Set {
-	n := cs.walk(u, w, false)
-	from := w.top + 1 - int32(n) // the walk's first stamp
-	w.sets = slices.Grow(w.sets[:0], n)[:n]
-	sets, stamp, base, attrs := w.sets, w.stamp, cs.base, cs.db.Attr
-	clear(sets)
+// AgreeSets runs lines 10–21 of Algorithm 2 for tuple u's couples in cs
+// and returns their agree sets in w's scratch, valid until w's next
+// walk. One walk goes over all of u's classes, dominated ones too: a
+// partner t < u is stamped with the index of its set the first time
+// the walk meets it, and every class of π̂_A it shares with u adds A to
+// that set. A dominated class lies inside a kept one, so it meets no
+// partner a walk over the kept classes alone would miss, but A may come
+// from it alone. A tuple thus costs one walk plus Σ |ag(u, t)| over its
+// couples. The sets come in the order the walk first meets their
+// partners, which is not Walk's order; the partner of set i is the
+// tuple stamped from+i.
+func (w *Walker[S]) AgreeSets(cs *CoupleSpace, u int) []S {
+	from := w.next(cs.db.NumRows)
+	stamp, base, attrs := w.stamp, cs.base, cs.db.Attr
+	sets := w.sets[:0]
+	var empty S
 	a := 0
 	for _, g := range cs.list(u) {
 		if g < 0 {
@@ -336,8 +331,16 @@ func (cs *CoupleSpace) AgreeSets(u int, w *Walker) []attrset.Set {
 			if t == u {
 				break
 			}
-			sets[stamp[t]-from].Add(a)
+			k := stamp[t] - from
+			if k < 0 {
+				k = int32(len(sets))
+				stamp[t] = from + k
+				sets = append(sets, empty)
+			}
+			attrset.Add(&sets[k], a)
 		}
 	}
+	w.sets = sets
+	w.top = from + int32(len(sets)) - 1
 	return sets
 }

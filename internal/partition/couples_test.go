@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/attrset"
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
 	"repro/internal/relation"
@@ -79,40 +80,63 @@ func agreeOracleRelations(t *testing.T) []*relation.Relation {
 	return out
 }
 
-// TestAgreeSetsMatchOracle: for every tuple u, AgreeSets(u) yields, at
-// position i, relation.AgreeSet of u and the i-th partner Walk(u)
-// meets. Tuples are visited in order and then in a random order, on one
-// reused Walker, so a walk's stamps can never leak into the next; and a
-// tuple's cost bounds its couples and is zero exactly when it has none.
-// Relations are the fixed shapes above plus mcRelation's random ones.
+// TestAgreeSetsMatchOracle: for every tuple u, AgreeSets(u) yields one
+// set per partner Walk(u) meets, and the set a partner's stamp indexes
+// is relation.AgreeSet of u and that partner. Tuples are visited in
+// order and then in a random order, on one reused Walker per width, so
+// a walk's stamps can never leak into the next; and a tuple's cost
+// bounds its couples and is zero exactly when it has none. Relations
+// are the fixed shapes above plus mcRelation's random ones.
 func TestAgreeSetsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rels := agreeOracleRelations(t)
 	for range 200 {
 		rels = append(rels, mcRelation(t, rng))
 	}
+	var narrow Walker[attrset.Narrow]
+	var wide Walker[attrset.Set]
 	for i, r := range rels {
 		cs, err := NewCoupleSpace(context.Background(), NewDatabase(r), 1+i%3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w Walker
 		order := append(rng.Perm(r.Rows()), rng.Perm(r.Rows())...)
 		slices.Sort(order[:r.Rows()])
 		for _, u := range order {
-			sets := slices.Clone(cs.AgreeSets(u, &w))
-			partners := cs.Walk(u, &w)
-			if len(sets) != len(partners) {
-				t.Fatalf("relation %d: tuple %d has %d sets for %d partners", i, u, len(sets), len(partners))
-			}
-			if cost := cs.Cost()[u+1] - cs.Cost()[u]; cost < int64(len(sets)) || (cost == 0) != (len(sets) == 0) {
-				t.Fatalf("relation %d: tuple %d costs %d for %d couples", i, u, cost, len(sets))
-			}
-			for k, t0 := range partners {
-				if want := r.AgreeSet(u, int(t0)); sets[k] != want {
-					t.Fatalf("relation %d: couple (%d, %d): got %v, want %v", i, t0, u, sets[k], want)
-				}
-			}
+			checkAgreeSets(t, r, cs, u, &narrow)
+			checkAgreeSets(t, r, cs, u, &wide)
+		}
+	}
+}
+
+// checkAgreeSets checks AgreeSets(u) on w against Walk(u) and the
+// relation, mapping set k to the tuple the walk stamped from+k.
+func checkAgreeSets[S attrset.Width](t *testing.T, r *relation.Relation, cs *CoupleSpace, u int, w *Walker[S]) {
+	t.Helper()
+	sets := slices.Clone(w.AgreeSets(cs, u))
+	from := w.top + 1 - int32(len(sets))
+	owner := make([]int32, len(sets))
+	met := 0
+	for t0 := range u {
+		if k := w.stamp[t0] - from; k >= 0 && int(k) < len(sets) {
+			owner[k] = int32(t0)
+			met++
+		}
+	}
+	partners := slices.Clone(w.Walk(cs, u))
+	if len(sets) != len(partners) || met != len(sets) {
+		t.Fatalf("tuple %d has %d sets, %d stamped partners, %d walked partners", u, len(sets), met, len(partners))
+	}
+	if cost := cs.Cost()[u+1] - cs.Cost()[u]; cost < int64(len(sets)) || (cost == 0) != (len(sets) == 0) {
+		t.Fatalf("tuple %d costs %d for %d couples", u, cost, len(sets))
+	}
+	slices.Sort(partners)
+	if stamped := slices.Sorted(slices.Values(owner)); !slices.Equal(stamped, partners) {
+		t.Fatalf("tuple %d: sets belong to %v, Walk meets %v", u, stamped, partners)
+	}
+	for k, t0 := range owner {
+		if want := r.AgreeSet(u, int(t0)); attrset.Widen(sets[k]) != want {
+			t.Fatalf("couple (%d, %d): got %v, want %v", t0, u, attrset.Widen(sets[k]), want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/attrset"
 	"repro/internal/datagen"
 	"repro/internal/relation"
 )
@@ -337,10 +338,10 @@ func TestCoupleSpacePartnersMatchOracle(t *testing.T) {
 				}
 			}
 		}
-		var w Walker
+		var w Walker[attrset.Set]
 		got := map[[2]int]bool{}
 		for u := range db.NumRows {
-			for _, v := range cs.Walk(u, &w) {
+			for _, v := range w.Walk(cs, u) {
 				k := [2]int{int(v), u}
 				if int(v) >= u || got[k] {
 					t.Fatalf("iter %d: partner %d of %d is later or repeated", iter, v, u)
