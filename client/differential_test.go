@@ -1,6 +1,7 @@
 // An external test package: internal/server imports repro/client for
-// shard dispatch, so a live-server differential test of the client must
-// sit outside the package to avoid an import cycle.
+// shard dispatch, so a live-server test of the client must sit outside
+// the package to avoid an import cycle. The root package's FuzzPlan
+// compares covers obtained through the SDK with a from-scratch run.
 package client_test
 
 import (
@@ -8,6 +9,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -47,126 +49,6 @@ func fromScratchCover(t *testing.T, r *relation.Relation) []string {
 	return out
 }
 
-func sameCover(t *testing.T, label string, got, want []string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: cover has %d FDs, want %d\ngot:  %v\nwant: %v", label, len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: cover[%d] = %q, want %q", label, i, got[i], want[i])
-		}
-	}
-}
-
-// TestClientDifferentialCover is the satellite's differential assertion:
-// a cover obtained through the SDK (register → append × k → discover)
-// must be byte-identical to a from-scratch core.Discover over the same
-// rows — across the sync path, the forced-async job path, and the
-// incremental re-derivation.
-func TestClientDifferentialCover(t *testing.T) {
-	c, _ := liveServer(t, server.Config{})
-	ctx := context.Background()
-
-	base := relation.PaperExample()
-	var csvBuf bytes.Buffer
-	if err := base.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	reg, err := c.Register(ctx, "employees", csvBuf.Bytes())
-	if err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if reg.Rows != base.Rows() || reg.Attributes != base.Arity() {
-		t.Fatalf("registered shape %dx%d, want %dx%d", reg.Rows, reg.Attributes, base.Rows(), base.Arity())
-	}
-
-	// Append k batches through the SDK.
-	batches := [][][]string{
-		{{"40", "Lille", "2", "1994", "30"}},
-		{{"41", "Lyon", "9", "1995", "31"}, {"42", "Paris", "2", "1994", "30"}},
-		{{"43", "Lens", "9", "1995", "31"}},
-	}
-	rows := 0
-	var lastFP string
-	for i, batch := range batches {
-		app, err := c.Append(ctx, reg.ID, batch)
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		rows += len(batch)
-		if app.Appended != len(batch) || app.Rows != base.Rows()+rows {
-			t.Fatalf("append %d = %+v", i, app)
-		}
-		lastFP = app.Fingerprint
-	}
-
-	// The reference: from-scratch core.Discover over the grown rows.
-	grownRows := make([][]string, 0, base.Rows()+rows)
-	for i := 0; i < base.Rows(); i++ {
-		grownRows = append(grownRows, base.Row(i))
-	}
-	for _, batch := range batches {
-		grownRows = append(grownRows, batch...)
-	}
-	grown, err := relation.FromRows(base.Names(), grownRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fromScratchCover(t, grown)
-
-	// Sync path.
-	syncResp, err := c.Discover(ctx, wire.DiscoverRequest{Dataset: reg.ID})
-	if err != nil {
-		t.Fatalf("sync discover: %v", err)
-	}
-	if syncResp.Cached {
-		t.Fatal("first sync discovery reported cached")
-	}
-	if syncResp.Fingerprint != lastFP {
-		t.Fatalf("sync fingerprint = %s, want %s", syncResp.Fingerprint, lastFP)
-	}
-	sameCover(t, "sync", syncResp.FDs, want)
-
-	// Forced-async job path (fastfds keys a distinct cache entry, so the
-	// pipeline genuinely runs).
-	job, err := c.DiscoverAsync(ctx, wire.DiscoverRequest{Dataset: reg.ID, Algorithm: "fastfds"})
-	if err != nil {
-		t.Fatalf("async submit: %v", err)
-	}
-	if job.State == wire.JobRunning && job.ID == "" {
-		t.Fatalf("job = %+v", job)
-	}
-	asyncResp := job.Result
-	if job.State == wire.JobRunning {
-		asyncResp, err = c.WaitJob(ctx, job.ID)
-		if err != nil {
-			t.Fatalf("wait job: %v", err)
-		}
-	}
-	sameCover(t, "async", asyncResp.FDs, want)
-
-	// Incremental re-derivation from the maintained agree sets.
-	incResp, err := c.Discover(ctx, wire.DiscoverRequest{Dataset: reg.ID, Algorithm: "incremental"})
-	if err != nil {
-		t.Fatalf("incremental discover: %v", err)
-	}
-	if incResp.Fingerprint != lastFP {
-		t.Fatalf("incremental fingerprint = %s, want %s", incResp.Fingerprint, lastFP)
-	}
-	sameCover(t, "incremental", incResp.FDs, want)
-
-	// Repeat sync discovery: cached, still identical.
-	again, err := c.Discover(ctx, wire.DiscoverRequest{Dataset: reg.ID})
-	if err != nil {
-		t.Fatalf("cached discover: %v", err)
-	}
-	if !again.Cached {
-		t.Fatal("repeat discovery not served from the cache")
-	}
-	sameCover(t, "cached", again.FDs, want)
-}
-
 // TestClientFollowsAsyncTransparently: with a sync row limit of 1 the
 // server answers 202 to a plain Discover; the client must poll the job
 // to completion behind the single blocking call.
@@ -187,7 +69,9 @@ func TestClientFollowsAsyncTransparently(t *testing.T) {
 	if err != nil {
 		t.Fatalf("discover (async path): %v", err)
 	}
-	sameCover(t, "transparent async", resp.FDs, fromScratchCover(t, base))
+	if want := fromScratchCover(t, base); !slices.Equal(resp.FDs, want) {
+		t.Fatalf("transparent async: cover %v, want %v", resp.FDs, want)
+	}
 }
 
 // TestDiscoverRejectsUnknownFields: the server strict-decodes discover

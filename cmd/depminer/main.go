@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -46,6 +47,9 @@ type config struct {
 	stream        bool
 	snapshot      bool
 	args          []string
+	// out buffers everything run prints on stdout: a cover of millions
+	// of FDs is one write per buffer, not one per line.
+	out *bufio.Writer
 }
 
 func main() {
@@ -103,7 +107,7 @@ func (cfg *config) open() (src depminer.Source, r *depminer.Relation, err error)
 	case len(cfg.args) == 0 && (cfg.stream || cfg.snapshot):
 		return nil, nil, fmt.Errorf("-stream and -snapshot require an input file")
 	case len(cfg.args) == 0:
-		fmt.Println("(no input file: using the paper's running example)")
+		fmt.Fprintln(cfg.out, "(no input file: using the paper's running example)")
 		r = depminer.PaperExample()
 		return r, r, nil
 	case cfg.snapshot:
@@ -124,6 +128,10 @@ func (cfg *config) open() (src depminer.Source, r *depminer.Relation, err error)
 }
 
 func (cfg *config) run(ctx context.Context) error {
+	// cli.Main exits as soon as run returns, so the flush must happen
+	// here, on every path.
+	cfg.out = bufio.NewWriter(os.Stdout)
+	defer cfg.out.Flush()
 	if err := cfg.check(); err != nil {
 		return err
 	}
@@ -151,19 +159,19 @@ func (cfg *config) run(ctx context.Context) error {
 			return kerr
 		}
 		rerr = kerr
-		fmt.Printf("\n%d minimal candidate keys:\n", len(kr.Keys))
+		fmt.Fprintf(cfg.out, "\n%d minimal candidate keys:\n", len(kr.Keys))
 		for _, k := range kr.Keys {
-			fmt.Println("  (" + k.Names(src.Names(), ", ") + ")")
+			fmt.Fprintln(cfg.out, "  ("+k.Names(src.Names(), ", ")+")")
 		}
 	}
 
 	if cfg.stats {
 		if r != nil {
-			fmt.Printf("\ncolumn profile:\n%s", r.SummaryString())
+			fmt.Fprintf(cfg.out, "\ncolumn profile:\n%s", r.SummaryString())
 		}
 		printStats()
 		if budget != nil {
-			fmt.Printf("budget: used=%d\n", budget.Used())
+			fmt.Fprintf(cfg.out, "budget: used=%d\n", budget.Used())
 		}
 	}
 	return rerr
@@ -230,22 +238,22 @@ func (cfg *config) discover(ctx context.Context, src depminer.Source, budget *de
 		if res.ArmstrongSynthetic {
 			kind = "synthetic (real-world construction impossible: not enough distinct values)"
 		}
-		fmt.Printf("\nArmstrong relation (%s, %d tuples — 1:%d sample):\n\n",
+		fmt.Fprintf(cfg.out, "\nArmstrong relation (%s, %d tuples — 1:%d sample):\n\n",
 			kind, res.Armstrong.Rows(), max(1, src.Rows()/max(1, res.Armstrong.Rows())))
-		fmt.Print(res.Armstrong.String())
+		fmt.Fprint(cfg.out, res.Armstrong.String())
 	}
 
 	return func() {
-		fmt.Printf("\nphases: partitions=%v agree-sets=%v max-sets=%v lhs=%v armstrong=%v\n",
+		fmt.Fprintf(cfg.out, "\nphases: partitions=%v agree-sets=%v max-sets=%v lhs=%v armstrong=%v\n",
 			res.Stats.Partition, res.Stats.AgreeSets, res.Stats.MaxSets,
 			res.Stats.LHS, res.Stats.Armstrong)
-		fmt.Printf("couples=%d |ag(r)|=%d |MAX(dep(r))|=%d\n",
+		fmt.Fprintf(cfg.out, "couples=%d |ag(r)|=%d |MAX(dep(r))|=%d\n",
 			res.Couples, len(res.AgreeSets), len(res.MaxSets))
 		if opts.Algorithm == depminer.FastFDs {
-			fmt.Printf("DFS nodes=%d\n", res.DFSNodes)
+			fmt.Fprintf(cfg.out, "DFS nodes=%d\n", res.DFSNodes)
 		}
 		if sp := res.Stats.Spill; cfg.maxAgreeBytes > 0 || sp.RunsSpilled > 0 {
-			fmt.Printf("spill: runs=%d sets=%d bytes=%d merged=%d blocks=%d\n",
+			fmt.Fprintf(cfg.out, "spill: runs=%d sets=%d bytes=%d merged=%d blocks=%d\n",
 				sp.RunsSpilled, sp.SpilledSets, sp.SpilledBytes, sp.MergedRuns, sp.ReadBlocks)
 		}
 	}, err
@@ -273,22 +281,22 @@ func (cfg *config) discoverTANE(ctx context.Context, src depminer.Source, budget
 	cfg.printCover(src, res.FDs, kind)
 
 	return func() {
-		fmt.Printf("\nlattice: %d nodes over %d levels, %v elapsed\n",
+		fmt.Fprintf(cfg.out, "\nlattice: %d nodes over %d levels, %v elapsed\n",
 			res.LatticeNodes, res.Levels, res.Elapsed)
 		st := res.Stats
-		fmt.Printf("partitions: %d hits, %d misses, %d evictions, %d recomputes; peak %d B resident (+%d B roots), cap %d B\n",
+		fmt.Fprintf(cfg.out, "partitions: %d hits, %d misses, %d evictions, %d recomputes; peak %d B resident (+%d B roots), cap %d B\n",
 			st.Hits, st.Misses, st.Evictions, st.Recomputes, st.PeakBytes, st.RootBytes, st.CapBytes)
 	}, err
 }
 
 // printCover prints the result header and the cover, one FD per line.
 func (cfg *config) printCover(src depminer.Source, cover depminer.Cover, kind string) {
-	fmt.Printf("%d tuples × %d attributes → %d %s\n\n", src.Rows(), src.Arity(), len(cover), kind)
+	fmt.Fprintf(cfg.out, "%d tuples × %d attributes → %d %s\n\n", src.Rows(), src.Arity(), len(cover), kind)
 	for _, f := range cover {
 		if cfg.useNames {
-			fmt.Println(f.Names(src.Names()))
+			fmt.Fprintln(cfg.out, f.Names(src.Names()))
 		} else {
-			fmt.Println(f.String())
+			fmt.Fprintln(cfg.out, f.String())
 		}
 	}
 }

@@ -2,15 +2,14 @@ package agree
 
 // Remote-path tests without HTTP: a fake Remote serves ComputeShard runs
 // through the DMRUN1 wire format and fails a chosen subset of shards.
-// Whichever shards come back remote and whichever are swept locally, the
-// family must be byte-identical to the single-node sweep.
+// The root package's FuzzPlan checks that any mix of remote and local
+// shards gives the single-node family, over a live fleet.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -103,61 +102,6 @@ func countSweeps(t *testing.T) *atomic.Int64 {
 	faultinject.Set(faultinject.AgreeStride, count)
 	t.Cleanup(faultinject.Reset)
 	return &n
-}
-
-// TestRemoteDifferential sweeps every success/failure mask over the
-// shards, for both variants, worker counts and spill thresholds.
-func TestRemoteDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	rels := []*relation.Relation{
-		relation.PaperExample(),
-		randomRelation(t, rng, 5, 50, 3),
-		randomRelation(t, rng, 4, 40, 2),
-	}
-	ctx := context.Background()
-	for ri, r := range rels {
-		db := partition.NewDatabase(r)
-		plan := mustPlan(t, db)
-		refs := map[Variant]*Result{}
-		for v, run := range map[Variant]func(context.Context, *partition.Database, Options) (*Result, error){
-			VariantCouples: Couples, VariantIdentifiers: identifiers,
-		} {
-			ref, err := run(ctx, db, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[v] = ref
-		}
-		for _, v := range []Variant{VariantCouples, VariantIdentifiers} {
-			for _, n := range []int{1, 2, 4} {
-				shards := len(plan.Split(n))
-				for mask := 0; mask < 1<<shards; mask++ {
-					for _, workers := range []int{1, 4} {
-						for _, maxBytes := range []int64{0, 1} {
-							name := fmt.Sprintf("rel %d %s shards=%d mask=%b workers=%d max=%d", ri, v, n, mask, workers, maxBytes)
-							remote := &fakeRemote{plan: plan, n: n, fail: func(i int) error {
-								if mask>>i&1 == 1 {
-									return errors.New("worker down")
-								}
-								return nil
-							}}
-							opts := Options{Workers: workers, MaxAgreeBytes: maxBytes, SpillDir: t.TempDir()}
-							got, err := plan.Run(ctx, v, opts, remote)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							if !slices.Equal(got.Sets, refs[v].Sets) || got.Couples != refs[v].Couples {
-								t.Fatalf("%s: family differs from single-node reference", name)
-							}
-							if len(remote.variants) != shards {
-								t.Fatalf("%s: %d fetches for %d shards", name, len(remote.variants), shards)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestRemoteGovernedFetchNoLocalSweep: a governed fetch error shares the

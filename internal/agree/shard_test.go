@@ -1,15 +1,13 @@
 package agree
 
-// Shard differential tests: where shard boundaries fall must never
-// change the merged family. ComputeShard over any contiguous partition
-// of the tuples, merged and Finished, must be byte-identical to the
-// single-node sweep — for both variants, every shard count, and
-// every spill threshold (the distributed analogue of the spill
-// contract in spill_test.go).
+// Shard tests: where shard boundaries fall must never change the merged
+// family. ComputeShard over any contiguous partition of the tuples,
+// merged and Finished, must be byte-identical to the single-node sweep
+// (checkShards); the root package's FuzzPlan runs the same contract
+// over a live fleet.
 
 import (
 	"context"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -174,29 +172,6 @@ func checkShards(t *testing.T, plan *Plan, shards []Shard, v Variant, opts Optio
 	}
 	if couples != ref.Couples {
 		t.Fatalf("%s over shards %v: %d couples, want %d", v, shards, couples, ref.Couples)
-	}
-}
-
-func TestShardDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	rels := []*relation.Relation{relation.PaperExample()}
-	for iter := 0; iter < 6; iter++ {
-		rels = append(rels, randomRelation(t, rng, 2+rng.Intn(5), 20+rng.Intn(60), 1+rng.Intn(4)))
-	}
-	for _, r := range rels {
-		plan := mustPlan(t, partition.NewDatabase(r))
-		for _, v := range []Variant{VariantCouples, VariantIdentifiers} {
-			ref, err := plan.Run(context.Background(), v, Options{Workers: 1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range []int{1, 2, 4, 7} {
-				for _, maxBytes := range []int64{0, 1} {
-					opts := Options{Workers: 2, MaxAgreeBytes: maxBytes, SpillDir: t.TempDir()}
-					checkShards(t, plan, plan.Split(n), v, opts, ref)
-				}
-			}
-		}
 	}
 }
 

@@ -1,12 +1,10 @@
 package agree
 
-// Out-of-core differential tests: spilling is a memory/I-O trade that
-// must never change results. The sweep crosses spill thresholds (never /
-// every-absorb / effectively-infinite) with worker counts and both
-// stripped-partition algorithms, asserting families byte-identical to
-// the in-memory reference; the fault sweep arms every extsort injection
-// point and asserts either a clean error or a clean governed partial —
-// never a silently truncated family.
+// Out-of-core tests: spilling is a memory/I-O trade that must never
+// change results. The root package's FuzzPlan checks families and spill
+// counters across thresholds and worker counts; here the fault sweep
+// arms every extsort injection point and asserts either a clean error
+// or a clean governed partial — never a silently truncated family.
 
 import (
 	"context"
@@ -22,66 +20,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/partition"
 )
-
-func TestSpillDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 10; iter++ {
-		r := randomRelation(t, rng, 2+rng.Intn(5), 20+rng.Intn(80), 1+rng.Intn(4))
-		db := partition.NewDatabase(r)
-		for _, algo := range []struct {
-			name string
-			run  func(Options) (*Result, error)
-		}{
-			{"couples", func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
-			{"identifiers", func(o Options) (*Result, error) { return identifiers(context.Background(), db, o) }},
-		} {
-			ref, err := algo.run(Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				for _, maxBytes := range []int64{0, 1, 4 * extsort.SetBytes, 1 << 40} {
-					opts := Options{Workers: workers, MaxAgreeBytes: maxBytes, SpillDir: t.TempDir()}
-					got, err := algo.run(opts)
-					if err != nil {
-						t.Fatalf("%s workers=%d max=%d: %v", algo.name, workers, maxBytes, err)
-					}
-					if !slices.Equal(got.Sets, ref.Sets) {
-						t.Fatalf("%s workers=%d max=%d: family differs from in-memory reference",
-							algo.name, workers, maxBytes)
-					}
-					// ∅ can enter the family via the uncovered-couples
-					// completion without any worker absorbing it, so only
-					// non-empty sets prove accumulator traffic.
-					absorbed := 0
-					for _, s := range ref.Sets {
-						if !s.IsEmpty() {
-							absorbed++
-						}
-					}
-					switch {
-					case maxBytes == 0 || maxBytes == 1<<40:
-						if got.Spill.RunsSpilled != 0 {
-							t.Fatalf("%s workers=%d max=%d: unexpected spills: %+v",
-								algo.name, workers, maxBytes, got.Spill)
-						}
-					case maxBytes == 1 && absorbed > 0:
-						// A 1-byte threshold clamps to one record per
-						// worker, so every non-empty absorb hits disk.
-						if got.Spill.RunsSpilled == 0 {
-							t.Fatalf("%s workers=%d max=%d: expected spills, got none (family %d)",
-								algo.name, workers, maxBytes, len(ref.Sets))
-						}
-						if got.Spill.SpilledBytes == 0 || got.Spill.MergedRuns == 0 {
-							t.Fatalf("%s workers=%d max=%d: incomplete spill counters: %+v",
-								algo.name, workers, maxBytes, got.Spill)
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestSpillFaultInjection arms each extsort injection point under an
 // every-absorb threshold: an injected failure must surface as an error

@@ -294,9 +294,10 @@ func (s Set) CompareLex(t Set) int {
 	return 0
 }
 
-// String renders the set using uppercase letters A..Z for indices 0..25 and
-// attr27, attr28, ... beyond, matching the paper's notation for small
-// schemas ("BDE"). The empty set renders as "∅".
+// String renders the set using uppercase letters A..Z for indices 0..25,
+// matching the paper's notation for small schemas ("BDE"), and "·attr"
+// plus the 0-based index beyond: {0, 25, 26, 27} renders as
+// "AZ·attr26·attr27". The empty set renders as "∅".
 func (s Set) String() string {
 	if s.IsEmpty() {
 		return "∅"

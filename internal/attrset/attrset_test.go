@@ -251,8 +251,17 @@ func TestStringNamesParse(t *testing.T) {
 	if got := New(0, 30).Names(names[:1], ","); got != "empnum,attr30" {
 		t.Errorf("Names fallback = %q", got)
 	}
-	if got := New(30).String(); got != "·attr30" {
-		t.Errorf("String high attr = %q", got)
+	for _, tc := range []struct {
+		s    Set
+		want string
+	}{
+		{New(30), "·attr30"},
+		{New(0, 25, 26, 27), "AZ·attr26·attr27"},
+		{New(25, 63, 64, 70), "Z·attr63·attr64·attr70"},
+	} {
+		if got := tc.s.String(); got != tc.want {
+			t.Errorf("String(%v) = %q, want %q", tc.s.Attrs(), got, tc.want)
+		}
 	}
 
 	p, ok := Parse("bDe")

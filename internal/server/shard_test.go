@@ -1,12 +1,12 @@
 package server
 
 // Distributed-discovery tests: the coordinator/worker fan-out must be
-// invisible in results. The differential sweep crosses shard counts,
-// algorithms, and spill thresholds against live worker fleets and
-// requires covers byte-identical to a from-scratch core run; the fault
-// tests kill workers at every rung of the fallback ladder (dead
-// endpoint, mid-stream death, torn attestation, injected faults) and
-// require a local fallback or a governed partial — never a wrong cover.
+// invisible in results. The root package's FuzzPlan crosses shard
+// counts, algorithms and spill thresholds against live worker fleets;
+// the fault tests here kill workers at every rung of the fallback ladder
+// (dead endpoint, mid-stream death, torn attestation, injected faults)
+// and require a local fallback or a governed partial — never a wrong
+// cover.
 
 import (
 	"context"
@@ -60,51 +60,6 @@ func shardTestRelation(t *testing.T, seed uint64) *relation.Relation {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// TestShardedDifferentialSweep is the tentpole's correctness proof over
-// the wire: for shard counts {1,2,4} × algorithms × spill thresholds,
-// a coordinated discovery against a live 2-worker fleet returns exactly
-// the single-node cover. Workers are shared across configs (their plan
-// cache and pushed datasets persist); the coordinator is fresh per
-// config so every run recomputes instead of hitting its result cache.
-func TestShardedDifferentialSweep(t *testing.T) {
-	r := shardTestRelation(t, 3)
-	want := fromScratchCover(t, r)
-	workers := newWorkerFleet(t, 2, Config{})
-
-	for _, algorithm := range []string{"depminer", "depminer2"} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, maxAgree := range []int64{0, 1} {
-				name := fmt.Sprintf("%s/shards=%d/maxAgree=%d", algorithm, shards, maxAgree)
-				_, ts := newCoordServer(t, workers, Config{SpillDir: t.TempDir()})
-				reg := register(t, ts, r)
-				code, resp := discover(t, ts, DiscoverRequest{
-					Dataset: reg.ID, Algorithm: algorithm,
-					Shards: shards, MaxAgreeBytes: maxAgree,
-				})
-				if code != http.StatusOK {
-					t.Fatalf("%s: status %d (%s)", name, code, resp.Error)
-				}
-				if resp.Partial {
-					t.Fatalf("%s: unexpected partial: %s", name, resp.Error)
-				}
-				if !sameCover(resp.FDs, want) {
-					t.Fatalf("%s: cover differs from single-node reference:\ngot  %v\nwant %v", name, resp.FDs, want)
-				}
-				if resp.Shards != shards {
-					t.Fatalf("%s: resp.Shards = %d", name, resp.Shards)
-				}
-				if resp.ShardsRemote+resp.ShardsLocal != shards {
-					t.Fatalf("%s: remote %d + local %d != %d shards",
-						name, resp.ShardsRemote, resp.ShardsLocal, shards)
-				}
-				if resp.ShardsRemote != shards {
-					t.Fatalf("%s: %d shards fell back locally against a healthy fleet", name, resp.ShardsLocal)
-				}
-			}
-		}
-	}
 }
 
 // TestShardDatasetPushAndStats starts with a cold fleet: no worker knows

@@ -20,122 +20,6 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// errInjected is the sentinel every error-injection test plants and then
-// expects back, possibly wrapped, from the miner under test.
-var errInjected = errors.New("injected fault")
-
-// runForPoint maps a hook point to a miner invocation that crosses it,
-// returning the run's error and whether a partial result accompanied it.
-func runForPoint(t *testing.T, point string) (error, bool) {
-	t.Helper()
-	ctx := context.Background()
-	r := PaperExample()
-	switch point {
-	case faultinject.AgreeStride:
-		res, err := Discover(ctx, r, Options{Algorithm: DepMiner2, Workers: 2})
-		return err, res != nil && res.Partial
-	case faultinject.TANELevel:
-		res, err := DiscoverTANE(ctx, r, TANEOptions{})
-		return err, res != nil && res.Partial
-	case faultinject.PstoreEvict:
-		// A 1-byte cap makes every Put evict its own partition.
-		res, err := DiscoverTANE(ctx, r, TANEOptions{MaxPartitionBytes: 1})
-		return err, res != nil && res.Partial
-	case faultinject.PstoreRecompute:
-		// Exact mode never re-reads a partition on the paper example (its
-		// lattice dies at level 2), but approximate mode fetches every
-		// level's partitions for the g₃ tests — under a 1-byte cap those
-		// Gets miss and recompute.
-		res, err := DiscoverTANE(ctx, r, TANEOptions{Epsilon: 0.05, MaxPartitionBytes: 1})
-		return err, res != nil && res.Partial
-	case faultinject.KeysLevel:
-		res, err := DiscoverKeys(ctx, r, KeysOptions{})
-		return err, res != nil && res.Partial
-	case faultinject.INDLevel:
-		res, err := DiscoverINDs(ctx, []*Relation{r}, INDOptions{})
-		return err, res != nil && res.Partial
-	case faultinject.FastFDsAttr:
-		res, err := Discover(ctx, r, Options{Algorithm: FastFDs})
-		return err, res != nil && res.Partial
-	case faultinject.ExtsortFlush, faultinject.ExtsortRead, faultinject.ExtsortMerge:
-		// A 1-byte spill threshold clamps to one record per worker, so
-		// every absorb spills and the final merge reads disk runs: all
-		// three extsort points are crossed.
-		res, err := Discover(ctx, r, Options{Workers: 2, MaxAgreeBytes: 1})
-		return err, res != nil && res.Partial
-	default:
-		res, err := Discover(ctx, r, Options{Workers: 2})
-		return err, res != nil && res.Partial
-	}
-}
-
-// TestFaultInjectionErrors arms every hook point with an error and
-// asserts it unwinds out of the owning miner, with no goroutine leaked.
-func TestFaultInjectionErrors(t *testing.T) {
-	leakcheck.Check(t)
-	for _, point := range faultinject.Points() {
-		t.Run(point, func(t *testing.T) {
-			leakcheck.Check(t)
-			faultinject.Set(point, faultinject.FailWith(errInjected))
-			defer faultinject.Reset()
-			err, _ := runForPoint(t, point)
-			if !errors.Is(err, errInjected) {
-				t.Fatalf("err = %v, want the injected sentinel", err)
-			}
-		})
-	}
-}
-
-// TestFaultInjectionPanics arms every hook point with a panic and asserts
-// it is contained into a *guard.PanicError wrapping guard.ErrPanic, with
-// a partial result retained and no goroutine leaked.
-func TestFaultInjectionPanics(t *testing.T) {
-	leakcheck.Check(t)
-	for _, point := range faultinject.Points() {
-		t.Run(point, func(t *testing.T) {
-			leakcheck.Check(t)
-			faultinject.Set(point, faultinject.PanicWith("injected panic at "+point))
-			defer faultinject.Reset()
-			err, partial := runForPoint(t, point)
-			if !errors.Is(err, guard.ErrPanic) {
-				t.Fatalf("err = %v, want a contained panic", err)
-			}
-			var pe *guard.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("err is %T, want *guard.PanicError", err)
-			}
-			if pe.Value != "injected panic at "+point {
-				t.Errorf("panic value = %v", pe.Value)
-			}
-			if len(pe.Stack) == 0 {
-				t.Error("no stack captured")
-			}
-			if !partial {
-				t.Error("contained panic did not surface a partial result")
-			}
-		})
-	}
-}
-
-// TestFaultInjectionMidRun injects after the first crossing of a worker
-// point, so a partially filled accumulator exists when the fault lands.
-func TestFaultInjectionMidRun(t *testing.T) {
-	leakcheck.Check(t)
-	faultinject.Set(faultinject.AgreeStride, faultinject.After(1, faultinject.PanicWith("late")))
-	defer faultinject.Reset()
-	r, err := Generate(GenerateSpec{Attrs: 6, Rows: 3000, Correlation: 0.7, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, derr := Discover(context.Background(), r, Options{Algorithm: DepMiner2, Workers: 2, Armstrong: ArmstrongNone})
-	if !errors.Is(derr, guard.ErrPanic) {
-		t.Fatalf("err = %v, want contained panic", derr)
-	}
-	if res == nil || !res.Partial {
-		t.Fatal("no partial result")
-	}
-}
-
 // TestPstoreFaultMidSearch injects failures into the partition store's
 // eviction and recompute paths after the first few crossings, so a
 // tightly capped TANE search dies mid-level with completed levels in
@@ -265,35 +149,6 @@ func TestBudgetAcrossMiners(t *testing.T) {
 			t.Fatalf("err=%v res=%+v", err, res)
 		}
 	})
-}
-
-// TestBudgetSufficientIsIdentical checks governance is observation-only:
-// a run that finishes within budget returns exactly the ungoverned result.
-func TestBudgetSufficientIsIdentical(t *testing.T) {
-	leakcheck.Check(t)
-	ctx := context.Background()
-	r := PaperExample()
-	plain, err := Discover(ctx, r, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBudget(Limits{Units: 1 << 30, Deadline: time.Now().Add(time.Hour)})
-	governed, err := Discover(ctx, r, Options{Budget: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if governed.Partial {
-		t.Error("within-budget run marked partial")
-	}
-	if fmt.Sprint(plain.FDs) != fmt.Sprint(governed.FDs) {
-		t.Errorf("governed cover differs:\n%v\n%v", plain.FDs, governed.FDs)
-	}
-	if fmt.Sprint(plain.AgreeSets) != fmt.Sprint(governed.AgreeSets) {
-		t.Error("governed agree sets differ")
-	}
-	if b.Used() == 0 {
-		t.Error("budget not charged at all")
-	}
 }
 
 // TestOptionsValidation checks malformed Options fail fast with the typed
